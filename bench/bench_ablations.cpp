@@ -76,7 +76,7 @@ void ablationSymmetry() {
 
 void ablationWarmStart() {
   std::cout << "--- ablation 3: OAC-style design-database warm starts [25] ---\n";
-  sizing::TwoStageEquationModel model(proc(), 5e-12);
+  sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   auto specsAt = [](double gain, double ugf) {
     sizing::SpecSet s;
     s.atLeast("gain_db", gain).atLeast("ugf", ugf).atLeast("pm", 55).minimize("power", 0.5,

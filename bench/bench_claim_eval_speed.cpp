@@ -49,7 +49,7 @@ void printClaim() {
   const auto& proc = circuit::defaultProcess();
   std::cout << "=== Claim (sec. 2.2): evaluation cost — equations << AWE << SPICE ===\n\n";
 
-  sizing::TwoStageEquationModel eqModel(proc, 5e-12);
+  sizing::ComposedOpampModel eqModel(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
   const auto xEq = eqModel.initialPoint();
 
   auto relaxedTmpl = sizing::twoStageTemplate(proc, {});
@@ -92,7 +92,7 @@ void writeSparseClaim(core::RunReport& report);
 void writeJson() {
   const auto& proc = circuit::defaultProcess();
 
-  sizing::TwoStageEquationModel eqModel(proc, 5e-12);
+  sizing::ComposedOpampModel eqModel(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
   const auto xEq = eqModel.initialPoint();
   auto relaxedTmpl = sizing::twoStageTemplate(proc, {});
   sizing::RelaxedDcModel relaxedModel(std::move(relaxedTmpl), proc);
@@ -250,7 +250,7 @@ void writeSparseClaim(core::RunReport& report) {
 
 void BM_EquationEval(benchmark::State& state) {
   const auto& proc = circuit::defaultProcess();
-  sizing::TwoStageEquationModel model(proc, 5e-12);
+  sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
   const auto x = model.initialPoint();
   for (auto _ : state) {
     const auto p = model.evaluate(x);

@@ -71,7 +71,7 @@ void printComparison() {
       timeMs += std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
       evals += static_cast<double>(res.trace.size());
       if (!res.success) continue;
-      sizing::TwoStageEquationModel model(proc, 5e-12);
+      sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
       const auto perf = model.evaluate(knowledge::extractTwoStageDesign(res.context));
       if (specSetFor(sp).satisfied(perf, 0.02)) {
         ++solved;
@@ -90,7 +90,7 @@ void printComparison() {
     std::size_t solved = 0;
     double power = 0, timeMs = 0, evals = 0;
     for (std::size_t i = 0; i < kGrid.size(); ++i) {
-      sizing::TwoStageEquationModel model(proc, 5e-12);
+      sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
       sizing::SynthesisOptions opts;
       opts.seed = 100 + i;
       const auto res = sizing::synthesize(model, specSetFor(kGrid[i]), opts);
@@ -174,8 +174,8 @@ void printComparison() {
                "trajectory section 2.2 describes.\n\n";
 }
 
-/// Candidate-space scaling: selection cost over the hand-written 2-entry
-/// library vs the generated composition space (topology/compose.hpp), with
+/// Candidate-space scaling: selection cost over the 2-entry legacy menu vs
+/// the whole generated composition space (sizing/blocks.hpp), with
 /// the numbers behind the table exported to BENCH_fig1_approaches.json so
 /// trend tracking catches both a shrinking space (lost compositions) and a
 /// selection-time regression.
@@ -190,7 +190,7 @@ void printGeneratedSpace() {
       std::chrono::duration<double>(Clock::now() - tLegacy0).count();
 
   // First build pays bounds sampling over every composed structure; the
-  // second hits the (process, loadCap) memo — both are worth watching.
+  // second hits the (space, process, loadCap) memo — both are worth watching.
   const auto tGen0 = Clock::now();
   const auto gen =
       topology::amplifierLibrary(proc, loadCap, topology::TopologySpace::Generated);
@@ -228,7 +228,7 @@ void printGeneratedSpace() {
   const Timing lt = timeSelection(legacy);
   const Timing gt = timeSelection(gen);
 
-  std::cout << "=== Candidate space: hand-written menu vs generated composition ===\n\n";
+  std::cout << "=== Candidate space: legacy menu vs generated composition ===\n\n";
   core::Table t({"space", "entries", "build (ms)", "interval (us)", "rules (us)",
                  "genetic (ms)"});
   t.addRow({"legacy menu", std::to_string(legacy.size()), core::Table::num(legacyBuildS * 1e3),
@@ -257,7 +257,7 @@ void printGeneratedSpace() {
       .addValue("generated_genetic_seconds", gt.geneticS);
   report.write("BENCH_fig1_approaches.json");
   std::cout << "wrote BENCH_fig1_approaches.json: " << gen.size()
-            << " generated candidates vs " << legacy.size() << " hand-written\n\n";
+            << " generated candidates vs " << legacy.size() << " legacy\n\n";
 }
 
 void BM_PlanExecution(benchmark::State& state) {
@@ -278,7 +278,7 @@ void BM_EquationSynthesis(benchmark::State& state) {
   const auto& proc = circuit::defaultProcess();
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    sizing::TwoStageEquationModel model(proc, 5e-12);
+    sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
     sizing::SynthesisOptions opts;
     opts.seed = seed++;
     const auto res = sizing::synthesize(model, specSetFor(kGrid[0]), opts);

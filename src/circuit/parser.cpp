@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,6 +48,9 @@ double parseValue(const std::string& token) {
   } catch (const std::exception&) {
     throw std::invalid_argument("parseValue: not a number: " + token);
   }
+  // stod accepts "nan" and "inf"; no circuit value is either.
+  if (!std::isfinite(base))
+    throw std::invalid_argument("parseValue: not a finite number: " + token);
   const std::string suffix = t.substr(pos);
   if (suffix.empty()) return base;
   // SPICE semantics: an optional scale factor, then an arbitrary alphabetic
@@ -77,7 +82,10 @@ double parseValue(const std::string& token) {
   });
   if (!tailIsUnit)
     throw std::invalid_argument("parseValue: unknown suffix in " + token);
-  return base * scale;
+  const double value = base * scale;
+  if (!std::isfinite(value))  // "1e308meg" overflows
+    throw std::invalid_argument("parseValue: value out of range: " + token);
+  return value;
 }
 
 Netlist parseDeck(const std::string& deck) {
@@ -157,7 +165,14 @@ Netlist parseDeck(const std::string& deck) {
           if (!splitKeyValue(toks[k], key, val)) continue;
           if (key == "w") w = parseValue(val);
           else if (key == "l") l = parseValue(val);
-          else if (key == "m") m = static_cast<int>(parseValue(val));
+          else if (key == "m") {
+            // Converting an out-of-range double to int is undefined.
+            const double mult = parseValue(val);
+            if (!(mult >= 1.0 && mult <= INT_MAX && mult == std::floor(mult)))
+              throw std::invalid_argument("line " + std::to_string(lineNo) +
+                                          ": M= must be a whole number >= 1, got " + val);
+            m = static_cast<int>(mult);
+          }
         }
         if (w <= 0 || l <= 0)
           throw std::invalid_argument("line " + std::to_string(lineNo) + ": MOS needs W= and L=");

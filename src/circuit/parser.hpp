@@ -11,7 +11,8 @@
 namespace amsyn::circuit {
 
 /// Parse "1.5k", "10u", "2meg", "3e-12" etc. into a double.
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input and on non-finite
+/// results ("nan", "inf", scale overflow such as "1e308meg").
 double parseValue(const std::string& token);
 
 /// Parse a SPICE-like deck into a netlist.  Recognized cards:

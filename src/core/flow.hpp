@@ -104,11 +104,11 @@ struct FlowOptions {
   /// pre- and post-layout verify stages.
   AcTestbench testbench;
   std::uint64_t seed = 1;
-  /// Candidate space the topology-select stage ranks: the legacy
-  /// hand-written pair, the generated functional-block composition space
-  /// (topology/compose.hpp), or Default = the AMSYN_TOPOLOGY_SPACE env
-  /// choice (unset -> Legacy).  Both spaces contain the legacy cells with
-  /// bit-identical models, so flows whose specs the legacy cells win are
+  /// Candidate space the topology-select stage ranks: the two legacy
+  /// cells, the whole generated functional-block composition space
+  /// (sizing/blocks.hpp), or Default = the AMSYN_TOPOLOGY_SPACE env choice
+  /// (unset -> Legacy).  Both spaces carry the legacy cells with the same
+  /// models and bounds, so flows whose specs the legacy cells win are
   /// identical across spaces.
   topology::TopologySpace topologySpace = topology::TopologySpace::Default;
   EvalCacheOptions evalCache;

@@ -323,14 +323,8 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
 // Concrete stages
 
 StageOutcome TopologySelectStage::run(DesignContext& ctx) {
-  if (!library_ || libraryProc_ != &ctx.proc || libraryLoadCap_ != ctx.opts.loadCap ||
-      librarySpace_ != ctx.opts.topologySpace) {
-    library_ = std::make_unique<topology::TopologyLibrary>(
-        topology::amplifierLibrary(ctx.proc, ctx.opts.loadCap, ctx.opts.topologySpace));
-    libraryProc_ = &ctx.proc;
-    libraryLoadCap_ = ctx.opts.loadCap;
-    librarySpace_ = ctx.opts.topologySpace;
-  }
+  const auto library =
+      topology::amplifierLibrary(ctx.proc, ctx.opts.loadCap, ctx.opts.topologySpace);
 
   sizing::SynthesisOptions sopts = ctx.opts.synthesis;
   sopts.seed = ctx.opts.seed + ctx.attempt;
@@ -343,7 +337,7 @@ StageOutcome TopologySelectStage::run(DesignContext& ctx) {
     sopts.refineEvaluations = std::max<std::size_t>(sopts.refineEvaluations, 800);
   }
 
-  const auto sel = topology::selectAndSize(*library_, ctx.target, sopts);
+  const auto sel = topology::selectAndSize(library, ctx.target, sopts);
   if (!sel.success)
     return StageOutcome::skip("optimization-based sizing produced no candidate");
   CandidateDesign cand;
@@ -364,7 +358,8 @@ StageOutcome PlanCandidateStage::run(DesignContext& ctx) {
   const auto plan = knowledge::twoStageOpampPlan();
   const auto pres = plan.execute(ctx.proc, *planIn);
   if (!pres.success) return StageOutcome::skip("design plan backtracking failed");
-  const sizing::TwoStageEquationModel model(ctx.proc, ctx.opts.loadCap);
+  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), ctx.proc,
+                                         ctx.opts.loadCap);
   CandidateDesign cand;
   cand.topology = "two-stage-miller";
   cand.x = knowledge::extractTwoStageDesign(pres.context);

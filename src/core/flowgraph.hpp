@@ -162,9 +162,8 @@ struct StageOutcome {
   }
 };
 
-/// One phase of the synthesis loop.  Stages may keep per-run state (e.g. a
-/// cached topology library); a stage object belongs to one engine and one
-/// flow configuration at a time.
+/// One phase of the synthesis loop.  Stages may keep per-run state; a stage
+/// object belongs to one engine and one flow configuration at a time.
 class FlowStage {
  public:
   virtual ~FlowStage() = default;
@@ -232,12 +231,6 @@ class TopologySelectStage : public FlowStage {
  public:
   std::string name() const override { return "topology-select"; }
   StageOutcome run(DesignContext& ctx) override;
-
- private:
-  std::unique_ptr<topology::TopologyLibrary> library_;  ///< cached per run
-  const circuit::Process* libraryProc_ = nullptr;
-  double libraryLoadCap_ = 0.0;
-  topology::TopologySpace librarySpace_ = topology::TopologySpace::Default;
 };
 
 /// Knowledge-based candidate provider: maps the retargeted bounds onto the

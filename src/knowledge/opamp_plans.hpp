@@ -6,7 +6,8 @@
 //   spec.gain_db, spec.ugf, spec.pm, spec.slew, spec.cload
 //   optional: spec.power_max
 // Plan outputs: out.i5, out.i7, out.vov1, out.vov3, out.vov5, out.vov6,
-// out.cc (two-stage) — the same coordinates as TwoStageEquationModel, so a
+// out.cc (two-stage) — the legacy two-stage structure's equation-model
+// coordinates (sizing/blocks.hpp), so a
 // plan result can be evaluated, simulated and laid out like any optimizer
 // result.
 #pragma once
@@ -36,11 +37,11 @@ DesignPlan twoStageOpampPlan();
 /// Five-transistor OTA plan (outputs out.i5, out.vov1, out.vov3, out.vov5).
 DesignPlan otaPlan();
 
-/// Pull the two-stage design vector (TwoStageEquationModel variable order)
+/// Pull the two-stage design vector (legacy two-stage variable order)
 /// out of a completed plan context.
 std::vector<double> extractTwoStageDesign(const PlanContext& ctx);
 
-/// Pull the OTA design vector (OtaEquationModel variable order).
+/// Pull the OTA design vector (legacy OTA variable order).
 std::vector<double> extractOtaDesign(const PlanContext& ctx);
 
 }  // namespace amsyn::knowledge

@@ -1,10 +1,8 @@
 // General (non-SPD) sparse LU with split symbolic / numeric factorization.
 //
-// numeric/sparse.hpp covers the SPD power-grid case with conjugate
-// gradients; this file covers the unsymmetric MNA case: Jacobians and
-// (G + jwC) systems whose *structure* is fixed per netlist while their
-// *values* change on every Newton iteration, continuation rung, and
-// frequency point.  The factorization is therefore split:
+// It covers the unsymmetric MNA case: Jacobians and (G + jwC) systems
+// whose *structure* is fixed per netlist while their *values* change on
+// every Newton iteration, continuation rung, and frequency point.  The factorization is therefore split:
 //
 //   analyze  - one pass that records the column elimination order, the
 //              pivot sequence, the fill pattern of L and U, and the pivot

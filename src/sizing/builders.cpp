@@ -1,22 +1,13 @@
 #include "sizing/builders.hpp"
 
-#include "sizing/eqmodel.hpp"
+#include "sizing/blocks.hpp"
 
 namespace amsyn::sizing {
 
 NetlistBuilderRegistry::NetlistBuilderRegistry() {
-  add("two-stage-miller",
-      [](const std::vector<double>& x, const circuit::Process& proc,
-         const OpampTestbench& tb) {
-        const TwoStageEquationModel model(proc, tb.loadCap);
-        return buildTwoStageOpamp(model.toParams(x), proc, tb);
-      });
-  add("five-transistor-ota",
-      [](const std::vector<double>& x, const circuit::Process& proc,
-         const OpampTestbench& tb) {
-        const OtaEquationModel model(proc, tb.loadCap);
-        return buildOta(model.toParams(x), proc, tb);
-      });
+  for (const OpampStructure& s : enumerateOpampStructures())
+    add(s.name(), [s](const std::vector<double>& x, const circuit::Process& proc,
+                      const OpampTestbench& tb) { return buildComposedOpamp(s, x, proc, tb); });
 }
 
 NetlistBuilderRegistry& NetlistBuilderRegistry::instance() {

@@ -26,8 +26,9 @@ using NetlistBuilder = std::function<circuit::Netlist(
 
 class NetlistBuilderRegistry {
  public:
-  /// The process-wide registry, pre-populated with the built-in amplifier
-  /// topologies ("two-stage-miller", "five-transistor-ota").
+  /// The process-wide registry, pre-populated with one builder per composed
+  /// amplifier structure (sizing/blocks.hpp), keyed by structure name —
+  /// "two-stage-miller", "five-transistor-ota" and every "gen/..." entry.
   static NetlistBuilderRegistry& instance();
 
   /// Register (or replace) the builder for `topology`.  Call during

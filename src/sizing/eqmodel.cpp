@@ -8,234 +8,208 @@
 
 namespace amsyn::sizing {
 
+using circuit::Process;
+
 namespace {
 constexpr double kTwoPi = 2.0 * M_PI;
-constexpr double kIbiasRef = 10e-6;  // reference current into the bias diode
-
-/// W from the square law: W = 2 I L / (kp Vov^2), floored at the process
-/// minimum width.
-double widthFor(double i, double vov, double kp, double l, double minW) {
-  return std::max(minW, 2.0 * i * l / (kp * vov * vov));
-}
 }  // namespace
 
-TwoStageEquationModel::TwoStageEquationModel(const circuit::Process& proc, double loadCap)
-    : proc_(proc), loadCap_(loadCap) {
-  vars_ = {
-      {"i5", 2e-6, 2e-3, true},     // first-stage tail current
-      {"i7", 2e-6, 5e-3, true},     // second-stage current
-      {"vov1", 0.08, 0.5, false},   // input-pair overdrive
-      {"vov3", 0.10, 0.8, false},   // mirror overdrive
-      {"vov5", 0.10, 0.8, false},   // tail / sink overdrive
-      {"vov6", 0.10, 0.8, false},   // output-driver overdrive
-      {"cc", 0.2e-12, 2e-11, true}, // Miller capacitor
-  };
+ComposedOpampModel::ComposedOpampModel(const OpampStructure& s, const Process& proc,
+                                       double loadCap)
+    : s_(s), proc_(proc), loadCap_(loadCap), vars_(s.variables()) {
   // The key components that never change per model instance — identity tag,
-  // process parameters, load — are mixed once here; cacheKey() copies the
-  // prefix hasher (two words) and only mixes the sizing vector per call.
-  keyPrefix_.mixString("eq-two-stage");
+  // structure, process parameters, load — are mixed once here; cacheKey()
+  // copies the prefix hasher (two words) and only mixes the sizing vector.
+  keyPrefix_.mixString("composed-opamp");
+  keyPrefix_.mixString(s_.name());
   circuit::hashProcess(keyPrefix_, proc_);
   keyPrefix_.mixDouble(loadCap_);
-  // Surrogate class: tag + load only.  The process is context, not
+  // Surrogate class: structure + load only.  The process is context, not
   // identity, so instances at different process points (yield sampling,
   // per-corner libraries) pool their observations into one model.
   core::cache::Hasher128 sh;
-  sh.mixString("surr-eq-two-stage");
+  sh.mixString("surr-composed-opamp");
+  sh.mixString(s_.name());
   sh.mixDouble(loadCap_);
   surrogateSig_ = {sh.digest(), processSurrogateContext(proc_)};
 }
 
-Performance TwoStageEquationModel::evaluate(const std::vector<double>& x) const {
+std::optional<core::cache::Digest128> ComposedOpampModel::cacheKey(
+    const std::vector<double>& x) const {
+  core::cache::Hasher128 h = keyPrefix_;
+  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+  return h.digest();
+}
+
+Performance ComposedOpampModel::evaluate(const std::vector<double>& x) const {
+  return evaluate(x, proc_);
+}
+
+Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
+                                         const Process& geometryProc) const {
   if (x.size() != vars_.size())
-    throw std::invalid_argument("TwoStageEquationModel: wrong dimension");
-  // Evaluate through the geometry path: map the electrical point onto
-  // device sizes first (with minimum-width flooring) and derive the
-  // performances from that geometry.  This keeps the model exactly
-  // consistent with the netlist buildTwoStageOpamp() will produce — the
-  // classic OPASYN failure mode is an equation model whose idealized
-  // variables drift away from the realizable device sizes.
-  return evaluateTwoStageGeometry(toParams(x), proc_, loadCap_);
-}
+    throw std::invalid_argument("ComposedOpampModel(" + s_.name() + "): wrong dimension");
 
-std::optional<core::cache::Digest128> TwoStageEquationModel::cacheKey(
-    const std::vector<double>& x) const {
-  core::cache::Hasher128 h = keyPrefix_;
-  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
-  return h.digest();
-}
+  // Block-slot parameters in stitch order (see OpampStructure::variables).
+  std::size_t k = 0;
+  const double i5x = x[k++];
+  const double i7x = s_.secondStage ? x[k++] : 0.0;
+  (void)i7x;  // two-stage currents re-derive from the mirror ratios below
+  const double vov1x = x[k++];
+  const double vov3x = x[k++];
+  const double vov5x = x[k++];
+  if (s_.secondStage) ++k;  // vov6: pinned by the zero-offset constraint
+  const double vovc1x = s_.inputCascode ? x[k++] : 0.0;
+  const double vovc3x = s_.loadCascode ? x[k++] : 0.0;
+  const double vovc5x = s_.tailCascode ? x[k++] : 0.0;
 
-TwoStageParams TwoStageEquationModel::toParams(const std::vector<double>& x) const {
-  const double i5 = x[0], i7 = x[1];
-  const double vov1 = x[2], vov3 = x[3], vov5 = x[4];
-  const double l = 2e-6;
-  TwoStageParams p;
-  p.l = l;
-  p.w1 = widthFor(i5 / 2.0, vov1, proc_.kpN, l, proc_.minW);
-  p.w3 = widthFor(i5 / 2.0, vov3, proc_.kpP, l, proc_.minW);
-  p.w5 = widthFor(i5, vov5, proc_.kpN, l, proc_.minW);
-  // Zero-systematic-offset constraint (Allen & Holberg): the mirror pins
-  // M6's gate voltage to M4's, so vov6 = vov3 and W6 follows from the
-  // current ratio rather than from an independent overdrive choice.
-  // (x[5], the vov6 coordinate, deliberately has no effect: treating it as
-  // free is exactly the model-vs-circuit inconsistency that made early
-  // equation-based tools produce designs that failed in SPICE.)
-  p.w6 = std::max(proc_.minW, p.w3 * 2.0 * i7 / i5);
-  p.w7 = widthFor(i7, vov5, proc_.kpN, l, proc_.minW);
-  p.ibias = kIbiasRef;
-  // Bias diode sized for the same overdrive as the tail at the reference
-  // current, so the mirror ratio sets I5.
-  p.w8 = std::max(proc_.minW, p.w5 * p.ibias / std::max(i5, 1e-9));
-  p.cc = x[6];
-  return p;
-}
+  const bool nIn = s_.input == Polarity::Nmos;
+  const double kpIn = nIn ? proc_.kpN : proc_.kpP;
+  const double kpLoad = nIn ? proc_.kpP : proc_.kpN;
+  const double lamN = proc_.lambdaN * 1e-6 / 2e-6;
+  const double lamP = proc_.lambdaP * 1e-6 / 2e-6;
+  const double lamIn = nIn ? lamN : lamP;
+  const double lamLoad = nIn ? lamP : lamN;
 
-OtaEquationModel::OtaEquationModel(const circuit::Process& proc, double loadCap)
-    : proc_(proc), loadCap_(loadCap) {
-  vars_ = {
-      {"i5", 2e-6, 2e-3, true},
-      {"vov1", 0.08, 0.5, false},
-      {"vov3", 0.10, 0.8, false},
-      {"vov5", 0.10, 0.8, false},
-  };
-  keyPrefix_.mixString("eq-ota");
-  circuit::hashProcess(keyPrefix_, proc_);
-  keyPrefix_.mixDouble(loadCap_);
-  core::cache::Hasher128 sh;
-  sh.mixString("surr-eq-ota");
-  sh.mixDouble(loadCap_);
-  surrogateSig_ = {sh.digest(), processSurrogateContext(proc_)};
-}
+  const ComposedGeometry g = composedGeometryFor(s_, x, geometryProc);
+  const double l = g.l;
 
-Performance OtaEquationModel::evaluate(const std::vector<double>& x) const {
-  if (x.size() != vars_.size()) throw std::invalid_argument("OtaEquationModel: wrong dimension");
-  const double i5 = x[0], vov1 = x[1], vov3 = x[2], vov5 = x[3];
-  const double l = 2e-6;
-  const double lamN = proc_.lambdaN * 1e-6 / l;
-  const double lamP = proc_.lambdaP * 1e-6 / l;
+  // Per-block active-area contributions, folded in stitch order.  For the
+  // legacy two-stage this is TwoStageParams::activeArea term for term.
+  double area = 2.0 * g.w1 * l;
+  if (s_.inputCascode) area += 2.0 * g.wc1 * l;
+  area += 2.0 * g.w3 * l;
+  if (s_.loadCascode) area += 2.0 * g.wc3 * l;
+  area += g.w5 * l;
+  if (s_.tailCascode) area += g.wc5 * l;
+  if (s_.secondStage) {
+    area += g.w6 * l;
+    area += g.w7 * l;
+    if (s_.sinkCascode) area += g.wc7 * l;
+  }
+  area += g.w8 * l;
+  if (s_.secondStage) area += opampCapArea(g.cc);
 
-  const double gm1 = i5 / vov1;
-  const double gds = (lamN + lamP) * i5 / 2.0;
-  const double av = gm1 / gds;
-  const double ugf = gm1 / (kTwoPi * loadCap_);
-  // Non-dominant pole at the mirror node ~ gm3 / (2 Cgs3); approximate
-  // Cgs3 from the mirror width.
-  const double gm3 = i5 / vov3;
-  const double w3 = std::max(proc_.minW, 2.0 * (i5 / 2.0) * l / (proc_.kpP * vov3 * vov3));
-  const double cgs3 = (2.0 / 3.0) * proc_.cox * w3 * l;
-  const double pMirror = gm3 / (kTwoPi * 2.0 * cgs3);
-  const double pm = 180.0 - 90.0 - std::atan(ugf / pMirror) * 180.0 / M_PI;
-
-  const OtaParams p = toParams(x);
   Performance perf;
-  perf["gain_db"] = 20.0 * std::log10(av);
-  perf["ugf"] = ugf;
-  perf["pm"] = pm;
-  perf["slew"] = i5 / loadCap_;
-  perf["power"] = proc_.vdd * (i5 + 10e-6);
-  perf["area"] = p.activeArea(proc_);
-  perf["swing"] = std::max(0.0, proc_.vdd - vov3 - vov5 - vov1);
-  const double psd = 2.0 * (16.0 / 3.0) * proc_.kT() / gm1 * (1.0 + gm3 / gm1);
-  perf["noise_nv"] = std::sqrt(psd) * 1e9;
-  return perf;
-}
 
-std::optional<core::cache::Digest128> OtaEquationModel::cacheKey(
-    const std::vector<double>& x) const {
-  core::cache::Hasher128 h = keyPrefix_;
-  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
-  return h.digest();
-}
+  if (!s_.secondStage) {
+    // --- single-stage family: the OTA equations in electrical coordinates,
+    // with each cascode contributing an output-conductance knock-down
+    // factor (lam_c * vov_c / 2 — the cascode's intrinsic gain inverse), an
+    // extra headroom term, and (input cascode) an extra pole.  Absent
+    // blocks contribute the exact multiplicative/additive identities.
+    const double i5 = i5x, vov1 = vov1x, vov3 = vov3x, vov5 = vov5x;
 
-OtaParams OtaEquationModel::toParams(const std::vector<double>& x) const {
-  const double i5 = x[0], vov1 = x[1], vov3 = x[2], vov5 = x[3];
-  const double l = 2e-6;
-  OtaParams p;
-  p.l = l;
-  p.w1 = widthFor(i5 / 2.0, vov1, proc_.kpN, l, proc_.minW);
-  p.w3 = widthFor(i5 / 2.0, vov3, proc_.kpP, l, proc_.minW);
-  p.w5 = widthFor(i5, vov5, proc_.kpN, l, proc_.minW);
-  p.ibias = 10e-6;
-  p.w8 = std::max(proc_.minW, p.w5 * p.ibias / std::max(i5, 1e-9));
-  return p;
-}
+    const double gm1 = i5 / vov1;
+    const double fIn = s_.inputCascode ? lamIn * vovc1x / 2.0 : 1.0;
+    const double fLoad = s_.loadCascode ? lamLoad * vovc3x / 2.0 : 1.0;
+    const double fN = nIn ? fIn : fLoad;
+    const double fP = nIn ? fLoad : fIn;
+    const double gds = (lamN * fN + lamP * fP) * i5 / 2.0;
+    const double av = gm1 / gds;
+    const double ugf = gm1 / (kTwoPi * loadCap_);
 
-namespace {
+    // Mirror pole at the diode node (~2 cgs3 at conductance gm3).
+    const double gm3 = i5 / vov3;
+    const double w3 = std::max(proc_.minW, 2.0 * (i5 / 2.0) * l / (kpLoad * vov3 * vov3));
+    const double cgs3 = (2.0 / 3.0) * proc_.cox * w3 * l;
+    const double pMirror = gm3 / (kTwoPi * 2.0 * cgs3);
+    double pm = 180.0 - 90.0 - std::atan(ugf / pMirror) * 180.0 / M_PI;
+    if (s_.inputCascode) {
+      // Cascode source-node pole: gm_c over the cascode's own gate cap.
+      const double gmc1 = i5 / vovc1x;
+      const double cgsc1 = (2.0 / 3.0) * proc_.cox * g.wc1 * l;
+      const double pCasc = gmc1 / (kTwoPi * std::max(cgsc1, 1e-18));
+      pm -= std::atan(ugf / pCasc) * 180.0 / M_PI;
+    }
 
-template <typename Model>
-class OwningProcessModel : public PerformanceModel {
- public:
-  OwningProcessModel(const circuit::Process& proc, double loadCap)
-      : proc_(proc), inner_(proc_, loadCap) {}  // proc_ initialized first
+    // Headroom: each stacked cascode eats its overdrive out of the swing.
+    double swing = proc_.vdd - vov3 - vov5 - vov1;
+    if (s_.inputCascode) swing -= vovc1x;
+    if (s_.loadCascode) swing -= vovc3x;
+    if (s_.tailCascode) swing -= vovc5x;
 
-  const std::vector<DesignVariable>& variables() const override {
-    return inner_.variables();
+    perf["gain_db"] = 20.0 * std::log10(av);
+    perf["ugf"] = ugf;
+    perf["pm"] = pm;
+    perf["slew"] = i5 / loadCap_;
+    perf["power"] = proc_.vdd * (i5 + 10e-6);
+    perf["area"] = area;
+    perf["swing"] = std::max(0.0, swing);
+    const double psd = 2.0 * (16.0 / 3.0) * proc_.kT() / gm1 * (1.0 + gm3 / gm1);
+    perf["noise_nv"] = std::sqrt(psd) * 1e9;
+    return perf;
   }
-  Performance evaluate(const std::vector<double>& x) const override {
-    return inner_.evaluate(x);
-  }
-  EvalCost evalCost() const override { return inner_.evalCost(); }
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return inner_.surrogateSignature();
-  }
 
- private:
-  circuit::Process proc_;
-  Model inner_;
-};
+  // --- two-stage family: the geometry-path equations, composed per block.
+  // Currents and overdrives re-derive from the stitched device sizes (with
+  // minimum-width flooring) so the model tracks exactly what
+  // buildComposedOpamp will produce — the classic OPASYN failure mode is an
+  // equation model whose idealized variables drift away from the
+  // realizable device sizes.  Cascode blocks multiply their branch's output
+  // conductance by lam_c*vov_c/2, add their overdrive to the headroom bill,
+  // and (input cascode) append one pole; the nulling resistor moves the
+  // Miller zero.
+  const double i5 = g.ibias * g.w5 / g.w8;
+  const double i7 = g.ibias * g.w7 / g.w8;
 
-}  // namespace
-
-std::unique_ptr<PerformanceModel> makeTwoStageModel(const circuit::Process& proc,
-                                                    double loadCap) {
-  return std::make_unique<OwningProcessModel<TwoStageEquationModel>>(proc, loadCap);
-}
-
-std::unique_ptr<PerformanceModel> makeOtaModel(const circuit::Process& proc,
-                                               double loadCap) {
-  return std::make_unique<OwningProcessModel<OtaEquationModel>>(proc, loadCap);
-}
-
-Performance evaluateTwoStageGeometry(const TwoStageParams& p, const circuit::Process& proc,
-                                     double loadCap) {
-  // Bias currents from the mirror ratios off the (ideal) reference.
-  const double i5 = p.ibias * p.w5 / p.w8;
-  const double i7 = p.ibias * p.w7 / p.w8;
-  const double l = p.l;
-  const double lamN = proc.lambdaN * 1e-6 / l;
-  const double lamP = proc.lambdaP * 1e-6 / l;
-
-  // Overdrives follow from the square law at the corner's kp.
-  const double vov1 = std::sqrt(i5 * l / (proc.kpN * p.w1));
-  const double vov3 = std::sqrt(i5 * l / (proc.kpP * p.w3));
-  [[maybe_unused]] const double vov5 = std::sqrt(2.0 * i5 * l / (proc.kpN * p.w5));
-  const double vov6 = std::sqrt(2.0 * i7 * l / (proc.kpP * p.w6));
-  const double vov7 = std::sqrt(2.0 * i7 * l / (proc.kpN * p.w7));
+  const double vov1 = std::sqrt(i5 * l / (kpIn * g.w1));
+  const double vov3 = std::sqrt(i5 * l / (kpLoad * g.w3));
+  const double vov6 = std::sqrt(2.0 * i7 * l / (kpLoad * g.w6));
+  const double vov7 = std::sqrt(2.0 * i7 * l / (kpIn * g.w7));
 
   const double gm1 = i5 / vov1;
   const double gm6 = 2.0 * i7 / vov6;
-  const double av1 = gm1 / ((lamN + lamP) * i5 / 2.0);
-  const double av2 = gm6 / ((lamN + lamP) * i7);
 
-  const double gbw = gm1 / (kTwoPi * p.cc);  // gain-bandwidth product
-  const double p2 = gm6 / (kTwoPi * loadCap);
-  const double z = gm6 / (kTwoPi * p.cc);
-  // Mirror pole: the diode-connected M3 loads the first stage's internal
-  // node with ~2 cgs3 at conductance gm3.
+  const double vovc1 = s_.inputCascode ? std::sqrt(i5 * l / (kpIn * g.wc1)) : 0.0;
+  const double vovc3 = s_.loadCascode ? std::sqrt(i5 * l / (kpLoad * g.wc3)) : 0.0;
+  const double vovc7 = s_.sinkCascode ? std::sqrt(2.0 * i7 * l / (kpIn * g.wc7)) : 0.0;
+
+  const double fIn = s_.inputCascode ? lamIn * vovc1 / 2.0 : 1.0;
+  const double fLoad = s_.loadCascode ? lamLoad * vovc3 / 2.0 : 1.0;
+  const double fN1 = nIn ? fIn : fLoad;
+  const double fP1 = nIn ? fLoad : fIn;
+  const double av1 = gm1 / ((lamN * fN1 + lamP * fP1) * i5 / 2.0);
+
+  // Stage 2: the sink is the input polarity, the driver the complement.
+  const double fSink = s_.sinkCascode ? lamIn * vovc7 / 2.0 : 1.0;
+  const double fN2 = nIn ? fSink : 1.0;
+  const double fP2 = nIn ? 1.0 : fSink;
+  const double av2 = gm6 / ((lamN * fN2 + lamP * fP2) * i7);
+
+  const double gbw = gm1 / (kTwoPi * g.cc);
+  const double p2 = gm6 / (kTwoPi * loadCap_);
   const double gm3 = i5 / vov3;
-  const double cgs3 = (2.0 / 3.0) * proc.cox * p.w3 * l;
+  const double cgs3 = (2.0 / 3.0) * proc_.cox * g.w3 * l;
   const double p3 = gm3 / (kTwoPi * 2.0 * std::max(cgs3, 1e-18));
 
-  // True unity-gain crossing of the 3-pole / 1-RHP-zero response.  When p2
-  // sits near the GBW product the magnitude falls at -40 dB/dec before
+  // Optional cascode pole on the first stage's folded node.
+  double pCasc = 0.0;
+  if (s_.inputCascode) {
+    const double gmc1 = i5 / vovc1;
+    const double cgsc1 = (2.0 / 3.0) * proc_.cox * g.wc1 * l;
+    pCasc = gmc1 / (kTwoPi * std::max(cgsc1, 1e-18));
+  }
+
+  // Compensation zero.  Plain Miller keeps the legacy RHP zero z = gm6 /
+  // (2 pi Cc); the nulling resistor shifts it through 1/z = 2 pi Cc
+  // (1/gm6 - Rz) — negative (LHP, phase-recovering) once Rz > 1/gm6.
+  const bool nulled = s_.comp == Compensation::MillerNulled;
+  const double z = nulled ? 0.0 : gm6 / (kTwoPi * g.cc);
+  const double zInv = nulled ? kTwoPi * g.cc * (1.0 / gm6 - g.rz) : 0.0;
+
+  // True unity-gain crossing of the multi-pole / one-zero response.  When
+  // p2 sits near the GBW product the magnitude falls at -40 dB/dec before
   // crossing, so the measured UGF lands well below gm1/(2 pi Cc); reporting
   // the naive GBW here is exactly the kind of model-vs-silicon drift the
   // verification step of section 2.1 exists to catch.
   const double av0 = av1 * av2;
   const double p1 = gbw / std::max(av0, 1.0);  // dominant pole (Hz)
   auto magnitude = [&](double f) {
-    const double num = 1.0 + (f / z) * (f / z);
-    const double den = (1.0 + (f / p1) * (f / p1)) * (1.0 + (f / p2) * (f / p2)) *
-                       (1.0 + (f / p3) * (f / p3));
+    const double num = nulled ? 1.0 + (f * zInv) * (f * zInv) : 1.0 + (f / z) * (f / z);
+    double den = (1.0 + (f / p1) * (f / p1)) * (1.0 + (f / p2) * (f / p2)) *
+                 (1.0 + (f / p3) * (f / p3));
+    if (s_.inputCascode) den *= 1.0 + (f / pCasc) * (f / pCasc);
     return av0 * std::sqrt(num / den);
   };
   double lo = p1, hi = 1e13;
@@ -245,24 +219,26 @@ Performance evaluateTwoStageGeometry(const TwoStageParams& p, const circuit::Pro
   }
   const double ugf = std::sqrt(lo * hi);
 
-  const double pm = 180.0 - std::atan(ugf / p1) * 180.0 / M_PI -
-                    std::atan(ugf / p2) * 180.0 / M_PI -
-                    std::atan(ugf / z) * 180.0 / M_PI -
-                    std::atan(ugf / p3) * 180.0 / M_PI;
+  double pm = 180.0;
+  pm -= std::atan(ugf / p1) * 180.0 / M_PI;
+  pm -= std::atan(ugf / p2) * 180.0 / M_PI;
+  pm -= (nulled ? std::atan(ugf * zInv) : std::atan(ugf / z)) * 180.0 / M_PI;
+  pm -= std::atan(ugf / p3) * 180.0 / M_PI;
+  if (s_.inputCascode) pm -= std::atan(ugf / pCasc) * 180.0 / M_PI;
 
-  const double psd = 2.0 * (16.0 / 3.0) * proc.kT() / gm1 * (1.0 + gm3 / gm1);
+  double swing = proc_.vdd - vov6 - vov7 -
+                 0.5 * (std::abs(proc_.vt0N) - 0.75 + std::abs(proc_.vt0P) - 0.85);
+  if (s_.sinkCascode) swing -= vovc7;
 
-  Performance perf;
+  const double psd = 2.0 * (16.0 / 3.0) * proc_.kT() / gm1 * (1.0 + gm3 / gm1);
+
   perf["gain_db"] = 20.0 * std::log10(av1 * av2);
   perf["ugf"] = ugf;
   perf["pm"] = pm;
-  perf["slew"] = std::min(i5 / p.cc, i7 / loadCap);
-  perf["power"] = proc.vdd * (i5 + i7 + p.ibias);
-  perf["area"] = p.activeArea(proc);
-  // Headroom shrinks with |Vt| growth as well as overdrive growth.
-  perf["swing"] =
-      std::max(0.0, proc.vdd - vov6 - vov7 -
-                        0.5 * (std::abs(proc.vt0N) - 0.75 + std::abs(proc.vt0P) - 0.85));
+  perf["slew"] = std::min(i5 / g.cc, i7 / loadCap_);
+  perf["power"] = proc_.vdd * (i5 + i7 + g.ibias);
+  perf["area"] = area;
+  perf["swing"] = std::max(0.0, swing);
   perf["noise_nv"] = std::sqrt(psd) * 1e9;
   return perf;
 }
@@ -272,14 +248,12 @@ namespace {
 /// See makeTwoStageCornerModel.
 class TwoStageCornerModel : public PerformanceModel {
  public:
-  TwoStageCornerModel(const circuit::Process& corner, const circuit::Process& nominal,
-                      double loadCap)
-      : corner_(corner), nominal_(nominal), nominalModel_(nominal_, loadCap),
-        loadCap_(loadCap) {
+  TwoStageCornerModel(const Process& corner, const Process& nominal, double loadCap)
+      : nominal_(nominal), atCorner_(OpampStructure::legacyTwoStage(), corner, loadCap) {
     keyPrefix_.mixString("eq-two-stage-corner");
-    circuit::hashProcess(keyPrefix_, corner_);
+    circuit::hashProcess(keyPrefix_, corner);
     circuit::hashProcess(keyPrefix_, nominal_);
-    keyPrefix_.mixDouble(loadCap_);
+    keyPrefix_.mixDouble(loadCap);
     // Surrogate class excludes the corner: every vertex and coordinate-
     // search probe of one hunt trains a single model, with the corner's
     // electrical parameters riding along as context features.  A per-corner
@@ -287,17 +261,16 @@ class TwoStageCornerModel : public PerformanceModel {
     core::cache::Hasher128 sh;
     sh.mixString("surr-eq-two-stage-corner");
     circuit::hashProcess(sh, nominal_);
-    sh.mixDouble(loadCap_);
-    surrogateSig_ = {sh.digest(), processSurrogateContext(corner_)};
+    sh.mixDouble(loadCap);
+    surrogateSig_ = {sh.digest(), processSurrogateContext(corner)};
   }
 
   const std::vector<DesignVariable>& variables() const override {
-    return nominalModel_.variables();
+    return atCorner_.variables();
   }
 
   Performance evaluate(const std::vector<double>& x) const override {
-    const TwoStageParams geometry = nominalModel_.toParams(x);
-    return evaluateTwoStageGeometry(geometry, corner_, loadCap_);
+    return atCorner_.evaluate(x, nominal_);
   }
 
   /// Corner-hunt hot path: worstCaseCorner re-visits the same (corner, x)
@@ -321,18 +294,16 @@ class TwoStageCornerModel : public PerformanceModel {
   }
 
  private:
-  circuit::Process corner_;
-  circuit::Process nominal_;
-  TwoStageEquationModel nominalModel_;
-  double loadCap_;
+  Process nominal_;
+  ComposedOpampModel atCorner_;       ///< legacy two-stage at the corner process
   core::cache::Hasher128 keyPrefix_;  ///< tag+corner+nominal+loadCap
   SurrogateSignature surrogateSig_;   ///< tag+nominal+loadCap; corner as context
 };
 
 }  // namespace
 
-std::unique_ptr<PerformanceModel> makeTwoStageCornerModel(const circuit::Process& corner,
-                                                          const circuit::Process& nominal,
+std::unique_ptr<PerformanceModel> makeTwoStageCornerModel(const Process& corner,
+                                                          const Process& nominal,
                                                           double loadCap) {
   return std::make_unique<TwoStageCornerModel>(corner, nominal, loadCap);
 }

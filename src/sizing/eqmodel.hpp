@@ -1,26 +1,29 @@
 // Equation-based performance models (OPASYN [8] / OPTIMAN [10] style):
-// hand-derived first-order design equations evaluated in microseconds.
+// first-order design equations evaluated in microseconds.  One library of
+// equations serves every amplifier: ComposedOpampModel derives a
+// structure's performances from per-block contributions (hierarchical
+// equation library over the composed block space of sizing/blocks.hpp).
 // Design variables are bias currents, overdrive voltages, and the
 // compensation capacitor; device widths follow from W/L = 2 I / (kp Vov^2),
-// so every equation-model design point maps onto the simulatable and
-// layoutable TwoStageParams / OtaParams templates.
+// so every design point maps onto the netlist buildComposedOpamp stitches.
 #pragma once
 
 #include <memory>
 
 #include "circuit/process.hpp"
-#include "sizing/opamp.hpp"
+#include "sizing/blocks.hpp"
 #include "sizing/perfmodel.hpp"
 
 namespace amsyn::sizing {
 
-/// Two-stage Miller opamp, equation-based.
-/// Variables: i5, i7 (stage currents), vov1, vov3, vov5, vov6 (overdrives),
-/// cc (compensation).  Performances: gain_db, ugf, pm, slew, power, area,
-/// swing, noise_nv (input thermal noise density in nV/sqrt(Hz)).
-class TwoStageEquationModel : public PerformanceModel {
+/// Composed equation-based performance model for one block structure.
+/// Variables are the structure's variables(); performances are the standard
+/// amplifier set (gain_db, ugf, pm, slew, power, area, swing, noise_nv).
+/// The model owns its process, so libraries holding it may be memoized and
+/// outlive the caller's process instance.
+class ComposedOpampModel : public PerformanceModel {
  public:
-  TwoStageEquationModel(const circuit::Process& proc, double loadCap);
+  ComposedOpampModel(const OpampStructure& s, const circuit::Process& proc, double loadCap);
 
   const std::vector<DesignVariable>& variables() const override { return vars_; }
   Performance evaluate(const std::vector<double>& x) const override;
@@ -31,71 +34,38 @@ class TwoStageEquationModel : public PerformanceModel {
   /// genetic workload measures exactly this floor).
   EvalCost evalCost() const override { return EvalCost::Cheap; }
   /// Cheap models are never pruned (tryPrune skips them) but still attest a
-  /// signature so ordering mode can pre-rank genetic offspring over the
-  /// default equation-model library.
+  /// signature — structure name and load; the process rides as context — so
+  /// ordering mode can pre-rank genetic offspring over the amplifier library.
   std::optional<SurrogateSignature> surrogateSignature() const override {
     return surrogateSig_;
   }
 
-  /// Map a design point to device sizes for simulation / layout.
-  TwoStageParams toParams(const std::vector<double>& x) const;
+  /// Evaluate a *frozen geometry* under this model's process: device sizes
+  /// are mapped from `x` at `geometryProc` (the nominal process a designer
+  /// tapes out) and the electricals are re-derived at this model's process.
+  /// That is the physically correct object for corner and yield analysis —
+  /// a fab varies kp/Vt/Vdd/T around fixed masks.  Two-stage structures
+  /// re-derive every current and overdrive from the geometry; the
+  /// single-stage family's equations read them from `x` directly.
+  /// evaluate(x) maps the geometry at the model's own process.
+  Performance evaluate(const std::vector<double>& x,
+                       const circuit::Process& geometryProc) const;
 
-  double loadCap() const { return loadCap_; }
-
- private:
-  const circuit::Process& proc_;
-  double loadCap_;
-  std::vector<DesignVariable> vars_;
-  core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
-  SurrogateSignature surrogateSig_;   ///< tag+loadCap class; process as context
-};
-
-/// Five-transistor OTA, equation-based.
-/// Variables: i5, vov1, vov3, vov5.  Performances: gain_db, ugf, pm, slew,
-/// power, area, swing, noise_nv.
-class OtaEquationModel : public PerformanceModel {
- public:
-  OtaEquationModel(const circuit::Process& proc, double loadCap);
-
-  const std::vector<DesignVariable>& variables() const override { return vars_; }
-  Performance evaluate(const std::vector<double>& x) const override;
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override;
-  EvalCost evalCost() const override { return EvalCost::Cheap; }
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
-
-  OtaParams toParams(const std::vector<double>& x) const;
+  const OpampStructure& structure() const { return s_; }
 
  private:
-  const circuit::Process& proc_;
+  OpampStructure s_;
+  circuit::Process proc_;
   double loadCap_;
   std::vector<DesignVariable> vars_;
-  core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
-  SurrogateSignature surrogateSig_;   ///< tag+loadCap class; process as context
+  core::cache::Hasher128 keyPrefix_;  ///< tag+name+process+loadCap, mixed once
+  SurrogateSignature surrogateSig_;   ///< tag+name+loadCap class; process as context
 };
 
-/// Equation model that owns a copy of its process — corner and yield
-/// analyses instantiate models at perturbed processes whose lifetime would
-/// otherwise be the caller's problem.
-std::unique_ptr<PerformanceModel> makeTwoStageModel(const circuit::Process& proc,
-                                                    double loadCap);
-std::unique_ptr<PerformanceModel> makeOtaModel(const circuit::Process& proc, double loadCap);
-
-/// Evaluate a *fixed geometry* (widths, Cc, Ibias) under an arbitrary
-/// process instance.  This is the physically correct object for corner and
-/// yield analysis: what a fab varies is kp/Vt/Vdd/T around frozen masks, so
-/// currents and overdrives — the equation model's free variables — shift
-/// with the corner.  Mirror currents derive from the bias reference through
-/// the W5/W8 and W7/W8 ratios.
-Performance evaluateTwoStageGeometry(const TwoStageParams& p, const circuit::Process& proc,
-                                     double loadCap);
-
-/// Corner model: design points live in the electrical variable space of
-/// TwoStageEquationModel, are mapped to geometry at the *nominal* process
-/// (that is what the designer tapes out), and evaluated under the corner
-/// process.  Use in manufacture::ModelFactory lambdas:
+/// Corner model: design points live in the legacy two-stage structure's
+/// electrical variable space, are mapped to geometry at the *nominal*
+/// process (that is what the designer tapes out), and evaluated under the
+/// corner process.  Use in manufacture::ModelFactory lambdas:
 ///   [&](const Process& corner) {
 ///     return makeTwoStageCornerModel(corner, nominalProcess, cl); }
 std::unique_ptr<PerformanceModel> makeTwoStageCornerModel(const circuit::Process& corner,

@@ -67,24 +67,4 @@ Netlist buildTwoStageOpamp(const TwoStageParams& p, const Process& proc,
   return net;
 }
 
-double OtaParams::activeArea(const circuit::Process& proc) const {
-  (void)proc;
-  return 2 * w1 * l + 2 * w3 * l + w5 * l + w8 * l;
-}
-
-Netlist buildOta(const OtaParams& p, const Process& proc, const OpampTestbench& tb) {
-  Netlist net;
-  addOpampSupplies(net, proc, p.ibias);
-
-  net.addMos("M1", "n1", "inp", "tail", "0", MosType::Nmos, p.w1, p.l);
-  net.addMos("M2", "out", "inn", "tail", "0", MosType::Nmos, p.w1, p.l);
-  net.addMos("M3", "n1", "n1", "vdd", "vdd", MosType::Pmos, p.w3, p.l);
-  net.addMos("M4", "out", "n1", "vdd", "vdd", MosType::Pmos, p.w3, p.l);
-  net.addMos("M5", "tail", "nbias", "0", "0", MosType::Nmos, p.w5, p.l);
-  net.addMos("M8", "nbias", "nbias", "0", "0", MosType::Nmos, p.w8, p.l);
-
-  addOpampTestbench(net, tb);
-  return net;
-}
-
 }  // namespace amsyn::sizing

@@ -1,8 +1,9 @@
-// Circuit templates for the classic CMOS amplifiers every surveyed synthesis
-// system cut its teeth on: the two-stage Miller-compensated opamp and the
-// five-transistor OTA.  One parameter block serves the equation-based
-// evaluator, the simulation-based evaluator, and the layout generators, so a
-// sizing produced by any engine can be verified and laid out by the others.
+// Circuit template for the classic CMOS amplifier every surveyed synthesis
+// system cut its teeth on: the two-stage Miller-compensated opamp.  Its
+// parameter block serves the simulation-based evaluators and the layout
+// generators; the equation models size the same devices through the
+// composed block space (sizing/blocks.hpp), whose legacy two-stage netlist
+// is this template's device for device.
 #pragma once
 
 #include <string>
@@ -45,27 +46,11 @@ struct OpampTestbench {
 circuit::Netlist buildTwoStageOpamp(const TwoStageParams& p, const circuit::Process& proc,
                                     const OpampTestbench& tb = {});
 
-/// Five-transistor OTA (single-stage): NMOS pair M1/M2, PMOS mirror M3/M4,
-/// NMOS tail M5, bias diode M8.
-struct OtaParams {
-  double w1 = 40e-6;
-  double w3 = 20e-6;
-  double w5 = 20e-6;
-  double w8 = 10e-6;
-  double l = 2e-6;
-  double ibias = 20e-6;
-
-  double activeArea(const circuit::Process& proc) const;
-};
-
-circuit::Netlist buildOta(const OtaParams& p, const circuit::Process& proc,
-                          const OpampTestbench& tb = {});
-
 // --- shared sub-netlists ---------------------------------------------------
-// The composed-topology builders (topology/compose.hpp) stitch the same
+// The composed-topology builder (sizing/blocks.hpp) stitches the same
 // supply, bias and testbench fixtures around generated cores; sharing the
-// device sequences keeps a composed legacy cell byte-identical to the
-// hand-written builders above.
+// device sequences keeps the composed legacy two-stage byte-identical to
+// buildTwoStageOpamp above.
 
 /// VDD supply plus the bias reference pushing `ibias` into "nbias" (the
 /// NMOS bias-diode rail).  `pmosDiode` flips the reference for a PMOS bias

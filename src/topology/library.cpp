@@ -1,15 +1,19 @@
 #include "topology/library.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
+#include "circuit/canonical.hpp"
 #include "core/context.hpp"
 #include "sizing/eqmodel.hpp"
-#include "topology/compose.hpp"
 
 namespace amsyn::topology {
 
 using num::Interval;
+using sizing::Compensation;
+using sizing::OpampStructure;
 using sizing::SpecKind;
 using sizing::SpecSet;
 
@@ -84,7 +88,9 @@ FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
   return bounds;
 }
 
-std::vector<HeuristicRule> legacyOtaRules() {
+namespace {
+
+std::vector<HeuristicRule> otaRules() {
   std::vector<HeuristicRule> rules;
   rules.push_back({"single stage suffices for moderate gain",
                    [](const SpecSet& specs) {
@@ -114,7 +120,7 @@ std::vector<HeuristicRule> legacyOtaRules() {
   return rules;
 }
 
-std::vector<HeuristicRule> legacyTwoStageRules() {
+std::vector<HeuristicRule> twoStageRules() {
   std::vector<HeuristicRule> rules;
   rules.push_back({"two gain stages needed above ~45 dB",
                    [](const SpecSet& specs) {
@@ -143,6 +149,92 @@ std::vector<HeuristicRule> legacyTwoStageRules() {
   return rules;
 }
 
+/// Largest grid g >= 2 with g^dim <= ~4k model evaluations: generated
+/// entries trade per-axis resolution for bounded library-construction cost
+/// (the legacy cells keep their historical 5/4 grids).
+std::size_t adaptiveGrid(std::size_t dim) {
+  std::size_t g = 2;
+  for (std::size_t cand = 3; cand <= 8; ++cand) {
+    double evals = 1.0;
+    for (std::size_t i = 0; i < dim; ++i) evals *= static_cast<double>(cand);
+    if (evals <= 4096.0) g = cand;
+  }
+  return g;
+}
+
+int cascodeCount(const OpampStructure& s) {
+  return int(s.inputCascode) + int(s.loadCascode) + int(s.tailCascode) +
+         int(s.sinkCascode);
+}
+
+std::vector<HeuristicRule> rulesFor(const OpampStructure& s, TopologySpace space) {
+  // Family rules: a two-stage scores the two-stage rules, a single-stage the
+  // OTA rules.  The legacy menu stops there; block-specific rules ride on
+  // top in the generated space.
+  std::vector<HeuristicRule> rules = s.secondStage ? twoStageRules() : otaRules();
+  if (space == TopologySpace::Legacy) return rules;
+  if (const int k = cascodeCount(s)) {
+    rules.push_back({"cascodes raise achievable gain but cost headroom",
+                     [k](const SpecSet& specs) {
+                       double score = 0.0;
+                       for (const auto& sp : specs.specs()) {
+                         if (sp.performance == "gain_db" &&
+                             sp.kind == SpecKind::GreaterEqual && sp.bound > 75.0)
+                           score += 1.0 * k;
+                         if (sp.performance == "swing" &&
+                             sp.kind == SpecKind::GreaterEqual)
+                           score -= 0.5 * k;
+                       }
+                       return score;
+                     }});
+  }
+  if (s.comp == Compensation::MillerNulled) {
+    rules.push_back({"nulling resistor recovers phase margin",
+                     [](const SpecSet& specs) {
+                       double score = 0.0;
+                       for (const auto& sp : specs.specs())
+                         if (sp.performance == "pm" && sp.kind == SpecKind::GreaterEqual &&
+                             sp.bound >= 70.0)
+                           score += 1.0;
+                       return score;
+                     }});
+  }
+  if (s.isLegacyOta() || s.isLegacyTwoStage()) {
+    // Provenance: the historical cells are silicon-validated references;
+    // prefer them over an equal-scoring generated sibling (the name
+    // tie-break alone would rank "gen/..." first).
+    rules.push_back({"hand-validated reference cell",
+                     [](const SpecSet&) { return 0.05; }});
+  }
+  return rules;
+}
+
+/// One entry per structure of `space`, in enumeration order: the legacy menu
+/// is the two historical cells, the generated space every valid structure.
+/// Everything is deterministic — bounds are sampled serially and models are
+/// pure — so thread count, eval-cache state and run count change no bit.
+TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
+                             double loadCap) {
+  TopologyLibrary lib;
+  for (const OpampStructure& s : sizing::enumerateOpampStructures()) {
+    const bool legacy = s.isLegacyOta() || s.isLegacyTwoStage();
+    if (space == TopologySpace::Legacy && !legacy) continue;
+    TopologyEntry e;
+    e.name = s.name();
+    e.model = std::make_shared<sizing::ComposedOpampModel>(s, proc, loadCap);
+    const std::size_t grid = s.isLegacyOta()        ? 5
+                             : s.isLegacyTwoStage() ? 4
+                                                    : adaptiveGrid(s.variables().size());
+    e.bounds = boundsBySampling(*e.model, grid);
+    e.rules = rulesFor(s, space);
+    e.complexity = s.deviceCount();
+    lib.add(std::move(e));
+  }
+  return lib;
+}
+
+}  // namespace
+
 TopologySpace defaultTopologySpace() {
   // The AMSYN_TOPOLOGY_SPACE knob now arrives through the execution
   // context's config (parsed once in core::envknobs); the ambient context
@@ -159,31 +251,28 @@ TopologySpace defaultTopologySpace() {
 TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
                                  TopologySpace space) {
   if (space == TopologySpace::Default) space = defaultTopologySpace();
-  if (space == TopologySpace::Generated) return generatedAmplifierLibrary(proc, loadCap);
+  // Memoize per (space, process, loadCap): bounds sampling over the full
+  // generated space is ~10^5 model evaluations, and even the two legacy
+  // entries cost ~10^4 — too much to repeat on every flow start.  Keyed by
+  // content digest, not address, so corner/perturbed processes get their
+  // own libraries; models own a Process copy, so a cached library outliving
+  // the caller's process instance is safe.
+  core::cache::Hasher128 h;
+  h.mix(static_cast<std::uint64_t>(space));
+  circuit::hashProcess(h, proc);
+  h.mixDouble(loadCap);
+  const auto key = h.digest();
 
-  TopologyLibrary lib;
-
+  static std::mutex mu;
+  static std::map<core::cache::Digest128, TopologyLibrary> memo;
   {
-    TopologyEntry ota;
-    ota.name = "five-transistor-ota";
-    ota.model = std::make_shared<sizing::OtaEquationModel>(proc, loadCap);
-    ota.bounds = boundsBySampling(*ota.model, 5);
-    ota.complexity = 6;
-    ota.rules = legacyOtaRules();
-    lib.add(std::move(ota));
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = memo.find(key);
+    if (it != memo.end()) return it->second;
   }
-
-  {
-    TopologyEntry ts;
-    ts.name = "two-stage-miller";
-    ts.model = std::make_shared<sizing::TwoStageEquationModel>(proc, loadCap);
-    ts.bounds = boundsBySampling(*ts.model, 4);
-    ts.complexity = 9;
-    ts.rules = legacyTwoStageRules();
-    lib.add(std::move(ts));
-  }
-
-  return lib;
+  TopologyLibrary lib = buildLibrary(space, proc, loadCap);
+  std::lock_guard<std::mutex> lock(mu);
+  return memo.emplace(key, std::move(lib)).first->second;
 }
 
 }  // namespace amsyn::topology

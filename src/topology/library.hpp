@@ -61,29 +61,26 @@ class TopologyLibrary {
 /// Which candidate space amplifierLibrary returns.
 enum class TopologySpace : std::uint8_t {
   Default,    ///< defaultTopologySpace(): the AMSYN_TOPOLOGY_SPACE env choice
-  Legacy,     ///< the two hand-written cells only
-  Generated,  ///< the composed functional-block space (topology/compose.hpp)
+  Legacy,     ///< the two historical cells: five-transistor OTA, two-stage Miller
+  Generated,  ///< the whole composed functional-block space (sizing/blocks.hpp)
 };
 
 /// Process-wide default space: AMSYN_TOPOLOGY_SPACE=generated selects the
 /// composed space, anything else (or unset) the legacy pair.
 TopologySpace defaultTopologySpace();
 
-/// The amplifier candidate library.  Legacy: five-transistor OTA and
-/// two-stage Miller opamp with interval bounds derived from their equation
-/// models over the full design-variable box.  Generated: the functional-
-/// block composition space (dozens of electrically valid op-amp structures,
-/// including both legacy cells reproduced bit-identically as composition
-/// instances — see topology/compose.hpp).
+/// The amplifier candidate library: one entry per composed structure of the
+/// space (sizing/blocks.hpp), each with its sizing::ComposedOpampModel,
+/// interval bounds sampled over the full design-variable box, heuristic
+/// rules and device-count complexity.  Legacy: the five-transistor OTA and
+/// the two-stage Miller opamp with the family rules only.  Generated: every
+/// electrically valid structure (both legacy cells included, with a small
+/// provenance bonus over generated siblings).  Every rule aggregates over
+/// *all* matching specs — a SpecSet may carry several bounds on one
+/// performance.  Memoized per (space, process, loadCap): repeated flow
+/// starts reuse the sampled bounds.
 TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
                                  TopologySpace space = TopologySpace::Default);
-
-/// Heuristic rule sets of the hand-written cells, shared with the generated
-/// space (which reproduces those cells as composition instances and must
-/// score them identically).  Every rule aggregates over *all* matching
-/// specs — a SpecSet may carry several bounds on one performance.
-std::vector<HeuristicRule> legacyOtaRules();
-std::vector<HeuristicRule> legacyTwoStageRules();
 
 /// Interval evaluation of an equation model: bound each performance over the
 /// design box by sampling a coarse grid and taking the hull, widened by a

@@ -101,6 +101,11 @@ TEST(ParseValue, NonAlphabeticTailStillThrows) {
   EXPECT_THROW(ckt::parseValue("1k5"), std::invalid_argument);
   EXPECT_THROW(ckt::parseValue("2.5v2"), std::invalid_argument);
   EXPECT_THROW(ckt::parseValue("1_ohm"), std::invalid_argument);
+  // Non-finite results: stod's nan/inf spellings and scale overflow.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e308meg", "1e300t",
+                          "1e999"})
+    EXPECT_THROW(ckt::parseValue(bad), std::invalid_argument) << bad;
+  EXPECT_DOUBLE_EQ(ckt::parseValue("1e300k"), 1e303);
 }
 
 TEST(ParseDeck, SimpleRcCircuit) {
@@ -129,6 +134,18 @@ TEST(ParseDeck, RejectsMalformedCards) {
   EXPECT_THROW(ckt::parseDeck("R1 a b\n"), std::invalid_argument);
   EXPECT_THROW(ckt::parseDeck("M1 d g s b NMOS\n"), std::invalid_argument);
   EXPECT_THROW(ckt::parseDeck("X1 a b c\n"), std::invalid_argument);
+  // Non-finite values never reach a device.
+  EXPECT_THROW(ckt::parseDeck("M1 d g s 0 nmos W=nan L=1u\n"), std::invalid_argument);
+  EXPECT_THROW(ckt::parseDeck("M1 d g s 0 nmos W=1u L=inf\n"), std::invalid_argument);
+  EXPECT_THROW(ckt::parseDeck("R1 a 0 inf\n"), std::invalid_argument);
+  EXPECT_THROW(ckt::parseDeck("C1 a 0 1e308meg\n"), std::invalid_argument);
+  // M= is a whole device count in [1, INT_MAX].
+  for (const char* m : {"3e9", "0", "-2", "1.5", "nan", "2147483648"})
+    EXPECT_THROW(ckt::parseDeck(std::string("M1 d g s 0 nmos W=1u L=1u M=") + m + "\n"),
+                 std::invalid_argument)
+        << m;
+  EXPECT_EQ(ckt::parseDeck("M1 d g s 0 nmos W=1u L=1u M=2147483647\n").device("M1").mos.m,
+            2147483647);
 }
 
 // ---------------------------------------------------------------- MOS model

@@ -1,11 +1,12 @@
-// Property + differential suite for the generated topology space
-// (topology/blocks.hpp, topology/compose.hpp):
+// Property + differential suite for the composed topology space
+// (sizing/blocks.hpp, sizing/eqmodel.hpp, topology/library.hpp):
 //   * the composed space is large enough, valid, uniquely named, and fully
 //     backed by registered netlist builders and derived bounds;
 //   * the two legacy cells are reproduced as composition instances with
-//     *bit-identical* models and netlists (differential against the
-//     hand-written OtaEquationModel / TwoStageEquationModel and
-//     buildOta / buildTwoStageOpamp);
+//     *bit-identical* models, corner model, bounds and netlists
+//     (differential against the test-only hand-written reference in
+//     tests/reference/: OtaEquationModel / TwoStageEquationModel,
+//     evaluateTwoStageGeometry, buildOta / buildTwoStageOpamp);
 //   * every generated topology builds a sane netlist whose canonical digest
 //     is stable under declaration shuffles and across rebuilds;
 //   * selection over the space — boundary, rule-based, and genetic — is
@@ -27,8 +28,9 @@
 #include "numeric/rng.hpp"
 #include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
+#include "reference/handwritten_opamp.hpp"
+#include "sizing/blocks.hpp"
 #include "sizing/opamp.hpp"
-#include "topology/blocks.hpp"
 #include "topology/compose.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
@@ -41,6 +43,7 @@ namespace core = amsyn::core;
 namespace cache = amsyn::core::cache;
 namespace num = amsyn::num;
 namespace kn = amsyn::knowledge;
+namespace ref = amsyn::reference;
 
 namespace {
 
@@ -129,7 +132,7 @@ struct CacheGuard {
 // Space shape
 
 TEST(ComposedSpace, EnumerationIsLargeValidAndUniquelyNamed) {
-  const auto structs = tp::enumerateOpampStructures();
+  const auto structs = sz::enumerateOpampStructures();
   EXPECT_GE(structs.size(), 50u);
   std::set<std::string> names;
   std::size_t legacy = 0;
@@ -145,29 +148,29 @@ TEST(ComposedSpace, EnumerationIsLargeValidAndUniquelyNamed) {
 }
 
 TEST(ComposedSpace, EnumerationOrderIsStableAcrossCalls) {
-  const auto a = tp::enumerateOpampStructures();
-  const auto b = tp::enumerateOpampStructures();
+  const auto a = sz::enumerateOpampStructures();
+  const auto b = sz::enumerateOpampStructures();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].name(), b[i].name()) << i;
 }
 
 TEST(ComposedSpace, ValidityRulesActuallyPrune) {
-  tp::OpampStructure s;  // legacy OTA shape
-  s.comp = tp::Compensation::Miller;
+  sz::OpampStructure s;  // legacy OTA shape
+  s.comp = sz::Compensation::Miller;
   EXPECT_FALSE(s.valid());  // compensation without a second stage
-  s.comp = tp::Compensation::None;
+  s.comp = sz::Compensation::None;
   s.secondStage = true;
   EXPECT_FALSE(s.valid());  // second stage without compensation
-  s.comp = tp::Compensation::Miller;
+  s.comp = sz::Compensation::Miller;
   EXPECT_TRUE(s.valid());
   s.secondStage = false;
-  s.comp = tp::Compensation::None;
+  s.comp = sz::Compensation::None;
   s.inputCascode = s.loadCascode = s.tailCascode = true;
   EXPECT_FALSE(s.valid());  // headroom rule
 }
 
 TEST(ComposedSpace, LegacyComplexityFiguresMatchHandWrittenEntries) {
-  for (const auto& s : tp::enumerateOpampStructures()) {
+  for (const auto& s : sz::enumerateOpampStructures()) {
     if (s.isLegacyOta()) {
       EXPECT_EQ(s.deviceCount(), 6);
     }
@@ -214,7 +217,7 @@ TEST(GeneratedLibrary, RebuildIsBitIdentical) {
   // Deterministic construction: a second library (same process, same load)
   // has the same entry order, bounds, and complexities, bit for bit.
   const auto& a = genLib();
-  const auto b = tp::generatedAmplifierLibrary(proc(), kLoadCap);
+  const auto b = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Generated);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const auto& ea = a.entries()[i];
@@ -234,7 +237,7 @@ TEST(GeneratedLibrary, RebuildIsBitIdentical) {
 // Legacy cells as composition instances: bit-identical models
 
 TEST(LegacyReproduction, OtaModelMatchesBitForBit) {
-  const sz::OtaEquationModel hand(proc(), kLoadCap);
+  const ref::OtaEquationModel hand(proc(), kLoadCap);
   const auto& composed = *genLib().byName("five-transistor-ota").model;
 
   const auto& hv = hand.variables();
@@ -259,7 +262,7 @@ TEST(LegacyReproduction, OtaModelMatchesBitForBit) {
 }
 
 TEST(LegacyReproduction, TwoStageModelMatchesBitForBit) {
-  const sz::TwoStageEquationModel hand(proc(), kLoadCap);
+  const ref::TwoStageEquationModel hand(proc(), kLoadCap);
   const auto& composed = *genLib().byName("two-stage-miller").model;
 
   const auto& hv = hand.variables();
@@ -284,17 +287,66 @@ TEST(LegacyReproduction, TwoStageModelMatchesBitForBit) {
 }
 
 TEST(LegacyReproduction, BoundsMatchTheLegacyLibraryBitForBit) {
-  // Same models, same grids => same sampled hulls, same widened bounds.
+  // Same models, same grids => same sampled hulls, same widened bounds: the
+  // hand-written models sampled on their historical 5/4 grids, the legacy
+  // menu, and the generated space's legacy entries all agree.
   const auto legacy = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Legacy);
+  ASSERT_EQ(legacy.size(), 2u);
+  const auto refOta = tp::boundsBySampling(ref::OtaEquationModel(proc(), kLoadCap), 5);
+  const auto refTwoStage =
+      tp::boundsBySampling(ref::TwoStageEquationModel(proc(), kLoadCap), 4);
   for (const char* name : {"five-transistor-ota", "two-stage-miller"}) {
-    const auto& bl = legacy.byName(name).bounds;
-    const auto& bg = genLib().byName(name).bounds;
-    ASSERT_EQ(bl.size(), bg.size()) << name;
-    for (const auto& [k, v] : bl) {
-      ASSERT_TRUE(bg.count(k)) << name << " " << k;
-      EXPECT_TRUE(bitEq(v.lo(), bg.at(k).lo())) << name << " " << k;
-      EXPECT_TRUE(bitEq(v.hi(), bg.at(k).hi())) << name << " " << k;
+    const auto& br = std::string(name) == "two-stage-miller" ? refTwoStage : refOta;
+    for (const auto* lib : {&legacy, &genLib()}) {
+      const auto& b = lib->byName(name).bounds;
+      ASSERT_EQ(br.size(), b.size()) << name;
+      for (const auto& [k, v] : br) {
+        ASSERT_TRUE(b.count(k)) << name << " " << k;
+        EXPECT_TRUE(bitEq(v.lo(), b.at(k).lo())) << name << " " << k;
+        EXPECT_TRUE(bitEq(v.hi(), b.at(k).hi())) << name << " " << k;
+      }
     }
+  }
+}
+
+TEST(LegacyReproduction, CornerModelMatchesBitForBit) {
+  // The corner model maps geometry at the nominal process and evaluates
+  // the electricals at the corner — the hand-written
+  // evaluateTwoStageGeometry(toParams(x), corner) split.
+  const ref::TwoStageEquationModel hand(proc(), kLoadCap);
+  num::Rng rng(211);
+  for (int c = 0; c < 6; ++c) {
+    ckt::Process corner = proc();
+    corner.kpN *= 1.0 + 0.2 * (rng.uniform() - 0.5);
+    corner.kpP *= 1.0 + 0.2 * (rng.uniform() - 0.5);
+    corner.vt0N += 0.1 * (rng.uniform() - 0.5);
+    corner.vt0P += 0.1 * (rng.uniform() - 0.5);
+    corner.vdd *= 1.0 + 0.1 * (rng.uniform() - 0.5);
+    const auto model = sz::makeTwoStageCornerModel(corner, proc(), kLoadCap);
+    EXPECT_EQ(model->evalCost(), sz::EvalCost::Heavy);
+    for (const auto& x : samplePoints(hand, 10, 300 + c)) {
+      const auto ph = ref::evaluateTwoStageGeometry(hand.toParams(x), corner, kLoadCap);
+      const auto pc = model->evaluate(x);
+      ASSERT_EQ(ph.size(), pc.size());
+      for (const auto& [k, v] : ph) {
+        ASSERT_TRUE(pc.count(k)) << k;
+        EXPECT_TRUE(bitEq(v, pc.at(k))) << k << " corner " << c;
+      }
+    }
+  }
+}
+
+TEST(LegacyReproduction, LegacyMenuCarriesTheFamilyRulesOnly) {
+  // The provenance bonus exists to beat generated siblings; the two-entry
+  // menu has none, so its rule sets stay the historical three per cell.
+  const auto legacy = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Legacy);
+  ASSERT_EQ(legacy.entries()[0].name, "five-transistor-ota");
+  ASSERT_EQ(legacy.entries()[1].name, "two-stage-miller");
+  for (const auto& e : legacy.entries()) {
+    EXPECT_EQ(e.rules.size(), 3u) << e.name;
+    EXPECT_EQ(e.rules.size() + 1, genLib().byName(e.name).rules.size()) << e.name;
+    for (const auto& r : e.rules)
+      EXPECT_EQ(r.description.find("reference cell"), std::string::npos) << e.name;
   }
 }
 
@@ -302,29 +354,26 @@ TEST(LegacyReproduction, BoundsMatchTheLegacyLibraryBitForBit) {
 // Legacy cells as composition instances: bit-identical netlists
 
 TEST(LegacyReproduction, OtaNetlistMatchesDeviceForDevice) {
-  const sz::OtaEquationModel hand(proc(), kLoadCap);
-  tp::OpampStructure s;  // default-constructed == legacy OTA
+  const ref::OtaEquationModel hand(proc(), kLoadCap);
+  const auto s = sz::OpampStructure::legacyOta();
   ASSERT_TRUE(s.isLegacyOta());
   const sz::OpampTestbench tb;
   for (const auto& x : samplePoints(hand, 8, 107)) {
     const auto p = hand.toParams(x);
-    sz::OtaParams op = p;
-    const auto handNet = sz::buildOta(op, proc(), tb);
-    const auto compNet = tp::buildComposedOpamp(s, x, proc(), tb);
+    const auto handNet = ref::buildOta(p, proc(), tb);
+    const auto compNet = sz::buildComposedOpamp(s, x, proc(), tb);
     expectSameDevices(handNet, compNet, "ota");
   }
 }
 
 TEST(LegacyReproduction, TwoStageNetlistMatchesDeviceForDevice) {
-  const sz::TwoStageEquationModel hand(proc(), kLoadCap);
-  tp::OpampStructure s;
-  s.secondStage = true;
-  s.comp = tp::Compensation::Miller;
+  const ref::TwoStageEquationModel hand(proc(), kLoadCap);
+  const auto s = sz::OpampStructure::legacyTwoStage();
   ASSERT_TRUE(s.isLegacyTwoStage());
   const sz::OpampTestbench tb;
   for (const auto& x : samplePoints(hand, 8, 109)) {
     const auto handNet = sz::buildTwoStageOpamp(hand.toParams(x), proc(), tb);
-    const auto compNet = tp::buildComposedOpamp(s, x, proc(), tb);
+    const auto compNet = sz::buildComposedOpamp(s, x, proc(), tb);
     expectSameDevices(handNet, compNet, "two-stage");
   }
 }
@@ -345,7 +394,7 @@ TEST(GeneratedNetlists, EveryTopologyBuildsASaneNetlist) {
     for (const char* node : {"vdd", "inp", "inn", "out", "nbias", "tail"})
       EXPECT_TRUE(net.findNode(node).has_value()) << e.name << " missing " << node;
 
-    const auto* model = dynamic_cast<const tp::ComposedOpampModel*>(e.model.get());
+    const auto* model = dynamic_cast<const sz::ComposedOpampModel*>(e.model.get());
     ASSERT_NE(model, nullptr) << e.name;
     const auto& s = model->structure();
 
@@ -369,7 +418,7 @@ TEST(GeneratedNetlists, EveryTopologyBuildsASaneNetlist) {
     // passives); every cascode rail the structure needs is present.
     int passives = 0;
     if (s.secondStage) passives += 1;                              // CC
-    if (s.comp == tp::Compensation::MillerNulled) passives += 1;   // RZ
+    if (s.comp == sz::Compensation::MillerNulled) passives += 1;   // RZ
     EXPECT_EQ(static_cast<int>(mosCount), s.deviceCount() - passives) << e.name;
     const bool anyCascode =
         s.inputCascode || s.loadCascode || s.tailCascode || s.sinkCascode;
@@ -413,7 +462,8 @@ TEST(GeneratedSelection, BoundaryAndRuleSelectionAreDeterministic) {
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 55.0).minimize("power",
                                                                                   0.5, 1e-3);
   const auto i1 = tp::intervalSelect(genLib(), specs);
-  const auto i2 = tp::intervalSelect(tp::generatedAmplifierLibrary(proc(), kLoadCap), specs);
+  const auto i2 = tp::intervalSelect(
+      tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Generated), specs);
   ASSERT_EQ(i1.size(), i2.size());
   for (std::size_t k = 0; k < i1.size(); ++k) {
     EXPECT_EQ(i1[k].name, i2[k].name) << k;
@@ -474,9 +524,7 @@ TEST(GeneratedSelection, GeneticIsBitIdenticalAcrossThreadsAndCache) {
 TEST(PlanSeeds, LegacyTwoStageSeedMatchesTheKnowledgePlan) {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 60.0);
-  tp::OpampStructure s;
-  s.secondStage = true;
-  s.comp = tp::Compensation::Miller;
+  const auto s = sz::OpampStructure::legacyTwoStage();
   const auto seed = tp::composedPlanSeed(s, specs, proc(), kLoadCap);
   ASSERT_TRUE(seed.has_value());
   ASSERT_EQ(seed->size(), s.variables().size());
@@ -496,7 +544,7 @@ TEST(PlanSeeds, EveryStructureGetsAnEvaluableSeed) {
   // single-stage plans legitimately backtrack out of a 55+ dB ask.
   sz::SpecSet specs;
   specs.atLeast("gain_db", 35.0).atLeast("ugf", 2e6).atLeast("pm", 60.0);
-  for (const auto& s : tp::enumerateOpampStructures()) {
+  for (const auto& s : sz::enumerateOpampStructures()) {
     const auto seed = tp::composedPlanSeed(s, specs, proc(), kLoadCap);
     ASSERT_TRUE(seed.has_value()) << s.name();
     ASSERT_EQ(seed->size(), s.variables().size()) << s.name();
@@ -506,12 +554,12 @@ TEST(PlanSeeds, EveryStructureGetsAnEvaluableSeed) {
       EXPECT_GE((*seed)[i], vars[i].lo) << s.name() << " " << vars[i].name;
       EXPECT_LE((*seed)[i], vars[i].hi) << s.name() << " " << vars[i].name;
     }
-    const tp::ComposedOpampModel model(s, proc(), kLoadCap);
+    const sz::ComposedOpampModel model(s, proc(), kLoadCap);
     for (const auto& [k, v] : model.evaluate(*seed))
       EXPECT_TRUE(std::isfinite(v)) << s.name() << " " << k;
   }
   // Specs without the required gain_db+ugf pair yield no seed.
   sz::SpecSet bare;
   bare.atLeast("pm", 60.0);
-  EXPECT_FALSE(tp::composedPlanSeed(tp::OpampStructure{}, bare, proc(), kLoadCap));
+  EXPECT_FALSE(tp::composedPlanSeed(sz::OpampStructure{}, bare, proc(), kLoadCap));
 }

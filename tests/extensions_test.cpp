@@ -53,7 +53,7 @@ TEST(DesignDatabase, EmptyDatabaseReturnsNothing) {
 TEST(DesignDatabase, WarmStartReusesAndStores) {
   // OAC-style redesign: solve one spec set cold, then a neighboring one
   // warm; both must succeed and both land in the database.
-  sizing::TwoStageEquationModel model(proc(), 5e-12);
+  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   sizing::DesignDatabase db;
   sizing::SpecSet first;
   first.atLeast("gain_db", 65).atLeast("ugf", 3e6).atLeast("pm", 55).minimize("power", 0.5,

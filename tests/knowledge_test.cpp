@@ -95,7 +95,7 @@ TEST(TwoStagePlan, MeetsModerateSpecs) {
 
   // Verify the emitted design against the equation model: the plan's own
   // gain/ugf claims must hold.
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   const auto x = kn::extractTwoStageDesign(res.context);
   const auto perf = model.evaluate(x);
   EXPECT_GE(perf.at("gain_db"), 70.0 - 0.5);
@@ -149,7 +149,7 @@ TEST(OtaPlan, ProducesVerifiableDesign) {
                                          {"spec.slew", 1e7},
                                          {"spec.cload", 2e-12}});
   ASSERT_TRUE(res.success);
-  sz::OtaEquationModel model(proc(), 2e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyOta(), proc(), 2e-12);
   const auto perf = model.evaluate(kn::extractOtaDesign(res.context));
   EXPECT_GE(perf.at("gain_db"), 38.0 - 0.5);
   EXPECT_GE(perf.at("ugf"), 2e7 * 0.99);

@@ -40,7 +40,7 @@ TEST(VariationSpace, MapsUnitCubeToPhysicalRanges) {
 
 TEST(WorstCase, GainWorstCornerIsWorseThanNominal) {
   const auto factory = twoStageFactory();
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
   const double nominalGain = model.evaluate(x).at("gain_db");
 
@@ -55,7 +55,7 @@ TEST(WorstCase, FindsVddCornerForPower) {
   // Power = vdd * I: worst (largest) power is at max vdd and the kp/vt
   // corner maximizing mirror current; the corner must report vdd high.
   const auto factory = twoStageFactory();
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
   const double nomPower = model.evaluate(x).at("power");
   mf::VariationSpace space;
@@ -138,7 +138,7 @@ TEST(Pelgrom, MismatchShiftsMirrorCurrent) {
 
 TEST(Yield, NominalFeasibleDesignHasDecentYield) {
   const auto factory = twoStageFactory();
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
   const auto perf = model.evaluate(x);
   // Specs set comfortably below nominal performance.
@@ -154,7 +154,7 @@ TEST(Yield, NominalFeasibleDesignHasDecentYield) {
 
 TEST(Yield, TightSpecsCutYield) {
   const auto factory = twoStageFactory();
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
   const auto perf = model.evaluate(x);
   // Spec exactly at nominal: roughly half the global-variation samples fail.

@@ -10,7 +10,6 @@
 #include "numeric/pade.hpp"
 #include "numeric/polynomial.hpp"
 #include "numeric/rng.hpp"
-#include "numeric/sparse.hpp"
 #include "numeric/stats.hpp"
 
 namespace num = amsyn::num;
@@ -72,36 +71,6 @@ TEST(LU, ComplexSolve) {
   EXPECT_NEAR(x[0].real(), 1.0, 1e-12);
   EXPECT_NEAR(x[0].imag(), -1.0, 1e-12);
   EXPECT_NEAR(x[1].imag(), -2.0, 1e-12);
-}
-
-TEST(Sparse, CompressMergesDuplicates) {
-  num::SparseBuilder b(3);
-  b.add(0, 0, 1.0);
-  b.add(0, 0, 2.0);
-  b.add(2, 1, -1.0);
-  const auto csr = b.compress();
-  const auto y = csr.multiply({1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-  EXPECT_DOUBLE_EQ(y[2], -1.0);
-}
-
-TEST(Sparse, CGSolvesResistiveLadder) {
-  // 1D Laplacian (Dirichlet): classic SPD test.
-  const std::size_t n = 50;
-  num::SparseBuilder b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b.add(i, i, 2.0);
-    if (i > 0) b.add(i, i - 1, -1.0);
-    if (i + 1 < n) b.add(i, i + 1, -1.0);
-  }
-  std::vector<double> rhs(n, 0.0);
-  rhs[0] = 1.0;  // unit boundary injection
-  const auto res = num::conjugateGradient(b.compress(), rhs, 1e-12);
-  ASSERT_TRUE(res.converged);
-  // Analytic solution: x_i = (n - i) / (n + 1).
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(res.x[i], static_cast<double>(n - i) / (n + 1), 1e-8);
 }
 
 TEST(Polynomial, EvaluateAndDerivative) {

@@ -180,7 +180,7 @@ TEST(Rng, StreamsAreDecorrelated) {
 
 TEST(Determinism, CornerSearchIdenticalAtOneAndEightThreads) {
   const auto factory = twoStageFactory();
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
   mf::VariationSpace space;
   const sz::Spec spec{"gain_db", sz::SpecKind::GreaterEqual,
@@ -224,7 +224,7 @@ TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
 }
 
 TEST(Determinism, MultistartSynthesisIdenticalAtOneAndEightThreads) {
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 3e6).minimize("power", 0.5, 1e-3);
   sz::SynthesisOptions opts;
@@ -251,7 +251,7 @@ TEST(Determinism, MultistartSynthesisIdenticalAtOneAndEightThreads) {
 TEST(Multistart, SingleStartPreservesLegacySeedBehavior) {
   // multistarts == 1 must run the annealer exactly as before this feature:
   // seeded with opts.seed itself, not with stream 0 of it.
-  sz::TwoStageEquationModel model(nominal(), 5e-12);
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).minimize("power", 0.5, 1e-3);
   sz::SynthesisOptions opts;

@@ -1,0 +1,126 @@
+// Pinned end-to-end results: raw-bit digests of three flows, recorded once
+// and compared on every build.  The golden run report pins key names only,
+// so a moved bit in selection rules, feasibility bounds, the plan candidate
+// or the corner model would otherwise pass unnoticed.  A refactor that must
+// not change behaviour keeps these digests; a change that means to move a
+// result re-records them and says why.
+//
+//   * synthesizeAmplifier on the examples/quickstart.cpp specs, legacy space:
+//     success, topology, designPoint, cell.areaLambda2;
+//   * robustSynthesize over makeTwoStageCornerModel on the
+//     bench_claim_corners specs: robust.x and robust.cost;
+//   * one synthesizeBatch of 4 in the generated space: the same fields as the
+//     quickstart flow, per design.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "circuit/process.hpp"
+#include "core/flow.hpp"
+#include "manufacture/corners.hpp"
+#include "sizing/eqmodel.hpp"
+
+namespace {
+
+using namespace amsyn;
+
+constexpr double kLoadCap = 5e-12;
+
+/// FNV-1a over raw bytes: every bit of every double counts.
+class BitDigest {
+ public:
+  BitDigest& bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  BitDigest& u64(std::uint64_t v) { return bytes(&v, sizeof v); }
+  BitDigest& real(double v) { return bytes(&v, sizeof v); }
+  BitDigest& str(const std::string& s) { return u64(s.size()).bytes(s.data(), s.size()); }
+  BitDigest& reals(const std::vector<double>& v) {
+    u64(v.size());
+    for (const double d : v) real(d);
+    return *this;
+  }
+  std::string hex() const {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void addFlow(BitDigest& d, const core::FlowResult& r) {
+  d.u64(r.success).str(r.topology).reals(r.designPoint).real(r.cell.areaLambda2);
+}
+
+}  // namespace
+
+TEST(PinnedResults, QuickstartFlowInTheLegacySpace) {
+  sizing::SpecSet specs;
+  specs.atLeast("gain_db", 65.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 5e-3)
+      .minimize("power", 0.3, 1e-3);
+  core::FlowOptions opts;
+  opts.loadCap = kLoadCap;
+  opts.topologySpace = topology::TopologySpace::Legacy;
+  const auto r = core::synthesizeAmplifier(specs, circuit::defaultProcess(), opts);
+  EXPECT_TRUE(r.success) << r.failureReason;
+  BitDigest d;
+  addFlow(d, r);
+  EXPECT_EQ(d.hex(), "0x6f88f89fd567039b") << r.topology;
+}
+
+TEST(PinnedResults, RobustCornerSynthesis) {
+  const auto& nominal = circuit::defaultProcess();
+  const manufacture::ModelFactory factory = [&](const circuit::Process& p) {
+    return sizing::makeTwoStageCornerModel(p, nominal, kLoadCap);
+  };
+  sizing::SpecSet specs;
+  specs.atLeast("gain_db", 66.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 8e-3)
+      .minimize("power", 0.3, 1e-3);
+  manufacture::RobustOptions opts;
+  opts.synthesis.seed = 19;
+  const auto r =
+      manufacture::robustSynthesize(factory, nominal, manufacture::VariationSpace{}, specs, opts);
+  BitDigest d;
+  d.reals(r.robust.x).real(r.robust.cost);
+  EXPECT_EQ(d.hex(), "0x8d855cd16de87508");
+}
+
+TEST(PinnedResults, GeneratedSpaceBatchOfFour) {
+  std::vector<sizing::SpecSet> batch(4);
+  batch[0].atLeast("gain_db", 64.0).atLeast("ugf", 3e6).atLeast("pm", 50.0);
+  batch[1].atLeast("gain_db", 45.0).atLeast("ugf", 8e6).atLeast("pm", 60.0);
+  batch[2].atLeast("gain_db", 72.0).atLeast("ugf", 1.5e6).atLeast("pm", 55.0).atMost("power",
+                                                                                     5e-3);
+  batch[3].atLeast("gain_db", 84.0).atLeast("ugf", 1e6).atLeast("pm", 50.0);
+  for (auto& s : batch) s.atMost("area", 4e-9).minimize("power", 0.3, 1e-3);
+  core::FlowOptions opts;
+  opts.loadCap = kLoadCap;
+  opts.topologySpace = topology::TopologySpace::Generated;
+  opts.seed = 7;
+  const auto results = core::synthesizeBatch(batch, circuit::defaultProcess(), opts);
+  ASSERT_EQ(results.size(), batch.size());
+  BitDigest d;
+  std::string topologies;
+  for (const auto& r : results) {
+    addFlow(d, r);
+    topologies += r.topology + " ";
+  }
+  EXPECT_EQ(d.hex(), "0x0beb9545ec46cc79") << topologies;
+}

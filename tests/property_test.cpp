@@ -356,7 +356,7 @@ TEST_P(CornerConsistency, NominalCornerEqualsDirectEvaluation) {
   // The corner model evaluated AT the nominal process must reproduce the
   // plain equation model exactly (same geometry path).
   num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 97 + 13);
-  sizing::TwoStageEquationModel direct(proc(), 5e-12);
+  const sizing::ComposedOpampModel direct(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   const auto corner = sizing::makeTwoStageCornerModel(proc(), proc(), 5e-12);
 
   std::vector<double> x;
@@ -537,7 +537,7 @@ TEST_P(CacheKeyProperty, AnyElectricalPerturbationMovesTheNetlistDigest) {
 
 TEST_P(CacheKeyProperty, ModelKeyIsIdenticalAcrossThreadsAndRepeats) {
   num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 389 + 3);
-  const sizing::TwoStageEquationModel model(proc(), 5e-12);
+  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   std::vector<double> x;
   for (const auto& v : model.variables()) {
     const double t = rng.uniform();
@@ -563,7 +563,7 @@ TEST_P(CacheKeyProperty, SizingPerturbationAboveQuantumMovesTheModelKey) {
   num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 577 + 11);
   auto& c = amsyn::core::cache::EvalCache::instance();
   const double savedQuantum = c.quantum();
-  const sizing::TwoStageEquationModel model(proc(), 5e-12);
+  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   std::vector<double> x;
   for (const auto& v : model.variables()) {
     const double t = 0.2 + 0.6 * rng.uniform();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "reference/handwritten_opamp.hpp"
 #include "sim/ac.hpp"
 #include "sizing/builders.hpp"
 #include "sim/dc.hpp"
@@ -20,6 +21,11 @@ namespace sim = amsyn::sim;
 
 namespace {
 const ckt::Process& proc() { return ckt::defaultProcess(); }
+
+/// The two-stage Miller opamp's equation model.
+sz::ComposedOpampModel twoStageModel() {
+  return {sz::OpampStructure::legacyTwoStage(), proc(), 5e-12};
+}
 }
 
 TEST(Spec, ViolationSemantics) {
@@ -41,7 +47,7 @@ TEST(Spec, SetSatisfaction) {
 }
 
 TEST(EquationModel, ProducesSanePerformances) {
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   const auto x = model.initialPoint();
   const auto perf = model.evaluate(x);
   EXPECT_GT(perf.at("gain_db"), 40.0);
@@ -57,7 +63,7 @@ TEST(EquationModel, UgfIsBoundedByGainBandwidthProduct) {
   // The reported UGF is the true unity-gain crossing of the multi-pole
   // response: at or below the naive gm1/(2 pi Cc) GBW product, and within
   // a factor of ~2 of it for a reasonably compensated design.
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   auto x = model.initialPoint();
   const double i5 = x[0], vov1 = x[2], cc = x[6];
   const double gbw = (i5 / vov1) / (2 * M_PI * cc);
@@ -70,12 +76,10 @@ TEST(EquationModel, MatchesSimulationWithinModelingError) {
   // The whole point of the shared parameter block: an equation-model design
   // must verify in the simulator with only first-order discrepancies
   // (factor ~2 in gain, ~30% in UGF).
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   std::vector<double> x = {100e-6, 300e-6, 0.2, 0.3, 0.3, 0.3, 3e-12};
   const auto eqPerf = model.evaluate(x);
-  const auto params = model.toParams(x);
-
-  auto net = sz::buildTwoStageOpamp(params, proc(), {});
+  auto net = sz::buildComposedOpamp(model.structure(), x, proc(), {});
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc().vdd / 2));
   ASSERT_TRUE(op.converged);
@@ -89,7 +93,7 @@ TEST(EquationModel, MatchesSimulationWithinModelingError) {
 }
 
 TEST(CostFunction, PenalizesViolationsQuadratically) {
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   sz::SpecSet impossible;
   impossible.atLeast("gain_db", 1e9);  // unreachable
   sz::SpecSet easy;
@@ -103,7 +107,7 @@ TEST(CostFunction, PenalizesViolationsQuadratically) {
 }
 
 TEST(CostFunction, ObjectiveOrdersDesigns) {
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   sz::SpecSet s;
   s.minimize("power", 1.0, 1e-3);
   const sz::CostFunction cost(model, s);
@@ -115,7 +119,7 @@ TEST(CostFunction, ObjectiveOrdersDesigns) {
 }
 
 TEST(Synthesis, EquationModelMeetsModerateSpecs) {
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   sz::SpecSet specs;
   specs.atLeast("gain_db", 65.0)
       .atLeast("ugf", 5e6)
@@ -134,7 +138,7 @@ TEST(Synthesis, EquationModelMeetsModerateSpecs) {
 }
 
 TEST(Synthesis, MinimizePowerActuallyReducesIt) {
-  sz::TwoStageEquationModel model(proc(), 5e-12);
+  const auto model = twoStageModel();
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("pm", 45.0).minimize("power", 2.0, 1e-3);
   sz::SynthesisOptions opts;
@@ -193,8 +197,8 @@ TEST(RelaxedDc, ResidualGrowsWhenBiasPerturbed) {
 }
 
 TEST(OpampTemplates, OtaBuildsAndBiases) {
-  sz::OtaParams p;
-  auto net = sz::buildOta(p, proc(), {});
+  const amsyn::reference::OtaParams p;
+  auto net = amsyn::reference::buildOta(p, proc(), {});
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc().vdd / 2));
   ASSERT_TRUE(op.converged);
@@ -216,15 +220,16 @@ TEST(NetlistBuilders, RegistryCoversTheBuiltInTopologiesAndMatchesDirectBuilds) 
   EXPECT_NE(std::find(names.begin(), names.end(), "five-transistor-ota"), names.end());
   EXPECT_EQ(reg.find("no-such-topology"), nullptr);
 
-  // The registered builder is the same construction as the direct path.
+  // The registered builder is the same construction as the hand-written
+  // template it replaced.
   const sz::OpampTestbench tb{5e-12, 2.2, true};
-  const sz::OtaEquationModel model(proc(), tb.loadCap);
+  const amsyn::reference::OtaEquationModel model(proc(), tb.loadCap);
   std::vector<double> x;
   for (const auto& v : model.variables()) x.push_back(std::sqrt(v.lo * v.hi));
   const auto* builder = reg.find("five-transistor-ota");
   ASSERT_NE(builder, nullptr);
   const auto viaRegistry = (*builder)(x, proc(), tb);
-  const auto direct = sz::buildOta(model.toParams(x), proc(), tb);
+  const auto direct = amsyn::reference::buildOta(model.toParams(x), proc(), tb);
   EXPECT_EQ(viaRegistry.devices().size(), direct.devices().size());
   EXPECT_EQ(viaRegistry.totalGateArea(), direct.totalGateArea());
 }
