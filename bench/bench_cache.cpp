@@ -26,6 +26,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -39,6 +40,15 @@ namespace {
 using namespace amsyn;
 
 const circuit::Process& nominalProc() { return circuit::defaultProcess(); }
+
+/// The environment's config with the eval cache switched on or off; a
+/// context built from it shares the process cache, so c.stats() sees its
+/// traffic.
+core::ContextConfig withCache(bool on) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = on;
+  return cfg;
+}
 
 manufacture::ModelFactory simFactory() {
   return [](const circuit::Process& p) -> std::unique_ptr<sizing::PerformanceModel> {
@@ -85,9 +95,9 @@ struct HuntRun {
 /// Hunt a worst corner per spec at a fixed design, then audit (re-hunt) —
 /// the robustSynthesize access pattern, minus the synthesis in between.
 HuntRun cornerHuntAndAudit(bool cacheOn) {
-  auto& c = core::cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+  core::cache::EvalCache::instance().clear();
+  core::ExecutionContext ctx(withCache(cacheOn));
+  core::ContextScope scope(ctx);
   const auto factory = simFactory();
   const auto specs = cornerSpecs();
   const auto x = middlePoint();
@@ -112,9 +122,9 @@ struct GeneticRun {
 };
 
 GeneticRun geneticSearch(bool cacheOn) {
-  auto& c = core::cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+  core::cache::EvalCache::instance().clear();
+  core::ExecutionContext ctx(withCache(cacheOn));
+  core::ContextScope scope(ctx);
   const auto lib = topology::amplifierLibrary(nominalProc(), 5e-12);
   sizing::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 50.0).minimize("power",
@@ -133,7 +143,6 @@ GeneticRun geneticSearch(bool cacheOn) {
 
 void writeJson() {
   auto& c = core::cache::EvalCache::instance();
-  const bool savedEnabled = c.enabled();
   core::ScopedThreadPool scoped(std::max<std::size_t>(2, core::ThreadPool::configuredThreads()));
 
   std::cout << "=== Evaluation-cache effectiveness (BENCH_cache.json) ===\n\n";
@@ -198,15 +207,14 @@ void writeJson() {
             << "x corner-hunt speedup at hit rate " << hitRatePercent(hits, misses)
             << "\n\n";
 
-  c.setEnabled(savedEnabled);
   c.clear();
 }
 
 /// Microbenchmark: the cost of a hit — one canonical key computation plus a
 /// sharded lookup — which bounds the cache's overhead on a miss, too.
 void BM_CacheHit(benchmark::State& state) {
-  auto& c = core::cache::EvalCache::instance();
-  c.setEnabled(true);
+  core::ExecutionContext ctx(withCache(true));
+  core::ContextScope scope(ctx);
   const auto factory = simFactory();
   const auto model = factory(nominalProc());
   const auto x = middlePoint();
@@ -219,8 +227,8 @@ void BM_CacheHit(benchmark::State& state) {
 BENCHMARK(BM_CacheHit)->Unit(benchmark::kMicrosecond);
 
 void BM_SimEvalMiss(benchmark::State& state) {
-  auto& c = core::cache::EvalCache::instance();
-  c.setEnabled(false);  // every iteration pays the full simulator
+  core::ExecutionContext ctx(withCache(false));  // every iteration pays the full simulator
+  core::ContextScope scope(ctx);
   const auto factory = simFactory();
   const auto model = factory(nominalProc());
   const auto x = middlePoint();
@@ -228,7 +236,6 @@ void BM_SimEvalMiss(benchmark::State& state) {
     auto perf = sizing::safeEvaluate(*model, x);
     benchmark::DoNotOptimize(perf);
   }
-  c.setEnabled(true);
 }
 BENCHMARK(BM_SimEvalMiss)->Unit(benchmark::kMicrosecond);
 

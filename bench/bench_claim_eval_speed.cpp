@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -159,7 +160,12 @@ circuit::Netlist ladderNetlist(std::size_t segments) {
 
 /// One "performance evaluation" of a netlist: DC operating point plus a
 /// 19-point AC sweep — the inner loop of every simulation-based sizing run.
-double evalSeconds(const sim::Mna& mna, const std::string& outNode, std::size_t calls) {
+double evalSeconds(const sim::Mna& mna, const std::string& outNode, std::size_t calls,
+                   sim::SolverMode mode) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.solver = mode;
+  core::ExecutionContext ctx(cfg);
+  core::ContextScope scope(ctx);
   const auto freqs = sim::logspace(1e3, 1e9, 3);
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < calls; ++i) {
@@ -192,7 +198,6 @@ void writeSparseClaim(core::RunReport& report) {
 
   const auto& reg = core::metrics::Registry::instance();
   const auto& sc = sim::sparseCounters();
-  const auto savedMode = sim::solverMode();
 
   core::Table t({"netlist", "n", "dense s/eval", "sparse s/eval", "speedup", "fill"});
   double logSum = 0.0;
@@ -202,10 +207,9 @@ void writeSparseClaim(core::RunReport& report) {
   for (const auto& sc_ : cases) {
     const sim::Mna mna(sc_.net, proc);
 
-    sim::setSolverMode(sim::SolverMode::Dense);
-    const double sDense = evalSeconds(mna, sc_.outNode, sc_.calls);
-    sim::setSolverMode(sim::SolverMode::Sparse);
-    const double sSparse = evalSeconds(mna, sc_.outNode, sc_.calls);
+    const double sDense = evalSeconds(mna, sc_.outNode, sc_.calls, sim::SolverMode::Dense);
+    const double sSparse =
+        evalSeconds(mna, sc_.outNode, sc_.calls, sim::SolverMode::Sparse);
 
     // Factor fill of the DC Jacobian pattern under the dense-compatible
     // (natural) ordering: nnz(L+U+D) / n^2.
@@ -228,7 +232,6 @@ void writeSparseClaim(core::RunReport& report) {
         .addValue("sparse_fill_ratio_" + sc_.label, fill)
         .addValue("mna_size_" + sc_.label, static_cast<double>(mna.size()));
   }
-  sim::setSolverMode(savedMode);
   t.print(std::cout);
 
   const double geomean = std::exp(logSum / static_cast<double>(cases.size()));

@@ -24,6 +24,7 @@
 #include <iostream>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
 #include "core/jobqueue.hpp"
@@ -39,6 +40,15 @@ namespace {
 using namespace amsyn;
 
 const circuit::Process& nominalProc() { return circuit::defaultProcess(); }
+
+/// A child of the calling context (so an armed batch fault plan still
+/// governs it) whose config switches the eval cache on or off.
+std::unique_ptr<core::ExecutionContext> withCache(bool on) {
+  core::ExecutionContext& parent = core::ExecutionContext::current();
+  core::ContextConfig cfg = parent.config();
+  cfg.evalCacheEnabled = on;
+  return parent.makeChild(cfg);
+}
 
 std::vector<double> middlePoint(const sizing::CircuitTemplate& tmpl) {
   std::vector<double> x;
@@ -57,9 +67,9 @@ double nowSeconds() {
 /// Cache off in both arms: armed deadlines are uncacheable by contract, so
 /// leaving the cache on would measure cacheability, not the clock reads.
 double timedEvaluations(std::size_t evals, bool armDeadline) {
-  auto& c = core::cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(false);
+  core::cache::EvalCache::instance().clear();
+  const auto ctx = withCache(false);
+  core::ContextScope scope(*ctx);
   sizing::SimModelOptions opts;
   opts.measureNoise = false;
   if (armDeadline)
@@ -111,9 +121,9 @@ struct BatchRun {
 };
 
 BatchRun timedBatch(const std::vector<sizing::SpecSet>& batch) {
-  auto& c = core::cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(true);
+  core::cache::EvalCache::instance().clear();
+  const auto ctx = withCache(true);
+  core::ContextScope scope(*ctx);
   BatchRun run;
   const double t0 = nowSeconds();
   const auto out = core::runBatchResilient(batch, nominalProc(), queueOptions());
@@ -129,8 +139,6 @@ BatchRun timedBatch(const std::vector<sizing::SpecSet>& batch) {
 }
 
 void writeJson() {
-  auto& c = core::cache::EvalCache::instance();
-  const bool savedEnabled = c.enabled();
   core::ScopedThreadPool scoped(
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads()));
 
@@ -204,8 +212,7 @@ void writeJson() {
             << "% deadline overhead, " << core::Table::num(retained * 100)
             << "% throughput retained\n\n";
 
-  c.setEnabled(savedEnabled);
-  c.clear();
+  core::cache::EvalCache::instance().clear();
 }
 
 /// Microbenchmark: one budget charge through the consumeWork hook, the

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -81,12 +82,20 @@ surr::Store::SurrogateStats statsDelta(const surr::Store::SurrogateStats& before
 }
 
 /// Reset every cross-run memory (cache + surrogate) so each arm trains and
-/// evaluates from scratch under the requested mode.
-void resetState(surr::Mode mode) {
+/// evaluates from scratch.
+void resetState() {
   core::cache::EvalCache::instance().clear();
-  auto& store = surr::Store::instance();
-  store.clear();
-  store.setMode(mode);
+  surr::Store::instance().clear();
+}
+
+/// The environment's config with the cache on and the requested surrogate
+/// mode; a context built from it shares the process cache and store, whose
+/// stats the tables read.
+core::ContextConfig surrogateConfig(surr::Mode mode) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = true;
+  cfg.surrogateMode = mode;
+  return cfg;
 }
 
 struct HuntRun {
@@ -97,7 +106,9 @@ struct HuntRun {
 /// Worst-corner hunt for every constraint, twice (hunt + audit) — the
 /// robustSynthesize access pattern at a fixed design.
 HuntRun cornerHuntAndAudit(surr::Mode mode) {
-  resetState(mode);
+  resetState();
+  core::ExecutionContext ctx(surrogateConfig(mode));
+  core::ContextScope scope(ctx);
   const auto factory = cornerFactory();
   const auto specs = hardSpecs();
   const auto x = middlePoint();
@@ -122,7 +133,9 @@ struct RobustRun {
 };
 
 RobustRun robustRun(surr::Mode mode) {
-  resetState(mode);
+  resetState();
+  core::ExecutionContext ctx(surrogateConfig(mode));
+  core::ContextScope scope(ctx);
   const auto specs = hardSpecs();
   manufacture::VariationSpace space;
   manufacture::RobustOptions opts;
@@ -136,9 +149,6 @@ RobustRun robustRun(surr::Mode mode) {
 }
 
 void writeJson() {
-  const surr::Mode savedMode = surr::Store::instance().mode();
-  const bool savedCache = core::cache::EvalCache::instance().enabled();
-  core::cache::EvalCache::instance().setEnabled(true);
   core::ScopedThreadPool scoped(
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads()));
 
@@ -228,14 +238,15 @@ void writeJson() {
             << " evals avoided, robust design "
             << (robustXIdentical ? "unchanged" : "CHANGED") << "\n\n";
 
-  resetState(savedMode);
-  core::cache::EvalCache::instance().setEnabled(savedCache);
+  resetState();
 }
 
 /// Microbenchmark: one surrogate prediction (lazy weight refresh amortized),
 /// which bounds the per-candidate cost of both ordering and pruning.
 void BM_SurrogatePredict(benchmark::State& state) {
-  resetState(surr::Mode::Ordering);
+  resetState();
+  core::ExecutionContext ctx(surrogateConfig(surr::Mode::Ordering));
+  core::ContextScope scope(ctx);
   const auto model = cornerFactory()(nominalProc());
   const auto specs = hardSpecs();
   const sizing::CostFunction cost(*model, specs, {});
@@ -250,7 +261,7 @@ void BM_SurrogatePredict(benchmark::State& state) {
     auto pred = cost.predictedCost(x);
     benchmark::DoNotOptimize(pred);
   }
-  resetState(surr::Mode::Off);
+  resetState();
 }
 BENCHMARK(BM_SurrogatePredict)->Unit(benchmark::kMicrosecond);
 

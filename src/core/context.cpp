@@ -9,36 +9,45 @@ namespace amsyn::core {
 
 namespace {
 
-SolverKind parseSolverKind(const std::string& s) {
-  std::string lower;
-  lower.reserve(s.size());
-  for (char c : s)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "dense") return SolverKind::Dense;
-  if (lower == "sparse") return SolverKind::Sparse;
-  return SolverKind::Auto;  // "auto", unset, and unrecognized values
-}
-
 /// The calling thread's installed context (innermost ContextScope).
 thread_local ExecutionContext* tlCurrent = nullptr;
 
 }  // namespace
 
+std::optional<SolverKind> parseSolverKind(std::string_view s) {
+  std::string lower;
+  lower.reserve(s.size());
+  for (char c : s)
+    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  if (lower == "auto") return SolverKind::Auto;
+  if (lower == "dense") return SolverKind::Dense;
+  if (lower == "sparse") return SolverKind::Sparse;
+  return std::nullopt;
+}
+
+const char* solverKindName(SolverKind k) {
+  switch (k) {
+    case SolverKind::Auto: return "auto";
+    case SolverKind::Dense: return "dense";
+    case SolverKind::Sparse: return "sparse";
+  }
+  return "auto";
+}
+
 ContextConfig ContextConfig::fromEnv() {
   ContextConfig cfg;
   cfg.threads = envknobs::threads();
-  cfg.solver = parseSolverKind(envknobs::solver());
+  // Unset and unrecognized values mean Auto.
+  cfg.solver = parseSolverKind(envknobs::solver()).value_or(SolverKind::Auto);
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
   cfg.evalCacheCapacity = envknobs::evalCacheCapacity();
-  cfg.evalCacheQuantum = envknobs::evalCacheQuantum();
   const int m = envknobs::surrogateModeIndex();
   cfg.surrogateMode = m == 2   ? surrogate::Mode::Pruning
                       : m == 1 ? surrogate::Mode::Ordering
                                : surrogate::Mode::Off;
   cfg.jobDeadlineMs = envknobs::jobDeadlineMs();
-  cfg.topologySpace = envknobs::topologySpaceIndex() == 1
-                          ? TopologySpaceKind::Generated
-                          : TopologySpaceKind::Legacy;
+  cfg.topologySpace = envknobs::topologySpaceIndex() == 1 ? TopologySpace::Generated
+                                                          : TopologySpace::Legacy;
   return cfg;
 }
 
@@ -49,36 +58,26 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
                                    ExecutionContext* parent, bool isAmbient)
     : config_(std::move(cfg)), parent_(parent) {
-  solver_.store(config_.solver, std::memory_order_relaxed);
-
+  // Handles only: the modes (cache on/off, surrogate mode, solver) live in
+  // config_ and every consumer reads them from there.  Resolving the
+  // surrogate store here also registers its core.surrogate.* counters, so
+  // every flow's report carries them whatever its mode.
   if (isolation.evalCache) {
     ownedEvalCache_ = cache::EvalCache::createIsolated();
-    ownedEvalCache_->setEnabled(config_.evalCacheEnabled);
     if (config_.evalCacheCapacity > 0)
       ownedEvalCache_->setCapacity(config_.evalCacheCapacity);
-    ownedEvalCache_->setQuantum(config_.evalCacheQuantum);
     evalCache_ = ownedEvalCache_.get();
-  } else if (parent_) {
-    evalCache_ = &parent_->evalCache();
   } else {
-    // Shared handle: the singleton already seeded its policy from the same
-    // env parsers this config came through, and explicit contexts must not
-    // re-apply it — a test (or tenant) that disabled the shared cache would
-    // otherwise have it silently re-enabled by the next context creation.
-    evalCache_ = &cache::EvalCache::instance();
+    evalCache_ = parent_ ? &parent_->evalCache() : &cache::EvalCache::instance();
   }
 
   if (isolation.surrogate) {
     ownedSurrogate_ = surrogate::Store::createIsolated();
-    ownedSurrogate_->setMode(config_.surrogateMode);
     surrogateStore_ = ownedSurrogate_.get();
-  } else if (parent_) {
-    surrogateStore_ = &parent_->surrogateStore();
   } else {
-    surrogateStore_ = &surrogate::Store::instance();
+    surrogateStore_ =
+        parent_ ? &parent_->surrogateStore() : &surrogate::Store::instance();
   }
-
-  if (parent_) solver_.store(parent_->solverKind(), std::memory_order_relaxed);
 
   // Every context except the ambient one records a slice; the ambient hot
   // path stays a thread-local null check in Registry::add.
@@ -106,9 +105,11 @@ ExecutionContext& ExecutionContext::current() {
 
 ExecutionContext* ExecutionContext::scoped() { return tlCurrent; }
 
-std::unique_ptr<ExecutionContext> ExecutionContext::makeChild() {
-  return std::unique_ptr<ExecutionContext>(new ExecutionContext(
-      config_, ContextIsolation{}, /*parent=*/this, /*isAmbient=*/false));
+std::unique_ptr<ExecutionContext> ExecutionContext::makeChild(
+    std::optional<ContextConfig> cfg) {
+  return std::unique_ptr<ExecutionContext>(
+      new ExecutionContext(cfg ? std::move(*cfg) : config_, ContextIsolation{},
+                           /*parent=*/this, /*isAmbient=*/false));
 }
 
 const FaultScheduleState* ExecutionContext::armedFaultSchedule() const {

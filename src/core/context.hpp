@@ -1,8 +1,8 @@
 // Scoped execution contexts: the explicit object behind every piece of
 // state that PRs 3–9 left process-global (metrics attribution, eval-cache
-// and surrogate handles, solver-mode preference, batch fault plans, env
-// tuning knobs).  One process serving many synthesis jobs — the ROADMAP's
-// synthesis-as-a-service daemon — needs those separated per tenant/job;
+// and surrogate handles, batch fault plans, env tuning knobs).  One process
+// serving many synthesis jobs — the ROADMAP's synthesis-as-a-service
+// daemon — needs those separated per tenant/job;
 // a single-flow CLI run should not have to know contexts exist.  Both are
 // served by the same mechanism:
 //
@@ -11,9 +11,9 @@
 //     cache/surrogate handles are the legacy shared singletons.  Code that
 //     never installs a context resolves everything through it, which makes
 //     every pre-context entry point behave exactly as before.
-//   * An *explicit* context carries its own config, solver preference,
-//     fault schedule, and metrics slice; optionally its own (isolated)
-//     eval cache and surrogate store.  Installing it with ContextScope
+//   * An *explicit* context carries its own config, fault schedule, and
+//     metrics slice; optionally its own (isolated) eval cache and
+//     surrogate store.  Installing it with ContextScope
 //     makes ExecutionContext::current() — and therefore every subsystem
 //     that resolves through it — see that context on the installing
 //     thread.  parallelFor propagates the submitting thread's context into
@@ -25,8 +25,11 @@
 // slicing), the sparse-solver symbolic cache (pure speed, keyed by
 // structure), and — by default — the eval cache and surrogate store, whose
 // cross-job amortization is their whole point.  What is per-context: the
-// config snapshot, solver-mode preference, batch fault schedule, metrics
-// slice, and any handle the owner asked to isolate.
+// config snapshot (every field: solver, cache on/off, surrogate mode,
+// deadline, topology space), batch fault schedule, metrics slice, and any
+// handle the owner asked to isolate.  Shared stores hold data, never a
+// mode: consumers read the mode from the current context's config, so one
+// job's config can never leak into a concurrent or later job.
 //
 // Layering: amsyn_context sits directly above amsyn_metrics /
 // amsyn_evalcache / amsyn_surrogate and below everything else (parallel,
@@ -39,7 +42,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/evalcache.hpp"
 #include "core/metrics.hpp"
@@ -47,35 +52,52 @@
 
 namespace amsyn::core {
 
-/// Linear-solver preference, mirrored by sim::SolverMode (the sim layer
-/// maps between the two; this enum exists so amsyn_context stays below
-/// amsyn_sim).
+/// Linear-solver preference.  sim::SolverMode is an alias of this enum; it
+/// lives here so amsyn_context stays below amsyn_sim.
 enum class SolverKind : std::uint8_t { Auto, Dense, Sparse };
 
-/// Topology-space selection, mirrored by topology::TopologySpace's
-/// Legacy/Generated alternatives (same layering reason as SolverKind).
-enum class TopologySpaceKind : std::uint8_t { Legacy, Generated };
+/// Parse a solver name ("auto" / "dense" / "sparse", case-insensitive);
+/// nullopt on anything unrecognized.
+std::optional<SolverKind> parseSolverKind(std::string_view s);
+const char* solverKindName(SolverKind k);
 
-/// One immutable snapshot of every AMSYN_* tuning knob.  fromEnv() is the
-/// only production reader of those variables (via core/envknobs.hpp);
-/// everything downstream consumes the snapshot through its context, so a
-/// daemon can hand different configs to different jobs without touching
-/// the environment.
+/// Candidate space the topology-select stage ranks (topology::TopologySpace
+/// is an alias): the two legacy cells, or the whole generated functional-
+/// block composition space (sizing/blocks.hpp).
+enum class TopologySpace : std::uint8_t { Legacy, Generated };
+
+/// One immutable snapshot of every AMSYN_* tuning knob, and the only way to
+/// configure a run.  fromEnv() is the only production reader of those
+/// variables (via core/envknobs.hpp); everything downstream reads the
+/// snapshot of the context it runs under (ExecutionContext::current()
+/// .config()), never a mode stored inside a shared cache or store.  So a
+/// daemon can hand different configs to different jobs, on shared or
+/// isolated handles, without touching the environment or each other.
 struct ContextConfig {
   /// AMSYN_THREADS (0 = use hardware concurrency).
   std::size_t threads = 0;
   /// AMSYN_SOLVER.
   SolverKind solver = SolverKind::Auto;
-  /// AMSYN_EVAL_CACHE / _CAPACITY / _QUANTUM.
+  /// AMSYN_EVAL_CACHE: whether this context's evaluations consult the
+  /// cache (shared or isolated alike).
   bool evalCacheEnabled = true;
+  /// AMSYN_EVAL_CACHE_CAPACITY: sizes a cache the context owns
+  /// (ContextIsolation::evalCache).  The shared process cache keeps the
+  /// ambient (environment) capacity: one tenant must not resize another's.
   std::size_t evalCacheCapacity = std::size_t{1} << 16;
-  double evalCacheQuantum = 0.0;
   /// AMSYN_SURROGATE.
   surrogate::Mode surrogateMode = surrogate::Mode::Off;
-  /// AMSYN_JOB_DEADLINE_MS (0 = no deadline).
+  /// AMSYN_JOB_DEADLINE_MS: per-flow wall-clock deadline in ms (0 = none).
+  /// FlowEngine checks it at every stage boundary and arms it on the
+  /// verification measurements' budgets, so a livelocked evaluation stops
+  /// at the next strided cancel point.  Expiry is *terminal* for the job:
+  /// the flow returns with failureStatus deadline_expired, skipping
+  /// remaining redesigns.  A deadline trips at a machine-dependent point by
+  /// nature — leave it 0 where bit-reproducible batches matter.
   std::uint64_t jobDeadlineMs = 0;
-  /// AMSYN_TOPOLOGY_SPACE.
-  TopologySpaceKind topologySpace = TopologySpaceKind::Legacy;
+  /// AMSYN_TOPOLOGY_SPACE: the space a flow ranks unless FlowOptions pins
+  /// one.
+  TopologySpace topologySpace = TopologySpace::Legacy;
 
   static ContextConfig fromEnv();
 };
@@ -122,13 +144,14 @@ class ExecutionContext {
   /// The installed context without the ambient fallback (nullptr = none).
   static ExecutionContext* scoped();
 
-  /// A child for one job within this context: same config and handles,
-  /// solver preference copied from the parent's current value, its own
-  /// fault schedule (falling back to the parent chain until armed locally),
-  /// and a metrics slice chained under the parent's — a delta recorded in
-  /// the job also shows up in the owning tenant's slice.  The child must
-  /// not outlive its parent.
-  std::unique_ptr<ExecutionContext> makeChild();
+  /// A child for one job within this context: same handles, the parent's
+  /// config unless `cfg` overrides it (the one way to run a job with a
+  /// different config than its parent's), its own fault schedule (falling
+  /// back to the parent chain until armed locally), and a metrics slice
+  /// chained under the parent's — a delta recorded in the job also shows up
+  /// in the owning tenant's slice.  The child must not outlive its parent.
+  std::unique_ptr<ExecutionContext> makeChild(
+      std::optional<ContextConfig> cfg = std::nullopt);
 
   const ContextConfig& config() const { return config_; }
 
@@ -138,12 +161,6 @@ class ExecutionContext {
   surrogate::Store& surrogateStore() { return *surrogateStore_; }
   bool hasIsolatedEvalCache() const { return ownedEvalCache_ != nullptr; }
   bool hasIsolatedSurrogate() const { return ownedSurrogate_ != nullptr; }
-
-  /// Per-context solver preference (initialized from config; mutable so
-  /// FlowOptions::solver can override per run without leaking into other
-  /// contexts).
-  SolverKind solverKind() const { return solver_.load(std::memory_order_relaxed); }
-  void setSolverKind(SolverKind k) { solver_.store(k, std::memory_order_relaxed); }
 
   /// This context's own fault schedule (written by sim::armBatchFaults).
   FaultScheduleState& faultSchedule() { return faultSchedule_; }
@@ -168,7 +185,6 @@ class ExecutionContext {
   std::unique_ptr<surrogate::Store> ownedSurrogate_;
   cache::EvalCache* evalCache_ = nullptr;
   surrogate::Store* surrogateStore_ = nullptr;
-  std::atomic<SolverKind> solver_{SolverKind::Auto};
   FaultScheduleState faultSchedule_;
   std::unique_ptr<metrics::ContextSlice> slice_;
 };
@@ -188,13 +204,12 @@ class ContextScope {
   metrics::SliceScope sliceScope_;
 };
 
-/// Shorthands for the hot call sites (sizing::safeEvaluate, cache-key
-/// builders, surrogate consumers).
-inline cache::EvalCache& currentEvalCache() {
-  return ExecutionContext::current().evalCache();
-}
+/// Shorthands for the hot call sites (surrogate consumers).
 inline surrogate::Store& currentSurrogateStore() {
   return ExecutionContext::current().surrogateStore();
+}
+inline surrogate::Mode currentSurrogateMode() {
+  return ExecutionContext::current().config().surrogateMode;
 }
 
 }  // namespace amsyn::core

@@ -3,22 +3,24 @@
 // Every process-level tuning knob (threads, solver mode, eval-cache policy,
 // surrogate mode, job deadline, topology space) is parsed here and nowhere
 // else: core::ContextConfig::fromEnv() snapshots all of them once into a
-// plain struct, and the two bottom-layer subsystems that must self-seed
-// before any ExecutionContext exists (the shared EvalCache / surrogate
-// Store singletons, plus the global thread pool) call the same parsers so
-// their defaults cannot drift from the config's.  tools/context_lint.cmake
-// fails the build when `getenv("AMSYN_` appears in any other file under
-// src/, so new knobs are forced through this header and therefore through
-// ContextConfig.
+// plain struct, and every consumer reads that snapshot through its
+// execution context.  Two bottom-layer singletons that exist before any
+// context call the same parsers for their sizing only — the shared
+// EvalCache (capacity) and the global thread pool (width) — so their
+// defaults cannot drift from the config's.  No knob seeds a *mode* into a
+// shared object.  tools/context_lint.cmake fails the build when
+// `getenv("AMSYN_` appears in any other file under src/, so new knobs are
+// forced through this header and therefore through ContextConfig.
 //
 // Header-only and dependency-free on purpose: it is included from
-// amsyn_metrics-adjacent leaf libraries (evalcache, surrogate, parallel)
-// as well as from amsyn_context, so it must sit below all of them.
+// amsyn_metrics-adjacent leaf libraries (evalcache, parallel) as well as
+// from amsyn_context, so it must sit below all of them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace amsyn::core::envknobs {
@@ -35,9 +37,9 @@ inline std::size_t threads() {
   return static_cast<std::size_t>(v > 512 ? 512 : v);
 }
 
-/// AMSYN_SOLVER: "auto" (default), "dense", or "sparse" — forwarded to the
-/// sim layer's solver-mode parser, so the string is reported verbatim and
-/// unknown values fall back to auto there.
+/// AMSYN_SOLVER: "auto" (default), "dense", or "sparse" — returned raw and
+/// parsed by core::parseSolverKind (case-insensitive; unknown values mean
+/// auto).
 inline std::string solver() {
   const char* env = std::getenv("AMSYN_SOLVER");
   return env ? std::string(env) : std::string();
@@ -53,27 +55,30 @@ inline bool evalCacheEnabled() {
   return true;
 }
 
-/// AMSYN_EVAL_CACHE_CAPACITY: max resident entries (default 2^16); values
-/// below 1 fall back to the default so the cache cannot be configured into
-/// a degenerate always-evict state by accident (use AMSYN_EVAL_CACHE=0 to
-/// turn it off).
-inline std::size_t evalCacheCapacity() {
-  if (const char* env = std::getenv("AMSYN_EVAL_CACHE_CAPACITY")) {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<std::size_t>(v);
+/// Strict unsigned decimal: digits only — no sign, no whitespace, no
+/// trailing garbage — and no overflow past uint64.  Anything else is
+/// nullopt, which every caller treats as "unset" (strtoull would wrap "-1"
+/// to 2^64-1 and atoll is undefined out of range).
+inline std::optional<std::uint64_t> parseUnsigned(const char* s) {
+  if (!s || !*s) return std::nullopt;
+  std::uint64_t v = 0;
+  for (; *s; ++s) {
+    if (*s < '0' || *s > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(*s - '0');
+    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;
+    v = v * 10 + digit;
   }
-  return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance maps
+  return v;
 }
 
-/// AMSYN_EVAL_CACHE_QUANTUM: coordinate quantization step for key hashing;
-/// only values in (0, 0.5) are meaningful, everything else means "exact
-/// bits" (0.0) — the only mode with the bit-identity proof.
-inline double evalCacheQuantum() {
-  if (const char* env = std::getenv("AMSYN_EVAL_CACHE_QUANTUM")) {
-    const double v = std::atof(env);
-    if (v > 0.0 && v < 0.5) return v;
-  }
-  return 0.0;
+/// AMSYN_EVAL_CACHE_CAPACITY: max resident entries (default 2^16); 0 and
+/// unparseable values fall back to the default so the cache cannot be
+/// configured into a degenerate always-evict state by accident (use
+/// AMSYN_EVAL_CACHE=0 to turn it off).
+inline std::size_t evalCacheCapacity() {
+  const auto v = parseUnsigned(std::getenv("AMSYN_EVAL_CACHE_CAPACITY"));
+  if (v && *v > 0 && *v <= SIZE_MAX) return static_cast<std::size_t>(*v);
+  return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance maps
 }
 
 /// AMSYN_SURROGATE mode string: "" / "0" / "off" = Off, "1"/"on"/"true"/
@@ -90,14 +95,10 @@ inline int surrogateModeIndex() {
 }
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).
-/// Only a fully-numeric value counts; trailing garbage means unset.
+/// Only a strict unsigned decimal counts (parseUnsigned); anything else
+/// means unset.  Huge values are safe: DeadlineBudget saturates.
 inline std::uint64_t jobDeadlineMs() {
-  const char* env = std::getenv("AMSYN_JOB_DEADLINE_MS");
-  if (!env) return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (!end || *end != '\0') return 0;
-  return static_cast<std::uint64_t>(v);
+  return parseUnsigned(std::getenv("AMSYN_JOB_DEADLINE_MS")).value_or(0);
 }
 
 /// AMSYN_TOPOLOGY_SPACE: "generated"/"composed" select the composed

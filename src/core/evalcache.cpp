@@ -1,8 +1,7 @@
 #include "core/evalcache.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -12,16 +11,6 @@
 #include "core/trace.hpp"
 
 namespace amsyn::core::cache {
-
-Hasher128& Hasher128::mixQuantized(double v, double quantum) {
-  if (quantum <= 0.0 || v == 0.0 || !std::isfinite(v)) return mixDouble(v);
-  int exp = 0;
-  const double mantissa = std::frexp(std::fabs(v), &exp);  // [0.5, 1)
-  mix(std::signbit(v) ? 1u : 0u);
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(exp)));
-  mix(static_cast<std::uint64_t>(std::llround(mantissa / quantum)));
-  return *this;
-}
 
 namespace {
 
@@ -72,9 +61,7 @@ struct EvalCache::Impl {
     std::list<Digest128> lru;
   };
 
-  std::atomic<bool> enabled{true};
   std::atomic<std::size_t> capacity{kBuiltinCapacity};
-  std::atomic<double> quantum{0.0};
   /// What setCapacity(0) restores: the env-derived capacity for the shared
   /// instance, the built-in default for isolated ones.
   std::size_t defaultCapacity = kBuiltinCapacity;
@@ -86,14 +73,11 @@ struct EvalCache::Impl {
 
   explicit Impl(bool shared) {
     if (shared) {
-      // The process-wide instance seeds its policy from the environment —
-      // the same parsers ContextConfig::fromEnv uses, so the two cannot
-      // drift.  Isolated instances keep the built-in defaults; their policy
-      // comes from the owning ExecutionContext.
-      enabled.store(envknobs::evalCacheEnabled(), std::memory_order_relaxed);
+      // The process-wide instance takes its capacity from the environment —
+      // the same parser ContextConfig::fromEnv uses, so the two cannot
+      // drift.  Isolated instances are sized by their owning context.
       defaultCapacity = envknobs::evalCacheCapacity();
       capacity.store(defaultCapacity, std::memory_order_relaxed);
-      quantum.store(envknobs::evalCacheQuantum(), std::memory_order_relaxed);
     }
     auto& reg = metrics::registry();
     // Registered eagerly (not lazily at first lookup) so the counter *keys*
@@ -137,20 +121,12 @@ std::unique_ptr<EvalCache> EvalCache::createIsolated() {
   return std::unique_ptr<EvalCache>(new EvalCache(/*shared=*/false));
 }
 
-bool EvalCache::enabled() const { return impl().enabled.load(std::memory_order_relaxed); }
-void EvalCache::setEnabled(bool on) { impl().enabled.store(on, std::memory_order_relaxed); }
-
 void EvalCache::setCapacity(std::size_t maxEntries) {
   impl().capacity.store(maxEntries == 0 ? impl().defaultCapacity : maxEntries,
                         std::memory_order_relaxed);
 }
 std::size_t EvalCache::capacity() const {
   return impl().capacity.load(std::memory_order_relaxed);
-}
-
-double EvalCache::quantum() const { return impl().quantum.load(std::memory_order_relaxed); }
-void EvalCache::setQuantum(double q) {
-  impl().quantum.store(q > 0.0 && q < 0.5 ? q : 0.0, std::memory_order_relaxed);
 }
 
 bool EvalCache::lookup(const Digest128& key, const std::vector<double>& exactX,
@@ -164,11 +140,9 @@ bool EvalCache::lookup(const Digest128& key, const std::vector<double>& exactX,
     metrics::add(im.cMisses);
     return false;
   }
-  // Exact-bit mode: a digest match with a different sizing vector is a
-  // collision (either a hash accident or a nonzero-quantum key built
-  // elsewhere); returning it would break the bit-identity proof, so miss.
-  if (im.quantum.load(std::memory_order_relaxed) <= 0.0 &&
-      !bitIdentical(it->second.x, exactX)) {
+  // A digest match with a different sizing vector is a hash collision;
+  // returning it would break the bit-identity proof, so miss.
+  if (!bitIdentical(it->second.x, exactX)) {
     metrics::add(im.cCollisions);
     metrics::add(im.cMisses);
     return false;

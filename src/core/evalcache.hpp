@@ -12,7 +12,7 @@
 //
 // Key design.  A candidate's identity is the digest of
 //   (model tag, canonicalized netlist, process parameters, evaluator
-//    options, quantized sizing vector, spec-set digest where the payload
+//    options, exact sizing-vector bits, spec-set digest where the payload
 //    depends on specs)
 // built with Hasher128 below.  Netlist canonicalization
 // (circuit/canonical.hpp) hashes devices as a sorted multiset of electrical
@@ -22,11 +22,11 @@
 // self-contained identity return nullopt and are never cached.
 //
 // Correctness contract (proven by tests/evalcache_test.cpp differential
-// suite and the hash property tests in tests/property_test.cpp): with the
-// default exact-bit quantum (0), a hit is returned only when the stored
-// sizing vector is bit-identical to the query, so cached payloads equal what
-// a fresh evaluation would produce and runs with the cache on/off — at any
-// AMSYN_THREADS — are bit-identical in everything but speed.  Eviction can
+// suite and the hash property tests in tests/property_test.cpp): a hit is
+// returned only when the stored sizing vector is bit-identical to the
+// query, so cached payloads equal what a fresh evaluation would produce and
+// runs with the cache on/off — at any AMSYN_THREADS — are bit-identical in
+// everything but speed.  Eviction can
 // therefore never change results, only the hit rate.
 //
 // Concurrency: the table is sharded by digest; each shard holds its own
@@ -35,17 +35,13 @@
 // collisions) live in the metrics registry; byte/entry occupancy is surfaced
 // as external counters (core.cache.bytes / core.cache.entries).
 //
-// Knobs:
-//   AMSYN_EVAL_CACHE=0           kill switch (also setEnabled(), and
-//                                FlowOptions::evalCache =
-//                                EvalCacheOptions::disabled() per-flow)
-//   AMSYN_EVAL_CACHE_CAPACITY=N  max entries (default 65536)
-//   AMSYN_EVAL_CACHE_QUANTUM=q   relative sizing quantum; 0 (default) =
-//                                exact-bit keys.  q > 0 buckets sizing
-//                                vectors on a relative grid and returns any
-//                                bucket hit — higher hit rate, but waives
-//                                the bit-identity guarantee (approximate
-//                                mode; never the default).
+// Knobs (both read through core::ContextConfig, never stored here):
+//   AMSYN_EVAL_CACHE=0           kill switch; ContextConfig::evalCacheEnabled
+//                                per context (sizing::safeEvaluate consults
+//                                the cache only when its context enables it)
+//   AMSYN_EVAL_CACHE_CAPACITY=N  max entries (default 65536) of the shared
+//                                cache; ContextConfig::evalCacheCapacity
+//                                sizes a context's isolated cache
 //
 // Layering: like core/evalstatus.hpp this sits below the evaluation
 // libraries (amsyn_evalcache depends only on amsyn_metrics + Threads), so
@@ -99,13 +95,6 @@ class Hasher128 {
   /// quiet-NaN payload, so semantically equal values share a digest.
   Hasher128& mixDouble(double v) { return mix(canonicalBits(v)); }
 
-  /// Relative quantization on the mantissa grid: quantum <= 0 hashes the
-  /// exact canonical bits; quantum q > 0 hashes (sign, exponent,
-  /// round(mantissa / q)), so values whose relative difference exceeds ~2q
-  /// are guaranteed distinct buckets and values on the same grid point
-  /// collapse (tests/property_test.cpp sweeps both directions).
-  Hasher128& mixQuantized(double v, double quantum);
-
   Hasher128& mixString(std::string_view s) {
     mix(s.size());
     std::uint64_t chunk = 0;
@@ -125,12 +114,6 @@ class Hasher128 {
   Hasher128& mixDoubles(const std::vector<double>& v) {
     mix(v.size());
     for (double d : v) mixDouble(d);
-    return *this;
-  }
-
-  Hasher128& mixQuantizedDoubles(const std::vector<double>& v, double quantum) {
-    mix(v.size());
-    for (double d : v) mixQuantized(d, quantum);
     return *this;
   }
 
@@ -194,13 +177,12 @@ class EvalCache {
   /// The process-wide cache (leaked on purpose, like the metrics registry).
   /// Production code resolves it through core::ExecutionContext (the
   /// context lint bans new direct instance() calls); the shared instance
-  /// seeds its policy from the AMSYN_EVAL_CACHE* knobs.
+  /// takes its capacity from AMSYN_EVAL_CACHE_CAPACITY.
   static EvalCache& instance();
 
   /// A private cache for context isolation (per-tenant caching in the
   /// synthesis-service scenario): its own LRU state and entry/byte gauges,
-  /// built-in defaults (enabled, 2^16 entries, exact-bit keys) rather than
-  /// env-derived ones, and no registry externals — "core.cache.entries"/
+  /// the built-in capacity (2^16 entries) until its owning context sizes it, and no registry externals — "core.cache.entries"/
   /// "core.cache.bytes" keep naming the shared instance.  Hit/miss counter
   /// traffic still lands in the shared process counters (they are real
   /// events); per-instance occupancy is read via stats().entries/bytes.
@@ -208,25 +190,15 @@ class EvalCache {
 
   ~EvalCache();
 
-  /// Enabled unless AMSYN_EVAL_CACHE is "0"/"off"/"false" or setEnabled
-  /// overrode it.
-  bool enabled() const;
-  void setEnabled(bool on);
-
   /// Max resident entries across all shards (evicting strict per-shard LRU
   /// beyond it).  0 restores the default / AMSYN_EVAL_CACHE_CAPACITY.
   void setCapacity(std::size_t maxEntries);
   std::size_t capacity() const;
 
-  /// Relative sizing-vector quantum used by key builders (see file
-  /// comment); 0 = exact-bit keys.
-  double quantum() const;
-  void setQuantum(double q);
-
   /// Look up `key`; on a hit copies the payload into `out` and returns
-  /// true.  With the exact-bit quantum, a digest match whose stored sizing
-  /// vector is not bit-identical to `exactX` counts as a collision miss —
-  /// this is what makes cached results provably equal to fresh ones.
+  /// true.  A digest match whose stored sizing vector is not bit-identical
+  /// to `exactX` counts as a collision miss — this is what makes cached
+  /// results provably equal to fresh ones.
   bool lookup(const Digest128& key, const std::vector<double>& exactX, CachedEval& out);
 
   /// Insert (or refresh) an entry.  Idempotent under races: the first
@@ -248,8 +220,9 @@ class EvalCache {
   struct Impl;
 
  private:
-  /// `shared` selects env-seeded policy + registry externals (the process
-  /// instance) vs. built-in defaults and no externals (isolated instances).
+  /// `shared` selects the env-derived capacity + registry externals (the
+  /// process instance) vs. the built-in capacity and no externals
+  /// (isolated instances).
   explicit EvalCache(bool shared);
   Impl& impl() const { return *impl_; }
   std::unique_ptr<Impl> impl_;

@@ -90,13 +90,7 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
   static const metrics::CounterId kBatchDesigns =
       metrics::registry().counter("core.flow.batch.designs");
   metrics::add(kBatchDesigns, batch.size());
-  // Configure the caller's context once up front; each per-design engine
-  // re-runs the same (idempotent) application on its job context, so
-  // fan-out order cannot matter.
   ExecutionContext& parent = ExecutionContext::current();
-  applyEvalCacheOptions(opts.evalCache, parent);
-  applySolverOption(opts.solver, parent);
-  applySurrogateOption(opts.surrogate, parent);
   return parallelMap(batch.size(), [&](std::size_t i) {
     // One child context per job: same config/handles as the caller, its own
     // fault schedule (inheriting the caller's armed plan through the chain)

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,55 +46,12 @@ struct AcTestbench {
   std::size_t acPointsPerDecade = 6;
 };
 
-/// Explicit tri-state configuration of the process-wide evaluation cache
-/// (core/evalcache.hpp) applied at flow start.  Replaces the former
-/// `evalCacheCapacity` sentinel overload (0 = keep, SIZE_MAX = disable).
-/// The cache only changes *speed*, never results — see core/evalcache.hpp
-/// for the correctness contract.
-struct EvalCacheOptions {
-  enum class Mode {
-    Default,   ///< keep the current / AMSYN_EVAL_CACHE* env-derived setting
-    Disabled,  ///< switch the cache off for this process
-    Bounded,   ///< set the capacity to `capacity` entries
-  };
-  Mode mode = Mode::Default;
-  /// Max resident entries; meaningful only in Bounded mode (0 restores the
-  /// default / AMSYN_EVAL_CACHE_CAPACITY value, per EvalCache::setCapacity).
-  std::size_t capacity = 0;
-
-  static EvalCacheOptions defaults() { return {}; }
-  static EvalCacheOptions disabled() { return {Mode::Disabled, 0}; }
-  static EvalCacheOptions bounded(std::size_t entries) {
-    return {Mode::Bounded, entries};
-  }
-};
-
-/// Which linear-solver kernel the simulation analyses use (sim/solver.hpp).
-/// Default keeps the current / AMSYN_SOLVER env-derived mode; the other
-/// values set the process-wide mode at flow start.  Like the eval cache,
-/// this knob only changes *speed*: the sparse path replays the dense
-/// kernel's arithmetic bit-exactly (see numeric/sparse_lu.hpp), so flow
-/// results are identical across modes.
-enum class SolverOption {
-  Default,  ///< keep the current / AMSYN_SOLVER env-derived setting
-  Auto,     ///< sparse above a size threshold, dense below
-  Dense,    ///< always the dense LU kernel
-  Sparse,   ///< always the sparse path (dense fallback on guard trips)
-};
-
-/// Learned-surrogate screening mode (core/surrogate.hpp) applied process-
-/// wide at flow start.  Ordering only permutes the parallel evaluation
-/// order of ranked batches — results stay bit-identical (the
-/// tests/surrogate_test.cpp differential suite proves it); Pruning may skip
-/// confidently-infeasible evaluations and therefore can change results —
-/// never the default, and every pruned candidate is logged for audit.
-enum class SurrogateOption {
-  Default,   ///< keep the current / AMSYN_SURROGATE env-derived setting
-  Off,       ///< surrogate neither trains nor predicts
-  Ordering,  ///< train + pre-rank evaluation batches (bit-identical)
-  Pruning,   ///< ordering + skip confidently-infeasible evaluations
-};
-
+/// Per-flow design options.  The machinery a flow runs on — eval cache,
+/// solver kernel, surrogate mode, wall-clock deadline, default topology
+/// space — is not configured here: it is the ContextConfig of the context
+/// the flow runs under (core/context.hpp).  Run a flow with a different
+/// config by installing a context built from one, or by handing
+/// FlowEngine::run a parent.makeChild(cfg).
 struct FlowOptions {
   double loadCap = 5e-12;
   std::size_t maxRedesigns = 4;   ///< layout->synthesis loop closures
@@ -105,24 +63,12 @@ struct FlowOptions {
   AcTestbench testbench;
   std::uint64_t seed = 1;
   /// Candidate space the topology-select stage ranks: the two legacy
-  /// cells, the whole generated functional-block composition space
-  /// (sizing/blocks.hpp), or Default = the AMSYN_TOPOLOGY_SPACE env choice
-  /// (unset -> Legacy).  Both spaces carry the legacy cells with the same
-  /// models and bounds, so flows whose specs the legacy cells win are
-  /// identical across spaces.
-  topology::TopologySpace topologySpace = topology::TopologySpace::Default;
-  EvalCacheOptions evalCache;
-  SolverOption solver = SolverOption::Default;
-  SurrogateOption surrogate = SurrogateOption::Default;
-  /// Per-job wall-clock deadline in ms (0 = the AMSYN_JOB_DEADLINE_MS env
-  /// var, else none).  The engine checks it at every stage boundary and
-  /// arms it on the verification measurements' budgets, so a livelocked
-  /// evaluation stops at the next strided cancel point.  Expiry is
-  /// *terminal* for the job: the flow returns immediately with
-  /// failureStatus deadline_expired, skipping remaining redesigns.  A
-  /// deadline trips at a machine-dependent point by nature — leave it 0
-  /// where bit-reproducible batches matter.
-  std::uint64_t deadlineMs = 0;
+  /// cells or the whole generated functional-block composition space
+  /// (sizing/blocks.hpp).  Unset = the context's configured space
+  /// (ContextConfig::topologySpace, AMSYN_TOPOLOGY_SPACE by default).  Both
+  /// spaces carry the legacy cells with the same models and bounds, so
+  /// flows whose specs the legacy cells win are identical across spaces.
+  std::optional<topology::TopologySpace> topologySpace;
   /// Per-stage retry policy (default: no retries, exactly the pre-existing
   /// behavior).  A failed stage whose status the policy classifies as
   /// transient re-runs — after a deterministic seeded backoff — up to
@@ -191,9 +137,10 @@ FlowResult synthesizeAmplifier(const sizing::SpecSet& specs, const circuit::Proc
 /// across the shared work-stealing pool.  Deterministic: result i is
 /// bit-identical to `synthesizeAmplifier(batch[i], proc,
 /// batchItemOptions(opts, i))` at any AMSYN_THREADS, cache on or off
-/// (tests/flowgraph_test.cpp proves this differentially).  All designs
-/// share the process-wide evaluation cache, so overlapping candidate
-/// evaluations across the batch are paid for once.
+/// (tests/flowgraph_test.cpp proves this differentially).  Every design runs
+/// in a child of the caller's context, so all of them share its config and
+/// its evaluation cache: overlapping candidate evaluations across the batch
+/// are paid for once.
 std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batch,
                                         const circuit::Process& proc,
                                         const FlowOptions& opts = {});

@@ -6,12 +6,9 @@
 #include <thread>
 #include <utility>
 
-#include "core/evalcache.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
 #include "sim/fault.hpp"
-#include "sim/solver.hpp"
 #include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
@@ -78,67 +75,6 @@ void backoffSleep(std::uint64_t delayMs, const DeadlineBudget& deadline) {
 }
 
 }  // namespace
-
-void applyEvalCacheOptions(const EvalCacheOptions& opts) {
-  applyEvalCacheOptions(opts, ExecutionContext::current());
-}
-
-void applyEvalCacheOptions(const EvalCacheOptions& opts, ExecutionContext& ctx) {
-  switch (opts.mode) {
-    case EvalCacheOptions::Mode::Default:
-      break;
-    case EvalCacheOptions::Mode::Disabled:
-      ctx.evalCache().setEnabled(false);
-      break;
-    case EvalCacheOptions::Mode::Bounded:
-      ctx.evalCache().setCapacity(opts.capacity);
-      break;
-  }
-}
-
-void applySolverOption(SolverOption opt) {
-  applySolverOption(opt, ExecutionContext::current());
-}
-
-void applySolverOption(SolverOption opt, ExecutionContext& ctx) {
-  switch (opt) {
-    case SolverOption::Default:
-      break;
-    case SolverOption::Auto:
-      ctx.setSolverKind(SolverKind::Auto);
-      break;
-    case SolverOption::Dense:
-      ctx.setSolverKind(SolverKind::Dense);
-      break;
-    case SolverOption::Sparse:
-      ctx.setSolverKind(SolverKind::Sparse);
-      break;
-  }
-}
-
-void applySurrogateOption(SurrogateOption opt) {
-  applySurrogateOption(opt, ExecutionContext::current());
-}
-
-void applySurrogateOption(SurrogateOption opt, ExecutionContext& ctx) {
-  auto& store = ctx.surrogateStore();
-  switch (opt) {
-    case SurrogateOption::Default:
-      // Touch the store anyway (mode() forces the handle) so the
-      // core.surrogate.* counters exist in every flow's report snapshot.
-      (void)store.mode();
-      break;
-    case SurrogateOption::Off:
-      store.setMode(surrogate::Mode::Off);
-      break;
-    case SurrogateOption::Ordering:
-      store.setMode(surrogate::Mode::Ordering);
-      break;
-    case SurrogateOption::Pruning:
-      store.setMode(surrogate::Mode::Pruning);
-      break;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // FlowEngine
@@ -227,14 +163,11 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
                            const FlowOptions& opts, ExecutionContext& exec) {
   AMSYN_SPAN("flow");
   ContextScope contextScope(exec);
-  applyEvalCacheOptions(opts.evalCache, exec);
-  applySolverOption(opts.solver, exec);
-  applySurrogateOption(opts.surrogate, exec);
 
   DesignContext ctx(specs, proc, opts);
   ctx.exec = &exec;
   ctx.electrical = filterElectrical(specs);
-  DeadlineBudget jobDeadline(0, effectiveDeadlineMs(opts.deadlineMs));
+  DeadlineBudget jobDeadline(0, exec.config().jobDeadlineMs);
   ctx.jobBudget = &jobDeadline;
 
   // Deadline expiry (real or injected by the chaos schedule) is terminal:

@@ -182,17 +182,18 @@ class FlowEngine {
   void setRetargetRules(std::vector<RetargetRule> rules);
   const std::vector<RetargetRule>& retargetRules() const { return rules_; }
 
-  /// Run the flow: apply the eval-cache config, then execute the stage
-  /// sequence up to opts.maxRedesigns + 1 times, retargeting the specs
-  /// from the calibration store before each attempt.  Success means every
-  /// stage of an attempt passed (or was skipped).
+  /// Run the flow: execute the stage sequence up to opts.maxRedesigns + 1
+  /// times, retargeting the specs from the calibration store before each
+  /// attempt.  Success means every stage of an attempt passed (or was
+  /// skipped).
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts);
 
   /// Context-explicit overload: the whole run executes under `exec` (a
-  /// ContextScope is installed for the duration) and the option appliers
-  /// act on that context's handles.  The three-argument form above is
-  /// exactly this with ExecutionContext::current().
+  /// ContextScope is installed for the duration), so its config — cache,
+  /// solver, surrogate mode, deadline, topology space — governs every
+  /// stage.  The three-argument form above is exactly this with
+  /// ExecutionContext::current().
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts, ExecutionContext& exec);
 
@@ -296,25 +297,5 @@ class ExtractStage : public FlowStage {
 /// topology-select, plan-candidate, build, verify-pre-layout, layout,
 /// extract, verify-post-layout.
 std::vector<std::unique_ptr<FlowStage>> amplifierStageGraph();
-
-/// Apply a tri-state eval-cache config to a context's cache handle (called
-/// by the engine at flow start and by synthesizeBatch before fan-out).  The
-/// single-argument forms act on ExecutionContext::current() — for code with
-/// no installed context that is the ambient context's shared handles, i.e.
-/// the old process-wide behavior.
-void applyEvalCacheOptions(const EvalCacheOptions& opts);
-void applyEvalCacheOptions(const EvalCacheOptions& opts, ExecutionContext& ctx);
-
-/// Apply a solver-kernel choice to a context's solver preference (same call
-/// sites as applyEvalCacheOptions; Default is a no-op).
-void applySolverOption(SolverOption opt);
-void applySolverOption(SolverOption opt, ExecutionContext& ctx);
-
-/// Apply a surrogate-screening choice to a context's store handle (same
-/// call sites as applyEvalCacheOptions; Default is a no-op).  Always
-/// touches the store so its core.surrogate.* counters register eagerly —
-/// run-report schemas must match across modes.
-void applySurrogateOption(SurrogateOption opt);
-void applySurrogateOption(SurrogateOption opt, ExecutionContext& ctx);
 
 }  // namespace amsyn::core

@@ -106,8 +106,7 @@ JobRecord JobQueue::runOne(std::size_t index, const sizing::SpecSet& specs,
   rec.index = index;
   rec.state = JobState::Running;
 
-  FlowOptions fo = batchItemOptions(opts_.flow, index);
-  if (opts_.deadlineMs != 0) fo.deadlineMs = opts_.deadlineMs;
+  const FlowOptions fo = batchItemOptions(opts_.flow, index);
 
   for (std::size_t attempt = 1;; ++attempt) {
     rec.attempts = attempt;
@@ -148,9 +147,6 @@ BatchRunResult JobQueue::run(const std::vector<sizing::SpecSet>& batch,
   AMSYN_SPAN("job_queue");
   const auto& counters = jobCounters();
   metrics::add(counters.submitted, batch.size());
-  applyEvalCacheOptions(opts_.flow.evalCache);
-  applySolverOption(opts_.flow.solver);
-  applySurrogateOption(opts_.flow.surrogate);
 
   BatchRunResult out;
   out.jobs.resize(batch.size());

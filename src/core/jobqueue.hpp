@@ -12,7 +12,8 @@
 //     ends in a transient status (core::isRetryable) re-runs up to the
 //     policy's attempt cap; injected batch faults draw fresh occurrences on
 //     the retry (sim::BatchFaultScope persists across attempts),
-//   * per-job wall-clock deadlines — forwarded into FlowOptions so the
+//   * per-job wall-clock deadlines — ContextConfig::jobDeadlineMs of the
+//     submitting context, inherited by every job's child context, so the
 //     engine enforces them at stage boundaries and Newton cancel points,
 //   * exception containment — anything thrown by a job task (including
 //     std::bad_alloc, classified out_of_memory and never retried) becomes
@@ -41,9 +42,6 @@ struct JobQueueOptions {
   std::size_t maxPending = 0;
   /// Per-job retry policy (whole-flow re-run).  Default: no retries.
   RetryPolicy retry;
-  /// Per-job deadline in ms, forwarded to FlowOptions::deadlineMs when
-  /// nonzero (the flow option itself falls back to AMSYN_JOB_DEADLINE_MS).
-  std::uint64_t deadlineMs = 0;
   /// Journal file path; empty = no journaling.
   std::string journalPath;
   /// Load the journal first and skip jobs it already records.  Ignored when

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/context.hpp"
 #include "core/runreport.hpp"
 
 namespace amsyn::core {
@@ -37,14 +36,6 @@ bool RetryPolicy::shouldRetry(EvalStatus st, std::size_t attemptsSoFar) const {
   if (retryableStatuses.empty()) return isRetryable(st);
   return std::find(retryableStatuses.begin(), retryableStatuses.end(), st) !=
          retryableStatuses.end();
-}
-
-std::uint64_t effectiveDeadlineMs(std::uint64_t optionMs) {
-  if (optionMs != 0) return optionMs;
-  // Fallback comes from the execution context's config (the ambient context
-  // carries the AMSYN_JOB_DEADLINE_MS env value; a tenant context carries
-  // whatever its creator configured).
-  return ExecutionContext::current().config().jobDeadlineMs;
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -87,8 +88,14 @@ class DeadlineBudget {
   explicit DeadlineBudget(std::uint64_t workLimit = 0, std::uint64_t deadlineMs = 0)
       : budget_(workLimit), deadlineMs_(deadlineMs) {
     if (deadlineMs != 0) {
-      deadlineNs_ =
-          EvalBudget::nowNs() + static_cast<std::int64_t>(deadlineMs) * 1'000'000;
+      // Saturate at INT64_MAX instead of overflowing now + ms * 10^6: a
+      // deadline beyond ~292 years is "never", not a wrapped past instant.
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+      const std::int64_t now = EvalBudget::nowNs();
+      const std::uint64_t headroomMs = static_cast<std::uint64_t>(kMax - now) / 1'000'000;
+      deadlineNs_ = deadlineMs > headroomMs
+                        ? kMax
+                        : now + static_cast<std::int64_t>(deadlineMs) * 1'000'000;
       budget_.setDeadlineNs(deadlineNs_);
     }
   }
@@ -110,10 +117,6 @@ class DeadlineBudget {
   std::uint64_t deadlineMs_ = 0;
   std::int64_t deadlineNs_ = 0;
 };
-
-/// The job deadline in effect: `optionMs` when nonzero, else the
-/// AMSYN_JOB_DEADLINE_MS environment variable, else 0 (no deadline).
-std::uint64_t effectiveDeadlineMs(std::uint64_t optionMs);
 
 // ---------------------------------------------------------------------------
 // Crash-consistent batch journaling

@@ -9,7 +9,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "core/envknobs.hpp"
 #include "core/metrics.hpp"
 
 namespace amsyn::core::surrogate {
@@ -156,7 +155,6 @@ struct Store::Impl {
     std::unique_ptr<RidgeModel> model;
   };
 
-  std::atomic<Mode> mode{Mode::Off};
   mutable std::mutex classesMutex;
   std::unordered_map<cache::Digest128, std::unique_ptr<ClassEntry>, DigestHash>
       classes;
@@ -170,14 +168,6 @@ struct Store::Impl {
       cPruned;
 
   explicit Impl(bool shared) {
-    if (shared) {
-      // The process-wide store seeds its mode from AMSYN_SURROGATE via the
-      // shared envknobs parser; isolated stores start Off and are configured
-      // by their owning ExecutionContext.
-      const int m = envknobs::surrogateModeIndex();
-      mode.store(m == 2 ? Mode::Pruning : m == 1 ? Mode::Ordering : Mode::Off,
-                 std::memory_order_relaxed);
-    }
     auto& reg = metrics::registry();
     // Registered eagerly (not at first observation) so run-report counter
     // key-sets are identical with the surrogate off, ordering, and pruning —
@@ -227,9 +217,6 @@ Store& Store::instance() {
 std::unique_ptr<Store> Store::createIsolated() {
   return std::unique_ptr<Store>(new Store(/*shared=*/false));
 }
-
-Mode Store::mode() const { return impl().mode.load(std::memory_order_relaxed); }
-void Store::setMode(Mode m) { impl().mode.store(m, std::memory_order_relaxed); }
 
 void Store::observe(const Candidate& c, const std::map<std::string, double>& heads) {
   Impl& im = impl();

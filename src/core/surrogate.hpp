@@ -122,27 +122,22 @@ class RidgeModel {
   std::map<std::string, Head> heads_;
 };
 
-/// Process-wide surrogate store: one RidgeModel per candidate class, a mode
-/// switch, metrics, and the pruning audit log.  All methods are thread-safe.
+/// Process-wide surrogate store: one RidgeModel per candidate class, metrics,
+/// and the pruning audit log.  All methods are thread-safe.  The store holds
+/// no mode: consumers read ContextConfig::surrogateMode of the context they
+/// run under, so tenants sharing the store never see each other's mode.
 class Store {
  public:
   /// The process-wide store (leaked on purpose).  Production code resolves
-  /// it through core::ExecutionContext; the shared instance seeds its mode
-  /// from AMSYN_SURROGATE.
+  /// it through core::ExecutionContext.
   static Store& instance();
 
   /// A private store for context isolation: own models, prune log, and
-  /// class gauge, starting in Mode::Off with no env seeding and no registry
-  /// externals ("core.surrogate.classes" keeps naming the shared store).
+  /// class gauge, and no registry externals ("core.surrogate.classes" keeps
+  /// naming the shared store).
   static std::unique_ptr<Store> createIsolated();
 
   ~Store();
-
-  /// Consumption mode; initialized from AMSYN_SURROGATE (unset/"0"/"off" =
-  /// Off, "1"/"on"/"order"/"ordering" = Ordering, "prune"/"pruning" =
-  /// Pruning), overridable per flow via FlowOptions::surrogate.
-  Mode mode() const;
-  void setMode(Mode m);
 
   /// Training tap (called by sizing::safeEvaluate on fresh, feasible
   /// evaluations).  Creates the class on first sight; non-finite features
@@ -184,13 +179,13 @@ class Store {
   };
   SurrogateStats stats() const;
 
-  /// Drop all learned state and the prune log (mode is kept).  Differential
+  /// Drop all learned state and the prune log.  Differential
   /// tests call this between arms so each run trains from scratch.
   void clear();
 
  private:
-  /// `shared` selects env-seeded mode + the registry external (the process
-  /// instance) vs. Mode::Off and no externals (isolated instances).
+  /// `shared` selects the registry external (the process instance) vs. no
+  /// externals (isolated instances).
   explicit Store(bool shared);
   struct Impl;
   Impl& impl() const { return *impl_; }

@@ -120,7 +120,7 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<char> skipped(kVertices, 0);
   auto& surrStore = core::currentSurrogateStore();
-  const auto surrMode = surrStore.mode();
+  const auto surrMode = core::currentSurrogateMode();
   if (surrMode != core::surrogate::Mode::Off && !spec.isObjective()) {
     struct VertexPred {
       double margin = 0.0;  ///< normalized margin at the predicted mean
@@ -325,27 +325,25 @@ class CornerSetModel : public sizing::PerformanceModel {
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
 };
 
-/// Scoped downgrade Pruning -> Ordering for the cutting-plane synthesis
-/// phases.  The annealer consumes exact costs sequentially; substituting
+/// Run one cutting-plane synthesis phase with Pruning downgraded to
+/// Ordering.  The annealer consumes exact costs sequentially; substituting
 /// predicted costs for pruned candidates redirects its accept decisions and
 /// changes the final design.  Within robustSynthesize, pruning is therefore
 /// restricted to the hunt's vertex screening (argmin-safe by construction);
-/// the optimizer itself still gets ordering.
-class ScopedOrderingOnly {
- public:
-  ScopedOrderingOnly()
-      : store_(core::currentSurrogateStore()), prev_(store_.mode()) {
-    if (prev_ == core::surrogate::Mode::Pruning)
-      store_.setMode(core::surrogate::Mode::Ordering);
-  }
-  ~ScopedOrderingOnly() { store_.setMode(prev_); }
-  ScopedOrderingOnly(const ScopedOrderingOnly&) = delete;
-  ScopedOrderingOnly& operator=(const ScopedOrderingOnly&) = delete;
-
- private:
-  core::surrogate::Store& store_;
-  core::surrogate::Mode prev_;
-};
+/// the optimizer itself still gets ordering.  The downgrade is a child
+/// context with its own config — never a write to the shared store — so a
+/// concurrent flow keeps its own mode.  Off and Ordering run as they are.
+sizing::SynthesisResult synthesizeWithoutPruning(const sizing::CostFunction& cost,
+                                                 const sizing::SynthesisOptions& opts) {
+  core::ExecutionContext& ctx = core::ExecutionContext::current();
+  if (ctx.config().surrogateMode != core::surrogate::Mode::Pruning)
+    return sizing::synthesize(cost, opts);
+  core::ContextConfig cfg = ctx.config();
+  cfg.surrogateMode = core::surrogate::Mode::Ordering;
+  const auto child = ctx.makeChild(std::move(cfg));
+  core::ContextScope scope(*child);
+  return sizing::synthesize(cost, opts);
+}
 
 }  // namespace
 
@@ -362,8 +360,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     const std::uint64_t t0 = core::trace::monotonicNowNs();
     const auto nominalModel = factory(nominal);
     const sizing::CostFunction cost(*nominalModel, specs, opts.cost);
-    const ScopedOrderingOnly noPruning;
-    result.nominal = sizing::synthesize(cost, opts.synthesis);
+    result.nominal = synthesizeWithoutPruning(cost, opts.synthesis);
     result.nominalEvaluations = static_cast<double>(result.nominal.evaluations);
     result.nominalSeconds =
         static_cast<double>(core::trace::monotonicNowNs() - t0) * 1e-9;
@@ -402,8 +399,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
 
     CornerSetModel cornerModel(factory, nominal, space, specs, corners);
     const sizing::CostFunction cost(cornerModel, specs, opts.cost);
-    const ScopedOrderingOnly noPruning;
-    current = sizing::synthesize(cost, opts.synthesis);
+    current = synthesizeWithoutPruning(cost, opts.synthesis);
     // Each corner-set evaluation simulates (1 + #corners) models.
     robustEvals +=
         static_cast<double>(current.evaluations) * static_cast<double>(1 + corners.size());

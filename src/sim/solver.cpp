@@ -1,37 +1,11 @@
 #include "sim/solver.hpp"
 
-#include <atomic>
-#include <cctype>
 #include <map>
 #include <mutex>
-#include <string>
-
-#include "core/context.hpp"
 
 namespace amsyn::sim {
 
 namespace {
-
-// SolverMode <-> core::SolverKind: the preference is stored per
-// ExecutionContext (core layer, below sim), so the two enums mirror each
-// other and the sim layer maps at its boundary.
-SolverMode fromKind(core::SolverKind k) {
-  switch (k) {
-    case core::SolverKind::Dense: return SolverMode::Dense;
-    case core::SolverKind::Sparse: return SolverMode::Sparse;
-    case core::SolverKind::Auto: break;
-  }
-  return SolverMode::Auto;
-}
-
-core::SolverKind toKind(SolverMode m) {
-  switch (m) {
-    case SolverMode::Dense: return core::SolverKind::Dense;
-    case SolverMode::Sparse: return core::SolverKind::Sparse;
-    case SolverMode::Auto: break;
-  }
-  return core::SolverKind::Auto;
-}
 
 struct SymbolicCache {
   std::mutex mu;
@@ -47,33 +21,8 @@ SymbolicCache& symbolicCache() {
 
 SolverMode solverMode() {
   // Context-resolved: code running without an installed scope sees the
-  // ambient context, whose initial preference came from AMSYN_SOLVER —
-  // exactly the old process-global behavior.  A job context's override
-  // stays in that job.
-  return fromKind(core::ExecutionContext::current().solverKind());
-}
-
-void setSolverMode(SolverMode m) {
-  core::ExecutionContext::current().setSolverKind(toKind(m));
-}
-
-std::optional<SolverMode> parseSolverMode(std::string_view s) {
-  std::string lower;
-  lower.reserve(s.size());
-  for (char c : s) lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "auto") return SolverMode::Auto;
-  if (lower == "dense") return SolverMode::Dense;
-  if (lower == "sparse") return SolverMode::Sparse;
-  return std::nullopt;
-}
-
-const char* solverModeName(SolverMode m) {
-  switch (m) {
-    case SolverMode::Auto: return "auto";
-    case SolverMode::Dense: return "dense";
-    case SolverMode::Sparse: return "sparse";
-  }
-  return "auto";
+  // ambient context, whose config came from AMSYN_SOLVER.
+  return core::ExecutionContext::current().config().solver;
 }
 
 bool useSparseSolver(std::size_t n) {

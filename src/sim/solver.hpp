@@ -8,10 +8,10 @@
 // splitting factorization: analyze once per *pattern*, refactor numerically
 // everywhere else.  This header provides:
 //
-//   - SolverMode + the process-wide knob (AMSYN_SOLVER env override, and
-//     FlowOptions::solver per flow), with Auto picking sparse only above a
-//     size threshold so small netlists keep the dense kernel's lower
-//     constant factor;
+//   - SolverMode, read from the current execution context's config
+//     (ContextConfig::solver: AMSYN_SOLVER, or whatever the job's context
+//     was built with), with Auto picking sparse only above a size threshold
+//     so small netlists keep the dense kernel's lower constant factor;
 //   - a process-wide symbolic-factorization cache keyed by pattern digest,
 //     so the thousands of Mna instances a synthesis run creates for the
 //     *same* testbench structure share one analysis;
@@ -24,10 +24,10 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/metrics.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -35,21 +35,14 @@
 
 namespace amsyn::sim {
 
-enum class SolverMode {
-  Auto,    ///< sparse when the system is large enough to win (default)
-  Dense,   ///< always num::LU
-  Sparse,  ///< always the sparse path (with dense fallback on guard trips)
-};
+/// Auto: sparse when the system is large enough to win (default); Dense:
+/// always num::LU; Sparse: always the sparse path (with dense fallback on
+/// guard trips).  The enum is core's, so the config and the solver share
+/// one spelling (core::parseSolverKind / core::solverKindName).
+using SolverMode = core::SolverKind;
 
-/// Process-wide solver mode.  Initialized once from AMSYN_SOLVER
-/// ("auto" / "dense" / "sparse", case-insensitive); setSolverMode overrides
-/// (FlowOptions::solver routes through this).
+/// The solver mode of the calling thread's execution context.
 SolverMode solverMode();
-void setSolverMode(SolverMode m);
-
-/// Parse a mode name; nullopt on anything unrecognized.
-std::optional<SolverMode> parseSolverMode(std::string_view s);
-const char* solverModeName(SolverMode m);
 
 /// Auto picks sparse at and above this unknown count.  The default opamp
 /// testbenches sit near n = 11 where dense wins on constant factor; ladder

@@ -87,8 +87,7 @@ void CostFunction::score(Detail& d) const {
 
 std::optional<CostFunction::Detail> CostFunction::tryPrune(
     const std::vector<double>& x) const {
-  auto& store = core::currentSurrogateStore();
-  if (store.mode() != core::surrogate::Mode::Pruning) return std::nullopt;
+  if (core::currentSurrogateMode() != core::surrogate::Mode::Pruning) return std::nullopt;
   // Only heavy evaluations are worth skipping: a cheap model's evaluation
   // costs about as much as the prediction that would replace it.
   if (model_.evalCost() != EvalCost::Heavy) return std::nullopt;
@@ -98,6 +97,7 @@ std::optional<CostFunction::Detail> CostFunction::tryPrune(
   std::vector<std::string> names;
   names.reserve(specs_.specs().size());
   for (const Spec& s : specs_.specs()) names.push_back(s.performance);
+  auto& store = core::currentSurrogateStore();
   const auto preds = store.predictMany(*cand, names);
 
   const Spec* trigger = nullptr;
@@ -140,14 +140,14 @@ std::optional<CostFunction::Detail> CostFunction::tryPrune(
 }
 
 std::optional<double> CostFunction::predictedCost(const std::vector<double>& x) const {
-  auto& store = core::currentSurrogateStore();
-  if (store.mode() == core::surrogate::Mode::Off) return std::nullopt;
+  if (core::currentSurrogateMode() == core::surrogate::Mode::Off) return std::nullopt;
   const auto cand = surrogateCandidate(model_, x);
   if (!cand) return std::nullopt;
   std::vector<std::string> names;
   names.reserve(specs_.specs().size());
   for (const Spec& s : specs_.specs()) names.push_back(s.performance);
   if (names.empty()) return std::nullopt;
+  auto& store = core::currentSurrogateStore();
   const auto preds = store.predictMany(*cand, names);
   Detail d;
   for (std::size_t i = 0; i < names.size(); ++i) {

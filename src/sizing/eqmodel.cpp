@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "circuit/canonical.hpp"
-#include "core/context.hpp"
 
 namespace amsyn::sizing {
 
@@ -37,7 +36,7 @@ ComposedOpampModel::ComposedOpampModel(const OpampStructure& s, const Process& p
 std::optional<core::cache::Digest128> ComposedOpampModel::cacheKey(
     const std::vector<double>& x) const {
   core::cache::Hasher128 h = keyPrefix_;
-  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+  h.mixDoubles(x);
   return h.digest();
 }
 
@@ -280,7 +279,7 @@ class TwoStageCornerModel : public PerformanceModel {
   std::optional<core::cache::Digest128> cacheKey(
       const std::vector<double>& x) const override {
     core::cache::Hasher128 h = keyPrefix_;
-    h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+    h.mixDoubles(x);
     return h.digest();
   }
 

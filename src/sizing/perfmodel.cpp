@@ -17,16 +17,16 @@ namespace {
 /// (cache hits return before this point), and never pruned verdicts (the
 /// prune path skips safeEvaluate entirely) — so the surrogate can never
 /// train on its own predictions.
-void observeSurrogate(core::surrogate::Store& store, const PerformanceModel& model,
+void observeSurrogate(core::ExecutionContext& ctx, const PerformanceModel& model,
                       const std::vector<double>& x, const Performance& perf) {
-  if (store.mode() == core::surrogate::Mode::Off) return;
+  if (ctx.config().surrogateMode == core::surrogate::Mode::Off) return;
   if (perf.count("_infeasible")) return;
   const auto cand = surrogateCandidate(model, x);
   if (!cand) return;
   std::map<std::string, double> heads;
   for (const auto& [name, value] : perf)
     if (!name.empty() && name[0] != '_') heads.emplace(name, value);
-  if (!heads.empty()) store.observe(*cand, heads);
+  if (!heads.empty()) ctx.surrogateStore().observe(*cand, heads);
 }
 
 }  // namespace
@@ -81,7 +81,7 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
   // when its context asked for isolation.
   auto& cache = ctx.evalCache();
   std::optional<core::cache::Digest128> key;
-  if (cache.enabled()) {
+  if (ctx.config().evalCacheEnabled) {
     if (model.evalCost() == EvalCost::Cheap) {
       // Evaluation ~ lookup cost: skip the digest, the lookup, *and* the
       // insert (key stays nullopt below).  Counted so hit-rate math over
@@ -123,7 +123,7 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
   // candidate reports the same _infeasible/_status data the first
   // evaluation did (the failure tally itself is recorded once, above).
   if (key) cache.insert(*key, x, {perf, performanceStatus(perf)});
-  observeSurrogate(ctx.surrogateStore(), model, x, perf);
+  observeSurrogate(ctx, model, x, perf);
   return perf;
 }
 

@@ -5,7 +5,6 @@
 
 #include "awe/awe.hpp"
 #include "circuit/canonical.hpp"
-#include "core/context.hpp"
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
 #include "sim/stats.hpp"
@@ -68,7 +67,7 @@ std::optional<core::cache::Digest128> RelaxedDcModel::cacheKey(
   h.mixDouble(opts_.residualScale);
   h.mix(opts_.aweOrder);
   h.mixDouble(opts_.branchCurrentLimit);
-  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+  h.mixDoubles(x);
   return h.digest();
 }
 

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "circuit/canonical.hpp"
-
-#include "core/context.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -47,7 +45,7 @@ std::optional<core::cache::Digest128> SimulationModel::cacheKey(
   h.mix(opts_.outputMustBeInterior ? 1u : 0u);
   h.mixDouble(opts_.interiorMargin);
   h.mix(opts_.workBudget);
-  h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+  h.mixDoubles(x);
   return h.digest();
 }
 

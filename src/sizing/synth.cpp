@@ -96,8 +96,7 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   prob.rankBatch = [&](const std::vector<std::vector<double>>& probes) {
     std::vector<std::size_t> order(probes.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto& store = core::currentSurrogateStore();
-    if (store.mode() == core::surrogate::Mode::Off) return order;
+    if (core::currentSurrogateMode() == core::surrogate::Mode::Off) return order;
     std::vector<std::optional<double>> scores(probes.size());
     bool any = false;
     for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -105,7 +104,7 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
       any = any || scores[i].has_value();
     }
     if (!any) return order;
-    store.noteOrderedBatch();
+    core::currentSurrogateStore().noteOrderedBatch();
     return core::surrogate::orderByScore(scores);
   };
 

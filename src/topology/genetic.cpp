@@ -79,7 +79,7 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
     // the winner are bit-identical to the unranked run.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    if (core::currentSurrogateStore().mode() != core::surrogate::Mode::Off) {
+    if (core::currentSurrogateMode() != core::surrogate::Mode::Off) {
       std::vector<std::optional<double>> scores(n);
       bool any = false;
       for (std::size_t i = 0; i < n; ++i) {

@@ -235,22 +235,10 @@ TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
 
 }  // namespace
 
-TopologySpace defaultTopologySpace() {
-  // The AMSYN_TOPOLOGY_SPACE knob now arrives through the execution
-  // context's config (parsed once in core::envknobs); the ambient context
-  // reproduces the old process-global behavior exactly.
-  switch (core::ExecutionContext::current().config().topologySpace) {
-    case core::TopologySpaceKind::Generated:
-      return TopologySpace::Generated;
-    case core::TopologySpaceKind::Legacy:
-      break;
-  }
-  return TopologySpace::Legacy;
-}
-
 TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 TopologySpace space) {
-  if (space == TopologySpace::Default) space = defaultTopologySpace();
+                                 std::optional<TopologySpace> requested) {
+  const TopologySpace space =
+      requested.value_or(core::ExecutionContext::current().config().topologySpace);
   // Memoize per (space, process, loadCap): bounds sampling over the full
   // generated space is ~10^5 model evaluations, and even the two legacy
   // entries cost ~10^4 — too much to repeat on every flow start.  Keyed by

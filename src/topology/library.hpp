@@ -9,10 +9,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "numeric/interval.hpp"
 #include "sizing/perfmodel.hpp"
 #include "sizing/spec.hpp"
@@ -58,16 +60,11 @@ class TopologyLibrary {
   std::map<std::string, std::size_t> index_;  ///< name -> entries_ position
 };
 
-/// Which candidate space amplifierLibrary returns.
-enum class TopologySpace : std::uint8_t {
-  Default,    ///< defaultTopologySpace(): the AMSYN_TOPOLOGY_SPACE env choice
-  Legacy,     ///< the two historical cells: five-transistor OTA, two-stage Miller
-  Generated,  ///< the whole composed functional-block space (sizing/blocks.hpp)
-};
-
-/// Process-wide default space: AMSYN_TOPOLOGY_SPACE=generated selects the
-/// composed space, anything else (or unset) the legacy pair.
-TopologySpace defaultTopologySpace();
+/// Which candidate space amplifierLibrary returns: Legacy, the two
+/// historical cells (five-transistor OTA, two-stage Miller), or Generated,
+/// the whole composed functional-block space (sizing/blocks.hpp).  The enum
+/// is core's, shared with ContextConfig::topologySpace.
+using TopologySpace = core::TopologySpace;
 
 /// The amplifier candidate library: one entry per composed structure of the
 /// space (sizing/blocks.hpp), each with its sizing::ComposedOpampModel,
@@ -77,10 +74,12 @@ TopologySpace defaultTopologySpace();
 /// electrically valid structure (both legacy cells included, with a small
 /// provenance bonus over generated siblings).  Every rule aggregates over
 /// *all* matching specs — a SpecSet may carry several bounds on one
-/// performance.  Memoized per (space, process, loadCap): repeated flow
-/// starts reuse the sampled bounds.
+/// performance.  Unset `space` means the calling context's configured one
+/// (ContextConfig::topologySpace, i.e. AMSYN_TOPOLOGY_SPACE by default).
+/// Memoized per (space, process, loadCap): repeated flow starts reuse the
+/// sampled bounds.
 TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 TopologySpace space = TopologySpace::Default);
+                                 std::optional<TopologySpace> space = std::nullopt);
 
 /// Interval evaluation of an equation model: bound each performance over the
 /// design box by sampling a coarse grid and taking the hull, widened by a

@@ -22,16 +22,15 @@
 #include "circuit/canonical.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/parallel.hpp"
-#include "knowledge/opamp_plans.hpp"
 #include "numeric/rng.hpp"
 #include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
 #include "reference/handwritten_opamp.hpp"
 #include "sizing/blocks.hpp"
 #include "sizing/opamp.hpp"
-#include "topology/compose.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
 #include "topology/select.hpp"
@@ -42,7 +41,6 @@ namespace ckt = amsyn::circuit;
 namespace core = amsyn::core;
 namespace cache = amsyn::core::cache;
 namespace num = amsyn::num;
-namespace kn = amsyn::knowledge;
 namespace ref = amsyn::reference;
 
 namespace {
@@ -106,25 +104,6 @@ void expectSameDevices(const ckt::Netlist& a, const ckt::Netlist& b,
   }
   EXPECT_EQ(ckt::canonicalNetlistDigest(a), ckt::canonicalNetlistDigest(b)) << label;
 }
-
-/// RAII eval-cache configuration guard (pattern from evalcache_test).
-struct CacheGuard {
-  CacheGuard()
-      : c(cache::EvalCache::instance()),
-        enabled(c.enabled()),
-        capacity(c.capacity()),
-        quantum(c.quantum()) {}
-  ~CacheGuard() {
-    c.setEnabled(enabled);
-    c.setCapacity(capacity);
-    c.setQuantum(quantum);
-    c.clear();
-  }
-  cache::EvalCache& c;
-  bool enabled;
-  std::size_t capacity;
-  double quantum;
-};
 
 }  // namespace
 
@@ -491,13 +470,15 @@ TEST(GeneratedSelection, LegacyCellsStillWinTheirHomeTurf) {
 }
 
 TEST(GeneratedSelection, GeneticIsBitIdenticalAcrossThreadsAndCache) {
-  CacheGuard guard;
   sz::SpecSet specs;
   specs.atLeast("gain_db", 65.0).atLeast("ugf", 2e6).atLeast("pm", 50.0).minimize("power",
                                                                                   0.5, 1e-3);
   auto run = [&](bool cacheOn, std::size_t threads) {
     cache::EvalCache::instance().clear();
-    cache::EvalCache::instance().setEnabled(cacheOn);
+    core::ContextConfig cfg = core::ContextConfig::fromEnv();
+    cfg.evalCacheEnabled = cacheOn;
+    core::ExecutionContext ctx(cfg);
+    core::ContextScope scope(ctx);
     core::ScopedThreadPool pool(threads);
     tp::GeneticOptions opts;
     opts.seed = 41;
@@ -516,50 +497,4 @@ TEST(GeneratedSelection, GeneticIsBitIdenticalAcrossThreadsAndCache) {
         EXPECT_TRUE(bitEq(r.x[i], base.x[i])) << cacheOn << "/" << threads << " x" << i;
       EXPECT_EQ(r.evaluations, base.evaluations);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Plan seeds
-
-TEST(PlanSeeds, LegacyTwoStageSeedMatchesTheKnowledgePlan) {
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 60.0);
-  const auto s = sz::OpampStructure::legacyTwoStage();
-  const auto seed = tp::composedPlanSeed(s, specs, proc(), kLoadCap);
-  ASSERT_TRUE(seed.has_value());
-  ASSERT_EQ(seed->size(), s.variables().size());
-
-  const auto planIn = kn::opampPlanInputs(specs, kLoadCap);
-  ASSERT_TRUE(planIn.has_value());
-  const auto res = kn::twoStageOpampPlan().execute(proc(), *planIn);
-  ASSERT_TRUE(res.success);
-  const auto direct = kn::extractTwoStageDesign(res.context);
-  ASSERT_EQ(seed->size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_TRUE(bitEq((*seed)[i], direct[i])) << i;
-}
-
-TEST(PlanSeeds, EveryStructureGetsAnEvaluableSeed) {
-  // Modest gain so both family plans (OTA and two-stage) can complete —
-  // single-stage plans legitimately backtrack out of a 55+ dB ask.
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 35.0).atLeast("ugf", 2e6).atLeast("pm", 60.0);
-  for (const auto& s : sz::enumerateOpampStructures()) {
-    const auto seed = tp::composedPlanSeed(s, specs, proc(), kLoadCap);
-    ASSERT_TRUE(seed.has_value()) << s.name();
-    ASSERT_EQ(seed->size(), s.variables().size()) << s.name();
-    // Seeds stay inside the variable box and evaluate to finite numbers.
-    const auto& vars = s.variables();
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      EXPECT_GE((*seed)[i], vars[i].lo) << s.name() << " " << vars[i].name;
-      EXPECT_LE((*seed)[i], vars[i].hi) << s.name() << " " << vars[i].name;
-    }
-    const sz::ComposedOpampModel model(s, proc(), kLoadCap);
-    for (const auto& [k, v] : model.evaluate(*seed))
-      EXPECT_TRUE(std::isfinite(v)) << s.name() << " " << k;
-  }
-  // Specs without the required gain_db+ugf pair yield no seed.
-  sz::SpecSet bare;
-  bare.atLeast("pm", 60.0);
-  EXPECT_FALSE(tp::composedPlanSeed(sz::OpampStructure{}, bare, proc(), kLoadCap));
 }

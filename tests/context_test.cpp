@@ -1,10 +1,12 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
 // semantics, scope installation, per-context metrics slices, fault-plan
-// isolation, isolated cache/surrogate handles — and the PR's headline
-// proof, a differential suite showing the whole flow and the robust corner
-// search are *bit-identical* between the legacy ambient-global path and an
-// explicitly installed context, at 1 and 8 threads, cache on and off.
-// Contexts may only ever change *attribution and isolation*, never results.
+// isolation, isolated cache/surrogate handles, a differential suite showing
+// the whole flow and the robust corner search are *bit-identical* between
+// the ambient path and an explicitly installed context (at 1 and 8 threads,
+// cache on and off), and the option-leak regression: two contexts sharing
+// the process cache and store each see only their own config.  Contexts may
+// only ever change *configuration, attribution and isolation*, never
+// results.
 //
 // The registry-overflow tests are deliberately LAST in this file: they fill
 // the metrics registry to capacity for their process.  Under ctest every
@@ -15,10 +17,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/process.hpp"
@@ -31,6 +35,7 @@
 #include "core/surrogate.hpp"
 #include "manufacture/corners.hpp"
 #include "sim/fault.hpp"
+#include "sim/solver.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
 
@@ -64,28 +69,17 @@ struct EnvVarGuard {
   std::optional<std::string> saved_;
 };
 
-/// RAII snapshot/restore of the shared cache's knobs (same discipline as
-/// tests/evalcache_test.cpp: the shared cache is process-wide state).
+/// RAII empty shared cache with its capacity restored on exit (same
+/// discipline as tests/evalcache_test.cpp: the shared cache is process-wide
+/// state).
 struct CacheGuard {
-  CacheGuard()
-      : c(cache::EvalCache::instance()),
-        enabled(c.enabled()),
-        capacity(c.capacity()),
-        quantum(c.quantum()) {
-    c.setEnabled(true);
-    c.setQuantum(0.0);
-    c.clear();
-  }
+  CacheGuard() : c(cache::EvalCache::instance()), capacity(c.capacity()) { c.clear(); }
   ~CacheGuard() {
-    c.setEnabled(enabled);
     c.setCapacity(capacity);
-    c.setQuantum(quantum);
     c.clear();
   }
   cache::EvalCache& c;
-  bool enabled;
   std::size_t capacity;
-  double quantum;
 };
 
 /// Minimal cacheable model counting real evaluations, so a context-resolved
@@ -105,9 +99,7 @@ class CountingModel : public sz::PerformanceModel {
     cache::Hasher128 h;
     h.mixString("context-counting-model");
     h.mixDouble(base_);
-    // Context-resolved quantum: the key builder must follow the installed
-    // context's cache, not the shared singleton.
-    h.mixQuantizedDoubles(x, core::currentEvalCache().quantum());
+    h.mixDoubles(x);
     return h.digest();
   }
 
@@ -167,7 +159,6 @@ cache::Digest128 keyOf(std::uint64_t tag) {
 core::ContextConfig deterministicConfig() {
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.evalCacheQuantum = 0.0;
   cfg.surrogateMode = surrogate::Mode::Off;
   return cfg;
 }
@@ -179,13 +170,12 @@ core::ContextConfig deterministicConfig() {
 
 TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g5("AMSYN_EVAL_CACHE_QUANTUM"),
-      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
+      g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
   ::setenv("AMSYN_THREADS", "5", 1);
   ::setenv("AMSYN_SOLVER", "Sparse", 1);  // parser is case-insensitive
   ::setenv("AMSYN_EVAL_CACHE", "off", 1);
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
-  ::setenv("AMSYN_EVAL_CACHE_QUANTUM", "0.25", 1);
   ::setenv("AMSYN_SURROGATE", "ordering", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900", 1);
   ::setenv("AMSYN_TOPOLOGY_SPACE", "generated", 1);
@@ -195,20 +185,25 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EXPECT_EQ(cfg.solver, core::SolverKind::Sparse);
   EXPECT_FALSE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, 1024u);
-  EXPECT_DOUBLE_EQ(cfg.evalCacheQuantum, 0.25);
   EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Ordering);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
-  EXPECT_EQ(cfg.topologySpace, core::TopologySpaceKind::Generated);
+  EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Generated);
+
+  // The largest value that does not overflow is a valid deadline (the
+  // budget saturates it; see resilience_test).
+  ::setenv("AMSYN_JOB_DEADLINE_MS", "18446744073709551615", 1);
+  EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g5("AMSYN_EVAL_CACHE_QUANTUM"),
-      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
+      g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
   for (const char* name :
        {"AMSYN_THREADS", "AMSYN_SOLVER", "AMSYN_EVAL_CACHE",
-        "AMSYN_EVAL_CACHE_CAPACITY", "AMSYN_EVAL_CACHE_QUANTUM", "AMSYN_SURROGATE",
-        "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
+        "AMSYN_EVAL_CACHE_CAPACITY", "AMSYN_SURROGATE", "AMSYN_JOB_DEADLINE_MS",
+        "AMSYN_TOPOLOGY_SPACE"})
     ::unsetenv(name);
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
@@ -216,14 +211,14 @@ TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EXPECT_EQ(cfg.solver, core::SolverKind::Auto);
   EXPECT_TRUE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, std::size_t{1} << 16);
-  EXPECT_DOUBLE_EQ(cfg.evalCacheQuantum, 0.0);
   EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Off);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
-  EXPECT_EQ(cfg.topologySpace, core::TopologySpaceKind::Legacy);
+  EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Legacy);
 }
 
 TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
-  EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g7("AMSYN_JOB_DEADLINE_MS");
+  EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
+      g7("AMSYN_JOB_DEADLINE_MS");
   ::setenv("AMSYN_THREADS", "junk", 1);
   ::setenv("AMSYN_SOLVER", "quantum", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900ms", 1);  // trailing garbage = unset
@@ -231,6 +226,20 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
   EXPECT_EQ(cfg.threads, 0u);
   EXPECT_EQ(cfg.solver, core::SolverKind::Auto);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
+
+  // Deadline and capacity accept only an unsigned decimal: a sign (which
+  // strtoull would wrap to 2^64-1), whitespace, or a value past uint64
+  // counts as unset, like trailing garbage.
+  for (const char* bad : {"-1", "+5", " 5", "5 ", "", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999999"}) {
+    ::setenv("AMSYN_JOB_DEADLINE_MS", bad, 1);
+    ::setenv("AMSYN_EVAL_CACHE_CAPACITY", bad, 1);
+    const core::ContextConfig c = core::ContextConfig::fromEnv();
+    EXPECT_EQ(c.jobDeadlineMs, 0u) << "'" << bad << "'";
+    EXPECT_EQ(c.evalCacheCapacity, std::size_t{1} << 16) << "'" << bad << "'";
+  }
+  ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "0", 1);  // degenerate: the default
+  EXPECT_EQ(core::ContextConfig::fromEnv().evalCacheCapacity, std::size_t{1} << 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,20 +282,31 @@ TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
 TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentSolverPreference) {
   core::ContextConfig cfg = deterministicConfig();
   cfg.jobDeadlineMs = 4321;
+  cfg.solver = core::SolverKind::Sparse;
   core::ExecutionContext parent(cfg);
-  // The child copies the parent's *current* preference, not its config
-  // default — FlowOptions::solver applied on the parent must carry into
-  // jobs created afterwards.
-  parent.setSolverKind(core::SolverKind::Sparse);
   const auto child = parent.makeChild();
   EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
+  EXPECT_EQ(child->config().solver, core::SolverKind::Sparse);
   EXPECT_EQ(&child->evalCache(), &parent.evalCache());
   EXPECT_EQ(&child->surrogateStore(), &parent.surrogateStore());
   EXPECT_FALSE(child->hasIsolatedEvalCache());
-  EXPECT_EQ(child->solverKind(), core::SolverKind::Sparse);
   // The child's slice chains under the parent's.
   ASSERT_NE(child->metricsSlice(), nullptr);
   EXPECT_EQ(child->metricsSlice()->parent(), parent.metricsSlice());
+
+  // A child built with its own config takes that config — and only it: the
+  // handles and the slice chain are still the parent's, and the parent's
+  // config is untouched.
+  core::ContextConfig jobCfg = cfg;
+  jobCfg.solver = core::SolverKind::Dense;
+  jobCfg.evalCacheEnabled = false;
+  const auto job = parent.makeChild(jobCfg);
+  EXPECT_EQ(job->config().solver, core::SolverKind::Dense);
+  EXPECT_FALSE(job->config().evalCacheEnabled);
+  EXPECT_EQ(&job->evalCache(), &parent.evalCache());
+  EXPECT_EQ(job->metricsSlice()->parent(), parent.metricsSlice());
+  EXPECT_EQ(parent.config().solver, core::SolverKind::Sparse);
+  EXPECT_TRUE(parent.config().evalCacheEnabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,19 +460,31 @@ TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {
 }
 
 TEST(ContextIsolation, IsolatedSurrogateStoreIsIndependentOfTheSharedOne) {
-  core::ContextConfig cfg = deterministicConfig();  // surrogateMode = Off
+  core::ContextConfig cfg = deterministicConfig();
+  cfg.surrogateMode = surrogate::Mode::Pruning;
   core::ExecutionContext ctx(cfg, core::ContextIsolation{.surrogate = true});
   ASSERT_TRUE(ctx.hasIsolatedSurrogate());
   ASSERT_NE(&ctx.surrogateStore(), &surrogate::Store::instance());
-  EXPECT_EQ(ctx.surrogateStore().mode(), surrogate::Mode::Off);
+  // The mode is the context's, not the store's: the ambient context keeps
+  // its own whatever this one was built with.
+  EXPECT_EQ(ctx.config().surrogateMode, surrogate::Mode::Pruning);
+  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateMode,
+            core::ContextConfig::fromEnv().surrogateMode);
 
+  // Learned state never crosses between the two stores.
   auto& shared = surrogate::Store::instance();
-  const surrogate::Mode sharedBefore = shared.mode();
-  shared.setMode(surrogate::Mode::Ordering);
-  EXPECT_EQ(ctx.surrogateStore().mode(), surrogate::Mode::Off);
-  ctx.surrogateStore().setMode(surrogate::Mode::Pruning);
-  EXPECT_EQ(shared.mode(), surrogate::Mode::Ordering);
-  shared.setMode(sharedBefore);
+  cache::Hasher128 h;
+  h.mixString("context-test-isolated-surrogate");
+  const surrogate::Candidate cand{h.digest(), {1.0, 0.5}};
+  shared.clear();
+  shared.observe(cand, {{"gain_db", 1.0}});
+  EXPECT_EQ(shared.stats().classes, 1u);
+  EXPECT_EQ(ctx.surrogateStore().stats().classes, 0u);
+  ctx.surrogateStore().observe(cand, {{"gain_db", 2.0}});
+  ctx.surrogateStore().observe(cand, {{"gain_db", 3.0}});
+  EXPECT_EQ(ctx.surrogateStore().stats().classes, 1u);
+  EXPECT_EQ(shared.stats().classes, 1u);
+  shared.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -470,15 +502,12 @@ sz::SynthesisOptions fastSynthesisOptions() {
   return opts;
 }
 
-/// One full flow run.  `ctx` == nullptr runs the legacy ambient-global
-/// path (synthesizeAmplifier, no scope anywhere); otherwise the run goes
-/// through the explicit-context engine entry point FlowEngine::run(...,
-/// ctx) — the daemon-style path this PR introduced.
-core::FlowResult runFlow(bool cacheOn, std::size_t threads,
-                         core::ExecutionContext* ctx) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+/// One full flow run.  `ctx` == nullptr runs the ambient path
+/// (synthesizeAmplifier, no scope anywhere, the environment's config);
+/// otherwise the run goes through the explicit-context engine entry point
+/// FlowEngine::run(..., ctx) — the daemon-style path.
+core::FlowResult runFlow(std::size_t threads, core::ExecutionContext* ctx) {
+  cache::EvalCache::instance().clear();
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -547,12 +576,9 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
   EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
 }
 
-mf::RobustResult runRobust(bool cacheOn, std::size_t threads,
-                           core::ExecutionContext* ctx) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
-  core::ScopedThreadPool scoped(threads);
+/// One small cutting-plane robust synthesis over heavy (cacheable,
+/// surrogate-trainable) corner models, under the calling thread's context.
+mf::RobustResult robustProblem() {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
   mf::RobustOptions ropts;
@@ -561,10 +587,24 @@ mf::RobustResult runRobust(bool cacheOn, std::size_t threads,
   const mf::ModelFactory factory = [](const ckt::Process& p) {
     return sz::makeTwoStageCornerModel(p, nominal(), 5e-12);
   };
-  if (!ctx)
-    return mf::robustSynthesize(factory, nominal(), mf::VariationSpace{}, specs, ropts);
-  core::ContextScope scope(*ctx);
   return mf::robustSynthesize(factory, nominal(), mf::VariationSpace{}, specs, ropts);
+}
+
+/// robustProblem on a fresh shared cache at `threads`: ambient when `ctx`
+/// is null, else under `ctx`.
+mf::RobustResult runRobust(std::size_t threads, core::ExecutionContext* ctx) {
+  cache::EvalCache::instance().clear();
+  core::ScopedThreadPool scoped(threads);
+  if (!ctx) return robustProblem();
+  core::ContextScope scope(*ctx);
+  return robustProblem();
+}
+
+/// deterministicConfig with the eval cache switched on or off.
+core::ContextConfig cacheConfig(bool cacheOn) {
+  core::ContextConfig cfg = deterministicConfig();
+  cfg.evalCacheEnabled = cacheOn;
+  return cfg;
 }
 
 void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult& b,
@@ -585,17 +625,22 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
 
 }  // namespace
 
+// The ambient arm runs the environment's config — no context can change
+// it, which is the point of the leak fix — and the explicit arms cover the
+// cache on and off.
+
 TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
   CacheGuard guard;
-  const auto reference = runFlow(/*cacheOn=*/false, /*threads=*/1, nullptr);
-  for (const bool cacheOn : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  const auto reference = runFlow(/*threads=*/1, nullptr);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const auto ambient = runFlow(threads, nullptr);
+    expectFlowsBitIdentical(reference, ambient,
+                            "ambient threads=" + std::to_string(threads));
+    for (const bool cacheOn : {false, true}) {
       const std::string label = std::string("cache=") + (cacheOn ? "on" : "off") +
                                 " threads=" + std::to_string(threads);
-      const auto ambient = runFlow(cacheOn, threads, nullptr);
-      expectFlowsBitIdentical(reference, ambient, "ambient " + label);
-      core::ExecutionContext ctx(deterministicConfig());
-      const auto scoped = runFlow(cacheOn, threads, &ctx);
+      core::ExecutionContext ctx(cacheConfig(cacheOn));
+      const auto scoped = runFlow(threads, &ctx);
       expectFlowsBitIdentical(ambient, scoped, "explicit " + label);
       // The explicit run actually recorded a slice — the differential would
       // be vacuous if the context never saw the work it paid for.
@@ -606,19 +651,127 @@ TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
 
 TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitContexts) {
   CacheGuard guard;
-  const auto reference = runRobust(/*cacheOn=*/false, /*threads=*/1, nullptr);
-  for (const bool cacheOn : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  const auto reference = runRobust(/*threads=*/1, nullptr);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const auto ambient = runRobust(threads, nullptr);
+    expectRobustBitIdentical(reference, ambient,
+                             "ambient threads=" + std::to_string(threads));
+    for (const bool cacheOn : {false, true}) {
       const std::string label = std::string("cache=") + (cacheOn ? "on" : "off") +
                                 " threads=" + std::to_string(threads);
-      const auto ambient = runRobust(cacheOn, threads, nullptr);
-      expectRobustBitIdentical(reference, ambient, "ambient " + label);
-      core::ExecutionContext ctx(deterministicConfig());
-      const auto scoped = runRobust(cacheOn, threads, &ctx);
+      core::ExecutionContext ctx(cacheConfig(cacheOn));
+      const auto scoped = runRobust(threads, &ctx);
       expectRobustBitIdentical(ambient, scoped, "explicit " + label);
       EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Option leaks (regression): a context's config governs that context and
+// nothing else — not a concurrent sibling on the same shared cache and
+// store, and not a later ambient flow.
+
+namespace {
+
+std::uint64_t sliceValue(const core::ExecutionContext& ctx, const std::string& name) {
+  const auto slice = ctx.sliceCounters();
+  const auto it = slice.find(name);
+  return it == slice.end() ? 0 : it->second;
+}
+
+/// Runs `body` on two threads at once, each under its own context, with a
+/// start barrier so the two contexts' work interleaves on the shared pool.
+template <typename Body>
+void runInterleaved(core::ExecutionContext& a, core::ExecutionContext& b, Body body) {
+  std::atomic<int> ready{0};
+  const auto run = [&](core::ExecutionContext& ctx) {
+    core::ContextScope scope(ctx);
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    body(ctx);
+  };
+  std::thread ta(run, std::ref(a));
+  std::thread tb(run, std::ref(b));
+  ta.join();
+  tb.join();
+}
+
+}  // namespace
+
+TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) {
+  CacheGuard guard;
+  surrogate::Store::instance().clear();
+  core::ScopedThreadPool pool(2);
+  // Neither context is isolated: both resolve the process cache and store.
+  core::ContextConfig cfgA = core::ContextConfig::fromEnv();
+  cfgA.evalCacheEnabled = false;
+  cfgA.surrogateMode = surrogate::Mode::Ordering;
+  cfgA.solver = core::SolverKind::Dense;
+  core::ContextConfig cfgB = core::ContextConfig::fromEnv();
+  cfgB.evalCacheEnabled = true;
+  cfgB.surrogateMode = surrogate::Mode::Off;
+  cfgB.solver = core::SolverKind::Auto;
+  core::ExecutionContext a(cfgA);
+  core::ExecutionContext b(cfgB);
+
+  std::atomic<bool> sparseInA{true};
+  std::atomic<bool> sparseInB{false};
+  runInterleaved(a, b, [&](core::ExecutionContext& ctx) {
+    for (int round = 0; round < 2; ++round) {
+      (void)robustProblem();
+      (&ctx == &a ? sparseInA : sparseInB) =
+          sim::useSparseSolver(sim::kSparseAutoThreshold);
+    }
+  });
+
+  // A: cache off, so no lookups at all; its ordering mode trained the store.
+  EXPECT_EQ(sliceValue(a, "core.cache.hits"), 0u);
+  EXPECT_EQ(sliceValue(a, "core.cache.misses"), 0u);
+  EXPECT_GT(sliceValue(a, "core.surrogate.observations"), 0u);
+  EXPECT_FALSE(sparseInA) << "A pins the dense solver";
+  // B: surrogate off, so no training; its cache was consulted.
+  EXPECT_EQ(sliceValue(b, "core.surrogate.observations"), 0u);
+  EXPECT_GT(sliceValue(b, "core.cache.misses"), 0u);
+  EXPECT_TRUE(sparseInB) << "B's Auto goes sparse at the threshold";
+  surrogate::Store::instance().clear();
+}
+
+TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMode) {
+  // robustSynthesize runs its optimizer phases with pruning downgraded to
+  // ordering.  That downgrade must stay inside the pruning job: a flow
+  // running concurrently in Off mode, and any later ambient flow, keep
+  // their own mode.
+  CacheGuard guard;
+  surrogate::Store::instance().clear();
+  core::ScopedThreadPool pool(2);
+  core::ContextConfig cfgP = core::ContextConfig::fromEnv();
+  cfgP.surrogateMode = surrogate::Mode::Pruning;
+  core::ContextConfig cfgO = core::ContextConfig::fromEnv();
+  cfgO.surrogateMode = surrogate::Mode::Off;
+  core::ExecutionContext pruning(cfgP);
+  core::ExecutionContext off(cfgO);
+  runInterleaved(pruning, off, [](core::ExecutionContext&) {
+    for (int round = 0; round < 2; ++round) (void)robustProblem();
+  });
+  EXPECT_GT(sliceValue(pruning, "core.surrogate.observations"), 0u);
+  EXPECT_EQ(sliceValue(off, "core.surrogate.observations"), 0u);
+
+  // A fresh ambient flow (no scope) trains the store exactly when the
+  // environment's mode says so.  The cache is emptied first: cache hits
+  // return before the training tap, so a warm cache would hide the mode.
+  const surrogate::Mode envMode = core::ContextConfig::fromEnv().surrogateMode;
+  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateMode, envMode);
+  cache::EvalCache::instance().clear();
+  const std::uint64_t before = metrics::registry().total("core.surrogate.observations");
+  (void)robustProblem();
+  const std::uint64_t observed =
+      metrics::registry().total("core.surrogate.observations") - before;
+  if (envMode == surrogate::Mode::Off)
+    EXPECT_EQ(observed, 0u);
+  else
+    EXPECT_GT(observed, 0u);
+  surrogate::Store::instance().clear();
 }
 
 // ---------------------------------------------------------------------------

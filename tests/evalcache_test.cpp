@@ -5,8 +5,9 @@
 // ever change speed, never results; these tests are the enforcement.
 //
 // The cache is a process-wide singleton (like the metrics registry), so
-// every test scopes its configuration changes with CacheGuard and measures
-// statistics as deltas, never absolutes.
+// every test measures statistics as deltas, never absolutes.  Whether an
+// evaluation consults the cache is its context's config, so each test runs
+// under a context that states the mode it needs (CacheGuard, withCache).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,9 +18,9 @@
 #include <vector>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
-#include "core/flowgraph.hpp"
 #include "core/parallel.hpp"
 #include "manufacture/corners.hpp"
 #include "sizing/eqmodel.hpp"
@@ -35,28 +36,26 @@ namespace {
 
 const ckt::Process& nominal() { return ckt::defaultProcess(); }
 
-/// RAII snapshot/restore of the singleton cache's knobs; enters each test
-/// with an enabled, empty cache at default settings.
+/// The environment's config with the eval cache switched on or off.  A
+/// context built from it shares the process cache.
+core::ContextConfig withCache(bool on) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = on;
+  return cfg;
+}
+
+/// RAII test scope: an empty shared cache, its capacity restored on exit,
+/// and an installed context that enables it whatever AMSYN_EVAL_CACHE says.
 struct CacheGuard {
-  CacheGuard()
-      : c(cache::EvalCache::instance()),
-        enabled(c.enabled()),
-        capacity(c.capacity()),
-        quantum(c.quantum()) {
-    c.setEnabled(true);
-    c.setQuantum(0.0);
-    c.clear();
-  }
+  CacheGuard() : c(cache::EvalCache::instance()), capacity(c.capacity()) { c.clear(); }
   ~CacheGuard() {
-    c.setEnabled(enabled);
     c.setCapacity(capacity);
-    c.setQuantum(quantum);
     c.clear();
   }
   cache::EvalCache& c;
-  bool enabled;
   std::size_t capacity;
-  double quantum;
+  core::ExecutionContext ctx{withCache(true)};
+  core::ContextScope scope{ctx};
 };
 
 /// Minimal cacheable model that counts real evaluations, so tests can tell
@@ -79,7 +78,7 @@ class CountingModel : public sz::PerformanceModel {
     cache::Hasher128 h;
     h.mixString("counting-model");
     h.mixDouble(base_);
-    h.mixQuantizedDoubles(x, cache::EvalCache::instance().quantum());
+    h.mixDoubles(x);
     return h.digest();
   }
 
@@ -177,16 +176,6 @@ TEST(EvalCache, ExactModeRejectsDigestMatchWithDifferentSizingBits) {
   EXPECT_EQ(after.hits - before.hits, 1u);
 }
 
-TEST(EvalCache, QuantizedModeWaivesTheExactGuard) {
-  // With a positive quantum the key already buckets the sizing vector, so a
-  // digest match is accepted as-is (documented approximate mode).
-  CacheGuard guard;
-  guard.c.setQuantum(0.01);
-  guard.c.insert(keyOf(4), {1.0}, {{{"gain_db", 2.0}}, core::EvalStatus::Ok});
-  cache::CachedEval out;
-  EXPECT_TRUE(guard.c.lookup(keyOf(4), {1.0 + 1e-9}, out));
-}
-
 TEST(EvalCache, EvictionKeepsOccupancyBoundedAtTinyCapacity) {
   CacheGuard guard;
   guard.c.setCapacity(32);
@@ -219,30 +208,6 @@ TEST(EvalCache, ClearDropsEntriesButKeepsLifetimeTotals) {
 }
 
 // ---------------------------------------------------------------------------
-// EvalCacheOptions: the flow's explicit tri-state cache knob
-
-TEST(EvalCacheOptions, DefaultModeLeavesTheCacheUntouched) {
-  CacheGuard guard;
-  guard.c.setCapacity(1234);
-  core::applyEvalCacheOptions(core::EvalCacheOptions::defaults());
-  EXPECT_TRUE(guard.c.enabled());
-  EXPECT_EQ(guard.c.capacity(), 1234u);
-}
-
-TEST(EvalCacheOptions, BoundedModeSetsTheCapacity) {
-  CacheGuard guard;
-  core::applyEvalCacheOptions(core::EvalCacheOptions::bounded(64));
-  EXPECT_TRUE(guard.c.enabled());
-  EXPECT_EQ(guard.c.capacity(), 64u);
-}
-
-TEST(EvalCacheOptions, DisabledModeSwitchesTheCacheOff) {
-  CacheGuard guard;
-  core::applyEvalCacheOptions(core::EvalCacheOptions::disabled());
-  EXPECT_FALSE(guard.c.enabled());
-}
-
-// ---------------------------------------------------------------------------
 // safeEvaluate integration: the single choke point all hot loops share
 
 TEST(EvalCache, SafeEvaluateHitsOnRepeatAndKillSwitchDisables) {
@@ -255,7 +220,8 @@ TEST(EvalCache, SafeEvaluateHitsOnRepeatAndKillSwitchDisables) {
   EXPECT_EQ(model.evals(), 1) << "repeat evaluation must be served from cache";
   EXPECT_TRUE(perfBitIdentical(first, second));
 
-  guard.c.setEnabled(false);  // the AMSYN_EVAL_CACHE=0 path
+  core::ExecutionContext off(withCache(false));  // the AMSYN_EVAL_CACHE=0 path
+  core::ContextScope scope(off);
   const auto third = sz::safeEvaluate(model, x);
   EXPECT_EQ(model.evals(), 2) << "kill switch must force a real evaluation";
   EXPECT_TRUE(perfBitIdentical(first, third));
@@ -332,9 +298,9 @@ sz::SynthesisOptions fastSynthesisOptions() {
 }
 
 core::FlowResult runFlow(bool cacheOn, std::size_t threads) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+  cache::EvalCache::instance().clear();
+  core::ExecutionContext ctx(withCache(cacheOn));
+  core::ContextScope scope(ctx);
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -405,9 +371,9 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 }
 
 mf::RobustResult runRobust(bool cacheOn, std::size_t threads) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+  cache::EvalCache::instance().clear();
+  core::ExecutionContext ctx(withCache(cacheOn));
+  core::ContextScope scope(ctx);
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/flowgraph.hpp"
@@ -382,15 +383,22 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 
 TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
   auto& c = cache::EvalCache::instance();
-  const bool wasEnabled = c.enabled();
   const auto specs = batchSpecs();
   const auto opts = batchFlowOptions();
+  // The environment's config with the cache switched; the batch's jobs are
+  // children of the installed context and inherit it.
+  const auto withCache = [](bool on) {
+    core::ContextConfig cfg = core::ContextConfig::fromEnv();
+    cfg.evalCacheEnabled = on;
+    return cfg;
+  };
 
   // Reference: one sequential flow per spec set, single-threaded, no cache.
   std::vector<core::FlowResult> reference;
   {
     c.clear();
-    c.setEnabled(false);
+    core::ExecutionContext ctx(withCache(false));
+    core::ContextScope scope(ctx);
     core::ScopedThreadPool scoped(1);
     for (std::size_t i = 0; i < specs.size(); ++i)
       reference.push_back(
@@ -402,7 +410,8 @@ TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const bool cacheOn : {false, true}) {
       c.clear();
-      c.setEnabled(cacheOn);
+      core::ExecutionContext ctx(withCache(cacheOn));
+      core::ContextScope scope(ctx);
       core::ScopedThreadPool scoped(threads);
       const auto batch = core::synthesizeBatch(specs, nominal(), opts);
       ASSERT_EQ(batch.size(), specs.size());
@@ -413,7 +422,6 @@ TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
                                     " cache=" + (cacheOn ? "on" : "off"));
     }
   }
-  c.setEnabled(wasEnabled);
   c.clear();
 }
 

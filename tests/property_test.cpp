@@ -420,8 +420,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterDrcProperty, ::testing::Range(1, 7));
 // The cache keys of core/evalcache.hpp are only sound if (a) semantically
 // identical candidates always collide (declaration order, device names, and
 // thread/schedule must not matter) and (b) electrically distinct candidates
-// never collide by construction (any sizing change above the quantization
-// epsilon must move the digest).  Sweep both directions over random
+// never collide by construction (any sizing change, down to one ulp, must
+// move the digest).  Sweep both directions over random
 // netlists and design vectors.
 
 #include "circuit/canonical.hpp"
@@ -560,9 +560,9 @@ TEST_P(CacheKeyProperty, ModelKeyIsIdenticalAcrossThreadsAndRepeats) {
 }
 
 TEST_P(CacheKeyProperty, SizingPerturbationAboveQuantumMovesTheModelKey) {
+  // Keys hash the exact sizing bits, so the quantum is one ulp: a single
+  // one-ulp change of any coordinate is a different key.
   num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 577 + 11);
-  auto& c = amsyn::core::cache::EvalCache::instance();
-  const double savedQuantum = c.quantum();
   const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
   std::vector<double> x;
   for (const auto& v : model.variables()) {
@@ -571,40 +571,12 @@ TEST_P(CacheKeyProperty, SizingPerturbationAboveQuantumMovesTheModelKey) {
                                        : v.lo + t * (v.hi - v.lo));
   }
 
-  // Exact mode (the default): a single one-ulp change is a different key.
-  c.setQuantum(0.0);
   const auto exactRef = *model.cacheKey(x);
   auto x1 = x;
   const std::size_t victim = rng.index(x.size());
   x1[victim] = std::nextafter(x1[victim], x1[victim] * 2);
   EXPECT_NE(*model.cacheKey(x1), exactRef) << "seed " << GetParam();
-
-  // Quantized mode: a relative step beyond ~2q is guaranteed a different
-  // bucket for the perturbed parameter, hence a different key.
-  const double q = 1e-6;
-  c.setQuantum(q);
-  const auto quantRef = *model.cacheKey(x);
-  auto x2 = x;
-  x2[victim] *= 1.0 + 5.0 * q;
-  EXPECT_NE(*model.cacheKey(x2), quantRef) << "seed " << GetParam();
-  EXPECT_EQ(*model.cacheKey(x), quantRef);  // unperturbed stays put
-  c.setQuantum(savedQuantum);
-}
-
-TEST_P(CacheKeyProperty, QuantizedHashSeparatesValuesBeyondTwoQuanta) {
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 769 + 5);
-  const double q = 0.01;
-  for (int i = 0; i < 32; ++i) {
-    // Log-uniform magnitudes across the sizes amsyn actually optimizes
-    // (femtofarads to hundreds of microns to volts).
-    const double v = std::pow(10.0, -15.0 + 18.0 * rng.uniform());
-    amsyn::core::cache::Hasher128 h1, h2, h3;
-    h1.mixQuantized(v, q);
-    h2.mixQuantized(v * (1.0 + 5.0 * q), q);
-    h3.mixQuantized(v, q);
-    EXPECT_NE(h1.digest(), h2.digest()) << "v=" << v;
-    EXPECT_EQ(h1.digest(), h3.digest()) << "v=" << v;
-  }
+  EXPECT_EQ(*model.cacheKey(x), exactRef);  // unperturbed stays put
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheKeyProperty, ::testing::Range(1, 13));

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
@@ -91,11 +92,15 @@ std::string neutralizeSpans(const std::string& json) {
 }
 
 std::string normalizedFlowReport(
-    core::SurrogateOption surrogate = core::SurrogateOption::Off) {
+    amsyn::core::surrogate::Mode surrogate = amsyn::core::surrogate::Mode::Off) {
   // Pinned configuration: fixed seed, fixed thread count, cache enabled at
   // defaults — the same flow tests/evalcache_test.cpp proves bit-identical
   // across all of these knobs, so this report is reproducible everywhere.
-  core::cache::EvalCache::instance().setEnabled(true);
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = true;
+  cfg.surrogateMode = surrogate;
+  core::ExecutionContext ctx(cfg);
+  core::ContextScope scope(ctx);
   core::cache::EvalCache::instance().clear();
   core::ScopedThreadPool scoped(2);
   sz::SpecSet specs;
@@ -113,7 +118,6 @@ std::string normalizedFlowReport(
   opts.synthesis.anneal.coolingRate = 0.7;
   opts.synthesis.refineEvaluations = 40;
   opts.layout.annealPlacement = false;
-  opts.surrogate = surrogate;
   amsyn::core::surrogate::Store::instance().clear();
   const auto result = core::synthesizeAmplifier(specs, ckt::defaultProcess(), opts);
   return neutralizeSpans(maskNumbers(core::flowRunReportJson(result)));
@@ -149,11 +153,10 @@ TEST(ReportSchema, SchemaIsSurrogateModeIndependent) {
   // tests/surrogate_test.cpp proves that at the result level); Pruning in
   // this flow never fires (equation models are Cheap, below the prune
   // gate's Heavy threshold), so its report matches too.
-  const std::string off = normalizedFlowReport(core::SurrogateOption::Off);
-  EXPECT_EQ(off, normalizedFlowReport(core::SurrogateOption::Ordering));
-  EXPECT_EQ(off, normalizedFlowReport(core::SurrogateOption::Pruning));
-  amsyn::core::surrogate::Store::instance().setMode(
-      amsyn::core::surrogate::Mode::Off);
+  using amsyn::core::surrogate::Mode;
+  const std::string off = normalizedFlowReport(Mode::Off);
+  EXPECT_EQ(off, normalizedFlowReport(Mode::Ordering));
+  EXPECT_EQ(off, normalizedFlowReport(Mode::Pruning));
 }
 
 TEST(ReportSchema, MaskingIsStableAcrossRuns) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -214,18 +215,40 @@ TEST(DeadlineBudget, ComposedBudgetExpiresAndLatches) {
 }
 
 TEST(DeadlineBudget, EffectiveDeadlinePrefersOptionThenContext) {
-  // The env knob is snapshotted into ContextConfig (once, at context
-  // creation); the fallback comes from the current context's config, not
-  // from a live getenv.
+  // The deadline in effect is the config of the context a flow runs under.
+  // The env knob is snapshotted into ContextConfig once, at context
+  // creation, not read live; a job child inherits its parent's deadline,
+  // and a child built with its own config (the per-job option) wins.
   unsetenv("AMSYN_JOB_DEADLINE_MS");
-  EXPECT_EQ(core::effectiveDeadlineMs(0), 0u);
-  EXPECT_EQ(core::effectiveDeadlineMs(250), 250u);
+  EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u);
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.jobDeadlineMs = 900;
   core::ExecutionContext ctx(cfg);
-  core::ContextScope scope(ctx);
-  EXPECT_EQ(core::effectiveDeadlineMs(0), 900u);
-  EXPECT_EQ(core::effectiveDeadlineMs(250), 250u) << "explicit option wins";
+  EXPECT_EQ(ctx.makeChild()->config().jobDeadlineMs, 900u);
+  core::ContextConfig job = cfg;
+  job.jobDeadlineMs = 250;
+  EXPECT_EQ(ctx.makeChild(job)->config().jobDeadlineMs, 250u) << "explicit option wins";
+}
+
+TEST(DeadlineBudget, HugeDeadlinesSaturateInsteadOfOverflowing) {
+  // now + ms * 10^6 overflows int64 from ~9.22e12 ms on; the absolute
+  // deadline saturates at INT64_MAX instead (signed overflow would be UB,
+  // and a wrapped value would expire every job at its first check).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t ms :
+       {std::uint64_t{9'223'372'036'854}, std::uint64_t{1} << 63,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    core::DeadlineBudget dl(0, ms);
+    EXPECT_TRUE(dl.armed()) << ms;
+    EXPECT_EQ(dl.deadlineNs(), kMax) << ms;
+    EXPECT_FALSE(dl.expired()) << ms;
+    EXPECT_TRUE(dl.budget().consume()) << ms;
+  }
+  // A deadline with headroom is still now + ms exactly.
+  const std::int64_t before = core::EvalBudget::nowNs();
+  core::DeadlineBudget hour(0, 3'600'000);
+  EXPECT_GE(hour.deadlineNs(), before + 3'600'000'000'000LL);
+  EXPECT_LT(hour.deadlineNs(), kMax);
 }
 
 TEST(DeadlineBudget, ContextConfigSnapshotsTheDeadlineEnvKnob) {
@@ -234,6 +257,9 @@ TEST(DeadlineBudget, ContextConfigSnapshotsTheDeadlineEnvKnob) {
   setenv("AMSYN_JOB_DEADLINE_MS", "junk", 1);
   EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u)
       << "malformed env is ignored";
+  setenv("AMSYN_JOB_DEADLINE_MS", "-1", 1);
+  EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u)
+      << "a sign never wraps to 2^64-1";
   unsetenv("AMSYN_JOB_DEADLINE_MS");
   EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u);
 }
@@ -278,6 +304,13 @@ class FlakyStage : public core::FlowStage {
   std::size_t failures_;
   EvalStatus status_;
 };
+
+/// The environment's config with the job deadline set to `ms` (0 = none).
+core::ContextConfig withDeadline(std::uint64_t ms) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.jobDeadlineMs = ms;
+  return cfg;
+}
 
 class SleepStage : public core::FlowStage {
  public:
@@ -408,8 +441,8 @@ TEST(FlowDeadline, ExpiryAtAStageBoundaryIsTerminal) {
 
   core::FlowOptions opts;
   opts.maxRedesigns = 4;
-  opts.deadlineMs = 5;  // expires inside the sleep stage
-  const auto result = engine.run(trivialSpecs(), nominal(), opts);
+  core::ExecutionContext ctx(withDeadline(5));  // expires inside the sleep stage
+  const auto result = engine.run(trivialSpecs(), nominal(), opts, ctx);
 
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.failureStatus, EvalStatus::DeadlineExpired);
@@ -426,7 +459,8 @@ TEST(FlowDeadline, RealFlowReportsDeadlineExpired) {
   specs.atLeast("gain_db", 36.0).atLeast("ugf", 1e7).atLeast("pm", 60.0);
   core::FlowOptions opts;
   opts.maxRedesigns = 4;
-  opts.deadlineMs = 1;
+  core::ExecutionContext ctx(withDeadline(1));
+  core::ContextScope scope(ctx);
   const auto result = core::synthesizeAmplifier(specs, nominal(), opts);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.failureStatus, EvalStatus::DeadlineExpired);
@@ -436,9 +470,9 @@ TEST(FlowDeadline, ZeroDeadlineMeansNone) {
   std::vector<std::unique_ptr<core::FlowStage>> stages;
   stages.push_back(std::make_unique<SleepStage>(5));
   core::FlowEngine engine(std::move(stages));
-  core::FlowOptions opts;  // deadlineMs = 0, env unset
-  unsetenv("AMSYN_JOB_DEADLINE_MS");
-  const auto result = engine.run(trivialSpecs(), nominal(), opts);
+  core::FlowOptions opts;
+  core::ExecutionContext ctx(withDeadline(0));
+  const auto result = engine.run(trivialSpecs(), nominal(), opts, ctx);
   EXPECT_TRUE(result.success);
 }
 
@@ -928,7 +962,6 @@ TEST(ChaosSoak, InjectedFaultsNeverCrashAndResultsAreThreadAndCacheInvariant) {
   sim::ScopedBatchFaults armed(plan);
 
   auto& c = cache::EvalCache::instance();
-  const bool wasEnabled = c.enabled();
   const auto batch = chaosSpecs();
   const auto opts = chaosQueueOptions();
 
@@ -936,7 +969,12 @@ TEST(ChaosSoak, InjectedFaultsNeverCrashAndResultsAreThreadAndCacheInvariant) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool cacheOn : {false, true}) {
       c.clear();
-      c.setEnabled(cacheOn);
+      // A child of the armed context, so the plan still governs every job.
+      core::ExecutionContext& armedCtx = core::ExecutionContext::current();
+      core::ContextConfig cfg = armedCtx.config();
+      cfg.evalCacheEnabled = cacheOn;
+      const auto ctx = armedCtx.makeChild(cfg);
+      core::ContextScope scope(*ctx);
       core::ScopedThreadPool scoped(threads);
       auto out = core::JobQueue(opts).run(batch, nominal());
       ASSERT_EQ(out.jobs.size(), batch.size());
@@ -956,7 +994,6 @@ TEST(ChaosSoak, InjectedFaultsNeverCrashAndResultsAreThreadAndCacheInvariant) {
       }
     }
   }
-  c.setEnabled(wasEnabled);
   c.clear();
 }
 

@@ -6,21 +6,23 @@
 // off.  Like the eval cache, the solver knob may only change speed, never
 // results; these tests are the enforcement.
 //
-// The solver mode is process-wide state (like the cache), so every test
-// scopes its changes with SolverModeGuard and measures counters as deltas.
+// The solver mode is a field of the execution context's config, so every
+// test that needs one runs under a SolverScope; counters are process-wide
+// and measured as deltas.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
-#include "core/flowgraph.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "manufacture/corners.hpp"
@@ -49,14 +51,22 @@ namespace {
 
 const ckt::Process& proc() { return ckt::defaultProcess(); }
 
-/// RAII snapshot/restore of the process-wide solver mode.
-struct SolverModeGuard {
-  SolverModeGuard() : saved(sim::solverMode()) {}
-  explicit SolverModeGuard(sim::SolverMode m) : saved(sim::solverMode()) {
-    sim::setSolverMode(m);
-  }
-  ~SolverModeGuard() { sim::setSolverMode(saved); }
-  sim::SolverMode saved;
+/// The environment's config with the solver mode (and optionally the eval
+/// cache) overridden.  A context built from it shares the process handles.
+core::ContextConfig solverConfig(sim::SolverMode m,
+                                 std::optional<bool> cacheOn = std::nullopt) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.solver = m;
+  if (cacheOn) cfg.evalCacheEnabled = *cacheOn;
+  return cfg;
+}
+
+/// Runs the enclosing scope under a context with solver mode `m`.
+struct SolverScope {
+  explicit SolverScope(sim::SolverMode m, std::optional<bool> cacheOn = std::nullopt)
+      : ctx(solverConfig(m, cacheOn)), scope(ctx) {}
+  core::ExecutionContext ctx;
+  core::ContextScope scope;
 };
 
 std::uint64_t rawBits(double v) {
@@ -395,38 +405,56 @@ TEST(SparseLu, AdoptedSymbolicSkipsAnalysisAcrossInstances) {
 
 TEST(SolverMode, ParseAndNameRoundtrip) {
   using sim::SolverMode;
-  EXPECT_EQ(sim::parseSolverMode("auto"), SolverMode::Auto);
-  EXPECT_EQ(sim::parseSolverMode("Dense"), SolverMode::Dense);
-  EXPECT_EQ(sim::parseSolverMode("SPARSE"), SolverMode::Sparse);
-  EXPECT_EQ(sim::parseSolverMode("nonsense"), std::nullopt);
-  EXPECT_EQ(sim::parseSolverMode(""), std::nullopt);
+  EXPECT_EQ(core::parseSolverKind("auto"), SolverMode::Auto);
+  EXPECT_EQ(core::parseSolverKind("Dense"), SolverMode::Dense);
+  EXPECT_EQ(core::parseSolverKind("SPARSE"), SolverMode::Sparse);
+  EXPECT_EQ(core::parseSolverKind("nonsense"), std::nullopt);
+  EXPECT_EQ(core::parseSolverKind(""), std::nullopt);
   for (auto m : {SolverMode::Auto, SolverMode::Dense, SolverMode::Sparse})
-    EXPECT_EQ(sim::parseSolverMode(sim::solverModeName(m)), m);
+    EXPECT_EQ(core::parseSolverKind(core::solverKindName(m)), m);
 }
 
 TEST(SolverMode, UseSparseSolverFollowsModeAndThreshold) {
-  SolverModeGuard guard;
-  sim::setSolverMode(sim::SolverMode::Dense);
-  EXPECT_FALSE(sim::useSparseSolver(100000));
-  sim::setSolverMode(sim::SolverMode::Sparse);
-  EXPECT_TRUE(sim::useSparseSolver(2));
-  EXPECT_FALSE(sim::useSparseSolver(1));  // a 1x1 "system" has no sparse win
-  sim::setSolverMode(sim::SolverMode::Auto);
+  {
+    SolverScope dense(sim::SolverMode::Dense);
+    EXPECT_FALSE(sim::useSparseSolver(100000));
+  }
+  {
+    SolverScope sparse(sim::SolverMode::Sparse);
+    EXPECT_TRUE(sim::useSparseSolver(2));
+    EXPECT_FALSE(sim::useSparseSolver(1));  // a 1x1 "system" has no sparse win
+  }
+  SolverScope autoMode(sim::SolverMode::Auto);
   EXPECT_FALSE(sim::useSparseSolver(sim::kSparseAutoThreshold - 1));
   EXPECT_TRUE(sim::useSparseSolver(sim::kSparseAutoThreshold));
 }
 
 TEST(SolverMode, FlowOptionRoutesToProcessMode) {
-  SolverModeGuard guard;
-  sim::setSolverMode(sim::SolverMode::Auto);
-  core::applySolverOption(core::SolverOption::Sparse);
-  EXPECT_EQ(sim::solverMode(), sim::SolverMode::Sparse);
-  core::applySolverOption(core::SolverOption::Default);  // no-op
-  EXPECT_EQ(sim::solverMode(), sim::SolverMode::Sparse);
-  core::applySolverOption(core::SolverOption::Dense);
-  EXPECT_EQ(sim::solverMode(), sim::SolverMode::Dense);
-  core::applySolverOption(core::SolverOption::Auto);
-  EXPECT_EQ(sim::solverMode(), sim::SolverMode::Auto);
+  // The solver a flow uses is its context's config: a parent's reaches
+  // sim::solverMode(), a job child built with its own config overrides it
+  // for that job only, and the ambient context keeps the env choice.
+  using sim::SolverMode;
+  const SolverMode ambientMode = sim::solverMode();
+  EXPECT_EQ(ambientMode, core::ExecutionContext::ambient().config().solver);
+  core::ExecutionContext parent(solverConfig(SolverMode::Sparse));
+  {
+    core::ContextScope scope(parent);
+    EXPECT_EQ(sim::solverMode(), SolverMode::Sparse);
+    {
+      const auto inherits = parent.makeChild();
+      core::ContextScope jobScope(*inherits);
+      EXPECT_EQ(sim::solverMode(), SolverMode::Sparse);
+    }
+    {
+      core::ContextConfig cfg = parent.config();
+      cfg.solver = SolverMode::Dense;
+      const auto overrides = parent.makeChild(cfg);
+      core::ContextScope jobScope(*overrides);
+      EXPECT_EQ(sim::solverMode(), SolverMode::Dense);
+    }
+    EXPECT_EQ(sim::solverMode(), SolverMode::Sparse);
+  }
+  EXPECT_EQ(sim::solverMode(), ambientMode);
 }
 
 // ---------------------------------------------------------------------------
@@ -554,7 +582,7 @@ struct AnalysisRun {
 };
 
 AnalysisRun runAnalyses(sim::SolverMode mode) {
-  SolverModeGuard guard(mode);
+  SolverScope solver(mode);
   ckt::Netlist net;
   auto& v = net.addVSource("V1", "in", "0", 0.0, 1.0);
   v.waveform.kind = ckt::Waveform::Kind::Pulse;
@@ -611,7 +639,7 @@ TEST(SparseDifferential, DcAcTransientBitIdenticalAcrossSolverModes) {
 }
 
 TEST(SparseDifferential, AcSolveBatchMatchesPointwiseSolves) {
-  SolverModeGuard guard(sim::SolverMode::Sparse);
+  SolverScope solver(sim::SolverMode::Sparse);
   const ckt::Netlist net = sz::buildTwoStageOpamp(sz::TwoStageParams{}, proc());
   const sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc().vdd / 2));
@@ -643,10 +671,9 @@ sz::SynthesisOptions fastSynthesisOptions() {
   return opts;
 }
 
-core::FlowResult runFlow(core::SolverOption solver, bool cacheOn, std::size_t threads) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+core::FlowResult runFlow(sim::SolverMode solver, bool cacheOn, std::size_t threads) {
+  cache::EvalCache::instance().clear();
+  SolverScope scope(solver, cacheOn);
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -659,7 +686,6 @@ core::FlowResult runFlow(core::SolverOption solver, bool cacheOn, std::size_t th
   opts.seed = 3;
   opts.synthesis = fastSynthesisOptions();
   opts.layout.annealPlacement = false;
-  opts.solver = solver;
   return core::synthesizeAmplifier(specs, proc(), opts);
 }
 
@@ -735,33 +761,28 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 }  // namespace
 
 TEST(SparseDifferential, FlowBitIdenticalAcrossSolversThreadsAndCache) {
-  SolverModeGuard guard;
-  auto& c = cache::EvalCache::instance();
-  const bool savedEnabled = c.enabled();
-  const auto reference = runFlow(core::SolverOption::Dense, false, 1);
-  for (const auto solver : {core::SolverOption::Dense, core::SolverOption::Sparse})
+  using sim::SolverMode;
+  const auto reference = runFlow(SolverMode::Dense, false, 1);
+  for (const auto solver : {SolverMode::Dense, SolverMode::Sparse})
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}})
       for (const bool cacheOn : {false, true}) {
-        if (solver == core::SolverOption::Dense && threads == 1 && !cacheOn) continue;
-        const std::string label =
-            std::string(solver == core::SolverOption::Dense ? "dense" : "sparse") +
-            " threads=" + std::to_string(threads) + " cache=" + (cacheOn ? "on" : "off");
+        if (solver == SolverMode::Dense && threads == 1 && !cacheOn) continue;
+        const std::string label = std::string(core::solverKindName(solver)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " cache=" + (cacheOn ? "on" : "off");
         expectFlowsBitIdentical(reference, runFlow(solver, cacheOn, threads), label);
       }
-  c.setEnabled(savedEnabled);
-  c.clear();
+  cache::EvalCache::instance().clear();
 }
 
 namespace {
 
 /// Simulation-based worst-case corner hunt + audit at a fixed design — the
 /// robustSynthesize access pattern, heavy in DC + AC solves.
-std::vector<double> cornerHuntMargins(core::SolverOption solver) {
-  SolverModeGuard guard;
-  core::applySolverOption(solver);
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(false);  // isolate the solver differential from the cache
+std::vector<double> cornerHuntMargins(sim::SolverMode solver) {
+  cache::EvalCache::instance().clear();
+  // Cache off: isolate the solver differential from the cache.
+  SolverScope scope(solver, /*cacheOn=*/false);
   const mf::ModelFactory factory = [](const ckt::Process& p) {
     sz::SimModelOptions opts;
     opts.measureNoise = false;
@@ -783,16 +804,15 @@ std::vector<double> cornerHuntMargins(core::SolverOption solver) {
       margins.push_back(wc.value);
       for (double cc : wc.corner) margins.push_back(cc);
     }
-  c.setEnabled(true);
   return margins;
 }
 
 }  // namespace
 
 TEST(SparseDifferential, CornerHuntBitIdenticalAcrossSolverModes) {
-  const auto dense = cornerHuntMargins(core::SolverOption::Dense);
+  const auto dense = cornerHuntMargins(sim::SolverMode::Dense);
   const auto before = sparseSolveTotal();
-  const auto sparse = cornerHuntMargins(core::SolverOption::Sparse);
+  const auto sparse = cornerHuntMargins(sim::SolverMode::Sparse);
   EXPECT_GT(sparseSolveTotal(), before);  // the sparse leg really ran sparse
   EXPECT_TRUE(vecBitIdentical(dense, sparse));
 }

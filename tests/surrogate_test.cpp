@@ -17,9 +17,10 @@
 //    worst corner (false-prune budget: zero); candidate-level prunes must
 //    be truly infeasible when re-evaluated.
 //
-// The store is a process-wide singleton (like the eval cache), so every
-// test scopes mode changes with SurrogateGuard and reads statistics as
-// deltas, never absolutes.
+// The store is a process-wide singleton (like the eval cache) and holds no
+// mode: every test runs under a context whose config pins the mode it needs
+// (SurrogateGuard, childWith) and reads statistics as deltas, never
+// absolutes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,12 +29,14 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/process.hpp"
+#include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
@@ -58,39 +61,48 @@ namespace {
 
 const ckt::Process& nominal() { return ckt::defaultProcess(); }
 
+/// A child of the calling thread's context (sharing its cache and store)
+/// with its config edited.  Guards nest, so a CacheGuard + SurrogateGuard
+/// pair composes both overrides on top of the environment's config.
+template <typename Edit>
+std::unique_ptr<core::ExecutionContext> childWith(Edit edit) {
+  core::ExecutionContext& parent = core::ExecutionContext::current();
+  core::ContextConfig cfg = parent.config();
+  edit(cfg);
+  return parent.makeChild(std::move(cfg));
+}
+
+std::unique_ptr<core::ExecutionContext> childWithMode(surr::Mode mode) {
+  return childWith([mode](core::ContextConfig& cfg) { cfg.surrogateMode = mode; });
+}
+
 /// RAII scope for the singleton store: clears learned state and the prune
-/// log, pins the requested mode, and restores the previous mode on exit so
-/// tests cannot leak screening into each other.
+/// log on entry and exit, and runs the enclosing scope in the requested
+/// mode, so tests cannot leak screening into each other.
 struct SurrogateGuard {
   explicit SurrogateGuard(surr::Mode mode = surr::Mode::Off)
-      : store(surr::Store::instance()), saved(store.mode()) {
+      : store(surr::Store::instance()), ctx(childWithMode(mode)), scope(*ctx) {
     store.clear();
-    store.setMode(mode);
   }
-  ~SurrogateGuard() {
-    store.clear();
-    store.setMode(saved);
-  }
+  ~SurrogateGuard() { store.clear(); }
   surr::Store& store;
-  surr::Mode saved;
+  std::unique_ptr<core::ExecutionContext> ctx;
+  core::ContextScope scope;
 };
 
-/// RAII scope for the eval cache (same pattern as tests/evalcache_test.cpp).
+/// RAII scope for the eval cache: empty on entry and exit, enabled for the
+/// enclosing scope whatever AMSYN_EVAL_CACHE says.
 struct CacheGuard {
   CacheGuard()
-      : c(cache::EvalCache::instance()), enabled(c.enabled()), quantum(c.quantum()) {
-    c.setEnabled(true);
-    c.setQuantum(0.0);
+      : c(cache::EvalCache::instance()),
+        ctx(childWith([](core::ContextConfig& cfg) { cfg.evalCacheEnabled = true; })),
+        scope(*ctx) {
     c.clear();
   }
-  ~CacheGuard() {
-    c.setEnabled(enabled);
-    c.setQuantum(quantum);
-    c.clear();
-  }
+  ~CacheGuard() { c.clear(); }
   cache::EvalCache& c;
-  bool enabled;
-  double quantum;
+  std::unique_ptr<core::ExecutionContext> ctx;
+  core::ContextScope scope;
 };
 
 std::uint64_t rawBits(double v) {
@@ -424,12 +436,14 @@ sz::SynthesisOptions fastSynthesisOptions() {
   return opts;
 }
 
-core::FlowResult runFlow(core::SurrogateOption mode, bool cacheOn,
-                         std::size_t threads) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
+core::FlowResult runFlow(surr::Mode mode, bool cacheOn, std::size_t threads) {
+  cache::EvalCache::instance().clear();
   surr::Store::instance().clear();  // each arm trains from scratch
+  const auto ctx = childWith([&](core::ContextConfig& cfg) {
+    cfg.surrogateMode = mode;
+    cfg.evalCacheEnabled = cacheOn;
+  });
+  core::ContextScope scope(*ctx);
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -442,7 +456,6 @@ core::FlowResult runFlow(core::SurrogateOption mode, bool cacheOn,
   opts.seed = 3;
   opts.synthesis = fastSynthesisOptions();
   opts.layout.annealPlacement = false;
-  opts.surrogate = mode;  // exercises the flow-level knob, not just setMode
   return core::synthesizeAmplifier(specs, nominal(), opts);
 }
 
@@ -500,12 +513,11 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 TEST(SurrogateDifferential, FlowIsBitIdenticalWithOrderingAcrossThreadsAndCache) {
   CacheGuard cguard;
   SurrogateGuard sguard(surr::Mode::Off);
-  const auto reference =
-      runFlow(core::SurrogateOption::Off, /*cacheOn=*/false, /*threads=*/1);
+  const auto reference = runFlow(surr::Mode::Off, /*cacheOn=*/false, /*threads=*/1);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const bool cacheOn : {false, true}) {
       expectFlowsBitIdentical(
-          reference, runFlow(core::SurrogateOption::Ordering, cacheOn, threads),
+          reference, runFlow(surr::Mode::Ordering, cacheOn, threads),
           "surrogate=ordering cache=" + std::string(cacheOn ? "on" : "off") +
               " threads=" + std::to_string(threads));
     }
@@ -513,12 +525,13 @@ TEST(SurrogateDifferential, FlowIsBitIdenticalWithOrderingAcrossThreadsAndCache)
 }
 
 mf::RobustResult runRobust(surr::Mode mode, bool cacheOn, std::size_t threads) {
-  auto& c = cache::EvalCache::instance();
-  c.clear();
-  c.setEnabled(cacheOn);
-  auto& store = surr::Store::instance();
-  store.clear();
-  store.setMode(mode);
+  cache::EvalCache::instance().clear();
+  surr::Store::instance().clear();
+  const auto ctx = childWith([&](core::ContextConfig& cfg) {
+    cfg.surrogateMode = mode;
+    cfg.evalCacheEnabled = cacheOn;
+  });
+  core::ContextScope scope(*ctx);
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
@@ -646,7 +659,8 @@ TEST(SurrogatePruning, HuntVertexPrunesNeverBeatTheFoundWorstCorner) {
   // (2) Offline audit: re-evaluate every skipped vertex with the real
   // model.  A false prune would be a vertex whose true margin beats the
   // worst corner the hunt found for that spec.
-  guard.store.setMode(surr::Mode::Off);  // audit evaluations stay untracked
+  const auto audit = childWithMode(surr::Mode::Off);  // audit evaluations stay untracked
+  core::ContextScope auditScope(*audit);
   std::size_t audited = 0;
   for (const auto& rec : log) {
     if (rec.corner.empty()) continue;  // candidate-level prune, other audit
@@ -726,7 +740,8 @@ TEST(SurrogatePruning, CandidatePrunesAreTrulyInfeasibleWhenReEvaluated) {
   ASSERT_GE(log.size(), 1u);
   // Offline audit: every pruned candidate, re-evaluated for real, must
   // violate the spec that triggered the prune.  Budget of false prunes: 0.
-  guard.store.setMode(surr::Mode::Off);
+  const auto audit = childWithMode(surr::Mode::Off);
+  core::ContextScope auditScope(*audit);
   for (const auto& rec : log) {
     EXPECT_TRUE(rec.corner.empty());  // candidate prunes carry no corner
     EXPECT_EQ(rec.spec, "gain_db");

@@ -4,7 +4,7 @@
 # (outside the sanctioned few) spells:
 #
 #   Registry::instance(        -> use metrics::registry() (or a context)
-#   EvalCache::instance(       -> use core::currentEvalCache() / ctx.evalCache()
+#   EvalCache::instance(       -> use ExecutionContext::current().evalCache()
 #   Store::instance(           -> use core::currentSurrogateStore() /
 #                                 ctx.surrogateStore()   [surrogate::Store]
 #   FaultInjector::instance(   -> the injector is per-thread (threadLocal());
@@ -31,7 +31,7 @@ get_filename_component(SOURCE_DIR "${SOURCE_DIR}" ABSOLUTE)
 # survives CMake's list flattening intact.
 set(rules
   "Registry::instance\\(|use metrics::registry()|core/metrics.hpp,core/metrics.cpp"
-  "EvalCache::instance\\(|use core::currentEvalCache() or ctx.evalCache()|core/evalcache.cpp,core/context.cpp"
+  "EvalCache::instance\\(|use ExecutionContext::current().evalCache() or ctx.evalCache()|core/evalcache.cpp,core/context.cpp"
   "Store::instance\\(|use core::currentSurrogateStore() or ctx.surrogateStore()|core/surrogate.cpp,core/context.cpp"
   "FaultInjector::instance\\(|the fault injector is per-thread: FaultInjector::threadLocal()|"
   "getenv\\(\"AMSYN_|AMSYN_* knobs are snapshotted once by ContextConfig::fromEnv()|core/envknobs.hpp"
