@@ -1,22 +1,20 @@
 // Surrogate-screening effectiveness benchmark (BENCH_surrogate.json).
 //
 // The evaluation cache (bench_cache) removes *repeated* evaluations; the
-// learned surrogate (core/surrogate.hpp) attacks the remaining cost — fresh
-// evaluations of candidates that were never worth running.  Two claims are
-// measured, matching the store's two modes:
+// learned surrogate (core/surrogate.hpp) attacks fresh evaluations that
+// cannot matter.  Its one consumer is the corner hunt's vertex screen:
+// manufacture::worstCaseCorner skips box vertices whose predicted margin is
+// confidently (calibrated 6-sigma band plus a fixed guard) above the best
+// vertex's upper bound, so they cannot be the worst corner.  The screen is
+// argmin-safe, so hunt results must match the unscreened run bit for bit.
 //
-// Ordering (safety: bit-identical by construction).  Corner hunting and
-// batch scoring pre-rank their work by predicted promise; results land in
-// their original slots, so the measured margins must match the unranked run
-// bit for bit.  This benchmark re-checks that contract on the corner
-// hunt + audit workload while recording the (scheduling-only) timing delta.
-//
-// Pruning (audited, off by default).  During corner-aware synthesis the
-// cost function skips candidates whose predicted worst-case constraint
-// margin is confidently infeasible — a calibrated 6-sigma band plus a fixed
-// margin must sit below zero.  We run the full cutting-plane robust
-// synthesis with and without pruning and report evaluations avoided, wall
-// time, and whether the final robust design survived unchanged.
+// Two measurements:
+//   * corner hunt + audit at a fixed design, screening off vs on: vertex
+//     evaluations avoided, the wall-time ratio (off / on; below 1 means the
+//     screen costs more than the evaluations it saves), and bit-identity;
+//   * the full cutting-plane robust synthesis, screening off vs on: the
+//     final robust design must be unchanged, and the vertices screened are
+//     reported.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -75,7 +73,6 @@ surr::Store::SurrogateStats statsDelta(const surr::Store::SurrogateStats& before
   d.observations = after.observations - before.observations;
   d.predictions = after.predictions - before.predictions;
   d.declined = after.declined - before.declined;
-  d.orderedBatches = after.orderedBatches - before.orderedBatches;
   d.pruned = after.pruned - before.pruned;
   d.classes = after.classes;
   return d;
@@ -88,13 +85,13 @@ void resetState() {
   surr::Store::instance().clear();
 }
 
-/// The environment's config with the cache on and the requested surrogate
-/// mode; a context built from it shares the process cache and store, whose
-/// stats the tables read.
-core::ContextConfig surrogateConfig(surr::Mode mode) {
+/// The environment's config with the cache on and screening as requested;
+/// a context built from it shares the process cache and store, whose stats
+/// the tables read.
+core::ContextConfig surrogateConfig(bool screening) {
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.surrogateMode = mode;
+  cfg.surrogateScreening = screening;
   return cfg;
 }
 
@@ -105,9 +102,9 @@ struct HuntRun {
 
 /// Worst-corner hunt for every constraint, twice (hunt + audit) — the
 /// robustSynthesize access pattern at a fixed design.
-HuntRun cornerHuntAndAudit(surr::Mode mode) {
+HuntRun cornerHuntAndAudit(bool screening) {
   resetState();
-  core::ExecutionContext ctx(surrogateConfig(mode));
+  core::ExecutionContext ctx(surrogateConfig(screening));
   core::ContextScope scope(ctx);
   const auto factory = cornerFactory();
   const auto specs = hardSpecs();
@@ -132,9 +129,9 @@ struct RobustRun {
   manufacture::RobustResult res;
 };
 
-RobustRun robustRun(surr::Mode mode) {
+RobustRun robustRun(bool screening) {
   resetState();
-  core::ExecutionContext ctx(surrogateConfig(mode));
+  core::ExecutionContext ctx(surrogateConfig(screening));
   core::ContextScope scope(ctx);
   const auto specs = hardSpecs();
   manufacture::VariationSpace space;
@@ -154,58 +151,44 @@ void writeJson() {
 
   std::cout << "=== Surrogate screening (BENCH_surrogate.json) ===\n\n";
 
-  // --- ordering: corner hunt + audit, results bit-identical by contract ---
-  const HuntRun off = cornerHuntAndAudit(surr::Mode::Off);
-  const auto statsBeforeOrder = surr::Store::instance().stats();
-  const HuntRun ordered = cornerHuntAndAudit(surr::Mode::Ordering);
-  const auto orderStats = statsDelta(statsBeforeOrder, surr::Store::instance().stats());
-  const bool orderIdentical = bitIdentical(off.margins, ordered.margins);
-
-  core::Table t({"corner hunt + audit", "seconds", "notes"});
-  t.addRow({"surrogate off", core::Table::num(off.seconds), "claim order: vertex index"});
-  t.addRow({"surrogate ordering", core::Table::num(ordered.seconds),
-            std::to_string(orderStats.orderedBatches) + " batches pre-ranked"});
-  t.print(std::cout);
-  std::cout << "margins bit-identical: " << (orderIdentical ? "yes" : "NO")
-            << "   (ordering is pure scheduling; identity is the contract)\n\n";
-
-  // --- pruning, headline: corner hunt + audit with vertex screening ---
+  // --- corner hunt + audit with vertex screening ---
   // The hunt phase trains the surrogate (64 vertices per spec, one class
   // across all corners); the audit phase then skips vertices that are
   // confidently not the worst corner.  The found corners/margins must match
   // the unscreened run exactly — screening is argmin-safe by construction
   // and audited offline by tests/surrogate_test.cpp.
-  const HuntRun pbase = cornerHuntAndAudit(surr::Mode::Off);
+  const HuntRun pbase = cornerHuntAndAudit(/*screening=*/false);
   const auto statsBeforeScreen = surr::Store::instance().stats();
-  const HuntRun pscreen = cornerHuntAndAudit(surr::Mode::Pruning);
+  const HuntRun pscreen = cornerHuntAndAudit(/*screening=*/true);
   const auto screenStats = statsDelta(statsBeforeScreen, surr::Store::instance().stats());
   const double evalsAvoided = static_cast<double>(screenStats.pruned);
-  const double pruneSpeedup = pbase.seconds / std::max(pscreen.seconds, 1e-12);
+  const double wallRatio = pbase.seconds / std::max(pscreen.seconds, 1e-12);
   const bool huntIdentical = bitIdentical(pbase.margins, pscreen.margins);
 
   core::Table p({"corner hunt + audit", "seconds", "notes"});
-  p.addRow({"surrogate off", core::Table::num(pbase.seconds),
+  p.addRow({"screening off", core::Table::num(pbase.seconds),
             "every vertex evaluated"});
-  p.addRow({"surrogate pruning", core::Table::num(pscreen.seconds),
-            core::Table::num(evalsAvoided) + " vertex evals avoided"});
+  p.addRow({"screening on", core::Table::num(pscreen.seconds),
+            core::Table::num(evalsAvoided) + " vertex evals avoided, wall-time ratio " +
+                core::Table::num(wallRatio) + "x"});
   p.print(std::cout);
-  std::cout << "speedup: " << core::Table::num(pruneSpeedup)
-            << "x   hunt results unchanged: " << (huntIdentical ? "yes" : "NO") << "\n\n";
+  std::cout << "wall-time ratio off/on: " << core::Table::num(wallRatio)
+            << "x (below 1 = the screen costs more than the evaluations it avoids)"
+            << "   hunt results unchanged: " << (huntIdentical ? "yes" : "NO") << "\n\n";
 
-  // --- pruning, flow-level: full robust synthesis must be unaffected ---
-  // Inside robustSynthesize, pruning is scoped to the hunts (the optimizer
-  // consumes exact costs); lifetime residual variance from the synthesis
-  // traffic keeps the band honest, so few or no hunt vertices screen here —
-  // the check is that the final robust design is unchanged.
-  const RobustRun base = robustRun(surr::Mode::Off);
+  // --- flow-level: full robust synthesis must be unaffected ---
+  // Lifetime residual variance from the synthesis traffic keeps the band
+  // honest, so few or no hunt vertices screen here — the check is that
+  // the final robust design is unchanged.
+  const RobustRun base = robustRun(/*screening=*/false);
   const auto statsBeforeRobust = surr::Store::instance().stats();
-  const RobustRun pruned = robustRun(surr::Mode::Pruning);
+  const RobustRun screened = robustRun(/*screening=*/true);
   const auto robustStats = statsDelta(statsBeforeRobust, surr::Store::instance().stats());
-  const bool robustXIdentical = bitIdentical(base.res.robust.x, pruned.res.robust.x);
+  const bool robustXIdentical = bitIdentical(base.res.robust.x, screened.res.robust.x);
   const bool robustVerdictMatch =
-      base.res.robustFeasibleAtCorners == pruned.res.robustFeasibleAtCorners &&
-      base.res.robust.feasible == pruned.res.robust.feasible;
-  std::cout << "robust synthesis under pruning: design unchanged "
+      base.res.robustFeasibleAtCorners == screened.res.robustFeasibleAtCorners &&
+      base.res.robust.feasible == screened.res.robust.feasible;
+  std::cout << "robust synthesis with screening: design unchanged "
             << (robustXIdentical ? "yes" : "NO") << ", corner verdict match "
             << (robustVerdictMatch ? "yes" : "NO") << ", "
             << robustStats.pruned << " hunt vertices screened\n"
@@ -215,14 +198,9 @@ void writeJson() {
   core::RunReport report;
   report.name = "surrogate_screening";
   report.addInfo("benchmark", "surrogate_screening");
-  report.addValue("ordering_hunt_seconds_off", off.seconds)
-      .addValue("ordering_hunt_seconds_on", ordered.seconds)
-      .addValue("ordering_margins_bit_identical", orderIdentical ? 1.0 : 0.0)
-      .addValue("ordering_batches", static_cast<double>(orderStats.orderedBatches))
-      .addValue("ordering_observations", static_cast<double>(orderStats.observations))
-      .addValue("pruning_hunt_seconds_off", pbase.seconds)
+  report.addValue("pruning_hunt_seconds_off", pbase.seconds)
       .addValue("pruning_hunt_seconds_on", pscreen.seconds)
-      .addValue("pruning_speedup", pruneSpeedup)
+      .addValue("pruning_speedup", wallRatio)
       .addValue("evals_avoided", evalsAvoided)
       .addValue("pruning_hunt_results_bit_identical", huntIdentical ? 1.0 : 0.0)
       // addRatio: null (not 0) if the screening run made no predictions.
@@ -242,14 +220,12 @@ void writeJson() {
 }
 
 /// Microbenchmark: one surrogate prediction (lazy weight refresh amortized),
-/// which bounds the per-candidate cost of both ordering and pruning.
+/// which bounds the per-vertex cost of the screen.
 void BM_SurrogatePredict(benchmark::State& state) {
   resetState();
-  core::ExecutionContext ctx(surrogateConfig(surr::Mode::Ordering));
+  core::ExecutionContext ctx(surrogateConfig(/*screening=*/true));
   core::ContextScope scope(ctx);
   const auto model = cornerFactory()(nominalProc());
-  const auto specs = hardSpecs();
-  const sizing::CostFunction cost(*model, specs, {});
   const auto x = middlePoint();
   // Train past the maturity threshold so predictions actually fire.
   for (std::size_t i = 0; i < 64; ++i) {
@@ -257,8 +233,10 @@ void BM_SurrogatePredict(benchmark::State& state) {
     xi[i % xi.size()] *= 1.0 + 1e-3 * static_cast<double>(i + 1);
     sizing::safeEvaluate(*model, xi);
   }
+  const auto cand = sizing::surrogateCandidate(*model, x);
+  auto& store = ctx.surrogateStore();
   for (auto _ : state) {
-    auto pred = cost.predictedCost(x);
+    auto pred = store.predict(*cand, "gain_db");
     benchmark::DoNotOptimize(pred);
   }
   resetState();

@@ -41,10 +41,7 @@ ContextConfig ContextConfig::fromEnv() {
   cfg.solver = parseSolverKind(envknobs::solver()).value_or(SolverKind::Auto);
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
   cfg.evalCacheCapacity = envknobs::evalCacheCapacity();
-  const int m = envknobs::surrogateModeIndex();
-  cfg.surrogateMode = m == 2   ? surrogate::Mode::Pruning
-                      : m == 1 ? surrogate::Mode::Ordering
-                               : surrogate::Mode::Off;
+  cfg.surrogateScreening = envknobs::surrogateScreening();
   cfg.jobDeadlineMs = envknobs::jobDeadlineMs();
   cfg.topologySpace = envknobs::topologySpaceIndex() == 1 ? TopologySpace::Generated
                                                           : TopologySpace::Legacy;
@@ -58,8 +55,8 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
                                    ExecutionContext* parent, bool isAmbient)
     : config_(std::move(cfg)), parent_(parent) {
-  // Handles only: the modes (cache on/off, surrogate mode, solver) live in
-  // config_ and every consumer reads them from there.  Resolving the
+  // Handles only: the modes (cache on/off, surrogate screening, solver)
+  // live in config_ and every consumer reads them from there.  Resolving the
   // surrogate store here also registers its core.surrogate.* counters, so
   // every flow's report carries them whatever its mode.
   if (isolation.evalCache) {

@@ -25,7 +25,7 @@
 // slicing), the sparse-solver symbolic cache (pure speed, keyed by
 // structure), and — by default — the eval cache and surrogate store, whose
 // cross-job amortization is their whole point.  What is per-context: the
-// config snapshot (every field: solver, cache on/off, surrogate mode,
+// config snapshot (every field: solver, cache on/off, surrogate screening,
 // deadline, topology space), batch fault schedule, metrics slice, and any
 // handle the owner asked to isolate.  Shared stores hold data, never a
 // mode: consumers read the mode from the current context's config, so one
@@ -85,8 +85,10 @@ struct ContextConfig {
   /// (ContextIsolation::evalCache).  The shared process cache keeps the
   /// ambient (environment) capacity: one tenant must not resize another's.
   std::size_t evalCacheCapacity = std::size_t{1} << 16;
-  /// AMSYN_SURROGATE.
-  surrogate::Mode surrogateMode = surrogate::Mode::Off;
+  /// AMSYN_SURROGATE: train the surrogate on this context's evaluations
+  /// and let corner hunts skip vertices it confidently rules out.  Results
+  /// are identical either way (the screen is argmin-safe).
+  bool surrogateScreening = false;
   /// AMSYN_JOB_DEADLINE_MS: per-flow wall-clock deadline in ms (0 = none).
   /// FlowEngine checks it at every stage boundary and arms it on the
   /// verification measurements' budgets, so a livelocked evaluation stops
@@ -203,13 +205,5 @@ class ContextScope {
   ExecutionContext* prev_;
   metrics::SliceScope sliceScope_;
 };
-
-/// Shorthands for the hot call sites (surrogate consumers).
-inline surrogate::Store& currentSurrogateStore() {
-  return ExecutionContext::current().surrogateStore();
-}
-inline surrogate::Mode currentSurrogateMode() {
-  return ExecutionContext::current().config().surrogateMode;
-}
 
 }  // namespace amsyn::core

@@ -1,9 +1,9 @@
 // The single sanctioned locus for AMSYN_* environment reads.
 //
 // Every process-level tuning knob (threads, solver mode, eval-cache policy,
-// surrogate mode, job deadline, topology space) is parsed here and nowhere
-// else: core::ContextConfig::fromEnv() snapshots all of them once into a
-// plain struct, and every consumer reads that snapshot through its
+// surrogate screening, job deadline, topology space) is parsed here and
+// nowhere else: core::ContextConfig::fromEnv() snapshots all of them once
+// into a plain struct, and every consumer reads that snapshot through its
 // execution context.  Two bottom-layer singletons that exist before any
 // context call the same parsers for their sizing only — the shared
 // EvalCache (capacity) and the global thread pool (width) — so their
@@ -81,17 +81,13 @@ inline std::size_t evalCacheCapacity() {
   return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance maps
 }
 
-/// AMSYN_SURROGATE mode string: "" / "0" / "off" = Off, "1"/"on"/"true"/
-/// "order"/"ordering" = Ordering, "prune"/"pruning" = Pruning.  Returned as
-/// a small integer (0/1/2) so this header does not depend on the surrogate
-/// library's enum.
-inline int surrogateModeIndex() {
+/// AMSYN_SURROGATE: hunt-vertex screening is on only for "1" or "on";
+/// unset, "0", "off" and anything else mean off.
+inline bool surrogateScreening() {
   const char* env = std::getenv("AMSYN_SURROGATE");
-  if (!env || !*env) return 0;
+  if (!env) return false;
   const std::string v(env);
-  if (v == "1" || v == "on" || v == "true" || v == "order" || v == "ordering") return 1;
-  if (v == "prune" || v == "pruning") return 2;
-  return 0;
+  return v == "1" || v == "on";
 }
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).

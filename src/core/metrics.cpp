@@ -74,7 +74,7 @@ namespace {
 
 /// Per-thread shard handle: lazily registers with the registry, and folds
 /// this thread's totals into the retired accumulators on thread exit — the
-/// step the old thread_local SimStats never had, which is why pool-thread
+/// step the old thread_local LU counters never had, which is why pool-thread
 /// counters used to vanish.
 struct ShardHandle {
   std::shared_ptr<Shard> shard;

@@ -70,11 +70,11 @@ class Registry {
   CounterId counter(const std::string& name);
   HistogramId histogram(const std::string& name);
 
-  /// Register a read-only external counter (e.g. a legacy process-global
-  /// atomic) surfaced through snapshots under `name`.  Idempotent by name;
+  /// Register a read-only external counter (e.g. the surrogate store's class
+  /// count) surfaced through snapshots under `name`.  Idempotent by name;
   /// the reader must be callable from any thread.  External counters are the
-  /// registry's bridge for stats whose storage cannot move (tests poke the
-  /// sim::FailureStats atomics directly), and they are not zeroed by reset().
+  /// registry's bridge for stats whose storage lives elsewhere, and they are
+  /// not zeroed by reset().
   void registerExternal(const std::string& name, std::function<std::uint64_t()> reader);
 
   /// Gauges are last-write-wins process globals (set rarely; mutex).
@@ -85,7 +85,6 @@ class Registry {
   void record(HistogramId id, double value);
 
   /// Value accumulated by the *calling thread only* since the last reset().
-  /// This is what the thread-local sim::SimStats shim reads.
   std::uint64_t threadValue(CounterId id) const;
 
   /// Aggregate of one counter over every shard (live + retired).  Does not

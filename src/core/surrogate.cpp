@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <unordered_map>
 
 #include "core/metrics.hpp"
@@ -164,18 +163,16 @@ struct Store::Impl {
   mutable std::mutex pruneMutex;
   std::vector<PruneRecord> prunes;
 
-  metrics::CounterId cObservations, cPredictions, cDeclined, cOrderedBatches,
-      cPruned;
+  metrics::CounterId cObservations, cPredictions, cDeclined, cPruned;
 
   explicit Impl(bool shared) {
     auto& reg = metrics::registry();
     // Registered eagerly (not at first observation) so run-report counter
-    // key-sets are identical with the surrogate off, ordering, and pruning —
-    // report_schema_test compares schemas across modes.
+    // key-sets are identical with screening on and off — report_schema_test
+    // compares schemas across both.
     cObservations = reg.counter("core.surrogate.observations");
     cPredictions = reg.counter("core.surrogate.predictions");
     cDeclined = reg.counter("core.surrogate.declined");
-    cOrderedBatches = reg.counter("core.surrogate.ordered_batches");
     cPruned = reg.counter("core.surrogate.pruned");
     if (shared) {
       // Only the shared store backs the process-wide class gauge:
@@ -249,23 +246,6 @@ std::optional<Prediction> Store::predict(const Candidate& c,
   return pred;
 }
 
-std::vector<std::optional<Prediction>> Store::predictMany(
-    const Candidate& c, const std::vector<std::string>& heads) {
-  Impl& im = impl();
-  std::vector<std::optional<Prediction>> out(heads.size());
-  Impl::ClassEntry* entry = im.findEntry(c.classKey);
-  if (!entry) return out;
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  if (!entry->model) return out;
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    out[i] = entry->model->predict(c.features, heads[i]);
-    if (out[i]) metrics::add(im.cPredictions);
-  }
-  return out;
-}
-
-void Store::noteOrderedBatch() { metrics::add(impl().cOrderedBatches); }
-
 void Store::recordPrune(PruneRecord r) {
   Impl& im = impl();
   metrics::add(im.cPruned);
@@ -288,7 +268,6 @@ Store::SurrogateStats Store::stats() const {
   s.observations = reg.total(im.cObservations);
   s.predictions = reg.total(im.cPredictions);
   s.declined = reg.total(im.cDeclined);
-  s.orderedBatches = reg.total(im.cOrderedBatches);
   s.pruned = reg.total(im.cPruned);
   s.classes = im.classCount.load(std::memory_order_relaxed);
   return s;
@@ -303,21 +282,6 @@ void Store::clear() {
   }
   std::lock_guard<std::mutex> lock(im.pruneMutex);
   im.prunes.clear();
-}
-
-std::vector<std::size_t> orderByScore(
-    const std::vector<std::optional<double>>& scores) {
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool ha = scores[a].has_value();
-                     const bool hb = scores[b].has_value();
-                     if (ha != hb) return ha;  // scored before unscored
-                     if (!ha) return false;    // unscored: keep original order
-                     return *scores[a] < *scores[b];
-                   });
-  return order;
 }
 
 }  // namespace amsyn::core::surrogate

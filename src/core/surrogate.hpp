@@ -1,22 +1,17 @@
-// Learned surrogate screening over evaluation traffic (ROADMAP: "learned
-// surrogate screening"; cf. the ML-enabled AMS synthesis survey,
-// arXiv:2112.07824).  An incremental ridge-regression model is fitted online
-// from the (candidate -> Performance) pairs that sizing::safeEvaluate already
-// produces by the thousand, then consumed in two modes:
-//
-//   * Ordering — pre-rank evaluation batches (annealing calibration probes,
-//     genetic offspring, corner vertices) so promising candidates evaluate
-//     first.  Results land in their original index slots and every reduction
-//     scans index order, so final results are bit-identical by construction;
-//     only the parallel claim order changes.
-//   * Pruning — skip evaluations whose predicted worst-case constraint
-//     margin is confidently infeasible (calibrated uncertainty band).  This
-//     mode can change results and is therefore off by default and audited:
-//     every pruned candidate is logged so tests can re-evaluate it offline
-//     and count false prunes.
+// Learned surrogate screening over evaluation traffic (cf. the ML-enabled
+// AMS synthesis survey, arXiv:2112.07824).  An incremental ridge-regression
+// model is fitted online from the (candidate -> Performance) pairs that
+// sizing::safeEvaluate already produces by the thousand, and it has exactly
+// one consumer: the vertex screen in manufacture::worstCaseCorner.  A hunt
+// vertex whose predicted margin is confidently (calibrated 6-sigma band plus
+// a fixed guard) above the best vertex's upper bound cannot be the worst
+// corner, so it is skipped.  The screen is argmin-safe by construction — the
+// hunt's result never changes — and audited: every skipped vertex is logged
+// so tests can re-evaluate it offline and count false prunes.  It is off by
+// default (ContextConfig::surrogateScreening).
 //
 // Like the evaluation cache this sits below the evaluation libraries:
-// sizing/topology/manufacture consult it on their hot paths, so the target
+// sizing trains it and manufacture consults it, so the target
 // (amsyn_surrogate) depends only on amsyn_metrics.
 #pragma once
 
@@ -30,23 +25,6 @@
 #include "core/evalcache.hpp"
 
 namespace amsyn::core::surrogate {
-
-/// Consumption mode (see file comment).  Pruning implies ordering: a store
-/// confident enough to skip evaluations certainly pre-ranks them too.
-enum class Mode : std::uint8_t {
-  Off,       ///< surrogate neither trains nor predicts (default)
-  Ordering,  ///< train + pre-rank batches; results bit-identical
-  Pruning,   ///< ordering + skip confidently-infeasible evaluations
-};
-
-inline constexpr const char* modeName(Mode m) {
-  switch (m) {
-    case Mode::Off: return "off";
-    case Mode::Ordering: return "ordering";
-    case Mode::Pruning: return "pruning";
-  }
-  return "unknown";
-}
 
 /// A featurized candidate: the class key identifies one learnable family
 /// (model identity minus anything encoded in the feature vector), and the
@@ -62,7 +40,7 @@ struct Candidate {
 /// deviation s * sqrt(1 + phi' P phi) with s^2 estimated prequentially
 /// (predict-before-train residuals), so it reflects honest out-of-sample
 /// error, not training fit.  `calibrated` turns true once enough residuals
-/// accumulated for sigma to be trustworthy; pruning must require it.
+/// accumulated for sigma to be trustworthy; screening must require it.
 struct Prediction {
   double mean = 0.0;
   double sigma = 0.0;
@@ -124,8 +102,8 @@ class RidgeModel {
 
 /// Process-wide surrogate store: one RidgeModel per candidate class, metrics,
 /// and the pruning audit log.  All methods are thread-safe.  The store holds
-/// no mode: consumers read ContextConfig::surrogateMode of the context they
-/// run under, so tenants sharing the store never see each other's mode.
+/// no mode: consumers read ContextConfig::surrogateScreening of the context
+/// they run under, so tenants sharing the store never see each other's mode.
 class Store {
  public:
   /// The process-wide store (leaked on purpose).  Production code resolves
@@ -144,27 +122,20 @@ class Store {
   /// or values, dimension drift, and head-set drift are declined.
   void observe(const Candidate& c, const std::map<std::string, double>& heads);
 
-  /// Per-head predictions for one candidate.  Unknown class, unknown head,
-  /// or an immature model yield nullopt in that slot.
+  /// One head's prediction for a candidate.  Unknown class, unknown head,
+  /// or an immature model yield nullopt.
   std::optional<Prediction> predict(const Candidate& c, const std::string& head);
-  std::vector<std::optional<Prediction>> predictMany(
-      const Candidate& c, const std::vector<std::string>& heads);
 
-  /// Tally one batch whose evaluation order the surrogate actually permuted.
-  void noteOrderedBatch();
-
-  /// Audit record for one pruned evaluation: enough to re-run the real
+  /// Audit record for one skipped hunt vertex: enough to re-run the real
   /// evaluator offline and check the verdict (tests/surrogate_test.cpp
   /// counts false prunes against a budget of zero).
   struct PruneRecord {
     cache::Digest128 classKey;
     std::vector<double> x;        ///< raw design point (model space)
-    std::string spec;             ///< performance that triggered the prune
-    double predictedMargin = 0.0; ///< normalized margin bound that triggered
+    std::string spec;             ///< performance the hunt was for
+    double predictedMargin = 0.0; ///< normalized margin lower bound that triggered
     double sigma = 0.0;           ///< normalized predictive sigma
-    /// Corner coordinates for hunt-vertex prunes (empty for candidate-level
-    /// prunes): lets the audit rebuild the exact pruned evaluation.
-    std::vector<double> corner;
+    std::vector<double> corner;   ///< the skipped vertex's corner coordinates
   };
   void recordPrune(PruneRecord r);
   std::vector<PruneRecord> pruneLog() const;
@@ -173,7 +144,6 @@ class Store {
     std::uint64_t observations = 0;
     std::uint64_t predictions = 0;
     std::uint64_t declined = 0;
-    std::uint64_t orderedBatches = 0;
     std::uint64_t pruned = 0;
     std::uint64_t classes = 0;
   };
@@ -191,12 +161,5 @@ class Store {
   Impl& impl() const { return *impl_; }
   std::unique_ptr<Impl> impl_;
 };
-
-/// Deterministic evaluation order for a scored batch: indices with scores
-/// first, stable-sorted ascending (lower = more promising), then unscored
-/// indices in their original order.  Pure scheduling — callers map results
-/// back to original slots, so reductions are unaffected.
-std::vector<std::size_t> orderByScore(
-    const std::vector<std::optional<double>>& scores);
 
 }  // namespace amsyn::core::surrogate

@@ -2,12 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "numeric/optimize.hpp"
 
@@ -39,10 +37,10 @@ circuit::Process VariationSpace::apply(const circuit::Process& nominal,
 
 namespace {
 
-// Vertex-screening gate (surrogate Pruning mode).  A vertex is skipped when
-// its predicted margin's lower confidence bound clears the best vertex's
-// upper bound by kScreenMargin — i.e. it is confidently NOT the worst
-// corner, so dropping it cannot move the hunt's argmin.  The vertex
+// Vertex-screening gate (ContextConfig::surrogateScreening).  A vertex is
+// skipped when its predicted margin's lower confidence bound clears the best
+// vertex's upper bound by kScreenMargin — i.e. it is confidently NOT the
+// worst corner, so dropping it cannot move the hunt's argmin.  The vertex
 // attaining the best upper bound is never skipped by construction, so the
 // hunt always evaluates the predicted worst case for real.  The 6-sigma
 // band carries the statistical safety; the fixed 5%-of-normalization guard
@@ -105,32 +103,22 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
       c[i] = (mask >> i) & 1u ? 1.0 : 0.0;
     return c;
   };
-  // Surrogate ordering: predict each vertex's margin and claim the most
-  // violating ones first (a violated corner found early warms the cache for
-  // the refinement stage sooner).  Margins still land in their own mask
-  // slot and the reduction below scans mask order, so the permutation is
-  // pure scheduling — the winning corner is bit-identical either way.
-  //
-  // Surrogate pruning adds vertex screening on top: a vertex whose margin
-  // is confidently (kScreenZ sigma + kScreenMargin) above the best vertex's
-  // upper bound cannot be the argmin, so it is skipped entirely.  Skipped
-  // vertices are excluded from the reduction (never placeholder-scored) and
-  // logged for the offline audit.
-  std::vector<std::size_t> order(kVertices);
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Surrogate vertex screening: a vertex whose margin is confidently
+  // (kScreenZ sigma + kScreenMargin) above the best vertex's upper bound
+  // cannot be the argmin, so it is skipped entirely.  Skipped vertices are
+  // excluded from the reduction (never placeholder-scored) and logged for
+  // the offline audit.
   std::vector<char> skipped(kVertices, 0);
-  auto& surrStore = core::currentSurrogateStore();
-  const auto surrMode = core::currentSurrogateMode();
-  if (surrMode != core::surrogate::Mode::Off && !spec.isObjective()) {
+  core::ExecutionContext& ctx = core::ExecutionContext::current();
+  if (ctx.config().surrogateScreening && !spec.isObjective()) {
     struct VertexPred {
       double margin = 0.0;  ///< normalized margin at the predicted mean
       double sigmaN = 0.0;  ///< predictive sigma / spec normalization
       bool calibrated = false;
       core::cache::Digest128 classKey;
     };
+    auto& surrStore = ctx.surrogateStore();
     std::vector<std::optional<VertexPred>> preds(kVertices);
-    std::vector<std::optional<double>> scores(kVertices);
-    bool any = false;
     for (std::size_t mask = 0; mask < kVertices; ++mask) {
       try {
         const circuit::Process p = space.apply(nominal, vertexCoords(mask));
@@ -141,45 +129,37 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
             preds[mask] = VertexPred{signedMargin(spec, predicted),
                                      pred->sigma / spec.normalization(),
                                      pred->calibrated, cand->classKey};
-            scores[mask] = preds[mask]->margin;
           }
         }
       } catch (...) {
         // A factory that throws for some corner fails the real evaluation
-        // too; ranking just leaves that vertex unscored.
+        // too; screening just leaves that vertex unpredicted.
       }
-      any = any || scores[mask].has_value();
     }
-    if (any) {
-      order = core::surrogate::orderByScore(scores);
-      surrStore.noteOrderedBatch();
-    }
-    if (surrMode == core::surrogate::Mode::Pruning) {
-      // Best (lowest) upper confidence bound among calibrated predictions.
-      // The vertex attaining it always stays: its own lower bound cannot
-      // clear its upper bound, so the comparison below keeps it.
-      double bestUpper = std::numeric_limits<double>::infinity();
-      for (std::size_t mask = 0; mask < kVertices; ++mask)
-        if (preds[mask] && preds[mask]->calibrated)
-          bestUpper = std::min(bestUpper,
-                               preds[mask]->margin + kScreenZ * preds[mask]->sigmaN);
-      if (std::isfinite(bestUpper)) {
-        for (std::size_t mask = 0; mask < kVertices; ++mask) {
-          if (!preds[mask] || !preds[mask]->calibrated) continue;
-          const double lower = preds[mask]->margin - kScreenZ * preds[mask]->sigmaN;
-          if (lower > bestUpper + kScreenMargin) {
-            skipped[mask] = 1;
-            surrStore.recordPrune({preds[mask]->classKey, x, spec.performance, lower,
-                                   preds[mask]->sigmaN, vertexCoords(mask)});
-          }
+    // Best (lowest) upper confidence bound among calibrated predictions.
+    // The vertex attaining it always stays: its own lower bound cannot
+    // clear its upper bound, so the comparison below keeps it.
+    double bestUpper = std::numeric_limits<double>::infinity();
+    for (std::size_t mask = 0; mask < kVertices; ++mask)
+      if (preds[mask] && preds[mask]->calibrated)
+        bestUpper = std::min(bestUpper,
+                             preds[mask]->margin + kScreenZ * preds[mask]->sigmaN);
+    if (std::isfinite(bestUpper)) {
+      for (std::size_t mask = 0; mask < kVertices; ++mask) {
+        if (!preds[mask] || !preds[mask]->calibrated) continue;
+        const double lower = preds[mask]->margin - kScreenZ * preds[mask]->sigmaN;
+        if (lower > bestUpper + kScreenMargin) {
+          skipped[mask] = 1;
+          surrStore.recordPrune({preds[mask]->classKey, x, spec.performance, lower,
+                                 preds[mask]->sigmaN, vertexCoords(mask)});
         }
       }
     }
   }
   std::vector<std::size_t> toEval;
   toEval.reserve(kVertices);
-  for (std::size_t i = 0; i < kVertices; ++i)
-    if (!skipped[order[i]]) toEval.push_back(order[i]);
+  for (std::size_t mask = 0; mask < kVertices; ++mask)
+    if (!skipped[mask]) toEval.push_back(mask);
   std::vector<double> vertexMargins(kVertices,
                                     std::numeric_limits<double>::infinity());
   core::parallelFor(toEval.size(), [&](std::size_t i) {
@@ -325,26 +305,6 @@ class CornerSetModel : public sizing::PerformanceModel {
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
 };
 
-/// Run one cutting-plane synthesis phase with Pruning downgraded to
-/// Ordering.  The annealer consumes exact costs sequentially; substituting
-/// predicted costs for pruned candidates redirects its accept decisions and
-/// changes the final design.  Within robustSynthesize, pruning is therefore
-/// restricted to the hunt's vertex screening (argmin-safe by construction);
-/// the optimizer itself still gets ordering.  The downgrade is a child
-/// context with its own config — never a write to the shared store — so a
-/// concurrent flow keeps its own mode.  Off and Ordering run as they are.
-sizing::SynthesisResult synthesizeWithoutPruning(const sizing::CostFunction& cost,
-                                                 const sizing::SynthesisOptions& opts) {
-  core::ExecutionContext& ctx = core::ExecutionContext::current();
-  if (ctx.config().surrogateMode != core::surrogate::Mode::Pruning)
-    return sizing::synthesize(cost, opts);
-  core::ContextConfig cfg = ctx.config();
-  cfg.surrogateMode = core::surrogate::Mode::Ordering;
-  const auto child = ctx.makeChild(std::move(cfg));
-  core::ContextScope scope(*child);
-  return sizing::synthesize(cost, opts);
-}
-
 }  // namespace
 
 RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Process& nominal,
@@ -360,7 +320,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     const std::uint64_t t0 = core::trace::monotonicNowNs();
     const auto nominalModel = factory(nominal);
     const sizing::CostFunction cost(*nominalModel, specs, opts.cost);
-    result.nominal = synthesizeWithoutPruning(cost, opts.synthesis);
+    result.nominal = sizing::synthesize(cost, opts.synthesis);
     result.nominalEvaluations = static_cast<double>(result.nominal.evaluations);
     result.nominalSeconds =
         static_cast<double>(core::trace::monotonicNowNs() - t0) * 1e-9;
@@ -399,7 +359,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
 
     CornerSetModel cornerModel(factory, nominal, space, specs, corners);
     const sizing::CostFunction cost(cornerModel, specs, opts.cost);
-    current = synthesizeWithoutPruning(cost, opts.synthesis);
+    current = sizing::synthesize(cost, opts.synthesis);
     // Each corner-set evaluation simulates (1 + #corners) models.
     robustEvals +=
         static_cast<double>(current.evaluations) * static_cast<double>(1 + corners.size());

@@ -32,30 +32,18 @@ struct AnnealStats {
 
 /// Problem interface for the annealer.
 ///
-/// `propose` mutates the state and returns the cost delta estimate is not
-/// required: the engine calls `cost` before/after. `undo` must restore the
-/// exact previous state.  `snapshot` is called whenever a new global best is
-/// seen so the problem can record it (the engine itself is state-agnostic).
+/// `propose` applies a random move to the state; no cost-delta estimate is
+/// needed, because the engine calls `cost` before and after.  `undo` must
+/// restore the exact previous state.  Temperature calibration uses the same
+/// three callbacks (propose, cost, undo per probe), so it consumes the RNG
+/// stream exactly as the moves do.  `snapshot` is called whenever a new
+/// global best is seen so the problem can record it (the engine itself is
+/// state-agnostic).
 struct AnnealProblem {
   std::function<double()> cost;        ///< full cost of the current state
   std::function<void(Rng&)> propose;   ///< apply a random move
   std::function<void()> undo;          ///< revert the last move
   std::function<void()> snapshot;      ///< record current state as best (optional)
-
-  // Optional batched-calibration support.  When generateNeighbor AND costAt
-  // are set, temperature calibration draws its whole probe batch first
-  // (generateNeighbor must consume exactly the RNG draws propose would and
-  // replicate any proposal-state side effects, WITHOUT touching the current
-  // state) and evaluates the probes via costAt.  Deltas enter the uphill
-  // statistic in probe order regardless of evaluation order, so the
-  // calibrated temperature is bit-identical to the propose/cost/undo path.
-  // rankBatch, when additionally set, returns a permutation of batch
-  // indices giving the *evaluation* order (e.g. a learned surrogate putting
-  // promising probes first — core/surrogate.hpp); it is pure scheduling.
-  std::function<std::vector<double>(Rng&)> generateNeighbor;
-  std::function<double(const std::vector<double>&)> costAt;
-  std::function<std::vector<std::size_t>(const std::vector<std::vector<double>>&)>
-      rankBatch;
 };
 
 /// Run simulated annealing; returns statistics.  The problem's state is left

@@ -50,65 +50,6 @@ CscMatrix<T> CscBuilder::finalize(std::vector<std::size_t>& slotOf) const {
 template CscMatrix<double> CscBuilder::finalize(std::vector<std::size_t>&) const;
 template CscMatrix<std::complex<double>> CscBuilder::finalize(std::vector<std::size_t>&) const;
 
-std::vector<std::size_t> minDegreeOrder(std::size_t n,
-                                        const std::vector<std::size_t>& colPtr,
-                                        const std::vector<std::size_t>& rowIdx) {
-  // Adjacency of A + A^T without the diagonal.  Simple list-of-neighbors
-  // representation: the matrices this library factors are small enough
-  // (hundreds to low thousands of unknowns) that the O(d^2) clique update
-  // per elimination is cheap next to the numeric work it saves.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t c = 0; c < n; ++c)
-    for (std::size_t p = colPtr[c]; p < colPtr[c + 1]; ++p) {
-      const std::size_t r = rowIdx[p];
-      if (r == c) continue;
-      adj[r].push_back(c);
-      adj[c].push_back(r);
-    }
-  for (auto& a : adj) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-  }
-
-  std::vector<char> eliminated(n, 0);
-  std::vector<char> mark(n, 0);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t step = 0; step < n; ++step) {
-    // Min degree among uneliminated nodes; smallest index wins ties.
-    std::size_t best = kNone, bestDeg = kNone;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      if (adj[v].size() < bestDeg) {
-        bestDeg = adj[v].size();
-        best = v;
-      }
-    }
-    order.push_back(best);
-    eliminated[best] = 1;
-    // Eliminating `best` cliques its neighborhood (the fill edges).
-    std::vector<std::size_t> nbrs;
-    nbrs.reserve(adj[best].size());
-    for (std::size_t u : adj[best])
-      if (!eliminated[u]) nbrs.push_back(u);
-    for (std::size_t u : nbrs) {
-      // Remove `best`, add the other neighbors.
-      auto& au = adj[u];
-      au.erase(std::remove(au.begin(), au.end(), best), au.end());
-      for (std::size_t w : au) mark[w] = 1;
-      mark[u] = 1;
-      for (std::size_t w : nbrs)
-        if (!mark[w]) au.push_back(w);
-      for (std::size_t w : au) mark[w] = 0;
-      mark[u] = 0;
-      std::sort(au.begin(), au.end());
-    }
-    adj[best].clear();
-    adj[best].shrink_to_fit();
-  }
-  return order;
-}
-
 template <typename T>
 SparseLuStatus SparseLu<T>::factor(const CscMatrix<T>& a) {
   if (a.colPtr.size() != a.n + 1 || a.row.size() != a.val.size())
@@ -125,12 +66,6 @@ SparseLuStatus SparseLu<T>::analyze(const CscMatrix<T>& a) {
   auto sym = std::make_shared<SparseLuSymbolic>();
   sym->n = n;
   sym->aNnz = a.row.size();
-
-  sym->colOrder.resize(n);
-  if (opts_.ordering == SparseLuOptions::Ordering::MinDegree)
-    sym->colOrder = minDegreeOrder(n, a.colPtr, a.row);
-  else
-    std::iota(sym->colOrder.begin(), sym->colOrder.end(), std::size_t{0});
 
   sym->pivotRow.assign(n, kNone);
   sym->stepOfRow.assign(n, kNone);
@@ -164,10 +99,9 @@ SparseLuStatus SparseLu<T>::analyze(const CscMatrix<T>& a) {
   const double n2 = static_cast<double>(n) * static_cast<double>(n);
 
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t col = sym->colOrder[j];
     // Scatter the structural column.
     pat.clear();
-    for (std::size_t p = a.colPtr[col]; p < a.colPtr[col + 1]; ++p) {
+    for (std::size_t p = a.colPtr[j]; p < a.colPtr[j + 1]; ++p) {
       const std::size_t r = a.row[p];
       w[r] = a.val[p];
       inPat[r] = 1;
@@ -344,10 +278,9 @@ SparseLuStatus SparseLu<T>::refactor(const CscMatrix<T>& a) {
   double maxU = 0.0;
 
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t col = s.colOrder[j];
     // Zero the full scatter pattern, then load the structural values.
     for (std::size_t p = s.patPtr[j]; p < s.patPtr[j + 1]; ++p) w[s.patRow[p]] = T{};
-    for (std::size_t p = a.colPtr[col]; p < a.colPtr[col + 1]; ++p) w[a.row[p]] = a.val[p];
+    for (std::size_t p = a.colPtr[j]; p < a.colPtr[j + 1]; ++p) w[a.row[p]] = a.val[p];
 
     for (std::size_t up = s.uPtr[j]; up < s.uPtr[j + 1]; ++up) {
       const std::size_t m = s.uStep[up];
@@ -381,10 +314,7 @@ SparseLuStatus SparseLu<T>::refactor(const CscMatrix<T>& a) {
     }
     if (best == 0.0 || bestR == kNone) return SparseLuStatus::Singular;
     const std::size_t cached = s.pivotRow[j];
-    bool keep = bestR == cached;
-    if (!keep && opts_.pivotTolerance > 0.0)
-      keep = magnitude(w[cached]) >= opts_.pivotTolerance * best;
-    if (!keep) {
+    if (bestR != cached) {
       // Values drifted across the pivot threshold: the cached sequence
       // would lose accuracy, so pay for a fresh analysis instead.
       ++pivotDriftCount_;
@@ -431,10 +361,7 @@ std::vector<T> SparseLu<T>::solve(const std::vector<T>& b) const {
       xi -= uCsrVal_[p] * x[s.uCsrCol[p]];
     x[i] = xi / dVal_[i];
   }
-  // Undo the column permutation (identity under Natural ordering).
-  std::vector<T> out(n);
-  for (std::size_t j = 0; j < n; ++j) out[s.colOrder[j]] = x[j];
-  return out;
+  return x;
 }
 
 template <typename T>
@@ -443,8 +370,7 @@ std::vector<T> SparseLu<T>::solveTransposed(const std::vector<T>& b) const {
   const SparseLuSymbolic& s = *sym_;
   const std::size_t n = s.n;
   if (b.size() != n) throw std::invalid_argument("SparseLu::solveTransposed: size mismatch");
-  std::vector<T> y(n);
-  for (std::size_t j = 0; j < n; ++j) y[j] = b[s.colOrder[j]];
+  std::vector<T> y = b;
   // U^T is lower triangular (non-unit): forward substitution; U's CSC
   // column i lists sources in ascending step order, matching dense.
   for (std::size_t i = 0; i < n; ++i) {

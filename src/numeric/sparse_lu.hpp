@@ -4,11 +4,11 @@
 // whose *structure* is fixed per netlist while their *values* change on
 // every Newton iteration, continuation rung, and frequency point.  The factorization is therefore split:
 //
-//   analyze  - one pass that records the column elimination order, the
-//              pivot sequence, the fill pattern of L and U, and the pivot
-//              candidate scan order.  O(n^2 + flops), run once per matrix
-//              structure (and shareable across structure-identical systems
-//              via SparseLu::adoptSymbolic / symbolic()).
+//   analyze  - one pass that records the pivot sequence, the fill pattern
+//              of L and U, and the pivot candidate scan order.
+//              O(n^2 + flops), run once per matrix structure (and
+//              shareable across structure-identical systems via
+//              SparseLu::adoptSymbolic / symbolic()).
 //   refactor - numeric-only replay against the cached pattern: O(factor
 //              flops), no allocation, no graph work.  Each column's pivot
 //              choice is re-verified against the cached sequence; when the
@@ -16,28 +16,23 @@
 //              a different row, the factorization transparently re-analyzes
 //              (counted in pivotDriftCount()) so accuracy never degrades.
 //
-// Dense compatibility.  With the default Natural ordering the elimination
-// performs *exactly* the arithmetic of the dense num::LU<T> kernel — same
-// pivot sequence (largest magnitude, earliest simulated physical row on
-// ties), same per-entry update order, same skip of zero multipliers (the
-// dense kernel skips them too), and solves that accumulate in the same
-// direction (U is mirrored into row-major form for back substitution).
-// Factor and solve results are bit-identical to the dense path on every
-// structurally-reachable entry, which is what lets sim/ swap solvers under
-// a differential bit-identity harness.  (The one documented exception is
-// the sign of exact zeros: the dense kernel "subtracts" products with
-// structurally-zero operands, which can flip -0.0 to +0.0 in pathological
-// intermediates.  tests/sparse_test.cpp probes this does not occur on the
-// supported circuit families.)
+// Dense compatibility.  Columns are eliminated in their natural order, so
+// the elimination performs *exactly* the arithmetic of the dense num::LU<T>
+// kernel — same pivot sequence (largest magnitude, earliest simulated
+// physical row on ties), same per-entry update order, same skip of zero
+// multipliers (the dense kernel skips them too), and solves that accumulate
+// in the same direction (U is mirrored into row-major form for back
+// substitution).  Factor and solve results are bit-identical to the dense
+// path on every structurally-reachable entry, which is what lets sim/ swap
+// solvers under a differential bit-identity harness.  (The one documented
+// exception is the sign of exact zeros: the dense kernel "subtracts"
+// products with structurally-zero operands, which can flip -0.0 to +0.0 in
+// pathological intermediates.  tests/sparse_test.cpp probes this does not
+// occur on the supported circuit families.)
 //
-// Fill control.  Ordering::MinDegree preorders columns with a greedy
-// minimum-degree heuristic on the pattern of A + A^T (the classic
-// Markowitz-style fill reducer for unsymmetric MNA matrices); the pivot
-// sequence then no longer matches the dense kernel's, so results agree to
-// rounding rather than bitwise — use it where fill matters more than
-// replayability.  Both orderings report fillRatio(), and two guards let
-// callers bail back to dense LU: maxFillRatio rejects analyses whose
-// factors densify, and maxPivotGrowth rejects numerically wild
+// Guard rails.  fillRatio() reports how dense the factors got, and two
+// guards let callers bail back to dense LU: maxFillRatio rejects analyses
+// whose factors densify, and maxPivotGrowth rejects numerically wild
 // factorizations (max|U| / max|A|).
 #pragma once
 
@@ -99,15 +94,6 @@ enum class SparseLuStatus {
 };
 
 struct SparseLuOptions {
-  enum class Ordering {
-    Natural,   ///< dense-compatible: bit-identical replay of num::LU
-    MinDegree, ///< fill-reducing column preorder on A + A^T
-  };
-  Ordering ordering = Ordering::Natural;
-  /// Refactor pivot acceptance: 0 demands the exact partial-pivot choice
-  /// (any drift re-analyzes); t > 0 keeps the cached pivot while
-  /// |cached| >= t * max|column| (threshold pivoting, MinDegree-style).
-  double pivotTolerance = 0.0;
   /// Analysis fails with ExcessFill when nnz(L+U+D) > maxFillRatio * n^2.
   double maxFillRatio = 1.0;
   /// Factor fails with PivotGrowth when max|U| / max|A| exceeds this;
@@ -115,15 +101,14 @@ struct SparseLuOptions {
   double maxPivotGrowth = 0.0;
 };
 
-/// Immutable result of one symbolic analysis: elimination order, pivot
-/// sequence, factor patterns, and the scan/permutation tables needed to
-/// replay numerics.  Pattern-only (no values), so one analysis is shared
-/// across structure-identical systems of either scalar type — the adopter's
+/// Immutable result of one symbolic analysis: pivot sequence, factor
+/// patterns, and the scan/permutation tables needed to replay numerics.
+/// Pattern-only (no values), so one analysis is shared across
+/// structure-identical systems of either scalar type — the adopter's
 /// refactor re-verifies the pivot sequence against its own values.
 struct SparseLuSymbolic {
   std::size_t n = 0;
   std::size_t aNnz = 0;  ///< entry count of the analyzed matrix (sanity check)
-  std::vector<std::size_t> colOrder;   ///< step j -> original column
   std::vector<std::size_t> pivotRow;   ///< step j -> original row chosen as pivot
   std::vector<std::size_t> stepOfRow;  ///< original row -> elimination step
   // Scatter pattern per column (original rows incl. fill), for zeroing the
@@ -207,11 +192,5 @@ class SparseLu {
 
 using SparseLuD = SparseLu<double>;
 using SparseLuC = SparseLu<std::complex<double>>;
-
-/// Greedy minimum-degree ordering on the pattern of A + A^T (ties broken by
-/// smallest index, so the order is deterministic).  Exposed for tests.
-std::vector<std::size_t> minDegreeOrder(std::size_t n,
-                                        const std::vector<std::size_t>& colPtr,
-                                        const std::vector<std::size_t>& rowIdx);
 
 }  // namespace amsyn::num

@@ -19,7 +19,7 @@
 // Phase 2's ordering discipline is what keeps the sparse path bit-exact:
 // every matrix entry and residual component is the same rounded sum of the
 // same stamps in the same order the dense path produces, so a factorization
-// that replays dense arithmetic (num::SparseLu, Natural ordering) yields
+// that replays dense arithmetic (num::SparseLu) yields
 // bit-identical solutions.  The union pattern makes mode switches free —
 // positions a given analysis does not use simply hold explicit zeros, which
 // is also what the dense matrix holds there.

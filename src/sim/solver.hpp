@@ -18,8 +18,8 @@
 //   - SparsePatternSolver<T>, the per-analysis wrapper that adopts/publishes
 //     cached symbolics, maps SparseLuStatus to an outcome the caller can
 //     act on (Singular, or Fallback => redo with dense — identical results
-//     by construction in Natural ordering), and feeds the sim.sparse.*
-//     counters.
+//     by construction, since the sparse LU replays the dense kernel), and
+//     feeds the sim.sparse.* counters.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +119,6 @@ class SparsePatternSolver {
  private:
   static num::SparseLuOptions luOptions() {
     num::SparseLuOptions o;
-    o.ordering = num::SparseLuOptions::Ordering::Natural;  // dense-compatible
     o.maxFillRatio = 0.8;      // denser than this and dense LU is cheaper
     o.maxPivotGrowth = 1e12;   // numerically wild => let dense handle it
     return o;

@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <array>
-#include <atomic>
 #include <string>
 
 #include "core/metrics.hpp"
@@ -54,87 +53,19 @@ const FailureCounters& failureCounters() {
   return ids;
 }
 
-/// resetFailureStats() baselines — the registry is monotonic, so "reset" is
-/// a process-wide baseline capture for the delta reads below.
-struct FailureBaselines {
-  std::array<std::atomic<std::uint64_t>, core::kEvalStatusCount> byReason{};
-  std::array<std::atomic<std::uint64_t>, kStrategyCount> strategies{};
-};
-
-FailureBaselines gFailureBase;
-
-// Per-thread baselines for the legacy simStats() view: the registry shard is
-// monotonic, so "reset" is a baseline capture, not a zeroing.
-thread_local SimStats tlBase;
-thread_local SimStats tlView;
-
-std::uint64_t sinceBase(std::uint64_t current, std::uint64_t base) {
-  // A metrics::Registry::reset() between baseline and read can make the
-  // shard value run behind the baseline; saturate instead of wrapping.
-  return current >= base ? current - base : current;
-}
-
 }  // namespace
 
 void recordLuFactorization() { metrics::add(luCounters().factorizations); }
 
 void recordLuReuse() { metrics::add(luCounters().reuses); }
 
-SimStats& simStats() {
-  auto& reg = metrics::registry();
-  tlView.luFactorizations =
-      sinceBase(reg.threadValue(luCounters().factorizations), tlBase.luFactorizations);
-  tlView.luReuses = sinceBase(reg.threadValue(luCounters().reuses), tlBase.luReuses);
-  return tlView;
-}
-
-void resetSimStats() {
-  auto& reg = metrics::registry();
-  tlBase.luFactorizations = reg.threadValue(luCounters().factorizations);
-  tlBase.luReuses = reg.threadValue(luCounters().reuses);
-  tlView = SimStats{};
-}
-
-SimStats totalSimStats() {
-  auto& reg = metrics::registry();
-  SimStats total;
-  total.luFactorizations = reg.total(luCounters().factorizations);
-  total.luReuses = reg.total(luCounters().reuses);
-  return total;
-}
-
 void recordDcStrategy(DcStrategy s) {
   metrics::add(failureCounters().strategies[static_cast<std::size_t>(s)]);
-}
-
-std::uint64_t dcStrategyCount(DcStrategy s) {
-  const auto ix = static_cast<std::size_t>(s);
-  return sinceBase(
-      metrics::registry().total(failureCounters().strategies[ix]),
-      gFailureBase.strategies[ix].load(std::memory_order_relaxed));
 }
 
 void recordEvalFailure(core::EvalStatus reason) {
   if (reason == core::EvalStatus::Ok || reason == core::EvalStatus::kCount) return;
   metrics::add(failureCounters().byReason[static_cast<std::size_t>(reason)]);
-}
-
-std::uint64_t evalFailureCount(core::EvalStatus reason) {
-  const auto ix = static_cast<std::size_t>(reason);
-  if (ix == 0 || ix >= core::kEvalStatusCount) return 0;
-  return sinceBase(metrics::registry().total(failureCounters().byReason[ix]),
-                   gFailureBase.byReason[ix].load(std::memory_order_relaxed));
-}
-
-void resetFailureStats() {
-  const FailureCounters& ids = failureCounters();
-  auto& reg = metrics::registry();
-  for (std::size_t i = 1; i < core::kEvalStatusCount; ++i)
-    gFailureBase.byReason[i].store(reg.total(ids.byReason[i]),
-                                   std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kStrategyCount; ++i)
-    gFailureBase.strategies[i].store(reg.total(ids.strategies[i]),
-                                     std::memory_order_relaxed);
 }
 
 }  // namespace amsyn::sim

@@ -1,26 +1,21 @@
-// Observability counters for the analyses in this module — thin shims over
-// the process-wide metrics registry (core/metrics.hpp).
+// Observability counters for the analyses in this module — thin recording
+// shims over the process-wide metrics registry (core/metrics.hpp).
 //
 // Linear-solver traffic: AC and transient sweeps cache their LU
 // factorization and re-factor only when the matrix values change
 // (sim/ac.cpp, sim/transient.cpp).  The counters live in the registry as
 // "sim.lu_factorizations" / "sim.lu_reuses", sharded per thread: the
 // recording hot path is lock-free, and aggregation sums every thread's
-// shard.  This fixes the PR-1 bug where the counters were plain
-// thread_locals — an analysis that ran on a pool thread (corner fan-out,
-// genetic batches, multi-start anneals) accrued its counts on the worker
-// and the caller never saw them.  simStats() keeps the old per-thread view
-// for tests that run an analysis on the calling thread; totalSimStats() is
-// the run-total view and is thread-count-invariant.
+// shard, so traffic recorded on a pool worker reaches the run totals.
 //
 // Failure taxonomy: per-reason tallies of failed candidate evaluations and
-// continuation-strategy usage (newton/gmin/source).  These are first-class
-// registry counters ("sim.fail.<reason>", "sim.strategy.<name>") — the
-// legacy FailureStats process-global atomics and their registerExternal
-// bridge are retired, which is what lets per-context metric slices cover
-// the failure taxonomy like every other counter.  The registry is
-// monotonic, so resetFailureStats() is a baseline capture (reads below are
-// deltas since the last reset), not a zeroing.
+// continuation-strategy usage (newton/gmin/source), registered as
+// "sim.fail.<reason>" and "sim.strategy.<name>".
+//
+// Reading is the registry's job: Registry::total(name) for process totals,
+// or an ExecutionContext's sliceCounters() for exactly the traffic recorded
+// under that context (on its own thread and on the pool workers it fans out
+// to).  Both are monotonic, so callers read deltas, never reset.
 #pragma once
 
 #include <cstdint>
@@ -29,27 +24,10 @@
 
 namespace amsyn::sim {
 
-struct SimStats {
-  std::uint64_t luFactorizations = 0;  ///< dense LU factorizations computed
-  std::uint64_t luReuses = 0;          ///< solves served from a cached factorization
-};
-
 /// Record one LU factorization / cache reuse (hot path; calling thread's
 /// registry shard).
 void recordLuFactorization();
 void recordLuReuse();
-
-/// View of the *calling thread's* counters since its last resetSimStats().
-/// Read-only shim: writes to the returned struct are not recorded.
-SimStats& simStats();
-
-/// Baseline the calling thread's view at the current counts.
-void resetSimStats();
-
-/// Process-wide totals aggregated over every thread (live and exited) since
-/// the last metrics::Registry::reset().  Use this for run totals: it is
-/// correct at any AMSYN_THREADS.
-SimStats totalSimStats();
 
 /// DC continuation strategies tallied under "sim.strategy.<name>".
 enum class DcStrategy : std::uint8_t { Newton = 0, Gmin, Source };
@@ -57,18 +35,7 @@ enum class DcStrategy : std::uint8_t { Newton = 0, Gmin, Source };
 /// Tally one DC operating point that converged via `s` (hot path).
 void recordDcStrategy(DcStrategy s);
 
-/// Process-wide uses of one strategy since the last resetFailureStats().
-std::uint64_t dcStrategyCount(DcStrategy s);
-
 /// Tally one failed evaluation under its reason code (no-op for Ok).
 void recordEvalFailure(core::EvalStatus reason);
-
-/// Process-wide failures of one reason since the last resetFailureStats().
-std::uint64_t evalFailureCount(core::EvalStatus reason);
-
-/// Baseline every failure/strategy counter at its current total, so the
-/// reads above start from zero.  The underlying registry counters are NOT
-/// zeroed: process totals (and report snapshots) stay monotonic.
-void resetFailureStats();
 
 }  // namespace amsyn::sim

@@ -47,28 +47,11 @@ class CostFunction {
   };
   Detail detailed(const std::vector<double>& x) const;
 
-  /// Surrogate-predicted scalar cost at x, for ordering-mode batch pre-
-  /// ranking.  nullopt when the surrogate is off, the model attests no
-  /// signature, or any spec head is not yet predictable — ordering callers
-  /// then keep the original order.  Never evaluates the model.
-  std::optional<double> predictedCost(const std::vector<double>& x) const;
-
   const SpecSet& specs() const { return specs_; }
   const PerformanceModel& model() const { return model_; }
   std::size_t evaluationCount() const { return evals_.load(std::memory_order_relaxed); }
 
  private:
-  /// Shared spec arithmetic: penalties, objectives, feasibility, and the
-  /// non-finite containment — everything detailed() does after the model
-  /// evaluation, reused by the pruned and predicted paths so a synthetic
-  /// verdict scores exactly like a real map with the same values.
-  void score(Detail& d) const;
-
-  /// Pruning mode: a Detail built from predictions instead of an evaluation
-  /// when every gate holds (calibrated band confidently below the margin
-  /// threshold); nullopt means "evaluate for real".
-  std::optional<Detail> tryPrune(const std::vector<double>& x) const;
-
   const PerformanceModel& model_;
   SpecSet specs_;
   CostOptions opts_;

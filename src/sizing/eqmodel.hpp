@@ -33,9 +33,8 @@ class ComposedOpampModel : public PerformanceModel {
   /// transaction — so caching them is pure overhead (the BENCH_cache
   /// genetic workload measures exactly this floor).
   EvalCost evalCost() const override { return EvalCost::Cheap; }
-  /// Cheap models are never pruned (tryPrune skips them) but still attest a
-  /// signature — structure name and load; the process rides as context — so
-  /// ordering mode can pre-rank genetic offspring over the amplifier library.
+  /// Surrogate class: structure name and load; the process rides as
+  /// context, so instances at different process points train one model.
   std::optional<SurrogateSignature> surrogateSignature() const override {
     return surrogateSig_;
   }

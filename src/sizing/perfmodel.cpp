@@ -11,15 +11,16 @@ using core::EvalStatus;
 
 namespace {
 
-/// Feed one fresh evaluation to the surrogate store.  Training data is the
-/// by-product of real evaluations only: feasible maps (the taxonomy keys
-/// "_infeasible"/"_status" never become regression targets), fresh misses
-/// (cache hits return before this point), and never pruned verdicts (the
-/// prune path skips safeEvaluate entirely) — so the surrogate can never
-/// train on its own predictions.
+/// Feed one fresh evaluation to the surrogate store, whose only consumer is
+/// the corner hunt's vertex screen (manufacture::worstCaseCorner).  Training
+/// data is the by-product of real evaluations only: feasible maps (the
+/// taxonomy keys "_infeasible"/"_status" never become regression targets)
+/// and fresh misses (cache hits return before this point).  A screened
+/// vertex is never evaluated, so the surrogate can never train on its own
+/// predictions.
 void observeSurrogate(core::ExecutionContext& ctx, const PerformanceModel& model,
                       const std::vector<double>& x, const Performance& perf) {
-  if (ctx.config().surrogateMode == core::surrogate::Mode::Off) return;
+  if (!ctx.config().surrogateScreening) return;
   if (perf.count("_infeasible")) return;
   const auto cand = surrogateCandidate(model, x);
   if (!cand) return;

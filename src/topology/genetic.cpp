@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
-#include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "numeric/rng.hpp"
 #include "sim/stats.hpp"
@@ -71,33 +68,8 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
   // bit-identical to a failure-free run.
   auto evaluateBatch = [&](std::vector<Individual>& batch, std::size_t first) {
     const std::size_t n = batch.size() - first;
-    // Surrogate ordering: pre-rank the offspring by predicted cost so the
-    // parallel claim sequence (parallelFor hands out loop indices in claim
-    // order) starts with the most promising candidates.  Each result still
-    // lands in its individual's own slot and every reduction below scans
-    // population order, so the permutation is pure scheduling — scores and
-    // the winner are bit-identical to the unranked run.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    if (core::currentSurrogateMode() != core::surrogate::Mode::Off) {
-      std::vector<std::optional<double>> scores(n);
-      bool any = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        try {
-          scores[i] = costs[batch[first + i].topo]->predictedCost(decode(batch[first + i]));
-        } catch (...) {
-          // A malformed custom model throws from decode; ranking must stay
-          // as robust as scoring, so it just leaves the slot unscored.
-        }
-        any = any || scores[i].has_value();
-      }
-      if (any) {
-        order = core::surrogate::orderByScore(scores);
-        core::currentSurrogateStore().noteOrderedBatch();
-      }
-    }
     const auto errs = core::parallelForCaptured(n, [&](std::size_t i) {
-      Individual& ind = batch[first + order[i]];
+      Individual& ind = batch[first + i];
       ind.fitness = -(*costs[ind.topo])(decode(ind));
       if (std::isnan(ind.fitness)) {  // belt and suspenders: never let NaN
         ind.fitness = -std::numeric_limits<double>::infinity();  // win a tournament
@@ -106,7 +78,7 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
     });
     for (std::size_t i = 0; i < errs.size(); ++i) {
       if (!errs[i]) continue;
-      batch[first + order[i]].fitness = -std::numeric_limits<double>::infinity();
+      batch[first + i].fitness = -std::numeric_limits<double>::infinity();
       // bad_alloc classifies as out_of_memory (never retried upstream),
       // anything else internal_error.
       sim::recordEvalFailure(core::classifyException(errs[i]));

@@ -159,7 +159,7 @@ cache::Digest128 keyOf(std::uint64_t tag) {
 core::ContextConfig deterministicConfig() {
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.surrogateMode = surrogate::Mode::Off;
+  cfg.surrogateScreening = false;
   return cfg;
 }
 
@@ -176,7 +176,7 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   ::setenv("AMSYN_SOLVER", "Sparse", 1);  // parser is case-insensitive
   ::setenv("AMSYN_EVAL_CACHE", "off", 1);
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
-  ::setenv("AMSYN_SURROGATE", "ordering", 1);
+  ::setenv("AMSYN_SURROGATE", "on", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900", 1);
   ::setenv("AMSYN_TOPOLOGY_SPACE", "generated", 1);
 
@@ -185,9 +185,12 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EXPECT_EQ(cfg.solver, core::SolverKind::Sparse);
   EXPECT_FALSE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, 1024u);
-  EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Ordering);
+  EXPECT_TRUE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Generated);
+
+  ::setenv("AMSYN_SURROGATE", "1", 1);  // the other spelling of on
+  EXPECT_TRUE(core::ContextConfig::fromEnv().surrogateScreening);
 
   // The largest value that does not overflow is a valid deadline (the
   // budget saturates it; see resilience_test).
@@ -211,14 +214,14 @@ TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EXPECT_EQ(cfg.solver, core::SolverKind::Auto);
   EXPECT_TRUE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, std::size_t{1} << 16);
-  EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Off);
+  EXPECT_FALSE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Legacy);
 }
 
 TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
   EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
-      g7("AMSYN_JOB_DEADLINE_MS");
+      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS");
   ::setenv("AMSYN_THREADS", "junk", 1);
   ::setenv("AMSYN_SOLVER", "quantum", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900ms", 1);  // trailing garbage = unset
@@ -240,6 +243,14 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
   }
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "0", 1);  // degenerate: the default
   EXPECT_EQ(core::ContextConfig::fromEnv().evalCacheCapacity, std::size_t{1} << 16);
+
+  // Screening is on only for "1" and "on"; "0", "off", the empty string,
+  // the former mode names and junk all mean off.  Results are identical
+  // either way, because the screen is argmin-safe.
+  for (const char* off : {"0", "off", "", "ordering", "pruning", "junk"}) {
+    ::setenv("AMSYN_SURROGATE", off, 1);
+    EXPECT_FALSE(core::ContextConfig::fromEnv().surrogateScreening) << "'" << off << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,15 +472,15 @@ TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {
 
 TEST(ContextIsolation, IsolatedSurrogateStoreIsIndependentOfTheSharedOne) {
   core::ContextConfig cfg = deterministicConfig();
-  cfg.surrogateMode = surrogate::Mode::Pruning;
+  cfg.surrogateScreening = true;
   core::ExecutionContext ctx(cfg, core::ContextIsolation{.surrogate = true});
   ASSERT_TRUE(ctx.hasIsolatedSurrogate());
   ASSERT_NE(&ctx.surrogateStore(), &surrogate::Store::instance());
-  // The mode is the context's, not the store's: the ambient context keeps
+  // The switch is the context's, not the store's: the ambient context keeps
   // its own whatever this one was built with.
-  EXPECT_EQ(ctx.config().surrogateMode, surrogate::Mode::Pruning);
-  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateMode,
-            core::ContextConfig::fromEnv().surrogateMode);
+  EXPECT_TRUE(ctx.config().surrogateScreening);
+  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateScreening,
+            core::ContextConfig::fromEnv().surrogateScreening);
 
   // Learned state never crosses between the two stores.
   auto& shared = surrogate::Store::instance();
@@ -706,11 +717,11 @@ TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) 
   // Neither context is isolated: both resolve the process cache and store.
   core::ContextConfig cfgA = core::ContextConfig::fromEnv();
   cfgA.evalCacheEnabled = false;
-  cfgA.surrogateMode = surrogate::Mode::Ordering;
+  cfgA.surrogateScreening = true;
   cfgA.solver = core::SolverKind::Dense;
   core::ContextConfig cfgB = core::ContextConfig::fromEnv();
   cfgB.evalCacheEnabled = true;
-  cfgB.surrogateMode = surrogate::Mode::Off;
+  cfgB.surrogateScreening = false;
   cfgB.solver = core::SolverKind::Auto;
   core::ExecutionContext a(cfgA);
   core::ExecutionContext b(cfgB);
@@ -725,7 +736,7 @@ TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) 
     }
   });
 
-  // A: cache off, so no lookups at all; its ordering mode trained the store.
+  // A: cache off, so no lookups at all; its screening trained the store.
   EXPECT_EQ(sliceValue(a, "core.cache.hits"), 0u);
   EXPECT_EQ(sliceValue(a, "core.cache.misses"), 0u);
   EXPECT_GT(sliceValue(a, "core.surrogate.observations"), 0u);
@@ -738,39 +749,39 @@ TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) 
 }
 
 TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMode) {
-  // robustSynthesize runs its optimizer phases with pruning downgraded to
-  // ordering.  That downgrade must stay inside the pruning job: a flow
-  // running concurrently in Off mode, and any later ambient flow, keep
-  // their own mode.
+  // A screening robustSynthesize trains the shared store and screens its
+  // hunts.  That must stay inside the screening job: a flow running
+  // concurrently with screening off, and any later ambient flow, keep their
+  // own setting.
   CacheGuard guard;
   surrogate::Store::instance().clear();
   core::ScopedThreadPool pool(2);
   core::ContextConfig cfgP = core::ContextConfig::fromEnv();
-  cfgP.surrogateMode = surrogate::Mode::Pruning;
+  cfgP.surrogateScreening = true;
   core::ContextConfig cfgO = core::ContextConfig::fromEnv();
-  cfgO.surrogateMode = surrogate::Mode::Off;
-  core::ExecutionContext pruning(cfgP);
+  cfgO.surrogateScreening = false;
+  core::ExecutionContext screening(cfgP);
   core::ExecutionContext off(cfgO);
-  runInterleaved(pruning, off, [](core::ExecutionContext&) {
+  runInterleaved(screening, off, [](core::ExecutionContext&) {
     for (int round = 0; round < 2; ++round) (void)robustProblem();
   });
-  EXPECT_GT(sliceValue(pruning, "core.surrogate.observations"), 0u);
+  EXPECT_GT(sliceValue(screening, "core.surrogate.observations"), 0u);
   EXPECT_EQ(sliceValue(off, "core.surrogate.observations"), 0u);
 
   // A fresh ambient flow (no scope) trains the store exactly when the
-  // environment's mode says so.  The cache is emptied first: cache hits
-  // return before the training tap, so a warm cache would hide the mode.
-  const surrogate::Mode envMode = core::ContextConfig::fromEnv().surrogateMode;
-  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateMode, envMode);
+  // environment says so.  The cache is emptied first: cache hits return
+  // before the training tap, so a warm cache would hide the setting.
+  const bool envScreening = core::ContextConfig::fromEnv().surrogateScreening;
+  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateScreening, envScreening);
   cache::EvalCache::instance().clear();
   const std::uint64_t before = metrics::registry().total("core.surrogate.observations");
   (void)robustProblem();
   const std::uint64_t observed =
       metrics::registry().total("core.surrogate.observations") - before;
-  if (envMode == surrogate::Mode::Off)
-    EXPECT_EQ(observed, 0u);
-  else
+  if (envScreening)
     EXPECT_GT(observed, 0u);
+  else
+    EXPECT_EQ(observed, 0u);
   surrogate::Store::instance().clear();
 }
 

@@ -1,7 +1,7 @@
 // Tests for the observability layer: the sharded metrics registry
 // (core/metrics.hpp), hierarchical trace spans (core/trace.hpp), the JSON
-// run report (core/runreport.hpp), and the sim::SimStats /
-// sim::FailureStats shims on top of them.
+// run report (core/runreport.hpp), and the sim/stats.hpp recording shims
+// on top of them, read back through registry totals and context slices.
 //
 // The registry's totals are monotonic process-wide accumulators, so every
 // test here measures *deltas* against a baseline taken at its start instead
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "circuit/parser.hpp"
+#include "core/context.hpp"
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
@@ -64,6 +65,22 @@ sz::SynthesisOptions fastSynthesisOptions() {
   opts.refineEvaluations = 40;
   return opts;
 }
+
+/// A fresh explicit context installed for the rest of the enclosing scope.
+/// Its metrics slice counts exactly the traffic recorded from here on.
+class SliceProbe {
+ public:
+  SliceProbe() : ctx_(core::ContextConfig::fromEnv()), scope_(ctx_) {}
+  std::uint64_t operator[](const std::string& name) const {
+    const auto counters = ctx_.sliceCounters();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
+
+ private:
+  core::ExecutionContext ctx_;
+  core::ContextScope scope_;
+};
 
 }  // namespace
 
@@ -144,49 +161,55 @@ TEST(Metrics, ExitedThreadCountsFoldIntoRetiredTotals) {
 
 TEST(SimStatsShim, TotalCapturesPoolThreadLuTraffic) {
   // The PR-1 bug: LU counters were plain thread_locals, so factorizations
-  // recorded on a pool worker never reached the caller.  totalSimStats()
+  // recorded on a pool worker never reached the caller.  The registry total
   // must see all of them, at any thread count.
-  const auto before = sim::totalSimStats();
+  auto& reg = metrics::Registry::instance();
+  const auto before = reg.total("sim.lu_factorizations");
   core::ScopedThreadPool scoped(4);
   core::parallelFor(32, [&](std::size_t) { sim::recordLuFactorization(); });
-  const auto after = sim::totalSimStats();
-  EXPECT_EQ(after.luFactorizations - before.luFactorizations, 32u);
+  EXPECT_EQ(reg.total("sim.lu_factorizations") - before, 32u);
 }
 
 TEST(SimStatsShim, ThreadViewBaselinesOnReset) {
-  sim::resetSimStats();
-  EXPECT_EQ(sim::simStats().luFactorizations, 0u);
-  EXPECT_EQ(sim::simStats().luReuses, 0u);
-  sim::recordLuFactorization();
-  sim::recordLuFactorization();
-  sim::recordLuReuse();
-  EXPECT_EQ(sim::simStats().luFactorizations, 2u);
-  EXPECT_EQ(sim::simStats().luReuses, 1u);
-  sim::resetSimStats();
-  EXPECT_EQ(sim::simStats().luFactorizations, 0u);
-  EXPECT_EQ(sim::simStats().luReuses, 0u);
+  // A context's slice is the per-job view: it starts at zero, counts only
+  // the traffic recorded under it, and a fresh context starts at zero again.
+  {
+    SliceProbe slice;
+    EXPECT_EQ(slice["sim.lu_factorizations"], 0u);
+    EXPECT_EQ(slice["sim.lu_reuses"], 0u);
+    sim::recordLuFactorization();
+    sim::recordLuFactorization();
+    sim::recordLuReuse();
+    EXPECT_EQ(slice["sim.lu_factorizations"], 2u);
+    EXPECT_EQ(slice["sim.lu_reuses"], 1u);
+  }
+  SliceProbe fresh;
+  EXPECT_EQ(fresh["sim.lu_factorizations"], 0u);
+  EXPECT_EQ(fresh["sim.lu_reuses"], 0u);
 }
 
 TEST(SimStatsShim, FailureTalliesAreFirstClassRegistryCounters) {
   auto& reg = metrics::Registry::instance();
   const auto nanBefore = reg.total("sim.fail.nan_detected");
   const auto gminBefore = reg.total("sim.strategy.gmin");
-  sim::resetFailureStats();
-  sim::recordEvalFailure(core::EvalStatus::NanDetected);
-  sim::recordEvalFailure(core::EvalStatus::NanDetected);
-  sim::recordDcStrategy(sim::DcStrategy::Gmin);
-  EXPECT_EQ(sim::evalFailureCount(core::EvalStatus::NanDetected), 2u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Gmin), 1u);
+  {
+    SliceProbe slice;
+    sim::recordEvalFailure(core::EvalStatus::NanDetected);
+    sim::recordEvalFailure(core::EvalStatus::NanDetected);
+    sim::recordDcStrategy(sim::DcStrategy::Gmin);
+    EXPECT_EQ(slice["sim.fail.nan_detected"], 2u);
+    EXPECT_EQ(slice["sim.strategy.gmin"], 1u);
+  }
   EXPECT_EQ(reg.total("sim.fail.nan_detected"), nanBefore + 2u);
   EXPECT_EQ(reg.total("sim.strategy.gmin"), gminBefore + 1u);
   const auto snap = reg.snapshot();
   ASSERT_TRUE(snap.counters.count("sim.fail.nan_detected"));
   ASSERT_TRUE(snap.counters.count("sim.strategy.gmin"));
-  // Reset re-baselines the shim reads but never zeroes the registry: the
-  // process totals (and report snapshots) stay monotonic.
-  sim::resetFailureStats();
-  EXPECT_EQ(sim::evalFailureCount(core::EvalStatus::NanDetected), 0u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Gmin), 0u);
+  // A fresh context reads zero but never zeroes the registry: the process
+  // totals (and report snapshots) stay monotonic.
+  SliceProbe fresh;
+  EXPECT_EQ(fresh["sim.fail.nan_detected"], 0u);
+  EXPECT_EQ(fresh["sim.strategy.gmin"], 0u);
   EXPECT_EQ(reg.total("sim.fail.nan_detected"), nanBefore + 2u);
 }
 
@@ -341,15 +364,15 @@ C1 out 0 1n
   sim::Mna mna(net, nominal());
   auto& reg = metrics::Registry::instance();
   const auto dcBefore = reg.total("sim.dc_solves");
-  const auto luBefore = sim::totalSimStats();
+  const auto factBefore = reg.total("sim.lu_factorizations");
+  const auto reuseBefore = reg.total("sim.lu_reuses");
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   const auto sweep = sim::acAnalysis(mna, op, "out", {1e3, 1e3, 2e3, 2e3});
   ASSERT_EQ(sweep.points.size(), 4u);
   EXPECT_EQ(reg.total("sim.dc_solves") - dcBefore, 1u);
-  const auto luAfter = sim::totalSimStats();
-  EXPECT_EQ(luAfter.luFactorizations - luBefore.luFactorizations, 2u);
-  EXPECT_EQ(luAfter.luReuses - luBefore.luReuses, 2u);
+  EXPECT_EQ(reg.total("sim.lu_factorizations") - factBefore, 2u);
+  EXPECT_EQ(reg.total("sim.lu_reuses") - reuseBefore, 2u);
   EXPECT_GE(reg.total("sim.ac_points"), 4u);
 }
 

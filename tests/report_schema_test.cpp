@@ -91,14 +91,13 @@ std::string neutralizeSpans(const std::string& json) {
   return json.substr(0, pos) + "\"spans\": \"<masked>\"\n}\n";
 }
 
-std::string normalizedFlowReport(
-    amsyn::core::surrogate::Mode surrogate = amsyn::core::surrogate::Mode::Off) {
+std::string normalizedFlowReport(bool surrogateScreening = false) {
   // Pinned configuration: fixed seed, fixed thread count, cache enabled at
   // defaults — the same flow tests/evalcache_test.cpp proves bit-identical
   // across all of these knobs, so this report is reproducible everywhere.
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.surrogateMode = surrogate;
+  cfg.surrogateScreening = surrogateScreening;
   core::ExecutionContext ctx(cfg);
   core::ContextScope scope(ctx);
   core::cache::EvalCache::instance().clear();
@@ -147,16 +146,12 @@ TEST(ReportSchema, FlowRunReportMatchesGolden) {
 
 TEST(ReportSchema, SchemaIsSurrogateModeIndependent) {
   // The core.surrogate.* counters register eagerly (not at first use), so
-  // the report's key set — the schema — must be identical whether the
-  // surrogate is off, ordering, or pruning.  For Off and Ordering the whole
-  // normalized report matches (ordering keeps flow results bit-identical;
-  // tests/surrogate_test.cpp proves that at the result level); Pruning in
-  // this flow never fires (equation models are Cheap, below the prune
-  // gate's Heavy threshold), so its report matches too.
-  using amsyn::core::surrogate::Mode;
-  const std::string off = normalizedFlowReport(Mode::Off);
-  EXPECT_EQ(off, normalizedFlowReport(Mode::Ordering));
-  EXPECT_EQ(off, normalizedFlowReport(Mode::Pruning));
+  // the report's key set — the schema — must be identical whether
+  // screening is on or off.  The whole normalized report matches too:
+  // screening never changes a result (tests/surrogate_test.cpp proves that
+  // at the result level), and counter values are masked.
+  EXPECT_EQ(normalizedFlowReport(/*surrogateScreening=*/false),
+            normalizedFlowReport(/*surrogateScreening=*/true));
 }
 
 TEST(ReportSchema, MaskingIsStableAcrossRuns) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "circuit/parser.hpp"
+#include "core/context.hpp"
 #include "core/evalstatus.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
@@ -41,6 +42,26 @@ using core::EvalStatus;
 namespace {
 
 const ckt::Process& proc() { return ckt::defaultProcess(); }
+
+/// A fresh explicit context installed for the rest of the enclosing scope.
+/// Its metrics slice counts exactly the failures and strategies recorded
+/// from here on, on this thread and on any pool worker the work fans out to.
+class SliceProbe {
+ public:
+  SliceProbe() : ctx_(core::ContextConfig::fromEnv()), scope_(ctx_) {}
+  std::uint64_t operator[](const std::string& name) const {
+    const auto counters = ctx_.sliceCounters();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
+  std::uint64_t failures(EvalStatus s) const {
+    return (*this)[std::string("sim.fail.") + core::evalStatusName(s)];
+  }
+
+ private:
+  core::ExecutionContext ctx_;
+  core::ContextScope scope_;
+};
 
 /// A nonlinear circuit whose operating point needs several Newton
 /// iterations: NMOS inverter with a resistive load.
@@ -153,19 +174,19 @@ TEST(EvalBudget, PerformanceStatusRoundTrips) {
 // --- continuation ladder under injected faults ----------------------------
 
 TEST(FaultInjection, CleanSolveUsesNewtonStrategy) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::Ok);
   EXPECT_EQ(op.strategy, "newton");
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Newton), 1u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Gmin), 0u);
+  EXPECT_EQ(slice["sim.strategy.newton"], 1u);
+  EXPECT_EQ(slice["sim.strategy.gmin"], 0u);
 }
 
 TEST(FaultInjection, SingleNewtonFailureFallsBackToGminRung) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -181,13 +202,13 @@ TEST(FaultInjection, SingleNewtonFailureFallsBackToGminRung) {
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::Ok);
   EXPECT_EQ(op.strategy, "gmin");
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Gmin), 1u);
+  EXPECT_EQ(slice["sim.strategy.gmin"], 1u);
   for (std::size_t i = 0; i < clean.x.size(); ++i)
     EXPECT_NEAR(op.x[i], clean.x[i], 1e-6);
 }
 
 TEST(FaultInjection, DoubleNewtonFailureFallsBackToSourceRung) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -197,11 +218,11 @@ TEST(FaultInjection, DoubleNewtonFailureFallsBackToSourceRung) {
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.strategy, "source");
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Source), 1u);
+  EXPECT_EQ(slice["sim.strategy.source"], 1u);
 }
 
 TEST(FaultInjection, AllRungsKilledRecordsReasonCode) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -211,7 +232,7 @@ TEST(FaultInjection, AllRungsKilledRecordsReasonCode) {
   const auto op = sim::dcOperatingPoint(mna);
   EXPECT_FALSE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::SingularJacobian);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::SingularJacobian), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::SingularJacobian), 1u);
 }
 
 TEST(FaultInjection, NanResidualBailsImmediatelyAndLadderRecovers) {
@@ -232,7 +253,7 @@ TEST(FaultInjection, NanResidualBailsImmediatelyAndLadderRecovers) {
 }
 
 TEST(FaultInjection, InjectedExhaustionFiresWithoutRealBudget) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -243,13 +264,13 @@ TEST(FaultInjection, InjectedExhaustionFiresWithoutRealBudget) {
   const auto op = sim::dcOperatingPoint(mna);
   EXPECT_FALSE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::BudgetExhausted);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::BudgetExhausted), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::BudgetExhausted), 1u);
 }
 
 // --- work budgets ---------------------------------------------------------
 
 TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -260,7 +281,7 @@ TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
   EXPECT_FALSE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::BudgetExhausted);
   EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::BudgetExhausted), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::BudgetExhausted), 1u);
 
   // Identical budget, identical stop: the cutoff is counted, not timed.
   core::EvalBudget again(2);
@@ -295,7 +316,7 @@ TEST(WorkBudget, TransientReturnsPartialWaveformOnExhaustion) {
 }
 
 TEST(WorkBudget, SimulationModelReportsBudgetExhausted) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   sizing::OpampTestbench tb;
   auto tmpl = sizing::twoStageTemplate(proc(), tb);
   sizing::SimModelOptions mopts;
@@ -306,7 +327,7 @@ TEST(WorkBudget, SimulationModelReportsBudgetExhausted) {
   const auto perf = model.evaluate(model.initialPoint());
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::BudgetExhausted);
-  EXPECT_GE(sim::evalFailureCount(EvalStatus::BudgetExhausted), 1u);
+  EXPECT_GE(slice.failures(EvalStatus::BudgetExhausted), 1u);
 }
 
 TEST(WorkBudget, CooperativeCancelDegradesToBudgetExhausted) {
@@ -375,7 +396,7 @@ TEST(DcTransfer, OutputSwingReportsUnconvergedPoints) {
 // --- AC under injected faults ---------------------------------------------
 
 TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   auto net = rcDeck();
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
@@ -386,7 +407,7 @@ TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
   sim::ScopedFaultInjection inject(plan);
   const auto sweep = sim::acAnalysis(mna, op, "out", sim::logspace(1.0, 1e6, 3));
   EXPECT_EQ(sweep.status, EvalStatus::SingularJacobian);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::SingularJacobian), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::SingularJacobian), 1u);
   // Measurement helpers treat the truncated sweep as data, not a crash.
   EXPECT_FALSE(sim::unityGainFrequency(sweep).has_value());
 }
@@ -394,21 +415,21 @@ TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
 // --- containment boundaries -----------------------------------------------
 
 TEST(Containment, SafeEvaluateAbsorbsThrowingModel) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   const ThrowingModel model;
   const auto perf = sizing::safeEvaluate(model, {2.0});
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::InternalError);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::InternalError), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::InternalError), 1u);
 }
 
 TEST(Containment, SafeEvaluateTagsNanScores) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   const NanModel model;
   const auto perf = sizing::safeEvaluate(model, {2.0});
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::NanDetected);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::NanDetected), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::NanDetected), 1u);
 }
 
 TEST(Containment, CostFunctionIsTotalOverPoisonedModels) {
@@ -467,7 +488,7 @@ R2 x 0 1k
 // --- selection layers -----------------------------------------------------
 
 TEST(Selection, IntervalSelectMarksNanScoresInfeasible) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   topology::TopologyLibrary lib;
   topology::TopologyEntry good;
@@ -489,7 +510,7 @@ TEST(Selection, IntervalSelectMarksNanScoresInfeasible) {
   EXPECT_EQ(ranked[1].score, -std::numeric_limits<double>::infinity());
   ASSERT_FALSE(ranked[1].reasons.empty());
   EXPECT_NE(ranked[1].reasons.back().find("nan_detected"), std::string::npos);
-  EXPECT_EQ(sim::evalFailureCount(EvalStatus::NanDetected), 1u);
+  EXPECT_EQ(slice.failures(EvalStatus::NanDetected), 1u);
 }
 
 TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
@@ -524,7 +545,7 @@ TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
 }
 
 TEST(Selection, WorstCaseCornerSurvivesThrowingCorners) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   const ckt::Process nominal = proc();
   // Corners that lower VDD make the model throw: the hunt must treat them
   // as violated (-1 margin) instead of crashing the vertex enumeration.
@@ -559,26 +580,28 @@ TEST(Selection, WorstCaseCornerSurvivesThrowingCorners) {
   const auto wc = manufacture::worstCaseCorner(factory, nominal, space, {2.0},
                                                specs.specs().front());
   EXPECT_EQ(wc.margin, -1.0);  // the throwing corners are the worst case
-  EXPECT_GE(sim::evalFailureCount(EvalStatus::InternalError), 1u);
+  EXPECT_GE(slice.failures(EvalStatus::InternalError), 1u);
 }
 
 // --- counters -------------------------------------------------------------
 
 TEST(FailureCounters, ResetClearsEveryReasonAndStrategy) {
+  // Traffic recorded before a context exists never shows in its slice: a
+  // fresh context is the reset, and the registry itself stays monotonic.
   sim::recordEvalFailure(EvalStatus::NanDetected);
   sim::recordEvalFailure(EvalStatus::BadTopology);
   sim::recordDcStrategy(sim::DcStrategy::Gmin);
-  sim::resetFailureStats();
+  SliceProbe slice;
   for (std::size_t i = 1; i < core::kEvalStatusCount; ++i)
-    EXPECT_EQ(sim::evalFailureCount(static_cast<EvalStatus>(i)), 0u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Newton), 0u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Gmin), 0u);
-  EXPECT_EQ(sim::dcStrategyCount(sim::DcStrategy::Source), 0u);
+    EXPECT_EQ(slice.failures(static_cast<EvalStatus>(i)), 0u);
+  EXPECT_EQ(slice["sim.strategy.newton"], 0u);
+  EXPECT_EQ(slice["sim.strategy.gmin"], 0u);
+  EXPECT_EQ(slice["sim.strategy.source"], 0u);
 }
 
 TEST(FailureCounters, OkIsNeverTallied) {
-  sim::resetFailureStats();
+  SliceProbe slice;
   sim::recordEvalFailure(EvalStatus::Ok);
   for (std::size_t i = 0; i < core::kEvalStatusCount; ++i)
-    EXPECT_EQ(sim::evalFailureCount(static_cast<EvalStatus>(i)), 0u);
+    EXPECT_EQ(slice.failures(static_cast<EvalStatus>(i)), 0u);
 }

@@ -274,9 +274,8 @@ TEST(SparseLu, StructurallySingularReportsSingular) {
 
 namespace {
 
-/// Arrow matrix with the dense hub at row/column 0: worst case for Natural
-/// ordering (complete fill), best case for min-degree (hub eliminated last,
-/// no fill at all).
+/// Arrow matrix with the dense hub at row/column 0: the worst case for
+/// natural-order elimination (complete fill).
 num::CscMatrix<double> arrowMatrix(std::size_t n) {
   num::CscBuilder bld(n);
   std::vector<std::size_t> handles;
@@ -305,41 +304,6 @@ TEST(SparseLu, ExcessFillGuardTripsOnArrowMatrixUnderNaturalOrdering) {
   opts.maxFillRatio = 0.3;  // natural-order arrow fill is ~100%
   num::SparseLu<double> slu(opts);
   EXPECT_EQ(slu.factor(a), num::SparseLuStatus::ExcessFill);
-}
-
-TEST(SparseLu, MinDegreeOrderingKeepsArrowSparseAndAccurate) {
-  const std::size_t n = 40;
-  const auto a = arrowMatrix(n);
-
-  num::SparseLuOptions opts;
-  opts.ordering = num::SparseLuOptions::Ordering::MinDegree;
-  opts.pivotTolerance = 0.1;  // threshold pivoting preserves the ordering's fill win
-  opts.maxFillRatio = 0.3;    // the same bound Natural ordering trips
-  num::SparseLu<double> slu(opts);
-  ASSERT_EQ(slu.factor(a), num::SparseLuStatus::Ok);
-  // Hub eliminated last => factor nnz stays ~3n, far below the n^2 of the
-  // natural order.
-  EXPECT_LT(slu.fillRatio(), 0.15);
-
-  // No longer the dense pivot sequence, so agreement is rounding-level.
-  num::Rng rng(5);
-  const num::VecD b = randomVec(rng, n);
-  const auto xs = slu.solve(b);
-  const auto xd = num::LUD(denseOf(a)).solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-10);
-}
-
-TEST(SparseLu, MinDegreeOrderEliminatesTheHubLast) {
-  const auto a = arrowMatrix(16);
-  const auto order = num::minDegreeOrder(a.n, a.colPtr, a.row);
-  ASSERT_EQ(order.size(), a.n);
-  // Spokes (degree 1) all go before the hub until the hub's own degree has
-  // decayed to 1; the final tie leaves the hub in one of the last two
-  // elimination steps — never early, where it would cause complete fill.
-  std::size_t hubStep = a.n;
-  for (std::size_t s = 0; s < order.size(); ++s)
-    if (order[s] == 0) hubStep = s;
-  EXPECT_GE(hubStep, a.n - 2);
 }
 
 TEST(SparseLu, PivotGrowthGuardTrips) {

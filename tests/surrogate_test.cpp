@@ -1,26 +1,24 @@
 // Tests for learned surrogate screening (core/surrogate.hpp) — the safety
-// harness the ISSUE demands before the surrogate is allowed anywhere near
-// the evaluation hot path:
+// harness that keeps the surrogate's one consumer, the corner hunt's vertex
+// screen, honest:
 //
 //  * Property tests on the incremental ridge model: the Sherman–Morrison
 //    recursion must match a batch normal-equation solve to 1e-10, be
 //    invariant to observation order, shrink to zero under heavy
 //    regularization, and be bit-for-bit deterministic (including under
 //    concurrent prediction through the Store).
-//  * Differential tests: with the surrogate in Ordering mode the full flow
-//    and the robust corner search are *bit-identical* to the surrogate-off
-//    run at 1 and 8 threads, cache on and off.  Ordering is pure
-//    scheduling; identity is the contract, and these tests are the
-//    enforcement.
-//  * Pruning audits: every pruned evaluation is logged with enough context
-//    to re-run it offline.  Hunt-vertex prunes must never beat the found
-//    worst corner (false-prune budget: zero); candidate-level prunes must
-//    be truly infeasible when re-evaluated.
+//  * Differential tests: with screening on, the full flow and the robust
+//    corner search are *bit-identical* to the screening-off run at 1 and 8
+//    threads, cache on and off.  The screen is argmin-safe by construction;
+//    identity is the contract, and these tests are the enforcement.
+//  * Pruning audit: every skipped hunt vertex is logged with enough context
+//    to re-run it offline, and none may beat the found worst corner
+//    (false-prune budget: zero).
 //
 // The store is a process-wide singleton (like the eval cache) and holds no
-// mode: every test runs under a context whose config pins the mode it needs
-// (SurrogateGuard, childWith) and reads statistics as deltas, never
-// absolutes.
+// mode: every test runs under a context whose config pins the screening
+// switch it needs (SurrogateGuard, childWith) and reads statistics as
+// deltas, never absolutes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,7 +43,6 @@
 #include "manufacture/corners.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/rng.hpp"
-#include "sizing/cost.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
 
@@ -72,16 +69,17 @@ std::unique_ptr<core::ExecutionContext> childWith(Edit edit) {
   return parent.makeChild(std::move(cfg));
 }
 
-std::unique_ptr<core::ExecutionContext> childWithMode(surr::Mode mode) {
-  return childWith([mode](core::ContextConfig& cfg) { cfg.surrogateMode = mode; });
+std::unique_ptr<core::ExecutionContext> childWithScreening(bool screening) {
+  return childWith(
+      [screening](core::ContextConfig& cfg) { cfg.surrogateScreening = screening; });
 }
 
 /// RAII scope for the singleton store: clears learned state and the prune
-/// log on entry and exit, and runs the enclosing scope in the requested
-/// mode, so tests cannot leak screening into each other.
+/// log on entry and exit, and runs the enclosing scope with screening on or
+/// off as requested, so tests cannot leak screening into each other.
 struct SurrogateGuard {
-  explicit SurrogateGuard(surr::Mode mode = surr::Mode::Off)
-      : store(surr::Store::instance()), ctx(childWithMode(mode)), scope(*ctx) {
+  explicit SurrogateGuard(bool screening)
+      : store(surr::Store::instance()), ctx(childWithScreening(screening)), scope(*ctx) {
     store.clear();
   }
   ~SurrogateGuard() { store.clear(); }
@@ -349,23 +347,11 @@ TEST(SurrogateRidge, HeadSetDriftIsDeclined) {
   EXPECT_EQ(model.observations(), 1u);
 }
 
-TEST(SurrogateOrdering, OrderByScoreIsStableAndScoredFirst) {
-  const std::vector<std::optional<double>> scores = {
-      std::nullopt, 3.0, 1.0, std::nullopt, 1.0};
-  const auto order = surr::orderByScore(scores);
-  // Scored ascending (ties in original order), then unscored in original
-  // order — a pure, deterministic scheduling permutation.
-  const std::vector<std::size_t> want = {2, 4, 1, 0, 3};
-  EXPECT_EQ(order, want);
-  const auto empty = surr::orderByScore({});
-  EXPECT_TRUE(empty.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Store-level determinism
 
 TEST(SurrogateStore, ConcurrentPredictionsAreBitIdenticalToSerial) {
-  SurrogateGuard guard(surr::Mode::Ordering);
+  SurrogateGuard guard(/*screening=*/true);
   cache::Hasher128 h;
   h.mixString("surrogate-test-store-class");
   const cache::Digest128 key = h.digest();
@@ -395,7 +381,7 @@ TEST(SurrogateStore, ConcurrentPredictionsAreBitIdenticalToSerial) {
 }
 
 TEST(SurrogateStore, ClearDropsLearnedStateAndPruneLog) {
-  SurrogateGuard guard(surr::Mode::Ordering);
+  SurrogateGuard guard(/*screening=*/true);
   cache::Hasher128 h;
   h.mixString("surrogate-test-clear-class");
   const cache::Digest128 key = h.digest();
@@ -424,7 +410,7 @@ TEST(RunReportRatio, ZeroDenominatorEmitsNullNotZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: Ordering mode is bit-identical to Off
+// Differential suite: screening on is bit-identical to screening off
 
 sz::SynthesisOptions fastSynthesisOptions() {
   sz::SynthesisOptions opts;
@@ -436,11 +422,11 @@ sz::SynthesisOptions fastSynthesisOptions() {
   return opts;
 }
 
-core::FlowResult runFlow(surr::Mode mode, bool cacheOn, std::size_t threads) {
+core::FlowResult runFlow(bool screening, bool cacheOn, std::size_t threads) {
   cache::EvalCache::instance().clear();
   surr::Store::instance().clear();  // each arm trains from scratch
   const auto ctx = childWith([&](core::ContextConfig& cfg) {
-    cfg.surrogateMode = mode;
+    cfg.surrogateScreening = screening;
     cfg.evalCacheEnabled = cacheOn;
   });
   core::ContextScope scope(*ctx);
@@ -510,25 +496,25 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
   EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
 }
 
-TEST(SurrogateDifferential, FlowIsBitIdenticalWithOrderingAcrossThreadsAndCache) {
+TEST(SurrogateDifferential, FlowIsBitIdenticalWithScreeningAcrossThreadsAndCache) {
   CacheGuard cguard;
-  SurrogateGuard sguard(surr::Mode::Off);
-  const auto reference = runFlow(surr::Mode::Off, /*cacheOn=*/false, /*threads=*/1);
+  SurrogateGuard sguard(/*screening=*/false);
+  const auto reference = runFlow(/*screening=*/false, /*cacheOn=*/false, /*threads=*/1);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const bool cacheOn : {false, true}) {
       expectFlowsBitIdentical(
-          reference, runFlow(surr::Mode::Ordering, cacheOn, threads),
-          "surrogate=ordering cache=" + std::string(cacheOn ? "on" : "off") +
+          reference, runFlow(/*screening=*/true, cacheOn, threads),
+          "screening=on cache=" + std::string(cacheOn ? "on" : "off") +
               " threads=" + std::to_string(threads));
     }
   }
 }
 
-mf::RobustResult runRobust(surr::Mode mode, bool cacheOn, std::size_t threads) {
+mf::RobustResult runRobust(bool screening, bool cacheOn, std::size_t threads) {
   cache::EvalCache::instance().clear();
   surr::Store::instance().clear();
   const auto ctx = childWith([&](core::ContextConfig& cfg) {
-    cfg.surrogateMode = mode;
+    cfg.surrogateScreening = screening;
     cfg.evalCacheEnabled = cacheOn;
   });
   core::ContextScope scope(*ctx);
@@ -560,22 +546,28 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
   EXPECT_EQ(a.robustEvaluations, b.robustEvaluations);
 }
 
-TEST(SurrogateDifferential, RobustCornerSearchIsBitIdenticalWithOrdering) {
+TEST(SurrogateDifferential, RobustCornerSearchIsBitIdenticalWithScreening) {
+  // Every hunt of the cutting-plane loop consults the screen here (the
+  // store trains on the synthesis traffic and predicts each vertex).  On
+  // this workload the band is too wide to skip a vertex; the hunt-level
+  // audit below covers the skipping path itself.
   CacheGuard cguard;
-  SurrogateGuard sguard(surr::Mode::Off);
-  const auto reference = runRobust(surr::Mode::Off, /*cacheOn=*/false, /*threads=*/1);
+  SurrogateGuard sguard(/*screening=*/false);
+  const auto reference = runRobust(/*screening=*/false, /*cacheOn=*/false, /*threads=*/1);
+  const std::uint64_t predictionsBefore = surr::Store::instance().stats().predictions;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const bool cacheOn : {false, true}) {
       expectRobustBitIdentical(
-          reference, runRobust(surr::Mode::Ordering, cacheOn, threads),
-          "surrogate=ordering cache=" + std::string(cacheOn ? "on" : "off") +
+          reference, runRobust(/*screening=*/true, cacheOn, threads),
+          "screening=on cache=" + std::string(cacheOn ? "on" : "off") +
               " threads=" + std::to_string(threads));
     }
   }
+  EXPECT_GT(surr::Store::instance().stats().predictions, predictionsBefore);
 }
 
 // ---------------------------------------------------------------------------
-// Pruning audits
+// Pruning audit
 
 /// Signed normalized margin (mirror of the hunt's own formula).
 double auditMargin(const sz::Spec& spec, const sz::Performance& perf) {
@@ -617,7 +609,7 @@ TEST(SurrogatePruning, HuntVertexPrunesNeverBeatTheFoundWorstCorner) {
   // surrogate off.
   std::vector<double> offMargins;
   {
-    SurrogateGuard guard(surr::Mode::Off);
+    SurrogateGuard guard(/*screening=*/false);
     cache::EvalCache::instance().clear();
     for (int phase = 0; phase < 2; ++phase)
       for (const auto& spec : specs.specs()) {
@@ -631,7 +623,7 @@ TEST(SurrogatePruning, HuntVertexPrunesNeverBeatTheFoundWorstCorner) {
   // Screened run: the first hunt phase trains the per-class model, the
   // second phase prunes.  Collect the found worst margin per spec for the
   // audit bound.
-  SurrogateGuard guard(surr::Mode::Pruning);
+  SurrogateGuard guard(/*screening=*/true);
   cache::EvalCache::instance().clear();
   const auto statsBefore = guard.store.stats();
   std::vector<double> onMargins;
@@ -659,11 +651,10 @@ TEST(SurrogatePruning, HuntVertexPrunesNeverBeatTheFoundWorstCorner) {
   // (2) Offline audit: re-evaluate every skipped vertex with the real
   // model.  A false prune would be a vertex whose true margin beats the
   // worst corner the hunt found for that spec.
-  const auto audit = childWithMode(surr::Mode::Off);  // audit evaluations stay untracked
+  const auto audit = childWithScreening(false);  // audit evaluations stay untracked
   core::ContextScope auditScope(*audit);
   std::size_t audited = 0;
   for (const auto& rec : log) {
-    if (rec.corner.empty()) continue;  // candidate-level prune, other audit
     ASSERT_EQ(rec.corner.size(), mf::VariationSpace::kDims);
     const sz::Spec* spec = nullptr;
     for (const auto& s : specs.specs())
@@ -679,99 +670,9 @@ TEST(SurrogatePruning, HuntVertexPrunesNeverBeatTheFoundWorstCorner) {
         << rec.predictedMargin << ", sigma " << rec.sigma << ")";
     ++audited;
   }
-  EXPECT_EQ(audited, log.size()) << "hunt prunes must carry corner coordinates";
   // The log is bounded (first 4096), but this workload is far below the
   // bound: every counted prune must have been audited.
   EXPECT_EQ(static_cast<std::uint64_t>(audited), pruned);
-}
-
-/// Heavy, deterministic, closed-form model for the candidate-level prune
-/// audit: gain rises linearly in the design coordinates, so a surrogate
-/// trained on a deeply-infeasible region predicts it near-exactly.
-class LinearHeavyModel : public sz::PerformanceModel {
- public:
-  const std::vector<sz::DesignVariable>& variables() const override { return vars_; }
-
-  sz::Performance evaluate(const std::vector<double>& x) const override {
-    evals_.fetch_add(1, std::memory_order_relaxed);
-    return {{"gain_db", 100.0 * x.at(0) + 5.0 * x.at(1)},
-            {"power", 1e-3 * (x.at(0) + x.at(1))}};
-  }
-
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    cache::Hasher128 h;
-    h.mixString("surrogate-test-linear-heavy");
-    return SurrogateSignature{h.digest(), {}};
-  }
-
-  int evals() const { return evals_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::atomic<int> evals_{0};
-  std::vector<sz::DesignVariable> vars_{{"a", 0.0, 1.0, false, 1.0},
-                                        {"b", 0.0, 1.0, false, 1.0}};
-};
-
-TEST(SurrogatePruning, CandidatePrunesAreTrulyInfeasibleWhenReEvaluated) {
-  SurrogateGuard guard(surr::Mode::Pruning);
-  LinearHeavyModel model;
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 50.0);
-  const sz::CostFunction cost(model, specs);
-
-  // Train on a grid that is deeply infeasible everywhere (gain <= 21 vs the
-  // 50 dB floor): feature dim is 3 (bias + 2 coords), so 48 observations
-  // leave 45 prequential residuals — past the calibration threshold.
-  for (int i = 0; i < 48; ++i) {
-    const double a = 0.2 * static_cast<double>(i) / 47.0;
-    const double b = static_cast<double>((i * 7) % 48) / 47.0;
-    sz::safeEvaluate(model, {a, b});
-  }
-
-  const std::vector<double> probe = {0.1, 0.1};
-  const int evalsBefore = model.evals();
-  const auto d = cost.detailed(probe);
-  // The probe was pruned: no real evaluation ran, the verdict is tagged.
-  EXPECT_EQ(model.evals(), evalsBefore);
-  EXPECT_EQ(d.status, core::EvalStatus::SurrogatePruned);
-  EXPECT_FALSE(d.feasible);
-
-  const auto log = guard.store.pruneLog();
-  ASSERT_GE(log.size(), 1u);
-  // Offline audit: every pruned candidate, re-evaluated for real, must
-  // violate the spec that triggered the prune.  Budget of false prunes: 0.
-  const auto audit = childWithMode(surr::Mode::Off);
-  core::ContextScope auditScope(*audit);
-  for (const auto& rec : log) {
-    EXPECT_TRUE(rec.corner.empty());  // candidate prunes carry no corner
-    EXPECT_EQ(rec.spec, "gain_db");
-    const auto perf = model.evaluate(rec.x);
-    const auto& spec = specs.specs().front();
-    EXPECT_GT(spec.violation(perf.at("gain_db")), 0.0)
-        << "FALSE PRUNE: candidate at a=" << rec.x.at(0) << " b=" << rec.x.at(1)
-        << " satisfies " << rec.spec << " (predicted upper bound "
-        << rec.predictedMargin << ")";
-  }
-}
-
-TEST(SurrogatePruning, OrderingModeNeverPrunes) {
-  // Same setup as the candidate audit, but in Ordering mode: the candidate
-  // must be evaluated for real — ordering may only schedule, never skip.
-  SurrogateGuard guard(surr::Mode::Ordering);
-  LinearHeavyModel model;
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 50.0);
-  const sz::CostFunction cost(model, specs);
-  for (int i = 0; i < 48; ++i) {
-    const double a = 0.2 * static_cast<double>(i) / 47.0;
-    const double b = static_cast<double>((i * 7) % 48) / 47.0;
-    sz::safeEvaluate(model, {a, b});
-  }
-  const int evalsBefore = model.evals();
-  const auto d = cost.detailed({0.1, 0.1});
-  EXPECT_EQ(model.evals(), evalsBefore + 1);
-  EXPECT_EQ(d.status, core::EvalStatus::Ok);
-  EXPECT_TRUE(guard.store.pruneLog().empty());
 }
 
 }  // namespace
