@@ -38,8 +38,8 @@ struct AweModel {
 
 /// Generic moment engine: given a solver for G x = r and the action of the
 /// storage matrix C, compute 2q output moments of x at `outputIndex` driven
-/// by excitation b.  This form lets the dense MNA path and the sparse
-/// power-grid path share one implementation:
+/// by excitation b.  The solver and storage action are callbacks, so the
+/// moment recursion does not depend on how G is factored:
 ///   m_0 = G^{-1} b,   m_k = -G^{-1} C m_{k-1}.
 std::vector<double> computeMoments(
     const std::function<num::VecD(const num::VecD&)>& solveG,

@@ -1,6 +1,5 @@
 #include "core/context.hpp"
 
-#include <cctype>
 #include <string>
 
 #include "core/envknobs.hpp"
@@ -14,31 +13,9 @@ thread_local ExecutionContext* tlCurrent = nullptr;
 
 }  // namespace
 
-std::optional<SolverKind> parseSolverKind(std::string_view s) {
-  std::string lower;
-  lower.reserve(s.size());
-  for (char c : s)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "auto") return SolverKind::Auto;
-  if (lower == "dense") return SolverKind::Dense;
-  if (lower == "sparse") return SolverKind::Sparse;
-  return std::nullopt;
-}
-
-const char* solverKindName(SolverKind k) {
-  switch (k) {
-    case SolverKind::Auto: return "auto";
-    case SolverKind::Dense: return "dense";
-    case SolverKind::Sparse: return "sparse";
-  }
-  return "auto";
-}
-
 ContextConfig ContextConfig::fromEnv() {
   ContextConfig cfg;
   cfg.threads = envknobs::threads();
-  // Unset and unrecognized values mean Auto.
-  cfg.solver = parseSolverKind(envknobs::solver()).value_or(SolverKind::Auto);
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
   cfg.evalCacheCapacity = envknobs::evalCacheCapacity();
   cfg.surrogateScreening = envknobs::surrogateScreening();
@@ -55,7 +32,7 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
                                    ExecutionContext* parent, bool isAmbient)
     : config_(std::move(cfg)), parent_(parent) {
-  // Handles only: the modes (cache on/off, surrogate screening, solver)
+  // Handles only: the modes (cache on/off, surrogate screening)
   // live in config_ and every consumer reads them from there.  Resolving the
   // surrogate store here also registers its core.surrogate.* counters, so
   // every flow's report carries them whatever its mode.

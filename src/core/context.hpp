@@ -22,12 +22,11 @@
 // What stays process-shared on purpose: the metrics registry storage
 // (slices are additive observers, never the source of truth — process
 // totals stay thread-count-invariant and bit-identical with or without
-// slicing), the sparse-solver symbolic cache (pure speed, keyed by
-// structure), and — by default — the eval cache and surrogate store, whose
+// slicing) and — by default — the eval cache and surrogate store, whose
 // cross-job amortization is their whole point.  What is per-context: the
-// config snapshot (every field: solver, cache on/off, surrogate screening,
-// deadline, topology space), batch fault schedule, metrics slice, and any
-// handle the owner asked to isolate.  Shared stores hold data, never a
+// config snapshot (every field: threads, cache on/off and capacity,
+// surrogate screening, deadline, topology space), batch fault schedule,
+// metrics slice, and any handle the owner asked to isolate.  Shared stores hold data, never a
 // mode: consumers read the mode from the current context's config, so one
 // job's config can never leak into a concurrent or later job.
 //
@@ -44,22 +43,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/evalcache.hpp"
 #include "core/metrics.hpp"
 #include "core/surrogate.hpp"
 
 namespace amsyn::core {
-
-/// Linear-solver preference.  sim::SolverMode is an alias of this enum; it
-/// lives here so amsyn_context stays below amsyn_sim.
-enum class SolverKind : std::uint8_t { Auto, Dense, Sparse };
-
-/// Parse a solver name ("auto" / "dense" / "sparse", case-insensitive);
-/// nullopt on anything unrecognized.
-std::optional<SolverKind> parseSolverKind(std::string_view s);
-const char* solverKindName(SolverKind k);
 
 /// Candidate space the topology-select stage ranks (topology::TopologySpace
 /// is an alias): the two legacy cells, or the whole generated functional-
@@ -76,8 +65,6 @@ enum class TopologySpace : std::uint8_t { Legacy, Generated };
 struct ContextConfig {
   /// AMSYN_THREADS (0 = use hardware concurrency).
   std::size_t threads = 0;
-  /// AMSYN_SOLVER.
-  SolverKind solver = SolverKind::Auto;
   /// AMSYN_EVAL_CACHE: whether this context's evaluations consult the
   /// cache (shared or isolated alike).
   bool evalCacheEnabled = true;

@@ -1,6 +1,6 @@
 // The single sanctioned locus for AMSYN_* environment reads.
 //
-// Every process-level tuning knob (threads, solver mode, eval-cache policy,
+// Every process-level tuning knob (threads, eval-cache policy,
 // surrogate screening, job deadline, topology space) is parsed here and
 // nowhere else: core::ContextConfig::fromEnv() snapshots all of them once
 // into a plain struct, and every consumer reads that snapshot through its
@@ -25,36 +25,6 @@
 
 namespace amsyn::core::envknobs {
 
-/// AMSYN_THREADS: worker count for the global pool.  0 = unset or
-/// unparseable (callers fall back to hardware_concurrency); parsed values
-/// clamp to [1, 512] so a typo cannot spawn an absurd pool.
-inline std::size_t threads() {
-  const char* env = std::getenv("AMSYN_THREADS");
-  if (!env) return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || v < 1) return 0;
-  return static_cast<std::size_t>(v > 512 ? 512 : v);
-}
-
-/// AMSYN_SOLVER: "auto" (default), "dense", or "sparse" — returned raw and
-/// parsed by core::parseSolverKind (case-insensitive; unknown values mean
-/// auto).
-inline std::string solver() {
-  const char* env = std::getenv("AMSYN_SOLVER");
-  return env ? std::string(env) : std::string();
-}
-
-/// AMSYN_EVAL_CACHE: enabled unless explicitly turned off with one of
-/// "0"/"off"/"false"/"no".
-inline bool evalCacheEnabled() {
-  if (const char* env = std::getenv("AMSYN_EVAL_CACHE")) {
-    const std::string v(env);
-    if (v == "0" || v == "off" || v == "false" || v == "no") return false;
-  }
-  return true;
-}
-
 /// Strict unsigned decimal: digits only — no sign, no whitespace, no
 /// trailing garbage — and no overflow past uint64.  Anything else is
 /// nullopt, which every caller treats as "unset" (strtoull would wrap "-1"
@@ -69,6 +39,25 @@ inline std::optional<std::uint64_t> parseUnsigned(const char* s) {
     v = v * 10 + digit;
   }
   return v;
+}
+
+/// AMSYN_THREADS: worker count for the global pool.  0 = unset or
+/// unparseable (parseUnsigned; callers fall back to hardware_concurrency);
+/// parsed values clamp to [1, 512] so a typo cannot spawn an absurd pool.
+inline std::size_t threads() {
+  const auto v = parseUnsigned(std::getenv("AMSYN_THREADS"));
+  if (!v || *v < 1) return 0;
+  return static_cast<std::size_t>(*v > 512 ? 512 : *v);
+}
+
+/// AMSYN_EVAL_CACHE: enabled unless explicitly turned off with one of
+/// "0"/"off"/"false"/"no".
+inline bool evalCacheEnabled() {
+  if (const char* env = std::getenv("AMSYN_EVAL_CACHE")) {
+    const std::string v(env);
+    if (v == "0" || v == "off" || v == "false" || v == "no") return false;
+  }
+  return true;
 }
 
 /// AMSYN_EVAL_CACHE_CAPACITY: max resident entries (default 2^16); 0 and

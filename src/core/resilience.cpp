@@ -107,7 +107,11 @@ std::optional<std::uint64_t> parseUintAt(const std::string& line, std::size_t po
   if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') return std::nullopt;
   std::uint64_t v = 0;
   while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[pos] - '0');
+    // Overflow guard of envknobs::parseUnsigned: a number past uint64 is
+    // malformed, not silently wrapped onto some other job.
+    const auto digit = static_cast<std::uint64_t>(line[pos] - '0');
+    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;
+    v = v * 10 + digit;
     ++pos;
   }
   return v;

@@ -195,6 +195,7 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
   const circuit::Process p = space.apply(nominal, worst.corner);
   const auto perf = sizing::safeEvaluate(*factory(p), x);
   if (auto it = perf.find(spec.performance); it != perf.end()) worst.value = it->second;
+  worst.evaluations = toEval.size() + refined.evaluations + 1;
   return worst;
 }
 
@@ -349,7 +350,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     });
     bool addedCorner = false;
     for (const auto& wc : hunts) {
-      robustEvals += 64 + 80;  // vertex enumeration + refinement budget
+      robustEvals += static_cast<double>(wc.evaluations);
       if (wc.margin < 0.0) {
         corners.push_back(wc.corner);
         addedCorner = true;
@@ -371,7 +372,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     return worstCaseCorner(factory, nominal, space, current.x, *constraintSpecs[i]);
   });
   for (const auto& wc : audit) {
-    robustEvals += 64 + 80;
+    robustEvals += static_cast<double>(wc.evaluations);
     if (wc.margin < -1e-3) result.robustFeasibleAtCorners = false;
   }
 

@@ -43,6 +43,9 @@ struct WorstCorner {
   std::vector<double> corner;  ///< coordinates in [0,1]^6
   double margin = 0.0;         ///< signed normalized margin (< 0: spec violated)
   double value = 0.0;          ///< performance value at the corner
+  /// Model evaluations the hunt asked for: unscreened vertices, coordinate-
+  /// search probes and the final value read (cache hits included).
+  std::size_t evaluations = 0;
 };
 
 /// Find the corner minimizing the signed margin of one spec for a fixed

@@ -2,9 +2,8 @@
 //
 // The circuits handled by the cell-level tools in this library are small
 // (10-100 devices, so well under ~300 MNA unknowns); dense LU with partial
-// pivoting is both simpler and faster than sparse machinery at that size.
-// Large MNA systems take the sparse LU of numeric/sparse_lu.hpp instead
-// (sim/solver.hpp picks the path by size).
+// pivoting is both simpler and faster than sparse machinery at that size,
+// so it is the one linear solver every analysis in sim/ uses.
 #pragma once
 
 #include <complex>

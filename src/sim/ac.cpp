@@ -14,20 +14,7 @@ namespace amsyn::sim {
 AcSolver::AcSolver(const Mna& mna, const DcResult& op) {
   if (!op.converged) throw std::invalid_argument("AcSolver: operating point not converged");
   n_ = mna.size();
-  if (useSparseSolver(n_)) {
-    // The stamp plan is only needed to extract (G, C, b) values and the
-    // pattern; it need not outlive the constructor.
-    SparseMna sys(mna);
-    sys.acValues(op.x, gVals_, cVals_, b_);
-    aC_.n = n_;
-    aC_.colPtr = sys.csc().colPtr;
-    aC_.row = sys.csc().row;
-    aC_.val.assign(aC_.row.size(), {0.0, 0.0});
-    sparse_ = std::make_unique<SparsePatternSolver<std::complex<double>>>(
-        sys.patternDigest(), "ac");
-  } else {
-    mna.acMatrices(op.x, g_, c_, b_);
-  }
+  mna.acMatrices(op.x, g_, c_, b_);
 }
 
 const num::LUC& AcSolver::factorAt(double frequency) {
@@ -47,60 +34,12 @@ const num::LUC& AcSolver::factorAt(double frequency) {
   return *lu_;
 }
 
-void AcSolver::sparseFactorAt(double frequency) {
-  if (sparseFactored_ && frequency == cachedFrequency_) {
-    recordLuReuse();
-    return;
-  }
-  if (FaultInjector::threadLocal().takeLuFailure())
-    throw std::runtime_error("injected singular LU");
-  const double w = 2.0 * M_PI * frequency;
-  for (std::size_t k = 0; k < aC_.val.size(); ++k) aC_.val[k] = {gVals_[k], w * cVals_[k]};
-  const SparseFactorOutcome fo = sparse_->factor(aC_);
-  if (fo == SparseFactorOutcome::Ok) {
-    cachedFrequency_ = frequency;
-    sparseFactored_ = true;
-    recordLuFactorization();
-    return;
-  }
-  if (fo == SparseFactorOutcome::Singular)
-    throw std::runtime_error("LU: singular matrix");  // dense kernel's throw
-  // Guard tripped: demote to the dense path for the rest of this solver's
-  // life.  Scatter the sparse (G, C) values into dense matrices — entries
-  // outside the pattern are structurally zero, so this reproduces
-  // Mna::acMatrices exactly.
-  g_ = num::MatrixD(n_, n_);
-  c_ = num::MatrixD(n_, n_);
-  for (std::size_t col = 0; col < n_; ++col)
-    for (std::size_t k = aC_.colPtr[col]; k < aC_.colPtr[col + 1]; ++k) {
-      g_(aC_.row[k], col) = gVals_[k];
-      c_(aC_.row[k], col) = cVals_[k];
-    }
-  sparseFactored_ = false;
-}
-
 num::VecC AcSolver::solve(double frequency, const num::VecC& rhs) {
-  if (sparseActive()) {
-    sparseFactorAt(frequency);
-    if (sparseFactored_) return sparse_->solve(rhs);
-  }
   return factorAt(frequency).solve(rhs);
 }
 
 num::VecC AcSolver::solveTransposed(double frequency, const num::VecC& rhs) {
-  if (sparseActive()) {
-    sparseFactorAt(frequency);
-    if (sparseFactored_) return sparse_->solveTransposed(rhs);
-  }
   return factorAt(frequency).solveTransposed(rhs);
-}
-
-std::vector<num::VecC> AcSolver::solveBatch(const std::vector<double>& frequencies,
-                                            const num::VecC& rhs) {
-  std::vector<num::VecC> out;
-  out.reserve(frequencies.size());
-  for (double f : frequencies) out.push_back(solve(f, rhs));
-  return out;
 }
 
 num::VecC AcSolver::stimulus() const {

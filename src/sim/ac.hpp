@@ -4,7 +4,6 @@
 #pragma once
 
 #include <complex>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "core/evalstatus.hpp"
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
-#include "sim/solver.hpp"
 
 namespace amsyn::sim {
 
@@ -43,14 +41,6 @@ std::vector<double> logspace(double fStart, double fStop, std::size_t pointsPerD
 /// are fixed.  Repeated spot analyses, the forward + adjoint solves of the
 /// noise analysis, and duplicate sweep points all share one factorization.
 /// Traffic is recorded in sim/stats.hpp.
-///
-/// When the solver knob picks the sparse path (sim/solver.hpp), (G, C) live
-/// as value vectors over the netlist's fixed sparsity pattern and each
-/// frequency point is a numeric refactor against one shared symbolic
-/// analysis — the batched-solve shape: an n-point sweep is one analysis
-/// plus n refactor+solve passes.  Results are bit-identical to the dense
-/// kernel; a tripped fill/growth guard scatters (G, C) into dense matrices
-/// and the sweep continues on the dense path.
 class AcSolver {
  public:
   AcSolver(const Mna& mna, const DcResult& op);
@@ -61,13 +51,6 @@ class AcSolver {
   /// Solve A(w)^T x = rhs (adjoint analyses, e.g. noise).
   num::VecC solveTransposed(double frequency, const num::VecC& rhs);
 
-  /// Batched structure-identical solves: one solution per frequency for a
-  /// shared RHS.  On the sparse path all points flow through one symbolic
-  /// analysis with per-point numeric refactors.  Throws like solve() on a
-  /// singular system.
-  std::vector<num::VecC> solveBatch(const std::vector<double>& frequencies,
-                                    const num::VecC& rhs);
-
   /// RHS built from the netlist's independent-source AC magnitudes.
   num::VecC stimulus() const;
 
@@ -75,23 +58,12 @@ class AcSolver {
 
  private:
   const num::LUC& factorAt(double frequency);
-  bool sparseActive() const { return sparse_ && !sparse_->fellBack(); }
-  /// Refactor the sparse A(w); throws on singular, demotes to dense on a
-  /// guard trip (after which sparseActive() is false).
-  void sparseFactorAt(double frequency);
 
   num::MatrixD g_, c_;
   num::VecD b_;
   std::size_t n_ = 0;
   double cachedFrequency_ = 0.0;
   std::optional<num::LUC> lu_;
-
-  // Sparse mode: fixed pattern with (G, C) value vectors and the complex
-  // working matrix whose values are {g, w c} per frequency.
-  std::vector<double> gVals_, cVals_;
-  num::CscMatrix<std::complex<double>> aC_;
-  std::unique_ptr<SparsePatternSolver<std::complex<double>>> sparse_;
-  bool sparseFactored_ = false;
 };
 
 /// AC sweep of the voltage at `outputNode`.  The stimulus is whatever AC

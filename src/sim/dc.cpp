@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
 #include "sim/fault.hpp"
-#include "sim/solver.hpp"
 #include "sim/stats.hpp"
 
 namespace amsyn::sim {
@@ -38,19 +36,13 @@ bool allFinite(const num::VecD& v) {
 /// iteration.  A NaN/Inf residual or update aborts right away — burning the
 /// remaining maxIterations on poisoned iterates cannot recover and only
 /// wastes the budget the continuation ladder still needs.
-///
-/// With a SparseNewtonContext the Jacobian solve runs through the sparse
-/// fast path (bit-identical by construction; see sim/mnasparse.hpp); a
-/// tripped fill/growth guard falls back to the dense kernel mid-iteration
-/// without disturbing the iterate.
-NewtonOutcome newtonSolve(const Mna& mna, SparseNewtonContext* sparse, num::VecD& x,
-                          double sourceScale, double gmin, const DcOptions& opts,
-                          std::size_t& iterationsOut) {
+NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, double gmin,
+                          const DcOptions& opts, std::size_t& iterationsOut) {
   FaultInjector& inj = FaultInjector::threadLocal();
   if (inj.takeDcNewtonFailure()) return NewtonOutcome::Singular;
 
   const std::size_t n = mna.size();
-  num::MatrixD jac;  // sized on first dense assemble; stays empty when sparse
+  num::MatrixD jac;
   num::VecD f(n);
   for (std::size_t it = 0; it < opts.maxIterations; ++it) {
     if (!consumeWork(opts.budget)) return NewtonOutcome::Budget;
@@ -58,41 +50,15 @@ NewtonOutcome newtonSolve(const Mna& mna, SparseNewtonContext* sparse, num::VecD
     aopt.sourceScale = sourceScale;
     aopt.gmin = gmin;
 
+    mna.assemble(x, aopt, &jac, &f);
+    if (inj.takeResidualPoison())
+      f[0] = std::numeric_limits<double>::quiet_NaN();
+    if (!allFinite(f)) return NewtonOutcome::Nan;
     num::VecD dx;
-    bool haveDx = false;
-    if (sparse && !sparse->solver.fellBack()) {
-      sparse->sys.assemble(x, aopt, true, &f);
-      if (inj.takeResidualPoison())
-        f[0] = std::numeric_limits<double>::quiet_NaN();
-      if (!allFinite(f)) return NewtonOutcome::Nan;
-      const SparseFactorOutcome fo = sparse->solver.factor(sparse->sys.csc());
-      if (fo == SparseFactorOutcome::Ok) {
-        dx = sparse->solver.solve(f);
-        haveDx = true;
-      } else if (fo == SparseFactorOutcome::Singular) {
-        return NewtonOutcome::Singular;  // dense LU would throw here too
-      } else {
-        // Guard tripped: finish this iteration dense (f is already
-        // assembled and poison-checked; only the matrix is needed).
-        mna.assemble(x, aopt, &jac, nullptr);
-        try {
-          dx = num::LUD(jac).solve(f);
-        } catch (const std::runtime_error&) {
-          return NewtonOutcome::Singular;
-        }
-        haveDx = true;
-      }
-    }
-    if (!haveDx) {
-      mna.assemble(x, aopt, &jac, &f);
-      if (inj.takeResidualPoison())
-        f[0] = std::numeric_limits<double>::quiet_NaN();
-      if (!allFinite(f)) return NewtonOutcome::Nan;
-      try {
-        dx = num::LUD(jac).solve(f);
-      } catch (const std::runtime_error&) {
-        return NewtonOutcome::Singular;  // let the continuation ladder retry
-      }
+    try {
+      dx = num::LUD(jac).solve(f);
+    } catch (const std::runtime_error&) {
+      return NewtonOutcome::Singular;  // let the continuation ladder retry
     }
     if (!allFinite(dx)) return NewtonOutcome::Nan;
     // Damped update with per-unknown clamping (SPICE-style voltage limiting).
@@ -109,10 +75,7 @@ NewtonOutcome newtonSolve(const Mna& mna, SparseNewtonContext* sparse, num::VecD
     core::metrics::add(cIters);
     if (maxDx < opts.vAbsTol) {
       // Confirm with the residual at the accepted point.
-      if (sparse && !sparse->solver.fellBack())
-        sparse->sys.assemble(x, aopt, false, &f);
-      else
-        mna.assemble(x, aopt, nullptr, &f);
+      mna.assemble(x, aopt, nullptr, &f);
       const double r = num::normInf(f);
       if (!std::isfinite(r)) return NewtonOutcome::Nan;
       if (r < opts.absTol) return NewtonOutcome::Converged;
@@ -154,13 +117,6 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
   if (res.x.size() != mna.size()) res.x.assign(mna.size(), 0.0);
   const num::VecD start = res.x;  // continuation rungs restart from here
 
-  // One sparse context for the whole continuation ladder: every rung shares
-  // the Jacobian structure, so the symbolic analysis is paid at most once
-  // (and usually zero times — the process-wide pattern cache serves it).
-  std::unique_ptr<SparseNewtonContext> sparseCtx;
-  if (useSparseSolver(mna.size())) sparseCtx = std::make_unique<SparseNewtonContext>(mna);
-  SparseNewtonContext* sp = sparseCtx.get();
-
   auto succeed = [&](const char* strategy, DcStrategy tally) {
     res.converged = true;
     res.status = EvalStatus::Ok;
@@ -169,7 +125,7 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
   };
 
   // Rung 1: plain Newton with a small safety gmin.
-  NewtonOutcome out = newtonSolve(mna, sp, res.x, 1.0, 1e-12, opts, res.iterations);
+  NewtonOutcome out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
   if (out == NewtonOutcome::Converged) {
     succeed("newton", DcStrategy::Newton);
     return res;
@@ -185,13 +141,13 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
     res.x = start;
     bool ok = true;
     for (double gmin = 1e-2; gmin >= 1e-12; gmin *= 1e-2) {
-      out = newtonSolve(mna, sp, res.x, 1.0, gmin, opts, res.iterations);
+      out = newtonSolve(mna, res.x, 1.0, gmin, opts, res.iterations);
       if (out != NewtonOutcome::Converged) {
         ok = false;
         break;
       }
     }
-    if (ok) out = newtonSolve(mna, sp, res.x, 1.0, 1e-12, opts, res.iterations);
+    if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
     if (ok && out == NewtonOutcome::Converged) {
       succeed("gmin", DcStrategy::Gmin);
       return res;
@@ -208,13 +164,13 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
     res.x = start;
     bool ok = true;
     for (double scale : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
-      out = newtonSolve(mna, sp, res.x, scale, 1e-9, opts, res.iterations);
+      out = newtonSolve(mna, res.x, scale, 1e-9, opts, res.iterations);
       if (out != NewtonOutcome::Converged) {
         ok = false;
         break;
       }
     }
-    if (ok) out = newtonSolve(mna, sp, res.x, 1.0, 1e-12, opts, res.iterations);
+    if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
     if (ok && out == NewtonOutcome::Converged) {
       succeed("source", DcStrategy::Source);
       return res;

@@ -15,9 +15,7 @@ using circuit::NodeId;
 
 namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
-namespace detail {
 /// Diode current with overflow-safe exponential (linearized above vCrit).
 void diodeEval(double v, double isat, double vt, double& i, double& g) {
   constexpr double kMaxArg = 40.0;
@@ -34,10 +32,6 @@ void diodeEval(double v, double isat, double vt, double& i, double& g) {
   // Keep a floor conductance so reverse-biased diodes stay invertible.
   g += 1e-12;
 }
-}  // namespace detail
-
-namespace {
-using detail::diodeEval;
 }  // namespace
 
 Mna::Mna(const Netlist& net, const Process& proc) : net_(net), proc_(proc) {

@@ -38,13 +38,6 @@ struct AssemblyOptions {
   const std::map<std::size_t, CompanionState>* companions = nullptr;
 };
 
-namespace detail {
-/// Diode current/conductance with overflow-safe exponential.  Shared by the
-/// dense assembler and the sparse stamp batches (sim/mnasparse.cpp) so both
-/// produce bit-identical stamps.
-void diodeEval(double v, double isat, double vt, double& i, double& g);
-}  // namespace detail
-
 class Mna {
  public:
   Mna(const Netlist& net, const Process& proc);
@@ -59,8 +52,6 @@ class Mna {
   /// Branch-current index for voltage-defined device `deviceIndex`;
   /// SIZE_MAX when the device has no branch unknown.
   std::size_t branchIndex(std::size_t deviceIndex) const;
-
-  
 
   /// Residual f(x) and (optionally) Jacobian J(x).  Sign convention: KCL
   /// rows sum currents *leaving* the node; a converged solution has f == 0.

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
 #include "sim/fault.hpp"
-#include "sim/solver.hpp"
 #include "sim/stats.hpp"
 
 namespace amsyn::sim {
@@ -95,16 +93,6 @@ struct JacobianCache {
   std::optional<num::LUD> lu;
 };
 
-/// Sparse twin of JacobianCache: the value-vector compare is O(nnz) instead
-/// of O(n^2), and a refresh is a numeric refactor instead of a dense
-/// factorization.  Equality decisions coincide with the dense cache's —
-/// dense entries outside the sparse pattern are structurally zero on both
-/// sides of the compare.
-struct SparseJacobianCache {
-  std::vector<double> values;  ///< values behind the last successful factor
-  bool valid = false;
-};
-
 /// How one timestep's Newton iteration ended.  Failed (singular or NaN)
 /// steps feed the step-halving retry loop; Budget aborts the whole sweep.
 enum class StepOutcome { Converged, Failed, Budget };
@@ -115,66 +103,33 @@ bool allFinite(const num::VecD& v) {
   return true;
 }
 
-StepOutcome newtonStep(const Mna& mna, SparseNewtonContext* sparse,
-                       SparseJacobianCache& scache, num::VecD& x,
-                       const AssemblyOptions& aopt, const TransientOptions& opts,
-                       JacobianCache& cache) {
+StepOutcome newtonStep(const Mna& mna, num::VecD& x, const AssemblyOptions& aopt,
+                       const TransientOptions& opts, JacobianCache& cache) {
   const std::size_t n = mna.size();
   num::VecD f(n);
   for (std::size_t it = 0; it < opts.maxNewton; ++it) {
     if (!consumeWork(opts.budget)) return StepOutcome::Budget;
 
-    num::VecD dx;
-    bool haveDx = false;
-    if (sparse && !sparse->solver.fellBack()) {
-      sparse->sys.assemble(x, aopt, true, &f);
-      if (!allFinite(f)) return StepOutcome::Failed;
-      if (scache.valid && scache.values == sparse->sys.values()) {
-        recordLuReuse();
-        dx = sparse->solver.solve(f);
-        haveDx = true;
-      } else {
-        if (FaultInjector::threadLocal().takeLuFailure()) {
-          scache.valid = false;
-          return StepOutcome::Failed;
-        }
-        const SparseFactorOutcome fo = sparse->solver.factor(sparse->sys.csc());
-        if (fo == SparseFactorOutcome::Ok) {
-          scache.values = sparse->sys.values();
-          scache.valid = true;
-          recordLuFactorization();
-          dx = sparse->solver.solve(f);
-          haveDx = true;
-        } else if (fo == SparseFactorOutcome::Singular) {
-          scache.valid = false;
-          return StepOutcome::Failed;
-        }
-        // Fallback: a guard tripped; fall through to the dense path (this
-        // iteration and every later one — fellBack() is sticky).
+    num::MatrixD jac(n, n);
+    mna.assemble(x, aopt, &jac, &f);
+    // A poisoned iterate never recovers; bail to the halving loop now
+    // instead of burning the remaining maxNewton iterations on NaNs.
+    if (!allFinite(f)) return StepOutcome::Failed;
+    if (cache.lu && cache.values.data() == jac.data()) {
+      recordLuReuse();
+    } else {
+      try {
+        if (FaultInjector::threadLocal().takeLuFailure())
+          throw std::runtime_error("injected singular LU");
+        cache.values = jac;
+        cache.lu.emplace(std::move(jac));
+      } catch (const std::runtime_error&) {
+        cache.lu.reset();
+        return StepOutcome::Failed;
       }
+      recordLuFactorization();
     }
-    if (!haveDx) {
-      num::MatrixD jac(n, n);
-      mna.assemble(x, aopt, &jac, &f);
-      // A poisoned iterate never recovers; bail to the halving loop now
-      // instead of burning the remaining maxNewton iterations on NaNs.
-      if (!allFinite(f)) return StepOutcome::Failed;
-      if (cache.lu && cache.values.data() == jac.data()) {
-        recordLuReuse();
-      } else {
-        try {
-          if (FaultInjector::threadLocal().takeLuFailure())
-            throw std::runtime_error("injected singular LU");
-          cache.values = jac;
-          cache.lu.emplace(std::move(jac));
-        } catch (const std::runtime_error&) {
-          cache.lu.reset();
-          return StepOutcome::Failed;
-        }
-        recordLuFactorization();
-      }
-      dx = cache.lu->solve(f);
-    }
+    const num::VecD dx = cache.lu->solve(f);
     if (!allFinite(dx)) return StepOutcome::Failed;
     double maxDx = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -183,10 +138,7 @@ StepOutcome newtonStep(const Mna& mna, SparseNewtonContext* sparse,
       maxDx = std::max(maxDx, std::abs(step));
     }
     if (maxDx < opts.vAbsTol) {
-      if (sparse && !sparse->solver.fellBack())
-        sparse->sys.assemble(x, aopt, false, &f);
-      else
-        mna.assemble(x, aopt, nullptr, &f);
+      mna.assemble(x, aopt, nullptr, &f);
       const double r = num::normInf(f);
       if (!std::isfinite(r)) return StepOutcome::Failed;
       if (r < opts.absTol) return StepOutcome::Converged;
@@ -224,10 +176,6 @@ TransientResult transientAnalysis(const Mna& mna, const DcResult& op,
   bool firstStep = true;
   JacobianCache jacCache;  // persists across timesteps: fixed-h sweeps of
                            // linear circuits factor once, then only solve
-  std::unique_ptr<SparseNewtonContext> sparseCtx;
-  if (useSparseSolver(mna.size()))
-    sparseCtx = std::make_unique<SparseNewtonContext>(mna, "tran");
-  SparseJacobianCache sparseJacCache;  // sparse twin, same lifetime
 
   while (t < opts.tStop - 1e-18) {
     double h = std::min(opts.tStep, opts.tStop - t);
@@ -241,8 +189,7 @@ TransientResult transientAnalysis(const Mna& mna, const DcResult& op,
       aopt.companions = &companions;
 
       num::VecD xTry = x;
-      const StepOutcome out =
-          newtonStep(mna, sparseCtx.get(), sparseJacCache, xTry, aopt, opts, jacCache);
+      const StepOutcome out = newtonStep(mna, xTry, aopt, opts, jacCache);
       if (out == StepOutcome::Budget) {
         res.completed = false;
         res.status = budgetStopStatus(opts.budget);

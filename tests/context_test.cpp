@@ -35,7 +35,6 @@
 #include "core/surrogate.hpp"
 #include "manufacture/corners.hpp"
 #include "sim/fault.hpp"
-#include "sim/solver.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
 
@@ -169,11 +168,10 @@ core::ContextConfig deterministicConfig() {
 // ContextConfig::fromEnv — the one sanctioned environment snapshot
 
 TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
-  EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
+  EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
       g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
       g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
   ::setenv("AMSYN_THREADS", "5", 1);
-  ::setenv("AMSYN_SOLVER", "Sparse", 1);  // parser is case-insensitive
   ::setenv("AMSYN_EVAL_CACHE", "off", 1);
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
   ::setenv("AMSYN_SURROGATE", "on", 1);
@@ -182,7 +180,6 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 5u);
-  EXPECT_EQ(cfg.solver, core::SolverKind::Sparse);
   EXPECT_FALSE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, 1024u);
   EXPECT_TRUE(cfg.surrogateScreening);
@@ -200,18 +197,16 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
 }
 
 TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
-  EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
+  EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
       g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
       g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
   for (const char* name :
-       {"AMSYN_THREADS", "AMSYN_SOLVER", "AMSYN_EVAL_CACHE",
-        "AMSYN_EVAL_CACHE_CAPACITY", "AMSYN_SURROGATE", "AMSYN_JOB_DEADLINE_MS",
-        "AMSYN_TOPOLOGY_SPACE"})
+       {"AMSYN_THREADS", "AMSYN_EVAL_CACHE", "AMSYN_EVAL_CACHE_CAPACITY",
+        "AMSYN_SURROGATE", "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
     ::unsetenv(name);
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
-  EXPECT_EQ(cfg.solver, core::SolverKind::Auto);
   EXPECT_TRUE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, std::size_t{1} << 16);
   EXPECT_FALSE(cfg.surrogateScreening);
@@ -220,24 +215,24 @@ TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
 }
 
 TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
-  EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
+  EnvVarGuard g1("AMSYN_THREADS"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
       g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS");
   ::setenv("AMSYN_THREADS", "junk", 1);
-  ::setenv("AMSYN_SOLVER", "quantum", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900ms", 1);  // trailing garbage = unset
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
-  EXPECT_EQ(cfg.solver, core::SolverKind::Auto);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
 
-  // Deadline and capacity accept only an unsigned decimal: a sign (which
-  // strtoull would wrap to 2^64-1), whitespace, or a value past uint64
-  // counts as unset, like trailing garbage.
-  for (const char* bad : {"-1", "+5", " 5", "5 ", "", "0x10", "1e3",
+  // Threads, deadline and capacity accept only an unsigned decimal: a sign
+  // (which strtoull would wrap to 2^64-1), whitespace, trailing garbage
+  // ("4x" is not 4), or a value past uint64 counts as unset.
+  for (const char* bad : {"4x", "+4", " 4", "-1", "+5", " 5", "5 ", "", "0x10", "1e3",
                           "18446744073709551616", "99999999999999999999999"}) {
+    ::setenv("AMSYN_THREADS", bad, 1);
     ::setenv("AMSYN_JOB_DEADLINE_MS", bad, 1);
     ::setenv("AMSYN_EVAL_CACHE_CAPACITY", bad, 1);
     const core::ContextConfig c = core::ContextConfig::fromEnv();
+    EXPECT_EQ(c.threads, 0u) << "'" << bad << "'";
     EXPECT_EQ(c.jobDeadlineMs, 0u) << "'" << bad << "'";
     EXPECT_EQ(c.evalCacheCapacity, std::size_t{1} << 16) << "'" << bad << "'";
   }
@@ -290,14 +285,14 @@ TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
   EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
 }
 
-TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentSolverPreference) {
+TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentTopologySpace) {
   core::ContextConfig cfg = deterministicConfig();
   cfg.jobDeadlineMs = 4321;
-  cfg.solver = core::SolverKind::Sparse;
+  cfg.topologySpace = core::TopologySpace::Generated;
   core::ExecutionContext parent(cfg);
   const auto child = parent.makeChild();
   EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
-  EXPECT_EQ(child->config().solver, core::SolverKind::Sparse);
+  EXPECT_EQ(child->config().topologySpace, core::TopologySpace::Generated);
   EXPECT_EQ(&child->evalCache(), &parent.evalCache());
   EXPECT_EQ(&child->surrogateStore(), &parent.surrogateStore());
   EXPECT_FALSE(child->hasIsolatedEvalCache());
@@ -309,14 +304,14 @@ TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentSolverPreference) {
   // handles and the slice chain are still the parent's, and the parent's
   // config is untouched.
   core::ContextConfig jobCfg = cfg;
-  jobCfg.solver = core::SolverKind::Dense;
+  jobCfg.topologySpace = core::TopologySpace::Legacy;
   jobCfg.evalCacheEnabled = false;
   const auto job = parent.makeChild(jobCfg);
-  EXPECT_EQ(job->config().solver, core::SolverKind::Dense);
+  EXPECT_EQ(job->config().topologySpace, core::TopologySpace::Legacy);
   EXPECT_FALSE(job->config().evalCacheEnabled);
   EXPECT_EQ(&job->evalCache(), &parent.evalCache());
   EXPECT_EQ(job->metricsSlice()->parent(), parent.metricsSlice());
-  EXPECT_EQ(parent.config().solver, core::SolverKind::Sparse);
+  EXPECT_EQ(parent.config().topologySpace, core::TopologySpace::Generated);
   EXPECT_TRUE(parent.config().evalCacheEnabled);
 }
 
@@ -718,33 +713,23 @@ TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) 
   core::ContextConfig cfgA = core::ContextConfig::fromEnv();
   cfgA.evalCacheEnabled = false;
   cfgA.surrogateScreening = true;
-  cfgA.solver = core::SolverKind::Dense;
   core::ContextConfig cfgB = core::ContextConfig::fromEnv();
   cfgB.evalCacheEnabled = true;
   cfgB.surrogateScreening = false;
-  cfgB.solver = core::SolverKind::Auto;
   core::ExecutionContext a(cfgA);
   core::ExecutionContext b(cfgB);
 
-  std::atomic<bool> sparseInA{true};
-  std::atomic<bool> sparseInB{false};
-  runInterleaved(a, b, [&](core::ExecutionContext& ctx) {
-    for (int round = 0; round < 2; ++round) {
-      (void)robustProblem();
-      (&ctx == &a ? sparseInA : sparseInB) =
-          sim::useSparseSolver(sim::kSparseAutoThreshold);
-    }
+  runInterleaved(a, b, [&](core::ExecutionContext&) {
+    for (int round = 0; round < 2; ++round) (void)robustProblem();
   });
 
   // A: cache off, so no lookups at all; its screening trained the store.
   EXPECT_EQ(sliceValue(a, "core.cache.hits"), 0u);
   EXPECT_EQ(sliceValue(a, "core.cache.misses"), 0u);
   EXPECT_GT(sliceValue(a, "core.surrogate.observations"), 0u);
-  EXPECT_FALSE(sparseInA) << "A pins the dense solver";
   // B: surrogate off, so no training; its cache was consulted.
   EXPECT_EQ(sliceValue(b, "core.surrogate.observations"), 0u);
   EXPECT_GT(sliceValue(b, "core.cache.misses"), 0u);
-  EXPECT_TRUE(sparseInB) << "B's Auto goes sparse at the threshold";
   surrogate::Store::instance().clear();
 }
 

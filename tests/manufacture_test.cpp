@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 
+#include "core/context.hpp"
 #include "manufacture/corners.hpp"
 #include "manufacture/yield.hpp"
 #include "sim/dc.hpp"
@@ -63,6 +66,54 @@ TEST(WorstCase, FindsVddCornerForPower) {
   const auto wc = mf::worstCaseCorner(factory, nominal(), space, x, spec);
   EXPECT_GT(wc.corner[0], 0.9);  // vdd coordinate pushed high
   EXPECT_GT(wc.value, nomPower);
+}
+
+namespace {
+/// Forwards to a wrapped model and counts every evaluate() call.
+class CountingModel : public sz::PerformanceModel {
+ public:
+  CountingModel(std::unique_ptr<sz::PerformanceModel> inner, std::atomic<std::size_t>& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+  const std::vector<sz::DesignVariable>& variables() const override {
+    return inner_->variables();
+  }
+  sz::Performance evaluate(const std::vector<double>& x) const override {
+    calls_.fetch_add(1);
+    return inner_->evaluate(x);
+  }
+
+ private:
+  std::unique_ptr<sz::PerformanceModel> inner_;
+  std::atomic<std::size_t>& calls_;
+};
+}  // namespace
+
+TEST(WorstCase, EvaluationsCountEveryModelCallTheHuntMakes) {
+  // With the cache off every requested evaluation reaches a model, so the
+  // hunt's reported count must equal what the models actually saw: the
+  // vertices, however many coordinate-search probes ran, and the final read.
+  amsyn::core::ContextConfig cfg = amsyn::core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = false;
+  cfg.surrogateScreening = false;  // all 64 vertices are evaluated
+  amsyn::core::ExecutionContext ctx(cfg);
+  amsyn::core::ContextScope scope(ctx);
+
+  std::atomic<std::size_t> calls{0};
+  const auto inner = twoStageFactory();
+  const mf::ModelFactory factory = [&](const ckt::Process& p) {
+    return std::make_unique<CountingModel>(inner(p), calls);
+  };
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
+  const auto x = model.initialPoint();
+  const double nominalGain = model.evaluate(x).at("gain_db");
+  for (const sz::Spec& spec :
+       {sz::Spec{"gain_db", sz::SpecKind::GreaterEqual, nominalGain, 1.0, 0.0},
+        sz::Spec{"pm", sz::SpecKind::GreaterEqual, 60.0, 1.0, 0.0}}) {
+    calls = 0;
+    const auto wc = mf::worstCaseCorner(factory, nominal(), mf::VariationSpace{}, x, spec);
+    EXPECT_EQ(wc.evaluations, calls.load()) << spec.performance;
+    EXPECT_GT(wc.evaluations, 64u) << spec.performance;  // vertices + refinement
+  }
 }
 
 TEST(RobustSynthesis, CornerAwareDesignSurvivesCorners) {

@@ -649,6 +649,34 @@ TEST(JobJournal, EverySingleByteCorruptionIsRejected) {
   }
 }
 
+TEST(JobJournal, NumbersPastUint64AreRejectedNotWrapped) {
+  // A CRC-valid line whose job number overflows uint64: wrapping would load
+  // it as job 5 (18446744073709551621 mod 2^64).  The edited prefix is
+  // re-signed with the journal's FNV-1a 64, so only the number is at fault.
+  const std::string crcPat = ",\"crc\":";
+  const auto sign = [&](const std::string& prefix) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : prefix) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    return prefix + crcPat + std::to_string(h) + "}";
+  };
+  core::JobJournalEntry e;
+  e.job = 5;
+  e.success = true;
+  const std::string line = e.toLine();
+  std::string prefix = line.substr(0, line.rfind(crcPat));
+  ASSERT_EQ(sign(prefix), line);  // the re-signing reproduces the writer's
+
+  const std::string jobPat = "\"job\":5,";
+  const auto at = prefix.find(jobPat);
+  ASSERT_NE(at, std::string::npos);
+  prefix.replace(at, jobPat.size(), "\"job\":18446744073709551621,");
+  const std::string forged = sign(prefix);
+  EXPECT_FALSE(core::JobJournalEntry::parseLine(forged).has_value()) << forged;
+}
+
 TEST(JobJournal, LoadStopsAtTheFirstInvalidLine) {
   const std::string path = tempPath("journal_stop.jsonl");
   core::JobJournalEntry a;
