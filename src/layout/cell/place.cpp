@@ -12,7 +12,6 @@
 namespace amsyn::layout {
 
 using geom::CellInstance;
-using geom::CellMaster;
 using geom::Coord;
 using geom::Orientation;
 using geom::Rect;
@@ -53,18 +52,6 @@ bool hasOverlaps(const std::vector<CellInstance>& instances, Coord spacing) {
 
 namespace {
 
-double overlapArea(const std::vector<CellInstance>& instances, Coord spacing) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Rect a = instances[i].boundingBox().inflated(spacing / 2);
-    for (std::size_t j = i + 1; j < instances.size(); ++j) {
-      const Rect o = a.intersect(instances[j].boundingBox().inflated(spacing / 2));
-      total += static_cast<double>(o.area());
-    }
-  }
-  return total;
-}
-
 /// The mirrored counterpart of an orientation about a vertical axis.
 Orientation mirrored(Orientation o) {
   switch (o) {
@@ -80,61 +67,153 @@ Orientation mirrored(Orientation o) {
   return Orientation::MX;
 }
 
-struct PlacerState {
-  const std::vector<PlacementComponent>* components;
-  PlacerOptions opts;
+/// What the annealer moves: each component's chosen variant and transform.
+struct Arrangement {
   std::vector<std::size_t> variant;
   std::vector<Transform> xform;
-  std::vector<std::ptrdiff_t> peer;  // index of symmetry partner or -1
+};
 
-  std::vector<CellInstance> instances() const {
-    std::vector<CellInstance> out;
-    out.reserve(components->size());
-    for (std::size_t i = 0; i < components->size(); ++i) {
-      out.push_back(CellInstance{(*components)[i].name,
-                                 &(*components)[i].variants[variant[i]], xform[i]});
+/// The placement cost over geometry cached once per component variant, so
+/// an annealing move evaluates without allocating.  Every figure is summed
+/// over reusable scratch buffers in the same order as over the equivalent
+/// CellInstances (wirelength in estimateWirelengthWeighted's net-name
+/// order), so a cost is bit-equal to the instance-based one.
+class PlacerState {
+ public:
+  PlacerState(const std::vector<PlacementComponent>& components, const PlacerOptions& opts)
+      : components_(components), opts_(opts), peer_(components.size(), -1) {
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      if (!components[i].symmetryPeer) continue;
+      for (std::size_t j = 0; j < components.size(); ++j)
+        if (components[j].name == *components[i].symmetryPeer) peer_[i] = j;
     }
+    // Net ids follow sorted-name order, the order the wirelength sums in.
+    std::map<std::string, std::size_t> netId;
+    for (const auto& c : components)
+      for (const auto& master : c.variants)
+        for (const auto& pin : master.pins)
+          if (!pin.name.empty()) netId.emplace(pin.name, 0);
+    for (auto& [net, id] : netId) {
+      id = netWeight_.size();
+      const auto w = opts.netWeights.find(net);
+      netWeight_.push_back(w == opts.netWeights.end() ? 1.0 : w->second);
+    }
+    geometry_.resize(components.size());
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      for (const auto& master : components[i].variants) {
+        VariantGeometry g{master.boundingBox(), {}};
+        for (const auto& pin : master.pins)
+          if (!pin.name.empty()) g.pins.push_back({netId.at(pin.name), pin.rect});
+        geometry_[i].push_back(std::move(g));
+      }
+    }
+    boxes_.resize(components.size());
+    netBox_.resize(netWeight_.size());
+    netSeen_.resize(netWeight_.size());
+  }
+
+  std::ptrdiff_t peer(std::size_t i) const { return peer_[i]; }
+
+  /// Bounding box of component i under variant v and transform t.
+  Rect box(std::size_t i, std::size_t v, const Transform& t) const {
+    return t.apply(geometry_[i][v].box);
+  }
+
+  double cost(const Arrangement& a, double overlapScale) {
+    updateBoxes(a);
+    Rect bb;
+    for (const Rect& b : boxes_) bb = bb.unionWith(b);
+    const double area = static_cast<double>(bb.area());
+    const double wl = wirelength(a);
+    double ov = 0.0;
+    for (std::size_t i = 0; i < boxes_.size(); ++i) {
+      const Rect r = boxes_[i].inflated(opts_.spacing / 2);
+      for (std::size_t j = i + 1; j < boxes_.size(); ++j)
+        ov += static_cast<double>(r.intersect(boxes_[j].inflated(opts_.spacing / 2)).area());
+    }
+    const double sym = symmetryErrorOfBoxes(a);
+    return opts_.areaWeight * area + opts_.wireWeight * wl * 10.0 +
+           opts_.overlapWeight * overlapScale * ov + opts_.symmetryWeight * sym * 20.0;
+  }
+
+  double symmetryError(const Arrangement& a) {
+    updateBoxes(a);
+    return symmetryErrorOfBoxes(a);
+  }
+
+  std::vector<CellInstance> instances(const Arrangement& a) const {
+    std::vector<CellInstance> out;
+    out.reserve(components_.size());
+    for (std::size_t i = 0; i < components_.size(); ++i)
+      out.push_back(CellInstance{components_[i].name,
+                                 &components_[i].variants[a.variant[i]], a.xform[i]});
     return out;
   }
 
-  double symmetryError(const std::vector<CellInstance>& inst) const {
-    // Axis: average pair midline; error: deviation from common axis +
-    // vertical misalignment + orientation mismatch.
+ private:
+  struct VariantGeometry {
+    Rect box;                                       ///< master bounding box
+    std::vector<std::pair<std::size_t, Rect>> pins;  ///< (net id, rect), named pins
+  };
+
+  void updateBoxes(const Arrangement& a) {
+    for (std::size_t i = 0; i < boxes_.size(); ++i)
+      boxes_[i] = box(i, a.variant[i], a.xform[i]);
+  }
+
+  /// Weighted half-perimeter wirelength over the nets the chosen variants
+  /// expose, summed in net-name order.
+  double wirelength(const Arrangement& a) {
+    std::fill(netSeen_.begin(), netSeen_.end(), 0);
+    for (std::size_t i = 0; i < geometry_.size(); ++i) {
+      for (const auto& [net, rect] : geometry_[i][a.variant[i]].pins) {
+        const Rect r = a.xform[i].apply(rect);
+        netBox_[net] = netSeen_[net] ? netBox_[net].unionWith(r) : r;
+        netSeen_[net] = 1;
+      }
+    }
+    double total = 0.0;
+    for (std::size_t n = 0; n < netBox_.size(); ++n)
+      if (netSeen_[n]) total += netWeight_[n] * static_cast<double>(netBox_[n].halfPerimeter());
+    return total;
+  }
+
+  /// Axis: average pair midline; error: deviation from common axis +
+  /// vertical misalignment + orientation mismatch.  Reads boxes_.
+  double symmetryErrorOfBoxes(const Arrangement& a) const {
     double axisSum = 0.0;
     std::size_t pairs = 0;
-    for (std::size_t i = 0; i < peer.size(); ++i) {
-      if (peer[i] < 0 || static_cast<std::size_t>(peer[i]) < i) continue;
-      const auto ca = inst[i].boundingBox().center();
-      const auto cb = inst[static_cast<std::size_t>(peer[i])].boundingBox().center();
+    for (std::size_t i = 0; i < peer_.size(); ++i) {
+      if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
+      const auto ca = boxes_[i].center();
+      const auto cb = boxes_[static_cast<std::size_t>(peer_[i])].center();
       axisSum += 0.5 * static_cast<double>(ca.x + cb.x);
       ++pairs;
     }
     if (pairs == 0) return 0.0;
     const double axis = axisSum / static_cast<double>(pairs);
     double err = 0.0;
-    for (std::size_t i = 0; i < peer.size(); ++i) {
-      if (peer[i] < 0 || static_cast<std::size_t>(peer[i]) < i) continue;
-      const std::size_t j = static_cast<std::size_t>(peer[i]);
-      const auto ca = inst[i].boundingBox().center();
-      const auto cb = inst[j].boundingBox().center();
+    for (std::size_t i = 0; i < peer_.size(); ++i) {
+      if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
+      const std::size_t j = static_cast<std::size_t>(peer_[i]);
+      const auto ca = boxes_[i].center();
+      const auto cb = boxes_[j].center();
       err += std::abs(static_cast<double>(ca.x + cb.x) / 2.0 - axis);
       err += std::abs(static_cast<double>(ca.y - cb.y));
-      if (xform[j].orient != mirrored(xform[i].orient)) err += 50.0;
+      if (a.xform[j].orient != mirrored(a.xform[i].orient)) err += 50.0;
     }
     return err;
   }
 
-  double cost(double overlapScale) const {
-    const auto inst = instances();
-    Rect bb;
-    for (const auto& c : inst) bb = bb.unionWith(c.boundingBox());
-    const double area = static_cast<double>(bb.area());
-    const double wl = estimateWirelengthWeighted(inst, opts.netWeights);
-    const double ov = overlapArea(inst, opts.spacing);
-    const double sym = symmetryError(inst);
-    return opts.areaWeight * area + opts.wireWeight * wl * 10.0 +
-           opts.overlapWeight * overlapScale * ov + opts.symmetryWeight * sym * 20.0;
-  }
+  const std::vector<PlacementComponent>& components_;
+  const PlacerOptions& opts_;
+  std::vector<std::ptrdiff_t> peer_;  // index of symmetry partner or -1
+  std::vector<std::vector<VariantGeometry>> geometry_;  // [component][variant]
+  std::vector<double> netWeight_;                        // [net id]
+  // Scratch, reused by every evaluation.
+  std::vector<Rect> boxes_;
+  std::vector<Rect> netBox_;
+  std::vector<char> netSeen_;
 };
 
 Coord snap(Coord v, Coord grid) { return (v / grid) * grid; }
@@ -260,34 +339,26 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     if (c.variants.empty())
       throw std::invalid_argument("placeCells: component " + c.name + " has no variants");
 
-  PlacerState st;
-  st.components = &components;
-  st.opts = opts;
-  st.variant.assign(components.size(), 0);
-  st.peer.assign(components.size(), -1);
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (!components[i].symmetryPeer) continue;
-    for (std::size_t j = 0; j < components.size(); ++j)
-      if (components[j].name == *components[i].symmetryPeer) st.peer[i] = j;
-  }
+  PlacerState placer(components, opts);
 
   // Start from the deterministic row placement (legal, finite cost).
   const Placement seed = rowPlacement(components, opts);
+  Arrangement st;
+  st.variant.assign(components.size(), 0);
   st.xform.resize(components.size());
   for (std::size_t i = 0; i < components.size(); ++i)
     st.xform[i] = seed.instances[i].placement;
 
   double overlapScale = 1.0;
-  PlacerState prev = st;
-  PlacerState best = st;
+  Arrangement prev = st;
+  Arrangement best = st;
   double spread = 1.0;  // move range multiplier, shrinks over time
   std::size_t movesDone = 0;
 
   num::AnnealProblem prob;
-  prob.cost = [&] { return st.cost(overlapScale); };
+  prob.cost = [&] { return placer.cost(st, overlapScale); };
   prob.propose = [&](num::Rng& rng) {
-    prev.variant = st.variant;
-    prev.xform = st.xform;
+    prev = st;
     const std::size_t i = rng.index(components.size());
     const int kind = rng.integer(0, 7);
     const Coord range = std::max<Coord>(
@@ -325,12 +396,8 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         if (components.size() < 2) break;
         std::size_t j = rng.index(components.size());
         while (j == i) j = rng.index(components.size());
-        const CellInstance a{components[i].name, &components[i].variants[st.variant[i]],
-                             st.xform[i]};
-        const CellInstance b{components[j].name, &components[j].variants[st.variant[j]],
-                             st.xform[j]};
-        const Rect ra = a.boundingBox();
-        const Rect rb = b.boundingBox();
+        const Rect ra = placer.box(i, st.variant[i], st.xform[i]);
+        const Rect rb = placer.box(j, st.variant[j], st.xform[j]);
         Coord dx = 0, dy = 0;
         switch (rng.integer(0, 3)) {
           case 0:  // right of j
@@ -355,22 +422,19 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         break;
       }
       case 5: {  // symmetry snap: mirror the peer into place
-        if (st.peer[i] >= 0) {
-          const std::size_t j = static_cast<std::size_t>(st.peer[i]);
-          CellInstance a{components[i].name, &components[i].variants[st.variant[i]],
-                         st.xform[i]};
-          const Rect abb = a.boundingBox();
+        if (placer.peer(i) >= 0) {
+          const std::size_t j = static_cast<std::size_t>(placer.peer(i));
+          const Rect abb = placer.box(i, st.variant[i], st.xform[i]);
           // Mirror about the current overall bbox center.
           Rect bb;
-          for (const auto& inst : st.instances()) bb = bb.unionWith(inst.boundingBox());
+          for (std::size_t k = 0; k < components.size(); ++k)
+            bb = bb.unionWith(placer.box(k, st.variant[k], st.xform[k]));
           const Coord axis = bb.center().x;
           const Rect target = geom::mirrorX(abb, axis);
           st.variant[j] = st.variant[i];
           st.xform[j].orient = mirrored(st.xform[i].orient);
           // Position the peer so its bbox lands on the mirrored rect.
-          CellInstance b{components[j].name, &components[j].variants[st.variant[j]],
-                         Transform{st.xform[j].orient, 0, 0}};
-          const Rect bbb = b.boundingBox();
+          const Rect bbb = placer.box(j, st.variant[j], Transform{st.xform[j].orient, 0, 0});
           st.xform[j].dx = target.x0 - bbb.x0;
           st.xform[j].dy = target.y0 - bbb.y0;
         }
@@ -384,10 +448,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
       overlapScale = std::min(64.0, overlapScale * 1.15);
     }
   };
-  prob.undo = [&] {
-    st.variant = prev.variant;
-    st.xform = prev.xform;
-  };
+  prob.undo = [&] { st = prev; };
   prob.snapshot = [&] { best = st; };
 
   num::AnnealOptions aopts = opts.anneal;
@@ -405,7 +466,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
 
   // Legalize the best solution if overlaps survived: push instances apart
   // along x in left-to-right order.
-  auto inst = best.instances();
+  auto inst = placer.instances(best);
   std::vector<std::size_t> order(inst.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -430,7 +491,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
   }
 
   Placement result;
-  result.instances = best.instances();
+  result.instances = placer.instances(best);
   for (std::size_t i = 0; i < components.size(); ++i)
     result.variantChosen[components[i].name] = best.variant[i];
   Rect bb;
@@ -438,7 +499,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
   result.boundingBox = bb;
   result.wirelength = estimateWirelength(result.instances);
   result.overlapFree = !hasOverlaps(result.instances, opts.spacing);
-  result.symmetryError = best.symmetryError(result.instances);
+  result.symmetryError = placer.symmetryError(best);
   result.stats = stats;
 
   // Best-of guarantee: post-legalization inflation can leave the annealed

@@ -1,14 +1,11 @@
 #include "layout/cell/route.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <cstdint>
+#include <functional>
 #include <numeric>
-#include <optional>
-#include <tuple>
-#include <queue>
-#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
@@ -46,12 +43,12 @@ int indexOf(Layer l) {
 
 struct Node {
   int layer = 0, x = 0, y = 0;
-  friend bool operator==(const Node&, const Node&) = default;
-  friend bool operator<(const Node& a, const Node& b) {
-    return std::tie(a.layer, a.x, a.y) < std::tie(b.layer, b.x, b.y);
-  }
 };
 
+/// The routing grid.  Nodes are addressed by one flat index,
+/// (layer * nx + x) * ny + y, so ascending index order is the lexicographic
+/// (layer, x, y) order: the search's (distance, index) heap therefore breaks
+/// ties exactly as a (distance, Node) heap ordered by (layer, x, y) would.
 class Grid {
  public:
   Grid(Rect area, Coord pitch) : area_(area), pitch_(pitch) {
@@ -63,43 +60,42 @@ class Grid {
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  bool inBounds(const Node& n) const {
-    return n.layer >= 0 && n.layer < kLayers && n.x >= 0 && n.x < nx_ && n.y >= 0 &&
-           n.y < ny_;
+  int plane() const { return nx_ * ny_; }
+  std::size_t size() const { return owner_.size(); }
+
+  int index(int l, int x, int y) const { return (l * nx_ + x) * ny_ + y; }
+  Node node(int i) const {
+    const int planar = i % plane();
+    return {i / plane(), planar / ny_, planar % ny_};
   }
   geom::Point world(const Node& n) const {
     return {area_.x0 + static_cast<Coord>(n.x) * pitch_,
             area_.y0 + static_cast<Coord>(n.y) * pitch_};
   }
-  Node nearest(int layer, geom::Point p) const {
+  int nearest(int layer, geom::Point p) const {
     const int x = static_cast<int>((p.x - area_.x0 + pitch_ / 2) / pitch_);
     const int y = static_cast<int>((p.y - area_.y0 + pitch_ / 2) / pitch_);
-    return {layer, std::clamp(x, 0, nx_ - 1), std::clamp(y, 0, ny_ - 1)};
+    return index(layer, std::clamp(x, 0, nx_ - 1), std::clamp(y, 0, ny_ - 1));
   }
 
-  int& owner(const Node& n) {
-    return owner_[(static_cast<std::size_t>(n.layer) * nx_ + n.x) * ny_ + n.y];
-  }
-  int owner(const Node& n) const {
-    return owner_[(static_cast<std::size_t>(n.layer) * nx_ + n.x) * ny_ + n.y];
-  }
-  void setOverDevice(int x, int y) { overDevice_[static_cast<std::size_t>(x) * ny_ + y] = 1; }
-  bool overDevice(int x, int y) const {
-    return overDevice_[static_cast<std::size_t>(x) * ny_ + y] != 0;
-  }
+  int& owner(int i) { return owner_[static_cast<std::size_t>(i)]; }
+  int owner(int i) const { return owner_[static_cast<std::size_t>(i)]; }
+  const std::vector<int>& owners() const { return owner_; }
+  void resetOwners(const std::vector<int>& owners) { owner_ = owners; }
 
-  /// Mark every node whose center lies inside `r` on grid layer `l`.
+  void setOverDevice(int i) { overDevice_[static_cast<std::size_t>(i % plane())] = 1; }
+  bool overDevice(int i) const { return overDevice_[static_cast<std::size_t>(i % plane())] != 0; }
+
+  /// Visit every node whose center lies inside `r` on grid layer `l`.
   template <typename Fn>
-  void forNodesIn(int l, const Rect& r, Fn&& fn) {
+  void forNodesIn(int l, const Rect& r, Fn&& fn) const {
     const int x0 = std::max(0, static_cast<int>((r.x0 - area_.x0 + pitch_ - 1) / pitch_));
     const int y0 = std::max(0, static_cast<int>((r.y0 - area_.y0 + pitch_ - 1) / pitch_));
     const int x1 = std::min<int>(nx_ - 1, static_cast<int>((r.x1 - area_.x0) / pitch_));
     const int y1 = std::min<int>(ny_ - 1, static_cast<int>((r.y1 - area_.y0) / pitch_));
     for (int x = x0; x <= x1; ++x)
-      for (int y = y0; y <= y1; ++y) {
-        const geom::Point c = world({l, x, y});
-        if (r.contains(c)) fn(Node{l, x, y});
-      }
+      for (int y = y0; y <= y1; ++y)
+        if (r.contains(world({l, x, y}))) fn(index(l, x, y));
   }
 
  private:
@@ -108,6 +104,25 @@ class Grid {
   int nx_ = 0, ny_ = 0;
   std::vector<int> owner_;       // kFree / kBlocked / net index
   std::vector<char> overDevice_;
+};
+
+/// A set of grid nodes that empties in O(1): a node is a member iff its
+/// stamp equals the current epoch, so nothing is cleared between searches.
+class NodeSet {
+ public:
+  explicit NodeSet(std::size_t n) : stamp_(n, 0) {}
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias, so wipe once
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  bool contains(int i) const { return stamp_[static_cast<std::size_t>(i)] == epoch_; }
+  void insert(int i) { stamp_[static_cast<std::size_t>(i)] = epoch_; }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 1;
 };
 
 }  // namespace
@@ -124,208 +139,237 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
   for (const auto& inst : placed) area = area.unionWith(inst.boundingBox());
   area = area.inflated(opts.margin);
 
-  // --- collect pins per net ---
-  std::map<std::string, std::vector<geom::Pin>> pinsOf;
-  for (const auto& inst : placed)
-    for (const auto& pin : inst.transformedPins()) pinsOf[pin.name].push_back(pin);
-
-  // Net indices and class lookup.
   std::map<std::string, int> netIndex;
-  for (std::size_t i = 0; i < nets.size(); ++i) netIndex[nets[i].name] = static_cast<int>(i);
+  for (std::size_t i = 0; i < nets.size(); ++i)
+    if (!netIndex.emplace(nets[i].name, static_cast<int>(i)).second)
+      throw std::invalid_argument("routeCells: net " + nets[i].name + " listed twice");
   auto classOf = [&](int idx) { return nets[static_cast<std::size_t>(idx)].wireClass; };
 
+  // --- collect pins per net ---
+  std::vector<std::vector<geom::Pin>> pinsOf(nets.size());
+  for (const auto& inst : placed)
+    for (auto& pin : inst.transformedPins())
+      if (auto it = netIndex.find(pin.name); it != netIndex.end())
+        pinsOf[static_cast<std::size_t>(it->second)].push_back(std::move(pin));
+
+  // --- the pass-invariant grid: blocked device geometry, then pin nodes ---
+  Grid grid(area, opts.pitch);
+  for (const auto& inst : placed) {
+    for (const auto& shape : inst.transformedShapes()) {
+      const Rect grown = shape.rect.inflated(opts.wireWidth / 2 + 2);
+      const auto block = [&](int n) { grid.owner(n) = kBlocked; };
+      switch (shape.layer) {
+        case Layer::Poly:
+        case Layer::NDiff:
+        case Layer::PDiff:
+          grid.forNodesIn(0, grown, block);
+          break;
+        case Layer::Metal1:
+        case Layer::Contact:
+          grid.forNodesIn(1, grown, block);
+          break;
+        case Layer::Metal2:
+        case Layer::Via:
+          grid.forNodesIn(2, grown, block);
+          break;
+        default:
+          break;
+      }
+    }
+    // Metal2 over the device body is allowed but penalized.
+    grid.forNodesIn(2, inst.boundingBox(), [&](int n) { grid.setOverDevice(n); });
+  }
+
+  // Pins are legal entry points for their net: one slot of grid nodes per
+  // pin.  A net with fewer than two pins, or with a pin off the routing
+  // layers, has nothing the maze can connect; it is reported unrouted.
+  std::vector<std::vector<std::vector<int>>> slotsOf(nets.size());
+  std::vector<char> routable(nets.size(), 0);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    if (pinsOf[i].size() < 2) continue;
+    auto& slots = slotsOf[i];
+    for (const auto& pin : pinsOf[i]) {
+      const int l = indexOf(pin.layer);
+      if (l < 0) continue;
+      std::vector<int> nodes;
+      grid.forNodesIn(l, pin.rect, [&](int n) { nodes.push_back(n); });
+      if (nodes.empty()) nodes.push_back(grid.nearest(l, pin.rect.center()));
+      for (const int n : nodes) grid.owner(n) = static_cast<int>(i);
+      slots.push_back(std::move(nodes));
+    }
+    routable[i] = slots.size() == pinsOf[i].size();
+  }
+  const std::vector<int> initialOwners = grid.owners();
+
   const Coord axisX = area.center().x;  // symmetry axis for mirrored nets
+
+  // Search state, allocated once and epoch-stamped per search.
+  const std::size_t gridSize = grid.size();
+  std::vector<int> dist(gridSize), parent(gridSize);
+  NodeSet reached(gridSize), target(gridSize), joined(gridSize), cloud(gridSize);
+  std::vector<int> joinedNodes, mirrored, previousOwner, cloudNodes;
+  using QE = std::pair<int, int>;  // (distance, node index)
+  std::vector<QE> heap;
+  const int ny = grid.ny(), nx = grid.nx(), plane = grid.plane();
 
   // Routing passes with rip-up: failed nets get routed first next pass.
   std::vector<std::size_t> order(nets.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::map<std::string, std::vector<Node>> pathsOf;  // final paths per net
-  std::map<std::string, bool> symRealized;
+  std::vector<std::vector<int>> pathOf(nets.size());  // final node list per net
+  std::vector<char> hasPath(nets.size()), symRealized(nets.size());
 
   for (std::size_t pass = 0; pass < opts.maxPasses; ++pass) {
-    pathsOf.clear();
-    symRealized.clear();
-    Grid grid(area, opts.pitch);
+    std::fill(hasPath.begin(), hasPath.end(), 0);
+    std::fill(symRealized.begin(), symRealized.end(), 0);
+    grid.resetOwners(initialOwners);
 
-    // --- block device geometry ---
-    for (const auto& inst : placed) {
-      for (const auto& shape : inst.transformedShapes()) {
-        const Rect grown = shape.rect.inflated(opts.wireWidth / 2 + 2);
-        switch (shape.layer) {
-          case Layer::Poly:
-          case Layer::NDiff:
-          case Layer::PDiff:
-            grid.forNodesIn(0, grown, [&](Node n) { grid.owner(n) = kBlocked; });
-            break;
-          case Layer::Metal1:
-          case Layer::Contact:
-            grid.forNodesIn(1, grown, [&](Node n) { grid.owner(n) = kBlocked; });
-            break;
-          case Layer::Metal2:
-          case Layer::Via:
-            grid.forNodesIn(2, grown, [&](Node n) { grid.owner(n) = kBlocked; });
-            break;
-          default:
-            break;
-        }
-      }
-      // Metal2 over the device body is allowed but penalized.
-      const Rect bb = inst.boundingBox();
-      grid.forNodesIn(2, bb, [&](Node n) { grid.setOverDevice(n.x, n.y); });
-    }
-
-    // --- register pin nodes (pins are legal entry points for their net) ---
-    std::map<std::string, std::vector<std::vector<Node>>> pinNodes;  // net -> pin -> nodes
-    for (const auto& rn : nets) {
-      auto pit = pinsOf.find(rn.name);
-      if (pit == pinsOf.end() || pit->second.size() < 2) continue;
-      auto& slots = pinNodes[rn.name];
-      for (const auto& pin : pit->second) {
-        std::vector<Node> nodes;
-        const int l = indexOf(pin.layer);
-        if (l < 0) continue;
-        grid.forNodesIn(l, pin.rect, [&](Node n) { nodes.push_back(n); });
-        if (nodes.empty()) nodes.push_back(grid.nearest(l, pin.rect.center()));
-        for (const Node& n : nodes) grid.owner(n) = netIndex[rn.name];
-        slots.push_back(std::move(nodes));
-      }
-    }
-
-    // --- maze-route one net ---
+    // --- maze-route one net: Dijkstra from its connected tree to each
+    // further pin in turn, claiming every path it finds ---
     auto routeNet = [&](std::size_t netIdx) -> bool {
       const RouteNet& rn = nets[netIdx];
-      auto it = pinNodes.find(rn.name);
-      if (it == pinNodes.end()) return true;  // nothing to do (single pin)
-      const auto& slots = it->second;
+      const auto& slots = slotsOf[netIdx];
       const int me = static_cast<int>(netIdx);
+      // Only a noisy or sensitive net can sit next to an incompatible one.
+      const bool crosstalk = rn.wireClass != WireClass::Quiet;
+      // ROAD mode: capacitance-bounded nets pay extra per unit length,
+      // biasing them toward short, low-parasitic paths.
+      const int lengthCost = rn.capBound > 0.0 ? 2 : 0;
+      auto& path = pathOf[netIdx];
+      path.clear();
 
-      std::set<Node> connected(slots[0].begin(), slots[0].end());
-      std::vector<Node> allSegments;
+      joined.clear();
+      joinedNodes.clear();
+      auto join = [&](int n) {
+        if (joined.contains(n)) return;
+        joined.insert(n);
+        joinedNodes.push_back(n);
+      };
+      for (const int n : slots[0]) join(n);
 
       for (std::size_t t = 1; t < slots.size(); ++t) {
-        // Dijkstra from the connected component to pin t's nodes.
-        std::set<Node> targets(slots[t].begin(), slots[t].end());
-        std::map<Node, int> dist;
-        std::map<Node, Node> parent;
-        using QE = std::pair<int, Node>;
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-        for (const Node& s : connected) {
-          dist[s] = 0;
-          pq.push({0, s});
+        reached.clear();
+        target.clear();
+        for (const int n : slots[t]) target.insert(n);
+        heap.clear();
+        for (const int s : joinedNodes) {
+          dist[static_cast<std::size_t>(s)] = 0;
+          parent[static_cast<std::size_t>(s)] = -1;
+          reached.insert(s);
+          heap.push_back({0, s});
         }
-        std::optional<Node> found;
-        while (!pq.empty()) {
-          const auto [d, n] = pq.top();
-          pq.pop();
+        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+
+        auto relax = [&](int d, int n, int m, bool sameLayer, const Node& mn) {
+          const int own = grid.owner(m);
+          if (own == kBlocked || (own >= 0 && own != me)) return;
+          int step = sameLayer ? 2 : opts.viaCost;
+          if (mn.layer == 0) step += opts.polyPenalty;
+          if (mn.layer == 2 && grid.overDevice(m)) step += opts.overDevicePenalty;
+          // Crosstalk: entering a node whose planar neighbors carry an
+          // incompatible net.
+          if (crosstalk) {
+            auto adjacent = [&](int a) {
+              const int other = grid.owner(a);
+              if (other >= 0 && other != me && incompatible(classOf(other), rn.wireClass))
+                step += opts.crosstalkPenalty;
+            };
+            if (mn.x + 1 < nx) adjacent(m + ny);
+            if (mn.x > 0) adjacent(m - ny);
+            if (mn.y + 1 < ny) adjacent(m + 1);
+            if (mn.y > 0) adjacent(m - 1);
+          }
+          step += lengthCost;
+          const int nd = d + step;
+          const auto mi = static_cast<std::size_t>(m);
+          if (!reached.contains(m) || nd < dist[mi]) {
+            reached.insert(m);
+            dist[mi] = nd;
+            parent[mi] = n;
+            heap.push_back({nd, m});
+            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+          }
+        };
+
+        int found = -1;
+        while (!heap.empty()) {
+          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+          const auto [d, n] = heap.back();
+          heap.pop_back();
           ++expansions;
-          if (d != dist[n]) continue;
-          if (targets.count(n)) {
+          if (d != dist[static_cast<std::size_t>(n)]) continue;
+          if (target.contains(n)) {
             found = n;
             break;
           }
-          const Node nbrs[6] = {{n.layer, n.x + 1, n.y}, {n.layer, n.x - 1, n.y},
-                                {n.layer, n.x, n.y + 1}, {n.layer, n.x, n.y - 1},
-                                {n.layer + 1, n.x, n.y}, {n.layer - 1, n.x, n.y}};
-          for (const Node& m : nbrs) {
-            if (!grid.inBounds(m)) continue;
-            const int own = grid.owner(m);
-            if (own == kBlocked || (own >= 0 && own != me)) continue;
-            int step = (m.layer == n.layer) ? 2 : opts.viaCost;
-            if (m.layer == 0) step += opts.polyPenalty;
-            if (m.layer == 2 && grid.overDevice(m.x, m.y)) step += opts.overDevicePenalty;
-            // Crosstalk: entering a node whose planar neighbors carry an
-            // incompatible net.
-            const Node adj[4] = {{m.layer, m.x + 1, m.y}, {m.layer, m.x - 1, m.y},
-                                 {m.layer, m.x, m.y + 1}, {m.layer, m.x, m.y - 1}};
-            for (const Node& a : adj) {
-              if (!grid.inBounds(a)) continue;
-              const int other = grid.owner(a);
-              if (other >= 0 && other != me &&
-                  incompatible(classOf(other), rn.wireClass))
-                step += opts.crosstalkPenalty;
-            }
-            // ROAD mode: capacitance-bounded nets pay extra per unit length,
-            // biasing them toward short, low-parasitic paths.
-            if (rn.capBound > 0.0) step += 2;
-            const int nd = d + step;
-            auto dit = dist.find(m);
-            if (dit == dist.end() || nd < dit->second) {
-              dist[m] = nd;
-              parent[m] = n;
-              pq.push({nd, m});
-            }
-          }
+          const Node c = grid.node(n);
+          if (c.x + 1 < nx) relax(d, n, n + ny, true, {c.layer, c.x + 1, c.y});
+          if (c.x > 0) relax(d, n, n - ny, true, {c.layer, c.x - 1, c.y});
+          if (c.y + 1 < ny) relax(d, n, n + 1, true, {c.layer, c.x, c.y + 1});
+          if (c.y > 0) relax(d, n, n - 1, true, {c.layer, c.x, c.y - 1});
+          if (c.layer + 1 < kLayers) relax(d, n, n + plane, false, {c.layer + 1, c.x, c.y});
+          if (c.layer > 0) relax(d, n, n - plane, false, {c.layer - 1, c.x, c.y});
         }
-        if (!found) return false;
+        if (found < 0) return false;
         // Trace back and claim the path.
-        Node cur = *found;
-        while (!connected.count(cur)) {
-          connected.insert(cur);
-          allSegments.push_back(cur);
+        for (int cur = found; cur >= 0 && !joined.contains(cur);
+             cur = parent[static_cast<std::size_t>(cur)]) {
+          join(cur);
+          path.push_back(cur);
           grid.owner(cur) = me;
-          auto pIt = parent.find(cur);
-          if (pIt == parent.end()) break;
-          cur = pIt->second;
         }
-        for (const Node& n : slots[t]) connected.insert(n);
+        for (const int n : slots[t]) join(n);
       }
       // Record the pin nodes too so geometry connects to the pads.
-      for (const auto& slot : slots)
-        for (const Node& n : slot) allSegments.push_back(n);
-      pathsOf[rn.name] = std::move(allSegments);
+      for (const auto& slot : slots) path.insert(path.end(), slot.begin(), slot.end());
+      hasPath[netIdx] = 1;
       return true;
     };
 
-    // Try mirroring a symmetric net from its already-routed peer.
+    // Try mirroring a symmetric net from its already-routed peer.  A mirror
+    // that misses one of the net's pins hands every node back to its
+    // previous owner, so the grid is exactly as it was before the attempt.
     auto mirrorNet = [&](std::size_t netIdx) -> bool {
       const RouteNet& rn = nets[netIdx];
-      if (!rn.symmetricPeer) return false;
-      auto peerPath = pathsOf.find(*rn.symmetricPeer);
-      if (peerPath == pathsOf.end()) return false;
+      const auto peer = netIndex.find(*rn.symmetricPeer);
+      if (peer == netIndex.end() || !hasPath[static_cast<std::size_t>(peer->second)])
+        return false;
       const int me = static_cast<int>(netIdx);
 
-      std::vector<Node> mirroredNodes;
-      for (const Node& n : peerPath->second) {
-        const geom::Point w = grid.world(n);
-        const geom::Point mw = geom::mirrorX(w, axisX);
-        const Node m = grid.nearest(n.layer, mw);
+      mirrored.clear();
+      for (const int n : pathOf[static_cast<std::size_t>(peer->second)]) {
+        const Node pn = grid.node(n);
+        const int m = grid.nearest(pn.layer, geom::mirrorX(grid.world(pn), axisX));
         const int own = grid.owner(m);
         if (own == kBlocked || (own >= 0 && own != me)) return false;
-        mirroredNodes.push_back(m);
+        mirrored.push_back(m);
       }
-      for (const Node& m : mirroredNodes) grid.owner(m) = me;
+      previousOwner.clear();
+      cloud.clear();
+      for (const int m : mirrored) {
+        previousOwner.push_back(grid.owner(m));
+        grid.owner(m) = me;
+        cloud.insert(m);
+      }
       // The mirrored cloud must touch all of this net's pins.
-      auto it = pinNodes.find(rn.name);
-      if (it != pinNodes.end()) {
-        std::set<Node> cloud(mirroredNodes.begin(), mirroredNodes.end());
-        for (const auto& slot : it->second) {
-          bool touched = false;
-          for (const Node& n : slot)
-            if (cloud.count(n)) touched = true;
-          if (!touched) {
-            for (const Node& m : mirroredNodes)
-              if (!cloud.count(m)) grid.owner(m) = kFree;
-            return false;
-          }
-        }
+      for (const auto& slot : slotsOf[netIdx]) {
+        if (std::any_of(slot.begin(), slot.end(), [&](int n) { return cloud.contains(n); }))
+          continue;
+        // In reverse, so a node mirrored twice gets its first owner back.
+        for (std::size_t k = mirrored.size(); k-- > 0;)
+          grid.owner(mirrored[k]) = previousOwner[k];
+        return false;
       }
-      pathsOf[rn.name] = std::move(mirroredNodes);
+      pathOf[netIdx] = mirrored;
+      hasPath[netIdx] = 1;
       return true;
     };
 
     std::vector<std::size_t> failed;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const std::size_t netIdx = order[oi];
-      const RouteNet& rn = nets[netIdx];
-      bool ok = false;
-      if (rn.symmetricPeer && mirrorNet(netIdx)) {
-        ok = true;
-        symRealized[rn.name] = true;
-      } else {
-        ok = routeNet(netIdx);
-        symRealized[rn.name] = false;
-      }
-      if (!ok) failed.push_back(netIdx);
+    for (const std::size_t netIdx : order) {
+      if (!routable[netIdx]) continue;
+      const bool mirroredOk = nets[netIdx].symmetricPeer && mirrorNet(netIdx);
+      symRealized[netIdx] = mirroredOk;
+      if (!mirroredOk && !routeNet(netIdx)) failed.push_back(netIdx);
     }
 
     if (failed.empty() || pass + 1 == opts.maxPasses) {
@@ -333,62 +377,59 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
       result.nets.clear();
       result.layout.wires.clear();
       double exposure = 0.0;
+      const Coord h = opts.wireWidth / 2;
 
       for (std::size_t i = 0; i < nets.size(); ++i) {
         const RouteNet& rn = nets[i];
         NetReport rep;
-        rep.routed = std::find(failed.begin(), failed.end(), i) == failed.end() &&
-                     pathsOf.count(rn.name);
-        rep.symmetricRealized = symRealized.count(rn.name) && symRealized[rn.name];
-        if (pathsOf.count(rn.name)) {
-          const auto& path = pathsOf[rn.name];
-          std::set<Node> cloud(path.begin(), path.end());
-          const Coord h = opts.wireWidth / 2;
-          for (const Node& n : cloud) {
-            const geom::Point w = grid.world(n);
+        rep.routed = hasPath[i];
+        rep.symmetricRealized = symRealized[i];
+        if (hasPath[i]) {
+          // The net's distinct nodes in index order.
+          cloudNodes = pathOf[i];
+          std::sort(cloudNodes.begin(), cloudNodes.end());
+          cloudNodes.erase(std::unique(cloudNodes.begin(), cloudNodes.end()), cloudNodes.end());
+          cloud.clear();
+          for (const int n : cloudNodes) cloud.insert(n);
+          for (const int n : cloudNodes) {
+            const Node c = grid.node(n);
+            const geom::Point w = grid.world(c);
             // Pad at the node plus segments toward +x/+y cloud neighbors.
             result.layout.wires.push_back(
-                Shape{layerOf(n.layer), {w.x - h, w.y - h, w.x + h, w.y + h}, rn.name});
-            if (cloud.count({n.layer, n.x + 1, n.y}))
+                Shape{layerOf(c.layer), {w.x - h, w.y - h, w.x + h, w.y + h}, rn.name});
+            if (c.x + 1 < nx && cloud.contains(n + ny))
               result.layout.wires.push_back(
-                  Shape{layerOf(n.layer),
+                  Shape{layerOf(c.layer),
                         {w.x - h, w.y - h, w.x + opts.pitch + h, w.y + h}, rn.name});
-            if (cloud.count({n.layer, n.x, n.y + 1}))
+            if (c.y + 1 < ny && cloud.contains(n + 1))
               result.layout.wires.push_back(
-                  Shape{layerOf(n.layer),
+                  Shape{layerOf(c.layer),
                         {w.x - h, w.y - h, w.x + h, w.y + opts.pitch + h}, rn.name});
             // Vias: node present on the next layer up at the same (x, y).
-            if (cloud.count({n.layer + 1, n.x, n.y})) {
+            if (c.layer + 1 < kLayers && cloud.contains(n + plane)) {
               ++rep.vias;
               result.layout.wires.push_back(
-                  Shape{n.layer == 0 ? Layer::Contact : Layer::Via,
+                  Shape{c.layer == 0 ? Layer::Contact : Layer::Via,
                         {w.x - h, w.y - h, w.x + h, w.y + h}, rn.name});
             }
           }
           // Straps from each physical pin to its grid entry node (pins can
           // sit off-grid; the nearest-node fallback needs a jumper).
-          if (auto pnIt = pinNodes.find(rn.name); pnIt != pinNodes.end()) {
-            const auto& physical = pinsOf[rn.name];
-            for (std::size_t pi = 0;
-                 pi < pnIt->second.size() && pi < physical.size(); ++pi) {
-              if (pnIt->second[pi].empty()) continue;
-              const Node n0 = pnIt->second[pi].front();
-              const geom::Point w = grid.world(n0);
-              const geom::Point pc = physical[pi].rect.center();
-              result.layout.wires.push_back(
-                  Shape{physical[pi].layer,
-                        {std::min(w.x, pc.x) - h, pc.y - h, std::max(w.x, pc.x) + h,
-                         pc.y + h},
-                        rn.name});
-              result.layout.wires.push_back(
-                  Shape{physical[pi].layer,
-                        {w.x - h, std::min(w.y, pc.y) - h, w.x + h,
-                         std::max(w.y, pc.y) + h},
-                        rn.name});
-            }
+          const auto& physical = pinsOf[i];
+          for (std::size_t pi = 0; pi < slotsOf[i].size(); ++pi) {
+            const geom::Point w = grid.world(grid.node(slotsOf[i][pi].front()));
+            const geom::Point pc = physical[pi].rect.center();
+            result.layout.wires.push_back(
+                Shape{physical[pi].layer,
+                      {std::min(w.x, pc.x) - h, pc.y - h, std::max(w.x, pc.x) + h, pc.y + h},
+                      rn.name});
+            result.layout.wires.push_back(
+                Shape{physical[pi].layer,
+                      {w.x - h, std::min(w.y, pc.y) - h, w.x + h, std::max(w.y, pc.y) + h},
+                      rn.name});
           }
           rep.lengthLambda =
-              static_cast<double>(cloud.size()) * static_cast<double>(opts.pitch) / 4.0;
+              static_cast<double>(cloudNodes.size()) * static_cast<double>(opts.pitch) / 4.0;
           // Ground-cap estimate: area + fringe of the drawn wire.
           const double lenM = rep.lengthLambda * proc.lambda;
           const double wM = static_cast<double>(opts.wireWidth) / 4.0 * proc.lambda;
@@ -396,23 +437,29 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
           rep.capBoundMet = rn.capBound <= 0.0 || rep.estimatedCap <= rn.capBound;
           result.totalLengthLambda += rep.lengthLambda;
 
-          // Crosstalk exposure against previously-reported nets.
-          for (const Node& n : cloud) {
-            const Node adj[4] = {{n.layer, n.x + 1, n.y}, {n.layer, n.x - 1, n.y},
-                                 {n.layer, n.x, n.y + 1}, {n.layer, n.x, n.y - 1}};
-            for (const Node& a : adj) {
-              if (!grid.inBounds(a)) continue;
-              const int other = grid.owner(a);
-              if (other >= 0 && other != static_cast<int>(i) &&
-                  incompatible(classOf(other), rn.wireClass))
-                exposure += static_cast<double>(opts.pitch) / 4.0 / 2.0;  // half per side
+          // Crosstalk exposure against previously-reported nets (a quiet
+          // net is compatible with every class, so it has none).
+          if (rn.wireClass != WireClass::Quiet) {
+            for (const int n : cloudNodes) {
+              const Node c = grid.node(n);
+              auto adjacent = [&](int a) {
+                const int other = grid.owner(a);
+                if (other >= 0 && other != static_cast<int>(i) &&
+                    incompatible(classOf(other), rn.wireClass))
+                  exposure += static_cast<double>(opts.pitch) / 4.0 / 2.0;  // half per side
+              };
+              if (c.x + 1 < nx) adjacent(n + ny);
+              if (c.x > 0) adjacent(n - ny);
+              if (c.y + 1 < ny) adjacent(n + 1);
+              if (c.y > 0) adjacent(n - 1);
             }
           }
         }
         result.nets[rn.name] = rep;
       }
       result.crosstalkExposureLambda = exposure;
-      result.allRouted = failed.empty();
+      result.allRouted = std::all_of(result.nets.begin(), result.nets.end(),
+                                     [](const auto& kv) { return kv.second.routed; });
       // One registry touch per routing run: the maze loop itself only bumps
       // a local tally.
       static const auto cExpansions =

@@ -60,7 +60,7 @@ struct NetReport {
 struct RouteResult {
   geom::Layout layout;           ///< instances + generated wires/vias
   std::map<std::string, NetReport> nets;
-  bool allRouted = false;
+  bool allRouted = false;        ///< every listed net is routed
   double totalLengthLambda = 0.0;
   /// Crosstalk exposure: grid-adjacent run length (lambda) between
   /// incompatible wire classes (the quantity ANAGRAM II minimizes).
@@ -69,7 +69,10 @@ struct RouteResult {
 
 /// Route the named nets over a placement.  Pins are taken from the placed
 /// instances' transformed pins (pin name == net name).  Nets not listed are
-/// ignored (e.g. bulk ties handled by abutment).
+/// ignored (e.g. bulk ties handled by abutment).  A listed net with fewer
+/// than two pins, or with a pin off the routing layers (poly, metal1,
+/// metal2), has nothing to connect and is reported unrouted.  Throws
+/// std::invalid_argument when a net is listed twice.
 RouteResult routeCells(const std::vector<geom::CellInstance>& placed,
                        const std::vector<RouteNet>& nets, const circuit::Process& proc,
                        const RouterOptions& opts = {});
