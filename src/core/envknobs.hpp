@@ -67,7 +67,7 @@ inline bool evalCacheEnabled() {
 inline std::size_t evalCacheCapacity() {
   const auto v = parseUnsigned(std::getenv("AMSYN_EVAL_CACHE_CAPACITY"));
   if (v && *v > 0 && *v <= SIZE_MAX) return static_cast<std::size_t>(*v);
-  return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance maps
+  return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance payloads
 }
 
 /// AMSYN_SURROGATE: hunt-vertex screening is on only for "1" or "on";

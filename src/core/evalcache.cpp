@@ -27,13 +27,15 @@ bool bitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// Approximate resident bytes of one entry: container overheads are charged
-/// at a flat rate; string keys at their length (small-string storage counts
-/// the same — this is an observability estimate, not an allocator audit).
+/// at a flat rate; the performance payload at one flat (name, value)
+/// element per performance plus each name's length (small-string storage
+/// counts the same — this is an observability estimate, not an allocator
+/// audit).
 std::size_t entryBytes(const std::vector<double>& x, const CachedEval& v) {
   std::size_t bytes = sizeof(Digest128) + 64;  // key + node/list overhead
   bytes += x.size() * sizeof(double);
-  for (const auto& [name, value] : v.performance)
-    bytes += name.size() + sizeof(value) + 48;  // map-node overhead
+  bytes += v.performance.size() * sizeof(Performance::value_type);
+  for (const auto& entry : v.performance) bytes += entry.first.size();
   return bytes;
 }
 

@@ -7,7 +7,7 @@
 // cutting-plane rounds and in the final audit (the 4x-10x CPU premium of
 // section 2.2 measured in BENCH_corners.json).  This cache short-circuits
 // those repeats: a lookup keyed by a canonical 128-bit candidate digest
-// returns the full Performance map (failure taxonomy included — the
+// returns the full Performance payload (failure taxonomy included — the
 // "_status" key rides along) instead of re-running the evaluator.
 //
 // Key design.  A candidate's identity is the digest of
@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,6 +57,7 @@
 #include <vector>
 
 #include "core/evalstatus.hpp"
+#include "core/performances.hpp"
 
 namespace amsyn::core::cache {
 
@@ -151,11 +151,11 @@ class Hasher128 {
   std::uint64_t h2_ = 0xbb67ae8584caa73bULL;
 };
 
-/// One cached evaluation: the full Performance map (including the
+/// One cached evaluation: the full Performance payload (including the
 /// "_infeasible" / "_status" taxonomy keys) plus the structured status for
-/// consumers that do not parse the map.
+/// consumers that do not parse the payload.
 struct CachedEval {
-  std::map<std::string, double> performance;
+  Performance performance;
   EvalStatus status = EvalStatus::Ok;
 };
 

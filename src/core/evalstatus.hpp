@@ -3,7 +3,7 @@
 // thousands of candidate designs, and its central robustness requirement is
 // that a bad candidate — unconverged bias point, singular Jacobian, NaN
 // iterate, runaway transient — becomes *infeasible data*, never a crash.
-// Every analysis result and every Performance map carries one of these
+// Every analysis result and every Performance payload carries one of these
 // reason codes so the sizing cost, corner search, and flow report *why* a
 // point failed.
 //
@@ -25,7 +25,7 @@ namespace amsyn::core {
 /// means the result is trustworthy; everything else marks the result
 /// infeasible for the optimizer while remaining an ordinary value.
 /// Codes are append-only: the numeric value is persisted in cached
-/// Performance maps (sizing::kEvalStatusKey) and batch journals, so
+/// Performance payloads (sizing::kEvalStatusKey) and batch journals, so
 /// reordering existing entries would reinterpret old data.
 enum class EvalStatus : std::uint8_t {
   Ok = 0,

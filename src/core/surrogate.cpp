@@ -47,8 +47,7 @@ void RidgeModel::refresh(Head& h) {
   h.dirty = false;
 }
 
-bool RidgeModel::observe(const std::vector<double>& phi,
-                         const std::map<std::string, double>& heads) {
+bool RidgeModel::observe(const std::vector<double>& phi, const Performance& heads) {
   if (phi.size() != dim_ || heads.empty() || !allFinite(phi)) return false;
   for (const auto& [name, y] : heads)
     if (!std::isfinite(y)) return false;
@@ -215,7 +214,7 @@ std::unique_ptr<Store> Store::createIsolated() {
   return std::unique_ptr<Store>(new Store(/*shared=*/false));
 }
 
-void Store::observe(const Candidate& c, const std::map<std::string, double>& heads) {
+void Store::observe(const Candidate& c, const Performance& heads) {
   Impl& im = impl();
   if (c.features.empty() || heads.empty()) {
     metrics::add(im.cDeclined);

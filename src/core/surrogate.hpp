@@ -66,8 +66,7 @@ class RidgeModel {
   /// first observation; later observations must carry the same names
   /// (returns false and ignores the pair otherwise), keeping every head's
   /// weights an exact ridge solve over the same design matrix.
-  bool observe(const std::vector<double>& phi,
-               const std::map<std::string, double>& heads);
+  bool observe(const std::vector<double>& phi, const Performance& heads);
 
   /// Predict one head at phi.  nullopt until the model has seen at least
   /// dim observations (underdetermined fits order nothing useful) or when
@@ -120,7 +119,7 @@ class Store {
   /// Training tap (called by sizing::safeEvaluate on fresh, feasible
   /// evaluations).  Creates the class on first sight; non-finite features
   /// or values, dimension drift, and head-set drift are declined.
-  void observe(const Candidate& c, const std::map<std::string, double>& heads);
+  void observe(const Candidate& c, const Performance& heads);
 
   /// One head's prediction for a candidate.  Unknown class, unknown head,
   /// or an immature model yield nullopt.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/context.hpp"
 #include "core/metrics.hpp"
@@ -209,7 +210,7 @@ class CornerSetModel : public sizing::PerformanceModel {
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
                  const VariationSpace& space, const sizing::SpecSet& specs,
                  const std::vector<std::vector<double>>& corners)
-      : specs_(specs) {
+      : specs_(specs), specsDigest_(specs.digest()) {
     models_.push_back(factory(nominal));  // corner 0 = nominal
     processes_.push_back(nominal);
     for (const auto& c : corners) {
@@ -240,7 +241,7 @@ class CornerSetModel : public sizing::PerformanceModel {
       perfs.reserve(models_.size());
       for (const auto& m : models_) perfs.push_back(sizing::safeEvaluate(*m, x));
     }
-    sizing::Performance agg = perfs.front();
+    sizing::Performance agg = std::move(perfs.front());
     for (std::size_t k = 1; k < models_.size(); ++k) {
       const auto& perf = perfs[k];
       for (const auto& spec : specs_.specs()) {
@@ -275,7 +276,7 @@ class CornerSetModel : public sizing::PerformanceModel {
       if (!sub) return std::nullopt;
       h.mixDigest(*sub);
     }
-    h.mixDigest(specs_.digest());
+    h.mixDigest(specsDigest_);
     return h.digest();
   }
 
@@ -294,7 +295,7 @@ class CornerSetModel : public sizing::PerformanceModel {
       h.mixDigest(sub->classKey);
       h.mixDoubles(sub->context);
     }
-    h.mixDigest(specs_.digest());
+    h.mixDigest(specsDigest_);
     return SurrogateSignature{h.digest(), {}};
   }
 
@@ -302,6 +303,9 @@ class CornerSetModel : public sizing::PerformanceModel {
 
  private:
   sizing::SpecSet specs_;
+  /// specs_.digest(), hashed once: every cache lookup of a corner-set
+  /// evaluation mixes it into the key.
+  core::cache::Digest128 specsDigest_;
   std::vector<circuit::Process> processes_;
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
 };

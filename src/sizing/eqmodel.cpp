@@ -1,6 +1,8 @@
 #include "sizing/eqmodel.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "circuit/canonical.hpp"
@@ -90,6 +92,7 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
   if (s_.secondStage) area += opampCapArea(g.cc);
 
   Performance perf;
+  perf.reserve(8);  // both families report eight performances
 
   if (!s_.secondStage) {
     // --- single-stage family: the OTA equations in electrical coordinates,
@@ -211,10 +214,60 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
     if (s_.inputCascode) den *= 1.0 + (f / pCasc) * (f / pCasc);
     return av0 * std::sqrt(num / den);
   };
+
+  // The bisection below decides each step by `magnitude(mid) > 1`, but
+  // most steps are far from the crossing, where a cheaper test gives the
+  // same answer.  magnitude(f) > 1 iff av0^2 N(f) > D(f), with
+  //   N(f) = 1 + (f zHat)^2,   D(f) = prod_i (1 + (f pHat_i)^2),
+  // zHat = 1/z (or zInv) and pHat_i = 1/p_i hoisted out of the loop: no
+  // division and no sqrt per step.
+  //
+  // Error bound.  In round-to-nearest each side is a short chain of
+  // products, squares and one-plus terms, so it carries a relative error
+  // of a few tens of ulp (< 1e-14); the exact test's own rounding in
+  // magnitude() is ~13 ulp.  The filter decides only when the two sides
+  // differ by more than kTie = 1e-12 relative, far outside both errors, so
+  // its decision is the exact test's, bit for bit.  The bound needs every
+  // operand normal and every term far from overflow (else the exact test
+  // might overflow where the filter does not): av0 > 0 with a normal
+  // av0^2, normal reciprocals, and N, D and av0^2 N below kHuge.  Anything
+  // else (a near tie, a non-finite or denormal operand, av0 <= 0) falls
+  // back to the exact test.  UgfDifferential.* in
+  // tests/composed_topology_test.cpp holds the solve bit-equal to the
+  // plain 80-step loop.
+  constexpr double kTie = 1e-12;
+  constexpr double kHuge = 1e300;
+  const double zHat = nulled ? zInv : 1.0 / z;
+  const double pHat1 = 1.0 / p1, pHat2 = 1.0 / p2, pHat3 = 1.0 / p3;
+  const double pHatCasc = s_.inputCascode ? 1.0 / pCasc : 0.0;
+  const double av0Sq = av0 * av0;
+  const bool filterable = av0 > 0.0 && std::isnormal(av0Sq) && std::isnormal(zHat) &&
+                          std::isnormal(pHat1) && std::isnormal(pHat2) &&
+                          std::isnormal(pHat3) && (!s_.inputCascode || std::isnormal(pHatCasc));
+  auto aboveUnity = [&](double f) {
+    if (filterable) {
+      const auto term = [f](double rHat) { return 1.0 + (f * rHat) * (f * rHat); };
+      const double n = term(zHat);
+      double d = term(pHat1) * term(pHat2) * term(pHat3);
+      if (s_.inputCascode) d *= term(pHatCasc);
+      const double lhs = av0Sq * n;
+      if (n < kHuge && d < kHuge && lhs < kHuge) {
+        if (lhs > d * (1.0 + kTie)) return true;
+        if (lhs < d * (1.0 - kTie)) return false;
+      }
+    }
+    return magnitude(f) > 1.0;
+  };
+  // The only state is (lo, hi): once a step leaves it bit-unchanged, every
+  // later step would repeat that step exactly, so the loop stops there.  On
+  // seeded points of every two-stage structure that happens after 57 to 59
+  // of the 80 steps.
   double lo = p1, hi = 1e13;
   for (int it = 0; it < 80; ++it) {
     const double mid = std::sqrt(lo * hi);
-    (magnitude(mid) > 1.0 ? lo : hi) = mid;
+    double& side = aboveUnity(mid) ? lo : hi;
+    if (std::bit_cast<std::uint64_t>(side) == std::bit_cast<std::uint64_t>(mid)) break;
+    side = mid;
   }
   const double ugf = std::sqrt(lo * hi);
 
@@ -284,9 +337,10 @@ class TwoStageCornerModel : public PerformanceModel {
   }
 
   // Stays Heavy: the corner hunt's value is precisely the cross-round /
-  // audit re-hit pattern, and the cost of one evaluation (geometry map +
-  // 80-iteration UGF bisection, times the vertex fan-out) clears the
-  // cache-transaction bar.
+  // audit re-hit pattern (63% of perfbench robust_corners lookups hit).
+  // Though one evaluation now costs about a cache transaction, bypassing
+  // the cache here made robust_corners' design_s_p50 about 15% worse
+  // (0.086 -> 0.100 s, 3 pairs, 4-vCPU Xeon VM).
 
   std::optional<SurrogateSignature> surrogateSignature() const override {
     return surrogateSig_;

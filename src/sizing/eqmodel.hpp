@@ -29,9 +29,10 @@ class ComposedOpampModel : public PerformanceModel {
   Performance evaluate(const std::vector<double>& x) const override;
   std::optional<core::cache::Digest128> cacheKey(
       const std::vector<double>& x) const override;
-  /// Closed-form equations evaluate in ~1 us — the same order as a cache
-  /// transaction — so caching them is pure overhead (the BENCH_cache
-  /// genetic workload measures exactly this floor).
+  /// Closed-form equations evaluate in 1.2-1.5 us (legacy two-stage,
+  /// Release, bench_claim_eval_speed on a 4-vCPU Xeon VM) — the same order
+  /// as a cache transaction — so caching them is pure overhead (the
+  /// BENCH_cache genetic workload measures exactly this floor).
   EvalCost evalCost() const override { return EvalCost::Cheap; }
   /// Surrogate class: structure name and load; the process rides as
   /// context, so instances at different process points train one model.

@@ -1,5 +1,6 @@
 #include "sizing/perfmodel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/process.hpp"
@@ -24,7 +25,7 @@ void observeSurrogate(core::ExecutionContext& ctx, const PerformanceModel& model
   if (perf.count("_infeasible")) return;
   const auto cand = surrogateCandidate(model, x);
   if (!cand) return;
-  std::map<std::string, double> heads;
+  Performance heads;
   for (const auto& [name, value] : perf)
     if (!name.empty() && name[0] != '_') heads.emplace(name, value);
   if (!heads.empty()) ctx.surrogateStore().observe(*cand, heads);
@@ -113,12 +114,10 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
     if (key && st != EvalStatus::OutOfMemory) cache.insert(*key, x, {perf, st});
     return perf;
   }
-  for (const auto& [name, value] : perf) {
-    if (std::isnan(value)) {
-      markInfeasible(perf, EvalStatus::NanDetected);
-      sim::recordEvalFailure(EvalStatus::NanDetected);
-      break;
-    }
+  if (std::any_of(perf.begin(), perf.end(),
+                  [](const Performance::value_type& e) { return std::isnan(e.second); })) {
+    markInfeasible(perf, EvalStatus::NanDetected);
+    sim::recordEvalFailure(EvalStatus::NanDetected);
   }
   // Cache the full payload, taxonomy keys included: a later hit on a failed
   // candidate reports the same _infeasible/_status data the first

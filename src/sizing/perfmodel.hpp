@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cmath>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
+#include "core/performances.hpp"
 #include "core/surrogate.hpp"
 
 namespace amsyn::circuit {
@@ -38,15 +38,15 @@ struct DesignVariable {
   double moveScale = 1.0;
 };
 
-using Performance = std::map<std::string, double>;
+using Performance = core::Performance;
 
 /// Performance key carrying the structured failure reason: the value is the
-/// numeric core::EvalStatus code.  Present only on maps tagged by
+/// numeric core::EvalStatus code.  Present only on payloads tagged by
 /// markInfeasible (spec-level infeasibility — a circuit that evaluated fine
 /// but is simply bad — stays untagged).
 inline constexpr const char* kEvalStatusKey = "_status";
 
-/// Mark a performance map infeasible with a structured reason.  The first
+/// Mark a performance payload infeasible with a structured reason.  The first
 /// reason sticks: later, more generic failures of the same evaluation do
 /// not overwrite the root cause.
 inline void markInfeasible(Performance& perf, core::EvalStatus reason) {
@@ -54,7 +54,7 @@ inline void markInfeasible(Performance& perf, core::EvalStatus reason) {
   perf.emplace(kEvalStatusKey, static_cast<double>(static_cast<int>(reason)));
 }
 
-/// Structured reason of a performance map; Ok when untagged (feasible, or
+/// Structured reason of a performance payload; Ok when untagged (feasible, or
 /// infeasible for spec-level reasons rather than an evaluation failure).
 inline core::EvalStatus performanceStatus(const Performance& perf) {
   const auto it = perf.find(kEvalStatusKey);
@@ -68,8 +68,9 @@ inline core::EvalStatus performanceStatus(const Performance& perf) {
 /// How an evaluation's cost compares to a cache transaction.  The memoized
 /// evaluation cache pays a canonical digest plus a sharded-map lookup per
 /// call (~1 us); a simulator evaluation costs hundreds of microseconds, but
-/// a closed-form equation model costs about one — caching the latter is all
-/// overhead and no win (BENCH_cache.json measures this floor directly).
+/// a closed-form equation model costs 1.2-1.5 us (bench_claim_eval_speed,
+/// Release, 4-vCPU Xeon VM) — caching the latter is all overhead and no win
+/// (BENCH_cache.json measures this floor directly).
 /// Models self-attest their tier so safeEvaluate can skip the cache for
 /// evaluations cheaper than their own key.
 enum class EvalCost : std::uint8_t {
@@ -137,7 +138,7 @@ class PerformanceModel {
 
 /// Total evaluation: never throws, never returns NaN scores.  An evaluator
 /// exception becomes {"_infeasible": 1, "_status": internal_error}; a NaN in
-/// any performance value marks the map infeasible with nan_detected (a NaN
+/// any performance value marks the payload infeasible with nan_detected (a NaN
 /// is a failed measurement, not a neutral score).  Both are tallied in the
 /// sim.fail.* registry counters (sim::recordEvalFailure).  This is the
 /// containment boundary the corner search
@@ -147,7 +148,7 @@ class PerformanceModel {
 /// model attests a canonical key (PerformanceModel::cacheKey), repeated
 /// evaluations of the same candidate — annealing revisits, duplicate
 /// genetic genomes, corner-vertex re-visits — return the cached Performance
-/// map, failure taxonomy included, without re-running the evaluator.
+/// payload, failure taxonomy included, without re-running the evaluator.
 /// Failure tallies (sim::recordEvalFailure) are recorded once per distinct
 /// candidate, on the miss; observability counters are the only thing the
 /// cache changes — results are bit-identical with the cache on or off.

@@ -60,7 +60,7 @@ SpecSet& SpecSet::maximize(const std::string& perf, double weight, double norm) 
   return *this;
 }
 
-bool SpecSet::satisfied(const std::map<std::string, double>& perf, double tolerance) const {
+bool SpecSet::satisfied(const core::Performance& perf, double tolerance) const {
   for (const Spec& s : specs_) {
     if (s.isObjective()) continue;
     auto it = perf.find(s.performance);
@@ -82,7 +82,7 @@ core::cache::Digest128 SpecSet::digest() const {
   return h.digest();
 }
 
-double SpecSet::totalViolation(const std::map<std::string, double>& perf) const {
+double SpecSet::totalViolation(const core::Performance& perf) const {
   double v = 0.0;
   for (const Spec& s : specs_) {
     if (s.isObjective()) continue;

@@ -4,12 +4,12 @@
 // verification stage re-checks them against full simulation.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/evalcache.hpp"
+#include "core/performances.hpp"
 
 namespace amsyn::sizing {
 
@@ -53,10 +53,10 @@ class SpecSet {
 
   /// All constraints satisfied by the given performance values?  Missing
   /// performances count as violations.
-  bool satisfied(const std::map<std::string, double>& perf, double tolerance = 0.0) const;
+  bool satisfied(const core::Performance& perf, double tolerance = 0.0) const;
 
   /// Total normalized violation across constraints.
-  double totalViolation(const std::map<std::string, double>& perf) const;
+  double totalViolation(const core::Performance& perf) const;
 
   /// Canonical digest of the spec set, for evaluation-cache keys whose
   /// payload depends on the specs (e.g. manufacture::CornerSetModel, which

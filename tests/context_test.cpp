@@ -737,7 +737,10 @@ TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMod
   // A screening robustSynthesize trains the shared store and screens its
   // hunts.  That must stay inside the screening job: a flow running
   // concurrently with screening off, and any later ambient flow, keep their
-  // own setting.
+  // own setting.  The screening job gets its own eval cache: cache hits
+  // return before the training tap, so on a shared cache a screening job
+  // that trails the identical off job evaluates nothing fresh and never
+  // trains.  Both jobs still share the surrogate store.
   CacheGuard guard;
   surrogate::Store::instance().clear();
   core::ScopedThreadPool pool(2);
@@ -745,7 +748,7 @@ TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMod
   cfgP.surrogateScreening = true;
   core::ContextConfig cfgO = core::ContextConfig::fromEnv();
   cfgO.surrogateScreening = false;
-  core::ExecutionContext screening(cfgP);
+  core::ExecutionContext screening(cfgP, core::ContextIsolation{.evalCache = true});
   core::ExecutionContext off(cfgO);
   runInterleaved(screening, off, [](core::ExecutionContext&) {
     for (int round = 0; round < 2; ++round) (void)robustProblem();

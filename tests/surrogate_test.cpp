@@ -146,7 +146,7 @@ std::uint64_t rawBits(double v) {
 /// targets from a fixed linear law plus bounded noise.
 struct SyntheticData {
   std::vector<std::vector<double>> phi;
-  std::vector<std::map<std::string, double>> heads;
+  std::vector<amsyn::core::Performance> heads;
 };
 
 SyntheticData makeData(std::size_t d, std::size_t n, std::uint64_t seed) {
