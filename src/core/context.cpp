@@ -17,7 +17,6 @@ ContextConfig ContextConfig::fromEnv() {
   ContextConfig cfg;
   cfg.threads = envknobs::threads();
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
-  cfg.evalCacheCapacity = envknobs::evalCacheCapacity();
   cfg.surrogateScreening = envknobs::surrogateScreening();
   cfg.jobDeadlineMs = envknobs::jobDeadlineMs();
   cfg.topologySpace = envknobs::topologySpaceIndex() == 1 ? TopologySpace::Generated
@@ -38,8 +37,6 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
   // every flow's report carries them whatever its mode.
   if (isolation.evalCache) {
     ownedEvalCache_ = cache::EvalCache::createIsolated();
-    if (config_.evalCacheCapacity > 0)
-      ownedEvalCache_->setCapacity(config_.evalCacheCapacity);
     evalCache_ = ownedEvalCache_.get();
   } else {
     evalCache_ = parent_ ? &parent_->evalCache() : &cache::EvalCache::instance();

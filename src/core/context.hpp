@@ -24,8 +24,8 @@
 // totals stay thread-count-invariant and bit-identical with or without
 // slicing) and — by default — the eval cache and surrogate store, whose
 // cross-job amortization is their whole point.  What is per-context: the
-// config snapshot (every field: threads, cache on/off and capacity,
-// surrogate screening, deadline, topology space), batch fault schedule,
+// config snapshot (every field: threads, cache on/off, surrogate
+// screening, deadline, topology space), batch fault schedule,
 // metrics slice, and any handle the owner asked to isolate.  Shared stores hold data, never a
 // mode: consumers read the mode from the current context's config, so one
 // job's config can never leak into a concurrent or later job.
@@ -63,15 +63,15 @@ enum class TopologySpace : std::uint8_t { Legacy, Generated };
 /// daemon can hand different configs to different jobs, on shared or
 /// isolated handles, without touching the environment or each other.
 struct ContextConfig {
-  /// AMSYN_THREADS (0 = use hardware concurrency).
+  /// AMSYN_THREADS, as snapshotted (0 = unset).  Informational only:
+  /// nothing reads it.  The pool width comes from AMSYN_THREADS through
+  /// ThreadPool::global(), or from a ScopedThreadPool.
   std::size_t threads = 0;
   /// AMSYN_EVAL_CACHE: whether this context's evaluations consult the
-  /// cache (shared or isolated alike).
+  /// cache (shared or isolated alike).  Capacity is not per context:
+  /// AMSYN_EVAL_CACHE_CAPACITY sizes the shared process cache, and a
+  /// context-owned (isolated) cache keeps the built-in 2^16 entries.
   bool evalCacheEnabled = true;
-  /// AMSYN_EVAL_CACHE_CAPACITY: sizes a cache the context owns
-  /// (ContextIsolation::evalCache).  The shared process cache keeps the
-  /// ambient (environment) capacity: one tenant must not resize another's.
-  std::size_t evalCacheCapacity = std::size_t{1} << 16;
   /// AMSYN_SURROGATE: train the surrogate on this context's evaluations
   /// and let corner hunts skip vertices it confidently rules out.  Results
   /// are identical either way (the screen is argmin-safe).

@@ -2,15 +2,15 @@
 //
 // Every process-level tuning knob (threads, eval-cache policy,
 // surrogate screening, job deadline, topology space) is parsed here and
-// nowhere else: core::ContextConfig::fromEnv() snapshots all of them once
+// nowhere else: core::ContextConfig::fromEnv() snapshots the modes once
 // into a plain struct, and every consumer reads that snapshot through its
 // execution context.  Two bottom-layer singletons that exist before any
-// context call the same parsers for their sizing only — the shared
-// EvalCache (capacity) and the global thread pool (width) — so their
-// defaults cannot drift from the config's.  No knob seeds a *mode* into a
-// shared object.  tools/context_lint.cmake fails the build when
+// context call the parsers for their sizing only — the shared EvalCache
+// (AMSYN_EVAL_CACHE_CAPACITY, which nothing else reads) and the global
+// thread pool (AMSYN_THREADS).  No knob seeds a *mode* into a shared
+// object.  tools/context_lint.cmake fails the build when
 // `getenv("AMSYN_` appears in any other file under src/, so new knobs are
-// forced through this header and therefore through ContextConfig.
+// forced through this header.
 //
 // Header-only and dependency-free on purpose: it is included from
 // amsyn_metrics-adjacent leaf libraries (evalcache, parallel) as well as

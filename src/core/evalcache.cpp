@@ -76,8 +76,8 @@ struct EvalCache::Impl {
   explicit Impl(bool shared) {
     if (shared) {
       // The process-wide instance takes its capacity from the environment —
-      // the same parser ContextConfig::fromEnv uses, so the two cannot
-      // drift.  Isolated instances are sized by their owning context.
+      // the one parser of AMSYN_EVAL_CACHE_CAPACITY.  Isolated instances
+      // keep the built-in capacity.
       defaultCapacity = envknobs::evalCacheCapacity();
       capacity.store(defaultCapacity, std::memory_order_relaxed);
     }

@@ -35,13 +35,13 @@
 // collisions) live in the metrics registry; byte/entry occupancy is surfaced
 // as external counters (core.cache.bytes / core.cache.entries).
 //
-// Knobs (both read through core::ContextConfig, never stored here):
+// Knobs (parsed only by core/envknobs.hpp):
 //   AMSYN_EVAL_CACHE=0           kill switch; ContextConfig::evalCacheEnabled
 //                                per context (sizing::safeEvaluate consults
 //                                the cache only when its context enables it)
 //   AMSYN_EVAL_CACHE_CAPACITY=N  max entries (default 65536) of the shared
-//                                cache; ContextConfig::evalCacheCapacity
-//                                sizes a context's isolated cache
+//                                cache, read once when it is created; an
+//                                isolated cache keeps the built-in 65536
 //
 // Layering: like core/evalstatus.hpp this sits below the evaluation
 // libraries (amsyn_evalcache depends only on amsyn_metrics + Threads), so
@@ -182,7 +182,7 @@ class EvalCache {
 
   /// A private cache for context isolation (per-tenant caching in the
   /// synthesis-service scenario): its own LRU state and entry/byte gauges,
-  /// the built-in capacity (2^16 entries) until its owning context sizes it, and no registry externals — "core.cache.entries"/
+  /// the built-in capacity (2^16 entries), and no registry externals — "core.cache.entries"/
   /// "core.cache.bytes" keep naming the shared instance.  Hit/miss counter
   /// traffic still lands in the shared process counters (they are real
   /// events); per-instance occupancy is read via stats().entries/bytes.

@@ -77,8 +77,8 @@ inline constexpr const char* evalStatusName(EvalStatus s) {
 ///     no_ac_crossing are deterministic verdicts on the candidate itself —
 ///     the same inputs re-fail identically.  out_of_memory is permanent by
 ///     policy: retrying an allocation failure amplifies the overload that
-///     caused it (RetryPolicy additionally hard-excludes it even when a
-///     caller lists it as retryable).  rejected is the admission
+///     caused it (RetryPolicy retries exactly what this predicate accepts,
+///     so nothing retries it).  rejected is the admission
 ///     controller's verdict, owned by the submitter, not the retry loop.
 inline constexpr bool isRetryable(EvalStatus s) {
   switch (s) {

@@ -36,16 +36,6 @@ namespace amsyn::core {
 
 class ExecutionContext;  // core/context.hpp
 
-/// AC verification testbench descriptor: which node the verification stage
-/// probes and the frequency grid it sweeps.  Defaults reproduce the classic
-/// open-loop opamp bench (probe "out", 1 Hz .. 1 GHz, 6 points/decade).
-struct AcTestbench {
-  std::string probeNode = "out";
-  double acStartHz = 1.0;
-  double acStopHz = 1e9;
-  std::size_t acPointsPerDecade = 6;
-};
-
 /// Per-flow design options.  The machinery a flow runs on — eval cache,
 /// solver kernel, surrogate mode, wall-clock deadline, default topology
 /// space — is not configured here: it is the ContextConfig of the context
@@ -54,13 +44,9 @@ struct AcTestbench {
 /// FlowEngine::run a parent.makeChild(cfg).
 struct FlowOptions {
   double loadCap = 5e-12;
-  std::size_t maxRedesigns = 4;   ///< layout->synthesis loop closures
-  double marginInflation = 1.30;  ///< spec tightening per redesign
+  std::size_t maxRedesigns = 4;  ///< layout->synthesis loop closures
   sizing::SynthesisOptions synthesis;
   CellLayoutOptions layout;
-  /// Verification testbench: probe node + AC sweep grid used by both the
-  /// pre- and post-layout verify stages.
-  AcTestbench testbench;
   std::uint64_t seed = 1;
   /// Candidate space the topology-select stage ranks: the two legacy
   /// cells or the whole generated functional-block composition space
@@ -70,8 +56,8 @@ struct FlowOptions {
   /// flows whose specs the legacy cells win are identical across spaces.
   std::optional<topology::TopologySpace> topologySpace;
   /// Per-stage retry policy (default: no retries, exactly the pre-existing
-  /// behavior).  A failed stage whose status the policy classifies as
-  /// transient re-runs — after a deterministic seeded backoff — up to
+  /// behavior).  A failed stage whose status is transient
+  /// (core::isRetryable) re-runs — after a deterministic backoff — up to
   /// maxAttempts total executions; every execution appends its own
   /// StageRecord and counts into core.flow.retry.*.
   RetryPolicy stageRetry;
@@ -153,15 +139,14 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
 FlowOptions batchItemOptions(const FlowOptions& base, std::size_t index);
 
 /// Measure an amplifier testbench netlist by simulation (shared by the flow
-/// and the benches): gain_db, ugf, pm, power.  The testbench descriptor
-/// selects the probe node and AC grid; the default reproduces the classic
-/// bench.  The optional budget is threaded into every analysis (the flow
-/// passes its job's DeadlineBudget so deadline expiry interrupts a
-/// measurement at the next Newton-loop cancel point); a budget-stopped
-/// measurement comes back infeasible with the budget's exhaustionStatus().
+/// and the benches): gain_db, ugf, pm, power.  One fixed open-loop bench:
+/// the AC sweep probes node "out" from 1 Hz to 1 GHz at 6 points/decade.
+/// The optional budget is threaded into every analysis (the flow passes its
+/// job's DeadlineBudget so deadline expiry interrupts a measurement at the
+/// next Newton-loop cancel point); a budget-stopped measurement comes back
+/// infeasible with the budget's exhaustionStatus().
 sizing::Performance measureAmplifier(const circuit::Netlist& net,
                                      const circuit::Process& proc,
-                                     const AcTestbench& tb = {},
                                      EvalBudget* budget = nullptr);
 
 /// Structured JSON run report for a completed flow: outcome, per-stage

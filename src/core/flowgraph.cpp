@@ -79,8 +79,7 @@ void backoffSleep(std::uint64_t delayMs, const DeadlineBudget& deadline) {
 // ---------------------------------------------------------------------------
 // FlowEngine
 
-FlowEngine::FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages)
-    : rules_(defaultRetargetRules()) {
+FlowEngine::FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages) {
   (void)flowCounters();  // eager registration (schema stability)
   auto& registry = metrics::registry();
   stages_.reserve(stages.size());
@@ -95,61 +94,29 @@ FlowEngine::FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages)
   }
 }
 
-void FlowEngine::setRetargetRules(std::vector<RetargetRule> rules) {
-  rules_ = std::move(rules);
-}
-
-std::vector<RetargetRule> FlowEngine::defaultRetargetRules() {
+sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
+                                     const CalibrationStore& cal, std::size_t attempt) {
   // Parasitics and model error mainly eat bandwidth and phase margin, so
   // redesigns hand the sizer bounds corrected by what verification actually
   // measured (rather than blind margins), plus a small safety factor that
   // grows per attempt.
-  std::vector<RetargetRule> rules;
-  RetargetRule ugf;
-  ugf.performance = "ugf";
-  ugf.kind = sizing::SpecKind::GreaterEqual;
-  ugf.correction = RetargetRule::Correction::DivideByRatio;
-  rules.push_back(std::move(ugf));
-  RetargetRule pm;
-  pm.performance = "pm";
-  pm.kind = sizing::SpecKind::GreaterEqual;
-  pm.correction = RetargetRule::Correction::AddDelta;
-  pm.boundCap = 80.0;
-  pm.perAttemptPad = 2.0;
-  rules.push_back(std::move(pm));
-  return rules;
-}
-
-sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
-                                     const std::vector<RetargetRule>& rules,
-                                     const CalibrationStore& cal,
-                                     std::size_t attempt) {
   const double safety = 1.0 + 0.05 * static_cast<double>(attempt);
   sizing::SpecSet target;
   for (const auto& s : specs.specs()) {
-    sizing::Spec t = s;
-    if (!t.isObjective()) {
-      for (const auto& rule : rules) {
-        if (t.performance != rule.performance || t.kind != rule.kind) continue;
-        switch (rule.correction) {
-          case RetargetRule::Correction::DivideByRatio:
-            t.bound =
-                t.bound / std::max(cal.ratio(t.performance), rule.ratioFloor) * safety;
-            break;
-          case RetargetRule::Correction::AddDelta:
-            t.bound = std::min(t.bound + cal.delta(t.performance) * safety +
-                                   rule.perAttemptPad * static_cast<double>(attempt),
-                               rule.boundCap);
-            break;
-        }
-      }
+    if (s.isObjective()) {
+      (s.kind == sizing::SpecKind::Minimize)
+          ? target.minimize(s.performance, s.weight, s.norm)
+          : target.maximize(s.performance, s.weight, s.norm);
+      continue;
     }
-    if (t.isObjective())
-      (t.kind == sizing::SpecKind::Minimize)
-          ? target.minimize(t.performance, t.weight, t.norm)
-          : target.maximize(t.performance, t.weight, t.norm);
-    else
-      target.require(t.performance, t.kind, t.bound, t.weight);
+    double bound = s.bound;
+    if (s.kind == sizing::SpecKind::GreaterEqual && s.performance == "ugf")
+      bound = bound / std::max(cal.ratio(s.performance), 0.2) * safety;
+    else if (s.kind == sizing::SpecKind::GreaterEqual && s.performance == "pm")
+      bound = std::min(bound + cal.delta(s.performance) * safety +
+                           2.0 * static_cast<double>(attempt),
+                       80.0);
+    target.require(s.performance, s.kind, bound, s.weight);
   }
   return target;
 }
@@ -165,7 +132,6 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
   ContextScope contextScope(exec);
 
   DesignContext ctx(specs, proc, opts);
-  ctx.exec = &exec;
   ctx.electrical = filterElectrical(specs);
   DeadlineBudget jobDeadline(0, exec.config().jobDeadlineMs);
   ctx.jobBudget = &jobDeadline;
@@ -188,7 +154,7 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
     metrics::add(flowCounters().attempts);
     ctx.attempt = attempt;
     if (attempt > 0) ++ctx.result.redesigns;
-    ctx.target = retarget(specs, rules_, ctx.calibration, attempt);
+    ctx.target = retarget(specs, ctx.calibration, attempt);
     ctx.candidates.clear();
 
     bool attemptFailed = false;
@@ -237,8 +203,7 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
           break;  // redesign with the updated calibration
         }
         metrics::add(flowCounters().retryAttempts);
-        backoffSleep(opts.stageRetry.backoff.delayMs(opts.seed, execution),
-                     jobDeadline);
+        backoffSleep(opts.stageRetry.backoff.delayMs(execution), jobDeadline);
       }
       if (attemptFailed) break;
     }
@@ -330,8 +295,7 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
     bool any = false;
     circuit::Netlist schematic;
     for (auto& cand : ctx.candidates) {
-      const auto measured =
-          measureAmplifier(cand.netlist, ctx.proc, ctx.opts.testbench, budget);
+      const auto measured = measureAmplifier(cand.netlist, ctx.proc, budget);
       const bool passed = !measured.count("_infeasible") &&
                           ctx.electrical.satisfied(measured, kVerifyTolerance);
       // Update the model-calibration terms from this measurement.
@@ -346,7 +310,8 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
       if (!any || passed) {
         pre.measured = measured;
         pre.passed = passed;
-        schematic = std::move(cand.netlist);
+        // A copy, not a move: a retried stage re-measures this netlist.
+        schematic = cand.netlist;
         ctx.result.topology = cand.topology;
         ctx.result.designPoint = cand.x;
         any = true;
@@ -377,8 +342,7 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
 
   VerificationRecord post;
   post.stage = "post-layout";
-  post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc,
-                                   ctx.opts.testbench, budget);
+  post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc, budget);
   post.passed = !post.measured.count("_infeasible") &&
                 ctx.electrical.satisfied(post.measured, kVerifyTolerance);
   if (preRec) {

@@ -8,8 +8,8 @@
 //
 //   * the redesign loop (attempt 0 .. maxRedesigns, early exit on success),
 //   * margin-inflation retargeting — each attempt re-derives the spec
-//     bounds handed to the sizer from *measured* corrections (RetargetRule
-//     policy over the CalibrationStore) plus a growing safety factor,
+//     bounds handed to the sizer from *measured* corrections (the
+//     CalibrationStore) plus a growing safety factor,
 //   * model-calibration feedback — verify stages record how far the
 //     simulator lands from the equation model (pre-layout) and how much
 //     the layout parasitics knock off on top (post-layout),
@@ -22,7 +22,6 @@
 // calibration-loop test drives the engine with fabricated verify stages).
 #pragma once
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,23 +86,6 @@ class CalibrationStore {
   std::map<std::string, std::map<std::string, double>> deltas_;
 };
 
-/// One engine-level retargeting rule: how a constraint bound is corrected
-/// from the calibration store before each attempt.  The per-attempt safety
-/// factor (1 + 0.05 * attempt) rides on top of the measured correction so
-/// redesigns overshoot slightly rather than landing on the exact edge.
-struct RetargetRule {
-  std::string performance;
-  sizing::SpecKind kind = sizing::SpecKind::GreaterEqual;
-  enum class Correction {
-    DivideByRatio,  ///< bound' = bound / max(ratio, ratioFloor) * safety
-    AddDelta,       ///< bound' = min(bound + delta*safety + pad*attempt, cap)
-  };
-  Correction correction = Correction::DivideByRatio;
-  double ratioFloor = 0.2;  ///< never inflate a bound more than 5x per ratio
-  double boundCap = std::numeric_limits<double>::infinity();
-  double perAttemptPad = 0.0;
-};
-
 /// One candidate design flowing between the candidate-provider, build, and
 /// verify stages of an attempt.
 struct CandidateDesign {
@@ -138,12 +120,6 @@ struct DesignContext {
   /// the next strided cancel point; the engine itself checks expiry at
   /// every stage boundary.
   DeadlineBudget* jobBudget = nullptr;
-  /// The execution context this flow runs under (installed by the engine;
-  /// null only before run()).  Stages normally don't need it — the engine
-  /// holds a ContextScope for the run, so ExecutionContext::current()
-  /// already resolves here — but stages that hand work to foreign threads
-  /// can capture it explicitly.
-  ExecutionContext* exec = nullptr;
 };
 
 /// How a stage ended.  Failed aborts the attempt (detail/evalStatus become
@@ -178,10 +154,6 @@ class FlowEngine {
  public:
   explicit FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages);
 
-  /// Replace the retargeting policy (defaults to defaultRetargetRules()).
-  void setRetargetRules(std::vector<RetargetRule> rules);
-  const std::vector<RetargetRule>& retargetRules() const { return rules_; }
-
   /// Run the flow: execute the stage sequence up to opts.maxRedesigns + 1
   /// times, retargeting the specs from the calibration store before each
   /// attempt.  Success means every stage of an attempt passed (or was
@@ -197,16 +169,14 @@ class FlowEngine {
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts, ExecutionContext& exec);
 
-  /// The amplifier policy: ugf bounds divide by the measured
-  /// model*layout ratio (floored at 0.2); pm bounds add the measured
-  /// degree losses plus 2 degrees per attempt, capped at 80.
-  static std::vector<RetargetRule> defaultRetargetRules();
-
-  /// Apply `rules` over `cal` to `specs` for the given attempt (exposed
-  /// for tests; run() calls this before each attempt).  Constraint bounds
-  /// are corrected; objectives pass through unchanged.
+  /// The amplifier retargeting policy, applied over `cal` to `specs` for
+  /// the given attempt (exposed for tests; run() calls this before each
+  /// attempt).  With safety = 1 + 0.05 * attempt, a ugf >= bound divides by
+  /// the measured model*layout ratio (floored at 0.2, so never more than a
+  /// 5x inflation) times safety; a pm >= bound adds the measured degree
+  /// losses times safety plus 2 degrees per attempt, capped at 80.  Other
+  /// constraints and all objectives pass through unchanged.
   static sizing::SpecSet retarget(const sizing::SpecSet& specs,
-                                  const std::vector<RetargetRule>& rules,
                                   const CalibrationStore& cal, std::size_t attempt);
 
  private:
@@ -217,7 +187,6 @@ class FlowEngine {
     metrics::CounterId failures;
   };
   std::vector<StageSlot> stages_;
-  std::vector<RetargetRule> rules_;
 };
 
 // ---------------------------------------------------------------------------
@@ -262,7 +231,7 @@ enum class VerifyPhase : std::uint8_t { PreLayout, PostLayout };
 ///     records model calibration (sim vs predicted) per measurement;
 ///   * PostLayout — measure the extracted/annotated netlist, record layout
 ///     calibration (post vs pre), pass/fail the attempt.
-/// Probe node and AC grid come from FlowOptions::testbench.
+/// Both phases measure with the fixed bench of measureAmplifier.
 class VerifyStage : public FlowStage {
  public:
   explicit VerifyStage(VerifyPhase phase) : phase_(phase) {}

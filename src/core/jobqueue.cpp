@@ -119,7 +119,7 @@ JobRecord JobQueue::runOne(std::size_t index, const sizing::SpecSet& specs,
       r = engine.run(specs, proc, fo);
     } catch (...) {
       // A throwing job is a failed record, never a lost batch.  bad_alloc
-      // classifies as out_of_memory, which the retry policy hard-excludes.
+      // classifies as out_of_memory, which the taxonomy never retries.
       metrics::add(jobCounters().exceptions);
       r = FlowResult{};
       r.success = false;
@@ -137,7 +137,7 @@ JobRecord JobQueue::runOne(std::size_t index, const sizing::SpecSet& specs,
       return rec;
     }
     metrics::add(jobCounters().retries);
-    const std::uint64_t delay = opts_.retry.backoff.delayMs(fo.seed, attempt);
+    const std::uint64_t delay = opts_.retry.backoff.delayMs(attempt);
     if (delay != 0) std::this_thread::sleep_for(std::chrono::milliseconds(delay));
   }
 }

@@ -8,7 +8,7 @@
 //     with the structured Rejected status instead of letting an oversized
 //     batch exhaust the machine; shedding is a pure function of job index
 //     and capacity, so it is identical on a resumed run,
-//   * per-job retry with seeded exponential backoff — a job whose flow
+//   * per-job retry with exponential backoff — a job whose flow
 //     ends in a transient status (core::isRetryable) re-runs up to the
 //     policy's attempt cap; injected batch faults draw fresh occurrences on
 //     the retry (sim::BatchFaultScope persists across attempts),

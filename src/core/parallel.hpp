@@ -24,9 +24,9 @@ namespace amsyn::core {
 /// pool tasks cannot deadlock.  The first exception thrown by any index is
 /// rethrown here; remaining indices are abandoned (each runs at most once).
 template <typename Fn>
-void parallelFor(std::size_t n, Fn&& fn, ThreadPool* poolOverride = nullptr) {
+void parallelFor(std::size_t n, Fn&& fn) {
   if (n == 0) return;
-  ThreadPool& pool = poolOverride ? *poolOverride : ThreadPool::global();
+  ThreadPool& pool = ThreadPool::global();
 
   struct State {
     std::atomic<std::size_t> next{0};     ///< next unclaimed index
@@ -94,11 +94,10 @@ void parallelFor(std::size_t n, Fn&& fn, ThreadPool* poolOverride = nullptr) {
 /// parallelFor that collects return values: out[i] = fn(i).  The result type
 /// must be default-constructible (it is assigned into a presized vector).
 template <typename Fn>
-auto parallelMap(std::size_t n, Fn&& fn, ThreadPool* poolOverride = nullptr)
+auto parallelMap(std::size_t n, Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
   std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> out(n);
-  parallelFor(
-      n, [&](std::size_t i) { out[i] = fn(i); }, poolOverride);
+  parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 
@@ -109,19 +108,15 @@ auto parallelMap(std::size_t n, Fn&& fn, ThreadPool* poolOverride = nullptr)
 /// not cost the batch: indices that completed keep results bit-identical to
 /// a failure-free run.  errs[i] is null for indices that completed normally.
 template <typename Fn>
-std::vector<std::exception_ptr> parallelForCaptured(std::size_t n, Fn&& fn,
-                                                    ThreadPool* poolOverride = nullptr) {
+std::vector<std::exception_ptr> parallelForCaptured(std::size_t n, Fn&& fn) {
   std::vector<std::exception_ptr> errs(n);
-  parallelFor(
-      n,
-      [&](std::size_t i) {
-        try {
-          fn(i);
-        } catch (...) {
-          errs[i] = std::current_exception();  // each index written once: no race
-        }
-      },
-      poolOverride);
+  parallelFor(n, [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errs[i] = std::current_exception();  // each index written once: no race
+    }
+  });
   return errs;
 }
 

@@ -9,33 +9,15 @@
 
 namespace amsyn::core {
 
-std::uint64_t BackoffPolicy::delayMs(std::uint64_t seed, std::size_t retry) const {
+std::uint64_t BackoffPolicy::delayMs(std::size_t retry) const {
   if (retry == 0 || initialMs == 0) return 0;
-  double delay = static_cast<double>(initialMs) *
-                 std::pow(std::max(multiplier, 1.0), static_cast<double>(retry - 1));
-  delay = std::min(delay, static_cast<double>(maxMs));
-  if (jitter > 0.0) {
-    // Deterministic unit draw from the (seed, retry) pair: the SplitMix64
-    // finalizer's top 53 bits, the same construction the per-task RNG
-    // streams use, so two runs with one seed back off identically.
-    const std::uint64_t h = num::Rng::streamSeed(seed, retry);
-    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    const double j = std::clamp(jitter, 0.0, 1.0);
-    delay *= (1.0 - j) + j * u;
-  }
-  return static_cast<std::uint64_t>(delay);
+  const double delay = static_cast<double>(initialMs) *
+                       std::pow(std::max(multiplier, 1.0), static_cast<double>(retry - 1));
+  return static_cast<std::uint64_t>(std::min(delay, static_cast<double>(maxMs)));
 }
 
 bool RetryPolicy::shouldRetry(EvalStatus st, std::size_t attemptsSoFar) const {
-  if (attemptsSoFar >= maxAttempts) return false;
-  if (st == EvalStatus::Ok) return false;
-  // OOM is never retryable, whatever the caller listed: a retry re-runs
-  // the allocation pattern that just failed, against a heap that is by
-  // definition under pressure.
-  if (st == EvalStatus::OutOfMemory) return false;
-  if (retryableStatuses.empty()) return isRetryable(st);
-  return std::find(retryableStatuses.begin(), retryableStatuses.end(), st) !=
-         retryableStatuses.end();
+  return attemptsSoFar < maxAttempts && isRetryable(st);
 }
 
 // ---------------------------------------------------------------------------

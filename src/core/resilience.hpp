@@ -1,10 +1,10 @@
 // Job-level resilience primitives for the synthesis service substrate:
 //
 //   * RetryPolicy / BackoffPolicy — deterministic, data-expressed retry
-//     with seeded exponential backoff, layered per stage (FlowEngine) and
-//     per job (core/jobqueue.hpp).  Like PR-5's RetargetRule, the policy is
-//     data so tests and the future daemon can reason about it without
-//     subclassing anything.
+//     with exponential backoff, layered per stage (FlowEngine) and per job
+//     (core/jobqueue.hpp).  The policy is data, so tests and the future
+//     daemon can reason about it without subclassing anything; the
+//     statuses it retries are the taxonomy's (core::isRetryable).
 //   * DeadlineBudget — wall-clock deadlines composed on top of PR-2's
 //     deterministic work-unit EvalBudget: the budget keeps bit-identical
 //     exhaustion points, the deadline adds a strided monotonic-clock check
@@ -17,7 +17,7 @@
 //     exhaustively).
 //
 // Layering: below core/flow.hpp (which embeds a RetryPolicy in
-// FlowOptions) and above only core/evalstatus.hpp + numeric/rng.hpp.
+// FlowOptions) and above only core/evalstatus.hpp.
 #pragma once
 
 #include <cstdint>
@@ -25,41 +25,31 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/evalstatus.hpp"
-#include "numeric/rng.hpp"
 
 namespace amsyn::core {
 
-/// Seeded exponential backoff: delayMs(seed, retry) for retry = 1, 2, ...
-/// grows initialMs * multiplier^(retry-1), capped at maxMs, with an
-/// optional deterministic jitter drawn from SplitMix64 over (seed, retry).
-/// A pure function of its arguments — two runs with the same seed back off
-/// identically, which is what keeps chaos soak runs bit-reproducible.
+/// Exponential backoff: delayMs(retry) for retry = 1, 2, ... grows
+/// initialMs * multiplier^(retry-1), capped at maxMs.  A pure function of
+/// its argument, so two runs back off identically — which is what keeps
+/// chaos soak runs bit-reproducible.
 struct BackoffPolicy {
   std::uint64_t initialMs = 10;
   double multiplier = 2.0;
   std::uint64_t maxMs = 1000;
-  /// Jitter fraction in [0, 1]: the delay is scaled by a deterministic
-  /// factor in [1 - jitter, 1].  Jitter decorrelates retry storms across
-  /// jobs (each job seeds with its own stream) without sacrificing
-  /// reproducibility.
-  double jitter = 0.0;
 
-  std::uint64_t delayMs(std::uint64_t seed, std::size_t retry) const;
+  std::uint64_t delayMs(std::size_t retry) const;
 
-  static BackoffPolicy none() { return {0, 1.0, 0, 0.0}; }
+  static BackoffPolicy none() { return {0, 1.0, 0}; }
 };
 
 /// Data-expressed retry policy.  `maxAttempts` counts total attempts (1 =
-/// no retries); `retryableStatuses` empty means "the taxonomy default"
-/// (core::isRetryable).  OutOfMemory is hard-excluded: retrying an
-/// allocation failure amplifies the overload that caused it, so OOM is
-/// never classified retryable even when a caller lists it.
+/// no retries); which statuses are worth retrying is the taxonomy's call
+/// (core::isRetryable), so OutOfMemory — whose retry would re-run the
+/// allocation pattern that just failed — is never retried.
 struct RetryPolicy {
   std::size_t maxAttempts = 1;
-  std::vector<EvalStatus> retryableStatuses;
   BackoffPolicy backoff;
 
   /// Whether a failure with status `st` after `attemptsSoFar` total

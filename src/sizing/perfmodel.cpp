@@ -69,11 +69,6 @@ std::vector<double> processSurrogateContext(const circuit::Process& proc) {
 }
 
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x) {
-  return safeEvaluate(model, x, core::ExecutionContext::current());
-}
-
-Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x,
-                         core::ExecutionContext& ctx) {
   // Memoized fast path: the cache sits here — below every hot consumer
   // (sizing::CostFunction, topology/genetic batches, manufacture corner
   // hunts all evaluate through safeEvaluate) — so one integration point
@@ -81,6 +76,7 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
   // cache and the surrogate store resolve through the execution context:
   // the shared process-wide instances by default, a tenant's private ones
   // when its context asked for isolation.
+  core::ExecutionContext& ctx = core::ExecutionContext::current();
   auto& cache = ctx.evalCache();
   std::optional<core::cache::Digest128> key;
   if (ctx.config().evalCacheEnabled) {

@@ -152,14 +152,9 @@ class PerformanceModel {
 /// Failure tallies (sim::recordEvalFailure) are recorded once per distinct
 /// candidate, on the miss; observability counters are the only thing the
 /// cache changes — results are bit-identical with the cache on or off.
+/// The cache, its on/off mode and the surrogate store all resolve through
+/// the calling thread's current execution context.
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x);
-
-/// Context-explicit overload: resolves the eval cache and surrogate store
-/// through `ctx` instead of the calling thread's current context.  The
-/// two-argument form above is exactly this with
-/// core::ExecutionContext::current().
-Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x,
-                         core::ExecutionContext& ctx);
 
 /// Featurize one (model, x) pair for the surrogate store: nullopt when the
 /// model attests no signature; otherwise features =

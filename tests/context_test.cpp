@@ -27,6 +27,7 @@
 
 #include "circuit/process.hpp"
 #include "core/context.hpp"
+#include "core/envknobs.hpp"
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/flowgraph.hpp"
@@ -181,7 +182,7 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 5u);
   EXPECT_FALSE(cfg.evalCacheEnabled);
-  EXPECT_EQ(cfg.evalCacheCapacity, 1024u);
+  EXPECT_EQ(core::envknobs::evalCacheCapacity(), 1024u);
   EXPECT_TRUE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Generated);
@@ -208,7 +209,7 @@ TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
   EXPECT_TRUE(cfg.evalCacheEnabled);
-  EXPECT_EQ(cfg.evalCacheCapacity, std::size_t{1} << 16);
+  EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
   EXPECT_FALSE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Legacy);
@@ -234,10 +235,11 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
     const core::ContextConfig c = core::ContextConfig::fromEnv();
     EXPECT_EQ(c.threads, 0u) << "'" << bad << "'";
     EXPECT_EQ(c.jobDeadlineMs, 0u) << "'" << bad << "'";
-    EXPECT_EQ(c.evalCacheCapacity, std::size_t{1} << 16) << "'" << bad << "'";
+    EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16)
+        << "'" << bad << "'";
   }
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "0", 1);  // degenerate: the default
-  EXPECT_EQ(core::ContextConfig::fromEnv().evalCacheCapacity, std::size_t{1} << 16);
+  EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
 
   // Screening is on only for "1" and "on"; "0", "off", the empty string,
   // the former mode names and junk all mean off.  Results are identical
@@ -440,6 +442,17 @@ TEST(ContextIsolation, IsolatedEvalCacheNeverObservesSharedEntries) {
   EXPECT_FALSE(cache::EvalCache::instance().lookup(keyOf(2), x, out));
   EXPECT_TRUE(ctx.evalCache().lookup(keyOf(2), x, out));
   EXPECT_TRUE(perfBitIdentical(out.performance, payload.performance));
+}
+
+TEST(ContextIsolation, IsolatedEvalCacheTakesTheBuiltInCapacity) {
+  // AMSYN_EVAL_CACHE_CAPACITY sizes the shared cache only: a context-owned
+  // cache always starts at the built-in 2^16 entries.
+  EnvVarGuard g("AMSYN_EVAL_CACHE_CAPACITY");
+  ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
+  core::ExecutionContext ctx(core::ContextConfig::fromEnv(),
+                             core::ContextIsolation{.evalCache = true});
+  ASSERT_TRUE(ctx.hasIsolatedEvalCache());
+  EXPECT_EQ(ctx.evalCache().capacity(), std::size_t{1} << 16);
 }
 
 TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {

@@ -125,14 +125,6 @@ TEST(Parallel, NestedLoopsDoNotDeadlock) {
   }
 }
 
-TEST(Parallel, PoolOverrideParameterIsHonored) {
-  core::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  core::parallelFor(
-      64, [&](std::size_t) { count.fetch_add(1); }, &pool);
-  EXPECT_EQ(count.load(), 64);
-}
-
 // ---------------------------------------------------------------------------
 // RNG stream splitting
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -31,6 +32,8 @@
 #include "core/parallel.hpp"
 #include "core/resilience.hpp"
 #include "sim/fault.hpp"
+#include "sizing/blocks.hpp"
+#include "sizing/eqmodel.hpp"
 #include "sizing/simmodel.hpp"
 #include "sizing/spec.hpp"
 
@@ -113,35 +116,13 @@ TEST(EvalStatusTaxonomy, WorkExhaustionCoversBudgetAndDeadline) {
 // Backoff / retry policy as data
 
 TEST(BackoffPolicy, GrowsExponentiallyAndCaps) {
-  core::BackoffPolicy b;  // 10ms, x2, cap 1000, no jitter
-  EXPECT_EQ(b.delayMs(7, 0), 0u);
-  EXPECT_EQ(b.delayMs(7, 1), 10u);
-  EXPECT_EQ(b.delayMs(7, 2), 20u);
-  EXPECT_EQ(b.delayMs(7, 3), 40u);
-  EXPECT_EQ(b.delayMs(7, 8), 1000u);  // 10 * 2^7 = 1280, capped
-  EXPECT_EQ(core::BackoffPolicy::none().delayMs(7, 3), 0u);
-}
-
-TEST(BackoffPolicy, JitterIsDeterministicAndBounded) {
-  core::BackoffPolicy b;
-  b.initialMs = 100;
-  b.multiplier = 1.0;
-  b.jitter = 0.5;
-  bool sawVariation = false;
-  for (std::size_t retry = 1; retry <= 16; ++retry) {
-    const std::uint64_t d = b.delayMs(42, retry);
-    EXPECT_GE(d, 50u);   // factor in [1 - jitter, 1]
-    EXPECT_LE(d, 100u);
-    EXPECT_EQ(d, b.delayMs(42, retry)) << "same (seed, retry) must reproduce";
-    if (d != 100u) sawVariation = true;
-  }
-  EXPECT_TRUE(sawVariation);
-  // A different seed draws a different schedule (overwhelmingly likely
-  // across 16 retries).
-  bool differs = false;
-  for (std::size_t retry = 1; retry <= 16; ++retry)
-    differs = differs || b.delayMs(43, retry) != b.delayMs(42, retry);
-  EXPECT_TRUE(differs);
+  core::BackoffPolicy b;  // 10ms, x2, cap 1000
+  EXPECT_EQ(b.delayMs(0), 0u);
+  EXPECT_EQ(b.delayMs(1), 10u);
+  EXPECT_EQ(b.delayMs(2), 20u);
+  EXPECT_EQ(b.delayMs(3), 40u);
+  EXPECT_EQ(b.delayMs(8), 1000u);  // 10 * 2^7 = 1280, capped
+  EXPECT_EQ(core::BackoffPolicy::none().delayMs(3), 0u);
 }
 
 TEST(RetryPolicy, DefaultIsNoRetries) {
@@ -158,14 +139,14 @@ TEST(RetryPolicy, TransientPolicyFollowsTheTaxonomy) {
   EXPECT_FALSE(p.shouldRetry(EvalStatus::Ok, 1));
 }
 
-TEST(RetryPolicy, ExplicitListIsHonoredButOomIsHardExcluded) {
-  core::RetryPolicy p;
-  p.maxAttempts = 5;
-  p.retryableStatuses = {EvalStatus::NanDetected, EvalStatus::OutOfMemory};
-  EXPECT_TRUE(p.shouldRetry(EvalStatus::NanDetected, 1));
-  EXPECT_FALSE(p.shouldRetry(EvalStatus::SingularJacobian, 1));  // not listed
-  EXPECT_FALSE(p.shouldRetry(EvalStatus::OutOfMemory, 1))
-      << "OOM must never be retried, even when listed";
+TEST(RetryPolicy, OutOfMemoryIsNeverRetried) {
+  // Retrying an allocation failure re-runs the pattern that just failed
+  // against a heap under pressure: no attempt budget makes it retryable.
+  for (std::size_t attempts : {2u, 5u, 100u}) {
+    const auto p = core::RetryPolicy::transient(attempts);
+    EXPECT_FALSE(p.shouldRetry(EvalStatus::OutOfMemory, 1)) << attempts;
+    EXPECT_TRUE(p.shouldRetry(EvalStatus::InternalError, 1)) << attempts;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,6 +395,79 @@ TEST(FlowStageRetry, ExhaustedRetriesFailTheAttemptAndCount) {
   EXPECT_EQ(counterTotal("core.flow.retry.exhausted") - exhausted0, 1u);
 }
 
+namespace {
+
+/// Supplies the legacy two-stage cell at its model's initial point as the
+/// attempt's only candidate: a real, buildable design with no optimizer.
+class InitialPointCandidateStage : public core::FlowStage {
+ public:
+  std::string name() const override { return "initial-candidate"; }
+  core::StageOutcome run(core::DesignContext& ctx) override {
+    const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), ctx.proc,
+                                       ctx.opts.loadCap);
+    core::CandidateDesign cand;
+    cand.topology = "two-stage-miller";
+    cand.x = model.initialPoint();
+    cand.predicted = model.evaluate(cand.x);
+    ctx.candidates.push_back(std::move(cand));
+    return core::StageOutcome::pass();
+  }
+};
+
+/// The real pre-layout verify stage, whose first execution is reported as a
+/// singular Jacobian after it has measured, so the engine retries it.
+class FailOnceAfterVerifyStage : public core::FlowStage {
+ public:
+  std::string name() const override { return verify_.name(); }
+  core::StageOutcome run(core::DesignContext& ctx) override {
+    const auto outcome = verify_.run(ctx);
+    if (++runs == 1)
+      return core::StageOutcome::fail("singular Jacobian (stub)",
+                                      EvalStatus::SingularJacobian);
+    return outcome;
+  }
+  std::size_t runs = 0;
+
+ private:
+  core::VerifyStage verify_{core::VerifyPhase::PreLayout};
+};
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+}  // namespace
+
+TEST(FlowStageRetry, RetriedPreLayoutVerifyRemeasuresTheSameNetlist) {
+  std::vector<std::unique_ptr<core::FlowStage>> stages;
+  stages.push_back(std::make_unique<InitialPointCandidateStage>());
+  stages.push_back(std::make_unique<core::BuildStage>());
+  auto verify = std::make_unique<FailOnceAfterVerifyStage>();
+  FailOnceAfterVerifyStage* verifyPtr = verify.get();
+  stages.push_back(std::move(verify));
+  core::FlowEngine engine(std::move(stages));
+
+  core::FlowOptions opts;
+  opts.maxRedesigns = 0;
+  opts.stageRetry = core::RetryPolicy::transient(3);
+  opts.stageRetry.backoff = core::BackoffPolicy::none();
+  const auto result = engine.run(trivialSpecs(), nominal(), opts);
+
+  EXPECT_EQ(verifyPtr->runs, 2u);
+  ASSERT_EQ(result.verifications.size(), 2u);
+  const auto& first = result.verifications[0];
+  const auto& retried = result.verifications[1];
+  EXPECT_EQ(first.measured.count("_infeasible"), 0u);
+  EXPECT_EQ(retried.passed, first.passed);
+  ASSERT_EQ(retried.measured.size(), first.measured.size());
+  auto a = first.measured.begin();
+  auto b = retried.measured.begin();
+  for (; a != first.measured.end(); ++a, ++b) {
+    EXPECT_EQ(b->first, a->first);
+    EXPECT_TRUE(sameBits(b->second, a->second))
+        << a->first << ": " << a->second << " vs " << b->second;
+  }
+  EXPECT_FALSE(result.schematic.devices().empty());
+}
+
 TEST(FlowStageRetry, DefaultOptionsKeepTheOldSingleAttemptBehavior) {
   std::vector<std::unique_ptr<core::FlowStage>> stages;
   auto flaky = std::make_unique<FlakyStage>(99, EvalStatus::SingularJacobian);
@@ -491,8 +545,6 @@ TEST(OomContainment, BadAllocInAStageIsContainedAndNotRetried) {
   core::JobQueueOptions qopts;
   qopts.stageFactory = makeStages;
   qopts.retry = core::RetryPolicy::transient(5);
-  qopts.retry.retryableStatuses = {EvalStatus::OutOfMemory,
-                                   EvalStatus::InternalError};
   qopts.retry.backoff = core::BackoffPolicy::none();
   qopts.flow.maxRedesigns = 0;
 
