@@ -1,8 +1,9 @@
 // Resilience-layer overhead and degradation benchmark (BENCH_robustness.json).
 //
-// The job execution layer (core/jobqueue.hpp + core/resilience.hpp) must be
-// effectively free when nothing goes wrong, and must degrade gracefully —
-// not collapse — when faults arrive.  Two claims, both measured:
+// The resilience layer (core/resilience.hpp and the flow engine's job
+// boundary) must be effectively free when nothing goes wrong, and must
+// degrade gracefully — not collapse — when faults arrive.  Two claims, both
+// measured:
 //
 //   1. Deadline-check overhead < 1%.  Arming a wall-clock deadline adds a
 //      strided monotonic-clock read to EvalBudget::consume()
@@ -14,11 +15,11 @@
 //      ratio.
 //
 //   2. Throughput retained under a 10% injected fault rate.  After one
-//      untimed warm-up batch, a JobQueue batch runs clean, then again under
-//      a seeded chaos schedule (10% stage-fault rate) with per-stage
-//      retries enabled.  Faulted jobs pay
-//      retries, so throughput drops — but the batch completes with every
-//      job terminal, and the retained fraction is reported.
+//      untimed warm-up batch, a synthesizeBatch batch runs clean, then again
+//      under a seeded chaos schedule (10% stage-fault rate) with per-stage
+//      retries enabled.  Faulted jobs pay stage retries, so throughput drops
+//      — but the batch completes with every job terminal, and the retained
+//      fraction and the stage retries the faulted arm granted are reported.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,7 +29,8 @@
 #include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
-#include "core/jobqueue.hpp"
+#include "core/flow.hpp"
+#include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
 #include "core/resilience.hpp"
@@ -97,21 +99,19 @@ std::vector<sizing::SpecSet> batchSpecs(std::size_t jobs) {
   return batch;
 }
 
-core::JobQueueOptions queueOptions() {
-  core::JobQueueOptions opts;
-  opts.flow.loadCap = 2e-12;
-  opts.flow.seed = 7;
-  opts.flow.maxRedesigns = 1;
-  opts.flow.synthesis.seed = 11;
-  opts.flow.synthesis.multistarts = 2;
-  opts.flow.synthesis.anneal.stagnationStages = 2;
-  opts.flow.synthesis.anneal.coolingRate = 0.7;
-  opts.flow.synthesis.refineEvaluations = 40;
-  opts.flow.layout.annealPlacement = false;
-  opts.flow.stageRetry = core::RetryPolicy::transient(3);
-  opts.flow.stageRetry.backoff = core::BackoffPolicy::none();
-  opts.retry = core::RetryPolicy::transient(2);
-  opts.retry.backoff = core::BackoffPolicy::none();
+core::FlowOptions batchOptions() {
+  core::FlowOptions opts;
+  opts.loadCap = 2e-12;
+  opts.seed = 7;
+  opts.maxRedesigns = 1;
+  opts.synthesis.seed = 11;
+  opts.synthesis.multistarts = 2;
+  opts.synthesis.anneal.stagnationStages = 2;
+  opts.synthesis.anneal.coolingRate = 0.7;
+  opts.synthesis.refineEvaluations = 40;
+  opts.layout.annealPlacement = false;
+  opts.stageRetry = core::RetryPolicy::transient(3);
+  opts.stageRetry.backoff = core::BackoffPolicy::none();
   return opts;
 }
 
@@ -119,22 +119,24 @@ struct BatchRun {
   double seconds = 0.0;
   std::size_t succeeded = 0;
   std::size_t terminal = 0;
+  std::uint64_t stageRetries = 0;  ///< core.flow.retry.attempts delta
 };
 
 BatchRun timedBatch(const std::vector<sizing::SpecSet>& batch) {
   core::cache::EvalCache::instance().clear();
   const auto ctx = withCache(true);
   core::ContextScope scope(*ctx);
+  auto& registry = core::metrics::registry();
+  const std::uint64_t retries0 = registry.total("core.flow.retry.attempts");
   BatchRun run;
   const double t0 = nowSeconds();
-  const auto out = core::runBatchResilient(batch, nominalProc(), queueOptions());
+  const auto out = core::synthesizeBatch(batch, nominalProc(), batchOptions());
   run.seconds = nowSeconds() - t0;
-  for (const auto& rec : out.jobs) {
-    run.succeeded += rec.state == core::JobState::Succeeded ? 1 : 0;
-    run.terminal += rec.state == core::JobState::Succeeded ||
-                            rec.state == core::JobState::Failed
-                        ? 1
-                        : 0;
+  run.stageRetries = registry.total("core.flow.retry.attempts") - retries0;
+  // A job is terminal when it came back either passed or with a reason.
+  for (const auto& r : out) {
+    run.succeeded += r.success ? 1 : 0;
+    run.terminal += r.success || !r.failureReason.empty() ? 1 : 0;
   }
   return run;
 }
@@ -197,7 +199,8 @@ void writeJson() {
   t2.print(std::cout);
   std::cout << "throughput retained under faults: "
             << core::Table::num(retained * 100) << "%   every job terminal: "
-            << (faulted.terminal == batch.size() ? "yes" : "NO") << "\n\n";
+            << (faulted.terminal == batch.size() ? "yes" : "NO")
+            << "   stage retries granted: " << faulted.stageRetries << "\n\n";
 
   core::RunReport report;
   report.name = "robustness";
@@ -211,7 +214,8 @@ void writeJson() {
       .addValue("batch_succeeded_faulted", static_cast<double>(faulted.succeeded))
       .addValue("throughput_retained_fraction", retained)
       .addValue("all_jobs_terminal_under_faults",
-                faulted.terminal == batch.size() ? 1.0 : 0.0);
+                faulted.terminal == batch.size() ? 1.0 : 0.0)
+      .addValue("stage_retries_faulted", static_cast<double>(faulted.stageRetries));
   report.write("BENCH_robustness.json");
   std::cout << "wrote BENCH_robustness.json: " << core::Table::num(overhead * 100)
             << "% deadline overhead, " << core::Table::num(retained * 100)

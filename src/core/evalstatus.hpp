@@ -25,8 +25,8 @@ namespace amsyn::core {
 /// means the result is trustworthy; everything else marks the result
 /// infeasible for the optimizer while remaining an ordinary value.
 /// Codes are append-only: the numeric value is persisted in cached
-/// Performance payloads (sizing::kEvalStatusKey) and batch journals, so
-/// reordering existing entries would reinterpret old data.
+/// Performance payloads (sizing::kEvalStatusKey), so reordering existing
+/// entries would reinterpret old data.
 enum class EvalStatus : std::uint8_t {
   Ok = 0,
   DcNoConvergence,   ///< Newton + continuation ladder all failed to converge
@@ -38,7 +38,6 @@ enum class EvalStatus : std::uint8_t {
   InternalError,     ///< an exception escaped the evaluator and was contained
   DeadlineExpired,   ///< the job's wall-clock deadline passed mid-evaluation
   OutOfMemory,       ///< std::bad_alloc was contained (never retried: see below)
-  Rejected,          ///< admission control shed the job before it ever ran
   kCount,            ///< number of reason codes (for counter arrays)
 };
 
@@ -59,7 +58,6 @@ inline constexpr const char* evalStatusName(EvalStatus s) {
     case EvalStatus::InternalError: return "internal_error";
     case EvalStatus::DeadlineExpired: return "deadline_expired";
     case EvalStatus::OutOfMemory: return "out_of_memory";
-    case EvalStatus::Rejected: return "rejected";
     case EvalStatus::kCount: break;
   }
   return "unknown";
@@ -78,8 +76,8 @@ inline constexpr const char* evalStatusName(EvalStatus s) {
 ///     the same inputs re-fail identically.  out_of_memory is permanent by
 ///     policy: retrying an allocation failure amplifies the overload that
 ///     caused it (RetryPolicy retries exactly what this predicate accepts,
-///     so nothing retries it).  rejected is the admission
-///     controller's verdict, owned by the submitter, not the retry loop.
+///     so nothing retries it, and the flow engine ends the flow on it
+///     instead of redesigning).
 inline constexpr bool isRetryable(EvalStatus s) {
   switch (s) {
     case EvalStatus::SingularJacobian:

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "core/flowgraph.hpp"
-#include "core/metrics.hpp"
-#include "core/parallel.hpp"
 #include "core/runreport.hpp"
 #include "core/trace.hpp"
 #include "numeric/rng.hpp"
@@ -80,25 +78,6 @@ FlowOptions batchItemOptions(const FlowOptions& base, std::size_t index) {
   FlowOptions item = base;
   item.seed = num::Rng::streamSeed(base.seed, index);
   return item;
-}
-
-std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batch,
-                                        const circuit::Process& proc,
-                                        const FlowOptions& opts) {
-  AMSYN_SPAN("flow_batch");
-  static const metrics::CounterId kBatchDesigns =
-      metrics::registry().counter("core.flow.batch.designs");
-  metrics::add(kBatchDesigns, batch.size());
-  ExecutionContext& parent = ExecutionContext::current();
-  return parallelMap(batch.size(), [&](std::size_t i) {
-    // One child context per job: same config/handles as the caller, its own
-    // fault schedule (inheriting the caller's armed plan through the chain)
-    // and a metrics slice chained under the caller's.  The engine installs
-    // it for the job's duration.
-    const auto jobContext = parent.makeChild();
-    FlowEngine engine(amplifierStageGraph());
-    return engine.run(batch[i], proc, batchItemOptions(opts, i), *jobContext);
-  });
 }
 
 namespace {

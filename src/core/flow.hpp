@@ -16,7 +16,8 @@
 // is one FlowStage, and a FlowEngine executes the declared stage sequence
 // with the redesign loop, retargeting, and calibration feedback as engine
 // policy.  synthesizeAmplifier assembles the amplifier stage graph;
-// synthesizeBatch fans many spec sets across the work-stealing pool.
+// synthesizeBatch, the one batch runner, fans many spec sets across the
+// work-stealing pool.
 #pragma once
 
 #include <cstdint>
@@ -119,14 +120,21 @@ struct FlowResult {
 FlowResult synthesizeAmplifier(const sizing::SpecSet& specs, const circuit::Process& proc,
                                const FlowOptions& opts = {});
 
-/// Serving-scale entry point: run one amplifier flow per spec set, fanned
-/// across the shared work-stealing pool.  Deterministic: result i is
-/// bit-identical to `synthesizeAmplifier(batch[i], proc,
-/// batchItemOptions(opts, i))` at any AMSYN_THREADS, cache on or off
-/// (tests/flowgraph_test.cpp proves this differentially).  Every design runs
-/// in a child of the caller's context, so all of them share its config and
-/// its evaluation cache: overlapping candidate evaluations across the batch
-/// are paid for once.
+/// The batch runner: run one amplifier flow per spec set, fanned across the
+/// shared work-stealing pool.  Deterministic: result i is bit-identical to
+/// `synthesizeAmplifier(batch[i], proc, batchItemOptions(opts, i))` at any
+/// AMSYN_THREADS, cache on or off (tests/flowgraph_test.cpp proves this
+/// differentially).  Every design runs in a child of the caller's context,
+/// so all of them share its config and its evaluation cache: overlapping
+/// candidate evaluations across the batch are paid for once.
+///
+/// Every job ends with a result.  The engine contains a throwing stage as a
+/// failed stage (internal_error, or out_of_memory, which ends the flow), so
+/// one job's exception never abandons the rest of the batch.  Each job binds
+/// its own batch-fault scope, so a chaos plan armed on the caller's context
+/// (sim::ScopedBatchFaults) reaches every job with the same draws at any
+/// thread count.  Transient failures are retried per stage
+/// (FlowOptions::stageRetry).
 std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batch,
                                         const circuit::Process& proc,
                                         const FlowOptions& opts = {});

@@ -6,9 +6,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
 #include "sim/fault.hpp"
+#include "sim/stats.hpp"
 #include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
@@ -44,7 +46,7 @@ std::string withStatusSuffix(std::string reason, EvalStatus st) {
 /// counter schema does not depend on which entry point ran first.
 struct FlowCounters {
   metrics::CounterId attempts;
-  metrics::CounterId batchDesigns;
+  metrics::CounterId batchDesigns;     ///< designs submitted to synthesizeBatch
   metrics::CounterId retryAttempts;    ///< stage re-executions granted
   metrics::CounterId retrySuccesses;   ///< stages that passed on a re-execution
   metrics::CounterId retryExhausted;   ///< stages still failed after >=1 retry
@@ -72,6 +74,23 @@ void backoffSleep(std::uint64_t delayMs, const DeadlineBudget& deadline) {
         delayMs, static_cast<std::uint64_t>(leftNs / 1'000'000) + 1);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
+}
+
+/// Run one stage with its exceptions contained: a throw becomes a failed
+/// stage whose status classifies the exception (bad_alloc is out_of_memory,
+/// anything else internal_error), tallied once like any contained
+/// evaluator exception.  The engine's retry, redesign and OOM rules then
+/// apply to it as to any other failure.
+StageOutcome runContained(FlowStage& stage, const std::string& spanName,
+                          DesignContext& ctx) {
+  try {
+    AMSYN_SPAN(spanName.c_str());
+    return stage.run(ctx);
+  } catch (...) {
+    const EvalStatus st = classifyCurrentException();
+    sim::recordEvalFailure(st);
+    return StageOutcome::fail(std::string("stage threw: ") + evalStatusName(st), st);
+  }
 }
 
 }  // namespace
@@ -173,8 +192,7 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
           outcome = StageOutcome::fail("injected stage fault (chaos schedule)",
                                        EvalStatus::InternalError);
         } else {
-          AMSYN_SPAN(slot.spanName.c_str());
-          outcome = slot.stage->run(ctx);
+          outcome = runContained(*slot.stage, slot.spanName, ctx);
         }
         StageRecord record;
         record.name = slot.stage->name();
@@ -199,6 +217,9 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
           if (execution > 1) metrics::add(flowCounters().retryExhausted);
           ctx.result.failureReason = outcome.detail;
           ctx.result.failureStatus = outcome.evalStatus;
+          // Out of memory (never retryable) ends the flow too: a redesign
+          // would re-run the allocation pattern that just failed.
+          if (outcome.evalStatus == EvalStatus::OutOfMemory) return std::move(ctx.result);
           attemptFailed = true;
           break;  // redesign with the updated calibration
         }
@@ -215,6 +236,26 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
     }
   }
   return std::move(ctx.result);
+}
+
+std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batch,
+                                        const circuit::Process& proc,
+                                        const FlowOptions& opts) {
+  AMSYN_SPAN("flow_batch");
+  metrics::add(flowCounters().batchDesigns, batch.size());
+  ExecutionContext& parent = ExecutionContext::current();
+  return parallelMap(batch.size(), [&](std::size_t i) {
+    // One child context per job: same config/handles as the caller, its own
+    // fault schedule (inheriting the caller's armed plan through the chain)
+    // and a metrics slice chained under the caller's.  The engine installs
+    // it for the job's duration.  The fault scope binds job i's occurrence
+    // counters to whichever pool thread runs it, so an armed chaos plan
+    // draws the same faults for job i at any thread count.
+    const auto jobContext = parent.makeChild();
+    sim::BatchFaultScope faultScope(i);
+    FlowEngine engine(amplifierStageGraph());
+    return engine.run(batch[i], proc, batchItemOptions(opts, i), *jobContext);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@
 //     the layout parasitics knock off on top (post-layout),
 //   * per-stage observability: every stage runs under an AMSYN_SPAN,
 //     counts into core.flow.stage.<name>.{runs,failures}, and appends a
-//     StageRecord to FlowResult::stageRecords.
+//     StageRecord to FlowResult::stageRecords,
+//   * the job boundary: stage retry (FlowOptions::stageRetry), the job's
+//     wall-clock deadline, and exception containment — a stage that throws
+//     is a failed stage ("stage threw: <status>"), never an escape.
 //
 // The amplifier flow is amplifierStageGraph() run by a default-policy
 // engine; tests and future circuit classes compose their own graphs (the

@@ -1,30 +1,22 @@
-// Job-level resilience primitives for the synthesis service substrate:
+// Flow-level resilience primitives:
 //
 //   * RetryPolicy / BackoffPolicy — deterministic, data-expressed retry
-//     with exponential backoff, layered per stage (FlowEngine) and per job
-//     (core/jobqueue.hpp).  The policy is data, so tests and the future
-//     daemon can reason about it without subclassing anything; the
-//     statuses it retries are the taxonomy's (core::isRetryable).
-//   * DeadlineBudget — wall-clock deadlines composed on top of PR-2's
+//     with exponential backoff, applied per stage by the FlowEngine
+//     (FlowOptions::stageRetry).  The policy is data, so tests can reason
+//     about it without subclassing anything; the statuses it retries are
+//     the taxonomy's (core::isRetryable).
+//   * DeadlineBudget — wall-clock deadlines composed on top of the
 //     deterministic work-unit EvalBudget: the budget keeps bit-identical
 //     exhaustion points, the deadline adds a strided monotonic-clock check
 //     so a livelocked evaluation cannot hang a worker past its allowance.
-//   * BatchJournal — crash-consistent per-job progress journaling as JSON
-//     lines, so a killed batch resumes from its last completed job.  Lines
-//     carry an FNV-1a checksum and are accepted only when complete and
-//     intact; a journal truncated at ANY byte boundary loads the longest
-//     valid prefix (tests/resilience_test.cpp proves the property
-//     exhaustively).
 //
 // Layering: below core/flow.hpp (which embeds a RetryPolicy in
 // FlowOptions) and above only core/evalstatus.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <optional>
-#include <string>
 
 #include "core/evalstatus.hpp"
 
@@ -70,13 +62,13 @@ struct RetryPolicy {
 /// Construction arms the composed EvalBudget with `now + deadlineMs`
 /// (deadlineMs = 0 leaves it a plain budget).  Two check cadences:
 ///   * expired() — one clock read; for coarse cooperative checkpoints
-///     (FlowEngine stage boundaries, job-queue scheduling points),
+///     (FlowEngine stage boundaries),
 ///   * budget().consume() — the Newton-loop cancel points, where the clock
 ///     is read once per EvalBudget::kDeadlineCheckStride charges.
 class DeadlineBudget {
  public:
   explicit DeadlineBudget(std::uint64_t workLimit = 0, std::uint64_t deadlineMs = 0)
-      : budget_(workLimit), deadlineMs_(deadlineMs) {
+      : budget_(workLimit) {
     if (deadlineMs != 0) {
       // Saturate at INT64_MAX instead of overflowing now + ms * 10^6: a
       // deadline beyond ~292 years is "never", not a wrapped past instant.
@@ -95,7 +87,6 @@ class DeadlineBudget {
 
   bool armed() const { return deadlineNs_ != 0; }
   std::int64_t deadlineNs() const { return deadlineNs_; }
-  std::uint64_t deadlineMs() const { return deadlineMs_; }
 
   /// One clock read; latches the budget's deadline flag so a
   /// boundary-detected expiry and a cancel-point-detected expiry report the
@@ -104,63 +95,7 @@ class DeadlineBudget {
 
  private:
   EvalBudget budget_;
-  std::uint64_t deadlineMs_ = 0;
   std::int64_t deadlineNs_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Crash-consistent batch journaling
-
-/// One completed job, as journaled and as reported: exactly the fields of
-/// the per-job section of core::batchRunReportJson, so a resumed batch
-/// reproduces the same final report without re-running journaled jobs.
-struct JobJournalEntry {
-  std::size_t job = 0;       ///< batch index
-  std::size_t attempts = 1;  ///< total flow attempts the job consumed
-  bool success = false;
-  std::string topology;
-  EvalStatus status = EvalStatus::Ok;  ///< FlowResult::failureStatus
-  std::string failureReason;
-  std::size_t redesigns = 0;
-
-  bool operator==(const JobJournalEntry&) const = default;
-
-  /// One self-delimiting JSON line (no trailing newline): flat object with
-  /// a final "crc" field — FNV-1a 64 over every byte before `,"crc"` — so
-  /// a torn or bit-rotted line is detectable without trusting the parser.
-  std::string toLine() const;
-  /// Parse one line; nullopt when incomplete, malformed, or checksum-bad.
-  static std::optional<JobJournalEntry> parseLine(const std::string& line);
-};
-
-/// Append-only JSON-lines journal of completed jobs.  Protocol:
-///   1. load(path) reads the longest valid prefix of complete, intact
-///      lines (a crash can only tear the final line; anything after the
-///      first invalid line is discarded),
-///   2. the runner rewrites the journal to exactly that prefix (dropping a
-///      torn tail so later appends cannot concatenate onto it), then
-///   3. append() writes one line + '\n' per completed job and flushes.
-/// Appends from multiple pool threads must be serialized by the caller
-/// (core/jobqueue.cpp holds a mutex); entries may land in any job order.
-class BatchJournal {
- public:
-  explicit BatchJournal(std::string path) : path_(std::move(path)) {}
-
-  /// Valid entries by job index (later duplicates win; none are produced
-  /// by the runner, but a resumed journal is data, not gospel).  A missing
-  /// file is an empty journal, not an error.
-  static std::map<std::size_t, JobJournalEntry> load(const std::string& path);
-
-  /// Rewrite the file to exactly `entries` (the compacted valid prefix).
-  void rewrite(const std::map<std::size_t, JobJournalEntry>& entries) const;
-
-  /// Append one completed job and flush.
-  void append(const JobJournalEntry& entry) const;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
 };
 
 }  // namespace amsyn::core

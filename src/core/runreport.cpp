@@ -96,61 +96,57 @@ std::string RunReport::toJson() const {
   }
   os << "\n  }";
 
-  if (includeMetrics) {
-    const auto snap = metrics::registry().snapshot();
-    os << ",\n  \"counters\": {\n";
-    {
-      ObjectWriter w(os, "    ");
-      for (const auto& [k, v] : snap.counters) w.field(k, std::to_string(v));
-    }
-    os << "\n  }";
-    os << ",\n  \"gauges\": {\n";
-    {
-      ObjectWriter w(os, "    ");
-      for (const auto& [k, v] : snap.gauges) w.field(k, jsonNumber(v));
-    }
-    os << "\n  }";
-    os << ",\n  \"histograms\": {\n";
-    {
-      ObjectWriter w(os, "    ");
-      for (const auto& [k, h] : snap.histograms) {
-        std::ostringstream hs;
-        hs << "{\"count\": " << h.count << ", \"sum\": " << jsonNumber(h.sum)
-           << ", \"min\": " << jsonNumber(h.min) << ", \"max\": " << jsonNumber(h.max)
-           << "}";
-        w.field(k, hs.str());
-      }
-    }
-    os << "\n  }";
+  const auto snap = metrics::registry().snapshot();
+  os << ",\n  \"counters\": {\n";
+  {
+    ObjectWriter w(os, "    ");
+    for (const auto& [k, v] : snap.counters) w.field(k, std::to_string(v));
   }
+  os << "\n  }";
+  os << ",\n  \"gauges\": {\n";
+  {
+    ObjectWriter w(os, "    ");
+    for (const auto& [k, v] : snap.gauges) w.field(k, jsonNumber(v));
+  }
+  os << "\n  }";
+  os << ",\n  \"histograms\": {\n";
+  {
+    ObjectWriter w(os, "    ");
+    for (const auto& [k, h] : snap.histograms) {
+      std::ostringstream hs;
+      hs << "{\"count\": " << h.count << ", \"sum\": " << jsonNumber(h.sum)
+         << ", \"min\": " << jsonNumber(h.min) << ", \"max\": " << jsonNumber(h.max)
+         << "}";
+      w.field(k, hs.str());
+    }
+  }
+  os << "\n  }";
 
-  if (includeSpans) {
-    const auto spans = trace::collect();
-    auto& reg = metrics::registry();
-    os << ",\n  \"spans\": {\n";
-    {
-      ObjectWriter w(os, "    ");
-      for (const auto& [path, s] : spans) {
-        std::ostringstream ss;
-        ss << "{\"count\": " << s.count << ", \"total_s\": "
-           << jsonNumber(static_cast<double>(s.totalNs) * 1e-9) << ", \"min_s\": "
-           << jsonNumber(s.count ? static_cast<double>(s.minNs) * 1e-9 : 0.0)
-           << ", \"max_s\": " << jsonNumber(static_cast<double>(s.maxNs) * 1e-9)
-           << ", \"deltas\": {";
-        bool firstDelta = true;
-        for (std::size_t i = 0; i < s.counterDeltas.size(); ++i) {
-          if (s.counterDeltas[i] == 0) continue;
-          if (!firstDelta) ss << ", ";
-          firstDelta = false;
-          ss << '"' << jsonEscape(reg.counterName(static_cast<std::uint32_t>(i)))
-             << "\": " << s.counterDeltas[i];
-        }
-        ss << "}}";
-        w.field(path, ss.str());
+  const auto spans = trace::collect();
+  auto& reg = metrics::registry();
+  os << ",\n  \"spans\": {\n";
+  {
+    ObjectWriter w(os, "    ");
+    for (const auto& [path, s] : spans) {
+      std::ostringstream ss;
+      ss << "{\"count\": " << s.count << ", \"total_s\": "
+         << jsonNumber(static_cast<double>(s.totalNs) * 1e-9) << ", \"min_s\": "
+         << jsonNumber(s.count ? static_cast<double>(s.minNs) * 1e-9 : 0.0)
+         << ", \"max_s\": " << jsonNumber(static_cast<double>(s.maxNs) * 1e-9)
+         << ", \"deltas\": {";
+      bool firstDelta = true;
+      for (std::size_t i = 0; i < s.counterDeltas.size(); ++i) {
+        if (s.counterDeltas[i] == 0) continue;
+        if (!firstDelta) ss << ", ";
+        firstDelta = false;
+        ss << '"' << jsonEscape(reg.counterName(static_cast<std::uint32_t>(i)))
+           << "\": " << s.counterDeltas[i];
       }
+      ss << "}}";
+      w.field(path, ss.str());
     }
-    os << "\n  }";
   }
+  os << "\n  }";
 
   os << "\n}";
   return os.str();

@@ -34,8 +34,6 @@ struct RunReport {
   /// Numeric results (phase ratios, speedups, ...), emitted in insertion
   /// order.
   std::vector<std::pair<std::string, double>> values;
-  bool includeMetrics = true;  ///< emit the registry snapshot
-  bool includeSpans = true;    ///< emit the trace span aggregate
 
   RunReport& addInfo(std::string key, std::string value);
   RunReport& addValue(std::string key, double value);

@@ -79,7 +79,8 @@ namespace {
 
 /// The calling thread's bound job: index + per-site occurrence counters.
 /// Lives on the heap, owned by the innermost BatchFaultScope, so nesting
-/// (a retry loop inside a pool task) restores the outer job exactly.
+/// (a job stolen by a thread that is waiting inside another job) restores
+/// the outer job exactly.
 struct JobFaultState {
   std::size_t jobIndex = 0;
   std::array<std::uint64_t, kFaultSiteCount> occurrences{};

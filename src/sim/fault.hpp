@@ -98,7 +98,7 @@ class ScopedFaultInjection {
 
 /// Injection points the batch schedule can perturb.  Solver sites fire only
 /// inside a SolverFaultWindow (see file comment); flow sites are consulted
-/// directly by the flow engine and job queue.
+/// directly by the flow engine.
 enum class FaultSite : std::uint8_t {
   DcNewton = 0,    ///< force a DC Newton solve singular
   DcResidual,      ///< poison a DC residual assembly with NaN
@@ -106,7 +106,6 @@ enum class FaultSite : std::uint8_t {
   BudgetCharge,    ///< report budget exhaustion on a work charge
   StageRun,        ///< fail a flow stage outright (internal_error)
   DeadlineCheck,   ///< report deadline expiry at a stage boundary
-  JobTask,         ///< throw from the job task before its flow starts
   kCount,
 };
 
@@ -147,10 +146,11 @@ class ScopedBatchFaults {
 };
 
 /// "This thread is now executing batch job `jobIndex`": binds the job's
-/// occurrence counters to the calling thread for the scope's lifetime.
-/// Nesting restores the outer scope on destruction.  Job-level retries run
-/// inside one scope, so their occurrence counters continue across attempts
-/// — a retry deterministically sees fresh draws.
+/// occurrence counters to the calling thread for the scope's lifetime
+/// (synthesizeBatch binds one per job).  Nesting restores the outer scope
+/// on destruction.  Stage retries and redesigns run inside the job's one
+/// scope, so their occurrence counters continue — a retried stage
+/// deterministically sees fresh draws.
 class BatchFaultScope {
  public:
   explicit BatchFaultScope(std::size_t jobIndex);

@@ -380,7 +380,7 @@ TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
   const std::string json = core::flowRunReportJson(r, ctx);
   EXPECT_NE(json.find("\"ctx.ctx.test.report\""), std::string::npos);
   // The slice is sparse: counters the context never touched are absent.
-  EXPECT_EQ(json.find("\"ctx.core.jobs.submitted\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ctx.core.flow.attempts\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,21 +391,21 @@ TEST(ContextFaults, SiblingContextsNeverSeeEachOthersPlans) {
   core::ExecutionContext tenantB(deterministicConfig());
   sim::BatchFaultPlan plan;
   plan.seed = 7;
-  plan.rate(sim::FaultSite::JobTask) = 1.0;
+  plan.rate(sim::FaultSite::StageRun) = 1.0;
   {
     core::ContextScope scopeA(tenantA);
     sim::ScopedBatchFaults armed(plan);  // arms tenantA's schedule
     EXPECT_TRUE(sim::batchFaultsArmed());
     {
       sim::BatchFaultScope job(0);
-      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::JobTask));
+      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::StageRun));
     }
     {
       // Sibling tenant on the same thread: the plan must be invisible.
       core::ContextScope scopeB(tenantB);
       EXPECT_FALSE(sim::batchFaultsArmed());
       sim::BatchFaultScope job(0);
-      EXPECT_FALSE(sim::takeBatchFault(sim::FaultSite::JobTask));
+      EXPECT_FALSE(sim::takeBatchFault(sim::FaultSite::StageRun));
     }
     {
       // A child of the armed tenant inherits the plan through the chain.
@@ -413,7 +413,7 @@ TEST(ContextFaults, SiblingContextsNeverSeeEachOthersPlans) {
       core::ContextScope scopeChild(*job);
       EXPECT_TRUE(sim::batchFaultsArmed());
       sim::BatchFaultScope faultScope(1);
-      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::JobTask));
+      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::StageRun));
     }
   }
   // Disarm happened on tenantA; the ambient context was never armed.

@@ -287,17 +287,12 @@ TEST(Trace, MacroCompilesAndRecords) {
 TEST(RunReport, JsonIsDeterministicAndWellFormed) {
   core::RunReport report;
   report.name = "unit";
-  report.includeMetrics = false;
-  report.includeSpans = false;
   report.addInfo("topology", "two-stage \"miller\"").addValue("speedup", 2.5);
   const std::string a = report.toJson();
   EXPECT_EQ(a, report.toJson());
   EXPECT_NE(a.find("\"report\": \"unit\""), std::string::npos);
   EXPECT_NE(a.find("\"topology\": \"two-stage \\\"miller\\\"\""), std::string::npos);
   EXPECT_NE(a.find("\"speedup\": 2.5"), std::string::npos);
-  // No registry sections when excluded.
-  EXPECT_EQ(a.find("\"counters\""), std::string::npos);
-  EXPECT_EQ(a.find("\"spans\""), std::string::npos);
 }
 
 TEST(RunReport, MetricsSectionsRoundTripThroughFile) {

@@ -401,8 +401,6 @@ TEST(SurrogateStore, ClearDropsLearnedStateAndPruneLog) {
 TEST(RunReportRatio, ZeroDenominatorEmitsNullNotZero) {
   core::RunReport r;
   r.name = "ratio_test";
-  r.includeMetrics = false;
-  r.includeSpans = false;
   r.addRatio("no_traffic", 0.0, 0.0).addRatio("real_rate", 1.0, 4.0);
   const std::string json = r.toJson();
   EXPECT_NE(json.find("\"no_traffic\": null"), std::string::npos) << json;
