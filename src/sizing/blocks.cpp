@@ -103,6 +103,11 @@ std::vector<DesignVariable> OpampStructure::variables() const {
   return vars;
 }
 
+std::optional<std::size_t> OpampStructure::unreadVariable() const {
+  if (!secondStage) return std::nullopt;
+  return 5;  // i5, i7, vov1, vov3, vov5, vov6
+}
+
 std::vector<OpampStructure> enumerateOpampStructures() {
   std::vector<OpampStructure> out;
   // Plain nested loops over the block axes, filtered by the validity rules:

@@ -25,7 +25,9 @@
 // tests/composed_topology_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,12 @@ struct OpampStructure {
   /// (i5, i7, vov1, vov3, vov5, vov6, cc) — the coordinates the knowledge
   /// plans emit (knowledge/opamp_plans.hpp).
   std::vector<DesignVariable> variables() const;
+
+  /// Position in variables() of the one coordinate the equations never
+  /// read: vov6 on two-stage structures, which the zero-offset constraint
+  /// pins to vov3 (see composedGeometryFor).  Bounds sampling visits it at
+  /// a single point.  Single-stage structures read every coordinate.
+  std::optional<std::size_t> unreadVariable() const;
 };
 
 /// Deterministically enumerate every electrically valid composition of the

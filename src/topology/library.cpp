@@ -7,6 +7,8 @@
 
 #include "circuit/canonical.hpp"
 #include "core/context.hpp"
+#include "core/parallel.hpp"
+#include "core/trace.hpp"
 #include "sizing/eqmodel.hpp"
 
 namespace amsyn::topology {
@@ -35,8 +37,13 @@ const TopologyEntry& TopologyLibrary::byName(const std::string& name) const {
   return entries_[it->second];
 }
 
-FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
-                                   std::size_t gridPerAxis, double widen) {
+namespace {
+
+/// boundsBySampling over a per-axis point count: axis i takes points[i]
+/// evenly spaced grid points (log-spaced on log-scale axes), a single point
+/// sitting at the axis midpoint.
+FeasibilityBounds sampleBounds(const sizing::PerformanceModel& model,
+                               const std::vector<std::size_t>& points, double widen) {
   const auto& vars = model.variables();
   const std::size_t n = vars.size();
   FeasibilityBounds bounds;
@@ -46,9 +53,9 @@ FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
   while (true) {
     std::vector<double> x(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const double t = gridPerAxis == 1
+      const double t = points[i] == 1
                            ? 0.5
-                           : static_cast<double>(idx[i]) / static_cast<double>(gridPerAxis - 1);
+                           : static_cast<double>(idx[i]) / static_cast<double>(points[i] - 1);
       const auto& v = vars[i];
       x[i] = (v.logScale && v.lo > 0) ? v.lo * std::pow(v.hi / v.lo, t)
                                       : v.lo + t * (v.hi - v.lo);
@@ -62,7 +69,7 @@ FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
     }
 
     std::size_t d = 0;
-    while (d < n && ++idx[d] == gridPerAxis) idx[d++] = 0;
+    while (d < n && ++idx[d] == points[d]) idx[d++] = 0;
     if (d == n) break;
   }
 
@@ -86,6 +93,20 @@ FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
     }
   }
   return bounds;
+}
+
+}  // namespace
+
+FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
+                                   std::size_t gridPerAxis, double widen) {
+  // A zero count never wraps the grid counter; a widen below 1 (or NaN)
+  // would shrink the hull below the sampled points it must contain.
+  if (gridPerAxis == 0)
+    throw std::invalid_argument("boundsBySampling: gridPerAxis must be at least 1");
+  if (!(widen >= 1.0) || !std::isfinite(widen))
+    throw std::invalid_argument("boundsBySampling: widen must be finite and at least 1");
+  return sampleBounds(model, std::vector<std::size_t>(model.variables().size(), gridPerAxis),
+                      widen);
 }
 
 namespace {
@@ -211,25 +232,39 @@ std::vector<HeuristicRule> rulesFor(const OpampStructure& s, TopologySpace space
 
 /// One entry per structure of `space`, in enumeration order: the legacy menu
 /// is the two historical cells, the generated space every valid structure.
-/// Everything is deterministic — bounds are sampled serially and models are
-/// pure — so thread count, eval-cache state and run count change no bit.
+/// Each entry is a pure function of its structure (models are pure, each
+/// sampling walks its own grid in a fixed order), so the entries are built
+/// in parallel and added by index: thread count, eval-cache state and run
+/// count change no bit.
 TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
                              double loadCap) {
-  TopologyLibrary lib;
-  for (const OpampStructure& s : sizing::enumerateOpampStructures()) {
-    const bool legacy = s.isLegacyOta() || s.isLegacyTwoStage();
-    if (space == TopologySpace::Legacy && !legacy) continue;
+  AMSYN_SPAN("library_build");  // memo misses only: amplifierLibrary's cold path
+  std::vector<OpampStructure> structures;
+  for (const OpampStructure& s : sizing::enumerateOpampStructures())
+    if (space == TopologySpace::Generated || s.isLegacyOta() || s.isLegacyTwoStage())
+      structures.push_back(s);
+
+  auto entries = core::parallelMap(structures.size(), [&](std::size_t i) {
+    const OpampStructure& s = structures[i];
     TopologyEntry e;
     e.name = s.name();
     e.model = std::make_shared<sizing::ComposedOpampModel>(s, proc, loadCap);
+    const std::size_t dim = e.model->variables().size();
     const std::size_t grid = s.isLegacyOta()        ? 5
                              : s.isLegacyTwoStage() ? 4
-                                                    : adaptiveGrid(s.variables().size());
-    e.bounds = boundsBySampling(*e.model, grid);
+                                                    : adaptiveGrid(dim);
+    // Grid points that differ only on the unread axis evaluate identically,
+    // so one point on it yields the full grid's hull bit for bit.
+    std::vector<std::size_t> points(dim, grid);
+    if (const auto unread = s.unreadVariable()) points[*unread] = 1;
+    e.bounds = sampleBounds(*e.model, points, /*widen=*/1.15);
     e.rules = rulesFor(s, space);
     e.complexity = s.deviceCount();
-    lib.add(std::move(e));
-  }
+    return e;
+  });
+
+  TopologyLibrary lib;
+  for (TopologyEntry& e : entries) lib.add(std::move(e));
   return lib;
 }
 
@@ -240,11 +275,11 @@ TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
   const TopologySpace space =
       requested.value_or(core::ExecutionContext::current().config().topologySpace);
   // Memoize per (space, process, loadCap): bounds sampling over the full
-  // generated space is ~10^5 model evaluations, and even the two legacy
-  // entries cost ~10^4 — too much to repeat on every flow start.  Keyed by
-  // content digest, not address, so corner/perturbed processes get their
-  // own libraries; models own a Process copy, so a cached library outliving
-  // the caller's process instance is safe.
+  // generated space is ~7.5 x 10^4 model evaluations, and even the two
+  // legacy entries cost ~5 x 10^3 — too much to repeat on every flow
+  // start.  Keyed by content digest, not address, so corner/perturbed
+  // processes get their own libraries; models own a Process copy, so a
+  // cached library outliving the caller's process instance is safe.
   core::cache::Hasher128 h;
   h.mix(static_cast<std::uint64_t>(space));
   circuit::hashProcess(h, proc);

@@ -77,7 +77,8 @@ using TopologySpace = core::TopologySpace;
 /// performance.  Unset `space` means the calling context's configured one
 /// (ContextConfig::topologySpace, i.e. AMSYN_TOPOLOGY_SPACE by default).
 /// Memoized per (space, process, loadCap): repeated flow starts reuse the
-/// sampled bounds.
+/// sampled bounds.  A memo miss samples the entries in parallel on the
+/// pool; the result is bit-identical at any pool width.
 TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
                                  std::optional<TopologySpace> space = std::nullopt);
 
@@ -85,7 +86,8 @@ TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
 /// design box by sampling a coarse grid and taking the hull, widened by a
 /// safety factor.  (A conservative, implementation-agnostic stand-in for
 /// per-model interval arithmetic; soundness direction: intervals always
-/// contain every sampled achievable point.)
+/// contain every sampled achievable point.)  Throws std::invalid_argument
+/// when gridPerAxis is 0 or widen is below 1 or not finite.
 FeasibilityBounds boundsBySampling(const sizing::PerformanceModel& model,
                                    std::size_t gridPerAxis = 3, double widen = 1.15);
 

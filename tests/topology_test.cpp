@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "topology/genetic.hpp"
 #include "topology/joint.hpp"
 #include "topology/library.hpp"
@@ -182,6 +186,18 @@ TEST(Bounds, WideningNeverDrivesPositiveQuantitiesNegative) {
   // A hull floored at zero clamps there instead of going negative.
   EXPECT_DOUBLE_EQ(b.at("swing").lo(), 0.0);
   EXPECT_GT(b.at("swing").hi(), 2.0);
+}
+
+TEST(Bounds, ZeroGridThrowsInsteadOfLooping) {
+  // A zero count never wraps the grid counter: the walk would never end.
+  EXPECT_THROW(tp::boundsBySampling(SpanModel{}, 0), std::invalid_argument);
+}
+
+TEST(Bounds, WidenBelowOneOrNotFiniteThrows) {
+  // Such a widen would shrink the hull below the points it must contain.
+  for (const double widen : {0.5, -1.0, std::nan(""), std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(tp::boundsBySampling(SpanModel{}, 3, widen), std::invalid_argument) << widen;
+  EXPECT_NO_THROW(tp::boundsBySampling(SpanModel{}, 3, 1.0));
 }
 
 TEST(Bounds, LegacyLibraryBoundsAreSane) {
