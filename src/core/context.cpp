@@ -17,7 +17,6 @@ ContextConfig ContextConfig::fromEnv() {
   ContextConfig cfg;
   cfg.threads = envknobs::threads();
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
-  cfg.surrogateScreening = envknobs::surrogateScreening();
   cfg.jobDeadlineMs = envknobs::jobDeadlineMs();
   cfg.topologySpace = envknobs::topologySpaceIndex() == 1 ? TopologySpace::Generated
                                                           : TopologySpace::Legacy;
@@ -31,23 +30,13 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
                                    ExecutionContext* parent, bool isAmbient)
     : config_(std::move(cfg)), parent_(parent) {
-  // Handles only: the modes (cache on/off, surrogate screening)
-  // live in config_ and every consumer reads them from there.  Resolving the
-  // surrogate store here also registers its core.surrogate.* counters, so
-  // every flow's report carries them whatever its mode.
+  // Handles only: the cache on/off mode lives in config_ and every
+  // consumer reads it from there.
   if (isolation.evalCache) {
     ownedEvalCache_ = cache::EvalCache::createIsolated();
     evalCache_ = ownedEvalCache_.get();
   } else {
     evalCache_ = parent_ ? &parent_->evalCache() : &cache::EvalCache::instance();
-  }
-
-  if (isolation.surrogate) {
-    ownedSurrogate_ = surrogate::Store::createIsolated();
-    surrogateStore_ = ownedSurrogate_.get();
-  } else {
-    surrogateStore_ =
-        parent_ ? &parent_->surrogateStore() : &surrogate::Store::instance();
   }
 
   // Every context except the ambient one records a slice; the ambient hot

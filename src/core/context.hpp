@@ -1,39 +1,35 @@
-// Scoped execution contexts: the explicit object behind every piece of
-// state that PRs 3–9 left process-global (metrics attribution, eval-cache
-// and surrogate handles, batch fault plans, env tuning knobs).  One process
-// serving many synthesis jobs — the ROADMAP's synthesis-as-a-service
-// daemon — needs those separated per tenant/job;
-// a single-flow CLI run should not have to know contexts exist.  Both are
-// served by the same mechanism:
+// Scoped execution contexts: the explicit object behind the state a run
+// needs besides its inputs — the run config, metrics attribution, the
+// eval-cache handle and the batch fault schedule.  A single-flow CLI run
+// never has to know contexts exist; a batch or a test that needs its jobs
+// kept apart installs one per job.  Both are served by the same mechanism:
 //
 //   * The *ambient* context is a lazily-created, process-lifetime default
 //     whose config snapshot comes from the AMSYN_* environment and whose
-//     cache/surrogate handles are the legacy shared singletons.  Code that
-//     never installs a context resolves everything through it, which makes
-//     every pre-context entry point behave exactly as before.
-//   * An *explicit* context carries its own config, fault schedule, and
-//     metrics slice; optionally its own (isolated) eval cache and
-//     surrogate store.  Installing it with ContextScope
-//     makes ExecutionContext::current() — and therefore every subsystem
-//     that resolves through it — see that context on the installing
-//     thread.  parallelFor propagates the submitting thread's context into
-//     pool tasks, so a context follows its job across work-stealing.
+//     eval cache is the shared process cache.  Code that never installs a
+//     context resolves everything through it.
+//   * An *explicit* context carries its own config, fault schedule and
+//     metrics slice, and optionally its own (isolated) eval cache.
+//     Installing it with ContextScope makes ExecutionContext::current() —
+//     and therefore every subsystem that resolves through it — see that
+//     context on the installing thread.  parallelFor propagates the
+//     submitting thread's context into pool tasks, so a context follows its
+//     job across work-stealing.
 //
 // What stays process-shared on purpose: the metrics registry storage
 // (slices are additive observers, never the source of truth — process
 // totals stay thread-count-invariant and bit-identical with or without
-// slicing) and — by default — the eval cache and surrogate store, whose
-// cross-job amortization is their whole point.  What is per-context: the
-// config snapshot (every field: threads, cache on/off, surrogate
-// screening, deadline, topology space), batch fault schedule,
-// metrics slice, and any handle the owner asked to isolate.  Shared stores hold data, never a
-// mode: consumers read the mode from the current context's config, so one
-// job's config can never leak into a concurrent or later job.
+// slicing) and, by default, the eval cache, whose cross-job amortization
+// is its point.  What is per-context: the config snapshot (every field),
+// the batch fault schedule, the metrics slice, and the eval cache when the
+// owner asked to isolate it.  The shared cache holds data, never a mode:
+// consumers read the mode from the current context's config, so one job's
+// config can never leak into a concurrent or later job.
 //
 // Layering: amsyn_context sits directly above amsyn_metrics /
-// amsyn_evalcache / amsyn_surrogate and below everything else (parallel,
-// sim, sizing, topology, manufacture, core).  It must not depend on the
-// thread pool, which is why propagation lives in parallel.hpp, not here.
+// amsyn_evalcache and below everything else (parallel, sim, sizing,
+// topology, manufacture, core).  It must not depend on the thread pool,
+// which is why propagation lives in parallel.hpp, not here.
 #pragma once
 
 #include <array>
@@ -46,7 +42,6 @@
 
 #include "core/evalcache.hpp"
 #include "core/metrics.hpp"
-#include "core/surrogate.hpp"
 
 namespace amsyn::core {
 
@@ -59,9 +54,9 @@ enum class TopologySpace : std::uint8_t { Legacy, Generated };
 /// configure a run.  fromEnv() is the only production reader of those
 /// variables (via core/envknobs.hpp); everything downstream reads the
 /// snapshot of the context it runs under (ExecutionContext::current()
-/// .config()), never a mode stored inside a shared cache or store.  So a
-/// daemon can hand different configs to different jobs, on shared or
-/// isolated handles, without touching the environment or each other.
+/// .config()), never a mode stored inside the shared cache.  So different
+/// jobs can run under different configs, on shared or isolated caches,
+/// without touching the environment or each other.
 struct ContextConfig {
   /// AMSYN_THREADS, as snapshotted (0 = unset).  Informational only:
   /// nothing reads it.  The pool width comes from AMSYN_THREADS through
@@ -72,10 +67,6 @@ struct ContextConfig {
   /// AMSYN_EVAL_CACHE_CAPACITY sizes the shared process cache, and a
   /// context-owned (isolated) cache keeps the built-in 2^16 entries.
   bool evalCacheEnabled = true;
-  /// AMSYN_SURROGATE: train the surrogate on this context's evaluations
-  /// and let corner hunts skip vertices it confidently rules out.  Results
-  /// are identical either way (the screen is argmin-safe).
-  bool surrogateScreening = false;
   /// AMSYN_JOB_DEADLINE_MS: per-flow wall-clock deadline in ms (0 = none).
   /// FlowEngine checks it at every stage boundary and arms it on the
   /// verification measurements' budgets, so a livelocked evaluation stops
@@ -95,7 +86,7 @@ struct ContextConfig {
 /// with the process (see the file comment for why sharing is the default).
 struct ContextIsolation {
   bool evalCache = false;
-  bool surrogate = false;
+  bool surrogate = false;  ///< inert: kept only so `ContextIsolation{a, b}` still compiles
 };
 
 /// Per-context batch fault schedule — the scoped replacement for the old
@@ -121,7 +112,7 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// The process-default context: config snapshotted from the environment
-  /// on first use, shared cache/surrogate handles, no metrics slice (so
+  /// on first use, the shared eval cache, no metrics slice (so
   /// un-scoped code pays one thread-local null check and nothing else).
   /// Created lazily and leaked, like the registry.
   static ExecutionContext& ambient();
@@ -138,18 +129,16 @@ class ExecutionContext {
   /// different config than its parent's), its own fault schedule (falling
   /// back to the parent chain until armed locally), and a metrics slice
   /// chained under the parent's — a delta recorded in the job also shows up
-  /// in the owning tenant's slice.  The child must not outlive its parent.
+  /// in the owning context's slice.  The child must not outlive its parent.
   std::unique_ptr<ExecutionContext> makeChild(
       std::optional<ContextConfig> cfg = std::nullopt);
 
   const ContextConfig& config() const { return config_; }
 
-  /// Context-resolved handles: the shared process singletons unless this
-  /// context was built with isolation.
+  /// Context-resolved cache: the shared process cache unless this context
+  /// was built with isolation.
   cache::EvalCache& evalCache() { return *evalCache_; }
-  surrogate::Store& surrogateStore() { return *surrogateStore_; }
   bool hasIsolatedEvalCache() const { return ownedEvalCache_ != nullptr; }
-  bool hasIsolatedSurrogate() const { return ownedSurrogate_ != nullptr; }
 
   /// This context's own fault schedule (written by sim::armBatchFaults).
   FaultScheduleState& faultSchedule() { return faultSchedule_; }
@@ -171,9 +160,7 @@ class ExecutionContext {
   ContextConfig config_;
   ExecutionContext* parent_ = nullptr;
   std::unique_ptr<cache::EvalCache> ownedEvalCache_;
-  std::unique_ptr<surrogate::Store> ownedSurrogate_;
   cache::EvalCache* evalCache_ = nullptr;
-  surrogate::Store* surrogateStore_ = nullptr;
   FaultScheduleState faultSchedule_;
   std::unique_ptr<metrics::ContextSlice> slice_;
 };

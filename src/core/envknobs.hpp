@@ -1,7 +1,7 @@
 // The single sanctioned locus for AMSYN_* environment reads.
 //
-// Every process-level tuning knob (threads, eval-cache policy,
-// surrogate screening, job deadline, topology space) is parsed here and
+// Every process-level tuning knob (threads, eval-cache policy, job
+// deadline, topology space) is parsed here and
 // nowhere else: core::ContextConfig::fromEnv() snapshots the modes once
 // into a plain struct, and every consumer reads that snapshot through its
 // execution context.  Two bottom-layer singletons that exist before any
@@ -68,15 +68,6 @@ inline std::size_t evalCacheCapacity() {
   const auto v = parseUnsigned(std::getenv("AMSYN_EVAL_CACHE_CAPACITY"));
   if (v && *v > 0 && *v <= SIZE_MAX) return static_cast<std::size_t>(*v);
   return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance payloads
-}
-
-/// AMSYN_SURROGATE: hunt-vertex screening is on only for "1" or "on";
-/// unset, "0", "off" and anything else mean off.
-inline bool surrogateScreening() {
-  const char* env = std::getenv("AMSYN_SURROGATE");
-  if (!env) return false;
-  const std::string v(env);
-  return v == "1" || v == "on";
 }
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).

@@ -38,8 +38,7 @@ namespace amsyn::core {
 class ExecutionContext;  // core/context.hpp
 
 /// Per-flow design options.  The machinery a flow runs on — eval cache,
-/// solver kernel, surrogate mode, wall-clock deadline, default topology
-/// space — is not configured here: it is the ContextConfig of the context
+/// wall-clock deadline, default topology space — is not configured here: it is the ContextConfig of the context
 /// the flow runs under (core/context.hpp).  Run a flow with a different
 /// config by installing a context built from one, or by handing
 /// FlowEngine::run a parent.makeChild(cfg).

@@ -166,8 +166,7 @@ class FlowEngine {
 
   /// Context-explicit overload: the whole run executes under `exec` (a
   /// ContextScope is installed for the duration), so its config — cache,
-  /// solver, surrogate mode, deadline, topology space — governs every
-  /// stage.  The three-argument form above is exactly this with
+  /// deadline, topology space — governs every stage.  The three-argument form above is exactly this with
   /// ExecutionContext::current().
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts, ExecutionContext& exec);

@@ -70,8 +70,8 @@ class Registry {
   CounterId counter(const std::string& name);
   HistogramId histogram(const std::string& name);
 
-  /// Register a read-only external counter (e.g. the surrogate store's class
-  /// count) surfaced through snapshots under `name`.  Idempotent by name;
+  /// Register a read-only external counter (e.g. the shared eval cache's
+  /// entry count) surfaced through snapshots under `name`.  Idempotent by name;
   /// the reader must be callable from any thread.  External counters are the
   /// registry's bridge for stats whose storage lives elsewhere, and they are
   /// not zeroed by reset().

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
@@ -38,33 +37,14 @@ circuit::Process VariationSpace::apply(const circuit::Process& nominal,
 
 namespace {
 
-// Vertex-screening gate (ContextConfig::surrogateScreening).  A vertex is
-// skipped when its predicted margin's lower confidence bound clears the best
-// vertex's upper bound by kScreenMargin — i.e. it is confidently NOT the
-// worst corner, so dropping it cannot move the hunt's argmin.  The vertex
-// attaining the best upper bound is never skipped by construction, so the
-// hunt always evaluates the predicted worst case for real.  The 6-sigma
-// band carries the statistical safety; the fixed 5%-of-normalization guard
-// on top covers residual miscalibration.  The audit in
-// tests/surrogate_test.cpp re-evaluates every skipped vertex and budgets
-// ZERO that beat the found minimum.
-constexpr double kScreenZ = 6.0;
-constexpr double kScreenMargin = 0.05;
-
-/// Signed normalized margin of a spec at a performance value (negative =
-/// violated).  Objectives have no margin (+inf).
+/// Signed normalized margin of a constraint spec at a performance value
+/// (negative = violated).
 double signedMargin(const Spec& spec, const sizing::Performance& perf) {
-  if (spec.isObjective()) return std::numeric_limits<double>::infinity();
   auto it = perf.find(spec.performance);
   if (it == perf.end()) return -1.0;
-  switch (spec.kind) {
-    case SpecKind::GreaterEqual:
-      return (it->second - spec.bound) / spec.normalization();
-    case SpecKind::LessEqual:
-      return (spec.bound - it->second) / spec.normalization();
-    default:
-      return std::numeric_limits<double>::infinity();
-  }
+  return spec.kind == SpecKind::GreaterEqual
+             ? (it->second - spec.bound) / spec.normalization()
+             : (spec.bound - it->second) / spec.normalization();
 }
 
 }  // namespace
@@ -72,6 +52,11 @@ double signedMargin(const Spec& spec, const sizing::Performance& perf) {
 WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process& nominal,
                             const VariationSpace& space, const std::vector<double>& x,
                             const Spec& spec) {
+  // An objective has no margin to hunt: every vertex would tie at +inf and
+  // leave no worst corner to refine.
+  if (spec.isObjective())
+    throw std::invalid_argument("worstCaseCorner: objective spec '" + spec.performance +
+                                "' has no margin to hunt");
   AMSYN_SPAN("corner_hunt");
   static const auto cVertexEvals =
       core::metrics::registry().counter("corners.vertex_evals");
@@ -104,74 +89,14 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
       c[i] = (mask >> i) & 1u ? 1.0 : 0.0;
     return c;
   };
-  // Surrogate vertex screening: a vertex whose margin is confidently
-  // (kScreenZ sigma + kScreenMargin) above the best vertex's upper bound
-  // cannot be the argmin, so it is skipped entirely.  Skipped vertices are
-  // excluded from the reduction (never placeholder-scored) and logged for
-  // the offline audit.
-  std::vector<char> skipped(kVertices, 0);
-  core::ExecutionContext& ctx = core::ExecutionContext::current();
-  if (ctx.config().surrogateScreening && !spec.isObjective()) {
-    struct VertexPred {
-      double margin = 0.0;  ///< normalized margin at the predicted mean
-      double sigmaN = 0.0;  ///< predictive sigma / spec normalization
-      bool calibrated = false;
-      core::cache::Digest128 classKey;
-    };
-    auto& surrStore = ctx.surrogateStore();
-    std::vector<std::optional<VertexPred>> preds(kVertices);
-    for (std::size_t mask = 0; mask < kVertices; ++mask) {
-      try {
-        const circuit::Process p = space.apply(nominal, vertexCoords(mask));
-        const auto model = factory(p);
-        if (const auto cand = sizing::surrogateCandidate(*model, x)) {
-          if (const auto pred = surrStore.predict(*cand, spec.performance)) {
-            sizing::Performance predicted{{spec.performance, pred->mean}};
-            preds[mask] = VertexPred{signedMargin(spec, predicted),
-                                     pred->sigma / spec.normalization(),
-                                     pred->calibrated, cand->classKey};
-          }
-        }
-      } catch (...) {
-        // A factory that throws for some corner fails the real evaluation
-        // too; screening just leaves that vertex unpredicted.
-      }
-    }
-    // Best (lowest) upper confidence bound among calibrated predictions.
-    // The vertex attaining it always stays: its own lower bound cannot
-    // clear its upper bound, so the comparison below keeps it.
-    double bestUpper = std::numeric_limits<double>::infinity();
-    for (std::size_t mask = 0; mask < kVertices; ++mask)
-      if (preds[mask] && preds[mask]->calibrated)
-        bestUpper = std::min(bestUpper,
-                             preds[mask]->margin + kScreenZ * preds[mask]->sigmaN);
-    if (std::isfinite(bestUpper)) {
-      for (std::size_t mask = 0; mask < kVertices; ++mask) {
-        if (!preds[mask] || !preds[mask]->calibrated) continue;
-        const double lower = preds[mask]->margin - kScreenZ * preds[mask]->sigmaN;
-        if (lower > bestUpper + kScreenMargin) {
-          skipped[mask] = 1;
-          surrStore.recordPrune({preds[mask]->classKey, x, spec.performance, lower,
-                                 preds[mask]->sigmaN, vertexCoords(mask)});
-        }
-      }
-    }
-  }
-  std::vector<std::size_t> toEval;
-  toEval.reserve(kVertices);
-  for (std::size_t mask = 0; mask < kVertices; ++mask)
-    if (!skipped[mask]) toEval.push_back(mask);
-  std::vector<double> vertexMargins(kVertices,
-                                    std::numeric_limits<double>::infinity());
-  core::parallelFor(toEval.size(), [&](std::size_t i) {
-    const std::size_t mask = toEval[i];
+  std::vector<double> vertexMargins(kVertices);
+  core::parallelFor(kVertices, [&](std::size_t mask) {
     vertexMargins[mask] = marginAt(vertexCoords(mask));
   });
-  core::metrics::add(cVertexEvals, toEval.size());
+  core::metrics::add(cVertexEvals, kVertices);
   WorstCorner worst;
   worst.margin = std::numeric_limits<double>::infinity();
   for (std::size_t mask = 0; mask < kVertices; ++mask) {
-    if (skipped[mask]) continue;  // confidently not the argmin; audited
     if (vertexMargins[mask] < worst.margin) {
       worst.margin = vertexMargins[mask];
       worst.corner.assign(VariationSpace::kDims, 0.0);
@@ -196,7 +121,7 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
   const circuit::Process p = space.apply(nominal, worst.corner);
   const auto perf = sizing::safeEvaluate(*factory(p), x);
   if (auto it = perf.find(spec.performance); it != perf.end()) worst.value = it->second;
-  worst.evaluations = toEval.size() + refined.evaluations + 1;
+  worst.evaluations = kVertices + refined.evaluations + 1;
   return worst;
 }
 
@@ -278,25 +203,6 @@ class CornerSetModel : public sizing::PerformanceModel {
     }
     h.mixDigest(specsDigest_);
     return h.digest();
-  }
-
-  /// Surrogate class: every sub-model's full signature (class key AND
-  /// context — the corner set is frozen per instance, so corner parameters
-  /// are identity here, not features) plus the spec digest that shapes the
-  /// min/max aggregation.  Context stays empty: the design vector is the
-  /// only thing that varies across evaluations of one instance.
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    core::cache::Hasher128 h;
-    h.mixString("surr-corner-set");
-    h.mix(models_.size());
-    for (const auto& m : models_) {
-      const auto sub = m->surrogateSignature();
-      if (!sub) return std::nullopt;
-      h.mixDigest(sub->classKey);
-      h.mixDoubles(sub->context);
-    }
-    h.mixDigest(specsDigest_);
-    return SurrogateSignature{h.digest(), {}};
   }
 
   std::size_t cornerCount() const { return models_.size() - 1; }

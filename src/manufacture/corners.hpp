@@ -43,7 +43,7 @@ struct WorstCorner {
   std::vector<double> corner;  ///< coordinates in [0,1]^6
   double margin = 0.0;         ///< signed normalized margin (< 0: spec violated)
   double value = 0.0;          ///< performance value at the corner
-  /// Model evaluations the hunt asked for: unscreened vertices, coordinate-
+  /// Model evaluations the hunt asked for: the 64 vertices, coordinate-
   /// search probes and the final value read (cache hits included).
   std::size_t evaluations = 0;
 };
@@ -51,6 +51,7 @@ struct WorstCorner {
 /// Find the corner minimizing the signed margin of one spec for a fixed
 /// design x: vertex enumeration of the box (the worst case of a quasi-
 /// monotone response sits at a vertex) refined by coordinate search.
+/// Throws std::invalid_argument for an objective spec, which has no margin.
 WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process& nominal,
                             const VariationSpace& space, const std::vector<double>& x,
                             const sizing::Spec& spec);

@@ -25,14 +25,6 @@ ComposedOpampModel::ComposedOpampModel(const OpampStructure& s, const Process& p
   keyPrefix_.mixString(s_.name());
   circuit::hashProcess(keyPrefix_, proc_);
   keyPrefix_.mixDouble(loadCap_);
-  // Surrogate class: structure + load only.  The process is context, not
-  // identity, so instances at different process points (yield sampling,
-  // per-corner libraries) pool their observations into one model.
-  core::cache::Hasher128 sh;
-  sh.mixString("surr-composed-opamp");
-  sh.mixString(s_.name());
-  sh.mixDouble(loadCap_);
-  surrogateSig_ = {sh.digest(), processSurrogateContext(proc_)};
 }
 
 std::optional<core::cache::Digest128> ComposedOpampModel::cacheKey(
@@ -306,15 +298,6 @@ class TwoStageCornerModel : public PerformanceModel {
     circuit::hashProcess(keyPrefix_, corner);
     circuit::hashProcess(keyPrefix_, nominal_);
     keyPrefix_.mixDouble(loadCap);
-    // Surrogate class excludes the corner: every vertex and coordinate-
-    // search probe of one hunt trains a single model, with the corner's
-    // electrical parameters riding along as context features.  A per-corner
-    // class would see one observation per round and never calibrate.
-    core::cache::Hasher128 sh;
-    sh.mixString("surr-eq-two-stage-corner");
-    circuit::hashProcess(sh, nominal_);
-    sh.mixDouble(loadCap);
-    surrogateSig_ = {sh.digest(), processSurrogateContext(corner)};
   }
 
   const std::vector<DesignVariable>& variables() const override {
@@ -342,15 +325,10 @@ class TwoStageCornerModel : public PerformanceModel {
   // the cache here made robust_corners' design_s_p50 about 15% worse
   // (0.086 -> 0.100 s, 3 pairs, 4-vCPU Xeon VM).
 
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
-
  private:
   Process nominal_;
   ComposedOpampModel atCorner_;       ///< legacy two-stage at the corner process
   core::cache::Hasher128 keyPrefix_;  ///< tag+corner+nominal+loadCap
-  SurrogateSignature surrogateSig_;   ///< tag+nominal+loadCap; corner as context
 };
 
 }  // namespace

@@ -34,11 +34,6 @@ class ComposedOpampModel : public PerformanceModel {
   /// as a cache transaction — so caching them is pure overhead (the
   /// BENCH_cache genetic workload measures exactly this floor).
   EvalCost evalCost() const override { return EvalCost::Cheap; }
-  /// Surrogate class: structure name and load; the process rides as
-  /// context, so instances at different process points train one model.
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
 
   /// Evaluate a *frozen geometry* under this model's process: device sizes
   /// are mapped from `x` at `geometryProc` (the nominal process a designer
@@ -59,7 +54,6 @@ class ComposedOpampModel : public PerformanceModel {
   double loadCap_;
   std::vector<DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+name+process+loadCap, mixed once
-  SurrogateSignature surrogateSig_;   ///< tag+name+loadCap class; process as context
 };
 
 /// Corner model: design points live in the legacy two-stage structure's

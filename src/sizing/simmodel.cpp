@@ -49,35 +49,6 @@ std::optional<core::cache::Digest128> SimulationModel::cacheKey(
   return h.digest();
 }
 
-std::optional<PerformanceModel::SurrogateSignature>
-SimulationModel::surrogateSignature() const {
-  // Same attestation rules as cacheKey: wall-clock-truncatable evaluations
-  // produce nondeterministic payloads, which would poison the training set.
-  if (opts_.cancel || opts_.deadlineNs != 0) return std::nullopt;
-  std::call_once(surrogateSigOnce_, [&] {
-    circuit::Netlist net;
-    try {
-      net = tmpl_.build(initialPoint());
-    } catch (...) {
-      return;  // unbuildable template: surrogateSig_ stays nullopt
-    }
-    core::cache::Hasher128 h;
-    h.mixString("surr-sim-model");
-    h.mixDigest(circuit::canonicalNetlistDigest(net));
-    h.mixString(tmpl_.outputNode);
-    h.mixDouble(opts_.fStart).mixDouble(opts_.fStop);
-    h.mix(opts_.pointsPerDecade);
-    h.mix(opts_.measureNoise ? 1u : 0u);
-    h.mixDouble(opts_.noiseSpotFrequency);
-    h.mix(opts_.measureSlewTransient ? 1u : 0u);
-    h.mix(opts_.outputMustBeInterior ? 1u : 0u);
-    h.mixDouble(opts_.interiorMargin);
-    h.mix(opts_.workBudget);
-    surrogateSig_ = SurrogateSignature{h.digest(), processSurrogateContext(proc_)};
-  });
-  return surrogateSig_;
-}
-
 Performance SimulationModel::evaluate(const std::vector<double>& x) const {
   ++evals_;
   Performance perf;

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <functional>
-#include <mutex>
 
 #include "circuit/netlist.hpp"
 #include "circuit/process.hpp"
@@ -81,16 +80,6 @@ class SimulationModel : public PerformanceModel {
   std::optional<core::cache::Digest128> cacheKey(
       const std::vector<double>& x) const override;
 
-  /// Surrogate class (core/surrogate): the canonicalized template netlist
-  /// at the initial point — a stable identity for the template+bench that
-  /// is independent of the query x — plus the output node and every
-  /// evaluator option; the process rides along as context features so
-  /// instances at perturbed processes can pool observations when their
-  /// templates build identical netlists.  nullopt when the template cannot
-  /// build the initial point or when evaluations are wall-clock dependent
-  /// (cancel flag / deadline), mirroring cacheKey's attestation rules.
-  std::optional<SurrogateSignature> surrogateSignature() const override;
-
   /// Number of full simulator invocations so far (for the Fig. 1 runtime
   /// comparison).  Cache hits do not reach evaluate(), so with the
   /// evaluation cache enabled this counts *misses* (real simulator work).
@@ -102,10 +91,6 @@ class SimulationModel : public PerformanceModel {
   SimModelOptions opts_;
   /// Atomic: evaluate() runs concurrently under core/parallel.hpp loops.
   mutable std::atomic<std::size_t> evals_{0};
-  /// Lazily memoized surrogate signature (building the initial-point
-  /// netlist once is enough; the template is fixed per instance).
-  mutable std::once_flag surrogateSigOnce_;
-  mutable std::optional<SurrogateSignature> surrogateSig_;
 };
 
 /// Ready-made template: two-stage opamp with widths/cc/ibias as variables.

@@ -1,10 +1,10 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
 // semantics, scope installation, per-context metrics slices, fault-plan
-// isolation, isolated cache/surrogate handles, a differential suite showing
+// isolation, isolated cache handles, a differential suite showing
 // the whole flow and the robust corner search are *bit-identical* between
 // the ambient path and an explicitly installed context (at 1 and 8 threads,
 // cache on and off), and the option-leak regression: two contexts sharing
-// the process cache and store each see only their own config.  Contexts may
+// the process cache each see only their own config.  Contexts may
 // only ever change *configuration, attribution and isolation*, never
 // results.
 //
@@ -33,7 +33,6 @@
 #include "core/flowgraph.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "manufacture/corners.hpp"
 #include "sim/fault.hpp"
 #include "sizing/eqmodel.hpp"
@@ -42,7 +41,6 @@
 namespace core = amsyn::core;
 namespace cache = amsyn::core::cache;
 namespace metrics = amsyn::core::metrics;
-namespace surrogate = amsyn::core::surrogate;
 namespace sim = amsyn::sim;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
@@ -159,7 +157,6 @@ cache::Digest128 keyOf(std::uint64_t tag) {
 core::ContextConfig deterministicConfig() {
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.surrogateScreening = false;
   return cfg;
 }
 
@@ -170,12 +167,11 @@ core::ContextConfig deterministicConfig() {
 
 TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
-      g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g4("AMSYN_EVAL_CACHE_CAPACITY"), g7("AMSYN_JOB_DEADLINE_MS"),
+      g8("AMSYN_TOPOLOGY_SPACE");
   ::setenv("AMSYN_THREADS", "5", 1);
   ::setenv("AMSYN_EVAL_CACHE", "off", 1);
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
-  ::setenv("AMSYN_SURROGATE", "on", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900", 1);
   ::setenv("AMSYN_TOPOLOGY_SPACE", "generated", 1);
 
@@ -183,12 +179,8 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EXPECT_EQ(cfg.threads, 5u);
   EXPECT_FALSE(cfg.evalCacheEnabled);
   EXPECT_EQ(core::envknobs::evalCacheCapacity(), 1024u);
-  EXPECT_TRUE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Generated);
-
-  ::setenv("AMSYN_SURROGATE", "1", 1);  // the other spelling of on
-  EXPECT_TRUE(core::ContextConfig::fromEnv().surrogateScreening);
 
   // The largest value that does not overflow is a valid deadline (the
   // budget saturates it; see resilience_test).
@@ -199,25 +191,24 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
 
 TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g6("AMSYN_SURROGATE"),
-      g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g4("AMSYN_EVAL_CACHE_CAPACITY"), g7("AMSYN_JOB_DEADLINE_MS"),
+      g8("AMSYN_TOPOLOGY_SPACE");
   for (const char* name :
        {"AMSYN_THREADS", "AMSYN_EVAL_CACHE", "AMSYN_EVAL_CACHE_CAPACITY",
-        "AMSYN_SURROGATE", "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
+        "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
     ::unsetenv(name);
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
   EXPECT_TRUE(cfg.evalCacheEnabled);
   EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
-  EXPECT_FALSE(cfg.surrogateScreening);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Legacy);
 }
 
 TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
   EnvVarGuard g1("AMSYN_THREADS"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
-      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS");
+      g7("AMSYN_JOB_DEADLINE_MS");
   ::setenv("AMSYN_THREADS", "junk", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900ms", 1);  // trailing garbage = unset
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
@@ -240,14 +231,6 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
   }
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "0", 1);  // degenerate: the default
   EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
-
-  // Screening is on only for "1" and "on"; "0", "off", the empty string,
-  // the former mode names and junk all mean off.  Results are identical
-  // either way, because the screen is argmin-safe.
-  for (const char* off : {"0", "off", "", "ordering", "pruning", "junk"}) {
-    ::setenv("AMSYN_SURROGATE", off, 1);
-    EXPECT_FALSE(core::ContextConfig::fromEnv().surrogateScreening) << "'" << off << "'";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -260,13 +243,10 @@ TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
   // pays one thread-local null check and nothing else).
   EXPECT_EQ(core::ExecutionContext::ambient().metricsSlice(), nullptr);
   EXPECT_TRUE(core::ExecutionContext::ambient().sliceCounters().empty());
-  // Shared handles resolve to the legacy singletons.
+  // The ambient cache is the shared process cache.
   EXPECT_EQ(&core::ExecutionContext::ambient().evalCache(),
             &cache::EvalCache::instance());
-  EXPECT_EQ(&core::ExecutionContext::ambient().surrogateStore(),
-            &surrogate::Store::instance());
   EXPECT_FALSE(core::ExecutionContext::ambient().hasIsolatedEvalCache());
-  EXPECT_FALSE(core::ExecutionContext::ambient().hasIsolatedSurrogate());
 }
 
 TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
@@ -296,7 +276,6 @@ TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentTopologySpace) {
   EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
   EXPECT_EQ(child->config().topologySpace, core::TopologySpace::Generated);
   EXPECT_EQ(&child->evalCache(), &parent.evalCache());
-  EXPECT_EQ(&child->surrogateStore(), &parent.surrogateStore());
   EXPECT_FALSE(child->hasIsolatedEvalCache());
   // The child's slice chains under the parent's.
   ASSERT_NE(child->metricsSlice(), nullptr);
@@ -478,34 +457,6 @@ TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {
   EXPECT_EQ(model.evals(), 2);
 }
 
-TEST(ContextIsolation, IsolatedSurrogateStoreIsIndependentOfTheSharedOne) {
-  core::ContextConfig cfg = deterministicConfig();
-  cfg.surrogateScreening = true;
-  core::ExecutionContext ctx(cfg, core::ContextIsolation{.surrogate = true});
-  ASSERT_TRUE(ctx.hasIsolatedSurrogate());
-  ASSERT_NE(&ctx.surrogateStore(), &surrogate::Store::instance());
-  // The switch is the context's, not the store's: the ambient context keeps
-  // its own whatever this one was built with.
-  EXPECT_TRUE(ctx.config().surrogateScreening);
-  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateScreening,
-            core::ContextConfig::fromEnv().surrogateScreening);
-
-  // Learned state never crosses between the two stores.
-  auto& shared = surrogate::Store::instance();
-  cache::Hasher128 h;
-  h.mixString("context-test-isolated-surrogate");
-  const surrogate::Candidate cand{h.digest(), {1.0, 0.5}};
-  shared.clear();
-  shared.observe(cand, {{"gain_db", 1.0}});
-  EXPECT_EQ(shared.stats().classes, 1u);
-  EXPECT_EQ(ctx.surrogateStore().stats().classes, 0u);
-  ctx.surrogateStore().observe(cand, {{"gain_db", 2.0}});
-  ctx.surrogateStore().observe(cand, {{"gain_db", 3.0}});
-  EXPECT_EQ(ctx.surrogateStore().stats().classes, 1u);
-  EXPECT_EQ(shared.stats().classes, 1u);
-  shared.clear();
-}
-
 // ---------------------------------------------------------------------------
 // Differential suite: ambient-global vs explicit-context runs, bit for bit
 
@@ -595,8 +546,8 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
   EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
 }
 
-/// One small cutting-plane robust synthesis over heavy (cacheable,
-/// surrogate-trainable) corner models, under the calling thread's context.
+/// One small cutting-plane robust synthesis over heavy (cacheable) corner
+/// models, under the calling thread's context.
 mf::RobustResult robustProblem() {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
@@ -688,8 +639,8 @@ TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitCon
 
 // ---------------------------------------------------------------------------
 // Option leaks (regression): a context's config governs that context and
-// nothing else — not a concurrent sibling on the same shared cache and
-// store, and not a later ambient flow.
+// nothing else — not a concurrent sibling on the same shared cache, and
+// not a later ambient flow.
 
 namespace {
 
@@ -720,15 +671,12 @@ void runInterleaved(core::ExecutionContext& a, core::ExecutionContext& b, Body b
 
 TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) {
   CacheGuard guard;
-  surrogate::Store::instance().clear();
   core::ScopedThreadPool pool(2);
-  // Neither context is isolated: both resolve the process cache and store.
+  // Neither context is isolated: both resolve the process cache.
   core::ContextConfig cfgA = core::ContextConfig::fromEnv();
   cfgA.evalCacheEnabled = false;
-  cfgA.surrogateScreening = true;
   core::ContextConfig cfgB = core::ContextConfig::fromEnv();
   cfgB.evalCacheEnabled = true;
-  cfgB.surrogateScreening = false;
   core::ExecutionContext a(cfgA);
   core::ExecutionContext b(cfgB);
 
@@ -736,54 +684,53 @@ TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) 
     for (int round = 0; round < 2; ++round) (void)robustProblem();
   });
 
-  // A: cache off, so no lookups at all; its screening trained the store.
-  EXPECT_EQ(sliceValue(a, "core.cache.hits"), 0u);
-  EXPECT_EQ(sliceValue(a, "core.cache.misses"), 0u);
-  EXPECT_GT(sliceValue(a, "core.surrogate.observations"), 0u);
-  // B: surrogate off, so no training; its cache was consulted.
-  EXPECT_EQ(sliceValue(b, "core.surrogate.observations"), 0u);
+  // A: cache off, so its slice carries no cache traffic of any kind.
+  for (const auto& [name, value] : a.sliceCounters())
+    if (name.rfind("core.cache.", 0) == 0) EXPECT_EQ(value, 0u) << name;
+  // B: cache on, so it was consulted and filled.
   EXPECT_GT(sliceValue(b, "core.cache.misses"), 0u);
-  surrogate::Store::instance().clear();
+  EXPECT_GT(sliceValue(b, "core.cache.inserts"), 0u);
 }
 
 TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMode) {
-  // A screening robustSynthesize trains the shared store and screens its
-  // hunts.  That must stay inside the screening job: a flow running
-  // concurrently with screening off, and any later ambient flow, keep their
-  // own setting.  The screening job gets its own eval cache: cache hits
-  // return before the training tap, so on a shared cache a screening job
-  // that trails the identical off job evaluates nothing fresh and never
-  // trains.  Both jobs still share the surrogate store.
+  // A cache-off robustSynthesize must keep its mode to itself: a job
+  // running concurrently with the cache on, and any later ambient flow,
+  // keep their own setting.  The cache-on job owns its cache, so the
+  // shared one can only be filled by a leak from the cache-off job.
   CacheGuard guard;
-  surrogate::Store::instance().clear();
   core::ScopedThreadPool pool(2);
-  core::ContextConfig cfgP = core::ContextConfig::fromEnv();
-  cfgP.surrogateScreening = true;
-  core::ContextConfig cfgO = core::ContextConfig::fromEnv();
-  cfgO.surrogateScreening = false;
-  core::ExecutionContext screening(cfgP, core::ContextIsolation{.evalCache = true});
-  core::ExecutionContext off(cfgO);
-  runInterleaved(screening, off, [](core::ExecutionContext&) {
+  core::ContextConfig cfgOff = core::ContextConfig::fromEnv();
+  cfgOff.evalCacheEnabled = false;
+  core::ContextConfig cfgOn = core::ContextConfig::fromEnv();
+  cfgOn.evalCacheEnabled = true;
+  core::ExecutionContext off(cfgOff);
+  core::ExecutionContext on(cfgOn, core::ContextIsolation{.evalCache = true});
+  runInterleaved(off, on, [](core::ExecutionContext&) {
     for (int round = 0; round < 2; ++round) (void)robustProblem();
   });
-  EXPECT_GT(sliceValue(screening, "core.surrogate.observations"), 0u);
-  EXPECT_EQ(sliceValue(off, "core.surrogate.observations"), 0u);
+  const auto lookups = [](const core::ExecutionContext& ctx) {
+    return sliceValue(ctx, "core.cache.hits") + sliceValue(ctx, "core.cache.misses");
+  };
+  EXPECT_EQ(lookups(off), 0u);
+  EXPECT_GT(lookups(on), 0u);
+  EXPECT_EQ(cache::EvalCache::instance().stats().entries, 0u);
+  EXPECT_GT(on.evalCache().stats().entries, 0u);
 
-  // A fresh ambient flow (no scope) trains the store exactly when the
-  // environment says so.  The cache is emptied first: cache hits return
-  // before the training tap, so a warm cache would hide the setting.
-  const bool envScreening = core::ContextConfig::fromEnv().surrogateScreening;
-  EXPECT_EQ(core::ExecutionContext::ambient().config().surrogateScreening, envScreening);
-  cache::EvalCache::instance().clear();
-  const std::uint64_t before = metrics::registry().total("core.surrogate.observations");
+  // A fresh ambient flow (no scope) looks the cache up exactly when the
+  // environment says so.
+  const bool envCache = core::ContextConfig::fromEnv().evalCacheEnabled;
+  EXPECT_EQ(core::ExecutionContext::ambient().config().evalCacheEnabled, envCache);
+  const auto totalLookups = [] {
+    return metrics::registry().total("core.cache.hits") +
+           metrics::registry().total("core.cache.misses");
+  };
+  const std::uint64_t before = totalLookups();
   (void)robustProblem();
-  const std::uint64_t observed =
-      metrics::registry().total("core.surrogate.observations") - before;
-  if (envScreening)
-    EXPECT_GT(observed, 0u);
+  const std::uint64_t looked = totalLookups() - before;
+  if (envCache)
+    EXPECT_GT(looked, 0u);
   else
-    EXPECT_EQ(observed, 0u);
-  surrogate::Store::instance().clear();
+    EXPECT_EQ(looked, 0u);
 }
 
 // ---------------------------------------------------------------------------

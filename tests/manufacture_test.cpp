@@ -3,8 +3,11 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/context.hpp"
+#include "core/metrics.hpp"
 #include "manufacture/corners.hpp"
 #include "manufacture/yield.hpp"
 #include "sim/dc.hpp"
@@ -94,7 +97,6 @@ TEST(WorstCase, EvaluationsCountEveryModelCallTheHuntMakes) {
   // vertices, however many coordinate-search probes ran, and the final read.
   amsyn::core::ContextConfig cfg = amsyn::core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = false;
-  cfg.surrogateScreening = false;  // all 64 vertices are evaluated
   amsyn::core::ExecutionContext ctx(cfg);
   amsyn::core::ContextScope scope(ctx);
 
@@ -114,6 +116,30 @@ TEST(WorstCase, EvaluationsCountEveryModelCallTheHuntMakes) {
     EXPECT_EQ(wc.evaluations, calls.load()) << spec.performance;
     EXPECT_GT(wc.evaluations, 64u) << spec.performance;  // vertices + refinement
   }
+}
+
+TEST(WorstCase, ObjectiveSpecIsRejectedBeforeAnyVertexEvaluation) {
+  // An objective has no margin: the hunt must refuse it up front, naming
+  // the performance, instead of evaluating 64 vertices for nothing.
+  std::atomic<std::size_t> calls{0};
+  const auto inner = twoStageFactory();
+  const mf::ModelFactory factory = [&](const ckt::Process& p) {
+    return std::make_unique<CountingModel>(inner(p), calls);
+  };
+  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
+  sz::SpecSet specs;
+  specs.minimize("power", 0.3, 1e-3);
+  auto& reg = amsyn::core::metrics::registry();
+  const auto vertexBefore = reg.total("corners.vertex_evals");
+  try {
+    (void)mf::worstCaseCorner(factory, nominal(), mf::VariationSpace{},
+                              model.initialPoint(), specs.specs().front());
+    FAIL() << "an objective spec was hunted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("power"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(reg.total("corners.vertex_evals"), vertexBefore);
+  EXPECT_EQ(calls.load(), 0u);
 }
 
 TEST(RobustSynthesis, CornerAwareDesignSurvivesCorners) {

@@ -30,7 +30,7 @@
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
+#include "core/runreport.hpp"
 
 namespace core = amsyn::core;
 namespace sz = amsyn::sizing;
@@ -91,13 +91,12 @@ std::string neutralizeSpans(const std::string& json) {
   return json.substr(0, pos) + "\"spans\": \"<masked>\"\n}\n";
 }
 
-std::string normalizedFlowReport(bool surrogateScreening = false) {
+std::string normalizedFlowReport() {
   // Pinned configuration: fixed seed, fixed thread count, cache enabled at
   // defaults — the same flow tests/evalcache_test.cpp proves bit-identical
   // across all of these knobs, so this report is reproducible everywhere.
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
-  cfg.surrogateScreening = surrogateScreening;
   core::ExecutionContext ctx(cfg);
   core::ContextScope scope(ctx);
   core::cache::EvalCache::instance().clear();
@@ -117,7 +116,6 @@ std::string normalizedFlowReport(bool surrogateScreening = false) {
   opts.synthesis.anneal.coolingRate = 0.7;
   opts.synthesis.refineEvaluations = 40;
   opts.layout.annealPlacement = false;
-  amsyn::core::surrogate::Store::instance().clear();
   const auto result = core::synthesizeAmplifier(specs, ckt::defaultProcess(), opts);
   return neutralizeSpans(maskNumbers(core::flowRunReportJson(result)));
 }
@@ -144,19 +142,19 @@ TEST(ReportSchema, FlowRunReportMatchesGolden) {
          "AMSYN_REGEN_GOLDEN=1 ./build/tests/report_schema_test and review the diff";
 }
 
-TEST(ReportSchema, SchemaIsSurrogateModeIndependent) {
-  // The core.surrogate.* counters register eagerly (not at first use), so
-  // the report's key set — the schema — must be identical whether
-  // screening is on or off.  The whole normalized report matches too:
-  // screening never changes a result (tests/surrogate_test.cpp proves that
-  // at the result level), and counter values are masked.
-  EXPECT_EQ(normalizedFlowReport(/*surrogateScreening=*/false),
-            normalizedFlowReport(/*surrogateScreening=*/true));
-}
-
 TEST(ReportSchema, MaskingIsStableAcrossRuns) {
   // The masked form itself must be deterministic, or the golden comparison
   // would flake: two fresh flows in the same process produce byte-identical
   // normalized reports.
   EXPECT_EQ(normalizedFlowReport(), normalizedFlowReport());
+}
+
+TEST(RunReportRatio, ZeroDenominatorEmitsNullNotZero) {
+  // No traffic must not read as a 0% rate.
+  core::RunReport r;
+  r.name = "ratio_test";
+  r.addRatio("no_traffic", 0.0, 0.0).addRatio("real_rate", 1.0, 4.0);
+  const std::string json = r.toJson();
+  EXPECT_NE(json.find("\"no_traffic\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"real_rate\": 0.25"), std::string::npos) << json;
 }

@@ -5,8 +5,6 @@
 #
 #   Registry::instance(        -> use metrics::registry() (or a context)
 #   EvalCache::instance(       -> use ExecutionContext::current().evalCache()
-#   Store::instance(           -> use ExecutionContext::current()
-#                                 .surrogateStore()      [surrogate::Store]
 #   FaultInjector::instance(   -> the injector is per-thread (threadLocal());
 #                                 a process-singleton spelling is always wrong
 #   getenv("AMSYN_            -> read the knob from ContextConfig (snapshotted
@@ -32,7 +30,6 @@ get_filename_component(SOURCE_DIR "${SOURCE_DIR}" ABSOLUTE)
 set(rules
   "Registry::instance\\(|use metrics::registry()|core/metrics.hpp,core/metrics.cpp"
   "EvalCache::instance\\(|use ExecutionContext::current().evalCache() or ctx.evalCache()|core/evalcache.cpp,core/context.cpp"
-  "Store::instance\\(|use ExecutionContext::current().surrogateStore() or ctx.surrogateStore()|core/surrogate.cpp,core/context.cpp"
   "FaultInjector::instance\\(|the fault injector is per-thread: FaultInjector::threadLocal()|"
   "getenv\\(\"AMSYN_|AMSYN_* knobs are snapshotted once by ContextConfig::fromEnv()|core/envknobs.hpp"
 )
