@@ -32,6 +32,7 @@
 #include "core/report.hpp"
 #include "core/runreport.hpp"
 #include "manufacture/corners.hpp"
+#include "sizing/eqmodel.hpp"
 #include "sizing/simmodel.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
@@ -238,6 +239,32 @@ void BM_SimEvalMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimEvalMiss)->Unit(benchmark::kMicrosecond);
+
+/// A hit on an equation model: its key (no netlist to canonicalize) plus a
+/// sharded lookup.  The robust corner flow's TwoStageCornerModel pays this
+/// on every hit; BM_EquationEval is what the evaluation itself costs.
+void BM_EquationCacheHit(benchmark::State& state) {
+  core::ExecutionContext ctx(withCache(true));
+  core::ContextScope scope(ctx);
+  const auto model = sizing::makeTwoStageCornerModel(nominalProc(), nominalProc(), 5e-12);
+  const auto x = model->initialPoint();
+  sizing::safeEvaluate(*model, x);  // warm the entry
+  for (auto _ : state) {
+    auto perf = sizing::safeEvaluate(*model, x);
+    benchmark::DoNotOptimize(perf);
+  }
+}
+BENCHMARK(BM_EquationCacheHit)->Unit(benchmark::kMicrosecond);
+
+void BM_EquationEval(benchmark::State& state) {
+  const auto model = sizing::makeTwoStageCornerModel(nominalProc(), nominalProc(), 5e-12);
+  const auto x = model->initialPoint();
+  for (auto _ : state) {
+    auto perf = model->evaluate(x);
+    benchmark::DoNotOptimize(perf);
+  }
+}
+BENCHMARK(BM_EquationEval)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

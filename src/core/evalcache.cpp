@@ -8,7 +8,6 @@
 
 #include "core/envknobs.hpp"
 #include "core/metrics.hpp"
-#include "core/trace.hpp"
 
 namespace amsyn::core::cache {
 
@@ -133,7 +132,6 @@ std::size_t EvalCache::capacity() const {
 
 bool EvalCache::lookup(const Digest128& key, const std::vector<double>& exactX,
                        CachedEval& out) {
-  AMSYN_SPAN("cache_lookup");
   Impl& im = impl();
   Impl::Shard& shard = im.shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -157,7 +155,6 @@ bool EvalCache::lookup(const Digest128& key, const std::vector<double>& exactX,
 
 void EvalCache::insert(const Digest128& key, const std::vector<double>& exactX,
                        CachedEval value) {
-  AMSYN_SPAN("cache_insert");
   Impl& im = impl();
   Impl::Shard& shard = im.shardFor(key);
   const std::size_t cap = im.perShardCapacity();

@@ -12,8 +12,7 @@
 //
 // Key design.  A candidate's identity is the digest of
 //   (model tag, canonicalized netlist, process parameters, evaluator
-//    options, exact sizing-vector bits, spec-set digest where the payload
-//    depends on specs)
+//    options, exact sizing-vector bits)
 // built with Hasher128 below.  Netlist canonicalization
 // (circuit/canonical.hpp) hashes devices as a sorted multiset of electrical
 // records over node *names*, so device/node declaration order does not

@@ -39,6 +39,9 @@ struct Registry::Impl {
   mutable std::mutex mutex;
   std::map<std::string, std::uint32_t> counterIndex;
   std::vector<std::string> counterNames;
+  /// counterNames.size(), store-released once a name is registered, so
+  /// counterCount() — read at every span open and close — takes no lock.
+  std::atomic<std::size_t> counterCount{0};
   std::map<std::string, std::uint32_t> histIndex;
   std::vector<std::string> histNames;
   std::vector<std::pair<std::string, std::function<std::uint64_t()>>> externals;
@@ -129,6 +132,7 @@ CounterId Registry::counter(const std::string& name) {
   const auto idx = static_cast<std::uint32_t>(im.counterNames.size());
   im.counterNames.push_back(name);
   im.counterIndex.emplace(name, idx);
+  im.counterCount.store(im.counterNames.size(), std::memory_order_release);
   return {idx};
 }
 
@@ -222,9 +226,9 @@ void Registry::threadCounterSnapshot(std::uint64_t* out, std::size_t count) cons
 }
 
 std::size_t Registry::counterCount() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  return im.counterNames.size();
+  // Lock-free: a count that trails a concurrent registration only omits the
+  // newest ids, and every shard array is sized kMaxCounters regardless.
+  return impl().counterCount.load(std::memory_order_acquire);
 }
 
 std::string Registry::counterName(std::uint32_t idx) const {

@@ -98,6 +98,7 @@ class Registry {
   /// (trace spans snapshot these to compute per-span metric deltas).
   void threadCounterSnapshot(std::uint64_t* out, std::size_t count) const;
   /// Number of registered native counters (ids below this are valid).
+  /// Lock-free, so every trace span reads it at open and close.
   std::size_t counterCount() const;
   /// Name of a native counter id (empty when out of range).
   std::string counterName(std::uint32_t idx) const;

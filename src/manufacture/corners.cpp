@@ -64,7 +64,7 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
   // tagged _infeasible, and signedMargin treats a missing performance as
   // violated (-1.0) — the pessimistic reading, which is the correct
   // worst-case semantics for a corner we could not evaluate.
-  // safeEvaluate also consults the process-wide evaluation cache
+  // safeEvaluate also consults the context's evaluation cache
   // (core/evalcache.hpp): hunts for different specs at the same design x
   // enumerate the *same* 64 vertices, coordinate search re-probes points it
   // has already seen, and robustSynthesize's final audit repeats the last
@@ -129,19 +129,18 @@ namespace {
 
 /// Model whose evaluation is the worst case over an explicit corner set:
 /// constraint-relevant performances take their most pessimistic value across
-/// corners, objectives their nominal value.
+/// corners, objectives their nominal value.  It has no cache key of its
+/// own: the per-corner safeEvaluate calls hit the context's cache, which is
+/// where the cross-round replays land (round k+1 re-anneals from the same
+/// seed and so revisits round k's points at the corners it already had).
 class CornerSetModel : public sizing::PerformanceModel {
  public:
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
                  const VariationSpace& space, const sizing::SpecSet& specs,
                  const std::vector<std::vector<double>>& corners)
-      : specs_(specs), specsDigest_(specs.digest()) {
+      : specs_(specs) {
     models_.push_back(factory(nominal));  // corner 0 = nominal
-    processes_.push_back(nominal);
-    for (const auto& c : corners) {
-      processes_.push_back(space.apply(nominal, c));
-      models_.push_back(factory(processes_.back()));
-    }
+    for (const auto& c : corners) models_.push_back(factory(space.apply(nominal, c)));
   }
 
   const std::vector<sizing::DesignVariable>& variables() const override {
@@ -187,32 +186,8 @@ class CornerSetModel : public sizing::PerformanceModel {
     return agg;
   }
 
-  /// Cacheable iff every corner model is: the aggregate is a pure function
-  /// of the per-corner payloads and the spec set (which picks the
-  /// performances to fold and the min/max direction), so the key combines
-  /// the sub-model keys in corner order with the spec-set digest.
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override {
-    core::cache::Hasher128 h;
-    h.mixString("corner-set");
-    h.mix(models_.size());
-    for (const auto& m : models_) {
-      const auto sub = m->cacheKey(x);
-      if (!sub) return std::nullopt;
-      h.mixDigest(*sub);
-    }
-    h.mixDigest(specsDigest_);
-    return h.digest();
-  }
-
-  std::size_t cornerCount() const { return models_.size() - 1; }
-
  private:
   sizing::SpecSet specs_;
-  /// specs_.digest(), hashed once: every cache lookup of a corner-set
-  /// evaluation mixes it into the key.
-  core::cache::Digest128 specsDigest_;
-  std::vector<circuit::Process> processes_;
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
 };
 

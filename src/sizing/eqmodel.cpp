@@ -320,10 +320,10 @@ class TwoStageCornerModel : public PerformanceModel {
   }
 
   // Stays Heavy: the corner hunt's value is precisely the cross-round /
-  // audit re-hit pattern (63% of perfbench robust_corners lookups hit).
-  // Though one evaluation now costs about a cache transaction, bypassing
-  // the cache here made robust_corners' design_s_p50 about 15% worse
-  // (0.086 -> 0.100 s, 3 pairs, 4-vCPU Xeon VM).
+  // audit re-hit pattern (75% of perfbench robust_corners lookups hit, and
+  // a hit costs 0.2 us against a 1.5 us evaluation).  Bypassing the cache
+  // here makes robust_corners' design_s_p50 1.77x worse (0.057 -> 0.100 s,
+  // 4 pairs, 4-vCPU Xeon VM).
 
  private:
   Process nominal_;

@@ -60,14 +60,16 @@ inline core::EvalStatus performanceStatus(const Performance& perf) {
   return static_cast<core::EvalStatus>(code);
 }
 
-/// How an evaluation's cost compares to a cache transaction.  The memoized
-/// evaluation cache pays a canonical digest plus a sharded-map lookup per
-/// call (~1 us); a simulator evaluation costs hundreds of microseconds, but
-/// a closed-form equation model costs 1.2-1.5 us (bench_claim_eval_speed,
-/// Release, 4-vCPU Xeon VM) — caching the latter is all overhead and no win
-/// (BENCH_cache.json measures this floor directly).
+/// How an evaluation's cost compares to a cache transaction.  A hit costs
+/// the model's key plus a sharded-map lookup: 0.2 us for an equation model
+/// against its 1.5 us evaluation, 9 us for a simulator model (netlist
+/// canonicalization) against its 310 us (bench_cache's BM_ microbenchmarks,
+/// Release, 4-vCPU Xeon VM).  A miss pays the key, the lookup and an insert
+/// on top of the evaluation, so an equation model gains only where hits are
+/// common (the corner flow's replays) and loses where they are rare
+/// (genetic selection).
 /// Models self-attest their tier so safeEvaluate can skip the cache for
-/// evaluations cheaper than their own key.
+/// evaluations that would not repay it.
 enum class EvalCost : std::uint8_t {
   Heavy,  ///< evaluation dominates a cache transaction: cache it (default)
   Cheap,  ///< evaluation ~ lookup cost: bypass the cache entirely

@@ -70,18 +70,6 @@ bool SpecSet::satisfied(const core::Performance& perf, double tolerance) const {
   return true;
 }
 
-core::cache::Digest128 SpecSet::digest() const {
-  core::cache::Hasher128 h;
-  h.mixString("spec-set");
-  h.mix(specs_.size());
-  for (const Spec& s : specs_) {
-    h.mixString(s.performance);
-    h.mix(static_cast<std::uint64_t>(s.kind));
-    h.mixDouble(s.bound).mixDouble(s.weight).mixDouble(s.norm);
-  }
-  return h.digest();
-}
-
 double SpecSet::totalViolation(const core::Performance& perf) const {
   double v = 0.0;
   for (const Spec& s : specs_) {

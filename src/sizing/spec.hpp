@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/evalcache.hpp"
 #include "core/performances.hpp"
 
 namespace amsyn::sizing {
@@ -57,13 +56,6 @@ class SpecSet {
 
   /// Total normalized violation across constraints.
   double totalViolation(const core::Performance& perf) const;
-
-  /// Canonical digest of the spec set, for evaluation-cache keys whose
-  /// payload depends on the specs (e.g. manufacture::CornerSetModel, which
-  /// aggregates a worst case *per spec*).  Declaration order is preserved
-  /// deliberately: cost compilation sums penalty terms in spec order, so
-  /// reordered specs are a genuinely different scalarization.
-  core::cache::Digest128 digest() const;
 
  private:
   std::vector<Spec> specs_;

@@ -265,6 +265,34 @@ TEST(Trace, SpanRecordsCounterDeltas) {
   EXPECT_EQ(deltas[id.idx], 5u);
 }
 
+TEST(Trace, SpansReadTheCounterCountWhileNamesRegister) {
+  // Spans read Registry::counterCount() at open and close without a lock,
+  // concurrently with registrations on other threads (the TSan leg checks
+  // the count's publication).  A counter registered inside a span was
+  // snapshotted as zero at open, so its whole delta lands on the span.
+  auto& reg = metrics::Registry::instance();
+  trace::reset();
+  std::thread registrar([&] {
+    for (int i = 0; i < 8; ++i)
+      metrics::add(reg.counter("test.concurrent_registration." + std::to_string(i)));
+  });
+  for (int i = 0; i < 200; ++i) trace::Span s("while_registering");
+  registrar.join();
+  metrics::CounterId inside;
+  {
+    trace::Span s("registers_inside");
+    inside = reg.counter("test.registered_inside_span");
+    metrics::add(inside, 3);
+  }
+  const auto spans = trace::collect();
+  ASSERT_TRUE(spans.count("while_registering"));
+  EXPECT_EQ(spans.at("while_registering").count, 200u);
+  ASSERT_TRUE(spans.count("registers_inside"));
+  const auto& deltas = spans.at("registers_inside").counterDeltas;
+  ASSERT_GT(deltas.size(), inside.idx);
+  EXPECT_EQ(deltas[inside.idx], 3u);
+}
+
 TEST(Trace, MacroCompilesAndRecords) {
   trace::reset();
   {
@@ -438,5 +466,53 @@ TEST(Instrumentation, CornerSearchReportsPhaseTimesAndVertexEvals) {
         path.compare(path.size() - leaf.size(), leaf.size(), leaf) == 0)
       hunts += s.count;
   EXPECT_GT(hunts, 0u);
+#endif
+}
+
+TEST(Instrumentation, CornerFlowSpansStayOffTheCacheTransactionPath) {
+#if !AMSYN_TRACE_ENABLED
+  GTEST_SKIP() << "span budget needs tracing compiled in";
+#else
+  // bench_claim_corners' spec set and seed.  A span costs more than the
+  // cache transaction it would wrap, so the corner flow's span count must
+  // stay far below its cache traffic: the core.cache.* counters count that
+  // traffic, and the enclosing synthesize/corner_hunt spans own its time.
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 66.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 8e-3)
+      .minimize("power", 0.3, 1e-3);
+  mf::RobustOptions ropts;
+  ropts.synthesis.seed = 19;
+  const mf::ModelFactory factory = [](const ckt::Process& p) {
+    return sz::makeTwoStageCornerModel(p, nominal(), 5e-12);
+  };
+
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.evalCacheEnabled = true;
+  core::ExecutionContext ctx(cfg, core::ContextIsolation{/*evalCache=*/true});
+  core::ContextScope scope(ctx);
+  trace::reset();
+  mf::robustSynthesize(factory, nominal(), {}, specs, ropts);
+
+  const auto counters = ctx.sliceCounters();
+  const auto counter = [&](const std::string& name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t transactions = counter("core.cache.hits") + counter("core.cache.misses");
+  ASSERT_GT(transactions, 0u);
+
+  std::uint64_t spans = 0;
+  for (const auto& [path, s] : trace::collect()) {
+    spans += s.count;
+    for (const std::string leaf : {"cache_lookup", "cache_insert"})
+      EXPECT_FALSE(path.size() >= leaf.size() &&
+                   path.compare(path.size() - leaf.size(), leaf.size(), leaf) == 0)
+          << path;
+  }
+  EXPECT_LT(spans * 100, transactions)
+      << spans << " spans over " << transactions << " cache transactions";
 #endif
 }
