@@ -9,6 +9,9 @@
 //     success, topology, designPoint, cell.areaLambda2;
 //   * robustSynthesize over makeTwoStageCornerModel on the
 //     bench_claim_corners specs: robust.x and robust.cost;
+//   * the same robust synthesis at a seed whose cutting-plane loop used to
+//     re-add corners it already had: robust.x, robust.cost, the feasibility
+//     verdicts and every robust performance;
 //   * one synthesizeBatch of 4 in the generated space: the same fields as the
 //     quickstart flow, per design.
 #include <gtest/gtest.h>
@@ -71,6 +74,31 @@ TEST(PinnedResults, RobustCornerSynthesis) {
   BitDigest d;
   d.reals(r.robust.x).real(r.robust.cost);
   EXPECT_EQ(d.hex(), "0x8d855cd16de87508");
+}
+
+// At seed 28520 (a robust_corners benchmark design) the hunts after the first
+// re-synthesis only return corners already in the set: the penalty method
+// leaves the pm corner a margin of -1.4e-4, inside the cost's feasibility tolerance.
+// Stopping there instead of replaying the round must not move a bit.
+TEST(PinnedResults, RobustCornerSynthesisThatReplaysRounds) {
+  const auto& nominal = circuit::defaultProcess();
+  const manufacture::ModelFactory factory = [&](const circuit::Process& p) {
+    return sizing::makeTwoStageCornerModel(p, nominal, kLoadCap);
+  };
+  sizing::SpecSet specs;
+  specs.atLeast("gain_db", 66.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 8e-3)
+      .minimize("power", 0.3, 1e-3);
+  manufacture::RobustOptions opts;
+  opts.synthesis.seed = 28520;
+  const auto r =
+      manufacture::robustSynthesize(factory, nominal, manufacture::VariationSpace{}, specs, opts);
+  BitDigest d;
+  d.reals(r.robust.x).real(r.robust.cost).u64(r.robust.feasible).u64(r.robustFeasibleAtCorners);
+  for (const auto& [name, value] : r.robust.performance) d.str(name).real(value);
+  EXPECT_EQ(d.hex(), "0x471e78eef15d702a") << r.rounds << " rounds, " << r.activeCorners << " corners";
 }
 
 TEST(PinnedResults, GeneratedSpaceBatchOfFour) {
