@@ -1,5 +1,6 @@
 #include "manufacture/corners.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -130,9 +131,9 @@ namespace {
 /// Model whose evaluation is the worst case over an explicit corner set:
 /// constraint-relevant performances take their most pessimistic value across
 /// corners, objectives their nominal value.  It has no cache key of its
-/// own: the per-corner safeEvaluate calls hit the context's cache, which is
-/// where the cross-round replays land (round k+1 re-anneals from the same
-/// seed and so revisits round k's points at the corners it already had).
+/// own: the per-corner safeEvaluate calls consult the context's cache, and
+/// a hit there means round k+1's anneal, which starts from the same seed,
+/// revisited one of round k's points at a corner both rounds hold.
 class CornerSetModel : public sizing::PerformanceModel {
  public:
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
@@ -236,13 +237,20 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     bool addedCorner = false;
     for (const auto& wc : hunts) {
       robustEvals += static_cast<double>(wc.evaluations);
-      if (wc.margin < 0.0) {
+      // A corner already in the set cuts nothing.  The penalty method can
+      // leave one a margin just below zero (inside the cost's feasibility
+      // tolerance), and re-adding it would re-run the same synthesis: the
+      // min/max fold ignores a repeated corner and the anneal is
+      // deterministic per seed.
+      if (wc.margin < 0.0 &&
+          std::find(corners.begin(), corners.end(), wc.corner) == corners.end()) {
         corners.push_back(wc.corner);
         addedCorner = true;
       }
     }
-    if (!addedCorner) break;  // design already robust
+    if (!addedCorner) break;  // fixed point: no violated corner outside the set
 
+    AMSYN_SPAN("corner_round");
     CornerSetModel cornerModel(factory, nominal, space, specs, corners);
     const sizing::CostFunction cost(cornerModel, specs, opts.cost);
     current = sizing::synthesize(cost, opts.synthesis);
@@ -253,12 +261,15 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
 
   // Final verdict: check every spec's worst corner at the final design.
   result.robustFeasibleAtCorners = current.feasible;
-  const auto audit = core::parallelMap(constraintSpecs.size(), [&](std::size_t i) {
-    return worstCaseCorner(factory, nominal, space, current.x, *constraintSpecs[i]);
-  });
-  for (const auto& wc : audit) {
-    robustEvals += static_cast<double>(wc.evaluations);
-    if (wc.margin < -1e-3) result.robustFeasibleAtCorners = false;
+  {
+    AMSYN_SPAN("corner_audit");
+    const auto audit = core::parallelMap(constraintSpecs.size(), [&](std::size_t i) {
+      return worstCaseCorner(factory, nominal, space, current.x, *constraintSpecs[i]);
+    });
+    for (const auto& wc : audit) {
+      robustEvals += static_cast<double>(wc.evaluations);
+      if (wc.margin < -1e-3) result.robustFeasibleAtCorners = false;
+    }
   }
 
   result.robust = current;

@@ -59,17 +59,21 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
 struct RobustOptions {
   sizing::SynthesisOptions synthesis;
   sizing::CostOptions cost;
-  std::size_t maxRounds = 4;  ///< cutting-plane iterations
+  std::size_t maxRounds = 4;  ///< cutting-plane iterations (hunt rounds) at most
 };
 
 struct RobustResult {
   sizing::SynthesisResult nominal;   ///< plain (nominal-only) synthesis
   sizing::SynthesisResult robust;    ///< corner-aware result
   bool robustFeasibleAtCorners = false;
-  std::size_t activeCorners = 0;     ///< corners accumulated by the loop
+  std::size_t activeCorners = 0;     ///< distinct corners accumulated by the loop
+  /// Hunt rounds that ran; every one but a final fixed-point round also
+  /// re-synthesized against the grown corner set.
   std::size_t rounds = 0;
   double nominalEvaluations = 0;     ///< model evaluations, nominal run
-  double robustEvaluations = 0;      ///< model evaluations, corner-aware run
+  /// Model evaluations, corner-aware run: the nominal run, every hunt and
+  /// re-synthesis that ran, and the final audit.
+  double robustEvaluations = 0;
   double nominalSeconds = 0;         ///< wall time of the nominal-only synthesis
   double cornerSearchSeconds = 0;    ///< wall time of the cutting-plane phase
 };
@@ -77,8 +81,14 @@ struct RobustResult {
 /// Cutting-plane robust synthesis: synthesize at the nominal process, hunt
 /// worst-case corners for every constraint, add violated corners to the
 /// evaluation set (the cost becomes the max over corners), re-synthesize,
-/// repeat.  Reports evaluation counts so the paper's 4x-10x CPU claim can be
-/// checked (bench/bench_claim_corners).
+/// repeat.  The loop stops after maxRounds rounds or at its fixed point: a
+/// round whose hunts find no violated corner outside the set (compared by
+/// exact coordinates).  Re-adding a corner the set holds would re-run the
+/// same synthesis bit for bit, since the worst-case fold ignores a repeated
+/// corner and the anneal is deterministic per seed.  Each distinct corner is
+/// appended once, also when two specs return it in the same round.  Reports
+/// evaluation counts so the paper's 4x-10x CPU claim can be checked
+/// (bench/bench_claim_corners).
 RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Process& nominal,
                               const VariationSpace& space, const sizing::SpecSet& specs,
                               const RobustOptions& opts = {});

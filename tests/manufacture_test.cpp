@@ -159,6 +159,27 @@ TEST(RobustSynthesis, CornerAwareDesignSurvivesCorners) {
   EXPECT_GT(res.robustEvaluations, 2.0 * res.nominalEvaluations);
 }
 
+TEST(RobustSynthesis, StopsWhenARoundAddsNoNewCorner) {
+  // Seed 28520: round 0 adds the gain and pm corners.  At the re-synthesized
+  // design round 1 finds pm violated only at the corner the set holds (a
+  // margin of -1.4e-4, inside the cost's feasibility tolerance).  A corner
+  // already in the set cuts nothing, so the loop stops there instead of
+  // re-annealing the same problem from the same seed until maxRounds.
+  const auto factory = twoStageFactory();
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 66.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 8e-3)
+      .minimize("power", 0.3, 1e-3);
+  mf::RobustOptions opts;
+  opts.synthesis.seed = 28520;
+  const auto res = mf::robustSynthesize(factory, nominal(), mf::VariationSpace{}, specs, opts);
+  EXPECT_EQ(res.rounds, 2u);
+  EXPECT_EQ(res.activeCorners, 2u);
+  EXPECT_LT(res.robustEvaluations, 6.0 * res.nominalEvaluations);
+}
+
 TEST(RobustSynthesis, RobustDesignSpendsMorePowerThanNominal) {
   // Margin against corners is not free: the robust design should not be
   // cheaper than the nominal one.

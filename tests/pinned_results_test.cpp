@@ -96,9 +96,11 @@ TEST(PinnedResults, RobustCornerSynthesisThatReplaysRounds) {
   const auto r =
       manufacture::robustSynthesize(factory, nominal, manufacture::VariationSpace{}, specs, opts);
   BitDigest d;
-  d.reals(r.robust.x).real(r.robust.cost).u64(r.robust.feasible).u64(r.robustFeasibleAtCorners);
+  d.reals(r.robust.x).real(r.robust.cost);
+  d.u64(r.robust.feasible).u64(r.robustFeasibleAtCorners);
   for (const auto& [name, value] : r.robust.performance) d.str(name).real(value);
-  EXPECT_EQ(d.hex(), "0x471e78eef15d702a") << r.rounds << " rounds, " << r.activeCorners << " corners";
+  EXPECT_EQ(d.hex(), "0x471e78eef15d702a")
+      << r.rounds << " rounds, " << r.activeCorners << " corners";
 }
 
 TEST(PinnedResults, GeneratedSpaceBatchOfFour) {
