@@ -131,9 +131,9 @@ namespace {
 /// Model whose evaluation is the worst case over an explicit corner set:
 /// constraint-relevant performances take their most pessimistic value across
 /// corners, objectives their nominal value.  It has no cache key of its
-/// own: the per-corner safeEvaluate calls consult the context's cache, and
-/// a hit there means round k+1's anneal, which starts from the same seed,
-/// revisited one of round k's points at a corner both rounds hold.
+/// own: the per-corner safeEvaluate calls consult the context's cache, where
+/// an anneal hits the points it revisits and, since every round anneals from
+/// the same seed, points an earlier round evaluated at a corner both hold.
 class CornerSetModel : public sizing::PerformanceModel {
  public:
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
@@ -237,11 +237,9 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     bool addedCorner = false;
     for (const auto& wc : hunts) {
       robustEvals += static_cast<double>(wc.evaluations);
-      // A corner already in the set cuts nothing.  The penalty method can
-      // leave one a margin just below zero (inside the cost's feasibility
-      // tolerance), and re-adding it would re-run the same synthesis: the
-      // min/max fold ignores a repeated corner and the anneal is
-      // deterministic per seed.
+      // A corner already in the set cuts nothing, though the penalty method
+      // can leave it a margin just below zero (inside the cost's
+      // feasibility tolerance): re-adding it would re-run the same synthesis.
       if (wc.margin < 0.0 &&
           std::find(corners.begin(), corners.end(), wc.corner) == corners.end()) {
         corners.push_back(wc.corner);

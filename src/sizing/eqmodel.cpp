@@ -319,11 +319,13 @@ class TwoStageCornerModel : public PerformanceModel {
     return h.digest();
   }
 
-  // Stays Heavy: the corner hunt's value is precisely the cross-round /
-  // audit re-hit pattern (75% of perfbench robust_corners lookups hit, and
-  // a hit costs 0.2 us against a 1.5 us evaluation).  Bypassing the cache
-  // here makes robust_corners' design_s_p50 1.77x worse (0.057 -> 0.100 s,
-  // 4 pairs, 4-vCPU Xeon VM).
+  // Heavy (the default tier), so the corner flow caches it.  That no longer
+  // pays: since the cutting-plane loop stops at its fixed point instead of
+  // replaying rounds, only 14% of perfbench robust_corners lookups hit.  A
+  // hit costs 0.2 us against a 1.5 us evaluation, but every miss pays for
+  // the key and the insert.  Marked Cheap, this model makes robust_corners'
+  // design_s_p50 1.09x better (0.0328 -> 0.0302 s, 10 alternating pairs,
+  // 10/10, Release, 4-vCPU VM).
 
  private:
   Process nominal_;
