@@ -1,25 +1,14 @@
-// Resilience-layer overhead and degradation benchmark (BENCH_robustness.json).
+// Job-deadline overhead benchmark (BENCH_robustness.json).
 //
-// The resilience layer (core/resilience.hpp and the flow engine's job
-// boundary) must be effectively free when nothing goes wrong, and must
-// degrade gracefully — not collapse — when faults arrive.  Two claims, both
-// measured:
-//
-//   1. Deadline-check overhead < 1%.  Arming a wall-clock deadline adds a
-//      strided monotonic-clock read to EvalBudget::consume()
-//      (kDeadlineCheckStride = 64 charges per read).  We run the same fixed
-//      set of full simulator evaluations with no deadline and with a
-//      far-future deadline — the evaluation cache disabled in BOTH arms, so
-//      the comparison is clock-read overhead, not cacheability (armed
-//      deadlines make evaluations uncacheable by contract) — and report the
-//      ratio.
-//
-//   2. Throughput retained under a 10% injected fault rate.  After one
-//      untimed warm-up batch, a synthesizeBatch batch runs clean, then again
-//      under a seeded chaos schedule (10% stage-fault rate) with per-stage
-//      retries enabled.  Faulted jobs pay stage retries, so throughput drops
-//      — but the batch completes with every job terminal, and the retained
-//      fraction and the stage retries the faulted arm granted are reported.
+// The job deadline (core/resilience.hpp, checked by the flow engine at every
+// stage boundary) must be effectively free when nothing goes wrong.  The
+// claim: deadline-check overhead < 1%.  Arming a wall-clock deadline adds a
+// strided monotonic-clock read to EvalBudget::consume()
+// (kDeadlineCheckStride = 64 charges per read).  We run the same fixed set
+// of full simulator evaluations with no deadline and with a far-future
+// deadline — the evaluation cache disabled in BOTH arms, so the comparison
+// is clock-read overhead, not cacheability (armed deadlines make
+// evaluations uncacheable by contract) — and report the ratio.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,11 +18,8 @@
 #include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
-#include "core/flow.hpp"
-#include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
-#include "core/resilience.hpp"
 #include "core/runreport.hpp"
 #include "sim/fault.hpp"
 #include "sizing/perfmodel.hpp"
@@ -43,15 +29,6 @@ namespace {
 using namespace amsyn;
 
 const circuit::Process& nominalProc() { return circuit::defaultProcess(); }
-
-/// A child of the calling context (so an armed batch fault plan still
-/// governs it) whose config switches the eval cache on or off.
-std::unique_ptr<core::ExecutionContext> withCache(bool on) {
-  core::ExecutionContext& parent = core::ExecutionContext::current();
-  core::ContextConfig cfg = parent.config();
-  cfg.evalCacheEnabled = on;
-  return parent.makeChild(cfg);
-}
 
 std::vector<double> middlePoint(const sizing::CircuitTemplate& tmpl) {
   std::vector<double> x;
@@ -71,7 +48,10 @@ double nowSeconds() {
 /// leaving the cache on would measure cacheability, not the clock reads.
 double timedEvaluations(std::size_t evals, bool armDeadline) {
   core::cache::EvalCache::instance().clear();
-  const auto ctx = withCache(false);
+  core::ExecutionContext& parent = core::ExecutionContext::current();
+  core::ContextConfig cfg = parent.config();
+  cfg.evalCacheEnabled = false;
+  const auto ctx = parent.makeChild(cfg);
   core::ContextScope scope(*ctx);
   sizing::SimModelOptions opts;
   opts.measureNoise = false;
@@ -88,66 +68,12 @@ double timedEvaluations(std::size_t evals, bool armDeadline) {
   return nowSeconds() - t0;
 }
 
-std::vector<sizing::SpecSet> batchSpecs(std::size_t jobs) {
-  std::vector<sizing::SpecSet> batch(jobs);
-  for (std::size_t i = 0; i < jobs; ++i)
-    batch[i]
-        .atLeast("gain_db", 36.0 + static_cast<double>(i % 3))
-        .atLeast("ugf", 1e7)
-        .atLeast("pm", 55.0)
-        .atMost("power", 4e-3);
-  return batch;
-}
-
-core::FlowOptions batchOptions() {
-  core::FlowOptions opts;
-  opts.loadCap = 2e-12;
-  opts.seed = 7;
-  opts.maxRedesigns = 1;
-  opts.synthesis.seed = 11;
-  opts.synthesis.multistarts = 2;
-  opts.synthesis.anneal.stagnationStages = 2;
-  opts.synthesis.anneal.coolingRate = 0.7;
-  opts.synthesis.refineEvaluations = 40;
-  opts.layout.annealPlacement = false;
-  opts.stageRetry = core::RetryPolicy::transient(3);
-  opts.stageRetry.backoff = core::BackoffPolicy::none();
-  return opts;
-}
-
-struct BatchRun {
-  double seconds = 0.0;
-  std::size_t succeeded = 0;
-  std::size_t terminal = 0;
-  std::uint64_t stageRetries = 0;  ///< core.flow.retry.attempts delta
-};
-
-BatchRun timedBatch(const std::vector<sizing::SpecSet>& batch) {
-  core::cache::EvalCache::instance().clear();
-  const auto ctx = withCache(true);
-  core::ContextScope scope(*ctx);
-  auto& registry = core::metrics::registry();
-  const std::uint64_t retries0 = registry.total("core.flow.retry.attempts");
-  BatchRun run;
-  const double t0 = nowSeconds();
-  const auto out = core::synthesizeBatch(batch, nominalProc(), batchOptions());
-  run.seconds = nowSeconds() - t0;
-  run.stageRetries = registry.total("core.flow.retry.attempts") - retries0;
-  // A job is terminal when it came back either passed or with a reason.
-  for (const auto& r : out) {
-    run.succeeded += r.success ? 1 : 0;
-    run.terminal += r.success || !r.failureReason.empty() ? 1 : 0;
-  }
-  return run;
-}
-
 void writeJson() {
   core::ScopedThreadPool scoped(
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads()));
 
-  std::cout << "=== Resilience-layer overhead (BENCH_robustness.json) ===\n\n";
+  std::cout << "=== Job-deadline overhead (BENCH_robustness.json) ===\n\n";
 
-  // --- claim 1: deadline-check overhead ---
   // Interleaved min-of-N: per-arm wall clock on a shared box is noisy at
   // this scale, and min-of-repeats is the standard noise-robust estimator
   // of the true cost.  BM_ConsumeWork* below pins the per-charge number.
@@ -171,55 +97,15 @@ void writeJson() {
   std::cout << "deadline-check overhead: " << core::Table::num(overhead * 100)
             << "% (claim: < 1%)\n\n";
 
-  // --- claim 2: throughput retained under a 10% fault rate ---
-  // One untimed batch first: the first flow in a process pays the one-time
-  // topology-library build, which would otherwise land in the clean arm
-  // only and make the faulted arm look faster than the clean one.
-  const auto batch = batchSpecs(6);
-  (void)timedBatch(batch);
-  const BatchRun clean = timedBatch(batch);
-  BatchRun faulted;
-  {
-    sim::BatchFaultPlan plan;
-    plan.seed = 2026;
-    plan.rate(sim::FaultSite::StageRun) = 0.10;
-    sim::ScopedBatchFaults armedFaults(plan);
-    faulted = timedBatch(batch);
-  }
-  const double cleanTput = static_cast<double>(batch.size()) / clean.seconds;
-  const double faultTput = static_cast<double>(batch.size()) / faulted.seconds;
-  const double retained = faultTput / std::max(cleanTput, 1e-12);
-
-  core::Table t2({"job batch (6 flows)", "seconds", "jobs/s", "succeeded"});
-  t2.addRow({"clean", core::Table::num(clean.seconds), core::Table::num(cleanTput),
-             std::to_string(clean.succeeded) + "/" + std::to_string(batch.size())});
-  t2.addRow({"10% stage faults", core::Table::num(faulted.seconds),
-             core::Table::num(faultTput),
-             std::to_string(faulted.succeeded) + "/" + std::to_string(batch.size())});
-  t2.print(std::cout);
-  std::cout << "throughput retained under faults: "
-            << core::Table::num(retained * 100) << "%   every job terminal: "
-            << (faulted.terminal == batch.size() ? "yes" : "NO")
-            << "   stage retries granted: " << faulted.stageRetries << "\n\n";
-
   core::RunReport report;
   report.name = "robustness";
   report.addInfo("benchmark", "robustness");
   report.addValue("eval_seconds_no_deadline", plain)
       .addValue("eval_seconds_deadline_armed", armed)
-      .addValue("deadline_overhead_fraction", overhead)
-      .addValue("batch_seconds_clean", clean.seconds)
-      .addValue("batch_seconds_faulted", faulted.seconds)
-      .addValue("batch_succeeded_clean", static_cast<double>(clean.succeeded))
-      .addValue("batch_succeeded_faulted", static_cast<double>(faulted.succeeded))
-      .addValue("throughput_retained_fraction", retained)
-      .addValue("all_jobs_terminal_under_faults",
-                faulted.terminal == batch.size() ? 1.0 : 0.0)
-      .addValue("stage_retries_faulted", static_cast<double>(faulted.stageRetries));
+      .addValue("deadline_overhead_fraction", overhead);
   report.write("BENCH_robustness.json");
   std::cout << "wrote BENCH_robustness.json: " << core::Table::num(overhead * 100)
-            << "% deadline overhead, " << core::Table::num(retained * 100)
-            << "% throughput retained\n\n";
+            << "% deadline overhead\n\n";
 
   core::cache::EvalCache::instance().clear();
 }

@@ -29,21 +29,21 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
 
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
                                    ExecutionContext* parent, bool isAmbient)
-    : config_(std::move(cfg)), parent_(parent) {
+    : config_(std::move(cfg)) {
   // Handles only: the cache on/off mode lives in config_ and every
   // consumer reads it from there.
   if (isolation.evalCache) {
     ownedEvalCache_ = cache::EvalCache::createIsolated();
     evalCache_ = ownedEvalCache_.get();
   } else {
-    evalCache_ = parent_ ? &parent_->evalCache() : &cache::EvalCache::instance();
+    evalCache_ = parent ? &parent->evalCache() : &cache::EvalCache::instance();
   }
 
   // Every context except the ambient one records a slice; the ambient hot
   // path stays a thread-local null check in Registry::add.
   if (!isAmbient) {
     slice_ = std::make_unique<metrics::ContextSlice>();
-    slice_->setParent(parent_ ? parent_->metricsSlice() : nullptr);
+    slice_->setParent(parent ? parent->metricsSlice() : nullptr);
   }
 }
 
@@ -70,13 +70,6 @@ std::unique_ptr<ExecutionContext> ExecutionContext::makeChild(
   return std::unique_ptr<ExecutionContext>(
       new ExecutionContext(cfg ? std::move(*cfg) : config_, ContextIsolation{},
                            /*parent=*/this, /*isAmbient=*/false));
-}
-
-const FaultScheduleState* ExecutionContext::armedFaultSchedule() const {
-  for (const ExecutionContext* c = this; c; c = c->parent_)
-    if (c->faultSchedule_.armed.load(std::memory_order_acquire))
-      return &c->faultSchedule_;
-  return nullptr;
 }
 
 std::map<std::string, std::uint64_t> ExecutionContext::sliceCounters() const {

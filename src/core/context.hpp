@@ -1,15 +1,15 @@
 // Scoped execution contexts: the explicit object behind the state a run
-// needs besides its inputs — the run config, metrics attribution, the
-// eval-cache handle and the batch fault schedule.  A single-flow CLI run
-// never has to know contexts exist; a batch or a test that needs its jobs
-// kept apart installs one per job.  Both are served by the same mechanism:
+// needs besides its inputs — the run config, metrics attribution and the
+// eval-cache handle.  A single-flow CLI run never has to know contexts
+// exist; a batch or a test that needs its jobs kept apart installs one per
+// job.  Both are served by the same mechanism:
 //
 //   * The *ambient* context is a lazily-created, process-lifetime default
 //     whose config snapshot comes from the AMSYN_* environment and whose
 //     eval cache is the shared process cache.  Code that never installs a
 //     context resolves everything through it.
-//   * An *explicit* context carries its own config, fault schedule and
-//     metrics slice, and optionally its own (isolated) eval cache.
+//   * An *explicit* context carries its own config and metrics slice, and
+//     optionally its own (isolated) eval cache.
 //     Installing it with ContextScope makes ExecutionContext::current() —
 //     and therefore every subsystem that resolves through it — see that
 //     context on the installing thread.  parallelFor propagates the
@@ -21,10 +21,10 @@
 // totals stay thread-count-invariant and bit-identical with or without
 // slicing) and, by default, the eval cache, whose cross-job amortization
 // is its point.  What is per-context: the config snapshot (every field),
-// the batch fault schedule, the metrics slice, and the eval cache when the
-// owner asked to isolate it.  The shared cache holds data, never a mode:
-// consumers read the mode from the current context's config, so one job's
-// config can never leak into a concurrent or later job.
+// the metrics slice, and the eval cache when the owner asked to isolate it.
+// The shared cache holds data, never a mode: consumers read the mode from
+// the current context's config, so one job's config can never leak into a
+// concurrent or later job.
 //
 // Layering: amsyn_context sits directly above amsyn_metrics /
 // amsyn_evalcache and below everything else (parallel, sim, sizing,
@@ -32,8 +32,6 @@
 // which is why propagation lives in parallel.hpp, not here.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -89,22 +87,10 @@ struct ContextIsolation {
   bool surrogate = false;  ///< inert: kept only so `ContextIsolation{a, b}` still compiles
 };
 
-/// Per-context batch fault schedule — the scoped replacement for the old
-/// process-global armed plan in sim/fault.cpp.  Sized independently of
-/// sim::kFaultSiteCount (static_assert'd there) so this header stays below
-/// the sim layer.
-struct FaultScheduleState {
-  static constexpr std::size_t kMaxSites = 16;
-  std::atomic<bool> armed{false};
-  std::uint64_t seed = 1;
-  std::array<double, kMaxSites> rates{};
-};
-
 class ExecutionContext {
  public:
   /// An explicit context.  Root contexts are independent of each other and
-  /// of the ambient context: their fault schedules never chain anywhere and
-  /// their metric slices have no parent.
+  /// of the ambient context: their metric slices have no parent.
   explicit ExecutionContext(ContextConfig cfg = ContextConfig::fromEnv(),
                             ContextIsolation isolation = {});
   ~ExecutionContext();
@@ -126,9 +112,8 @@ class ExecutionContext {
 
   /// A child for one job within this context: same handles, the parent's
   /// config unless `cfg` overrides it (the one way to run a job with a
-  /// different config than its parent's), its own fault schedule (falling
-  /// back to the parent chain until armed locally), and a metrics slice
-  /// chained under the parent's — a delta recorded in the job also shows up
+  /// different config than its parent's), and a metrics slice chained
+  /// under the parent's — a delta recorded in the job also shows up
   /// in the owning context's slice.  The child must not outlive its parent.
   std::unique_ptr<ExecutionContext> makeChild(
       std::optional<ContextConfig> cfg = std::nullopt);
@@ -139,13 +124,6 @@ class ExecutionContext {
   /// was built with isolation.
   cache::EvalCache& evalCache() { return *evalCache_; }
   bool hasIsolatedEvalCache() const { return ownedEvalCache_ != nullptr; }
-
-  /// This context's own fault schedule (written by sim::armBatchFaults).
-  FaultScheduleState& faultSchedule() { return faultSchedule_; }
-  /// The armed schedule governing this context: its own if armed, else the
-  /// nearest armed ancestor's, else nullptr.  Sibling contexts therefore
-  /// never see each other's plans.
-  const FaultScheduleState* armedFaultSchedule() const;
 
   /// This context's metric slice (nullptr for the ambient context).
   metrics::ContextSlice* metricsSlice() { return slice_.get(); }
@@ -158,10 +136,8 @@ class ExecutionContext {
                    ExecutionContext* parent, bool isAmbient);
 
   ContextConfig config_;
-  ExecutionContext* parent_ = nullptr;
   std::unique_ptr<cache::EvalCache> ownedEvalCache_;
   cache::EvalCache* evalCache_ = nullptr;
-  FaultScheduleState faultSchedule_;
   std::unique_ptr<metrics::ContextSlice> slice_;
 };
 

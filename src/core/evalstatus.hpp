@@ -27,6 +27,11 @@ namespace amsyn::core {
 /// Codes are append-only: the numeric value is persisted in cached
 /// Performance payloads (sizing::kEvalStatusKey), so reordering existing
 /// entries would reinterpret old data.
+///
+/// In a flow, a stage that fails with any code fails its attempt and the
+/// flow redesigns, except for the two job-level codes: deadline_expired
+/// (the allowance covered the whole job) and out_of_memory (a redesign
+/// would re-run the allocation pattern that just failed) end the flow.
 enum class EvalStatus : std::uint8_t {
   Ok = 0,
   DcNoConvergence,   ///< Newton + continuation ladder all failed to converge
@@ -37,7 +42,7 @@ enum class EvalStatus : std::uint8_t {
   NoAcCrossing,      ///< AC response never crossed unity gain (no ugf/pm)
   InternalError,     ///< an exception escaped the evaluator and was contained
   DeadlineExpired,   ///< the job's wall-clock deadline passed mid-evaluation
-  OutOfMemory,       ///< std::bad_alloc was contained (never retried: see below)
+  OutOfMemory,       ///< std::bad_alloc was contained (ends the flow: no redesign)
   kCount,            ///< number of reason codes (for counter arrays)
 };
 
@@ -63,33 +68,6 @@ inline constexpr const char* evalStatusName(EvalStatus s) {
   return "unknown";
 }
 
-/// Transient-vs-permanent split of the taxonomy: whether re-running the
-/// same evaluation could plausibly end differently.
-///
-///   * Transient (retryable): budget/deadline exhaustion depend on the
-///     allowance granted, not the candidate; a singular matrix can be an
-///     injected fault or a load-dependent numerical bailout; a contained
-///     exception may be environmental.  Retrying with a fresh allowance
-///     (or after a backoff) is worth the cost.
-///   * Permanent: dc_no_convergence, nan_detected, bad_topology, and
-///     no_ac_crossing are deterministic verdicts on the candidate itself —
-///     the same inputs re-fail identically.  out_of_memory is permanent by
-///     policy: retrying an allocation failure amplifies the overload that
-///     caused it (RetryPolicy retries exactly what this predicate accepts,
-///     so nothing retries it, and the flow engine ends the flow on it
-///     instead of redesigning).
-inline constexpr bool isRetryable(EvalStatus s) {
-  switch (s) {
-    case EvalStatus::SingularJacobian:
-    case EvalStatus::BudgetExhausted:
-    case EvalStatus::InternalError:
-    case EvalStatus::DeadlineExpired:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// True for the two "ran out of allowance" reasons (deterministic work
 /// units or wall clock) that every analysis treats as "stop charging, keep
 /// partial results".
@@ -98,8 +76,8 @@ inline constexpr bool isWorkExhaustion(EvalStatus s) {
 }
 
 /// Classify a contained exception into the taxonomy: std::bad_alloc is
-/// out_of_memory (so OOM is never misfiled as a retryable internal error),
-/// anything else internal_error.  Null maps to Ok.
+/// out_of_memory (so OOM is never misfiled as an internal error, which the
+/// flow redesigns after), anything else internal_error.  Null maps to Ok.
 inline EvalStatus classifyException(std::exception_ptr e) {
   if (!e) return EvalStatus::Ok;
   try {
@@ -133,8 +111,8 @@ inline EvalStatus classifyCurrentException() {
 /// once the deadline has passed.  Unlike the work-unit limit, a deadline
 /// trip point is machine-dependent by nature; exhaustionStatus()
 /// distinguishes the two (DeadlineExpired vs BudgetExhausted) so callers
-/// can keep the deterministic path deterministic and classify the
-/// wall-clock path as transient/retryable.
+/// can keep the deterministic path deterministic and report the wall-clock
+/// path apart.
 class EvalBudget {
  public:
   /// Clock-read cadence for armed deadlines, in work units.  A Newton

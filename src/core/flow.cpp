@@ -59,8 +59,8 @@ sizing::Performance measureAmplifier(const circuit::Netlist& net,
     }
   } catch (...) {
     // A malformed netlist (bad node names from layout annotation, ...) is
-    // verification data, not a crash; bad_alloc is classified apart so the
-    // retry layer never re-runs an allocation failure.
+    // verification data, not a crash; bad_alloc is classified apart as
+    // out_of_memory, never misfiled as an internal error.
     const EvalStatus st = classifyCurrentException();
     sizing::markInfeasible(perf, st);
     sim::recordEvalFailure(st);

@@ -28,7 +28,6 @@
 #include "core/celllayout.hpp"
 #include "core/evalstatus.hpp"
 #include "core/performances.hpp"
-#include "core/resilience.hpp"
 #include "sizing/spec.hpp"
 #include "sizing/synth.hpp"
 #include "topology/library.hpp"
@@ -55,12 +54,6 @@ struct FlowOptions {
   /// spaces carry the legacy cells with the same models and bounds, so
   /// flows whose specs the legacy cells win are identical across spaces.
   std::optional<topology::TopologySpace> topologySpace;
-  /// Per-stage retry policy (default: no retries, exactly the pre-existing
-  /// behavior).  A failed stage whose status is transient
-  /// (core::isRetryable) re-runs — after a deterministic backoff — up to
-  /// maxAttempts total executions; every execution appends its own
-  /// StageRecord and counts into core.flow.retry.*.
-  RetryPolicy stageRetry;
 };
 
 /// Record of one verification: measured performances vs the spec verdict.
@@ -128,12 +121,9 @@ FlowResult synthesizeAmplifier(const sizing::SpecSet& specs, const circuit::Proc
 /// candidate evaluations across the batch are paid for once.
 ///
 /// Every job ends with a result.  The engine contains a throwing stage as a
-/// failed stage (internal_error, or out_of_memory, which ends the flow), so
-/// one job's exception never abandons the rest of the batch.  Each job binds
-/// its own batch-fault scope, so a chaos plan armed on the caller's context
-/// (sim::ScopedBatchFaults) reaches every job with the same draws at any
-/// thread count.  Transient failures are retried per stage
-/// (FlowOptions::stageRetry).
+/// failed stage (internal_error, which redesigns, or out_of_memory, which
+/// ends the flow), so one job's exception never abandons the rest of the
+/// batch.
 std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batch,
                                         const circuit::Process& proc,
                                         const FlowOptions& opts = {});

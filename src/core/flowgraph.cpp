@@ -1,15 +1,12 @@
 #include "core/flowgraph.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
-#include "sim/fault.hpp"
 #include "sim/stats.hpp"
 #include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
@@ -47,40 +44,22 @@ std::string withStatusSuffix(std::string reason, EvalStatus st) {
 struct FlowCounters {
   metrics::CounterId attempts;
   metrics::CounterId batchDesigns;     ///< designs submitted to synthesizeBatch
-  metrics::CounterId retryAttempts;    ///< stage re-executions granted
-  metrics::CounterId retrySuccesses;   ///< stages that passed on a re-execution
-  metrics::CounterId retryExhausted;   ///< stages still failed after >=1 retry
   metrics::CounterId deadlineExpired;  ///< flows terminated by their deadline
 };
 const FlowCounters& flowCounters() {
   static const FlowCounters ids = {
       metrics::registry().counter("core.flow.attempts"),
       metrics::registry().counter("core.flow.batch.designs"),
-      metrics::registry().counter("core.flow.retry.attempts"),
-      metrics::registry().counter("core.flow.retry.successes"),
-      metrics::registry().counter("core.flow.retry.exhausted"),
       metrics::registry().counter("core.flow.deadline.expired"),
   };
   return ids;
 }
 
-/// Sleep for the retry backoff, never past the job deadline.
-void backoffSleep(std::uint64_t delayMs, const DeadlineBudget& deadline) {
-  if (delayMs == 0) return;
-  if (deadline.armed()) {
-    const std::int64_t leftNs = deadline.deadlineNs() - EvalBudget::nowNs();
-    if (leftNs <= 0) return;
-    delayMs = std::min<std::uint64_t>(
-        delayMs, static_cast<std::uint64_t>(leftNs / 1'000'000) + 1);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
-}
-
 /// Run one stage with its exceptions contained: a throw becomes a failed
 /// stage whose status classifies the exception (bad_alloc is out_of_memory,
 /// anything else internal_error), tallied once like any contained
-/// evaluator exception.  The engine's retry, redesign and OOM rules then
-/// apply to it as to any other failure.
+/// evaluator exception.  The engine's redesign and OOM rules then apply to
+/// it as to any other failure.
 StageOutcome runContained(FlowStage& stage, const std::string& spanName,
                           DesignContext& ctx) {
   try {
@@ -155,13 +134,8 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
   DeadlineBudget jobDeadline(0, exec.config().jobDeadlineMs);
   ctx.jobBudget = &jobDeadline;
 
-  // Deadline expiry (real or injected by the chaos schedule) is terminal:
-  // the allowance covered the whole job, so neither stage retries nor
-  // redesign attempts may follow it.
-  const auto deadlineHit = [&] {
-    return jobDeadline.expired() ||
-           sim::takeBatchFault(sim::FaultSite::DeadlineCheck);
-  };
+  // Deadline expiry is terminal: the allowance covered the whole job, so no
+  // redesign attempt may follow it.
   const auto expireNow = [&](const std::string& where) {
     metrics::add(flowCounters().deadlineExpired);
     ctx.result.success = false;
@@ -178,55 +152,35 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
 
     bool attemptFailed = false;
     for (auto& slot : stages_) {
-      if (deadlineHit()) {
+      if (jobDeadline.expired()) {
         expireNow("stage boundary '" + slot.stage->name() + "'");
         return std::move(ctx.result);
       }
-      // Per-stage retry loop: each execution appends its own StageRecord,
-      // so the trail shows exactly what ran and why it ran again.
-      for (std::size_t execution = 1;; ++execution) {
-        metrics::add(slot.runs);
-        const std::uint64_t t0 = trace::monotonicNowNs();
-        StageOutcome outcome;
-        if (sim::takeBatchFault(sim::FaultSite::StageRun)) {
-          outcome = StageOutcome::fail("injected stage fault (chaos schedule)",
-                                       EvalStatus::InternalError);
-        } else {
-          outcome = runContained(*slot.stage, slot.spanName, ctx);
-        }
-        StageRecord record;
-        record.name = slot.stage->name();
-        record.attempt = attempt;
-        record.status = outcome.status;
-        record.detail = outcome.detail;
-        record.evalStatus = outcome.evalStatus;
-        record.seconds = static_cast<double>(trace::monotonicNowNs() - t0) * 1e-9;
-        ctx.result.stageRecords.push_back(std::move(record));
+      metrics::add(slot.runs);
+      const std::uint64_t t0 = trace::monotonicNowNs();
+      const StageOutcome outcome = runContained(*slot.stage, slot.spanName, ctx);
+      StageRecord record;
+      record.name = slot.stage->name();
+      record.attempt = attempt;
+      record.status = outcome.status;
+      record.detail = outcome.detail;
+      record.evalStatus = outcome.evalStatus;
+      record.seconds = static_cast<double>(trace::monotonicNowNs() - t0) * 1e-9;
+      ctx.result.stageRecords.push_back(std::move(record));
 
-        if (outcome.status != StageStatus::Failed) {
-          if (execution > 1) metrics::add(flowCounters().retrySuccesses);
-          break;
-        }
-        metrics::add(slot.failures);
-        if (outcome.evalStatus == EvalStatus::DeadlineExpired ||
-            jobDeadline.expired()) {
-          expireNow("stage '" + slot.stage->name() + "'");
-          return std::move(ctx.result);
-        }
-        if (!opts.stageRetry.shouldRetry(outcome.evalStatus, execution)) {
-          if (execution > 1) metrics::add(flowCounters().retryExhausted);
-          ctx.result.failureReason = outcome.detail;
-          ctx.result.failureStatus = outcome.evalStatus;
-          // Out of memory (never retryable) ends the flow too: a redesign
-          // would re-run the allocation pattern that just failed.
-          if (outcome.evalStatus == EvalStatus::OutOfMemory) return std::move(ctx.result);
-          attemptFailed = true;
-          break;  // redesign with the updated calibration
-        }
-        metrics::add(flowCounters().retryAttempts);
-        backoffSleep(opts.stageRetry.backoff.delayMs(execution), jobDeadline);
+      if (outcome.status != StageStatus::Failed) continue;
+      metrics::add(slot.failures);
+      if (outcome.evalStatus == EvalStatus::DeadlineExpired || jobDeadline.expired()) {
+        expireNow("stage '" + slot.stage->name() + "'");
+        return std::move(ctx.result);
       }
-      if (attemptFailed) break;
+      ctx.result.failureReason = outcome.detail;
+      ctx.result.failureStatus = outcome.evalStatus;
+      // Out of memory ends the flow too: a redesign would re-run the
+      // allocation pattern that just failed.
+      if (outcome.evalStatus == EvalStatus::OutOfMemory) return std::move(ctx.result);
+      attemptFailed = true;
+      break;  // redesign with the updated calibration
     }
     if (!attemptFailed) {
       ctx.result.success = true;
@@ -245,14 +199,10 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
   metrics::add(flowCounters().batchDesigns, batch.size());
   ExecutionContext& parent = ExecutionContext::current();
   return parallelMap(batch.size(), [&](std::size_t i) {
-    // One child context per job: same config/handles as the caller, its own
-    // fault schedule (inheriting the caller's armed plan through the chain)
-    // and a metrics slice chained under the caller's.  The engine installs
-    // it for the job's duration.  The fault scope binds job i's occurrence
-    // counters to whichever pool thread runs it, so an armed chaos plan
-    // draws the same faults for job i at any thread count.
+    // One child context per job: same config/handles as the caller and a
+    // metrics slice chained under the caller's.  The engine installs it for
+    // the job's duration.
     const auto jobContext = parent.makeChild();
-    sim::BatchFaultScope faultScope(i);
     FlowEngine engine(amplifierStageGraph());
     return engine.run(batch[i], proc, batchItemOptions(opts, i), *jobContext);
   });
@@ -326,15 +276,12 @@ StageOutcome BuildStage::run(DesignContext& ctx) {
 
 StageOutcome VerifyStage::run(DesignContext& ctx) {
   // The verify measurements are the flow's serial simulator work: thread
-  // the job deadline into them and open the solver hooks to the batch
-  // fault schedule (see sim/fault.hpp for why only this window may).
+  // the job deadline into them.
   EvalBudget* budget = ctx.jobBudget ? &ctx.jobBudget->budget() : nullptr;
-  sim::SolverFaultWindow faultWindow;
   if (phase_ == VerifyPhase::PreLayout) {
     VerificationRecord pre;
     pre.stage = "pre-layout";
-    bool any = false;
-    circuit::Netlist schematic;
+    CandidateDesign* chosen = nullptr;
     for (auto& cand : ctx.candidates) {
       const auto measured = measureAmplifier(cand.netlist, ctx.proc, budget);
       const bool passed = !measured.count("_infeasible") &&
@@ -348,18 +295,16 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
         ctx.calibration.recordDelta(
             "pm", kModelCalibration,
             std::max(0.0, cand.predicted.at("pm") - measured.at("pm")));
-      if (!any || passed) {
+      if (!chosen || passed) {
         pre.measured = measured;
         pre.passed = passed;
-        // A copy, not a move: a retried stage re-measures this netlist.
-        schematic = cand.netlist;
         ctx.result.topology = cand.topology;
         ctx.result.designPoint = cand.x;
-        any = true;
+        chosen = &cand;
       }
       if (passed) break;
     }
-    ctx.result.schematic = std::move(schematic);
+    ctx.result.schematic = chosen ? std::move(chosen->netlist) : circuit::Netlist{};
     ctx.result.verifications.push_back(pre);
     if (!pre.passed) {
       const EvalStatus st = sizing::performanceStatus(pre.measured);

@@ -16,7 +16,7 @@
 //   * per-stage observability: every stage runs under an AMSYN_SPAN,
 //     counts into core.flow.stage.<name>.{runs,failures}, and appends a
 //     StageRecord to FlowResult::stageRecords,
-//   * the job boundary: stage retry (FlowOptions::stageRetry), the job's
+//   * the job boundary: one execution per stage per attempt, the job's
 //     wall-clock deadline, and exception containment — a stage that throws
 //     is a failed stage ("stage threw: <status>"), never an escape.
 //
@@ -33,6 +33,7 @@
 #include "core/context.hpp"
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
+#include "core/resilience.hpp"
 #include "topology/library.hpp"
 
 namespace amsyn::core {
@@ -95,7 +96,8 @@ struct CandidateDesign {
   std::string topology;
   std::vector<double> x;             ///< equation-model coordinates
   sizing::Performance predicted;     ///< model-predicted performances at x
-  circuit::Netlist netlist;          ///< filled by BuildStage
+  circuit::Netlist netlist;          ///< filled by BuildStage; the pre-layout
+                                     ///< verify moves the chosen one out
   bool built = false;
 };
 

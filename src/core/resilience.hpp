@@ -1,62 +1,18 @@
-// Flow-level resilience primitives:
+// DeadlineBudget: a wall-clock deadline composed on top of the
+// deterministic work-unit EvalBudget.  The budget keeps bit-identical
+// exhaustion points; the deadline adds a strided monotonic-clock check so a
+// livelocked evaluation cannot hang a worker past its allowance.  The flow
+// engine owns one per job (ContextConfig::jobDeadlineMs).
 //
-//   * RetryPolicy / BackoffPolicy — deterministic, data-expressed retry
-//     with exponential backoff, applied per stage by the FlowEngine
-//     (FlowOptions::stageRetry).  The policy is data, so tests can reason
-//     about it without subclassing anything; the statuses it retries are
-//     the taxonomy's (core::isRetryable).
-//   * DeadlineBudget — wall-clock deadlines composed on top of the
-//     deterministic work-unit EvalBudget: the budget keeps bit-identical
-//     exhaustion points, the deadline adds a strided monotonic-clock check
-//     so a livelocked evaluation cannot hang a worker past its allowance.
-//
-// Layering: below core/flow.hpp (which embeds a RetryPolicy in
-// FlowOptions) and above only core/evalstatus.hpp.
+// Layering: below core/flowgraph.hpp and above only core/evalstatus.hpp.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
 #include "core/evalstatus.hpp"
 
 namespace amsyn::core {
-
-/// Exponential backoff: delayMs(retry) for retry = 1, 2, ... grows
-/// initialMs * multiplier^(retry-1), capped at maxMs.  A pure function of
-/// its argument, so two runs back off identically — which is what keeps
-/// chaos soak runs bit-reproducible.
-struct BackoffPolicy {
-  std::uint64_t initialMs = 10;
-  double multiplier = 2.0;
-  std::uint64_t maxMs = 1000;
-
-  std::uint64_t delayMs(std::size_t retry) const;
-
-  static BackoffPolicy none() { return {0, 1.0, 0}; }
-};
-
-/// Data-expressed retry policy.  `maxAttempts` counts total attempts (1 =
-/// no retries); which statuses are worth retrying is the taxonomy's call
-/// (core::isRetryable), so OutOfMemory — whose retry would re-run the
-/// allocation pattern that just failed — is never retried.
-struct RetryPolicy {
-  std::size_t maxAttempts = 1;
-  BackoffPolicy backoff;
-
-  /// Whether a failure with status `st` after `attemptsSoFar` total
-  /// attempts should be retried.
-  bool shouldRetry(EvalStatus st, std::size_t attemptsSoFar) const;
-
-  static RetryPolicy none() { return {}; }
-  /// Retry every transient (isRetryable) status up to `attempts` total
-  /// attempts with the default backoff.
-  static RetryPolicy transient(std::size_t attempts) {
-    RetryPolicy p;
-    p.maxAttempts = attempts;
-    return p;
-  }
-};
 
 /// Wall-clock deadline composed over the deterministic work-unit budget.
 /// Construction arms the composed EvalBudget with `now + deadlineMs`

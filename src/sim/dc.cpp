@@ -86,7 +86,7 @@ NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, doub
 
 /// Reason code for a ladder that died with this outcome.  The budget is
 /// consulted to split the two exhaustion flavors (deterministic work units
-/// vs wall-clock deadline) — the deadline flavor is transient/retryable.
+/// vs wall-clock deadline) — the deadline flavor is machine-dependent.
 EvalStatus outcomeStatus(NewtonOutcome o, const DcOptions& opts) {
   switch (o) {
     case NewtonOutcome::Singular: return EvalStatus::SingularJacobian;

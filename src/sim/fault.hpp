@@ -10,29 +10,8 @@
 // threads are never perturbed and injection is deterministic by
 // construction.  Production code pays one thread-local bool load per hook
 // when disarmed.
-//
-// Batch/flow-level injection (the chaos harness) is a second mechanism,
-// scoped to the current core::ExecutionContext: a seeded BatchFaultPlan
-// armed once for a whole batch, with every decision a pure function of
-// (seed, jobIndex, site, occurrence).
-// The thread_local plan above cannot express this — under the
-// work-stealing pool the thread that runs job i varies with thread count,
-// so thread-scoped counters would make injection schedule-dependent.
-// Instead each job's runner declares "this thread is now executing job i"
-// (BatchFaultScope) and the per-job occurrence counters live in that
-// scope, making the fault sequence a property of the job, invariant under
-// AMSYN_THREADS.
-//
-// Scoping rule for solver-level sites: batch faults reach the DC/AC/LU
-// hooks only inside a SolverFaultWindow, which the flow opens around its
-// *serial* verification measurements.  The sizing optimizer's inner
-// evaluations run under nested parallelFor loops where the set of indices
-// the job thread happens to execute depends on scheduling; injecting there
-// would break thread-count invariance, and those paths are already covered
-// by the thread_local plans plus deterministic work budgets.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "core/evalstatus.hpp"
@@ -92,95 +71,6 @@ class ScopedFaultInjection {
   ScopedFaultInjection(const ScopedFaultInjection&) = delete;
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
 };
-
-// ---------------------------------------------------------------------------
-// Batch-level deterministic fault schedule (chaos harness)
-
-/// Injection points the batch schedule can perturb.  Solver sites fire only
-/// inside a SolverFaultWindow (see file comment); flow sites are consulted
-/// directly by the flow engine.
-enum class FaultSite : std::uint8_t {
-  DcNewton = 0,    ///< force a DC Newton solve singular
-  DcResidual,      ///< poison a DC residual assembly with NaN
-  LuFactor,        ///< force an AC/transient LU factorization singular
-  BudgetCharge,    ///< report budget exhaustion on a work charge
-  StageRun,        ///< fail a flow stage outright (internal_error)
-  DeadlineCheck,   ///< report deadline expiry at a stage boundary
-  kCount,
-};
-
-inline constexpr std::size_t kFaultSiteCount =
-    static_cast<std::size_t>(FaultSite::kCount);
-
-/// Per-site injection probabilities for one seeded batch schedule.  Every
-/// draw is the SplitMix64 finalizer over (seed, jobIndex, site, occurrence)
-/// mapped to [0, 1) — a pure function, so the fault sequence each job sees
-/// is identical at any thread count, with or without the eval cache, and
-/// reproducible across runs.
-struct BatchFaultPlan {
-  std::uint64_t seed = 1;
-  double rates[kFaultSiteCount] = {};  ///< indexed by FaultSite
-
-  double& rate(FaultSite s) { return rates[static_cast<std::size_t>(s)]; }
-  double rate(FaultSite s) const { return rates[static_cast<std::size_t>(s)]; }
-};
-
-/// Arm/disarm the *current ExecutionContext's* batch schedule.  Code with
-/// no installed context arms the ambient context — the old process-wide
-/// behavior — while a job context created under an armed ancestor inherits
-/// its schedule (takeBatchFault walks the parent chain), and sibling
-/// contexts never see each other's plans.  Arming is not thread-safe
-/// against in-flight jobs: arm before the batch fans out, disarm after it
-/// drains (RAII: ScopedBatchFaults).
-void armBatchFaults(const BatchFaultPlan& plan);
-void disarmBatchFaults();
-bool batchFaultsArmed();
-
-/// RAII batch-schedule arming for tests and the chaos soak harness.
-class ScopedBatchFaults {
- public:
-  explicit ScopedBatchFaults(const BatchFaultPlan& plan) { armBatchFaults(plan); }
-  ~ScopedBatchFaults() { disarmBatchFaults(); }
-  ScopedBatchFaults(const ScopedBatchFaults&) = delete;
-  ScopedBatchFaults& operator=(const ScopedBatchFaults&) = delete;
-};
-
-/// "This thread is now executing batch job `jobIndex`": binds the job's
-/// occurrence counters to the calling thread for the scope's lifetime
-/// (synthesizeBatch binds one per job).  Nesting restores the outer scope
-/// on destruction.  Stage retries and redesigns run inside the job's one
-/// scope, so their occurrence counters continue — a retried stage
-/// deterministically sees fresh draws.
-class BatchFaultScope {
- public:
-  explicit BatchFaultScope(std::size_t jobIndex);
-  ~BatchFaultScope();
-  BatchFaultScope(const BatchFaultScope&) = delete;
-  BatchFaultScope& operator=(const BatchFaultScope&) = delete;
-
- private:
-  void* saved_ = nullptr;  ///< outer scope's state (opaque)
-};
-
-/// Opens the solver-level sites (DcNewton/DcResidual/LuFactor/BudgetCharge)
-/// to the batch schedule on the calling thread.  The flow's verify stages
-/// hold one around their serial measurements; everything else leaves the
-/// solver hooks untouched by batch faults.
-class SolverFaultWindow {
- public:
-  SolverFaultWindow();
-  ~SolverFaultWindow();
-  SolverFaultWindow(const SolverFaultWindow&) = delete;
-  SolverFaultWindow& operator=(const SolverFaultWindow&) = delete;
-
- private:
-  bool saved_ = false;
-};
-
-/// Draw the (jobIndex, site, occurrence++) decision for the calling
-/// thread's job scope.  False when the schedule is disarmed, no scope is
-/// bound, or — for solver sites — no SolverFaultWindow is open.
-bool takeBatchFault(FaultSite site);
 
 /// Charge `units` against an (optional) budget, honoring injected
 /// exhaustion.  All analysis loops fund their work through this helper so

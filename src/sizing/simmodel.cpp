@@ -177,7 +177,7 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
   } catch (...) {
     // Anything the analyses threw (bad node names from a malformed template,
     // allocation failure, ...) is contained at this boundary; bad_alloc is
-    // classified apart so OOM is never misfiled as retryable.
+    // classified apart so OOM is never misfiled as an internal error.
     const EvalStatus st = core::classifyCurrentException();
     markInfeasible(perf, st);
     sim::recordEvalFailure(st);

@@ -79,7 +79,7 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
     for (std::size_t i = 0; i < errs.size(); ++i) {
       if (!errs[i]) continue;
       batch[first + i].fitness = -std::numeric_limits<double>::infinity();
-      // bad_alloc classifies as out_of_memory (never retried upstream),
+      // bad_alloc classifies as out_of_memory (it ends a flow upstream),
       // anything else internal_error.
       sim::recordEvalFailure(core::classifyException(errs[i]));
     }

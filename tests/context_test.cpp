@@ -1,6 +1,6 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
-// semantics, scope installation, per-context metrics slices, fault-plan
-// isolation, isolated cache handles, a differential suite showing
+// semantics, scope installation, per-context metrics slices, isolated
+// cache handles, a differential suite showing
 // the whole flow and the robust corner search are *bit-identical* between
 // the ambient path and an explicitly installed context (at 1 and 8 threads,
 // cache on and off), and the option-leak regression: two contexts sharing
@@ -34,14 +34,12 @@
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "manufacture/corners.hpp"
-#include "sim/fault.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
 
 namespace core = amsyn::core;
 namespace cache = amsyn::core::cache;
 namespace metrics = amsyn::core::metrics;
-namespace sim = amsyn::sim;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
 namespace ckt = amsyn::circuit;
@@ -360,43 +358,6 @@ TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
   EXPECT_NE(json.find("\"ctx.ctx.test.report\""), std::string::npos);
   // The slice is sparse: counters the context never touched are absent.
   EXPECT_EQ(json.find("\"ctx.core.flow.attempts\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Fault-plan isolation (satellite: per-context chaos plans never leak)
-
-TEST(ContextFaults, SiblingContextsNeverSeeEachOthersPlans) {
-  core::ExecutionContext tenantA(deterministicConfig());
-  core::ExecutionContext tenantB(deterministicConfig());
-  sim::BatchFaultPlan plan;
-  plan.seed = 7;
-  plan.rate(sim::FaultSite::StageRun) = 1.0;
-  {
-    core::ContextScope scopeA(tenantA);
-    sim::ScopedBatchFaults armed(plan);  // arms tenantA's schedule
-    EXPECT_TRUE(sim::batchFaultsArmed());
-    {
-      sim::BatchFaultScope job(0);
-      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::StageRun));
-    }
-    {
-      // Sibling tenant on the same thread: the plan must be invisible.
-      core::ContextScope scopeB(tenantB);
-      EXPECT_FALSE(sim::batchFaultsArmed());
-      sim::BatchFaultScope job(0);
-      EXPECT_FALSE(sim::takeBatchFault(sim::FaultSite::StageRun));
-    }
-    {
-      // A child of the armed tenant inherits the plan through the chain.
-      const auto job = tenantA.makeChild();
-      core::ContextScope scopeChild(*job);
-      EXPECT_TRUE(sim::batchFaultsArmed());
-      sim::BatchFaultScope faultScope(1);
-      EXPECT_TRUE(sim::takeBatchFault(sim::FaultSite::StageRun));
-    }
-  }
-  // Disarm happened on tenantA; the ambient context was never armed.
-  EXPECT_FALSE(sim::batchFaultsArmed());
 }
 
 // ---------------------------------------------------------------------------
