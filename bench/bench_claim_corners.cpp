@@ -5,13 +5,16 @@
 //
 // We run nominal-only synthesis and the cutting-plane corner-aware loop on
 // the same spec set and compare model-evaluation counts (fresh and
-// cache-hit) and wall time, all from one run, then confirm the nominal
-// design actually fails at its worst corner while the robust one survives.
+// cache-hit) from one run and the wall-time ratio over repeated runs, then
+// confirm the nominal design actually fails at its worst corner while the
+// robust one survives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "core/context.hpp"
 #include "core/parallel.hpp"
@@ -20,6 +23,7 @@
 #include "core/threadpool.hpp"
 #include "manufacture/corners.hpp"
 #include "manufacture/yield.hpp"
+#include "numeric/stats.hpp"
 #include "sizing/eqmodel.hpp"
 
 namespace {
@@ -86,9 +90,25 @@ double timeRatio(const manufacture::RobustResult& res) {
   return res.cornerSearchSeconds / std::max(res.nominalSeconds, 1e-12);
 }
 
-/// The claim table, from the width-1 run: the paper states its premium in
+/// The nominal phase lasts about 10 ms, so one run's corner-to-nominal time
+/// ratio moves by 2x between runs.  The claim reports the median over this
+/// many width-1 runs, each in a fresh context.
+constexpr int kTimingRuns = 5;
+
+struct TimeRatios {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+TimeRatios summarize(const std::vector<double>& ratios) {
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  return {num::percentile(ratios, 50.0), *lo, *hi};
+}
+
+/// The claim table, from the width-1 runs: the paper states its premium in
 /// CPU time, which the narrowest pool's wall time tracks most closely.
-void printClaim(const CountedRun& run) {
+void printClaim(const CountedRun& run, const TimeRatios& ratios) {
   std::cout << "=== Claim (sec. 2.2): corner-aware synthesis costs ~4x-10x CPU ===\n\n";
   const auto specs = robustSpecs();
   const manufacture::VariationSpace space;
@@ -108,7 +128,9 @@ void printClaim(const CountedRun& run) {
   std::cout << "evaluations of the whole run: " << run.freshEvaluations << " fresh, "
             << run.cacheHitEvaluations << " cache hits\n";
   std::cout << "wall-time ratio corner search/nominal sizing (width-1 pool): "
-            << core::Table::num(timeRatio(res)) << "x\n";
+            << core::Table::num(ratios.median) << "x median ("
+            << core::Table::num(ratios.min) << "-" << core::Table::num(ratios.max)
+            << "x over " << kTimingRuns << " runs)\n";
   std::cout << "active corners accumulated: " << res.activeCorners << " over "
             << res.rounds << " cutting-plane rounds\n\n";
 
@@ -139,13 +161,14 @@ void printClaim(const CountedRun& run) {
             << core::Table::num(yRob.yield.estimate * 100) << "%\n\n";
 }
 
-/// Machine-readable record: the premium (evaluation counts, their fresh /
-/// cache-hit split and the phase wall-time ratio, all from the width-1
-/// run) plus a scaling record — the identical synthesis at the configured
-/// pool width.  The parallel loops are deterministic by construction, so
-/// besides the timings we record whether the two runs really did produce
-/// the same design.
-void writeJson(const CountedRun& serial, const CountedRun& parallel, std::size_t threads) {
+/// Machine-readable record: the premium (evaluation counts and their fresh /
+/// cache-hit split from the first width-1 run, the phase wall-time ratio's
+/// median and range over all of them) plus a scaling record — the
+/// identical synthesis at the configured pool width.  The parallel loops
+/// are deterministic by construction, so besides the timings we record
+/// whether the two widths really did produce the same design.
+void writeJson(const CountedRun& serial, const TimeRatios& ratios, const CountedRun& parallel,
+               std::size_t threads) {
   const bool identical = serial.res.robust.x == parallel.res.robust.x &&
                          serial.res.robust.cost == parallel.res.robust.cost &&
                          serial.res.activeCorners == parallel.res.activeCorners;
@@ -171,7 +194,9 @@ void writeJson(const CountedRun& serial, const CountedRun& parallel, std::size_t
       // time over nominal-sizing phase wall time (paper: roughly 4x-10x).
       .addValue("nominal_sizing_seconds", serial.res.nominalSeconds)
       .addValue("corner_search_seconds", serial.res.cornerSearchSeconds)
-      .addValue("corner_to_nominal_time_ratio", timeRatio(serial.res));
+      .addValue("corner_to_nominal_time_ratio", ratios.median)
+      .addValue("corner_to_nominal_time_ratio_min", ratios.min)
+      .addValue("corner_to_nominal_time_ratio_max", ratios.max);
   report.write("BENCH_corners.json");
   std::cout << "wrote BENCH_corners.json: " << serial.seconds << " s at 1 thread, "
             << parallel.seconds << " s at " << threads
@@ -211,9 +236,21 @@ int main(int argc, char** argv) {
   const std::size_t threads =
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads());
   const CountedRun serial = countedRun(1);
+  std::vector<double> ratios{timeRatio(serial.res)};
+  for (int run = 1; run < kTimingRuns; ++run) {
+    const CountedRun again = countedRun(1);
+    if (again.res.robust.x != serial.res.robust.x ||
+        again.res.robust.cost != serial.res.robust.cost) {
+      std::cerr << "bench_claim_corners: width-1 run " << run + 1
+                << " produced a different design than run 1\n";
+      return 1;
+    }
+    ratios.push_back(timeRatio(again.res));
+  }
+  const TimeRatios summary = summarize(ratios);
   const CountedRun parallel = countedRun(threads);
-  printClaim(serial);
-  writeJson(serial, parallel, threads);
+  printClaim(serial, summary);
+  writeJson(serial, summary, parallel, threads);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -14,15 +14,6 @@ core::cache::Digest128 canonicalDeviceDigest(const Netlist& net, const Device& d
   for (NodeId n : d.nodes) h.mixString(net.nodeName(n));
   h.mixDouble(d.value);
   h.mixDouble(d.acMag);
-  // Waveform: only sources carry one, but the default-constructed fields
-  // hash identically everywhere, so mixing unconditionally stays canonical.
-  const Waveform& w = d.waveform;
-  h.mix(static_cast<std::uint64_t>(w.kind));
-  h.mixDouble(w.v1).mixDouble(w.v2).mixDouble(w.delay).mixDouble(w.rise);
-  h.mixDouble(w.fall).mixDouble(w.width).mixDouble(w.period);
-  h.mixDouble(w.offset).mixDouble(w.amplitude).mixDouble(w.frequency);
-  h.mix(w.points.size());
-  for (const auto& [t, v] : w.points) h.mixDouble(t).mixDouble(v);
   if (d.type == DeviceType::Mos) {
     h.mix(static_cast<std::uint64_t>(d.mos.type));
     h.mixDouble(d.mos.w).mixDouble(d.mos.l);

@@ -5,7 +5,7 @@
 // Canonical form: a netlist is hashed as the *sorted multiset* of its
 // devices' electrical records.  Each record covers the device type, the
 // terminal node NAMES in terminal order, and every electrically meaningful
-// parameter (value, AC magnitude, waveform, MOS geometry, diode Is) — but
+// parameter (value, AC magnitude, MOS geometry, diode Is) — but
 // NOT the device's own name or its declaration index.  Node identity is the
 // node name, never the NodeId (ids are assigned in declaration order).
 // Consequences, proven by the hash property tests in

@@ -1,43 +1,8 @@
 #include "circuit/netlist.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace amsyn::circuit {
-
-double Waveform::at(double t) const {
-  switch (kind) {
-    case Kind::Dc:
-      return v1;
-    case Kind::Pulse: {
-      if (t < delay) return v1;
-      double tc = std::fmod(t - delay, period);
-      if (tc < rise) return v1 + (v2 - v1) * tc / rise;
-      tc -= rise;
-      if (tc < width) return v2;
-      tc -= width;
-      if (tc < fall) return v2 + (v1 - v2) * tc / fall;
-      return v1;
-    }
-    case Kind::Sine:
-      if (t < delay) return offset;
-      return offset + amplitude * std::sin(2.0 * M_PI * frequency * (t - delay));
-    case Kind::PiecewiseLinear: {
-      if (points.empty()) return 0.0;
-      if (t <= points.front().first) return points.front().second;
-      for (std::size_t i = 1; i < points.size(); ++i) {
-        if (t <= points[i].first) {
-          const auto& [t0, v0] = points[i - 1];
-          const auto& [t1, vv1] = points[i];
-          const double f = (t - t0) / (t1 - t0);
-          return v0 + f * (vv1 - v0);
-        }
-      }
-      return points.back().second;
-    }
-  }
-  return 0.0;
-}
 
 Netlist::Netlist() {
   nodeNames_.push_back("0");
@@ -80,61 +45,57 @@ Device& Netlist::add(Device d) {
 Device& Netlist::addResistor(const std::string& name, const std::string& a,
                              const std::string& b, double ohms) {
   if (ohms <= 0) throw std::invalid_argument("resistor " + name + ": non-positive value");
-  return add(Device{DeviceType::Resistor, name, {node(a), node(b)}, ohms, 0, {}, {}, 0});
+  return add(Device{DeviceType::Resistor, name, {node(a), node(b)}, ohms, 0, {}, 0});
 }
 
 Device& Netlist::addCapacitor(const std::string& name, const std::string& a,
                               const std::string& b, double farads) {
   if (farads < 0) throw std::invalid_argument("capacitor " + name + ": negative value");
-  return add(Device{DeviceType::Capacitor, name, {node(a), node(b)}, farads, 0, {}, {}, 0});
+  return add(Device{DeviceType::Capacitor, name, {node(a), node(b)}, farads, 0, {}, 0});
 }
 
 Device& Netlist::addInductor(const std::string& name, const std::string& a,
                              const std::string& b, double henries) {
   if (henries <= 0) throw std::invalid_argument("inductor " + name + ": non-positive value");
-  return add(Device{DeviceType::Inductor, name, {node(a), node(b)}, henries, 0, {}, {}, 0});
+  return add(Device{DeviceType::Inductor, name, {node(a), node(b)}, henries, 0, {}, 0});
 }
 
 Device& Netlist::addVSource(const std::string& name, const std::string& plus,
                             const std::string& minus, double dc, double acMag) {
-  Device d{DeviceType::VSource, name, {node(plus), node(minus)}, dc, acMag, {}, {}, 0};
-  d.waveform.v1 = dc;
-  return add(std::move(d));
+  return add(Device{DeviceType::VSource, name, {node(plus), node(minus)}, dc, acMag, {}, 0});
 }
 
 Device& Netlist::addISource(const std::string& name, const std::string& from,
                             const std::string& to, double dc, double acMag) {
-  Device d{DeviceType::ISource, name, {node(from), node(to)}, dc, acMag, {}, {}, 0};
-  d.waveform.v1 = dc;
-  return add(std::move(d));
+  return add(Device{DeviceType::ISource, name, {node(from), node(to)}, dc, acMag, {}, 0});
 }
 
 Device& Netlist::addVcvs(const std::string& name, const std::string& outP,
                          const std::string& outM, const std::string& inP,
                          const std::string& inM, double gain) {
   return add(Device{DeviceType::Vcvs, name,
-                    {node(outP), node(outM), node(inP), node(inM)}, gain, 0, {}, {}, 0});
+                    {node(outP), node(outM), node(inP), node(inM)}, gain, 0, {}, 0});
 }
 
 Device& Netlist::addVccs(const std::string& name, const std::string& outP,
                          const std::string& outM, const std::string& inP,
                          const std::string& inM, double gm) {
   return add(Device{DeviceType::Vccs, name,
-                    {node(outP), node(outM), node(inP), node(inM)}, gm, 0, {}, {}, 0});
+                    {node(outP), node(outM), node(inP), node(inM)}, gm, 0, {}, 0});
 }
 
 Device& Netlist::addMos(const std::string& name, const std::string& d, const std::string& g,
                         const std::string& s, const std::string& b, MosType type, double w,
                         double l, int m) {
   if (w <= 0 || l <= 0 || m < 1) throw std::invalid_argument("MOS " + name + ": bad geometry");
-  Device dev{DeviceType::Mos, name, {node(d), node(g), node(s), node(b)}, 0, 0, {}, {}, 0};
+  Device dev{DeviceType::Mos, name, {node(d), node(g), node(s), node(b)}, 0, 0, {}, 0};
   dev.mos = MosParams{type, w, l, m, 0.0, 1.0};
   return add(std::move(dev));
 }
 
 Device& Netlist::addDiode(const std::string& name, const std::string& anode,
                           const std::string& cathode, double isat) {
-  Device dev{DeviceType::Diode, name, {node(anode), node(cathode)}, 0, 0, {}, {}, isat};
+  Device dev{DeviceType::Diode, name, {node(anode), node(cathode)}, 0, 0, {}, isat};
   return add(std::move(dev));
 }
 

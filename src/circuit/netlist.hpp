@@ -30,20 +30,6 @@ enum class DeviceType : std::uint8_t {
 
 enum class MosType : std::uint8_t { Nmos, Pmos };
 
-/// Transient stimulus attached to an independent source.
-struct Waveform {
-  enum class Kind : std::uint8_t { Dc, Pulse, Sine, PiecewiseLinear } kind = Kind::Dc;
-  // Pulse: v1 -> v2 after delay, with rise/fall/width/period.
-  double v1 = 0, v2 = 0, delay = 0, rise = 1e-9, fall = 1e-9, width = 1e-6, period = 2e-6;
-  // Sine: offset + amplitude * sin(2 pi freq (t - delay)).
-  double offset = 0, amplitude = 0, frequency = 1e3;
-  // PWL points (t, v), sorted by t.
-  std::vector<std::pair<double, double>> points;
-
-  /// Instantaneous value at time t (>= 0).
-  double at(double t) const;
-};
-
 struct MosParams {
   MosType type = MosType::Nmos;
   double w = 10e-6;  ///< channel width (m)
@@ -62,7 +48,6 @@ struct Device {
   /// Primary value: ohms / farads / henries / volts / amps / gain.
   double value = 0.0;
   double acMag = 0.0;    ///< ac stimulus magnitude for V/I sources
-  Waveform waveform;     ///< transient stimulus for V/I sources
   MosParams mos;         ///< valid when type == Mos
   double diodeIs = 1e-14;  ///< diode saturation current
 };

@@ -2,7 +2,7 @@
 // evaluations.  The synthesis frontend is an optimization loop over
 // thousands of candidate designs, and its central robustness requirement is
 // that a bad candidate — unconverged bias point, singular Jacobian, NaN
-// iterate, runaway transient — becomes *infeasible data*, never a crash.
+// iterate, runaway Newton loop — becomes *infeasible data*, never a crash.
 // Every analysis result and every Performance payload carries one of these
 // reason codes so the sizing cost, corner search, and flow report *why* a
 // point failed.

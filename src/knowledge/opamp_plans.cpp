@@ -134,62 +134,10 @@ DesignPlan twoStageOpampPlan() {
   return plan;
 }
 
-DesignPlan otaPlan() {
-  DesignPlan plan("five-transistor-ota");
-  plan.input("spec.gain_db")
-      .input("spec.ugf")
-      .input("spec.slew")
-      .input("spec.cload")
-      .knob("vov1", 0.20, 0.08, 0.50)
-      .knob("vov3", 0.30, 0.10, 0.80)
-      .knob("vov5", 0.25, 0.10, 0.80)
-      .knob("margin", 1.2, 1.02, 2.0);
-
-  plan.step("tail current", [](PlanContext& ctx) {
-    const double gm1 =
-        kTwoPi * ctx.get("spec.ugf") * ctx.get("spec.cload") * ctx.get("margin");
-    const double iSlew = ctx.get("spec.slew") * ctx.get("spec.cload") * ctx.get("margin");
-    const double i5 = std::max(gm1 * ctx.get("vov1"), iSlew);
-    ctx.set("gm1", gm1);
-    ctx.set("i5", i5);
-    ctx.set("vov1.eff", i5 / gm1);
-    return StepResult::success();
-  });
-
-  plan.step("gain check", [](PlanContext& ctx) {
-    const auto& proc = ctx.process();
-    const double l = 2e-6;
-    const double gds = (proc.lambdaN + proc.lambdaP) * (1e-6 / l) * ctx.get("i5") / 2.0;
-    const double gainDb = 20.0 * std::log10(ctx.get("gm1") / gds);
-    ctx.set("gain_db.achieved", gainDb);
-    if (gainDb < ctx.get("spec.gain_db")) {
-      if (ctx.get("vov1") > 0.085)
-        return StepResult::retry("gain short", "vov1", 0.8);
-      return StepResult::failure("single stage cannot reach the gain spec");
-    }
-    return StepResult::success();
-  });
-
-  plan.step("emit design", [](PlanContext& ctx) {
-    ctx.set("out.i5", ctx.get("i5"));
-    ctx.set("out.vov1", ctx.get("vov1.eff"));
-    ctx.set("out.vov3", ctx.get("vov3"));
-    ctx.set("out.vov5", ctx.get("vov5"));
-    return StepResult::success();
-  });
-
-  return plan;
-}
-
 std::vector<double> extractTwoStageDesign(const PlanContext& ctx) {
   return {ctx.get("out.i5"),   ctx.get("out.i7"),   ctx.get("out.vov1"),
           ctx.get("out.vov3"), ctx.get("out.vov5"), ctx.get("out.vov6"),
           ctx.get("out.cc")};
-}
-
-std::vector<double> extractOtaDesign(const PlanContext& ctx) {
-  return {ctx.get("out.i5"), ctx.get("out.vov1"), ctx.get("out.vov3"),
-          ctx.get("out.vov5")};
 }
 
 }  // namespace amsyn::knowledge

@@ -1,6 +1,6 @@
 // Concrete design plans for the amplifier library — the hand-derived sizing
 // procedures an IDAC/OASYS developer would encode (here: the classic
-// Allen & Holberg two-stage procedure and its OTA counterpart).
+// Allen & Holberg two-stage procedure).
 //
 // Plan inputs (context keys):
 //   spec.gain_db, spec.ugf, spec.pm, spec.slew, spec.cload
@@ -34,14 +34,8 @@ std::optional<std::map<std::string, double>> opampPlanInputs(
 /// Two-stage Miller opamp plan with gain/power backtracking knobs.
 DesignPlan twoStageOpampPlan();
 
-/// Five-transistor OTA plan (outputs out.i5, out.vov1, out.vov3, out.vov5).
-DesignPlan otaPlan();
-
 /// Pull the two-stage design vector (legacy two-stage variable order)
 /// out of a completed plan context.
 std::vector<double> extractTwoStageDesign(const PlanContext& ctx);
-
-/// Pull the OTA design vector (legacy OTA variable order).
-std::vector<double> extractOtaDesign(const PlanContext& ctx);
 
 }  // namespace amsyn::knowledge

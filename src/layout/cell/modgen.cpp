@@ -220,15 +220,4 @@ CellMaster generateCapacitor(const std::string& name, double farads, const std::
   return m;
 }
 
-CellMaster generateSubstrateContact(const std::string& name, const std::string& net,
-                                    Coord length, const Process& proc) {
-  CellMaster m;
-  m.name = name;
-  const Coord h = lam(proc.ruleContactSize + 2 * proc.ruleDiffContactEnclosure);
-  m.shapes.push_back({Layer::Substrate, {0, 0, length, h}, net});
-  m.shapes.push_back({Layer::Metal1, {0, 0, length, h}, net});
-  m.pins.push_back(Pin{net, Layer::Metal1, {0, 0, length, h}});
-  return m;
-}
-
 }  // namespace amsyn::layout

@@ -62,8 +62,4 @@ geom::CellMaster generateCapacitor(const std::string& name, double farads,
                                    const std::string& netTop, const std::string& netBottom,
                                    const circuit::Process& proc);
 
-/// Substrate/well contact ring segment (guard ring piece).
-geom::CellMaster generateSubstrateContact(const std::string& name, const std::string& net,
-                                          geom::Coord length, const circuit::Process& proc);
-
 }  // namespace amsyn::layout

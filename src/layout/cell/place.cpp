@@ -265,72 +265,6 @@ Placement rowPlacement(const std::vector<PlacementComponent>& components,
   return result;
 }
 
-Placement compactPlacement(
-    const Placement& placement, Coord spacing,
-    const std::vector<std::pair<std::string, std::string>>& symmetricPairs) {
-  Placement out = placement;
-  auto& inst = out.instances;
-
-  // Group index per instance: symmetric pairs share a group.
-  std::vector<std::size_t> group(inst.size());
-  std::iota(group.begin(), group.end(), std::size_t{0});
-  for (const auto& [a, b] : symmetricPairs) {
-    std::size_t ia = inst.size(), ib = inst.size();
-    for (std::size_t i = 0; i < inst.size(); ++i) {
-      if (inst[i].name == a) ia = i;
-      if (inst[i].name == b) ib = i;
-    }
-    if (ia < inst.size() && ib < inst.size()) group[ib] = group[ia];
-  }
-
-  // Process in x order; each instance computes the furthest-left legal x,
-  // and a group moves by the min displacement among its members.
-  std::vector<std::size_t> order(inst.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return inst[a].boundingBox().x0 < inst[b].boundingBox().x0;
-  });
-
-  Coord baseline = std::numeric_limits<Coord>::max();
-  for (const auto& c : inst) baseline = std::min(baseline, c.boundingBox().x0);
-
-  std::vector<bool> done(inst.size(), false);
-  for (std::size_t oi = 0; oi < order.size(); ++oi) {
-    const std::size_t i = order[oi];
-    if (done[i]) continue;
-    // Members of i's group (in x order they may appear later; move jointly).
-    std::vector<std::size_t> members;
-    for (std::size_t j = 0; j < inst.size(); ++j)
-      if (group[j] == group[i]) members.push_back(j);
-
-    Coord shift = std::numeric_limits<Coord>::max();
-    for (std::size_t m : members) {
-      const Rect rm = inst[m].boundingBox();
-      Coord limit = baseline;  // furthest left this member may reach
-      for (std::size_t j = 0; j < inst.size(); ++j) {
-        if (done[j] == false || group[j] == group[i]) continue;
-        const Rect rj = inst[j].boundingBox();
-        const bool yOverlap = rj.y0 < rm.y1 + spacing && rm.y0 < rj.y1 + spacing;
-        if (yOverlap) limit = std::max(limit, rj.x1 + spacing);
-      }
-      shift = std::min(shift, rm.x0 - limit);
-    }
-    if (shift == std::numeric_limits<Coord>::max()) shift = 0;
-    shift = std::max<Coord>(shift, 0);
-    for (std::size_t m : members) {
-      inst[m].placement.dx -= shift;
-      done[m] = true;
-    }
-  }
-
-  Rect bb;
-  for (const auto& c : inst) bb = bb.unionWith(c.boundingBox());
-  out.boundingBox = bb;
-  out.wirelength = estimateWirelength(inst);
-  out.overlapFree = !hasOverlaps(inst, spacing);
-  return out;
-}
-
 Placement placeCells(const std::vector<PlacementComponent>& components,
                      const PlacerOptions& opts) {
   AMSYN_SPAN("placement");

@@ -75,13 +75,4 @@ double estimateWirelengthWeighted(const std::vector<geom::CellInstance>& instanc
 /// Do any two instances (inflated by `spacing`) overlap?
 bool hasOverlaps(const std::vector<geom::CellInstance>& instances, geom::Coord spacing);
 
-/// One-dimensional leftward compaction with symmetry groups (the analog
-/// compaction of refs [48,49], simplified to the x axis): instances slide
-/// left in x-order until `spacing` from any earlier instance whose y-span
-/// overlaps; both members of a symmetric pair move by the same amount so
-/// their mirror relation survives.
-layout::Placement compactPlacement(
-    const Placement& placement, geom::Coord spacing,
-    const std::vector<std::pair<std::string, std::string>>& symmetricPairs = {});
-
 }  // namespace amsyn::layout

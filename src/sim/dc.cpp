@@ -183,58 +183,4 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
   return res;
 }
 
-DcTransferResult dcTransfer(const Mna& mna, const std::string& sourceName, double from,
-                            double to, std::size_t points, const std::string& outputNode,
-                            const DcOptions& opts) {
-  if (points < 2) throw std::invalid_argument("dcTransfer: need >= 2 points");
-  // Work on a copy of the netlist so the sweep can modify the source value.
-  Netlist net = mna.netlist();
-  circuit::Device* src = net.findDevice(sourceName);
-  if (!src) throw std::invalid_argument("dcTransfer: no source " + sourceName);
-  const auto outNode = net.findNode(outputNode);
-  if (!outNode) throw std::invalid_argument("dcTransfer: no node " + outputNode);
-
-  DcTransferResult res;
-  res.requested = points;
-  Mna localMna(net, mna.process());
-  num::VecD warm(localMna.size(), 0.0);
-  bool haveWarm = false;
-  for (std::size_t i = 0; i < points; ++i) {
-    const double val = from + (to - from) * static_cast<double>(i) /
-                                  static_cast<double>(points - 1);
-    src->value = val;
-    src->waveform.v1 = val;
-    DcResult r =
-        haveWarm ? dcOperatingPoint(localMna, warm, opts) : dcOperatingPoint(localMna, opts);
-    if (core::isWorkExhaustion(r.status)) {
-      // The remaining points share the same exhausted budget/deadline:
-      // stop instead of charging a failed ladder climb per point.
-      res.skipped += points - i;
-      res.status = r.status;
-      break;
-    }
-    if (!r.converged) {
-      ++res.skipped;
-      continue;
-    }
-    warm = r.x;
-    haveWarm = true;
-    res.curve.emplace_back(val, localMna.nodeVoltage(r.x, *outNode));
-  }
-  return res;
-}
-
-double sourceCurrent(const Mna& mna, const DcResult& op, const std::string& sourceName) {
-  const auto& devs = mna.netlist().devices();
-  for (std::size_t k = 0; k < devs.size(); ++k) {
-    if (devs[k].name != sourceName) continue;
-    if (devs[k].type != circuit::DeviceType::VSource)
-      throw std::invalid_argument("sourceCurrent: " + sourceName + " is not a V source");
-    // Branch current is defined flowing + -> - through the source; the
-    // source *delivers* -i from its + terminal.
-    return -op.x.at(mna.branchIndex(k));
-  }
-  throw std::invalid_argument("sourceCurrent: no device " + sourceName);
-}
-
 }  // namespace amsyn::sim

@@ -1,11 +1,10 @@
-// DC operating-point and DC-transfer analyses: damped Newton-Raphson with
+// DC operating-point analysis: damped Newton-Raphson with
 // gmin stepping and source stepping as continuation fallbacks (the standard
 // SPICE convergence ladder).  Every entry point is total: a failed solve
 // returns a DcResult carrying a core::EvalStatus reason code instead of
 // throwing, so optimization loops treat bad candidates as infeasible data.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/evalstatus.hpp"
@@ -40,7 +39,7 @@ struct DcResult {
 /// Solve for the DC operating point.
 DcResult dcOperatingPoint(const Mna& mna, const DcOptions& opts = {});
 
-/// Solve with a warm start (used by DC sweeps and the sizing loop).
+/// Solve with a warm start (used by the sizing loop).
 DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& opts = {});
 
 /// Starting vector with every node voltage at `nodeVoltage` and all branch
@@ -48,28 +47,5 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
 /// latched DC solution near the rails; starting Newton mid-rail steers it to
 /// the balanced operating point.
 num::VecD flatStart(const Mna& mna, double nodeVoltage);
-
-/// DC-transfer sweep result.  Non-converged sweep points are dropped from
-/// the curve but counted, so consumers (outputSwing, measurement code) can
-/// report "skipped of requested points unconverged" instead of guessing why
-/// the curve is short.
-struct DcTransferResult {
-  std::vector<std::pair<double, double>> curve;  ///< {sweepValue, outputVoltage}
-  std::size_t requested = 0;  ///< points asked for
-  std::size_t skipped = 0;    ///< points dropped for non-convergence
-  /// Ok, or BudgetExhausted when the sweep was cut short by the budget (the
-  /// curve then holds the points solved before exhaustion).
-  core::EvalStatus status = core::EvalStatus::Ok;
-};
-
-/// Sweep the value of a V/I source and record an output node voltage.
-DcTransferResult dcTransfer(const Mna& mna, const std::string& sourceName, double from,
-                            double to, std::size_t points, const std::string& outputNode,
-                            const DcOptions& opts = {});
-
-/// Total current drawn from a DC voltage source at the operating point
-/// (positive = the source delivers current into the circuit from its +
-/// terminal); used for power measurement.
-double sourceCurrent(const Mna& mna, const DcResult& op, const std::string& sourceName);
 
 }  // namespace amsyn::sim

@@ -28,8 +28,7 @@ struct FaultPlan {
   /// Poison the next N DC residual assemblies with a NaN entry (exercises
   /// the NaN guard that bails to the next continuation rung immediately).
   std::uint64_t poisonDcResiduals = 0;
-  /// Force the next N AC/transient LU factorizations to be treated as
-  /// singular.
+  /// Force the next N AC LU factorizations to be treated as singular.
   std::uint64_t failLuFactorizations = 0;
   /// > 0: after N successful budget charges, every further charge reports
   /// exhaustion regardless of the budget's real limit (exercises the
@@ -52,7 +51,7 @@ class FaultInjector {
   // --- hooks consulted by the solvers (each consumes one planned event) ---
   bool takeDcNewtonFailure();   ///< sim/dc.cpp, once per Newton solve call
   bool takeResidualPoison();    ///< sim/dc.cpp, once per residual assembly
-  bool takeLuFailure();         ///< sim/ac.cpp + sim/transient.cpp factorizations
+  bool takeLuFailure();         ///< sim/ac.cpp, once per factorization
   bool takeBudgetExhaustion();  ///< consumeWork(), once per charge
 
  private:

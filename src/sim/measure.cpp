@@ -66,56 +66,6 @@ std::optional<double> bandwidth3dB(const AcSweep& sweep) {
   return std::nullopt;
 }
 
-double gainDbAt(const AcSweep& sweep, double frequency) {
-  if (sweep.points.empty()) throw std::invalid_argument("gainDbAt: empty sweep");
-  if (frequency <= sweep.points.front().frequency) return sweep.magnitudeDb(0);
-  for (std::size_t i = 1; i < sweep.points.size(); ++i) {
-    const double f0 = sweep.points[i - 1].frequency;
-    const double f1 = sweep.points[i].frequency;
-    if (f0 <= frequency && frequency <= f1) {
-      const double t = std::log(frequency / f0) / std::log(f1 / f0);
-      return sweep.magnitudeDb(i - 1) + t * (sweep.magnitudeDb(i) - sweep.magnitudeDb(i - 1));
-    }
-  }
-  return sweep.magnitudeDb(sweep.points.size() - 1);
-}
-
-double maxSlewRate(const std::vector<double>& time, const std::vector<double>& wave) {
-  if (time.size() != wave.size() || time.size() < 2)
-    throw std::invalid_argument("maxSlewRate: bad waveform");
-  double best = 0.0;
-  for (std::size_t i = 1; i < time.size(); ++i) {
-    const double dt = time[i] - time[i - 1];
-    if (dt <= 0) continue;
-    best = std::max(best, std::abs(wave[i] - wave[i - 1]) / dt);
-  }
-  return best;
-}
-
-std::optional<double> settlingTime(const std::vector<double>& time,
-                                   const std::vector<double>& wave, double target,
-                                   double tolerance) {
-  if (time.size() != wave.size()) throw std::invalid_argument("settlingTime: bad waveform");
-  std::optional<double> entered;
-  for (std::size_t i = 0; i < time.size(); ++i) {
-    if (std::abs(wave[i] - target) <= tolerance) {
-      if (!entered) entered = time[i];
-    } else {
-      entered.reset();
-    }
-  }
-  return entered;
-}
-
-double peakTime(const std::vector<double>& time, const std::vector<double>& wave) {
-  if (time.size() != wave.size() || time.empty())
-    throw std::invalid_argument("peakTime: bad waveform");
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < wave.size(); ++i)
-    if (std::abs(wave[i]) > std::abs(wave[best])) best = i;
-  return time[best];
-}
-
 double staticPower(const Mna& mna, const DcResult& op) {
   if (!op.converged) throw std::invalid_argument("staticPower: op not converged");
   double p = 0.0;
@@ -128,85 +78,6 @@ double staticPower(const Mna& mna, const DcResult& op) {
     p += d.value * (-i);
   }
   return std::max(p, 0.0);
-}
-
-std::optional<double> psrrDb(const circuit::Netlist& net, const circuit::Process& proc,
-                             const std::string& outputNode, double frequency,
-                             const std::string& inputSource,
-                             const std::string& supplySource) {
-  auto gainWithStimulusOn = [&](const std::string& hot,
-                                const std::string& cold) -> std::optional<double> {
-    circuit::Netlist n = net;
-    auto* hotDev = n.findDevice(hot);
-    auto* coldDev = n.findDevice(cold);
-    if (!hotDev || !coldDev) return std::nullopt;
-    hotDev->acMag = 1.0;
-    coldDev->acMag = 0.0;
-    Mna mna(n, proc);
-    const auto op = dcOperatingPoint(mna, flatStart(mna, proc.vdd / 2));
-    if (!op.converged) return std::nullopt;
-    return std::abs(acTransfer(mna, op, outputNode, frequency));
-  };
-  const auto aDiff = gainWithStimulusOn(inputSource, supplySource);
-  const auto aSupply = gainWithStimulusOn(supplySource, inputSource);
-  // acTransfer reports a failed solve as NaN; treat it as "not measurable".
-  if (!aDiff || !aSupply || !std::isfinite(*aDiff) || !std::isfinite(*aSupply) ||
-      *aSupply <= 0.0)
-    return std::nullopt;
-  return 20.0 * std::log10(*aDiff / *aSupply);
-}
-
-std::string SwingResult::describe() const {
-  if (valid) return "swing [" + std::to_string(low) + ", " + std::to_string(high) + "] V";
-  return "no swing: " + std::to_string(unconvergedPoints) + " of " +
-         std::to_string(requestedPoints) + " sweep points unconverged";
-}
-
-SwingResult outputSwing(const DcTransferResult& transfer, double gainFraction) {
-  if (transfer.curve.size() < 3) {
-    SwingResult res;
-    res.valid = false;
-    res.unconvergedPoints = transfer.skipped;
-    res.requestedPoints = transfer.requested;
-    return res;
-  }
-  SwingResult res = outputSwing(transfer.curve, gainFraction);
-  res.unconvergedPoints = transfer.skipped;
-  res.requestedPoints = transfer.requested;
-  return res;
-}
-
-SwingResult outputSwing(const std::vector<std::pair<double, double>>& transfer,
-                        double gainFraction) {
-  if (transfer.size() < 3) throw std::invalid_argument("outputSwing: need a transfer curve");
-  // Incremental gain along the curve.
-  std::vector<double> gain(transfer.size(), 0.0);
-  double peak = 0.0;
-  for (std::size_t i = 1; i < transfer.size(); ++i) {
-    const double dx = transfer[i].first - transfer[i - 1].first;
-    if (dx == 0) continue;
-    gain[i] = std::abs((transfer[i].second - transfer[i - 1].second) / dx);
-    peak = std::max(peak, gain[i]);
-  }
-  const double thresh = gainFraction * peak;
-  SwingResult res;
-  res.low = res.high = transfer.front().second;
-  bool any = false;
-  for (std::size_t i = 1; i < transfer.size(); ++i) {
-    if (gain[i] >= thresh) {
-      const double lo = std::min(transfer[i - 1].second, transfer[i].second);
-      const double hi = std::max(transfer[i - 1].second, transfer[i].second);
-      if (!any) {
-        res.low = lo;
-        res.high = hi;
-        any = true;
-      } else {
-        res.low = std::min(res.low, lo);
-        res.high = std::max(res.high, hi);
-      }
-    }
-  }
-  return res;
 }
 
 }  // namespace amsyn::sim

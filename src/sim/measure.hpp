@@ -1,16 +1,14 @@
 // Performance extraction from analysis results — the bridge between raw
-// simulation and the specification-driven synthesis loop.  These are the
-// measurements every surveyed sizing tool optimizes: gain, unity-gain
-// frequency, phase margin, bandwidth, slew rate, settling, power, swing.
+// simulation and the specification-driven synthesis loop: gain, unity-gain
+// frequency, phase margin, bandwidth and static power.  Slew and swing are
+// estimated from the operating point (sizing/simmodel.cpp), not measured
+// on a large-signal analysis.
 #pragma once
 
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
-#include "sim/transient.hpp"
 
 namespace amsyn::sim {
 
@@ -27,55 +25,7 @@ std::optional<double> phaseMarginDeg(const AcSweep& sweep);
 /// -3 dB bandwidth relative to the dc gain; nullopt if not reached.
 std::optional<double> bandwidth3dB(const AcSweep& sweep);
 
-/// Gain at a specific frequency (dB), log-interpolated on the sweep grid.
-double gainDbAt(const AcSweep& sweep, double frequency);
-
-/// Maximum |dv/dt| over a waveform (V/s) — slew-rate measurement on a
-/// large-signal step response.
-double maxSlewRate(const std::vector<double>& time, const std::vector<double>& wave);
-
-/// Time at which the waveform enters and stays inside target +/- tolerance.
-std::optional<double> settlingTime(const std::vector<double>& time,
-                                   const std::vector<double>& wave, double target,
-                                   double tolerance);
-
-/// Time of the waveform's peak value (pulse-shaping "peaking time").
-double peakTime(const std::vector<double>& time, const std::vector<double>& wave);
-
 /// Static power drawn from all DC voltage sources (W).
 double staticPower(const Mna& mna, const DcResult& op);
-
-/// Output swing: the span of output voltages over a DC-transfer sweep where
-/// the incremental gain exceeds `gainFraction` of its peak.
-struct SwingResult {
-  double low = 0.0;
-  double high = 0.0;
-  /// False when the transfer curve had too few converged points to measure
-  /// a swing; `low`/`high` are then meaningless and `describe()` explains
-  /// how much of the sweep was lost.
-  bool valid = true;
-  std::size_t unconvergedPoints = 0;  ///< sweep points dropped by dcTransfer
-  std::size_t requestedPoints = 0;    ///< sweep points asked for
-
-  /// "N of M sweep points unconverged" style diagnostic for reports.
-  std::string describe() const;
-};
-SwingResult outputSwing(const std::vector<std::pair<double, double>>& transfer,
-                        double gainFraction = 0.25);
-
-/// Swing from a DcTransferResult: never throws — an unusable curve (fewer
-/// than 3 converged points) yields {valid: false} carrying the
-/// skipped/requested counts so callers report "N of M points unconverged"
-/// instead of dying on a bare exception.
-SwingResult outputSwing(const DcTransferResult& transfer, double gainFraction = 0.25);
-
-/// Power-supply rejection ratio at `frequency` (dB): differential gain from
-/// the source named `inputSource` over the gain from the source named
-/// `supplySource` to the output.  Runs two AC analyses on copies of the
-/// netlist with the AC stimulus moved between the two sources.
-std::optional<double> psrrDb(const circuit::Netlist& net, const circuit::Process& proc,
-                             const std::string& outputNode, double frequency,
-                             const std::string& inputSource = "VINP",
-                             const std::string& supplySource = "VDD");
 
 }  // namespace amsyn::sim

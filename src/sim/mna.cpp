@@ -86,7 +86,6 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
     if (jacobian) (*jacobian)(row, col) += val;
   };
 
-  const bool transient = opt.time >= 0.0;
   const double vtherm = proc_.kT() / 1.602176634e-19;
 
   for (std::size_t k = 0; k < net_.devices().size(); ++k) {
@@ -102,31 +101,8 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
         addJ(b, b, g); addJ(b, a, -g);
         break;
       }
-      case DeviceType::Capacitor: {
-        if (!transient) break;  // open at DC
-        const NodeId a = d.nodes[0], b = d.nodes[1];
-        // Companion states are keyed by (deviceIndex << 3) | slot; plain
-        // capacitors use slot 7, inductors slot 6, MOS caps slots 0-4.
-        const std::size_t key = (k << 3) | 7;
-        const CompanionState st =
-            opt.companions && opt.companions->count(key) ? opt.companions->at(key)
-                                                         : CompanionState{};
-        const double h = opt.timestep;
-        const double vNow = v(a) - v(b);
-        double geq, i;
-        if (opt.trapezoidal) {
-          geq = 2.0 * d.value / h;
-          i = geq * (vNow - st.prevV) - st.prevI;
-        } else {
-          geq = d.value / h;
-          i = geq * (vNow - st.prevV);
-        }
-        addF(a, i);
-        addF(b, -i);
-        addJ(a, a, geq); addJ(a, b, -geq);
-        addJ(b, b, geq); addJ(b, a, -geq);
-        break;
-      }
+      case DeviceType::Capacitor:
+        break;  // open at DC
       case DeviceType::Inductor: {
         const NodeId a = d.nodes[0], b = d.nodes[1];
         const std::size_t br = branchOfDevice_[k];
@@ -135,25 +111,10 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
         addF(b, -i);
         addJNodeRow(a, br, 1.0);
         addJNodeRow(b, br, -1.0);
-        // Branch equation.
-        if (!transient) {
-          addFRow(br, v(a) - v(b));  // short at DC
-          addJRowNode(br, a, 1.0);
-          addJRowNode(br, b, -1.0);
-        } else {
-          const std::size_t key = (k << 3) | 6;
-          const CompanionState st =
-              opt.companions && opt.companions->count(key) ? opt.companions->at(key)
-                                                           : CompanionState{};
-          const double h = opt.timestep;
-          // BE: v = (L/h)(i - iPrev);  trap: v = (2L/h)(i - iPrev) - vPrev.
-          const double req = (opt.trapezoidal ? 2.0 : 1.0) * d.value / h;
-          const double extra = opt.trapezoidal ? -st.prevI : 0.0;  // prevI stores prev voltage
-          addFRow(br, v(a) - v(b) - req * (x[br] - st.prevV) - extra);
-          addJRowNode(br, a, 1.0);
-          addJRowNode(br, b, -1.0);
-          addJRaw(br, br, -req);
-        }
+        // Branch equation: a short at DC.
+        addFRow(br, v(a) - v(b));
+        addJRowNode(br, a, 1.0);
+        addJRowNode(br, b, -1.0);
         break;
       }
       case DeviceType::VSource: {
@@ -163,7 +124,7 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
         addF(m, -x[br]);
         addJNodeRow(p, br, 1.0);
         addJNodeRow(m, br, -1.0);
-        const double val = transient ? d.waveform.at(opt.time) : d.value * opt.sourceScale;
+        const double val = d.value * opt.sourceScale;
         addFRow(br, v(p) - v(m) - val);
         addJRowNode(br, p, 1.0);
         addJRowNode(br, m, -1.0);
@@ -171,7 +132,7 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
       }
       case DeviceType::ISource: {
         const NodeId from = d.nodes[0], to = d.nodes[1];
-        const double val = transient ? d.waveform.at(opt.time) : d.value * opt.sourceScale;
+        const double val = d.value * opt.sourceScale;
         addF(from, val);
         addF(to, -val);
         break;
@@ -234,35 +195,6 @@ void Mna::assemble(const num::VecD& x, const AssemblyOptions& opt, num::MatrixD*
             addJ(nd, terms[t], didv);
             addJ(ns, terms[t], -didv);
           }
-        }
-        // Transient: intrinsic/junction caps as linear companions evaluated
-        // at the present iterate (Meyer-style; charge errors are second order
-        // in the step size and acceptable at level-1 accuracy).
-        if (transient && opt.companions) {
-          auto stampCap = [&](NodeId ca, NodeId cb, double cap, std::size_t slot) {
-            const std::size_t key = (k << 3) | slot;
-            const CompanionState st =
-                opt.companions->count(key) ? opt.companions->at(key) : CompanionState{};
-            const double h = opt.timestep;
-            const double vNow = v(ca) - v(cb);
-            double geq, i;
-            if (opt.trapezoidal) {
-              geq = 2.0 * cap / h;
-              i = geq * (vNow - st.prevV) - st.prevI;
-            } else {
-              geq = cap / h;
-              i = geq * (vNow - st.prevV);
-            }
-            addF(ca, i);
-            addF(cb, -i);
-            addJ(ca, ca, geq); addJ(ca, cb, -geq);
-            addJ(cb, cb, geq); addJ(cb, ca, -geq);
-          };
-          stampCap(ng, ns, op.cgs, 0);
-          stampCap(ng, nd, op.cgd, 1);
-          stampCap(ng, nb, op.cgb, 2);
-          stampCap(nd, nb, op.cdb, 3);
-          stampCap(ns, nb, op.csb, 4);
         }
         break;
       }

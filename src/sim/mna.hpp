@@ -4,12 +4,11 @@
 // (V source, VCVS, inductor) contributes one branch-current unknown.
 //
 // One assembler serves every analysis: the DC Newton iteration asks for the
-// nonlinear residual f(x) and Jacobian J(x); the AC/noise/AWE analyses ask
-// for the linearized (G, C, b) triple at an operating point; the transient
-// loop asks for residuals with capacitor/inductor companion models folded in.
+// nonlinear residual f(x) and Jacobian J(x), with capacitors open and
+// inductors shorted; the AC/noise/AWE analyses ask for the linearized
+// (G, C, b) triple at an operating point.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,20 +21,9 @@ namespace amsyn::sim {
 using circuit::Netlist;
 using circuit::Process;
 
-/// Companion-model state for one energy-storage element during transient.
-struct CompanionState {
-  double prevV = 0.0;  ///< capacitor voltage / inductor current at t_{n}
-  double prevI = 0.0;  ///< element current (cap) or voltage (ind) at t_{n}
-};
-
 struct AssemblyOptions {
   double sourceScale = 1.0;  ///< scales independent sources (source stepping)
   double gmin = 0.0;         ///< conductance from every node to ground
-  double time = -1.0;        ///< >= 0: transient mode, sources follow waveforms
-  double timestep = 0.0;     ///< companion-model step (transient only)
-  bool trapezoidal = false;  ///< trapezoidal vs backward-Euler companions
-  /// Storage-element states keyed by device index (transient only).
-  const std::map<std::size_t, CompanionState>* companions = nullptr;
 };
 
 class Mna {

@@ -1,9 +1,9 @@
 // Observability counters for the analyses in this module — thin recording
 // shims over the process-wide metrics registry (core/metrics.hpp).
 //
-// Linear-solver traffic: AC and transient sweeps cache their LU
-// factorization and re-factor only when the matrix values change
-// (sim/ac.cpp, sim/transient.cpp).  The counters live in the registry as
+// Linear-solver traffic: AC sweeps and noise analyses cache their LU
+// factorization and re-factor only when the frequency changes
+// (sim/ac.cpp).  The counters live in the registry as
 // "sim.lu_factorizations" / "sim.lu_reuses", sharded per thread: the
 // recording hot path is lock-free, and aggregation sums every thread's
 // shard, so traffic recorded on a pool worker reaches the run totals.

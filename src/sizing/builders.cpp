@@ -24,14 +24,4 @@ const NetlistBuilder* NetlistBuilderRegistry::find(const std::string& topology) 
   return it == builders_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> NetlistBuilderRegistry::topologies() const {
-  std::vector<std::string> names;
-  names.reserve(builders_.size());
-  for (const auto& [name, builder] : builders_) {
-    (void)builder;
-    names.push_back(name);
-  }
-  return names;
-}
-
 }  // namespace amsyn::sizing

@@ -39,9 +39,6 @@ class NetlistBuilderRegistry {
   /// Builder for `topology`, or nullptr when none is registered.
   const NetlistBuilder* find(const std::string& topology) const;
 
-  /// Registered topology names, sorted.
-  std::vector<std::string> topologies() const;
-
  private:
   NetlistBuilderRegistry();
   std::map<std::string, NetlistBuilder> builders_;

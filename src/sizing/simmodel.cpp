@@ -8,7 +8,6 @@
 #include "sim/measure.hpp"
 #include "sim/noise.hpp"
 #include "sim/stats.hpp"
-#include "sim/transient.hpp"
 
 namespace amsyn::sizing {
 
@@ -41,7 +40,6 @@ std::optional<core::cache::Digest128> SimulationModel::cacheKey(
   h.mix(opts_.pointsPerDecade);
   h.mix(opts_.measureNoise ? 1u : 0u);
   h.mixDouble(opts_.noiseSpotFrequency);
-  h.mix(opts_.measureSlewTransient ? 1u : 0u);
   h.mix(opts_.outputMustBeInterior ? 1u : 0u);
   h.mixDouble(opts_.interiorMargin);
   h.mix(opts_.workBudget);
@@ -65,7 +63,7 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
   }
 
   // One deterministic work budget funds every analysis of this evaluation
-  // (Newton iterations in DC/transient, solves per AC/noise frequency);
+  // (Newton iterations in DC, solves per AC/noise frequency);
   // the job deadline, when armed, rides on the same budget.
   core::EvalBudget budget(opts_.workBudget, opts_.cancel);
   if (opts_.deadlineNs != 0) budget.setDeadlineNs(opts_.deadlineNs);
@@ -130,50 +128,14 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
       perf["noise_nv"] = std::sqrt(nz.points.at(0).inputReferredPsd) * 1e9;
     }
 
-    // Slew rate: either a (slow) transient measurement or the classic
-    // tail-current estimate from the operating point.
-    if (opts_.measureSlewTransient) {
-      circuit::Netlist tnet = tmpl_.build(x);
-      if (auto* vin = tnet.findDevice("VINP")) {
-        vin->waveform.kind = circuit::Waveform::Kind::Pulse;
-        vin->waveform.v1 = vin->value - 0.5;
-        vin->waveform.v2 = vin->value + 0.5;
-        vin->waveform.delay = 1e-7;
-        vin->waveform.rise = 1e-9;
-        vin->waveform.width = 1.0;
-        vin->waveform.period = 2.0;
-        sim::Mna tmna(tnet, proc_);
-        const auto top = sim::dcOperatingPoint(tmna, dopts);
-        if (core::isWorkExhaustion(top.status)) {
-          markInfeasible(perf, top.status);
-          return perf;
-        }
-        if (top.converged) {
-          sim::TransientOptions topts;
-          topts.tStop = 2e-6;
-          topts.tStep = 2e-9;
-          topts.budget = &budget;
-          const auto tr = sim::transientAnalysis(tmna, top, topts);
-          if (core::isWorkExhaustion(tr.status)) {
-            // A runaway transient degrades to budget_exhausted, keeping the
-            // DC/AC measurements already made as partial results.
-            markInfeasible(perf, tr.status);
-            return perf;
-          }
-          if (tr.completed)
-            perf["slew"] =
-                sim::maxSlewRate(tr.time, tr.nodeWaveform(tmna, tmpl_.outputNode));
-        }
-      }
-    } else {
-      // I(tail) / Cc estimate when the template exposes them.
-      double itail = 0.0, cc = 0.0;
-      for (const auto& [name, mop] : ops)
-        if (name == "M5") itail = std::abs(mop.ids);
-      for (const auto& d : net.devices())
-        if (d.name == "CC") cc = d.value;
-      if (itail > 0 && cc > 0) perf["slew"] = itail / cc;
-    }
+    // Slew rate: the classic tail-current estimate I(tail) / Cc from the
+    // operating point, when the template exposes them.
+    double itail = 0.0, cc = 0.0;
+    for (const auto& [name, mop] : ops)
+      if (name == "M5") itail = std::abs(mop.ids);
+    for (const auto& d : net.devices())
+      if (d.name == "CC") cc = d.value;
+    if (itail > 0 && cc > 0) perf["slew"] = itail / cc;
   } catch (...) {
     // Anything the analyses threw (bad node names from a malformed template,
     // allocation failure, ...) is contained at this boundary; bad_alloc is

@@ -1,7 +1,9 @@
 // Simulation-based performance evaluation (FRIDGE [22] style): every
 // optimizer iteration builds the netlist from the design vector and runs the
-// full simulator — DC operating point, AC sweep, noise, and (optionally)
-// large-signal transient for slew.  Orders of magnitude slower per iteration
+// simulator — DC operating point, AC sweep and noise.  Slew and swing are
+// read off the operating point (tail current over Cc, output-stage
+// overdrives), the same closed forms an equation model uses, so no
+// large-signal analysis runs.  Orders of magnitude slower per iteration
 // than the equation models (bench/bench_claim_eval_speed quantifies this),
 // but introduces no modeling error and makes new circuit schematics cheap to
 // bring up: exactly the trade the paper describes in section 2.2.
@@ -23,7 +25,6 @@ struct SimModelOptions {
   std::size_t pointsPerDecade = 6;
   bool measureNoise = true;
   double noiseSpotFrequency = 1e4;  ///< Hz for the "noise_nv" spot value
-  bool measureSlewTransient = false;  ///< run a step-response transient (slow)
   /// Declare the design infeasible when the DC output sits at a supply rail
   /// (the latched solution of a feedback-biased open-loop bench).
   bool outputMustBeInterior = true;
@@ -64,7 +65,7 @@ class SimulationModel : public PerformanceModel {
   }
 
   /// Performances: gain_db, ugf, pm, power, noise_nv (when enabled), swing,
-  /// area (gate area), slew (when transient enabled).  Total: a failed
+  /// area (gate area), slew (I(M5) / Cc).  Total: a failed
   /// analysis reports {"_infeasible": 1, "_status": <reason>} (see
   /// kEvalStatusKey) with whatever it could compute, and an exception
   /// anywhere inside becomes bad_topology (netlist construction) or

@@ -44,29 +44,6 @@ TEST(Netlist, DevicesOnNode) {
   EXPECT_EQ(onB.size(), 2u);
 }
 
-TEST(Waveform, PulseShape) {
-  ckt::Waveform w;
-  w.kind = ckt::Waveform::Kind::Pulse;
-  w.v1 = 0.0; w.v2 = 5.0;
-  w.delay = 1e-9; w.rise = 1e-9; w.fall = 1e-9; w.width = 5e-9; w.period = 20e-9;
-  EXPECT_DOUBLE_EQ(w.at(0.0), 0.0);
-  EXPECT_NEAR(w.at(1.5e-9), 2.5, 1e-6);   // mid-rise
-  EXPECT_DOUBLE_EQ(w.at(4e-9), 5.0);      // plateau
-  EXPECT_NEAR(w.at(7.5e-9), 2.5, 1e-6);   // mid-fall
-  EXPECT_DOUBLE_EQ(w.at(15e-9), 0.0);     // back low
-  EXPECT_NEAR(w.at(21.5e-9), 2.5, 1e-6);  // periodic repeat
-}
-
-TEST(Waveform, PiecewiseLinear) {
-  ckt::Waveform w;
-  w.kind = ckt::Waveform::Kind::PiecewiseLinear;
-  w.points = {{0.0, 0.0}, {1.0, 2.0}, {3.0, 2.0}};
-  EXPECT_DOUBLE_EQ(w.at(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(w.at(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(w.at(2.0), 2.0);
-  EXPECT_DOUBLE_EQ(w.at(9.0), 2.0);
-}
-
 TEST(ParseValue, EngineeringSuffixes) {
   EXPECT_DOUBLE_EQ(ckt::parseValue("1.5k"), 1500.0);
   EXPECT_DOUBLE_EQ(ckt::parseValue("10u"), 10e-6);

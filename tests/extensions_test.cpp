@@ -75,7 +75,7 @@ TEST(DesignDatabase, WarmStartReusesAndStores) {
   EXPECT_LT(r2.performance.at("power"), r1.performance.at("power") * 4.0);
 }
 
-// ----------------------------------------------------------------- compaction
+// ---------------------------------------------------- performance-driven nets
 
 namespace {
 layout::Placement spreadRow(geom::Coord gap) {
@@ -104,38 +104,6 @@ layout::Placement spreadRow(geom::Coord gap) {
   return p;
 }
 }  // namespace
-
-TEST(Compaction, RemovesSlackWithoutOverlaps) {
-  const auto loose = spreadRow(400);
-  const auto tight = layout::compactPlacement(loose, 12);
-  EXPECT_TRUE(tight.overlapFree);
-  EXPECT_LT(tight.boundingBox.width(), loose.boundingBox.width() / 2);
-}
-
-TEST(Compaction, AlreadyCompactIsStable) {
-  const auto snug = spreadRow(12);
-  const auto again = layout::compactPlacement(snug, 12);
-  EXPECT_TRUE(again.overlapFree);
-  EXPECT_EQ(again.boundingBox.width(), snug.boundingBox.width());
-}
-
-TEST(Compaction, SymmetricPairMovesRigidly) {
-  auto loose = spreadRow(300);
-  const geom::Coord beforeGap = loose.instances[2].boundingBox().x0 -
-                                loose.instances[1].boundingBox().x1;
-  (void)beforeGap;
-  const auto compacted =
-      layout::compactPlacement(loose, 12, {{"M1", "M2"}});
-  // M1 and M2 must have moved by the same amount.
-  const geom::Coord d1 = loose.instances[1].boundingBox().x0 -
-                         compacted.instances[1].boundingBox().x0;
-  const geom::Coord d2 = loose.instances[2].boundingBox().x0 -
-                         compacted.instances[2].boundingBox().x0;
-  EXPECT_EQ(d1, d2);
-  EXPECT_TRUE(compacted.overlapFree);
-}
-
-// ---------------------------------------------------- performance-driven nets
 
 TEST(PerfDrivenPlacement, WeightedWirelengthRespondsToWeights) {
   const auto p = spreadRow(100);
@@ -220,24 +188,6 @@ TEST(Drc, DifferentLayersDoNotInteract) {
   l.wires.push_back({geom::Layer::Metal1, {0, 0, 100, 12}, "a"});
   l.wires.push_back({geom::Layer::Metal2, {0, 2, 100, 14}, "b"});
   EXPECT_TRUE(layout::checkDesignRules(l, proc()).empty());
-}
-
-// --------------------------------------------------------------------- PSRR
-
-TEST(Psrr, OpampRejectsSupplyNoise) {
-  const auto net = sizing::buildTwoStageOpamp(sizing::TwoStageParams{}, proc(), {});
-  const auto psrr = sim::psrrDb(net, proc(), "out", 100.0);
-  ASSERT_TRUE(psrr.has_value());
-  // A two-stage opamp has meaningful low-frequency PSRR.
-  EXPECT_GT(*psrr, 20.0);
-}
-
-TEST(Psrr, MissingSourceReportsNothing) {
-  circuit::Netlist net;
-  net.addVSource("V1", "in", "0", 1.0, 1.0);
-  net.addResistor("R1", "in", "out", 1e3);
-  net.addResistor("R2", "out", "0", 1e3);
-  EXPECT_FALSE(sim::psrrDb(net, proc(), "out", 1e3).has_value());
 }
 
 // --------------------------------------------------------- symbolic poles

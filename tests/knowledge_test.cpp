@@ -142,28 +142,6 @@ TEST(TwoStagePlan, RespectsPowerBudgetByShavingMargin) {
   EXPECT_LE(tight.context.get("power.achieved"), loosePower * 0.9 + 1e-9);
 }
 
-TEST(OtaPlan, ProducesVerifiableDesign) {
-  const auto plan = kn::otaPlan();
-  const auto res = plan.execute(proc(), {{"spec.gain_db", 38.0},
-                                         {"spec.ugf", 2e7},
-                                         {"spec.slew", 1e7},
-                                         {"spec.cload", 2e-12}});
-  ASSERT_TRUE(res.success);
-  const sz::ComposedOpampModel model(sz::OpampStructure::legacyOta(), proc(), 2e-12);
-  const auto perf = model.evaluate(kn::extractOtaDesign(res.context));
-  EXPECT_GE(perf.at("gain_db"), 38.0 - 0.5);
-  EXPECT_GE(perf.at("ugf"), 2e7 * 0.99);
-}
-
-TEST(OtaPlan, RejectsUnreachableGain) {
-  const auto plan = kn::otaPlan();
-  const auto res = plan.execute(proc(), {{"spec.gain_db", 90.0},
-                                         {"spec.ugf", 1e6},
-                                         {"spec.slew", 1e6},
-                                         {"spec.cload", 2e-12}});
-  EXPECT_FALSE(res.success);  // single stage can never reach 90 dB here
-}
-
 TEST(PlanVsOptimization, PlanIsDramaticallyCheaper) {
   // The Fig. 1 contrast in miniature: the plan does a handful of formula
   // evaluations; the optimizer needs hundreds of model calls.

@@ -24,7 +24,6 @@
 #include "sim/measure.hpp"
 #include "sim/mna.hpp"
 #include "sim/stats.hpp"
-#include "sim/transient.hpp"
 #include "sizing/cost.hpp"
 #include "sizing/simmodel.hpp"
 #include "topology/genetic.hpp"
@@ -292,29 +291,6 @@ TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
   EXPECT_EQ(again.used(), budget.used());
 }
 
-TEST(WorkBudget, TransientReturnsPartialWaveformOnExhaustion) {
-  auto net = rcDeck();
-  sim::Mna mna(net, proc());
-  const auto op = sim::dcOperatingPoint(mna);
-  ASSERT_TRUE(op.converged);
-
-  sim::TransientOptions full;
-  full.tStop = 1e-6;
-  full.tStep = 1e-8;
-  const auto complete = sim::transientAnalysis(mna, op, full);
-  ASSERT_TRUE(complete.completed);
-  EXPECT_EQ(complete.status, EvalStatus::Ok);
-
-  core::EvalBudget budget(20);
-  sim::TransientOptions limited = full;
-  limited.budget = &budget;
-  const auto partial = sim::transientAnalysis(mna, op, limited);
-  EXPECT_FALSE(partial.completed);
-  EXPECT_EQ(partial.status, EvalStatus::BudgetExhausted);
-  EXPECT_GT(partial.time.size(), 0u);  // partial results survive
-  EXPECT_LT(partial.time.size(), complete.time.size());
-}
-
 TEST(WorkBudget, SimulationModelReportsBudgetExhausted) {
   SliceProbe slice;
   sizing::OpampTestbench tb;
@@ -342,55 +318,6 @@ TEST(WorkBudget, CooperativeCancelDegradesToBudgetExhausted) {
   const auto perf = model.evaluate(model.initialPoint());
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::BudgetExhausted);
-}
-
-// --- DC transfer sweep accounting -----------------------------------------
-
-TEST(DcTransfer, SkippedPointsAreCountedNotDropped) {
-  auto net = inverterDeck();
-  sim::Mna mna(net, proc());
-
-  // Three injected Newton failures = exactly one fully failed ladder climb:
-  // the first sweep point is unconverged, all others solve normally.
-  sim::FaultPlan plan;
-  plan.failDcNewtonSolves = 3;
-  sim::ScopedFaultInjection inject(plan);
-  const auto res = sim::dcTransfer(mna, "VG", 0.0, 5.0, 11, "out");
-  EXPECT_EQ(res.requested, 11u);
-  EXPECT_EQ(res.skipped, 1u);
-  EXPECT_EQ(res.curve.size(), 10u);
-  EXPECT_EQ(res.status, EvalStatus::Ok);  // sweep itself finished
-}
-
-TEST(DcTransfer, BudgetExhaustionStopsSweepWithStatus) {
-  auto net = inverterDeck();
-  sim::Mna mna(net, proc());
-
-  core::EvalBudget budget(30);  // enough for the first few points only
-  sim::DcOptions opts;
-  opts.budget = &budget;
-  const auto res = sim::dcTransfer(mna, "VG", 0.0, 5.0, 21, "out", opts);
-  EXPECT_EQ(res.status, EvalStatus::BudgetExhausted);
-  EXPECT_GT(res.skipped, 0u);
-  EXPECT_EQ(res.curve.size() + res.skipped, res.requested);
-}
-
-TEST(DcTransfer, OutputSwingReportsUnconvergedPoints) {
-  auto net = inverterDeck();
-  sim::Mna mna(net, proc());
-
-  // Kill every ladder climb: 5 points x 3 rungs = 15 injected failures.
-  sim::FaultPlan plan;
-  plan.failDcNewtonSolves = 15;
-  sim::ScopedFaultInjection inject(plan);
-  const auto res = sim::dcTransfer(mna, "VG", 0.0, 5.0, 5, "out");
-  EXPECT_EQ(res.skipped, 5u);
-
-  const auto swing = sim::outputSwing(res);  // must not throw
-  EXPECT_FALSE(swing.valid);
-  EXPECT_EQ(swing.unconvergedPoints, 5u);
-  EXPECT_EQ(swing.requestedPoints, 5u);
-  EXPECT_NE(swing.describe().find("5 of 5 sweep points unconverged"), std::string::npos);
 }
 
 // --- AC under injected faults ---------------------------------------------

@@ -9,7 +9,6 @@
 #include "sim/measure.hpp"
 #include "sim/mna.hpp"
 #include "sim/noise.hpp"
-#include "sim/transient.hpp"
 
 namespace ckt = amsyn::circuit;
 namespace sim = amsyn::sim;
@@ -145,27 +144,6 @@ TEST(Dc, MosCurrentMirrorCopies) {
   EXPECT_NEAR(iOut, 50e-6, 8e-6);
 }
 
-TEST(Dc, DcTransferSweepMonotoneInverter) {
-  auto net = ckt::parseDeck(R"(
-V1 vdd 0 DC 5
-VG g 0 DC 0
-R1 vdd out 10k
-M1 out g 0 0 NMOS W=20u L=1u
-.end)");
-  sim::Mna mna(net, proc());
-  const auto transfer = sim::dcTransfer(mna, "VG", 0.0, 5.0, 26, "out");
-  const auto& curve = transfer.curve;
-  EXPECT_EQ(transfer.requested, 26u);
-  EXPECT_EQ(transfer.skipped, 0u);
-  EXPECT_EQ(transfer.status, amsyn::core::EvalStatus::Ok);
-  ASSERT_GE(curve.size(), 20u);
-  // Monotone non-increasing.
-  for (std::size_t i = 1; i < curve.size(); ++i)
-    EXPECT_LE(curve[i].second, curve[i - 1].second + 1e-6);
-  EXPECT_GT(curve.front().second, 4.9);
-  EXPECT_LT(curve.back().second, 0.5);
-}
-
 TEST(Ac, RcLowpassPole) {
   auto net = ckt::parseDeck(R"(
 V1 in 0 DC 0 AC 1
@@ -266,99 +244,6 @@ R2 out 0 1k
   EXPECT_EQ(slice["sim.lu_reuses"], 3u);
 }
 
-TEST(Transient, RcChargesExponentially) {
-  ckt::Netlist net;
-  auto& v = net.addVSource("V1", "in", "0", 0.0);
-  v.waveform.kind = ckt::Waveform::Kind::Pulse;
-  v.waveform.v1 = 0.0;
-  v.waveform.v2 = 1.0;
-  v.waveform.delay = 0.0;
-  v.waveform.rise = 1e-12;
-  v.waveform.width = 1.0;  // effectively a step
-  v.waveform.period = 2.0;
-  net.addResistor("R1", "in", "out", 1e3);
-  net.addCapacitor("C1", "out", "0", 1e-9);
-  sim::Mna mna(net, proc());
-  const auto op = sim::dcOperatingPoint(mna);
-  ASSERT_TRUE(op.converged);
-  sim::TransientOptions topts;
-  topts.tStop = 5e-6;
-  topts.tStep = 10e-9;
-  const auto tr = sim::transientAnalysis(mna, op, topts);
-  ASSERT_TRUE(tr.completed);
-  const auto wave = tr.nodeWaveform(mna, "out");
-  // After 1 tau (1 us): 63.2%; after 5 tau: ~99.3%.
-  std::size_t i1 = 0, i5 = tr.time.size() - 1;
-  for (std::size_t i = 0; i < tr.time.size(); ++i)
-    if (tr.time[i] <= 1e-6) i1 = i;
-  EXPECT_NEAR(wave[i1], 0.632, 0.01);
-  EXPECT_NEAR(wave[i5], 0.993, 0.01);
-}
-
-TEST(Transient, LinearFixedStepSweepFactorsJacobianTwice) {
-  // A linear circuit on a fixed timestep assembles the identical Jacobian at
-  // every Newton iteration of every step: the companion conductances depend
-  // only on (h, method).  Expect exactly two factorizations — backward Euler
-  // on the first step, trapezoidal thereafter — and reuse everywhere else.
-  ckt::Netlist net;
-  auto& v = net.addVSource("V1", "in", "0", 0.0);
-  v.waveform.kind = ckt::Waveform::Kind::Pulse;
-  v.waveform.v1 = 0.0;
-  v.waveform.v2 = 1.0;
-  v.waveform.rise = 1e-12;
-  v.waveform.width = 1.0;
-  v.waveform.period = 2.0;
-  net.addResistor("R1", "in", "out", 1e3);
-  net.addCapacitor("C1", "out", "0", 1e-9);
-  sim::Mna mna(net, proc());
-  const auto op = sim::dcOperatingPoint(mna);
-  ASSERT_TRUE(op.converged);
-  sim::TransientOptions topts;
-  topts.tStop = 5e-6;
-  topts.tStep = 10e-9;
-  SliceProbe slice;
-  const auto tr = sim::transientAnalysis(mna, op, topts);
-  ASSERT_TRUE(tr.completed);
-  ASSERT_GE(tr.time.size(), 500u);
-  EXPECT_EQ(slice["sim.lu_factorizations"], 2u);
-  EXPECT_GE(slice["sim.lu_reuses"], 500u);
-}
-
-TEST(Transient, LcOscillationPreservesAmplitude) {
-  // LC tank started from a charged cap; trapezoidal integration should not
-  // bleed energy over a few cycles.
-  ckt::Netlist net;
-  net.addCapacitor("C1", "osc", "0", 1e-9);
-  net.addInductor("L1", "osc", "0", 1e-6);
-  net.addResistor("Rbig", "osc", "0", 1e9);  // dc path
-  auto& src = net.addISource("I1", "0", "osc", 0.0);
-  src.waveform.kind = ckt::Waveform::Kind::Pulse;
-  src.waveform.v1 = 0.0;
-  src.waveform.v2 = 1e-3;
-  src.waveform.delay = 0;
-  src.waveform.rise = 1e-12;
-  src.waveform.width = 50e-9;  // current kick, then free oscillation
-  src.waveform.fall = 1e-12;
-  src.waveform.period = 1.0;
-  sim::Mna mna(net, proc());
-  const auto op = sim::dcOperatingPoint(mna);
-  ASSERT_TRUE(op.converged);
-  sim::TransientOptions topts;
-  topts.tStop = 1e-6;
-  topts.tStep = 1e-9;
-  const auto tr = sim::transientAnalysis(mna, op, topts);
-  ASSERT_TRUE(tr.completed);
-  const auto wave = tr.nodeWaveform(mna, "osc");
-  // Peak in the first half vs the second half should be within 10%.
-  double peakA = 0, peakB = 0;
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    if (tr.time[i] < 0.5e-6) peakA = std::max(peakA, std::abs(wave[i]));
-    else peakB = std::max(peakB, std::abs(wave[i]));
-  }
-  EXPECT_GT(peakA, 0.0);
-  EXPECT_NEAR(peakB / peakA, 1.0, 0.1);
-}
-
 TEST(Noise, ResistorDividerMatchesTheory) {
   // Output noise of two parallel resistors to ground: 4kT * (R1 || R2).
   auto net = ckt::parseDeck(R"(
@@ -417,35 +302,4 @@ R1 in 0 1k
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   EXPECT_NEAR(sim::staticPower(mna, op), 0.1, 1e-9);  // V^2/R = 100 mW
-}
-
-TEST(Measure, SlewAndSettling) {
-  const std::vector<double> t = {0, 1, 2, 3, 4, 5};
-  const std::vector<double> w = {0, 0.5, 2.0, 2.4, 2.5, 2.5};
-  EXPECT_DOUBLE_EQ(sim::maxSlewRate(t, w), 1.5);
-  const auto st = sim::settlingTime(t, w, 2.5, 0.15);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_DOUBLE_EQ(*st, 3.0);
-}
-
-TEST(Measure, PeakTime) {
-  const std::vector<double> t = {0, 1, 2, 3};
-  const std::vector<double> w = {0, 3.0, -5.0, 1.0};
-  EXPECT_DOUBLE_EQ(sim::peakTime(t, w), 2.0);
-}
-
-TEST(Measure, OutputSwingOfInverterCurve) {
-  auto net = ckt::parseDeck(R"(
-V1 vdd 0 DC 5
-VG g 0 DC 0
-R1 vdd out 10k
-M1 out g 0 0 NMOS W=20u L=1u
-.end)");
-  sim::Mna mna(net, proc());
-  const auto transfer = sim::dcTransfer(mna, "VG", 0.0, 5.0, 51, "out");
-  const auto swing = sim::outputSwing(transfer);
-  EXPECT_TRUE(swing.valid);
-  EXPECT_EQ(swing.unconvergedPoints, 0u);
-  EXPECT_LT(swing.low, 1.0);
-  EXPECT_GT(swing.high, 3.0);
 }
