@@ -4,8 +4,8 @@
 // 4X-10X)" (the paper's ref [31]).
 //
 // We run nominal-only synthesis and the cutting-plane corner-aware loop on
-// the same spec set and compare model-evaluation counts (fresh and
-// cache-hit) from one run and the wall-time ratio over repeated runs, then
+// the same spec set and compare model-evaluation counts from one run and
+// the wall-time ratio over repeated runs, then
 // confirm the nominal design actually fails at its worst corner while the
 // robust one survives.
 #include <benchmark/benchmark.h>
@@ -47,23 +47,16 @@ sizing::SpecSet robustSpecs() {
   return s;
 }
 
-/// One corner-aware synthesis in its own execution context with a private
-/// eval cache, so every run starts cold and runs at different pool widths
-/// are measured alike.  The context's metrics slice splits the run's model
-/// evaluations into fresh ones (core.cache.misses) and cache hits
-/// (core.cache.hits); with AMSYN_EVAL_CACHE=0 nothing is looked up and
-/// both read zero.
+/// One corner-aware synthesis in its own execution context, so runs at
+/// different pool widths are measured alike.
 struct CountedRun {
   double seconds = 0.0;
   manufacture::RobustResult res;
-  std::uint64_t freshEvaluations = 0;
-  std::uint64_t cacheHitEvaluations = 0;
 };
 
 CountedRun countedRun(std::size_t threads) {
   core::ScopedThreadPool scoped(threads);
-  core::ExecutionContext ctx(core::ContextConfig::fromEnv(),
-                             core::ContextIsolation{/*evalCache=*/true});
+  core::ExecutionContext ctx(core::ContextConfig::fromEnv());
   core::ContextScope scope(ctx);
   manufacture::RobustOptions opts;
   opts.synthesis.seed = 19;
@@ -72,13 +65,6 @@ CountedRun countedRun(std::size_t threads) {
   r.res = manufacture::robustSynthesize(factory(), nominalProc(), manufacture::VariationSpace{},
                                         robustSpecs(), opts);
   r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  const auto counters = ctx.sliceCounters();
-  const auto count = [&](const char* name) {
-    const auto it = counters.find(name);
-    return it == counters.end() ? std::uint64_t{0} : it->second;
-  };
-  r.freshEvaluations = count("core.cache.misses");
-  r.cacheHitEvaluations = count("core.cache.hits");
   return r;
 }
 
@@ -125,8 +111,6 @@ void printClaim(const CountedRun& run, const TimeRatios& ratios) {
 
   std::cout << "\nCPU (evaluation) ratio robust/nominal: "
             << core::Table::num(evaluationRatio(res)) << "x   (paper: roughly 4x-10x)\n";
-  std::cout << "evaluations of the whole run: " << run.freshEvaluations << " fresh, "
-            << run.cacheHitEvaluations << " cache hits\n";
   std::cout << "wall-time ratio corner search/nominal sizing (width-1 pool): "
             << core::Table::num(ratios.median) << "x median ("
             << core::Table::num(ratios.min) << "-" << core::Table::num(ratios.max)
@@ -161,9 +145,9 @@ void printClaim(const CountedRun& run, const TimeRatios& ratios) {
             << core::Table::num(yRob.yield.estimate * 100) << "%\n\n";
 }
 
-/// Machine-readable record: the premium (evaluation counts and their fresh /
-/// cache-hit split from the first width-1 run, the phase wall-time ratio's
-/// median and range over all of them) plus a scaling record — the
+/// Machine-readable record: the premium (evaluation counts from the first
+/// width-1 run, the phase wall-time ratio's median and range over all of
+/// them) plus a scaling record — the
 /// identical synthesis at the configured pool width.  The parallel loops
 /// are deterministic by construction, so besides the timings we record
 /// whether the two widths really did produce the same design.
@@ -187,8 +171,6 @@ void writeJson(const CountedRun& serial, const TimeRatios& ratios, const Counted
       .addValue("robust_evaluations", serial.res.robustEvaluations)
       .addValue("nominal_evaluations", serial.res.nominalEvaluations)
       .addValue("evaluation_ratio", evaluationRatio(serial.res))
-      .addValue("fresh_evaluations", static_cast<double>(serial.freshEvaluations))
-      .addValue("cache_hit_evaluations", static_cast<double>(serial.cacheHitEvaluations))
       .addValue("active_corners", static_cast<double>(serial.res.activeCorners))
       // The section-2.2 claim, measured directly: corner-search phase wall
       // time over nominal-sizing phase wall time (paper: roughly 4x-10x).

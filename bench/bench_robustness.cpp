@@ -6,17 +6,13 @@
 // strided monotonic-clock read to EvalBudget::consume()
 // (kDeadlineCheckStride = 64 charges per read).  We run the same fixed set
 // of full simulator evaluations with no deadline and with a far-future
-// deadline — the evaluation cache disabled in BOTH arms, so the comparison
-// is clock-read overhead, not cacheability (armed deadlines make
-// evaluations uncacheable by contract) — and report the ratio.
+// deadline and report the ratio.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
 
 #include "circuit/process.hpp"
-#include "core/context.hpp"
-#include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -44,15 +40,7 @@ double nowSeconds() {
 }
 
 /// Seconds for `evals` full simulator evaluations, deadline armed or not.
-/// Cache off in both arms: armed deadlines are uncacheable by contract, so
-/// leaving the cache on would measure cacheability, not the clock reads.
 double timedEvaluations(std::size_t evals, bool armDeadline) {
-  core::cache::EvalCache::instance().clear();
-  core::ExecutionContext& parent = core::ExecutionContext::current();
-  core::ContextConfig cfg = parent.config();
-  cfg.evalCacheEnabled = false;
-  const auto ctx = parent.makeChild(cfg);
-  core::ContextScope scope(*ctx);
   sizing::SimModelOptions opts;
   opts.measureNoise = false;
   if (armDeadline)
@@ -106,8 +94,6 @@ void writeJson() {
   report.write("BENCH_robustness.json");
   std::cout << "wrote BENCH_robustness.json: " << core::Table::num(overhead * 100)
             << "% deadline overhead\n\n";
-
-  core::cache::EvalCache::instance().clear();
 }
 
 /// Microbenchmark: one budget charge through the consumeWork hook, the

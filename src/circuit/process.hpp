@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "core/digest.hpp"
+
 namespace amsyn::circuit {
 
 /// Electrical + lithographic process parameters.  Lengths in meters unless
@@ -73,5 +75,9 @@ struct Process {
 
 /// The default process used by all examples, tests, and benches.
 const Process& defaultProcess();
+
+/// Mix every electrical/lithographic Process parameter into `h` in a fixed
+/// field order (corner instances differ from nominal in exactly these).
+void hashProcess(core::Hasher128& h, const Process& p);
 
 }  // namespace amsyn::circuit

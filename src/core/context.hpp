@@ -1,15 +1,13 @@
 // Scoped execution contexts: the explicit object behind the state a run
-// needs besides its inputs — the run config, metrics attribution and the
-// eval-cache handle.  A single-flow CLI run never has to know contexts
-// exist; a batch or a test that needs its jobs kept apart installs one per
-// job.  Both are served by the same mechanism:
+// needs besides its inputs — the run config and metrics attribution.  A
+// single-flow CLI run never has to know contexts exist; a batch or a test
+// that needs its jobs kept apart installs one per job.  Both are served by
+// the same mechanism:
 //
 //   * The *ambient* context is a lazily-created, process-lifetime default
-//     whose config snapshot comes from the AMSYN_* environment and whose
-//     eval cache is the shared process cache.  Code that never installs a
-//     context resolves everything through it.
-//   * An *explicit* context carries its own config and metrics slice, and
-//     optionally its own (isolated) eval cache.
+//     whose config snapshot comes from the AMSYN_* environment.  Code that
+//     never installs a context resolves everything through it.
+//   * An *explicit* context carries its own config and metrics slice.
 //     Installing it with ContextScope makes ExecutionContext::current() —
 //     and therefore every subsystem that resolves through it — see that
 //     context on the installing thread.  parallelFor propagates the
@@ -19,17 +17,15 @@
 // What stays process-shared on purpose: the metrics registry storage
 // (slices are additive observers, never the source of truth — process
 // totals stay thread-count-invariant and bit-identical with or without
-// slicing) and, by default, the eval cache, whose cross-job amortization
-// is its point.  What is per-context: the config snapshot (every field),
-// the metrics slice, and the eval cache when the owner asked to isolate it.
-// The shared cache holds data, never a mode: consumers read the mode from
-// the current context's config, so one job's config can never leak into a
+// slicing).  What is per-context: the config snapshot (every field) and the
+// metrics slice.  Consumers read modes from the current context's config,
+// never from a shared object, so one job's config can never leak into a
 // concurrent or later job.
 //
-// Layering: amsyn_context sits directly above amsyn_metrics /
-// amsyn_evalcache and below everything else (parallel, sim, sizing,
-// topology, manufacture, core).  It must not depend on the thread pool,
-// which is why propagation lives in parallel.hpp, not here.
+// Layering: amsyn_context sits directly above amsyn_metrics and below
+// everything else (parallel, sim, sizing, topology, manufacture, core).  It
+// must not depend on the thread pool, which is why propagation lives in
+// parallel.hpp, not here.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,6 @@
 #include <optional>
 #include <string>
 
-#include "core/evalcache.hpp"
 #include "core/metrics.hpp"
 
 namespace amsyn::core {
@@ -52,19 +47,15 @@ enum class TopologySpace : std::uint8_t { Legacy, Generated };
 /// configure a run.  fromEnv() is the only production reader of those
 /// variables (via core/envknobs.hpp); everything downstream reads the
 /// snapshot of the context it runs under (ExecutionContext::current()
-/// .config()), never a mode stored inside the shared cache.  So different
-/// jobs can run under different configs, on shared or isolated caches,
-/// without touching the environment or each other.
+/// .config()), never a mode stored in a shared object.  So different jobs
+/// can run under different configs without touching the environment or
+/// each other.
 struct ContextConfig {
-  /// AMSYN_THREADS, as snapshotted (0 = unset).  Informational only:
-  /// nothing reads it.  The pool width comes from AMSYN_THREADS through
+  /// AMSYN_THREADS, as snapshotted (0 = unset).  Inert: nothing in src/
+  /// reads it; it stays only because perfbench/flow_bench.cpp still sets
+  /// it.  The pool width comes from AMSYN_THREADS through
   /// ThreadPool::global(), or from a ScopedThreadPool.
   std::size_t threads = 0;
-  /// AMSYN_EVAL_CACHE: whether this context's evaluations consult the
-  /// cache (shared or isolated alike).  Capacity is not per context:
-  /// AMSYN_EVAL_CACHE_CAPACITY sizes the shared process cache, and a
-  /// context-owned (isolated) cache keeps the built-in 2^16 entries.
-  bool evalCacheEnabled = true;
   /// AMSYN_JOB_DEADLINE_MS: per-flow wall-clock deadline in ms (0 = none).
   /// FlowEngine checks it at every stage boundary and arms it on the
   /// verification measurements' budgets, so a livelocked evaluation stops
@@ -80,11 +71,12 @@ struct ContextConfig {
   static ContextConfig fromEnv();
 };
 
-/// Which handles an explicit context owns privately instead of sharing
-/// with the process (see the file comment for why sharing is the default).
+/// Inert: no handle is private to a context any more.  Kept, with both
+/// fields, only so perfbench/flow_bench.cpp's `ContextIsolation{true, true}`
+/// still compiles; the constructor ignores it.
 struct ContextIsolation {
   bool evalCache = false;
-  bool surrogate = false;  ///< inert: kept only so `ContextIsolation{a, b}` still compiles
+  bool surrogate = false;
 };
 
 class ExecutionContext {
@@ -98,8 +90,8 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// The process-default context: config snapshotted from the environment
-  /// on first use, the shared eval cache, no metrics slice (so
-  /// un-scoped code pays one thread-local null check and nothing else).
+  /// on first use, no metrics slice (so un-scoped code pays one
+  /// thread-local null check and nothing else).
   /// Created lazily and leaked, like the registry.
   static ExecutionContext& ambient();
 
@@ -110,20 +102,15 @@ class ExecutionContext {
   /// The installed context without the ambient fallback (nullptr = none).
   static ExecutionContext* scoped();
 
-  /// A child for one job within this context: same handles, the parent's
-  /// config unless `cfg` overrides it (the one way to run a job with a
-  /// different config than its parent's), and a metrics slice chained
-  /// under the parent's — a delta recorded in the job also shows up
-  /// in the owning context's slice.  The child must not outlive its parent.
+  /// A child for one job within this context: the parent's config unless
+  /// `cfg` overrides it (the one way to run a job with a different config
+  /// than its parent's), and a metrics slice chained under the parent's —
+  /// a delta recorded in the job also shows up in the owning context's
+  /// slice.  The child must not outlive its parent.
   std::unique_ptr<ExecutionContext> makeChild(
       std::optional<ContextConfig> cfg = std::nullopt);
 
   const ContextConfig& config() const { return config_; }
-
-  /// Context-resolved cache: the shared process cache unless this context
-  /// was built with isolation.
-  cache::EvalCache& evalCache() { return *evalCache_; }
-  bool hasIsolatedEvalCache() const { return ownedEvalCache_ != nullptr; }
 
   /// This context's metric slice (nullptr for the ambient context).
   metrics::ContextSlice* metricsSlice() { return slice_.get(); }
@@ -132,12 +119,9 @@ class ExecutionContext {
   std::map<std::string, std::uint64_t> sliceCounters() const;
 
  private:
-  ExecutionContext(ContextConfig cfg, ContextIsolation isolation,
-                   ExecutionContext* parent, bool isAmbient);
+  ExecutionContext(ContextConfig cfg, ExecutionContext* parent, bool isAmbient);
 
   ContextConfig config_;
-  std::unique_ptr<cache::EvalCache> ownedEvalCache_;
-  cache::EvalCache* evalCache_ = nullptr;
   std::unique_ptr<metrics::ContextSlice> slice_;
 };
 

@@ -1,20 +1,18 @@
 // The single sanctioned locus for AMSYN_* environment reads.
 //
-// Every process-level tuning knob (threads, eval-cache policy, job
-// deadline, topology space) is parsed here and
-// nowhere else: core::ContextConfig::fromEnv() snapshots the modes once
-// into a plain struct, and every consumer reads that snapshot through its
-// execution context.  Two bottom-layer singletons that exist before any
-// context call the parsers for their sizing only — the shared EvalCache
-// (AMSYN_EVAL_CACHE_CAPACITY, which nothing else reads) and the global
+// Every process-level tuning knob (threads, job deadline, topology space)
+// is parsed here and nowhere else: core::ContextConfig::fromEnv() snapshots
+// the modes once into a plain struct, and every consumer reads that
+// snapshot through its execution context.  One bottom-layer singleton that
+// exists before any context calls a parser for its sizing only: the global
 // thread pool (AMSYN_THREADS).  No knob seeds a *mode* into a shared
 // object.  tools/context_lint.cmake fails the build when
 // `getenv("AMSYN_` appears in any other file under src/, so new knobs are
 // forced through this header.
 //
-// Header-only and dependency-free on purpose: it is included from
-// amsyn_metrics-adjacent leaf libraries (evalcache, parallel) as well as
-// from amsyn_context, so it must sit below all of them.
+// Header-only and dependency-free on purpose: it is included from the
+// leaf library amsyn_parallel as well as from amsyn_context, so it must sit
+// below both.
 #pragma once
 
 #include <cstddef>
@@ -48,26 +46,6 @@ inline std::size_t threads() {
   const auto v = parseUnsigned(std::getenv("AMSYN_THREADS"));
   if (!v || *v < 1) return 0;
   return static_cast<std::size_t>(*v > 512 ? 512 : *v);
-}
-
-/// AMSYN_EVAL_CACHE: enabled unless explicitly turned off with one of
-/// "0"/"off"/"false"/"no".
-inline bool evalCacheEnabled() {
-  if (const char* env = std::getenv("AMSYN_EVAL_CACHE")) {
-    const std::string v(env);
-    if (v == "0" || v == "off" || v == "false" || v == "no") return false;
-  }
-  return true;
-}
-
-/// AMSYN_EVAL_CACHE_CAPACITY: max resident entries (default 2^16); 0 and
-/// unparseable values fall back to the default so the cache cannot be
-/// configured into a degenerate always-evict state by accident (use
-/// AMSYN_EVAL_CACHE=0 to turn it off).
-inline std::size_t evalCacheCapacity() {
-  const auto v = parseUnsigned(std::getenv("AMSYN_EVAL_CACHE_CAPACITY"));
-  if (v && *v > 0 && *v <= SIZE_MAX) return static_cast<std::size_t>(*v);
-  return std::size_t{1} << 16;  // 65536 entries; ~tens of MB of Performance payloads
 }
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).

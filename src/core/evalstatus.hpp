@@ -24,9 +24,9 @@ namespace amsyn::core {
 /// Why a candidate evaluation (or one analysis inside it) failed.  `Ok`
 /// means the result is trustworthy; everything else marks the result
 /// infeasible for the optimizer while remaining an ordinary value.
-/// Codes are append-only: the numeric value is persisted in cached
-/// Performance payloads (sizing::kEvalStatusKey), so reordering existing
-/// entries would reinterpret old data.
+/// Codes are append-only: the numeric value is carried in Performance
+/// payloads (sizing::kEvalStatusKey), so reordering existing entries would
+/// reinterpret old data.
 ///
 /// In a flow, a stage that fails with any code fails its attempt and the
 /// flow redesigns, except for the two job-level codes: deadline_expired

@@ -36,8 +36,8 @@ namespace amsyn::core {
 
 class ExecutionContext;  // core/context.hpp
 
-/// Per-flow design options.  The machinery a flow runs on — eval cache,
-/// wall-clock deadline, default topology space — is not configured here: it is the ContextConfig of the context
+/// Per-flow design options.  The machinery a flow runs on — wall-clock
+/// deadline, default topology space — is not configured here: it is the ContextConfig of the context
 /// the flow runs under (core/context.hpp).  Run a flow with a different
 /// config by installing a context built from one, or by handing
 /// FlowEngine::run a parent.makeChild(cfg).
@@ -115,10 +115,9 @@ FlowResult synthesizeAmplifier(const sizing::SpecSet& specs, const circuit::Proc
 /// The batch runner: run one amplifier flow per spec set, fanned across the
 /// shared work-stealing pool.  Deterministic: result i is bit-identical to
 /// `synthesizeAmplifier(batch[i], proc, batchItemOptions(opts, i))` at any
-/// AMSYN_THREADS, cache on or off (tests/flowgraph_test.cpp proves this
-/// differentially).  Every design runs in a child of the caller's context,
-/// so all of them share its config and its evaluation cache: overlapping
-/// candidate evaluations across the batch are paid for once.
+/// AMSYN_THREADS (tests/flowgraph_test.cpp proves this differentially).
+/// Every design runs in a child of the caller's context, so all of them
+/// share its config.
 ///
 /// Every job ends with a result.  The engine contains a throwing stage as a
 /// failed stage (internal_error, which redesigns, or out_of_memory, which

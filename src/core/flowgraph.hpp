@@ -167,8 +167,8 @@ class FlowEngine {
                  const FlowOptions& opts);
 
   /// Context-explicit overload: the whole run executes under `exec` (a
-  /// ContextScope is installed for the duration), so its config — cache,
-  /// deadline, topology space — governs every stage.  The three-argument form above is exactly this with
+  /// ContextScope is installed for the duration), so its config — deadline,
+  /// topology space — governs every stage.  The three-argument form above is exactly this with
   /// ExecutionContext::current().
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts, ExecutionContext& exec);

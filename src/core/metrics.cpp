@@ -44,7 +44,6 @@ struct Registry::Impl {
   std::atomic<std::size_t> counterCount{0};
   std::map<std::string, std::uint32_t> histIndex;
   std::vector<std::string> histNames;
-  std::vector<std::pair<std::string, std::function<std::uint64_t()>>> externals;
   std::map<std::string, double> gauges;
   std::vector<std::shared_ptr<Shard>> shards;  ///< live thread shards
   // Totals folded in by exiting threads so their contributions survive them.
@@ -153,18 +152,6 @@ HistogramId Registry::histogram(const std::string& name) {
   return {idx};
 }
 
-void Registry::registerExternal(const std::string& name,
-                                std::function<std::uint64_t()> reader) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  for (auto& [n, fn] : im.externals)
-    if (n == name) {
-      fn = std::move(reader);
-      return;
-    }
-  im.externals.emplace_back(name, std::move(reader));
-}
-
 void Registry::setGauge(const std::string& name, double value) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mutex);
@@ -202,18 +189,9 @@ std::uint64_t Registry::total(CounterId id) const {
 
 std::uint64_t Registry::total(const std::string& name) const {
   Impl& im = impl();
-  std::function<std::uint64_t()> reader;
-  {
-    std::lock_guard<std::mutex> lk(im.mutex);
-    auto it = im.counterIndex.find(name);
-    if (it != im.counterIndex.end()) return im.counterTotalLocked(it->second);
-    for (const auto& [n, fn] : im.externals)
-      if (n == name) {
-        reader = fn;
-        break;
-      }
-  }
-  return reader ? reader() : 0;  // external reader runs outside the lock
+  std::lock_guard<std::mutex> lk(im.mutex);
+  auto it = im.counterIndex.find(name);
+  return it != im.counterIndex.end() ? im.counterTotalLocked(it->second) : 0;
 }
 
 void Registry::threadCounterSnapshot(std::uint64_t* out, std::size_t count) const {
@@ -240,7 +218,6 @@ std::string Registry::counterName(std::uint32_t idx) const {
 Snapshot Registry::snapshot() const {
   Impl& im = impl();
   Snapshot snap;
-  std::vector<std::pair<std::string, std::function<std::uint64_t()>>> externals;
   {
     std::lock_guard<std::mutex> lk(im.mutex);
     for (std::uint32_t i = 0; i < im.counterNames.size(); ++i)
@@ -258,9 +235,7 @@ Snapshot Registry::snapshot() const {
       if (h.count > 0) snap.histograms[im.histNames[i]] = h;
     }
     snap.gauges = im.gauges;
-    externals = im.externals;
   }
-  for (const auto& [name, reader] : externals) snap.counters[name] = reader();
   return snap;
 }
 

@@ -19,7 +19,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -51,8 +50,7 @@ struct HistogramSnapshot {
   double max = -std::numeric_limits<double>::infinity();
 };
 
-/// Point-in-time aggregate over all shards, retired threads, and external
-/// (callback-backed) counters.  Keys are metric names; maps keep the output
+/// Point-in-time aggregate over all shards and retired threads.  Keys are metric names; maps keep the output
 /// order deterministic.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
@@ -70,13 +68,6 @@ class Registry {
   CounterId counter(const std::string& name);
   HistogramId histogram(const std::string& name);
 
-  /// Register a read-only external counter (e.g. the shared eval cache's
-  /// entry count) surfaced through snapshots under `name`.  Idempotent by name;
-  /// the reader must be callable from any thread.  External counters are the
-  /// registry's bridge for stats whose storage lives elsewhere, and they are
-  /// not zeroed by reset().
-  void registerExternal(const std::string& name, std::function<std::uint64_t()> reader);
-
   /// Gauges are last-write-wins process globals (set rarely; mutex).
   void setGauge(const std::string& name, double value);
 
@@ -87,11 +78,9 @@ class Registry {
   /// Value accumulated by the *calling thread only* since the last reset().
   std::uint64_t threadValue(CounterId id) const;
 
-  /// Aggregate of one counter over every shard (live + retired).  Does not
-  /// consult external counters; use total(name) for those.
+  /// Aggregate of one counter over every shard (live + retired).
   std::uint64_t total(CounterId id) const;
-  /// Aggregate by name: native counter if registered, else external reader,
-  /// else 0.
+  /// Aggregate by name: the counter's total if registered, else 0.
   std::uint64_t total(const std::string& name) const;
 
   /// Copy the calling thread's first `count` counter slots into `out`

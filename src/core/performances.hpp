@@ -1,18 +1,17 @@
 // Named performance values and the canonical table of the electrical ones.
 //
 // Performance is the payload of every evaluation: what a PerformanceModel
-// returns, what the evaluation cache stores, and what SpecSet and
-// CostFunction read.  The electrical performance table lists what the
-// amplifier flow's verification testbench measures (gain_db, ugf, pm,
-// power).  That one table feeds three consumers that each used to carry
+// returns and what SpecSet and CostFunction read.  The electrical
+// performance table lists what the amplifier flow's verification testbench
+// measures (gain_db, ugf, pm, power).  That one table feeds three consumers that each used to carry
 // their own hard-coded list: spec filtering (which constraint specs the
 // simulator can judge), the knowledge-plan input mapping (spec.* context
 // keys), and run-report serialization (which measurements a
 // VerificationRecord prints).
 //
-// Header-only on purpose: the evaluation cache and the knowledge library
-// sit below amsyn_core in the link order but still use both, so this must
-// be includable without linking core (the core/evalstatus.hpp pattern).
+// Header-only on purpose: the sizing and knowledge libraries sit below
+// amsyn_core in the link order but still use both, so this must be
+// includable without linking core (the core/evalstatus.hpp pattern).
 #pragma once
 
 #include <algorithm>

@@ -39,8 +39,8 @@ struct RunReport {
   RunReport& addValue(std::string key, double value);
   /// numerator/denominator, except a zero denominator records NaN — which
   /// toJson() emits as null.  "No traffic" must not masquerade as "0% rate":
-  /// a 0.0 would read as a real measurement (e.g. a cache that always
-  /// missed) when in fact nothing was measured at all.
+  /// a 0.0 would read as a real measurement (e.g. a move that was never
+  /// accepted) when in fact nothing was measured at all.
   RunReport& addRatio(std::string key, double numerator, double denominator);
 
   std::string toJson() const;

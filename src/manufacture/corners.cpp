@@ -64,13 +64,10 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
   // safeEvaluate: a corner whose evaluation throws or yields NaN comes back
   // tagged _infeasible, and signedMargin treats a missing performance as
   // violated (-1.0) — the pessimistic reading, which is the correct
-  // worst-case semantics for a corner we could not evaluate.
-  // safeEvaluate also consults the context's evaluation cache
-  // (core/evalcache.hpp): hunts for different specs at the same design x
-  // enumerate the *same* 64 vertices, coordinate search re-probes points it
-  // has already seen, and robustSynthesize's final audit repeats the last
-  // round's hunts verbatim — all of those become cache hits instead of
-  // fresh simulations.
+  // worst-case semantics for a corner we could not evaluate.  Every probe
+  // is a fresh evaluation, repeats included: hunts for different specs at
+  // the same design x enumerate the same 64 vertices, and coordinate search
+  // re-probes points it has already seen.
   auto marginAt = [&](const std::vector<double>& c) {
     const circuit::Process p = space.apply(nominal, c);
     const auto model = factory(p);
@@ -130,10 +127,8 @@ namespace {
 
 /// Model whose evaluation is the worst case over an explicit corner set:
 /// constraint-relevant performances take their most pessimistic value across
-/// corners, objectives their nominal value.  It has no cache key of its
-/// own: the per-corner safeEvaluate calls consult the context's cache, where
-/// an anneal hits the points it revisits and, since every round anneals from
-/// the same seed, points an earlier round evaluated at a corner both hold.
+/// corners, objectives their nominal value, each corner through
+/// safeEvaluate.
 class CornerSetModel : public sizing::PerformanceModel {
  public:
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,

@@ -44,7 +44,7 @@ struct WorstCorner {
   double margin = 0.0;         ///< signed normalized margin (< 0: spec violated)
   double value = 0.0;          ///< performance value at the corner
   /// Model evaluations the hunt asked for: the 64 vertices, coordinate-
-  /// search probes and the final value read (cache hits included).
+  /// search probes and the final value read.
   std::size_t evaluations = 0;
 };
 

@@ -14,9 +14,8 @@
 // structures in the same order on every run and platform (plain nested
 // loops over the block axes, no hashing, no address-dependent state), names
 // are pure functions of the structure, and buildComposedOpamp is a pure
-// function of (structure, x, proc, tb) — so canonical netlist digests,
-// cache keys, and batch bit-identity guarantees survive the generated
-// space.
+// function of (structure, x, proc, tb) — so library memo keys and batch
+// bit-identity guarantees survive the generated space.
 //
 // The two historical cells — the five-transistor OTA and the two-stage
 // Miller opamp — are the structures legacyOta() and legacyTwoStage(); their
@@ -72,8 +71,8 @@ struct OpampStructure {
   bool isLegacyTwoStage() const;
 
   /// Canonical name.  The two legacy structures keep their historical names
-  /// ("five-transistor-ota", "two-stage-miller") so flow results, builder
-  /// registrations, and cache identities stay compatible; every other
+  /// ("five-transistor-ota", "two-stage-miller") so flow results and
+  /// builder registrations stay compatible; every other
   /// composition gets a deterministic "gen/" token name.
   std::string name() const;
 

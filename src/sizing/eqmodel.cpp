@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "circuit/canonical.hpp"
-
 namespace amsyn::sizing {
 
 using circuit::Process;
@@ -17,22 +15,7 @@ constexpr double kTwoPi = 2.0 * M_PI;
 
 ComposedOpampModel::ComposedOpampModel(const OpampStructure& s, const Process& proc,
                                        double loadCap)
-    : s_(s), proc_(proc), loadCap_(loadCap), vars_(s.variables()) {
-  // The key components that never change per model instance — identity tag,
-  // structure, process parameters, load — are mixed once here; cacheKey()
-  // copies the prefix hasher (two words) and only mixes the sizing vector.
-  keyPrefix_.mixString("composed-opamp");
-  keyPrefix_.mixString(s_.name());
-  circuit::hashProcess(keyPrefix_, proc_);
-  keyPrefix_.mixDouble(loadCap_);
-}
-
-std::optional<core::cache::Digest128> ComposedOpampModel::cacheKey(
-    const std::vector<double>& x) const {
-  core::cache::Hasher128 h = keyPrefix_;
-  h.mixDoubles(x);
-  return h.digest();
-}
+    : s_(s), proc_(proc), loadCap_(loadCap), vars_(s.variables()) {}
 
 Performance ComposedOpampModel::evaluate(const std::vector<double>& x) const {
   return evaluate(x, proc_);
@@ -293,12 +276,7 @@ namespace {
 class TwoStageCornerModel : public PerformanceModel {
  public:
   TwoStageCornerModel(const Process& corner, const Process& nominal, double loadCap)
-      : nominal_(nominal), atCorner_(OpampStructure::legacyTwoStage(), corner, loadCap) {
-    keyPrefix_.mixString("eq-two-stage-corner");
-    circuit::hashProcess(keyPrefix_, corner);
-    circuit::hashProcess(keyPrefix_, nominal_);
-    keyPrefix_.mixDouble(loadCap);
-  }
+      : nominal_(nominal), atCorner_(OpampStructure::legacyTwoStage(), corner, loadCap) {}
 
   const std::vector<DesignVariable>& variables() const override {
     return atCorner_.variables();
@@ -308,29 +286,9 @@ class TwoStageCornerModel : public PerformanceModel {
     return atCorner_.evaluate(x, nominal_);
   }
 
-  /// Corner-hunt hot path: worstCaseCorner re-visits the same (corner, x)
-  /// pairs across cutting-plane rounds and in the final audit; the key
-  /// mixes both processes because the geometry is frozen at nominal and
-  /// evaluated at the corner.
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override {
-    core::cache::Hasher128 h = keyPrefix_;
-    h.mixDoubles(x);
-    return h.digest();
-  }
-
-  // Heavy (the default tier), so the corner flow caches it.  That no longer
-  // pays: since the cutting-plane loop stops at its fixed point instead of
-  // replaying rounds, only 14% of perfbench robust_corners lookups hit.  A
-  // hit costs 0.2 us against a 1.5 us evaluation, but every miss pays for
-  // the key and the insert.  Marked Cheap, this model makes robust_corners'
-  // design_s_p50 1.09x better (0.0328 -> 0.0302 s, 10 alternating pairs,
-  // 10/10, Release, 4-vCPU VM).
-
  private:
   Process nominal_;
-  ComposedOpampModel atCorner_;       ///< legacy two-stage at the corner process
-  core::cache::Hasher128 keyPrefix_;  ///< tag+corner+nominal+loadCap
+  ComposedOpampModel atCorner_;  ///< legacy two-stage at the corner process
 };
 
 }  // namespace

@@ -27,13 +27,6 @@ class ComposedOpampModel : public PerformanceModel {
 
   const std::vector<DesignVariable>& variables() const override { return vars_; }
   Performance evaluate(const std::vector<double>& x) const override;
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override;
-  /// Closed-form equations evaluate in 1.2-1.5 us (legacy two-stage,
-  /// Release, bench_claim_eval_speed on a 4-vCPU Xeon VM) — the same order
-  /// as a cache transaction — so caching them is pure overhead (the
-  /// BENCH_cache genetic workload measures exactly this floor).
-  EvalCost evalCost() const override { return EvalCost::Cheap; }
 
   /// Evaluate a *frozen geometry* under this model's process: device sizes
   /// are mapped from `x` at `geometryProc` (the nominal process a designer
@@ -53,7 +46,6 @@ class ComposedOpampModel : public PerformanceModel {
   circuit::Process proc_;
   double loadCap_;
   std::vector<DesignVariable> vars_;
-  core::cache::Hasher128 keyPrefix_;  ///< tag+name+process+loadCap, mixed once
 };
 
 /// Corner model: design points live in the legacy two-stage structure's

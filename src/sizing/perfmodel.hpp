@@ -8,12 +8,9 @@
 #pragma once
 
 #include <cmath>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/context.hpp"
-#include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
 #include "core/performances.hpp"
 
@@ -60,21 +57,6 @@ inline core::EvalStatus performanceStatus(const Performance& perf) {
   return static_cast<core::EvalStatus>(code);
 }
 
-/// How an evaluation's cost compares to a cache transaction.  A hit costs
-/// the model's key plus a sharded-map lookup: 0.2 us for an equation model
-/// against its 1.5 us evaluation, 9 us for a simulator model (netlist
-/// canonicalization) against its 310 us (bench_cache's BM_ microbenchmarks,
-/// Release, 4-vCPU Xeon VM).  A miss pays the key, the lookup and an insert
-/// on top of the evaluation, so an equation model gains only where hits are
-/// common (the corner flow's replays) and loses where they are rare
-/// (genetic selection).
-/// Models self-attest their tier so safeEvaluate can skip the cache for
-/// evaluations that would not repay it.
-enum class EvalCost : std::uint8_t {
-  Heavy,  ///< evaluation dominates a cache transaction: cache it (default)
-  Cheap,  ///< evaluation ~ lookup cost: bypass the cache entirely
-};
-
 /// Interface: map a design-variable vector to named performance numbers.
 class PerformanceModel {
  public:
@@ -91,29 +73,6 @@ class PerformanceModel {
   /// A reasonable starting point (defaults to the geometric middle).
   virtual std::vector<double> initialPoint() const;
 
-  /// Canonical candidate key for the memoized evaluation cache
-  /// (core/evalcache.hpp): a digest of everything evaluate(x) depends on —
-  /// model identity tag, canonicalized netlist, process parameters,
-  /// evaluator options, and the (quantized) design vector.  Models return
-  /// nullopt (the default) when they cannot attest a deterministic,
-  /// self-contained identity — e.g. custom models, or evaluations wired to
-  /// a wall-clock-dependent cancel flag — and such evaluations are never
-  /// cached.  Two models with equal keys MUST produce bit-identical
-  /// evaluate(x); safeEvaluate relies on this for the cache-on/off
-  /// differential guarantee (tests/evalcache_test.cpp).
-  virtual std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const {
-    (void)x;
-    return std::nullopt;
-  }
-
-  /// Cost tier driving safeEvaluate's cache policy (see EvalCost).  Heavy
-  /// by default; models whose evaluate(x) costs about as much as a cache
-  /// transaction override to Cheap and are never cached.  The tier only
-  /// changes speed: a bypassed evaluation runs the same deterministic
-  /// evaluate(x) a miss would.
-  virtual EvalCost evalCost() const { return EvalCost::Heavy; }
-
   std::size_t dimension() const { return variables().size(); }
 };
 
@@ -124,17 +83,6 @@ class PerformanceModel {
 /// sim.fail.* registry counters (sim::recordEvalFailure).  This is the
 /// containment boundary the corner search
 /// and any direct model consumer should call instead of evaluate().
-///
-/// Memoization: when the process-wide evaluation cache is enabled and the
-/// model attests a canonical key (PerformanceModel::cacheKey), repeated
-/// evaluations of the same candidate — annealing revisits, duplicate
-/// genetic genomes, corner-vertex re-visits — return the cached Performance
-/// payload, failure taxonomy included, without re-running the evaluator.
-/// Failure tallies (sim::recordEvalFailure) are recorded once per distinct
-/// candidate, on the miss; observability counters are the only thing the
-/// cache changes — results are bit-identical with the cache on or off.
-/// The cache and its on/off mode resolve through the calling thread's
-/// current execution context.
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x);
 
 inline std::vector<double> PerformanceModel::initialPoint() const {

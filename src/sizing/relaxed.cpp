@@ -4,7 +4,6 @@
 #include <complex>
 
 #include "awe/awe.hpp"
-#include "circuit/canonical.hpp"
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
 #include "sim/stats.hpp"
@@ -48,27 +47,6 @@ std::vector<double> RelaxedDcModel::initialPoint() const {
       x.push_back(i < mna.nodeUnknowns() ? proc_.vdd / 2 : 0.0);
   }
   return x;
-}
-
-std::optional<core::cache::Digest128> RelaxedDcModel::cacheKey(
-    const std::vector<double>& x) const {
-  if (x.size() < tmpl_.variables.size()) return std::nullopt;
-  circuit::Netlist net;
-  try {
-    net = tmpl_.build({x.begin(), x.begin() + tmpl_.variables.size()});
-  } catch (...) {
-    return std::nullopt;  // evaluate() classifies unbuildable candidates
-  }
-  core::cache::Hasher128 h;
-  h.mixString("relaxed-dc");
-  h.mixDigest(circuit::canonicalNetlistDigest(net));
-  circuit::hashProcess(h, proc_);
-  h.mixString(tmpl_.outputNode);
-  h.mixDouble(opts_.residualScale);
-  h.mix(opts_.aweOrder);
-  h.mixDouble(opts_.branchCurrentLimit);
-  h.mixDoubles(x);
-  return h.digest();
 }
 
 Performance RelaxedDcModel::evaluate(const std::vector<double>& x) const {

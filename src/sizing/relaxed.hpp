@@ -36,12 +36,6 @@ class RelaxedDcModel : public PerformanceModel {
   /// (a fair warm start, as ASTRX does with its dc estimator).
   std::vector<double> initialPoint() const override;
 
-  /// Canonical candidate key: canonicalized netlist at the template portion
-  /// of x plus the relaxed bias state (also part of x — a different node-
-  /// voltage guess is a different candidate), process, and options.
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override;
-
   std::size_t templateDimension() const { return tmpl_.variables.size(); }
 
  private:

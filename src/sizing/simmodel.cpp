@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "circuit/canonical.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -16,36 +15,6 @@ using core::EvalStatus;
 SimulationModel::SimulationModel(CircuitTemplate tmpl, const circuit::Process& proc,
                                  SimModelOptions opts)
     : tmpl_(std::move(tmpl)), proc_(proc), opts_(opts) {}
-
-std::optional<core::cache::Digest128> SimulationModel::cacheKey(
-    const std::vector<double>& x) const {
-  // An external cancel flag or wall-clock deadline can truncate an
-  // evaluation at a wall-clock-dependent point; such payloads are not
-  // reproducible, so never cached.
-  if (opts_.cancel || opts_.deadlineNs != 0) return std::nullopt;
-  circuit::Netlist net;
-  try {
-    net = tmpl_.build(x);
-  } catch (...) {
-    // Let evaluate() run and classify the bad-topology failure itself; an
-    // unbuildable candidate is not worth a cache entry.
-    return std::nullopt;
-  }
-  core::cache::Hasher128 h;
-  h.mixString("sim-model");
-  h.mixDigest(circuit::canonicalNetlistDigest(net));
-  circuit::hashProcess(h, proc_);
-  h.mixString(tmpl_.outputNode);
-  h.mixDouble(opts_.fStart).mixDouble(opts_.fStop);
-  h.mix(opts_.pointsPerDecade);
-  h.mix(opts_.measureNoise ? 1u : 0u);
-  h.mixDouble(opts_.noiseSpotFrequency);
-  h.mix(opts_.outputMustBeInterior ? 1u : 0u);
-  h.mixDouble(opts_.interiorMargin);
-  h.mix(opts_.workBudget);
-  h.mixDoubles(x);
-  return h.digest();
-}
 
 Performance SimulationModel::evaluate(const std::vector<double>& x) const {
   ++evals_;

@@ -41,8 +41,7 @@ struct SimModelOptions {
   /// core::EvalBudget::nowNs(); 0 = none) armed on every evaluation's
   /// budget.  An evaluation past the deadline stops at the next strided
   /// cancel point and reports deadline_expired.  Wall-clock truncation is
-  /// not reproducible, so a deadline — like `cancel` — makes evaluations
-  /// uncacheable (cacheKey returns nullopt).
+  /// not reproducible, so leave it 0 where results must repeat.
   std::int64_t deadlineNs = 0;
 };
 
@@ -72,18 +71,8 @@ class SimulationModel : public PerformanceModel {
   /// internal_error instead of escaping into the optimizer.
   Performance evaluate(const std::vector<double>& x) const override;
 
-  /// Canonical candidate key (core/evalcache.hpp): digest of the
-  /// *canonicalized* testbench netlist built at x (so template device/node
-  /// declaration order is irrelevant), the process, every evaluator option,
-  /// and the quantized design vector.  Evaluations wired to an external
-  /// cancel flag are wall-clock-dependent and return nullopt (never
-  /// cached); a deterministic work budget is part of the key instead.
-  std::optional<core::cache::Digest128> cacheKey(
-      const std::vector<double>& x) const override;
-
   /// Number of full simulator invocations so far (for the Fig. 1 runtime
-  /// comparison).  Cache hits do not reach evaluate(), so with the
-  /// evaluation cache enabled this counts *misses* (real simulator work).
+  /// comparison).
   std::size_t evaluations() const { return evals_.load(std::memory_order_relaxed); }
 
  private:

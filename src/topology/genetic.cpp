@@ -57,10 +57,9 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
   // Scoring draws no random numbers, so the RNG stream — and therefore the
   // result — is bit-identical to a fully serial run at any thread count.
   // Duplicate genomes are common late in a run (elitism copies the best
-  // individual forward, tournament selection re-breeds converged parents);
-  // CostFunction::detailed routes through sizing::safeEvaluate, which
-  // consults the process-wide evaluation cache (core/evalcache.hpp), so a
-  // re-scored duplicate costs a hash lookup instead of a model evaluation.
+  // individual forward, tournament selection re-breeds converged parents)
+  // and are simply re-scored: an equation-model evaluation costs about as
+  // much as a memo lookup would.
   // Error-capture mode: CostFunction::detailed is already total, but a
   // malformed custom model can still throw from decode (bad variable list)
   // or from outside the cost containment.  Capturing per index keeps one

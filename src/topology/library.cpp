@@ -5,8 +5,8 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "circuit/canonical.hpp"
 #include "core/context.hpp"
+#include "core/digest.hpp"
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "sizing/eqmodel.hpp"
@@ -234,8 +234,8 @@ std::vector<HeuristicRule> rulesFor(const OpampStructure& s, TopologySpace space
 /// is the two historical cells, the generated space every valid structure.
 /// Each entry is a pure function of its structure (models are pure, each
 /// sampling walks its own grid in a fixed order), so the entries are built
-/// in parallel and added by index: thread count, eval-cache state and run
-/// count change no bit.
+/// in parallel and added by index: thread count and run count change no
+/// bit.
 TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
                              double loadCap) {
   AMSYN_SPAN("library_build");  // memo misses only: amplifierLibrary's cold path
@@ -280,14 +280,14 @@ TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
   // start.  Keyed by content digest, not address, so corner/perturbed
   // processes get their own libraries; models own a Process copy, so a
   // cached library outliving the caller's process instance is safe.
-  core::cache::Hasher128 h;
+  core::Hasher128 h;
   h.mix(static_cast<std::uint64_t>(space));
   circuit::hashProcess(h, proc);
   h.mixDouble(loadCap);
   const auto key = h.digest();
 
   static std::mutex mu;
-  static std::map<core::cache::Digest128, TopologyLibrary> memo;
+  static std::map<core::Digest128, TopologyLibrary> memo;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = memo.find(key);

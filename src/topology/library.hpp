@@ -45,7 +45,7 @@ struct TopologyEntry {
 class TopologyLibrary {
  public:
   /// Append an entry.  Names are the library's keys (selection results,
-  /// builder-registry lookups, cache identities all ride on them), so a
+  /// builder-registry lookups all ride on them), so a
   /// duplicate name is a construction bug: throws std::invalid_argument.
   void add(TopologyEntry entry);
   const std::vector<TopologyEntry>& entries() const { return entries_; }

@@ -1,12 +1,11 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
-// semantics, scope installation, per-context metrics slices, isolated
-// cache handles, a differential suite showing
-// the whole flow and the robust corner search are *bit-identical* between
-// the ambient path and an explicitly installed context (at 1 and 8 threads,
-// cache on and off), and the option-leak regression: two contexts sharing
-// the process cache each see only their own config.  Contexts may
-// only ever change *configuration, attribution and isolation*, never
-// results.
+// semantics, scope installation, per-context metrics slices, a
+// differential suite showing the whole flow and the robust corner search
+// are *bit-identical* between the ambient path and an explicitly installed
+// context (at 1 and 8 threads), and the option-leak regression: two
+// contexts on one pool each rank only their own topology space, and a
+// later ambient flow keeps the environment's.  Contexts may only ever
+// change *configuration and attribution*, never results.
 //
 // The registry-overflow tests are deliberately LAST in this file: they fill
 // the metrics registry to capacity for their process.  Under ctest every
@@ -14,6 +13,7 @@
 // poison siblings there; keeping them last protects direct-binary runs too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -27,8 +27,6 @@
 
 #include "circuit/process.hpp"
 #include "core/context.hpp"
-#include "core/envknobs.hpp"
-#include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/flowgraph.hpp"
 #include "core/metrics.hpp"
@@ -36,13 +34,15 @@
 #include "manufacture/corners.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
+#include "topology/library.hpp"
+#include "topology/select.hpp"
 
 namespace core = amsyn::core;
-namespace cache = amsyn::core::cache;
 namespace metrics = amsyn::core::metrics;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
 namespace ckt = amsyn::circuit;
+namespace tp = amsyn::topology;
 
 namespace {
 
@@ -63,48 +63,6 @@ struct EnvVarGuard {
   }
   const char* name_;
   std::optional<std::string> saved_;
-};
-
-/// RAII empty shared cache with its capacity restored on exit (same
-/// discipline as tests/evalcache_test.cpp: the shared cache is process-wide
-/// state).
-struct CacheGuard {
-  CacheGuard() : c(cache::EvalCache::instance()), capacity(c.capacity()) { c.clear(); }
-  ~CacheGuard() {
-    c.setCapacity(capacity);
-    c.clear();
-  }
-  cache::EvalCache& c;
-  std::size_t capacity;
-};
-
-/// Minimal cacheable model counting real evaluations, so a context-resolved
-/// cache hit (count unchanged) is distinguishable from a miss.
-class CountingModel : public sz::PerformanceModel {
- public:
-  explicit CountingModel(double base = 1.0) : base_(base) {}
-
-  const std::vector<sz::DesignVariable>& variables() const override { return vars_; }
-
-  sz::Performance evaluate(const std::vector<double>& x) const override {
-    ++evals_;
-    return {{"gain_db", base_ + x.at(0)}, {"power", base_ * x.at(0)}};
-  }
-
-  std::optional<cache::Digest128> cacheKey(const std::vector<double>& x) const override {
-    cache::Hasher128 h;
-    h.mixString("context-counting-model");
-    h.mixDouble(base_);
-    h.mixDoubles(x);
-    return h.digest();
-  }
-
-  int evals() const { return evals_.load(); }
-
- private:
-  double base_;
-  mutable std::atomic<int> evals_{0};
-  std::vector<sz::DesignVariable> vars_{{"a", 1.0, 10.0, false, 1.0}};
 };
 
 std::uint64_t rawBits(double v) {
@@ -143,40 +101,20 @@ std::uint64_t rawBits(double v) {
   return ::testing::AssertionSuccess();
 }
 
-cache::Digest128 keyOf(std::uint64_t tag) {
-  cache::Hasher128 h;
-  h.mixString("context-test").mix(tag);
-  return h.digest();
-}
-
-/// A deterministic config for explicit contexts in the differential and
-/// isolation tests: independent of whatever AMSYN_* the CI leg set, so the
-/// tests assert the same thing in every leg.
-core::ContextConfig deterministicConfig() {
-  core::ContextConfig cfg = core::ContextConfig::fromEnv();
-  cfg.evalCacheEnabled = true;
-  return cfg;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ContextConfig::fromEnv — the one sanctioned environment snapshot
 
 TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
-  EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g7("AMSYN_JOB_DEADLINE_MS"),
+  EnvVarGuard g1("AMSYN_THREADS"), g7("AMSYN_JOB_DEADLINE_MS"),
       g8("AMSYN_TOPOLOGY_SPACE");
   ::setenv("AMSYN_THREADS", "5", 1);
-  ::setenv("AMSYN_EVAL_CACHE", "off", 1);
-  ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900", 1);
   ::setenv("AMSYN_TOPOLOGY_SPACE", "generated", 1);
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 5u);
-  EXPECT_FALSE(cfg.evalCacheEnabled);
-  EXPECT_EQ(core::envknobs::evalCacheCapacity(), 1024u);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Generated);
 
@@ -188,47 +126,36 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
 }
 
 TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
-  EnvVarGuard g1("AMSYN_THREADS"), g3("AMSYN_EVAL_CACHE"),
-      g4("AMSYN_EVAL_CACHE_CAPACITY"), g7("AMSYN_JOB_DEADLINE_MS"),
+  EnvVarGuard g1("AMSYN_THREADS"), g7("AMSYN_JOB_DEADLINE_MS"),
       g8("AMSYN_TOPOLOGY_SPACE");
-  for (const char* name :
-       {"AMSYN_THREADS", "AMSYN_EVAL_CACHE", "AMSYN_EVAL_CACHE_CAPACITY",
-        "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
+  for (const char* name : {"AMSYN_THREADS", "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
     ::unsetenv(name);
 
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
-  EXPECT_TRUE(cfg.evalCacheEnabled);
-  EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpace::Legacy);
 }
 
 TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
-  EnvVarGuard g1("AMSYN_THREADS"), g4("AMSYN_EVAL_CACHE_CAPACITY"),
-      g7("AMSYN_JOB_DEADLINE_MS");
+  EnvVarGuard g1("AMSYN_THREADS"), g7("AMSYN_JOB_DEADLINE_MS");
   ::setenv("AMSYN_THREADS", "junk", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900ms", 1);  // trailing garbage = unset
   const core::ContextConfig cfg = core::ContextConfig::fromEnv();
   EXPECT_EQ(cfg.threads, 0u);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
 
-  // Threads, deadline and capacity accept only an unsigned decimal: a sign
+  // Threads and deadline accept only an unsigned decimal: a sign
   // (which strtoull would wrap to 2^64-1), whitespace, trailing garbage
   // ("4x" is not 4), or a value past uint64 counts as unset.
   for (const char* bad : {"4x", "+4", " 4", "-1", "+5", " 5", "5 ", "", "0x10", "1e3",
                           "18446744073709551616", "99999999999999999999999"}) {
     ::setenv("AMSYN_THREADS", bad, 1);
     ::setenv("AMSYN_JOB_DEADLINE_MS", bad, 1);
-    ::setenv("AMSYN_EVAL_CACHE_CAPACITY", bad, 1);
     const core::ContextConfig c = core::ContextConfig::fromEnv();
     EXPECT_EQ(c.threads, 0u) << "'" << bad << "'";
     EXPECT_EQ(c.jobDeadlineMs, 0u) << "'" << bad << "'";
-    EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16)
-        << "'" << bad << "'";
   }
-  ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "0", 1);  // degenerate: the default
-  EXPECT_EQ(core::envknobs::evalCacheCapacity(), std::size_t{1} << 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,15 +168,11 @@ TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
   // pays one thread-local null check and nothing else).
   EXPECT_EQ(core::ExecutionContext::ambient().metricsSlice(), nullptr);
   EXPECT_TRUE(core::ExecutionContext::ambient().sliceCounters().empty());
-  // The ambient cache is the shared process cache.
-  EXPECT_EQ(&core::ExecutionContext::ambient().evalCache(),
-            &cache::EvalCache::instance());
-  EXPECT_FALSE(core::ExecutionContext::ambient().hasIsolatedEvalCache());
 }
 
 TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
-  core::ExecutionContext a(deterministicConfig());
-  core::ExecutionContext b(deterministicConfig());
+  core::ExecutionContext a(core::ContextConfig::fromEnv());
+  core::ExecutionContext b(core::ContextConfig::fromEnv());
   EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
   {
     core::ContextScope sa(a);
@@ -266,32 +189,29 @@ TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
 }
 
 TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentTopologySpace) {
-  core::ContextConfig cfg = deterministicConfig();
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.jobDeadlineMs = 4321;
   cfg.topologySpace = core::TopologySpace::Generated;
   core::ExecutionContext parent(cfg);
   const auto child = parent.makeChild();
   EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
   EXPECT_EQ(child->config().topologySpace, core::TopologySpace::Generated);
-  EXPECT_EQ(&child->evalCache(), &parent.evalCache());
-  EXPECT_FALSE(child->hasIsolatedEvalCache());
   // The child's slice chains under the parent's.
   ASSERT_NE(child->metricsSlice(), nullptr);
   EXPECT_EQ(child->metricsSlice()->parent(), parent.metricsSlice());
 
   // A child built with its own config takes that config — and only it: the
-  // handles and the slice chain are still the parent's, and the parent's
-  // config is untouched.
+  // slice chain is still the parent's, and the parent's config is
+  // untouched.
   core::ContextConfig jobCfg = cfg;
   jobCfg.topologySpace = core::TopologySpace::Legacy;
-  jobCfg.evalCacheEnabled = false;
+  jobCfg.jobDeadlineMs = 17;
   const auto job = parent.makeChild(jobCfg);
   EXPECT_EQ(job->config().topologySpace, core::TopologySpace::Legacy);
-  EXPECT_FALSE(job->config().evalCacheEnabled);
-  EXPECT_EQ(&job->evalCache(), &parent.evalCache());
+  EXPECT_EQ(job->config().jobDeadlineMs, 17u);
   EXPECT_EQ(job->metricsSlice()->parent(), parent.metricsSlice());
   EXPECT_EQ(parent.config().topologySpace, core::TopologySpace::Generated);
-  EXPECT_TRUE(parent.config().evalCacheEnabled);
+  EXPECT_EQ(parent.config().jobDeadlineMs, 4321u);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,8 +221,8 @@ TEST(ContextMetrics, SlicesAreDisjointAndSumToProcessTotals) {
   const metrics::CounterId work = metrics::registry().counter("ctx.test.work");
   const std::uint64_t before = metrics::registry().total(work);
 
-  core::ExecutionContext tenantA(deterministicConfig());
-  core::ExecutionContext tenantB(deterministicConfig());
+  core::ExecutionContext tenantA(core::ContextConfig::fromEnv());
+  core::ExecutionContext tenantB(core::ContextConfig::fromEnv());
   core::ScopedThreadPool pool(4);  // both tenants share one pool
   {
     core::ContextScope scope(tenantA);
@@ -328,7 +248,7 @@ TEST(ContextMetrics, SlicesAreDisjointAndSumToProcessTotals) {
 
 TEST(ContextMetrics, ChildDeltasChainIntoTheParentSlice) {
   const metrics::CounterId work = metrics::registry().counter("ctx.test.child");
-  core::ExecutionContext tenant(deterministicConfig());
+  core::ExecutionContext tenant(core::ContextConfig::fromEnv());
   const auto job = tenant.makeChild();
   {
     core::ContextScope scope(*job);
@@ -349,7 +269,7 @@ TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
             core::flowRunReportJson(r, core::ExecutionContext::ambient()));
 
   const metrics::CounterId work = metrics::registry().counter("ctx.test.report");
-  core::ExecutionContext ctx(deterministicConfig());
+  core::ExecutionContext ctx(core::ContextConfig::fromEnv());
   {
     core::ContextScope scope(ctx);
     metrics::add(work, 3);
@@ -358,64 +278,6 @@ TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
   EXPECT_NE(json.find("\"ctx.ctx.test.report\""), std::string::npos);
   // The slice is sparse: counters the context never touched are absent.
   EXPECT_EQ(json.find("\"ctx.core.flow.attempts\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Isolated handles (satellite: isolated caches never observe shared state)
-
-TEST(ContextIsolation, IsolatedEvalCacheNeverObservesSharedEntries) {
-  CacheGuard guard;
-  core::ExecutionContext ctx(deterministicConfig(),
-                             core::ContextIsolation{.evalCache = true});
-  ASSERT_TRUE(ctx.hasIsolatedEvalCache());
-  ASSERT_NE(&ctx.evalCache(), &cache::EvalCache::instance());
-
-  const std::vector<double> x{2.0};
-  cache::CachedEval payload{{{"gain_db", 9.0}}, core::EvalStatus::Ok};
-  cache::CachedEval out;
-
-  // Shared insert is invisible to the isolated cache...
-  cache::EvalCache::instance().insert(keyOf(1), x, payload);
-  EXPECT_FALSE(ctx.evalCache().lookup(keyOf(1), x, out));
-  // ...and an isolated insert is invisible to the shared cache.
-  ctx.evalCache().insert(keyOf(2), x, payload);
-  EXPECT_FALSE(cache::EvalCache::instance().lookup(keyOf(2), x, out));
-  EXPECT_TRUE(ctx.evalCache().lookup(keyOf(2), x, out));
-  EXPECT_TRUE(perfBitIdentical(out.performance, payload.performance));
-}
-
-TEST(ContextIsolation, IsolatedEvalCacheTakesTheBuiltInCapacity) {
-  // AMSYN_EVAL_CACHE_CAPACITY sizes the shared cache only: a context-owned
-  // cache always starts at the built-in 2^16 entries.
-  EnvVarGuard g("AMSYN_EVAL_CACHE_CAPACITY");
-  ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
-  core::ExecutionContext ctx(core::ContextConfig::fromEnv(),
-                             core::ContextIsolation{.evalCache = true});
-  ASSERT_TRUE(ctx.hasIsolatedEvalCache());
-  EXPECT_EQ(ctx.evalCache().capacity(), std::size_t{1} << 16);
-}
-
-TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {
-  CacheGuard guard;
-  core::ExecutionContext ctx(deterministicConfig(),
-                             core::ContextIsolation{.evalCache = true});
-  CountingModel model(2.0);
-  const std::vector<double> x{3.0};
-  const std::size_t sharedEntriesBefore = cache::EvalCache::instance().stats().entries;
-  {
-    core::ContextScope scope(ctx);
-    const auto first = sz::safeEvaluate(model, x);
-    const auto second = sz::safeEvaluate(model, x);
-    EXPECT_EQ(model.evals(), 1);  // second call hit the isolated cache
-    EXPECT_TRUE(perfBitIdentical(first, second));
-  }
-  // Nothing leaked into the shared cache.
-  EXPECT_EQ(cache::EvalCache::instance().stats().entries, sharedEntriesBefore);
-  EXPECT_EQ(ctx.evalCache().stats().entries, 1u);
-  // Outside the scope the same model evaluates against the shared cache, so
-  // the isolated entry is not visible: a real evaluation runs again.
-  (void)sz::safeEvaluate(model, x);
-  EXPECT_EQ(model.evals(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +300,6 @@ sz::SynthesisOptions fastSynthesisOptions() {
 /// otherwise the run goes through the explicit-context engine entry point
 /// FlowEngine::run(..., ctx) — the daemon-style path.
 core::FlowResult runFlow(std::size_t threads, core::ExecutionContext* ctx) {
-  cache::EvalCache::instance().clear();
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -456,9 +317,9 @@ core::FlowResult runFlow(std::size_t threads, core::ExecutionContext* ctx) {
   return engine.run(specs, nominal(), opts, *ctx);
 }
 
-/// The run-report prefix that is a pure function of the FlowResult (same
-/// masking as tests/evalcache_test.cpp: counters/spans and the wall-clock
-/// `stage.N.seconds` digits legitimately differ between runs).
+/// The run-report prefix that is a pure function of the FlowResult:
+/// counters/spans and the wall-clock `stage.N.seconds` digits legitimately
+/// differ between runs, so they are masked.
 std::string reportResultPrefix(const core::FlowResult& r) {
   std::string json = core::flowRunReportJson(r);
   const auto pos = json.find("\"counters\"");
@@ -507,8 +368,8 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
   EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
 }
 
-/// One small cutting-plane robust synthesis over heavy (cacheable) corner
-/// models, under the calling thread's context.
+/// One small cutting-plane robust synthesis over corner models, under the
+/// calling thread's context.
 mf::RobustResult robustProblem() {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
@@ -521,21 +382,13 @@ mf::RobustResult robustProblem() {
   return mf::robustSynthesize(factory, nominal(), mf::VariationSpace{}, specs, ropts);
 }
 
-/// robustProblem on a fresh shared cache at `threads`: ambient when `ctx`
-/// is null, else under `ctx`.
+/// robustProblem at `threads`: ambient when `ctx` is null, else under
+/// `ctx`.
 mf::RobustResult runRobust(std::size_t threads, core::ExecutionContext* ctx) {
-  cache::EvalCache::instance().clear();
   core::ScopedThreadPool scoped(threads);
   if (!ctx) return robustProblem();
   core::ContextScope scope(*ctx);
   return robustProblem();
-}
-
-/// deterministicConfig with the eval cache switched on or off.
-core::ContextConfig cacheConfig(bool cacheOn) {
-  core::ContextConfig cfg = deterministicConfig();
-  cfg.evalCacheEnabled = cacheOn;
-  return cfg;
 }
 
 void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult& b,
@@ -557,59 +410,47 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
 }  // namespace
 
 // The ambient arm runs the environment's config — no context can change
-// it, which is the point of the leak fix — and the explicit arms cover the
-// cache on and off.
+// it, which is the point of the leak fix — and the explicit arm runs the
+// same config from its own context.
 
 TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
-  CacheGuard guard;
   const auto reference = runFlow(/*threads=*/1, nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const std::string label = "threads=" + std::to_string(threads);
     const auto ambient = runFlow(threads, nullptr);
-    expectFlowsBitIdentical(reference, ambient,
-                            "ambient threads=" + std::to_string(threads));
-    for (const bool cacheOn : {false, true}) {
-      const std::string label = std::string("cache=") + (cacheOn ? "on" : "off") +
-                                " threads=" + std::to_string(threads);
-      core::ExecutionContext ctx(cacheConfig(cacheOn));
-      const auto scoped = runFlow(threads, &ctx);
-      expectFlowsBitIdentical(ambient, scoped, "explicit " + label);
-      // The explicit run actually recorded a slice — the differential would
-      // be vacuous if the context never saw the work it paid for.
-      EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
-    }
+    expectFlowsBitIdentical(reference, ambient, "ambient " + label);
+    core::ExecutionContext ctx(core::ContextConfig::fromEnv());
+    const auto scoped = runFlow(threads, &ctx);
+    expectFlowsBitIdentical(ambient, scoped, "explicit " + label);
+    // The explicit run actually recorded a slice — the differential would
+    // be vacuous if the context never saw the work it paid for.
+    EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
   }
 }
 
 TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitContexts) {
-  CacheGuard guard;
   const auto reference = runRobust(/*threads=*/1, nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const std::string label = "threads=" + std::to_string(threads);
     const auto ambient = runRobust(threads, nullptr);
-    expectRobustBitIdentical(reference, ambient,
-                             "ambient threads=" + std::to_string(threads));
-    for (const bool cacheOn : {false, true}) {
-      const std::string label = std::string("cache=") + (cacheOn ? "on" : "off") +
-                                " threads=" + std::to_string(threads);
-      core::ExecutionContext ctx(cacheConfig(cacheOn));
-      const auto scoped = runRobust(threads, &ctx);
-      expectRobustBitIdentical(ambient, scoped, "explicit " + label);
-      EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
-    }
+    expectRobustBitIdentical(reference, ambient, "ambient " + label);
+    core::ExecutionContext ctx(core::ContextConfig::fromEnv());
+    const auto scoped = runRobust(threads, &ctx);
+    expectRobustBitIdentical(ambient, scoped, "explicit " + label);
+    EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Option leaks (regression): a context's config governs that context and
-// nothing else — not a concurrent sibling on the same shared cache, and
-// not a later ambient flow.
+// nothing else — not a concurrent sibling on the same pool, and not a later
+// ambient flow.  The topology space is the mode under test: the flow's
+// select stage ranks whatever amplifierLibrary resolves from the current
+// context's config.
 
 namespace {
 
-std::uint64_t sliceValue(const core::ExecutionContext& ctx, const std::string& name) {
-  const auto slice = ctx.sliceCounters();
-  const auto it = slice.find(name);
-  return it == slice.end() ? 0 : it->second;
-}
+constexpr double kLeakLoadCap = 5e-12;
 
 /// Runs `body` on two threads at once, each under its own context, with a
 /// start barrier so the two contexts' work interleaves on the shared pool.
@@ -628,70 +469,82 @@ void runInterleaved(core::ExecutionContext& a, core::ExecutionContext& b, Body b
   tb.join();
 }
 
+/// The names a flow's topology-select stage ranks under the calling
+/// thread's context, sorted.
+std::vector<std::string> rankedNames() {
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).minimize("power", 0.5, 1e-3);
+  std::vector<std::string> names;
+  for (const auto& c : tp::ruleBasedSelect(tp::amplifierLibrary(nominal(), kLeakLoadCap), specs))
+    names.push_back(c.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// The entry names of an explicitly requested space, sorted.
+std::vector<std::string> spaceNames(core::TopologySpace space) {
+  const tp::TopologyLibrary lib = tp::amplifierLibrary(nominal(), kLeakLoadCap, space);
+  std::vector<std::string> names;
+  for (const auto& e : lib.entries()) names.push_back(e.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+core::ContextConfig withSpace(core::TopologySpace space) {
+  core::ContextConfig cfg = core::ContextConfig::fromEnv();
+  cfg.topologySpace = space;
+  return cfg;
+}
+
 }  // namespace
 
 TEST(ContextOptionLeak, InterleavedSharedContextsEachObserveOnlyTheirOwnConfig) {
-  CacheGuard guard;
   core::ScopedThreadPool pool(2);
-  // Neither context is isolated: both resolve the process cache.
-  core::ContextConfig cfgA = core::ContextConfig::fromEnv();
-  cfgA.evalCacheEnabled = false;
-  core::ContextConfig cfgB = core::ContextConfig::fromEnv();
-  cfgB.evalCacheEnabled = true;
-  core::ExecutionContext a(cfgA);
-  core::ExecutionContext b(cfgB);
+  // Both libraries are built (and memoized) up front, so the interleaved
+  // part only resolves spaces.
+  const auto legacy = spaceNames(core::TopologySpace::Legacy);
+  const auto generated = spaceNames(core::TopologySpace::Generated);
+  ASSERT_NE(legacy, generated);
 
-  runInterleaved(a, b, [&](core::ExecutionContext&) {
-    for (int round = 0; round < 2; ++round) (void)robustProblem();
+  core::ExecutionContext a(withSpace(core::TopologySpace::Legacy));
+  core::ExecutionContext b(withSpace(core::TopologySpace::Generated));
+  constexpr std::size_t kRankings = 8;
+  std::vector<std::vector<std::string>> rankedA(kRankings), rankedB(kRankings);
+  runInterleaved(a, b, [&](core::ExecutionContext& ctx) {
+    auto& out = &ctx == &a ? rankedA : rankedB;
+    // Ranked inside pool tasks: each one resolves the context parallelFor
+    // carried over from its submitter.
+    core::parallelFor(kRankings, [&](std::size_t i) { out[i] = rankedNames(); });
   });
 
-  // A: cache off, so its slice carries no cache traffic of any kind.
-  for (const auto& [name, value] : a.sliceCounters())
-    if (name.rfind("core.cache.", 0) == 0) EXPECT_EQ(value, 0u) << name;
-  // B: cache on, so it was consulted and filled.
-  EXPECT_GT(sliceValue(b, "core.cache.misses"), 0u);
-  EXPECT_GT(sliceValue(b, "core.cache.inserts"), 0u);
+  for (std::size_t i = 0; i < kRankings; ++i) {
+    EXPECT_EQ(rankedA[i], legacy) << "legacy context, ranking " << i;
+    EXPECT_EQ(rankedB[i], generated) << "generated context, ranking " << i;
+  }
 }
 
 TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMode) {
-  // A cache-off robustSynthesize must keep its mode to itself: a job
-  // running concurrently with the cache on, and any later ambient flow,
-  // keep their own setting.  The cache-on job owns its cache, so the
-  // shared one can only be filled by a leak from the cache-off job.
-  CacheGuard guard;
+  // A job that ranks the space the environment does not name must keep that
+  // space to itself: a later ambient flow ranks the environment's space.
+  // In the tier1-generated CI leg the two swap roles.  (The name dates from
+  // when this contract ran on the evaluation cache's on/off mode; with the
+  // cache gone it runs on the topology space.)
   core::ScopedThreadPool pool(2);
-  core::ContextConfig cfgOff = core::ContextConfig::fromEnv();
-  cfgOff.evalCacheEnabled = false;
-  core::ContextConfig cfgOn = core::ContextConfig::fromEnv();
-  cfgOn.evalCacheEnabled = true;
-  core::ExecutionContext off(cfgOff);
-  core::ExecutionContext on(cfgOn, core::ContextIsolation{.evalCache = true});
-  runInterleaved(off, on, [](core::ExecutionContext&) {
-    for (int round = 0; round < 2; ++round) (void)robustProblem();
-  });
-  const auto lookups = [](const core::ExecutionContext& ctx) {
-    return sliceValue(ctx, "core.cache.hits") + sliceValue(ctx, "core.cache.misses");
-  };
-  EXPECT_EQ(lookups(off), 0u);
-  EXPECT_GT(lookups(on), 0u);
-  EXPECT_EQ(cache::EvalCache::instance().stats().entries, 0u);
-  EXPECT_GT(on.evalCache().stats().entries, 0u);
+  const core::TopologySpace envSpace = core::ContextConfig::fromEnv().topologySpace;
+  const core::TopologySpace other = envSpace == core::TopologySpace::Legacy
+                                        ? core::TopologySpace::Generated
+                                        : core::TopologySpace::Legacy;
+  {
+    core::ExecutionContext job(withSpace(other));
+    core::ContextScope scope(job);
+    std::vector<std::vector<std::string>> ranked(4);
+    core::parallelFor(ranked.size(), [&](std::size_t i) { ranked[i] = rankedNames(); });
+    for (const auto& names : ranked) EXPECT_EQ(names, spaceNames(other));
+  }
 
-  // A fresh ambient flow (no scope) looks the cache up exactly when the
-  // environment says so.
-  const bool envCache = core::ContextConfig::fromEnv().evalCacheEnabled;
-  EXPECT_EQ(core::ExecutionContext::ambient().config().evalCacheEnabled, envCache);
-  const auto totalLookups = [] {
-    return metrics::registry().total("core.cache.hits") +
-           metrics::registry().total("core.cache.misses");
-  };
-  const std::uint64_t before = totalLookups();
-  (void)robustProblem();
-  const std::uint64_t looked = totalLookups() - before;
-  if (envCache)
-    EXPECT_GT(looked, 0u);
-  else
-    EXPECT_EQ(looked, 0u);
+  EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
+  EXPECT_EQ(core::ExecutionContext::ambient().config().topologySpace, envSpace);
+  EXPECT_EQ(rankedNames(), spaceNames(envSpace));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 // attempts, stage-record trails) driven by fabricated stages with no
 // simulator underneath, and the batch entry point's determinism contract —
 // synthesizeBatch over N spec sets must be bit-identical, per design, to N
-// sequential synthesizeAmplifier calls at any thread count with the
-// evaluation cache on or off.
+// sequential synthesizeAmplifier calls at any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,14 +15,12 @@
 #include "circuit/netlist.hpp"
 #include "circuit/process.hpp"
 #include "core/context.hpp"
-#include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/flowgraph.hpp"
 #include "core/parallel.hpp"
 #include "sizing/spec.hpp"
 
 namespace core = amsyn::core;
-namespace cache = amsyn::core::cache;
 namespace sz = amsyn::sizing;
 namespace ckt = amsyn::circuit;
 
@@ -290,7 +287,7 @@ TEST(Measure, MissingOutNodeIsInfeasibleDataNotAThrow) {
 
 // ---------------------------------------------------------------------------
 // Batch determinism: synthesizeBatch == N sequential synthesizeAmplifier
-// calls, bit for bit, at any thread count, cache on or off
+// calls, bit for bit, at any thread count
 
 namespace {
 
@@ -355,24 +352,15 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 
 }  // namespace
 
+// The name dates from when this also toggled the evaluation cache; only the
+// thread-count dimension is left.
 TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
-  auto& c = cache::EvalCache::instance();
   const auto specs = batchSpecs();
   const auto opts = batchFlowOptions();
-  // The environment's config with the cache switched; the batch's jobs are
-  // children of the installed context and inherit it.
-  const auto withCache = [](bool on) {
-    core::ContextConfig cfg = core::ContextConfig::fromEnv();
-    cfg.evalCacheEnabled = on;
-    return cfg;
-  };
 
-  // Reference: one sequential flow per spec set, single-threaded, no cache.
+  // Reference: one sequential flow per spec set, single-threaded.
   std::vector<core::FlowResult> reference;
   {
-    c.clear();
-    core::ExecutionContext ctx(withCache(false));
-    core::ContextScope scope(ctx);
     core::ScopedThreadPool scoped(1);
     for (std::size_t i = 0; i < specs.size(); ++i)
       reference.push_back(
@@ -382,21 +370,14 @@ TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
   EXPECT_FALSE(reference[2].success) << "the hopeless spec set must fail";
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool cacheOn : {false, true}) {
-      c.clear();
-      core::ExecutionContext ctx(withCache(cacheOn));
-      core::ContextScope scope(ctx);
-      core::ScopedThreadPool scoped(threads);
-      const auto batch = core::synthesizeBatch(specs, nominal(), opts);
-      ASSERT_EQ(batch.size(), specs.size());
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        expectFlowsBitIdentical(reference[i], batch[i],
-                                "design=" + std::to_string(i) +
-                                    " threads=" + std::to_string(threads) +
-                                    " cache=" + (cacheOn ? "on" : "off"));
-    }
+    core::ScopedThreadPool scoped(threads);
+    const auto batch = core::synthesizeBatch(specs, nominal(), opts);
+    ASSERT_EQ(batch.size(), specs.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      expectFlowsBitIdentical(reference[i], batch[i],
+                              "design=" + std::to_string(i) +
+                                  " threads=" + std::to_string(threads));
   }
-  c.clear();
 }
 
 TEST(FlowBatch, ItemOptionsDecorrelateSeedsDeterministically) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "manufacture/corners.hpp"
 #include "manufacture/yield.hpp"
@@ -92,14 +91,9 @@ class CountingModel : public sz::PerformanceModel {
 }  // namespace
 
 TEST(WorstCase, EvaluationsCountEveryModelCallTheHuntMakes) {
-  // With the cache off every requested evaluation reaches a model, so the
-  // hunt's reported count must equal what the models actually saw: the
-  // vertices, however many coordinate-search probes ran, and the final read.
-  amsyn::core::ContextConfig cfg = amsyn::core::ContextConfig::fromEnv();
-  cfg.evalCacheEnabled = false;
-  amsyn::core::ExecutionContext ctx(cfg);
-  amsyn::core::ContextScope scope(ctx);
-
+  // Every requested evaluation reaches a model, so the hunt's reported
+  // count must equal what the models actually saw: the vertices, however
+  // many coordinate-search probes ran, and the final read.
   std::atomic<std::size_t> calls{0};
   const auto inner = twoStageFactory();
   const mf::ModelFactory factory = [&](const ckt::Process& p) {

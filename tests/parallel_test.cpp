@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/flow.hpp"
 #include "core/parallel.hpp"
 #include "core/threadpool.hpp"
 #include "manufacture/corners.hpp"
@@ -238,6 +241,174 @@ TEST(Determinism, MultistartSynthesisIdenticalAtOneAndEightThreads) {
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
   ASSERT_EQ(serial.x.size(), parallel.x.size());
   for (std::size_t i = 0; i < serial.x.size(); ++i) EXPECT_EQ(serial.x[i], parallel.x[i]);
+}
+
+// Whole-flow and robust-synthesis determinism: every stage and every
+// cutting-plane round, bit for bit, at 1, 2 and 8 threads.
+
+namespace {
+
+std::uint64_t rawBits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Bit-exact Performance comparison: operator== on the map would treat
+/// NaN != NaN, so values compare by their raw IEEE-754 bits.
+::testing::AssertionResult perfBitIdentical(const sz::Performance& a,
+                                            const sz::Performance& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << "sizes differ: " << a.size() << " vs " << b.size();
+  auto ia = a.begin();
+  auto ib = b.begin();
+  for (; ia != a.end(); ++ia, ++ib) {
+    if (ia->first != ib->first)
+      return ::testing::AssertionFailure()
+             << "keys differ: " << ia->first << " vs " << ib->first;
+    if (rawBits(ia->second) != rawBits(ib->second))
+      return ::testing::AssertionFailure()
+             << ia->first << " differs in bits: " << ia->second << " vs " << ib->second;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult vecBitIdentical(const std::vector<double>& a,
+                                           const std::vector<double>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << "sizes differ: " << a.size() << " vs " << b.size();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (rawBits(a[i]) != rawBits(b[i]))
+      return ::testing::AssertionFailure()
+             << "x[" << i << "] differs in bits: " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+sz::SynthesisOptions fastSynthesisOptions() {
+  sz::SynthesisOptions opts;
+  opts.seed = 11;
+  opts.multistarts = 2;
+  opts.anneal.stagnationStages = 2;
+  opts.anneal.coolingRate = 0.7;
+  opts.refineEvaluations = 40;
+  return opts;
+}
+
+core::FlowResult runFlow(std::size_t threads) {
+  core::ScopedThreadPool scoped(threads);
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 36.0)
+      .atLeast("ugf", 1e7)
+      .atLeast("pm", 60.0)
+      .atMost("power", 4e-3)
+      .minimize("power", 0.3, 1e-3);
+  core::FlowOptions opts;
+  opts.loadCap = 2e-12;
+  opts.seed = 3;
+  opts.synthesis = fastSynthesisOptions();
+  opts.layout.annealPlacement = false;
+  return core::synthesizeAmplifier(specs, nominal(), opts);
+}
+
+/// The run-report prefix that is a pure function of the FlowResult: report
+/// name + info + values.  Counters and spans follow the schedule, and the
+/// per-stage `stage.N.seconds` values are wall clock, so their digits are
+/// masked before comparing.
+std::string reportResultPrefix(const core::FlowResult& r) {
+  std::string json = core::flowRunReportJson(r);
+  const auto pos = json.find("\"counters\"");
+  if (pos != std::string::npos) json = json.substr(0, pos);
+  std::string masked;
+  std::size_t at = 0;
+  while (true) {
+    const auto hit = json.find(".seconds\": ", at);
+    if (hit == std::string::npos) break;
+    const auto valueStart = hit + std::strlen(".seconds\": ");
+    auto valueEnd = valueStart;
+    while (valueEnd < json.size() && json[valueEnd] != ',' && json[valueEnd] != '\n')
+      ++valueEnd;
+    masked += json.substr(at, valueStart - at);
+    masked += '#';
+    at = valueEnd;
+  }
+  masked += json.substr(at);
+  return masked;
+}
+
+void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& b,
+                             const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.topology, b.topology);
+  EXPECT_TRUE(vecBitIdentical(a.designPoint, b.designPoint));
+  EXPECT_EQ(a.redesigns, b.redesigns);
+  EXPECT_EQ(a.failureReason, b.failureReason);
+  EXPECT_EQ(a.failureStatus, b.failureStatus);
+  ASSERT_EQ(a.verifications.size(), b.verifications.size());
+  for (std::size_t i = 0; i < a.verifications.size(); ++i) {
+    EXPECT_EQ(a.verifications[i].stage, b.verifications[i].stage);
+    EXPECT_EQ(a.verifications[i].passed, b.verifications[i].passed);
+    EXPECT_TRUE(
+        perfBitIdentical(a.verifications[i].measured, b.verifications[i].measured));
+  }
+  // Stage records match field for field except `seconds` (wall clock).
+  ASSERT_EQ(a.stageRecords.size(), b.stageRecords.size());
+  for (std::size_t i = 0; i < a.stageRecords.size(); ++i) {
+    EXPECT_EQ(a.stageRecords[i].name, b.stageRecords[i].name);
+    EXPECT_EQ(a.stageRecords[i].attempt, b.stageRecords[i].attempt);
+    EXPECT_EQ(a.stageRecords[i].status, b.stageRecords[i].status);
+    EXPECT_EQ(a.stageRecords[i].detail, b.stageRecords[i].detail);
+    EXPECT_EQ(a.stageRecords[i].evalStatus, b.stageRecords[i].evalStatus);
+  }
+  EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
+}
+
+mf::RobustResult runRobust(std::size_t threads) {
+  core::ScopedThreadPool scoped(threads);
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
+  mf::RobustOptions ropts;
+  ropts.synthesis = fastSynthesisOptions();
+  ropts.maxRounds = 1;
+  return mf::robustSynthesize(twoStageFactory(), nominal(), mf::VariationSpace{}, specs, ropts);
+}
+
+void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult& b,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_TRUE(vecBitIdentical(a.nominal.x, b.nominal.x));
+  EXPECT_TRUE(perfBitIdentical(a.nominal.performance, b.nominal.performance));
+  EXPECT_EQ(a.nominal.feasible, b.nominal.feasible);
+  EXPECT_TRUE(vecBitIdentical(a.robust.x, b.robust.x));
+  EXPECT_TRUE(perfBitIdentical(a.robust.performance, b.robust.performance));
+  EXPECT_EQ(a.robust.feasible, b.robust.feasible);
+  EXPECT_EQ(a.robustFeasibleAtCorners, b.robustFeasibleAtCorners);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.activeCorners, b.activeCorners);
+  EXPECT_EQ(a.nominalEvaluations, b.nominalEvaluations);
+  EXPECT_EQ(a.robustEvaluations, b.robustEvaluations);
+}
+
+}  // namespace
+
+// The EvalCacheDifferential names date from when these runs also toggled the
+// evaluation cache; with the cache gone only the thread-count dimension is
+// left.
+
+TEST(EvalCacheDifferential, FlowIsBitIdenticalWithCacheOnOffAcrossThreadCounts) {
+  const auto reference = runFlow(1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
+    expectFlowsBitIdentical(reference, runFlow(threads),
+                            "threads=" + std::to_string(threads));
+}
+
+TEST(EvalCacheDifferential, CornerSearchIsBitIdenticalWithCacheOnOffAcrossThreadCounts) {
+  const auto reference = runRobust(1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
+    expectRobustBitIdentical(reference, runRobust(threads),
+                             "threads=" + std::to_string(threads));
 }
 
 TEST(Multistart, SingleStartPreservesLegacySeedBehavior) {

@@ -414,169 +414,3 @@ TEST_P(RouterDrcProperty, RoutedWiresKeepMinimumSpacing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterDrcProperty, ::testing::Range(1, 7));
-
-// ------------------------------------------ evaluation-cache key properties
-//
-// The cache keys of core/evalcache.hpp are only sound if (a) semantically
-// identical candidates always collide (declaration order, device names, and
-// thread/schedule must not matter) and (b) electrically distinct candidates
-// never collide by construction (any sizing change, down to one ulp, must
-// move the digest).  Sweep both directions over random
-// netlists and design vectors.
-
-#include "circuit/canonical.hpp"
-#include "core/evalcache.hpp"
-#include "core/parallel.hpp"
-
-namespace {
-
-/// One declarative device record, so the same netlist can be instantiated
-/// in any declaration order.
-struct DeviceRec {
-  enum Kind { R, C, V, Mos, Diode } kind;
-  std::string name, a, b;
-  double value;
-};
-
-std::vector<DeviceRec> randomDeviceRecs(num::Rng& rng) {
-  std::vector<DeviceRec> recs;
-  recs.push_back({DeviceRec::V, "VDD", "vdd", "0", 5.0});
-  const int n = 6 + static_cast<int>(rng.index(6));
-  for (int i = 0; i < n; ++i) {
-    const std::string a = "n" + std::to_string(rng.index(4));
-    std::string b = "n" + std::to_string(rng.index(4));
-    if (b == a) b = "0";
-    const std::string nm = "D" + std::to_string(i);
-    switch (rng.index(4)) {
-      case 0: recs.push_back({DeviceRec::R, nm, a, b, 1e3 * (1 + rng.uniform() * 9)}); break;
-      case 1: recs.push_back({DeviceRec::C, nm, a, b, 1e-12 * (1 + rng.uniform() * 9)}); break;
-      case 2: recs.push_back({DeviceRec::Mos, nm, a, b, (2 + rng.uniform() * 20) * 1e-6}); break;
-      default: recs.push_back({DeviceRec::Diode, nm, a, b, 1e-14}); break;
-    }
-  }
-  return recs;
-}
-
-circuit::Netlist instantiate(const std::vector<DeviceRec>& recs,
-                             const std::vector<std::size_t>& order,
-                             const std::string& nameSuffix = "") {
-  circuit::Netlist net;
-  for (std::size_t k : order) {
-    const DeviceRec& r = recs[k];
-    const std::string nm = r.name + nameSuffix;
-    switch (r.kind) {
-      case DeviceRec::R: net.addResistor(nm, r.a, r.b, r.value); break;
-      case DeviceRec::C: net.addCapacitor(nm, r.a, r.b, r.value); break;
-      case DeviceRec::V: net.addVSource(nm, r.a, r.b, r.value); break;
-      case DeviceRec::Mos:
-        net.addMos(nm, r.a, "g", r.b, "0", circuit::MosType::Nmos, r.value, 2e-6);
-        break;
-      case DeviceRec::Diode: net.addDiode(nm, r.a, r.b, r.value); break;
-    }
-  }
-  return net;
-}
-
-std::vector<std::size_t> identityOrder(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  return order;
-}
-
-}  // namespace
-
-class CacheKeyProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(CacheKeyProperty, NetlistDigestIgnoresDeclarationOrderAndDeviceNames) {
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131 + 7);
-  const auto recs = randomDeviceRecs(rng);
-
-  auto order = identityOrder(recs.size());
-  const auto reference = circuit::canonicalNetlistDigest(instantiate(recs, order));
-
-  // Any declaration order — which also permutes NodeId assignment, since
-  // nodes are created on first use — must hash identically.
-  for (int shuffle = 0; shuffle < 4; ++shuffle) {
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng.index(i)]);
-    EXPECT_EQ(circuit::canonicalNetlistDigest(instantiate(recs, order)), reference)
-        << "seed " << GetParam() << " shuffle " << shuffle;
-  }
-
-  // Device *names* are labels, not electrical facts.
-  EXPECT_EQ(circuit::canonicalNetlistDigest(instantiate(recs, identityOrder(recs.size()),
-                                                        "_renamed")),
-            reference);
-}
-
-TEST_P(CacheKeyProperty, AnyElectricalPerturbationMovesTheNetlistDigest) {
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 257 + 29);
-  auto recs = randomDeviceRecs(rng);
-  const auto order = identityOrder(recs.size());
-  const auto reference = circuit::canonicalNetlistDigest(instantiate(recs, order));
-
-  // One device value nudged by one ulp-scale relative step: a different
-  // circuit, therefore a different digest (exact-bit canonical form).
-  auto perturbed = recs;
-  const std::size_t victim = rng.index(recs.size());
-  perturbed[victim].value = std::nextafter(perturbed[victim].value, 1e30);
-  EXPECT_NE(circuit::canonicalNetlistDigest(instantiate(perturbed, order)), reference)
-      << "seed " << GetParam();
-
-  // Node renaming is deliberately digest-visible: connectivity labels are
-  // part of a candidate's identity (the testbench measures named nodes).
-  auto renamed = recs;
-  bool touched = false;
-  for (auto& r : renamed) {
-    if (r.a == "n0") r.a = "n9", touched = true;
-    if (r.b == "n0") r.b = "n9", touched = true;
-  }
-  if (touched)
-    EXPECT_NE(circuit::canonicalNetlistDigest(instantiate(renamed, order)), reference);
-}
-
-TEST_P(CacheKeyProperty, ModelKeyIsIdenticalAcrossThreadsAndRepeats) {
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 389 + 3);
-  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
-  std::vector<double> x;
-  for (const auto& v : model.variables()) {
-    const double t = rng.uniform();
-    x.push_back(v.logScale && v.lo > 0 ? v.lo * std::pow(v.hi / v.lo, t)
-                                       : v.lo + t * (v.hi - v.lo));
-  }
-  const auto reference = model.cacheKey(x);
-  ASSERT_TRUE(reference.has_value());
-
-  // Same candidate, computed concurrently on pool workers: every digest
-  // must equal the serial one (the cache would otherwise split entries —
-  // or worse, alias different candidates — depending on scheduling).
-  core::ScopedThreadPool scoped(8);
-  const auto keys = core::parallelMap(64, [&](std::size_t) { return model.cacheKey(x); });
-  for (const auto& k : keys) {
-    ASSERT_TRUE(k.has_value());
-    EXPECT_EQ(*k, *reference);
-  }
-  EXPECT_EQ(*model.cacheKey(x), *reference);  // and across repeats
-}
-
-TEST_P(CacheKeyProperty, SizingPerturbationAboveQuantumMovesTheModelKey) {
-  // Keys hash the exact sizing bits, so the quantum is one ulp: a single
-  // one-ulp change of any coordinate is a different key.
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 577 + 11);
-  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc(), 5e-12);
-  std::vector<double> x;
-  for (const auto& v : model.variables()) {
-    const double t = 0.2 + 0.6 * rng.uniform();
-    x.push_back(v.logScale && v.lo > 0 ? v.lo * std::pow(v.hi / v.lo, t)
-                                       : v.lo + t * (v.hi - v.lo));
-  }
-
-  const auto exactRef = *model.cacheKey(x);
-  auto x1 = x;
-  const std::size_t victim = rng.index(x.size());
-  x1[victim] = std::nextafter(x1[victim], x1[victim] * 2);
-  EXPECT_NE(*model.cacheKey(x1), exactRef) << "seed " << GetParam();
-  EXPECT_EQ(*model.cacheKey(x), exactRef);  // unperturbed stays put
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheKeyProperty, ::testing::Range(1, 13));

@@ -24,7 +24,6 @@ class TwoStageEquationModel : public sizing::PerformanceModel {
 
   const std::vector<sizing::DesignVariable>& variables() const override { return vars_; }
   sizing::Performance evaluate(const std::vector<double>& x) const override;
-  sizing::EvalCost evalCost() const override { return sizing::EvalCost::Cheap; }
 
   /// Map a design point to device sizes for simulation / layout.
   sizing::TwoStageParams toParams(const std::vector<double>& x) const;
@@ -59,7 +58,6 @@ class OtaEquationModel : public sizing::PerformanceModel {
 
   const std::vector<sizing::DesignVariable>& variables() const override { return vars_; }
   sizing::Performance evaluate(const std::vector<double>& x) const override;
-  sizing::EvalCost evalCost() const override { return sizing::EvalCost::Cheap; }
 
   OtaParams toParams(const std::vector<double>& x) const;
 

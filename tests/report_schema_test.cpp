@@ -27,7 +27,6 @@
 
 #include "circuit/process.hpp"
 #include "core/context.hpp"
-#include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
 #include "core/runreport.hpp"
@@ -92,14 +91,11 @@ std::string neutralizeSpans(const std::string& json) {
 }
 
 std::string normalizedFlowReport() {
-  // Pinned configuration: fixed seed, fixed thread count, cache enabled at
-  // defaults — the same flow tests/evalcache_test.cpp proves bit-identical
-  // across all of these knobs, so this report is reproducible everywhere.
-  core::ContextConfig cfg = core::ContextConfig::fromEnv();
-  cfg.evalCacheEnabled = true;
-  core::ExecutionContext ctx(cfg);
+  // Pinned configuration: fixed seed, fixed thread count — the same flow
+  // parallel_test's Determinism suite proves bit-identical across thread
+  // counts, so this report is reproducible everywhere.
+  core::ExecutionContext ctx(core::ContextConfig::fromEnv());
   core::ContextScope scope(ctx);
-  core::cache::EvalCache::instance().clear();
   core::ScopedThreadPool scoped(2);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)

@@ -161,23 +161,6 @@ TEST(DeadlineBudget, ContextConfigSnapshotsTheDeadlineEnvKnob) {
   EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u);
 }
 
-TEST(DeadlineBudget, DeadlineMakesSimEvaluationsUncacheable) {
-  const sz::OpampTestbench tb{5e-12, 2.2, true};
-  auto tmpl = sz::twoStageTemplate(nominal(), tb);
-  const std::vector<double> x = {60e-6, 30e-6, 40e-6, 120e-6, 60e-6, 2e-12, 50e-6};
-  {
-    sz::SimulationModel model(tmpl, nominal(), {});
-    EXPECT_TRUE(model.cacheKey(x).has_value());
-  }
-  {
-    sz::SimModelOptions opts;
-    opts.deadlineNs = core::EvalBudget::nowNs() + 1'000'000'000LL;
-    sz::SimulationModel model(tmpl, nominal(), opts);
-    EXPECT_FALSE(model.cacheKey(x).has_value())
-        << "wall-clock-truncatable evaluations must never be cached";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The FlowEngine's job boundary (fabricated stages)
 
