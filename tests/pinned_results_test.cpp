@@ -13,9 +13,14 @@
 //     re-add corners it already had: robust.x, robust.cost, the feasibility
 //     verdicts and every robust performance;
 //   * one synthesizeBatch of 4 in the generated space: the same fields as the
-//     quickstart flow, per design.
+//     quickstart flow, per design;
+//   * the worst-corner hunts for the four bench_claim_corners constraints:
+//     every WorstCorner field but the evaluation count (corner, margin,
+//     value), at seeded points of the two-stage box and at the seed-28520
+//     robust design.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "circuit/process.hpp"
 #include "core/flow.hpp"
 #include "manufacture/corners.hpp"
+#include "numeric/rng.hpp"
 #include "sizing/eqmodel.hpp"
 
 namespace {
@@ -35,6 +41,35 @@ using testutil::BitDigest;
 
 void addFlow(BitDigest& d, const core::FlowResult& r) {
   d.u64(r.success).str(r.topology).reals(r.designPoint).real(r.cell.areaLambda2);
+}
+
+manufacture::ModelFactory cornerFactory() {
+  return [](const circuit::Process& p) {
+    return sizing::makeTwoStageCornerModel(p, circuit::defaultProcess(), kLoadCap);
+  };
+}
+
+/// The bench_claim_corners (and robust_corners benchmark) spec set.
+sizing::SpecSet cornerSpecs() {
+  sizing::SpecSet specs;
+  specs.atLeast("gain_db", 66.0)
+      .atLeast("ugf", 3e6)
+      .atLeast("pm", 50.0)
+      .atMost("power", 8e-3)
+      .minimize("power", 0.3, 1e-3);
+  return specs;
+}
+
+/// Hunt every constraint of cornerSpecs() at x and digest what each hunt
+/// found: the corner, its margin and the performance value there.
+void addWorstCorners(BitDigest& d, const std::vector<double>& x) {
+  const auto specs = cornerSpecs();
+  for (const auto& spec : specs.specs()) {
+    if (spec.isObjective()) continue;
+    const auto wc = manufacture::worstCaseCorner(cornerFactory(), circuit::defaultProcess(),
+                                                 manufacture::VariationSpace{}, x, spec);
+    d.str(spec.performance).reals(wc.corner).real(wc.margin).real(wc.value);
+  }
 }
 
 }  // namespace
@@ -124,4 +159,35 @@ TEST(PinnedResults, GeneratedSpaceBatchOfFour) {
     topologies += r.topology + " ";
   }
   EXPECT_EQ(d.hex(), "0x0beb9545ec46cc79") << topologies;
+}
+
+TEST(PinnedResults, WorstCornersAtSeededPoints) {
+  const auto model = cornerFactory()(circuit::defaultProcess());
+  const auto& vars = model->variables();
+  std::vector<std::vector<double>> xs{model->initialPoint()};
+  num::Rng rng(29);
+  for (int p = 0; p < 3; ++p) {
+    std::vector<double> x(vars.size());
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      const double u = rng.uniform();
+      const auto& v = vars[i];
+      x[i] = (v.logScale && v.lo > 0) ? v.lo * std::pow(v.hi / v.lo, u)
+                                      : v.lo + u * (v.hi - v.lo);
+    }
+    xs.push_back(x);
+  }
+  BitDigest d;
+  for (const auto& x : xs) addWorstCorners(d, x);
+  EXPECT_EQ(d.hex(), "0xd6c7634ba5fe4859");
+}
+
+TEST(PinnedResults, WorstCornersAtTheSeed28520Design) {
+  manufacture::RobustOptions opts;
+  opts.synthesis.seed = 28520;
+  const auto r = manufacture::robustSynthesize(cornerFactory(), circuit::defaultProcess(),
+                                               manufacture::VariationSpace{}, cornerSpecs(),
+                                               opts);
+  BitDigest d;
+  addWorstCorners(d, r.robust.x);
+  EXPECT_EQ(d.hex(), "0x2c8a08dc70fefad1");
 }
