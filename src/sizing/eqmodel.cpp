@@ -66,8 +66,10 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
   area += g.w8 * l;
   if (s_.secondStage) area += opampCapArea(g.cc);
 
+  // Both families report eight performances, inserted in name order (the
+  // order Performance keeps), so no insertion moves an entry.
   Performance perf;
-  perf.reserve(8);  // both families report eight performances
+  perf.reserve(8);
 
   if (!s_.secondStage) {
     // --- single-stage family: the OTA equations in electrical coordinates,
@@ -106,15 +108,15 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
     if (s_.loadCascode) swing -= vovc3x;
     if (s_.tailCascode) swing -= vovc5x;
 
-    perf["gain_db"] = 20.0 * std::log10(av);
-    perf["ugf"] = ugf;
-    perf["pm"] = pm;
-    perf["slew"] = i5 / loadCap_;
-    perf["power"] = proc_.vdd * (i5 + 10e-6);
-    perf["area"] = area;
-    perf["swing"] = std::max(0.0, swing);
     const double psd = 2.0 * (16.0 / 3.0) * proc_.kT() / gm1 * (1.0 + gm3 / gm1);
+    perf["area"] = area;
+    perf["gain_db"] = 20.0 * std::log10(av);
     perf["noise_nv"] = std::sqrt(psd) * 1e9;
+    perf["pm"] = pm;
+    perf["power"] = proc_.vdd * (i5 + 10e-6);
+    perf["slew"] = i5 / loadCap_;
+    perf["swing"] = std::max(0.0, swing);
+    perf["ugf"] = ugf;
     return perf;
   }
 
@@ -259,14 +261,14 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
 
   const double psd = 2.0 * (16.0 / 3.0) * proc_.kT() / gm1 * (1.0 + gm3 / gm1);
 
-  perf["gain_db"] = 20.0 * std::log10(av1 * av2);
-  perf["ugf"] = ugf;
-  perf["pm"] = pm;
-  perf["slew"] = std::min(i5 / g.cc, i7 / loadCap_);
-  perf["power"] = proc_.vdd * (i5 + i7 + g.ibias);
   perf["area"] = area;
-  perf["swing"] = std::max(0.0, swing);
+  perf["gain_db"] = 20.0 * std::log10(av1 * av2);
   perf["noise_nv"] = std::sqrt(psd) * 1e9;
+  perf["pm"] = pm;
+  perf["power"] = proc_.vdd * (i5 + i7 + g.ibias);
+  perf["slew"] = std::min(i5 / g.cc, i7 / loadCap_);
+  perf["swing"] = std::max(0.0, swing);
+  perf["ugf"] = ugf;
   return perf;
 }
 

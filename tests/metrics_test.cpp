@@ -449,23 +449,25 @@ TEST(Instrumentation, CornerSearchReportsPhaseTimesAndVertexEvals) {
   EXPECT_GT(res.nominalSeconds, 0.0);
   EXPECT_GT(res.cornerSearchSeconds, 0.0);
   EXPECT_GT(res.robustEvaluations, res.nominalEvaluations);
-  // Each worstCaseCorner call enumerates all 64 box vertices.
-  EXPECT_GE(reg.total("corners.vertex_evals") - vertexBefore, 64u);
+  // Each hunt evaluates the 64 box vertices once for all its specs: one per
+  // round, plus the audit after a round that added corners (with
+  // maxRounds = 1, a maxRounds exit).
+  const std::size_t hunts = res.rounds + (res.activeCorners > 0 ? 1 : 0);
+  EXPECT_EQ(reg.total("corners.vertex_evals") - vertexBefore, 64u * hunts);
 
 #if AMSYN_TRACE_ENABLED
   const auto spans = trace::collect();
   ASSERT_TRUE(spans.count("nominal_sizing"));
   ASSERT_TRUE(spans.count("corner_search"));
   EXPECT_GT(spans.at("corner_search").totalNs, 0u);
-  // corner_hunt runs inside parallelMap: on the caller it nests under
-  // corner_search, on a pool worker it opens a fresh per-thread root.
-  std::uint64_t hunts = 0;
+  // corner_hunt runs on the caller, under corner_search (or corner_audit).
+  std::uint64_t huntSpans = 0;
   const std::string leaf = "corner_hunt";
   for (const auto& [path, s] : spans)
     if (path.size() >= leaf.size() &&
         path.compare(path.size() - leaf.size(), leaf.size(), leaf) == 0)
-      hunts += s.count;
-  EXPECT_GT(hunts, 0u);
+      huntSpans += s.count;
+  EXPECT_EQ(huntSpans, hunts);
 #endif
 }
 
