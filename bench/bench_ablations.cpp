@@ -46,7 +46,7 @@ void ablationStacking() {
 void ablationSymmetry() {
   std::cout << "--- ablation 2: symmetric-pair placement cost term ---\n";
   std::vector<layout::PlacementComponent> comps;
-  circuit::MosParams mp{circuit::MosType::Nmos, 20e-6, 2e-6, 1, 0.0, 1.0};
+  circuit::MosParams mp{circuit::MosType::Nmos, 20e-6, 2e-6, 1};
   for (int i = 0; i < 2; ++i) {
     layout::PlacementComponent c;
     c.name = i == 0 ? "M1" : "M2";

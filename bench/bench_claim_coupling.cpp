@@ -1,7 +1,8 @@
-// Reproduction of the section-3.2 coupling claims: segregated channels [53],
-// constraint-based channel routing with variable separations and shields
-// [54,55], and WREN's SNR-driven global routing + constraint mapping [56]
-// all exist to keep "noisy digital and sensitive analog" wiring apart.
+// Reproduction of the section-3.2 coupling claims: constraint-based channel
+// routing with variable separations and shields [54,55], and WREN's
+// SNR-driven global routing + constraint mapping [56], exist to keep "noisy
+// digital and sensitive analog" wiring apart.  (Segregated channels [53]
+// serve the same end but are not reproduced.)
 //
 // Two experiments:
 //  1. channel level — the same pin problem routed (a) plainly, (b) with
@@ -42,7 +43,7 @@ std::vector<layout::ChannelNetSpec> busSpecs() {
 
 void printClaim() {
   std::cout << "=== Claim (sec. 3.2): separations and shields kill digital->analog\n";
-  std::cout << "    coupling at a measured track cost (refs [53],[54],[55],[56]) ===\n\n";
+  std::cout << "    coupling at a measured track cost (refs [54],[55],[56]) ===\n\n";
 
   // --- channel-level experiment ---
   core::Table t({"channel strategy", "height (tracks)", "density LB",

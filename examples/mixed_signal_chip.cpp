@@ -1,8 +1,11 @@
 // System assembly (section 3.2 of the paper): floorplan a mixed-signal chip
 // with the WRIGHT substrate-aware annealer, globally route its signals with
-// WREN under SNR constraints, and synthesize the power grid with RAIL.
+// WREN under SNR constraints, and synthesize the power grid with RAIL.  It
+// exits 0 only when the floorplan is overlap-free, every signal routes, the
+// sensitive signal meets its SNR budget and the grid meets every constraint.
 //
 // Build & run:  cmake --build build && ./build/examples/mixed_signal_chip
+#include <algorithm>
 #include <iostream>
 
 #include "core/report.hpp"
@@ -98,5 +101,9 @@ int main() {
   std::cout << "\nRAIL " << (rail.constraintsMet ? "met every constraint" : "FAILED")
             << " in " << rail.iterations << " iterations; synthesized bypass capacitance "
             << rail.addedDecapFarads * 1e9 << " nF\n";
-  return rail.constraintsMet && routed.snrMet.at("sample") ? 0 : 1;
+  const bool allRouted = std::all_of(routed.routed.begin(), routed.routed.end(),
+                                     [](const auto& net) { return net.second; });
+  const bool ok =
+      fp.overlapFree && allRouted && routed.snrMet.at("sample") && rail.constraintsMet;
+  return ok ? 0 : 1;
 }

@@ -23,8 +23,8 @@ MosOp evalMos(const MosParams& p, const Process& proc, double vd, double vg, dou
     swapped = true;
   }
 
-  const double kp = (isN ? proc.kpN : proc.kpP) * p.betaScale;
-  const double vt0 = std::abs(isN ? proc.vt0N : proc.vt0P) + p.vtShift;
+  const double kp = isN ? proc.kpN : proc.kpP;
+  const double vt0 = std::abs(isN ? proc.vt0N : proc.vt0P);
   const double gamma = isN ? proc.gammaN : proc.gammaP;
   const double lambda = (isN ? proc.lambdaN : proc.lambdaP) * (1e-6 / p.l);
   const double beta = kp * (p.w * p.m) / p.l;

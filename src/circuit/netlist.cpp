@@ -89,7 +89,7 @@ Device& Netlist::addMos(const std::string& name, const std::string& d, const std
                         double l, int m) {
   if (w <= 0 || l <= 0 || m < 1) throw std::invalid_argument("MOS " + name + ": bad geometry");
   Device dev{DeviceType::Mos, name, {node(d), node(g), node(s), node(b)}, 0, 0, {}, 0};
-  dev.mos = MosParams{type, w, l, m, 0.0, 1.0};
+  dev.mos = MosParams{type, w, l, m};
   return add(std::move(dev));
 }
 

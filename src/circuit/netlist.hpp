@@ -35,8 +35,6 @@ struct MosParams {
   double w = 10e-6;  ///< channel width (m)
   double l = 1e-6;   ///< channel length (m)
   int m = 1;         ///< parallel multiplicity
-  double vtShift = 0.0;    ///< threshold shift for mismatch/corner studies (V)
-  double betaScale = 1.0;  ///< transconductance-factor scale for mismatch/corners
 };
 
 struct Device {

@@ -15,7 +15,6 @@ void hashProcess(core::Hasher128& h, const Process& p) {
   h.mixDouble(p.phiF2).mixDouble(p.cox).mixDouble(p.covPerW);
   h.mixDouble(p.cjArea).mixDouble(p.cjPerim);
   h.mixDouble(p.kfN).mixDouble(p.kfP).mixDouble(p.afExp);
-  h.mixDouble(p.avt).mixDouble(p.abeta);
   h.mixDouble(p.minL).mixDouble(p.minW).mixDouble(p.lambda);
   h.mixDouble(p.rsPoly).mixDouble(p.rsMetal1).mixDouble(p.rsMetal2).mixDouble(p.rsDiff);
   h.mixDouble(p.rContact);

@@ -36,10 +36,6 @@ struct Process {
   double kfP = 1e-26;
   double afExp = 1.0;    ///< flicker-noise current exponent
 
-  // --- matching (Pelgrom) coefficients ---
-  double avt = 12e-9;    ///< sigma(dVT) = avt / sqrt(W*L)  (V*m)
-  double abeta = 0.02e-6;///< sigma(dBeta/Beta) = abeta / sqrt(W*L) (m)
-
   // --- minimum feature sizes ---
   double minL = 0.8e-6;  ///< minimum channel length (m)
   double minW = 1.6e-6;  ///< minimum channel width (m)

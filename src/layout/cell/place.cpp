@@ -17,8 +17,7 @@ using geom::Orientation;
 using geom::Rect;
 using geom::Transform;
 
-double estimateWirelengthWeighted(const std::vector<CellInstance>& instances,
-                                  const std::map<std::string, double>& netWeights) {
+double estimateWirelength(const std::vector<CellInstance>& instances) {
   std::map<std::string, Rect> netBox;
   for (const auto& inst : instances) {
     for (const auto& pin : inst.transformedPins()) {
@@ -28,16 +27,8 @@ double estimateWirelengthWeighted(const std::vector<CellInstance>& instances,
     }
   }
   double total = 0.0;
-  for (const auto& [net, box] : netBox) {
-    double w = 1.0;
-    if (auto it = netWeights.find(net); it != netWeights.end()) w = it->second;
-    total += w * static_cast<double>(box.halfPerimeter());
-  }
+  for (const auto& [net, box] : netBox) total += static_cast<double>(box.halfPerimeter());
   return total;
-}
-
-double estimateWirelength(const std::vector<CellInstance>& instances) {
-  return estimateWirelengthWeighted(instances, {});
 }
 
 bool hasOverlaps(const std::vector<CellInstance>& instances, Coord spacing) {
@@ -76,7 +67,7 @@ struct Arrangement {
 /// The placement cost over geometry cached once per component variant, so
 /// an annealing move evaluates without allocating.  Every figure is summed
 /// over reusable scratch buffers in the same order as over the equivalent
-/// CellInstances (wirelength in estimateWirelengthWeighted's net-name
+/// CellInstances (wirelength in estimateWirelength's net-name
 /// order), so a cost is bit-equal to the instance-based one.
 class PlacerState {
  public:
@@ -93,11 +84,8 @@ class PlacerState {
       for (const auto& master : c.variants)
         for (const auto& pin : master.pins)
           if (!pin.name.empty()) netId.emplace(pin.name, 0);
-    for (auto& [net, id] : netId) {
-      id = netWeight_.size();
-      const auto w = opts.netWeights.find(net);
-      netWeight_.push_back(w == opts.netWeights.end() ? 1.0 : w->second);
-    }
+    std::size_t nets = 0;
+    for (auto& [net, id] : netId) id = nets++;
     geometry_.resize(components.size());
     for (std::size_t i = 0; i < components.size(); ++i) {
       for (const auto& master : components[i].variants) {
@@ -108,8 +96,8 @@ class PlacerState {
       }
     }
     boxes_.resize(components.size());
-    netBox_.resize(netWeight_.size());
-    netSeen_.resize(netWeight_.size());
+    netBox_.resize(nets);
+    netSeen_.resize(nets);
   }
 
   std::ptrdiff_t peer(std::size_t i) const { return peer_[i]; }
@@ -161,7 +149,7 @@ class PlacerState {
       boxes_[i] = box(i, a.variant[i], a.xform[i]);
   }
 
-  /// Weighted half-perimeter wirelength over the nets the chosen variants
+  /// Half-perimeter wirelength over the nets the chosen variants
   /// expose, summed in net-name order.
   double wirelength(const Arrangement& a) {
     std::fill(netSeen_.begin(), netSeen_.end(), 0);
@@ -174,7 +162,7 @@ class PlacerState {
     }
     double total = 0.0;
     for (std::size_t n = 0; n < netBox_.size(); ++n)
-      if (netSeen_[n]) total += netWeight_[n] * static_cast<double>(netBox_[n].halfPerimeter());
+      if (netSeen_[n]) total += static_cast<double>(netBox_[n].halfPerimeter());
     return total;
   }
 
@@ -209,7 +197,6 @@ class PlacerState {
   const PlacerOptions& opts_;
   std::vector<std::ptrdiff_t> peer_;  // index of symmetry partner or -1
   std::vector<std::vector<VariantGeometry>> geometry_;  // [component][variant]
-  std::vector<double> netWeight_;                        // [net id]
   // Scratch, reused by every evaluation.
   std::vector<Rect> boxes_;
   std::vector<Rect> netBox_;

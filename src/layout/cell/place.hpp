@@ -34,10 +34,6 @@ struct PlacerOptions {
   double symmetryWeight = 2.0;
   geom::Coord gridStep = 8;        ///< placement grid (quarter-lambda units)
   geom::Coord spacing = 12;        ///< required clearance between devices (3 lambda)
-  /// Performance-driven placement [42]: per-net wirelength weights derived
-  /// from sensitivity analysis (extract::capacitanceSensitivity) — critical
-  /// nets pull their devices together harder.  Unlisted nets weigh 1.
-  std::map<std::string, double> netWeights;
   num::AnnealOptions anneal;
   std::uint64_t seed = 1;
 };
@@ -67,10 +63,6 @@ Placement rowPlacement(const std::vector<PlacementComponent>& components,
 
 /// Total half-perimeter wirelength of a set of placed instances.
 double estimateWirelength(const std::vector<geom::CellInstance>& instances);
-
-/// Sensitivity-weighted wirelength (performance-driven placement, ref [42]).
-double estimateWirelengthWeighted(const std::vector<geom::CellInstance>& instances,
-                                  const std::map<std::string, double>& netWeights);
 
 /// Do any two instances (inflated by `spacing`) overlap?
 bool hasOverlaps(const std::vector<geom::CellInstance>& instances, geom::Coord spacing);

@@ -1,25 +1,10 @@
 #include "manufacture/yield.hpp"
 
-#include <cmath>
+#include <algorithm>
+
+#include "numeric/rng.hpp"
 
 namespace amsyn::manufacture {
-
-double pelgromSigmaVt(const circuit::Process& proc, double w, double l) {
-  return proc.avt / std::sqrt(w * l);
-}
-
-double pelgromSigmaBeta(const circuit::Process& proc, double w, double l) {
-  return proc.abeta / std::sqrt(w * l);
-}
-
-void applyMismatch(circuit::Netlist& net, const circuit::Process& proc, num::Rng& rng) {
-  for (auto& d : net.devices()) {
-    if (d.type != circuit::DeviceType::Mos) continue;
-    const double w = d.mos.w * d.mos.m;
-    d.mos.vtShift = rng.normal(0.0, pelgromSigmaVt(proc, w, d.mos.l));
-    d.mos.betaScale = std::max(0.1, 1.0 + rng.normal(0.0, pelgromSigmaBeta(proc, w, d.mos.l)));
-  }
-}
 
 YieldResult yieldMonteCarlo(const ModelFactory& factory, const circuit::Process& nominal,
                             const std::vector<double>& x, const sizing::SpecSet& specs,
@@ -29,12 +14,9 @@ YieldResult yieldMonteCarlo(const ModelFactory& factory, const circuit::Process&
   std::size_t pass = 0;
 
   for (std::size_t s = 0; s < opts.samples; ++s) {
-    circuit::Process p = nominal;
-    if (opts.includeGlobalVariation) {
-      std::vector<double> c(VariationSpace::kDims);
-      for (double& ci : c) ci = rng.uniform();
-      p = opts.space.apply(nominal, c);
-    }
+    std::vector<double> c(VariationSpace::kDims);
+    for (double& ci : c) ci = rng.uniform();
+    const circuit::Process p = opts.space.apply(nominal, c);
     const auto model = factory(p);
     const auto perf = model->evaluate(x);
     if (specs.satisfied(perf, 0.0)) ++pass;

@@ -1,34 +1,23 @@
-// Monte-Carlo yield estimation with Pelgrom-law device mismatch — the
-// "statistical process tolerances and mismatches" the paper lists as the
-// other half of industrial robustness (section 2.2, last paragraph).
+// Monte-Carlo yield estimation under global process variation — the
+// "statistical process tolerances" the paper lists as the other half of
+// industrial robustness (section 2.2, last paragraph).  Device mismatch is
+// not modeled: every sample perturbs the whole process, not single devices.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
-#include "circuit/netlist.hpp"
 #include "manufacture/corners.hpp"
-#include "numeric/rng.hpp"
 #include "numeric/stats.hpp"
 #include "sizing/spec.hpp"
 
 namespace amsyn::manufacture {
 
-/// Pelgrom threshold-mismatch sigma for one device: sigma(dVT) = AVT /
-/// sqrt(W L) (per unit; the pair mismatch is sqrt(2) larger).
-double pelgromSigmaVt(const circuit::Process& proc, double w, double l);
-
-/// Pelgrom current-factor mismatch sigma: sigma(dBeta/Beta) = Abeta /
-/// sqrt(W L).
-double pelgromSigmaBeta(const circuit::Process& proc, double w, double l);
-
-/// Perturb every MOS in the netlist with an independent Pelgrom sample
-/// (vtShift and betaScale fields).
-void applyMismatch(circuit::Netlist& net, const circuit::Process& proc, num::Rng& rng);
-
 struct YieldOptions {
   std::size_t samples = 200;
   std::uint64_t seed = 1;
-  bool includeGlobalVariation = true;  ///< sample VariationSpace uniformly too
   VariationSpace space;
 };
 

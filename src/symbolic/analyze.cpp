@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "numeric/polynomial.hpp"
-
 namespace amsyn::symbolic {
 
 void SmallSignalCircuit::addConductance(const std::string& name, double g0, std::size_t a,
@@ -131,31 +129,10 @@ double SymbolicTransfer::magnitudeAt(const SymbolTable& t, double frequencyHz) c
   return std::abs(evalPoly(nc) / evalPoly(dc));
 }
 
-std::vector<std::complex<double>> SymbolicTransfer::poles(const SymbolTable& t) const {
-  return num::Polynomial(den.evaluate(t)).roots();
-}
-
-std::vector<std::complex<double>> SymbolicTransfer::zeros(const SymbolTable& t) const {
-  return num::Polynomial(num.evaluate(t)).roots();
-}
-
 std::string SymbolicTransfer::toString(const SymbolTable& t) const {
   std::ostringstream out;
   out << "[" << num.toString(t) << "] / [" << den.toString(t) << "]";
   return out.str();
-}
-
-SymbolicTransfer transimpedance(const SmallSignalCircuit& c, std::size_t in,
-                                std::size_t out) {
-  if (in == 0 || out == 0) throw std::invalid_argument("transimpedance: ground terminal");
-  auto y = c.admittanceMatrix();
-  const std::size_t n = y.size();
-  std::vector<SPoly> rhs(n);
-  rhs[in - 1] = SPoly{SymSum::constant(1.0)};
-  SymbolicTransfer h;
-  h.den = symbolicDeterminant(y);
-  h.num = cramerDeterminant(std::move(y), out - 1, rhs);
-  return h;
 }
 
 SymbolicTransfer voltageTransfer(const SmallSignalCircuit& c, std::size_t in,

@@ -7,7 +7,6 @@
 // exact for the <= ~14-node circuits cell-level analog design deals with.
 #pragma once
 
-#include <complex>
 #include <string>
 #include <vector>
 
@@ -68,20 +67,10 @@ struct SymbolicTransfer {
 
   std::size_t termCount() const { return num.termCount() + den.termCount(); }
   std::string toString(const SymbolTable& t) const;
-
-  /// Poles (roots of the denominator) and zeros (roots of the numerator) at
-  /// nominal symbol values, in rad/s — the insight ISAAC's symbolic output
-  /// was used to extract.
-  std::vector<std::complex<double>> poles(const SymbolTable& t) const;
-  std::vector<std::complex<double>> zeros(const SymbolTable& t) const;
 };
 
 /// Symbolic determinant of an SPoly matrix (subset dynamic program).
 SPoly symbolicDeterminant(const std::vector<std::vector<SPoly>>& m);
-
-/// Transfer function v(out) / i(in): unit AC current injected into `in`.
-SymbolicTransfer transimpedance(const SmallSignalCircuit& c, std::size_t in,
-                                std::size_t out);
 
 /// Voltage transfer v(out) / v(in) with an ideal source driving node `in`.
 SymbolicTransfer voltageTransfer(const SmallSignalCircuit& c, std::size_t in,

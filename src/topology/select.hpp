@@ -5,7 +5,7 @@
 //    sizing is attempted,
 //  * selection integrated with sizing (section "other tools have attempted
 //    to integrate the topology selection step as part of the optimization
-//    loop") — see genetic.hpp and joint.hpp for those.
+//    loop") — see genetic.hpp for that.
 #pragma once
 
 #include <string>

@@ -130,8 +130,8 @@ TEST(ParseDeck, RejectsMalformedCards) {
 class MosModelTest : public ::testing::Test {
  protected:
   ckt::Process proc = ckt::defaultProcess();
-  ckt::MosParams nmos{ckt::MosType::Nmos, 10e-6, 1e-6, 1, 0.0, 1.0};
-  ckt::MosParams pmos{ckt::MosType::Pmos, 10e-6, 1e-6, 1, 0.0, 1.0};
+  ckt::MosParams nmos{ckt::MosType::Nmos, 10e-6, 1e-6, 1};
+  ckt::MosParams pmos{ckt::MosType::Pmos, 10e-6, 1e-6, 1};
 };
 
 TEST_F(MosModelTest, CutoffBelowThreshold) {

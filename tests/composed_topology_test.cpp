@@ -113,8 +113,6 @@ void expectSameDevices(const ckt::Netlist& a, const ckt::Netlist& b,
       EXPECT_TRUE(bitEq(da.mos.w, db.mos.w)) << label << " " << da.name;
       EXPECT_TRUE(bitEq(da.mos.l, db.mos.l)) << label << " " << da.name;
       EXPECT_EQ(da.mos.m, db.mos.m) << label << " " << da.name;
-      EXPECT_TRUE(bitEq(da.mos.vtShift, db.mos.vtShift)) << label << " " << da.name;
-      EXPECT_TRUE(bitEq(da.mos.betaScale, db.mos.betaScale)) << label << " " << da.name;
     }
     if (da.type == ckt::DeviceType::Diode) {
       EXPECT_TRUE(bitEq(da.diodeIs, db.diodeIs)) << label << " " << da.name;

@@ -4,7 +4,6 @@
 
 #include "extract/extract.hpp"
 #include "extract/matchgen.hpp"
-#include "extract/sens.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -100,39 +99,6 @@ TEST(Extract, BackAnnotationShiftsPole) {
   const double before = bandwidth(net);
   const double after = bandwidth(ex::backAnnotate(net, ext));
   EXPECT_LT(after, before * 0.5);  // 1 pF -> 4 pF: pole drops 4x
-}
-
-TEST(Sensitivity, FindsTheCriticalNet) {
-  // Gain at 1 MHz of an RC lowpass: cap on "out" matters, cap on "in"
-  // (driven by the ideal source) does not.
-  ckt::Netlist net;
-  net.addVSource("V1", "in", "0", 0.0, 1.0);
-  net.addResistor("R1", "in", "out", 100e3);
-  net.addCapacitor("CL", "out", "0", 1e-12);
-  auto measure = [&](const ckt::Netlist& n) {
-    sim::Mna mna(n, proc());
-    const auto op = sim::dcOperatingPoint(mna);
-    return std::abs(sim::acTransfer(mna, op, "out", 1e6));
-  };
-  const auto sens =
-      ex::capacitanceSensitivity(net, measure, {"in", "out"}, 10e-15);
-  EXPECT_GT(std::abs(sens.dPerfDCap.at("out")), 100.0 * std::abs(sens.dPerfDCap.at("in")));
-}
-
-TEST(Sensitivity, MapperGivesLooseBoundsToInsensitiveNets) {
-  ex::Sensitivity sens;
-  sens.dPerfDCap["critical"] = -2e9;   // 2 units per nF
-  sens.dPerfDCap["dontcare"] = -2e3;
-  const auto bounds = ex::mapParasiticBounds(sens, 0.1);
-  EXPECT_GT(bounds.at("dontcare"), 1e4 * bounds.at("critical"));
-  // Budget check: bound * |S| == equal share of the allowed degradation.
-  EXPECT_NEAR(bounds.at("critical") * 2e9, 0.05, 1e-9);
-}
-
-TEST(Sensitivity, MapperRejectsNonPositiveBudget) {
-  ex::Sensitivity sens;
-  sens.dPerfDCap["n"] = 1.0;
-  EXPECT_THROW(ex::mapParasiticBounds(sens, 0.0), std::invalid_argument);
 }
 
 TEST(MatchGen, FindsDiffPairAndMirrorsInOpamp) {

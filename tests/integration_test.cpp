@@ -5,10 +5,8 @@
 #include <cmath>
 
 #include "awe/awe.hpp"
-#include "core/assemble.hpp"
 #include "core/celllayout.hpp"
 #include "core/flow.hpp"
-#include "extract/sens.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
@@ -50,45 +48,6 @@ TEST(TriEngineConsistency, SimAweSymbolicAgreeOnAmplifier) {
   }
 }
 
-// Sensitivity -> constraint mapping -> parasitic-bounded routing: the full
-// "critical glue" loop of section 3.1.
-TEST(SensitivityToRouting, BoundsFlowIntoRoadModeRouting) {
-  const auto net = sizing::buildTwoStageOpamp(sizing::TwoStageParams{}, proc(), {});
-
-  // Gain at 1 MHz as the guarded performance.
-  auto measure = [&](const circuit::Netlist& n) {
-    sim::Mna mna(n, proc());
-    const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc().vdd / 2));
-    if (!op.converged) return 0.0;
-    return std::abs(sim::acTransfer(mna, op, "out", 1e6));
-  };
-  const std::vector<std::string> nets = {"no1", "out", "n1"};
-  const auto sens = extract::capacitanceSensitivity(net, measure, nets, 20e-15);
-  ASSERT_GT(std::abs(sens.nominal), 0.0);
-
-  // Allow 10% degradation of the 1 MHz gain; map to per-net cap bounds.
-  const auto bounds = extract::mapParasiticBounds(sens, 0.1 * std::abs(sens.nominal));
-  ASSERT_EQ(bounds.size(), nets.size());
-
-  // Feed the bounds to the router (ROAD mode) during cell layout.
-  core::CellLayoutOptions opts;
-  opts.annealPlacement = false;
-  for (const auto& [name, cap] : bounds) {
-    layout::RouteNet rn;
-    rn.name = name;
-    rn.capBound = cap;
-    opts.netOverrides.push_back(rn);
-  }
-  const auto cell = core::layoutCell(net, proc(), opts);
-  ASSERT_TRUE(cell.success);
-  // The router reports bound compliance per net; every guarded net must have
-  // been routed and assessed.
-  for (const auto& name : nets) {
-    if (!cell.routing.nets.count(name)) continue;  // single-pin nets skipped
-    EXPECT_TRUE(cell.routing.nets.at(name).routed) << name;
-  }
-}
-
 // Extracted parasitics must degrade (never improve) the amplifier bandwidth.
 TEST(LayoutInTheLoop, ParasiticsOnlyEverSlowTheAmplifier) {
   const auto net = sizing::buildTwoStageOpamp(sizing::TwoStageParams{}, proc(), {});
@@ -103,41 +62,6 @@ TEST(LayoutInTheLoop, ParasiticsOnlyEverSlowTheAmplifier) {
   ASSERT_FALSE(post.count("_infeasible"));
   EXPECT_LE(post.at("ugf"), pre.at("ugf") * 1.02);
   EXPECT_GT(post.at("ugf"), pre.at("ugf") * 0.2);  // but not absurdly so
-}
-
-// Full system assembly in one call (ACACIA-style).
-TEST(SystemAssembly, DataChannelChipAssembles) {
-  std::vector<layout::Block> blocks = {
-      {"dsp", 8000, 6000, 10.0, 0.0},
-      {"ctrl", 5000, 4000, 6.0, 0.0},
-      {"adc", 4000, 4000, 0.0, 8.0},
-      {"vco", 3000, 3000, 0.0, 5.0},
-  };
-  std::vector<core::SystemSignal> signals = {
-      {"bus", layout::WireClass::Noisy, {"dsp", "ctrl"}, 0.0},
-      {"clk", layout::WireClass::Noisy, {"vco", "dsp", "ctrl"}, 0.0},
-      {"sample", layout::WireClass::Sensitive, {"adc", "dsp"}, 5.0},
-  };
-  std::map<std::string, core::SystemBlockPower> power = {
-      {"dsp", {60e-3, 300e-3, 400e-12}},
-      {"ctrl", {20e-3, 100e-3, 150e-12}},
-      {"adc", {8e-3, 0.0, 200e-12}},
-      {"vco", {5e-3, 0.0, 200e-12}},
-  };
-  core::AssembleOptions opts;
-  opts.seed = 7;
-  const auto res = core::assembleSystem(blocks, signals, power, proc(), opts);
-
-  EXPECT_TRUE(res.floorplan.overlapFree);
-  EXPECT_TRUE(res.allSignalsRouted);
-  EXPECT_TRUE(res.allSnrBudgetsMet)
-      << "sample coupling " << res.globalRouting.couplingMitigated.at("sample");
-  EXPECT_TRUE(res.powerConstraintsMet)
-      << "dc " << res.powerAfter.worstDcDropVolts << " spike "
-      << res.powerAfter.worstSpikeVolts;
-  EXPECT_TRUE(res.success);
-  // The power synthesis must have actually improved on the skinny grid.
-  EXPECT_LT(res.powerAfter.worstDcDropVolts, res.powerBefore.worstDcDropVolts);
 }
 
 // OTA-topology flow: modest specs should pick the simpler amplifier and

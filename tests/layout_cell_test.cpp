@@ -26,10 +26,10 @@ namespace {
 const ckt::Process& proc() { return ckt::defaultProcess(); }
 
 ckt::MosParams nmos(double w = 10e-6, double l = 2e-6) {
-  return {ckt::MosType::Nmos, w, l, 1, 0.0, 1.0};
+  return {ckt::MosType::Nmos, w, l, 1};
 }
 ckt::MosParams pmos(double w = 10e-6, double l = 2e-6) {
-  return {ckt::MosType::Pmos, w, l, 1, 0.0, 1.0};
+  return {ckt::MosType::Pmos, w, l, 1};
 }
 
 /// Are all shapes of a net (wires + pins of placed instances) one connected
@@ -781,10 +781,6 @@ TEST(LayerGoldens, PlacerFixtures) {
   symmetric.seed = 5;
   symmetric.symmetryWeight = 8.0;
   EXPECT_EQ(placeDigest(symmetric), "0x3a4a6489de9b1896");
-  lay::PlacerOptions weighted;
-  weighted.seed = 11;
-  weighted.netWeights = {{"tail", 6.0}, {"inp", 0.25}};
-  EXPECT_EQ(placeDigest(weighted), "0xc1e0a33ff70338d4");
 }
 
 TEST(LayerGoldens, RouterFixtures) {

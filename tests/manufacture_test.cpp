@@ -12,14 +12,12 @@
 #include "core/parallel.hpp"
 #include "manufacture/corners.hpp"
 #include "manufacture/yield.hpp"
-#include "sim/dc.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/opamp.hpp"
 
 namespace mf = amsyn::manufacture;
 namespace sz = amsyn::sizing;
 namespace ckt = amsyn::circuit;
-namespace num = amsyn::num;
 
 namespace {
 const ckt::Process& nominal() { return ckt::defaultProcess(); }
@@ -356,41 +354,6 @@ TEST(RobustSynthesis, RobustDesignSpendsMorePowerThanNominal) {
   EXPECT_GE(res.robust.performance.at("power"),
             res.nominal.performance.at("power") * 0.5);
   EXPECT_GT(res.robust.performance.at("power"), 0.0);
-}
-
-TEST(Pelgrom, SigmaShrinksWithArea) {
-  const double sigmaSmall = mf::pelgromSigmaVt(nominal(), 2e-6, 1e-6);
-  const double sigmaBig = mf::pelgromSigmaVt(nominal(), 32e-6, 4e-6);
-  EXPECT_GT(sigmaSmall, sigmaBig);
-  EXPECT_NEAR(sigmaSmall / sigmaBig, 8.0, 1e-9);  // 64x area -> 8x less sigma
-}
-
-TEST(Pelgrom, MismatchShiftsMirrorCurrent) {
-  // A 1:1 current mirror with mismatch shows output-current spread that
-  // shrinks for larger devices.
-  auto spread = [&](double w, double l) {
-    num::Rng rng(99);
-    std::vector<double> ratios;
-    for (int s = 0; s < 40; ++s) {
-      ckt::Netlist net;
-      net.addVSource("VDD", "vdd", "0", 5.0);
-      net.addISource("IREF", "vdd", "ref", 50e-6);
-      net.addMos("M1", "ref", "ref", "0", "0", ckt::MosType::Nmos, w, l);
-      net.addMos("M2", "out", "ref", "0", "0", ckt::MosType::Nmos, w, l);
-      net.addResistor("RL", "vdd", "out", 10e3);
-      mf::applyMismatch(net, nominal(), rng);
-      amsyn::sim::Mna mna(net, nominal());
-      const auto op = amsyn::sim::dcOperatingPoint(mna);
-      if (!op.converged) continue;
-      const double iOut =
-          (5.0 - mna.nodeVoltage(op.x, *net.findNode("out"))) / 10e3;
-      ratios.push_back(iOut / 50e-6);
-    }
-    return num::stddev(ratios);
-  };
-  const double spreadSmall = spread(4e-6, 1e-6);
-  const double spreadBig = spread(40e-6, 4e-6);
-  EXPECT_GT(spreadSmall, spreadBig);
 }
 
 TEST(Yield, NominalFeasibleDesignHasDecentYield) {

@@ -12,7 +12,6 @@
 #include "layout/cell/route.hpp"
 #include "layout/cell/stack.hpp"
 #include "layout/system/channel.hpp"
-#include "layout/system/segregate.hpp"
 #include "numeric/anneal.hpp"
 #include "numeric/interval.hpp"
 #include "numeric/pade.hpp"
@@ -227,7 +226,7 @@ TEST_P(PlacerProperty, AnnealedPlacementsAreAlwaysLegal) {
     layout::PlacementComponent c;
     c.name = "M" + std::to_string(i);
     circuit::MosParams mp{circuit::MosType::Nmos, (5.0 + rng.uniform() * 30.0) * 1e-6,
-                          2e-6, 1, 0.0, 1.0};
+                          2e-6, 1};
     c.variants = {layout::generateMos(c.name, mp, "d" + std::to_string(i), "g",
                                       "s" + std::to_string(i), "0", proc())};
     comps.push_back(std::move(c));
@@ -290,33 +289,6 @@ TEST_P(ChannelProperty, AssignmentsNeverOverlapAndRespectVcg) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChannelProperty, ::testing::Range(1, 21));
-
-// ------------------------------------------------------- segregation property
-
-class SegregateProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(SegregateProperty, NoisyAndSensitiveNeverShareAChannel) {
-  num::Rng rng(static_cast<std::uint64_t>(GetParam()) * 61 + 9);
-  std::vector<layout::SegregatedNet> nets;
-  const int n = 4 + static_cast<int>(rng.index(16));
-  for (int i = 0; i < n; ++i) {
-    layout::SegregatedNet sn;
-    sn.name = "n" + std::to_string(i);
-    const int k = static_cast<int>(rng.index(3));
-    sn.wireClass = k == 0 ? layout::WireClass::Noisy
-                          : (k == 1 ? layout::WireClass::Sensitive
-                                    : layout::WireClass::Quiet);
-    sn.preferredChannel = static_cast<int>(rng.index(8));
-    nets.push_back(std::move(sn));
-  }
-  const auto a = layout::segregateChannels(nets);
-  EXPECT_TRUE(layout::segregationHolds(a, nets)) << "seed " << GetParam();
-  if (a.valid) {
-    EXPECT_EQ(a.channelOf.size(), nets.size());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SegregateProperty, ::testing::Range(1, 17));
 
 // --------------------------------------------------------- annealer property
 
@@ -383,7 +355,7 @@ TEST_P(RouterDrcProperty, RoutedWiresKeepMinimumSpacing) {
   // Route the diff-pair cell with several seeds; the wires the router emits
   // must keep design-rule spacing among themselves (different nets).
   std::vector<layout::PlacementComponent> comps;
-  circuit::MosParams mp{circuit::MosType::Nmos, 20e-6, 2e-6, 1, 0.0, 1.0};
+  circuit::MosParams mp{circuit::MosType::Nmos, 20e-6, 2e-6, 1};
   for (int i = 0; i < 3; ++i) {
     layout::PlacementComponent c;
     c.name = "M" + std::to_string(i);

@@ -130,15 +130,6 @@ TEST(Analyze, CommonSourceSymbolicGain) {
   EXPECT_DOUBLE_EQ(numc[0], -2e-3);
 }
 
-TEST(Analyze, TransimpedanceOfParallelRc) {
-  // Current into node 1 with g + sc to ground: Z = 1/(g + s c).
-  sym::SmallSignalCircuit c(2);
-  c.addConductance("g", 1e-3, 1, 0);
-  c.addCapacitance("cp", 1e-9, 1, 0);
-  const auto h = sym::transimpedance(c, 1, 1);
-  EXPECT_NEAR(h.magnitudeAt(c.symbols(), 0.001), 1000.0, 1e-3);
-}
-
 TEST(Linearize, MatchesNumericAcForCommonSource) {
   // Full loop: transistor netlist -> DC op -> symbolic linearization ->
   // symbolic |H| must track the simulator's AC within tight tolerance.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "topology/genetic.hpp"
-#include "topology/joint.hpp"
 #include "topology/library.hpp"
 #include "topology/select.hpp"
 
@@ -124,14 +123,6 @@ TEST(Genetic, PopulationMigratesToWinningTopology) {
   EXPECT_GT(res.populationShare.at("two-stage-miller"), 0.5);
 }
 
-TEST(Joint, AnnealerFindsFeasibleTopologyAndSizing) {
-  tp::JointOptions opts;
-  opts.seed = 23;
-  const auto res = tp::jointSelectAndSize(lib(), highGainSpecs(), opts);
-  EXPECT_TRUE(res.feasible) << "cost " << res.cost;
-  EXPECT_EQ(res.topology, "two-stage-miller");
-}
-
 TEST(Library, ByNameMissReportsAvailableNames) {
   try {
     lib().byName("folded-cascode");
@@ -229,13 +220,4 @@ TEST(RuleBased, AggregatesAllSpecsOnOnePerformance) {
   EXPECT_DOUBLE_EQ(scoreOf(r2, "two-stage-miller") - scoreOf(r1, "two-stage-miller"), 3.0);
   EXPECT_DOUBLE_EQ(scoreOf(r2, "five-transistor-ota") - scoreOf(r1, "five-transistor-ota"),
                    -3.0);
-}
-
-TEST(Joint, LowGainSpecsCanKeepTheOta) {
-  tp::JointOptions opts;
-  opts.seed = 29;
-  const auto res = tp::jointSelectAndSize(lib(), lowGainFastSpecs(), opts);
-  EXPECT_TRUE(res.feasible);
-  // Either topology can meet these specs; the result must at least be valid.
-  EXPECT_GE(res.performance.at("gain_db"), 35.0 * 0.999);
 }
