@@ -209,7 +209,7 @@ void writeJson(const CountedRun& serial, const TimeRatios& ratios, const Counted
 
   // Shared run-report schema (core/runreport.hpp): the caller-supplied
   // values keep their historical keys, and the registry/span sections ride
-  // along — per-phase wall times, LU factor/reuse split, failure histogram.
+  // along — per-phase wall times, LU factor/reuse split, failure-reason counters.
   core::RunReport report;
   report.name = "corner_aware_synthesis";
   report.addInfo("benchmark", "corner_aware_synthesis");

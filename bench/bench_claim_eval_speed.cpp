@@ -110,7 +110,7 @@ void writeJson() {
 
   // Shared run-report schema (core/runreport.hpp): historical keys plus the
   // registry snapshot — LU factor/reuse split, Newton iterations, and the
-  // failure histogram accumulated by the evaluations above.
+  // failure-reason counters accumulated by the evaluations above.
   core::RunReport report;
   report.name = "evaluation_speed";
   report.addInfo("benchmark", "evaluation_speed");

@@ -11,27 +11,9 @@ namespace amsyn::core::metrics {
 
 namespace {
 
-struct HistSlot {
-  // Only the owning thread writes these (relaxed stores); the aggregator
-  // only loads, so no CAS loops are needed anywhere on the hot path.
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-};
-
 struct Shard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<HistSlot, kMaxHistograms> hists{};
 };
-
-void mergeHist(HistogramSnapshot& into, std::uint64_t count, double sum, double mn,
-               double mx) {
-  into.count += count;
-  into.sum += sum;
-  into.min = std::min(into.min, mn);
-  into.max = std::max(into.max, mx);
-}
 
 }  // namespace
 
@@ -42,26 +24,14 @@ struct Registry::Impl {
   /// counterNames.size(), store-released once a name is registered, so
   /// counterCount() — read at every span open and close — takes no lock.
   std::atomic<std::size_t> counterCount{0};
-  std::map<std::string, std::uint32_t> histIndex;
-  std::vector<std::string> histNames;
-  std::map<std::string, double> gauges;
   std::vector<std::shared_ptr<Shard>> shards;  ///< live thread shards
   // Totals folded in by exiting threads so their contributions survive them.
   std::array<std::uint64_t, kMaxCounters> retiredCounters{};
-  std::array<HistogramSnapshot, kMaxHistograms> retiredHists{};
 
   void retire(const std::shared_ptr<Shard>& s) {
     std::lock_guard<std::mutex> lk(mutex);
     for (std::size_t i = 0; i < kMaxCounters; ++i)
       retiredCounters[i] += s->counters[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kMaxHistograms; ++i) {
-      const auto& h = s->hists[i];
-      const std::uint64_t c = h.count.load(std::memory_order_relaxed);
-      if (c == 0) continue;
-      mergeHist(retiredHists[i], c, h.sum.load(std::memory_order_relaxed),
-                h.min.load(std::memory_order_relaxed),
-                h.max.load(std::memory_order_relaxed));
-    }
     shards.erase(std::remove(shards.begin(), shards.end(), s), shards.end());
   }
 
@@ -135,50 +105,12 @@ CounterId Registry::counter(const std::string& name) {
   return {idx};
 }
 
-HistogramId Registry::histogram(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  auto it = im.histIndex.find(name);
-  if (it != im.histIndex.end()) return {it->second};
-  if (im.histNames.size() >= kMaxHistograms)
-    throw std::length_error(
-        "metrics::Registry: histogram capacity exhausted registering \"" + name +
-        "\" (" + std::to_string(im.histNames.size()) + "/" +
-        std::to_string(kMaxHistograms) +
-        " histograms in use; raise kMaxHistograms)");
-  const auto idx = static_cast<std::uint32_t>(im.histNames.size());
-  im.histNames.push_back(name);
-  im.histIndex.emplace(name, idx);
-  return {idx};
-}
-
-void Registry::setGauge(const std::string& name, double value) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  im.gauges[name] = value;
-}
-
 void Registry::add(CounterId id, std::uint64_t delta) {
   threadShard(impl()).counters[id.idx].fetch_add(delta, std::memory_order_relaxed);
   // Per-context attribution rides on top of the shard write: the process
   // total above is the source of truth, slices are pure observers, so the
   // thread-count-invariance and bit-identity of totals are untouched.
   for (ContextSlice* s = tlSlice; s; s = s->parent()) s->bump(id.idx, delta);
-}
-
-void Registry::record(HistogramId id, double value) {
-  HistSlot& h = threadShard(impl()).hists[id.idx];
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.store(h.sum.load(std::memory_order_relaxed) + value, std::memory_order_relaxed);
-  if (value < h.min.load(std::memory_order_relaxed))
-    h.min.store(value, std::memory_order_relaxed);
-  if (value > h.max.load(std::memory_order_relaxed))
-    h.max.store(value, std::memory_order_relaxed);
-}
-
-std::uint64_t Registry::threadValue(CounterId id) const {
-  if (!tlShard.shard) return 0;
-  return tlShard.shard->counters[id.idx].load(std::memory_order_relaxed);
 }
 
 std::uint64_t Registry::total(CounterId id) const {
@@ -218,42 +150,10 @@ std::string Registry::counterName(std::uint32_t idx) const {
 Snapshot Registry::snapshot() const {
   Impl& im = impl();
   Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lk(im.mutex);
-    for (std::uint32_t i = 0; i < im.counterNames.size(); ++i)
-      snap.counters[im.counterNames[i]] = im.counterTotalLocked(i);
-    for (std::uint32_t i = 0; i < im.histNames.size(); ++i) {
-      HistogramSnapshot h = im.retiredHists[i];
-      for (const auto& s : im.shards) {
-        const auto& slot = s->hists[i];
-        const std::uint64_t c = slot.count.load(std::memory_order_relaxed);
-        if (c == 0) continue;
-        mergeHist(h, c, slot.sum.load(std::memory_order_relaxed),
-                  slot.min.load(std::memory_order_relaxed),
-                  slot.max.load(std::memory_order_relaxed));
-      }
-      if (h.count > 0) snap.histograms[im.histNames[i]] = h;
-    }
-    snap.gauges = im.gauges;
-  }
-  return snap;
-}
-
-void Registry::reset() {
-  Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mutex);
-  im.retiredCounters.fill(0);
-  im.retiredHists.fill(HistogramSnapshot{});
-  for (const auto& s : im.shards) {
-    for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : s->hists) {
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0.0, std::memory_order_relaxed);
-      h.min.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-      h.max.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-    }
-  }
-  im.gauges.clear();
+  for (std::uint32_t i = 0; i < im.counterNames.size(); ++i)
+    snap.counters[im.counterNames[i]] = im.counterTotalLocked(i);
+  return snap;
 }
 
 Registry& registry() { return Registry::instance(); }

@@ -1,11 +1,10 @@
-// Process-wide metrics registry: named counters, gauges, and histograms
-// behind every observability number in amsyn (LU factorization traffic,
-// annealing move totals, maze-router expansions, failure-reason tallies).
+// Process-wide metrics registry: the named counters behind every
+// observability number in amsyn (LU factorization traffic, annealing move
+// totals, maze-router expansions, failure-reason tallies).
 //
-// Design: counters and histograms are sharded per thread.  Registration
-// (name -> id) is the cold path and takes a mutex; the hot path — add() /
-// record() on an id — touches only the calling thread's shard with relaxed
-// atomics, so concurrently evaluating pool workers never contend on a
+// Design: counters are sharded per thread.  Registration (name -> id) is the
+// cold path and takes a mutex; the hot path — add() on an id — touches only
+// the calling thread's shard with relaxed atomics, so concurrently evaluating pool workers never contend on a
 // counter cacheline.  Aggregation walks every live shard plus the retired
 // totals of exited threads, which is how worker-thread increments reach the
 // caller: totals are correct and thread-count-invariant because integer sums
@@ -19,7 +18,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,35 +25,22 @@
 
 namespace amsyn::core::metrics {
 
-/// Fixed shard capacities: a shard is a flat array of atomics, so ids are
+/// Fixed shard capacity: a shard is a flat array of atomics, so ids are
 /// stable for the process lifetime and slots are never reallocated under a
-/// concurrent reader.  Exceeding these is a registration error (cold path)
-/// that names the offending metric.  Headroom is deliberate: per-context
+/// concurrent reader.  Exceeding it is a registration error (cold path)
+/// that names the offending counter.  Headroom is deliberate: per-context
 /// slices (ContextSlice) mirror the counter array, so growing it later
 /// means touching every slice too.
 inline constexpr std::size_t kMaxCounters = 320;
-inline constexpr std::size_t kMaxHistograms = 64;
 
 struct CounterId {
   std::uint32_t idx = 0;
 };
-struct HistogramId {
-  std::uint32_t idx = 0;
-};
 
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-};
-
-/// Point-in-time aggregate over all shards and retired threads.  Keys are metric names; maps keep the output
-/// order deterministic.
+/// Point-in-time aggregate over all shards and retired threads.  Keys are
+/// counter names; the map keeps the output order deterministic.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 class Registry {
@@ -66,17 +51,9 @@ class Registry {
 
   /// Register (or look up) a counter by name.  Idempotent; cold path.
   CounterId counter(const std::string& name);
-  HistogramId histogram(const std::string& name);
 
-  /// Gauges are last-write-wins process globals (set rarely; mutex).
-  void setGauge(const std::string& name, double value);
-
-  // --- hot path (lock-free: calling thread's shard, relaxed atomics) ---
+  /// Hot path (lock-free: calling thread's shard, relaxed atomics).
   void add(CounterId id, std::uint64_t delta = 1);
-  void record(HistogramId id, double value);
-
-  /// Value accumulated by the *calling thread only* since the last reset().
-  std::uint64_t threadValue(CounterId id) const;
 
   /// Aggregate of one counter over every shard (live + retired).
   std::uint64_t total(CounterId id) const;
@@ -94,12 +71,6 @@ class Registry {
 
   Snapshot snapshot() const;
 
-  /// Zero every native counter/histogram shard (live and retired) and clear
-  /// gauges.  External counters keep whatever their source holds.  Callers
-  /// must be quiescent: concurrent add() during reset() is not torn (slots
-  /// are atomics) but increments may land on either side of the zeroing.
-  void reset();
-
   /// Implementation state; the type is public only so the per-thread shard
   /// handle (a file-local thread_local in metrics.cpp) can hold a pointer
   /// back to it for its thread-exit retirement hook.
@@ -116,12 +87,9 @@ class Registry {
 /// symbol.
 Registry& registry();
 
-// Convenience free functions for call sites.
+// Convenience free function for call sites.
 inline void add(CounterId id, std::uint64_t delta = 1) {
   registry().add(id, delta);
-}
-inline void record(HistogramId id, double value) {
-  registry().record(id, value);
 }
 
 /// Per-context counter deltas, layered on (not replacing) the sharded
@@ -130,10 +98,6 @@ inline void record(HistogramId id, double value) {
 /// additionally lands in the slice and each of its chained parents — so a
 /// job context's slice and its parent tenant's slice both see the delta
 /// while the process totals stay exactly what they were without slicing.
-///
-/// Counters only: histogram shard slots are single-writer-per-thread by
-/// construction, and a slice is written from every thread its context runs
-/// on, so histograms are deliberately out of scope for slicing.
 class ContextSlice {
  public:
   ContextSlice();

@@ -103,24 +103,6 @@ std::string RunReport::toJson() const {
     for (const auto& [k, v] : snap.counters) w.field(k, std::to_string(v));
   }
   os << "\n  }";
-  os << ",\n  \"gauges\": {\n";
-  {
-    ObjectWriter w(os, "    ");
-    for (const auto& [k, v] : snap.gauges) w.field(k, jsonNumber(v));
-  }
-  os << "\n  }";
-  os << ",\n  \"histograms\": {\n";
-  {
-    ObjectWriter w(os, "    ");
-    for (const auto& [k, h] : snap.histograms) {
-      std::ostringstream hs;
-      hs << "{\"count\": " << h.count << ", \"sum\": " << jsonNumber(h.sum)
-         << ", \"min\": " << jsonNumber(h.min) << ", \"max\": " << jsonNumber(h.max)
-         << "}";
-      w.field(k, hs.str());
-    }
-  }
-  os << "\n  }";
 
   const auto spans = trace::collect();
   auto& reg = metrics::registry();

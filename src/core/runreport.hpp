@@ -9,8 +9,6 @@
 //     "info":       { "<key>": "<string>", ... },
 //     "values":     { "<key>": <number>, ... },
 //     "counters":   { "<metric>": <integer>, ... },
-//     "gauges":     { "<metric>": <number>, ... },
-//     "histograms": { "<metric>": {"count":..,"sum":..,"min":..,"max":..} },
 //     "spans":      { "<path>": {"count":..,"total_s":..,"min_s":..,
 //                                "max_s":..,"deltas":{"<metric>":..}} }
 //   }

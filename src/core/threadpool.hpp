@@ -1,6 +1,6 @@
 // Shared work-stealing thread pool behind every parallel evaluation loop in
-// amsyn (corner search, genetic topology selection, multi-start annealing,
-// Monte-Carlo batches).  The paper's manufacturability section prices
+// amsyn (corner search, genetic topology selection, the generated-library
+// build, batched flows).  The paper's manufacturability section prices
 // worst-case corner search at 4x-10x the CPU of nominal design [31]; those
 // cycles are embarrassingly parallel, and this pool is where they go.
 //

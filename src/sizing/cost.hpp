@@ -56,7 +56,7 @@ class CostFunction {
   SpecSet specs_;
   CostOptions opts_;
   /// Atomic: one CostFunction is shared by concurrent evaluations (parallel
-  /// population scoring, multi-start annealing).
+  /// population scoring).
   mutable std::atomic<std::size_t> evals_{0};
 };
 

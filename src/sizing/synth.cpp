@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "numeric/optimize.hpp"
 #include "numeric/rng.hpp"
@@ -38,12 +37,10 @@ struct Scaler {
   const std::vector<DesignVariable>* vars_;
 };
 
-/// One annealing + refinement run seeded with `seed` (the classic OPTIMAN /
-/// FRIDGE / OBLX recipe).  Pure given (cost, opts, seed): no shared mutable
-/// state beyond the cost function's atomic evaluation counter, so starts
-/// may run concurrently.
-SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOptions& opts,
-                                 std::uint64_t seed) {
+}  // namespace
+
+SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opts) {
+  AMSYN_SPAN("synthesize");
   const auto t0 = std::chrono::steady_clock::now();
   const auto& vars = cost.model().variables();
   const std::size_t n = vars.size();
@@ -75,7 +72,7 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   prob.snapshot = [&] { uBest = u; };
 
   num::AnnealOptions aopts = opts.anneal;
-  aopts.seed = seed;
+  aopts.seed = opts.seed;
   if (aopts.problemSizeHint == 16) aopts.problemSizeHint = std::max<std::size_t>(n, 4);
   num::anneal(prob, aopts);
 
@@ -102,38 +99,6 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   return res;
 }
 
-}  // namespace
-
-SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opts) {
-  AMSYN_SPAN("synthesize");
-  if (opts.multistarts <= 1) return synthesizeSingle(cost, opts, opts.seed);
-
-  // Parallel multi-start: independent anneals on split RNG streams, best
-  // result wins.  The reduction prefers feasibility, then cost, then the
-  // lowest start index — a total order with no dependence on completion
-  // order, so the winner is identical at any thread count.
-  const std::size_t evalsBefore = cost.evaluationCount();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto runs = core::parallelMap(opts.multistarts, [&](std::size_t k) {
-    SynthesisOptions single = opts;
-    single.multistarts = 1;
-    return synthesizeSingle(cost, single, num::Rng::streamSeed(opts.seed, k));
-  });
-  std::size_t winner = 0;
-  for (std::size_t k = 1; k < runs.size(); ++k) {
-    const bool better = (runs[k].feasible && !runs[winner].feasible) ||
-                        (runs[k].feasible == runs[winner].feasible &&
-                         runs[k].cost < runs[winner].cost);
-    if (better) winner = k;
-  }
-  SynthesisResult res = std::move(runs[winner]);
-  // Per-start counter snapshots interleave under concurrency; the total
-  // across all starts is deterministic.
-  res.evaluations = cost.evaluationCount() - evalsBefore;
-  res.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return res;
-}
-
 SynthesisResult synthesize(const PerformanceModel& model, const SpecSet& specs,
                            const SynthesisOptions& opts, const CostOptions& costOpts) {
   const CostFunction cost(model, specs, costOpts);
@@ -150,7 +115,6 @@ SynthesisResult synthesize(const PerformanceModel& model, const SpecSet& specs,
   SynthesisOptions pushOpts = opts;
   pushOpts.startPoint = res.x;
   pushOpts.feasibilityPush = false;
-  pushOpts.multistarts = 1;  // the push is a greedy descent from res.x
   pushOpts.anneal.initialTemperature = 1e-12;  // greedy descent only
   pushOpts.anneal.stagnationStages = 4;
   pushOpts.refineEvaluations = std::max<std::size_t>(opts.refineEvaluations, 600);

@@ -20,13 +20,6 @@ struct SynthesisOptions {
   /// penalty-method gap), run a second, objective-free pass that drives the
   /// violations to zero from the best point found.
   bool feasibilityPush = true;
-  /// Independent annealing starts.  With 1 (the default) the annealer runs
-  /// exactly as it always has, seeded with `seed`.  With k > 1, start i
-  /// anneals on RNG stream num::Rng::streamSeed(seed, i); starts execute
-  /// concurrently on the shared pool and the winner is chosen by
-  /// (feasible, cost, start index), so the result is bit-identical at any
-  /// thread count.
-  std::size_t multistarts = 1;
 };
 
 struct SynthesisResult {
@@ -38,7 +31,9 @@ struct SynthesisResult {
   double seconds = 0.0;            ///< wall-clock synthesis time
 };
 
-/// Run annealing + refinement on a compiled cost function.
+/// One annealing pass seeded with `seed`, then Nelder-Mead refinement from
+/// its best point, on a compiled cost function.  Serial: it never touches
+/// the thread pool.
 SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opts = {});
 
 /// Convenience: compile and run in one call.

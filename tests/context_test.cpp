@@ -37,12 +37,15 @@
 #include "topology/library.hpp"
 #include "topology/select.hpp"
 
+#include "fast_synthesis.hpp"
+
 namespace core = amsyn::core;
 namespace metrics = amsyn::core::metrics;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
 namespace ckt = amsyn::circuit;
 namespace tp = amsyn::topology;
+using amsyn::testutil::fastSynthesisOptions;
 
 namespace {
 
@@ -284,16 +287,6 @@ TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
 // Differential suite: ambient-global vs explicit-context runs, bit for bit
 
 namespace {
-
-sz::SynthesisOptions fastSynthesisOptions() {
-  sz::SynthesisOptions opts;
-  opts.seed = 11;
-  opts.multistarts = 2;
-  opts.anneal.stagnationStages = 2;
-  opts.anneal.coolingRate = 0.7;
-  opts.refineEvaluations = 40;
-  return opts;
-}
 
 /// One full flow run.  `ctx` == nullptr runs the ambient path
 /// (synthesizeAmplifier, no scope anywhere, the environment's config);
@@ -570,18 +563,3 @@ TEST(MetricsRegistryOverflow, CounterExhaustionNamesTheOffendingMetric) {
   }
 }
 
-TEST(MetricsRegistryOverflow, HistogramExhaustionNamesTheOffendingMetric) {
-  std::string offender;
-  try {
-    for (std::size_t i = 0; i < metrics::kMaxHistograms + 1; ++i) {
-      offender = "ctx.test.overflow.hist." + std::to_string(i);
-      (void)metrics::registry().histogram(offender);
-    }
-    FAIL() << "registering " << metrics::kMaxHistograms + 1
-           << " fresh histograms should exhaust the table";
-  } catch (const std::length_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(offender), std::string::npos) << what;
-    EXPECT_NE(what.find("histogram capacity exhausted"), std::string::npos) << what;
-  }
-}

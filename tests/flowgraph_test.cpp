@@ -20,9 +20,12 @@
 #include "core/parallel.hpp"
 #include "sizing/spec.hpp"
 
+#include "fast_synthesis.hpp"
+
 namespace core = amsyn::core;
 namespace sz = amsyn::sizing;
 namespace ckt = amsyn::circuit;
+using amsyn::testutil::fastSynthesisOptions;
 
 namespace {
 
@@ -290,16 +293,6 @@ TEST(Measure, MissingOutNodeIsInfeasibleDataNotAThrow) {
 // calls, bit for bit, at any thread count
 
 namespace {
-
-sz::SynthesisOptions fastSynthesisOptions() {
-  sz::SynthesisOptions opts;
-  opts.seed = 11;
-  opts.multistarts = 2;
-  opts.anneal.stagnationStages = 2;
-  opts.anneal.coolingRate = 0.7;
-  opts.refineEvaluations = 40;
-  return opts;
-}
 
 std::vector<sz::SpecSet> batchSpecs() {
   std::vector<sz::SpecSet> batch(3);

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.hpp"
 #include "core/parallel.hpp"
 #include "core/threadpool.hpp"
 #include "manufacture/corners.hpp"
@@ -17,12 +16,15 @@
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
 
+#include "fast_synthesis.hpp"
+
 namespace core = amsyn::core;
 namespace num = amsyn::num;
 namespace sz = amsyn::sizing;
 namespace tp = amsyn::topology;
 namespace mf = amsyn::manufacture;
 namespace ckt = amsyn::circuit;
+using amsyn::testutil::fastSynthesisOptions;
 
 namespace {
 const ckt::Process& nominal() { return ckt::defaultProcess(); }
@@ -218,33 +220,9 @@ TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
   EXPECT_EQ(serial.populationShare, parallel.populationShare);
 }
 
-TEST(Determinism, MultistartSynthesisIdenticalAtOneAndEightThreads) {
-  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 60.0).atLeast("ugf", 3e6).minimize("power", 0.5, 1e-3);
-  sz::SynthesisOptions opts;
-  opts.seed = 11;
-  opts.multistarts = 4;
-  opts.anneal.stagnationStages = 2;
-  opts.anneal.coolingRate = 0.7;
-  opts.refineEvaluations = 40;
-
-  auto run = [&](std::size_t threads) {
-    core::ScopedThreadPool scoped(threads);
-    const sz::CostFunction cost(model, specs, {});
-    return sz::synthesize(cost, opts);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  EXPECT_EQ(serial.cost, parallel.cost);
-  EXPECT_EQ(serial.feasible, parallel.feasible);
-  EXPECT_EQ(serial.evaluations, parallel.evaluations);
-  ASSERT_EQ(serial.x.size(), parallel.x.size());
-  for (std::size_t i = 0; i < serial.x.size(); ++i) EXPECT_EQ(serial.x[i], parallel.x[i]);
-}
-
-// Whole-flow and robust-synthesis determinism: every stage and every
-// cutting-plane round, bit for bit, at 1, 2 and 8 threads.
+// Robust-synthesis determinism: every cutting-plane round, bit for bit, at
+// 1, 2 and 8 threads.  Whole flows are compared across thread counts
+// through the batch runner (FlowBatch in flowgraph_test).
 
 namespace {
 
@@ -286,85 +264,6 @@ std::uint64_t rawBits(double v) {
   return ::testing::AssertionSuccess();
 }
 
-sz::SynthesisOptions fastSynthesisOptions() {
-  sz::SynthesisOptions opts;
-  opts.seed = 11;
-  opts.multistarts = 2;
-  opts.anneal.stagnationStages = 2;
-  opts.anneal.coolingRate = 0.7;
-  opts.refineEvaluations = 40;
-  return opts;
-}
-
-core::FlowResult runFlow(std::size_t threads) {
-  core::ScopedThreadPool scoped(threads);
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 36.0)
-      .atLeast("ugf", 1e7)
-      .atLeast("pm", 60.0)
-      .atMost("power", 4e-3)
-      .minimize("power", 0.3, 1e-3);
-  core::FlowOptions opts;
-  opts.loadCap = 2e-12;
-  opts.seed = 3;
-  opts.synthesis = fastSynthesisOptions();
-  opts.layout.annealPlacement = false;
-  return core::synthesizeAmplifier(specs, nominal(), opts);
-}
-
-/// The run-report prefix that is a pure function of the FlowResult: report
-/// name + info + values.  Counters and spans follow the schedule, and the
-/// per-stage `stage.N.seconds` values are wall clock, so their digits are
-/// masked before comparing.
-std::string reportResultPrefix(const core::FlowResult& r) {
-  std::string json = core::flowRunReportJson(r);
-  const auto pos = json.find("\"counters\"");
-  if (pos != std::string::npos) json = json.substr(0, pos);
-  std::string masked;
-  std::size_t at = 0;
-  while (true) {
-    const auto hit = json.find(".seconds\": ", at);
-    if (hit == std::string::npos) break;
-    const auto valueStart = hit + std::strlen(".seconds\": ");
-    auto valueEnd = valueStart;
-    while (valueEnd < json.size() && json[valueEnd] != ',' && json[valueEnd] != '\n')
-      ++valueEnd;
-    masked += json.substr(at, valueStart - at);
-    masked += '#';
-    at = valueEnd;
-  }
-  masked += json.substr(at);
-  return masked;
-}
-
-void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& b,
-                             const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.success, b.success);
-  EXPECT_EQ(a.topology, b.topology);
-  EXPECT_TRUE(vecBitIdentical(a.designPoint, b.designPoint));
-  EXPECT_EQ(a.redesigns, b.redesigns);
-  EXPECT_EQ(a.failureReason, b.failureReason);
-  EXPECT_EQ(a.failureStatus, b.failureStatus);
-  ASSERT_EQ(a.verifications.size(), b.verifications.size());
-  for (std::size_t i = 0; i < a.verifications.size(); ++i) {
-    EXPECT_EQ(a.verifications[i].stage, b.verifications[i].stage);
-    EXPECT_EQ(a.verifications[i].passed, b.verifications[i].passed);
-    EXPECT_TRUE(
-        perfBitIdentical(a.verifications[i].measured, b.verifications[i].measured));
-  }
-  // Stage records match field for field except `seconds` (wall clock).
-  ASSERT_EQ(a.stageRecords.size(), b.stageRecords.size());
-  for (std::size_t i = 0; i < a.stageRecords.size(); ++i) {
-    EXPECT_EQ(a.stageRecords[i].name, b.stageRecords[i].name);
-    EXPECT_EQ(a.stageRecords[i].attempt, b.stageRecords[i].attempt);
-    EXPECT_EQ(a.stageRecords[i].status, b.stageRecords[i].status);
-    EXPECT_EQ(a.stageRecords[i].detail, b.stageRecords[i].detail);
-    EXPECT_EQ(a.stageRecords[i].evalStatus, b.stageRecords[i].evalStatus);
-  }
-  EXPECT_EQ(reportResultPrefix(a), reportResultPrefix(b));
-}
-
 mf::RobustResult runRobust(std::size_t threads) {
   core::ScopedThreadPool scoped(threads);
   sz::SpecSet specs;
@@ -393,40 +292,13 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
 
 }  // namespace
 
-// The EvalCacheDifferential names date from when these runs also toggled the
+// The EvalCacheDifferential name dates from when this run also toggled the
 // evaluation cache; with the cache gone only the thread-count dimension is
 // left.
-
-TEST(EvalCacheDifferential, FlowIsBitIdenticalWithCacheOnOffAcrossThreadCounts) {
-  const auto reference = runFlow(1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
-    expectFlowsBitIdentical(reference, runFlow(threads),
-                            "threads=" + std::to_string(threads));
-}
 
 TEST(EvalCacheDifferential, CornerSearchIsBitIdenticalWithCacheOnOffAcrossThreadCounts) {
   const auto reference = runRobust(1);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
     expectRobustBitIdentical(reference, runRobust(threads),
                              "threads=" + std::to_string(threads));
-}
-
-TEST(Multistart, SingleStartPreservesLegacySeedBehavior) {
-  // multistarts == 1 must run the annealer exactly as before this feature:
-  // seeded with opts.seed itself, not with stream 0 of it.
-  const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
-  sz::SpecSet specs;
-  specs.atLeast("gain_db", 60.0).minimize("power", 0.5, 1e-3);
-  sz::SynthesisOptions opts;
-  opts.seed = 11;
-  opts.anneal.stagnationStages = 2;
-  opts.refineEvaluations = 40;
-  const sz::CostFunction costA(model, specs, {});
-  const auto a = sz::synthesize(costA, opts);
-  opts.multistarts = 1;  // explicit 1 must match the default
-  const sz::CostFunction costB(model, specs, {});
-  const auto b = sz::synthesize(costB, opts);
-  EXPECT_EQ(a.cost, b.cost);
-  ASSERT_EQ(a.x.size(), b.x.size());
-  for (std::size_t i = 0; i < a.x.size(); ++i) EXPECT_EQ(a.x[i], b.x[i]);
 }

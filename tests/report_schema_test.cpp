@@ -31,6 +31,8 @@
 #include "core/parallel.hpp"
 #include "core/runreport.hpp"
 
+#include "fast_synthesis.hpp"
+
 namespace core = amsyn::core;
 namespace sz = amsyn::sizing;
 namespace ckt = amsyn::circuit;
@@ -106,11 +108,7 @@ std::string normalizedFlowReport() {
   core::FlowOptions opts;
   opts.loadCap = 2e-12;
   opts.seed = 3;
-  opts.synthesis.seed = 11;
-  opts.synthesis.multistarts = 2;
-  opts.synthesis.anneal.stagnationStages = 2;
-  opts.synthesis.anneal.coolingRate = 0.7;
-  opts.synthesis.refineEvaluations = 40;
+  opts.synthesis = amsyn::testutil::fastSynthesisOptions();
   opts.layout.annealPlacement = false;
   const auto result = core::synthesizeAmplifier(specs, ckt::defaultProcess(), opts);
   return neutralizeSpans(maskNumbers(core::flowRunReportJson(result)));
