@@ -1,24 +1,25 @@
 // Job-deadline overhead benchmark (BENCH_robustness.json).
 //
-// The job deadline (core/resilience.hpp, checked by the flow engine at every
-// stage boundary) must be effectively free when nothing goes wrong.  The
-// claim: deadline-check overhead < 1%.  Arming a wall-clock deadline adds a
-// strided monotonic-clock read to EvalBudget::consume()
-// (kDeadlineCheckStride = 64 charges per read).  We run the same fixed set
-// of full simulator evaluations with no deadline and with a far-future
-// deadline and report the ratio.
+// The job deadline (core/resilience.hpp) must be effectively free when
+// nothing goes wrong.  The flow engine checks it at every stage boundary
+// and threads it into VerifyStage's core::measureAmplifier calls, where an
+// armed deadline adds a strided monotonic-clock read to Deadline::consume()
+// (kDeadlineCheckStride = 64 charges per read).  The claim: deadline-check
+// overhead < 1%.  We time the same fixed set of measureAmplifier calls with
+// a null deadline and with a far-future one and report the ratio.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iostream>
 
 #include "circuit/process.hpp"
-#include "core/evalstatus.hpp"
-#include "core/parallel.hpp"
+#include "core/flow.hpp"
 #include "core/report.hpp"
+#include "core/resilience.hpp"
 #include "core/runreport.hpp"
 #include "sim/fault.hpp"
-#include "sizing/perfmodel.hpp"
 #include "sizing/simmodel.hpp"
 
 namespace {
@@ -26,11 +27,16 @@ using namespace amsyn;
 
 const circuit::Process& nominalProc() { return circuit::defaultProcess(); }
 
-std::vector<double> middlePoint(const sizing::CircuitTemplate& tmpl) {
-  std::vector<double> x;
-  for (const auto& v : tmpl.variables)
-    x.push_back(v.logScale && v.lo > 0 ? std::sqrt(v.lo * v.hi) : 0.5 * (v.lo + v.hi));
-  return x;
+/// The two-stage testbench at the geometric middle of its design box.
+const circuit::Netlist& benchNetlist() {
+  static const circuit::Netlist net = [] {
+    const auto tmpl = sizing::twoStageTemplate(nominalProc(), {5e-12, 2.2, true});
+    std::vector<double> x;
+    for (const auto& v : tmpl.variables)
+      x.push_back(v.logScale && v.lo > 0 ? std::sqrt(v.lo * v.hi) : 0.5 * (v.lo + v.hi));
+    return tmpl.build(x);
+  }();
+  return net;
 }
 
 double nowSeconds() {
@@ -39,46 +45,39 @@ double nowSeconds() {
       .count();
 }
 
-/// Seconds for `evals` full simulator evaluations, deadline armed or not.
-double timedEvaluations(std::size_t evals, bool armDeadline) {
-  sizing::SimModelOptions opts;
-  opts.measureNoise = false;
-  if (armDeadline)
-    opts.deadlineNs = core::EvalBudget::nowNs() + 3'600'000'000'000LL;  // +1h
-  const auto tmpl = sizing::twoStageTemplate(nominalProc(), {5e-12, 2.2, true});
-  sizing::SimulationModel model(tmpl, nominalProc(), opts);
-  const auto x = middlePoint(tmpl);
+/// Seconds for `n` verify measurements, with a far-future deadline armed
+/// or with none (the null pointer every caller outside a flow passes).
+double timedMeasurements(std::size_t n, bool armDeadline) {
+  core::Deadline farFuture(3'600'000);  // +1h
+  core::Deadline* deadline = armDeadline ? &farFuture : nullptr;
   const double t0 = nowSeconds();
-  for (std::size_t i = 0; i < evals; ++i) {
-    auto perf = sizing::safeEvaluate(model, x);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto perf = core::measureAmplifier(benchNetlist(), nominalProc(), deadline);
     benchmark::DoNotOptimize(perf);
   }
   return nowSeconds() - t0;
 }
 
 void writeJson() {
-  core::ScopedThreadPool scoped(
-      std::max<std::size_t>(2, core::ThreadPool::configuredThreads()));
-
   std::cout << "=== Job-deadline overhead (BENCH_robustness.json) ===\n\n";
 
   // Interleaved min-of-N: per-arm wall clock on a shared box is noisy at
   // this scale, and min-of-repeats is the standard noise-robust estimator
   // of the true cost.  BM_ConsumeWork* below pins the per-charge number.
-  constexpr std::size_t kEvals = 400;
+  constexpr std::size_t kEvals = 2000;
   constexpr int kRepeats = 5;
-  (void)timedEvaluations(kEvals / 8, false);  // warm-up (page cache, pool)
-  double plain = timedEvaluations(kEvals, false);
-  double armed = timedEvaluations(kEvals, true);
+  (void)timedMeasurements(kEvals / 8, false);  // warm-up (page cache)
+  double plain = timedMeasurements(kEvals, false);
+  double armed = timedMeasurements(kEvals, true);
   for (int r = 1; r < kRepeats; ++r) {
-    plain = std::min(plain, timedEvaluations(kEvals, false));
-    armed = std::min(armed, timedEvaluations(kEvals, true));
+    plain = std::min(plain, timedMeasurements(kEvals, false));
+    armed = std::min(armed, timedMeasurements(kEvals, true));
   }
   const double overhead = armed / std::max(plain, 1e-12) - 1.0;
 
-  core::Table t({"simulator evaluations (x" + std::to_string(kEvals) + ")",
+  core::Table t({"measureAmplifier calls (x" + std::to_string(kEvals) + ")",
                  "seconds", "notes"});
-  t.addRow({"no deadline", core::Table::num(plain), "plain work-unit budget"});
+  t.addRow({"no deadline", core::Table::num(plain), "null deadline pointer"});
   t.addRow({"deadline armed", core::Table::num(armed),
             "strided clock read every 64 charges"});
   t.print(std::cout);
@@ -96,18 +95,17 @@ void writeJson() {
             << "% deadline overhead\n\n";
 }
 
-/// Microbenchmark: one budget charge through the consumeWork hook, the
+/// Microbenchmark: one deadline charge through the consumeWork hook, the
 /// innermost cost the deadline machinery can add to a Newton iteration.
 void BM_ConsumeWorkPlain(benchmark::State& state) {
-  core::EvalBudget budget;
-  for (auto _ : state) benchmark::DoNotOptimize(sim::consumeWork(&budget));
+  core::Deadline unarmed;
+  for (auto _ : state) benchmark::DoNotOptimize(sim::consumeWork(&unarmed));
 }
 BENCHMARK(BM_ConsumeWorkPlain);
 
 void BM_ConsumeWorkDeadlineArmed(benchmark::State& state) {
-  core::EvalBudget budget;
-  budget.setDeadlineNs(core::EvalBudget::nowNs() + 3'600'000'000'000LL);
-  for (auto _ : state) benchmark::DoNotOptimize(sim::consumeWork(&budget));
+  core::Deadline farFuture(3'600'000);  // +1h
+  for (auto _ : state) benchmark::DoNotOptimize(sim::consumeWork(&farFuture));
 }
 BENCHMARK(BM_ConsumeWorkDeadlineArmed);
 

@@ -57,9 +57,9 @@ struct ContextConfig {
   /// ThreadPool::global(), or from a ScopedThreadPool.
   std::size_t threads = 0;
   /// AMSYN_JOB_DEADLINE_MS: per-flow wall-clock deadline in ms (0 = none).
-  /// FlowEngine checks it at every stage boundary and arms it on the
-  /// verification measurements' budgets, so a livelocked evaluation stops
-  /// at the next strided cancel point.  Expiry is *terminal* for the job:
+  /// FlowEngine checks it at every stage boundary and threads it into the
+  /// verification measurements, so a livelocked evaluation stops at the
+  /// next strided cancel point.  Expiry is *terminal* for the job:
   /// the flow returns with failureStatus deadline_expired, skipping
   /// remaining redesigns.  A deadline trips at a machine-dependent point by
   /// nature — leave it 0 where bit-reproducible batches matter.

@@ -50,7 +50,7 @@ inline std::size_t threads() {
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).
 /// Only a strict unsigned decimal counts (parseUnsigned); anything else
-/// means unset.  Huge values are safe: DeadlineBudget saturates.
+/// means unset.  Huge values are safe: core::Deadline saturates.
 inline std::uint64_t jobDeadlineMs() {
   return parseUnsigned(std::getenv("AMSYN_JOB_DEADLINE_MS")).value_or(0);
 }

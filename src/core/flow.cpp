@@ -28,13 +28,13 @@ const char* stageStatusName(StageStatus s) {
 
 sizing::Performance measureAmplifier(const circuit::Netlist& net,
                                      const circuit::Process& proc,
-                                     EvalBudget* budget) {
+                                     Deadline* deadline) {
   AMSYN_SPAN("measure");
   sizing::Performance perf;
   try {
     sim::Mna mna(net, proc);
     sim::DcOptions dopts;
-    dopts.budget = budget;
+    dopts.deadline = deadline;
     const auto op =
         sim::dcOperatingPoint(mna, sim::flatStart(mna, proc.vdd / 2), dopts);
     if (!op.converged) {
@@ -43,7 +43,7 @@ sizing::Performance measureAmplifier(const circuit::Netlist& net,
     }
     perf["power"] = sim::staticPower(mna, op);
     const auto sweep =
-        sim::acAnalysis(mna, op, "out", sim::logspace(1.0, 1e9, 6), budget);
+        sim::acAnalysis(mna, op, "out", sim::logspace(1.0, 1e9, 6), deadline);
     if (sweep.status != EvalStatus::Ok) {
       sizing::markInfeasible(perf, sweep.status);
       return perf;

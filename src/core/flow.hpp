@@ -27,6 +27,7 @@
 
 #include "core/celllayout.hpp"
 #include "core/evalstatus.hpp"
+#include "core/resilience.hpp"
 #include "core/performances.hpp"
 #include "sizing/spec.hpp"
 #include "sizing/synth.hpp"
@@ -137,13 +138,13 @@ FlowOptions batchItemOptions(const FlowOptions& base, std::size_t index);
 /// Measure an amplifier testbench netlist by simulation (shared by the flow
 /// and the benches): gain_db, ugf, pm, power.  One fixed open-loop bench:
 /// the AC sweep probes node "out" from 1 Hz to 1 GHz at 6 points/decade.
-/// The optional budget is threaded into every analysis (the flow passes its
-/// job's DeadlineBudget so deadline expiry interrupts a measurement at the
-/// next Newton-loop cancel point); a budget-stopped measurement comes back
-/// infeasible with the budget's exhaustionStatus().
+/// The optional deadline is threaded into every analysis (the flow passes
+/// its job deadline, so expiry interrupts a measurement at the next
+/// Newton-loop cancel point); a deadline-stopped measurement comes back
+/// infeasible with deadline_expired.
 sizing::Performance measureAmplifier(const circuit::Netlist& net,
                                      const circuit::Process& proc,
-                                     EvalBudget* budget = nullptr);
+                                     Deadline* deadline = nullptr);
 
 /// Structured JSON run report for a completed flow: outcome, per-stage
 /// verification verdicts and stage records, plus the process-wide

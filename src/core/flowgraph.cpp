@@ -131,8 +131,8 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
 
   DesignContext ctx(specs, proc, opts);
   ctx.electrical = filterElectrical(specs);
-  DeadlineBudget jobDeadline(0, exec.config().jobDeadlineMs);
-  ctx.jobBudget = &jobDeadline;
+  Deadline jobDeadline(exec.config().jobDeadlineMs);
+  ctx.jobDeadline = &jobDeadline;
 
   // Deadline expiry is terminal: the allowance covered the whole job, so no
   // redesign attempt may follow it.
@@ -277,13 +277,12 @@ StageOutcome BuildStage::run(DesignContext& ctx) {
 StageOutcome VerifyStage::run(DesignContext& ctx) {
   // The verify measurements are the flow's serial simulator work: thread
   // the job deadline into them.
-  EvalBudget* budget = ctx.jobBudget ? &ctx.jobBudget->budget() : nullptr;
   if (phase_ == VerifyPhase::PreLayout) {
     VerificationRecord pre;
     pre.stage = "pre-layout";
     CandidateDesign* chosen = nullptr;
     for (auto& cand : ctx.candidates) {
-      const auto measured = measureAmplifier(cand.netlist, ctx.proc, budget);
+      const auto measured = measureAmplifier(cand.netlist, ctx.proc, ctx.jobDeadline);
       const bool passed = !measured.count("_infeasible") &&
                           ctx.electrical.satisfied(measured, kVerifyTolerance);
       // Update the model-calibration terms from this measurement.
@@ -328,7 +327,7 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
 
   VerificationRecord post;
   post.stage = "post-layout";
-  post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc, budget);
+  post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc, ctx.jobDeadline);
   post.passed = !post.measured.count("_infeasible") &&
                 ctx.electrical.satisfied(post.measured, kVerifyTolerance);
   if (preRec) {

@@ -118,13 +118,12 @@ struct DesignContext {
   std::vector<CandidateDesign> candidates;  ///< per attempt
   CalibrationStore calibration;      ///< persists across attempts
   FlowResult result;                 ///< accumulated output
-  /// The job's wall-clock deadline budget, owned by the engine for the
-  /// run's duration (null only before run() installs it).  Stages that do
-  /// open-ended numerical work (the verify measurements) thread
-  /// &jobBudget->budget() into their analyses so expiry interrupts them at
-  /// the next strided cancel point; the engine itself checks expiry at
-  /// every stage boundary.
-  DeadlineBudget* jobBudget = nullptr;
+  /// The job's wall-clock deadline, owned by the engine for the run's
+  /// duration (null only before run() installs it).  Stages that do
+  /// open-ended numerical work (the verify measurements) thread it into
+  /// their analyses so expiry interrupts them at the next strided cancel
+  /// point; the engine itself checks expiry at every stage boundary.
+  Deadline* jobDeadline = nullptr;
 };
 
 /// How a stage ended.  Failed aborts the attempt (detail/evalStatus become

@@ -40,19 +40,17 @@ std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
       if (layerEnabled(s.layer)) shapes.push_back(s);
 
   // Width checks.
-  if (opts.checkWidth) {
-    for (const auto& s : shapes) {
-      const Coord w = std::min(s.rect.width(), s.rect.height());
-      if (w < minWidth) {
-        DrcViolation v;
-        v.kind = DrcViolation::Kind::Width;
-        v.layer = s.layer;
-        v.a = s.rect;
-        v.netA = s.net;
-        v.value = w;
-        v.required = minWidth;
-        out.push_back(std::move(v));
-      }
+  for (const auto& s : shapes) {
+    const Coord w = std::min(s.rect.width(), s.rect.height());
+    if (w < minWidth) {
+      DrcViolation v;
+      v.kind = DrcViolation::Kind::Width;
+      v.layer = s.layer;
+      v.a = s.rect;
+      v.netA = s.net;
+      v.value = w;
+      v.required = minWidth;
+      out.push_back(std::move(v));
     }
   }
 

@@ -28,13 +28,13 @@ struct DrcOptions {
   std::vector<geom::Layer> layers;
   /// Ignore shapes belonging to the same net (they may abut/overlap).
   bool sameNetExempt = true;
-  /// Skip width checks (routers emit overlapping pads whose union is wide
-  /// enough even when individual rects are thin).
-  bool checkWidth = true;
 };
 
 /// Check same-layer spacing (process ruleMinSpacing) and minimum width
-/// (ruleMinWidth) over all wires + instance shapes.
+/// (ruleMinWidth) over all wires + instance shapes.  Width is checked per
+/// rect: a router's overlapping pads can report Kind::Width even where
+/// their union is wide enough, so callers that only want spacing filter
+/// those out.
 std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
                                            const circuit::Process& proc,
                                            const DrcOptions& opts = {});

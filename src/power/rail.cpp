@@ -86,7 +86,7 @@ RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constrain
   }
 
   // Area-recovery pass: narrow lightly-loaded wires while constraints hold.
-  if (opts.shrinkPass && meets(current, constraints)) {
+  if (meets(current, constraints)) {
     const auto currents = wireCurrents(grid, proc);
     std::vector<std::size_t> idx(grid.wires().size());
     std::iota(idx.begin(), idx.end(), std::size_t{0});

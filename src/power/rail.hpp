@@ -24,7 +24,6 @@ struct RailOptions {
   double minWidth = 1e-6;
   double maxWidth = 250e-6;   ///< power trunks of hundreds of um are normal
   std::size_t maxIterations = 48;
-  bool shrinkPass = true;  ///< recover metal area after constraints are met
   /// Spike mitigation: supply spikes are limited by package L di/dt, which
   /// metal width cannot fix; RAIL places bypass capacitance instead.
   double decapBoostFactor = 1.7;

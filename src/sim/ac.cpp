@@ -79,7 +79,7 @@ std::vector<double> logspace(double fStart, double fStop, std::size_t pointsPerD
 }
 
 AcSweep acAnalysis(const Mna& mna, const DcResult& op, const std::string& outputNode,
-                   const std::vector<double>& frequencies, core::EvalBudget* budget) {
+                   const std::vector<double>& frequencies, core::Deadline* deadline) {
   if (!op.converged) throw std::invalid_argument("acAnalysis: operating point not converged");
   AMSYN_SPAN("ac_sweep");
   static const auto cSweeps = core::metrics::registry().counter("sim.ac_sweeps");
@@ -97,8 +97,8 @@ AcSweep acAnalysis(const Mna& mna, const DcResult& op, const std::string& output
   AcSweep sweep;
   sweep.points.reserve(frequencies.size());
   for (double f : frequencies) {
-    if (!consumeWork(budget)) {
-      sweep.status = budgetStopStatus(budget);
+    if (!consumeWork(deadline)) {
+      sweep.status = core::EvalStatus::DeadlineExpired;
       break;
     }
     num::VecC x;

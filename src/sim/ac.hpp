@@ -21,7 +21,7 @@ struct AcPoint {
 
 struct AcSweep {
   /// Ok, or why the sweep stopped early (SingularJacobian at some frequency,
-  /// NanDetected in a solution, BudgetExhausted).  `points` then holds the
+  /// NanDetected in a solution, DeadlineExpired).  `points` then holds the
   /// frequencies solved before the failure; measurement helpers treat a
   /// short sweep as "no crossing found".
   core::EvalStatus status = core::EvalStatus::Ok;
@@ -69,11 +69,11 @@ class AcSolver {
 /// AC sweep of the voltage at `outputNode`.  The stimulus is whatever AC
 /// magnitudes are present on the netlist's sources.  A singular linearized
 /// system or a non-finite solution ends the sweep early with the reason in
-/// AcSweep::status instead of throwing.  The optional budget is charged one
-/// unit per frequency point.
+/// AcSweep::status instead of throwing.  The optional deadline is charged
+/// once per frequency point.
 AcSweep acAnalysis(const Mna& mna, const DcResult& op, const std::string& outputNode,
                    const std::vector<double>& frequencies,
-                   core::EvalBudget* budget = nullptr);
+                   core::Deadline* deadline = nullptr);
 
 /// Single-frequency transfer to an output node.
 std::complex<double> acTransfer(const Mna& mna, const DcResult& op,

@@ -22,7 +22,7 @@ enum class NewtonOutcome {
   NoConvergence,  ///< iteration limit hit with finite iterates
   Singular,       ///< LU factorization failed
   Nan,            ///< NaN/Inf in residual or update — bailed immediately
-  Budget,         ///< work budget exhausted or evaluation cancelled
+  Deadline,       ///< the job deadline passed (or an injected stop)
 };
 
 bool allFinite(const num::VecD& v) {
@@ -32,10 +32,10 @@ bool allFinite(const num::VecD& v) {
 }
 
 /// One damped Newton solve at fixed (sourceScale, gmin).  Returns the
-/// outcome and leaves the iterate in x.  Charges one budget unit per
+/// outcome and leaves the iterate in x.  Charges the deadline once per
 /// iteration.  A NaN/Inf residual or update aborts right away — burning the
 /// remaining maxIterations on poisoned iterates cannot recover and only
-/// wastes the budget the continuation ladder still needs.
+/// wastes the time the continuation ladder still needs.
 NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, double gmin,
                           const DcOptions& opts, std::size_t& iterationsOut) {
   FaultInjector& inj = FaultInjector::threadLocal();
@@ -45,7 +45,7 @@ NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, doub
   num::MatrixD jac;
   num::VecD f(n);
   for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-    if (!consumeWork(opts.budget)) return NewtonOutcome::Budget;
+    if (!consumeWork(opts.deadline)) return NewtonOutcome::Deadline;
     AssemblyOptions aopt;
     aopt.sourceScale = sourceScale;
     aopt.gmin = gmin;
@@ -84,14 +84,12 @@ NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, doub
   return NewtonOutcome::NoConvergence;
 }
 
-/// Reason code for a ladder that died with this outcome.  The budget is
-/// consulted to split the two exhaustion flavors (deterministic work units
-/// vs wall-clock deadline) — the deadline flavor is machine-dependent.
-EvalStatus outcomeStatus(NewtonOutcome o, const DcOptions& opts) {
+/// Reason code for a ladder that died with this outcome.
+EvalStatus outcomeStatus(NewtonOutcome o) {
   switch (o) {
     case NewtonOutcome::Singular: return EvalStatus::SingularJacobian;
     case NewtonOutcome::Nan: return EvalStatus::NanDetected;
-    case NewtonOutcome::Budget: return budgetStopStatus(opts.budget);
+    case NewtonOutcome::Deadline: return EvalStatus::DeadlineExpired;
     default: return EvalStatus::DcNoConvergence;
   }
 }
@@ -130,10 +128,10 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
     succeed("newton", DcStrategy::Newton);
     return res;
   }
-  res.status = outcomeStatus(out, opts);  // remember the most recent failure mode
-  if (out == NewtonOutcome::Budget) {
+  res.status = outcomeStatus(out);  // remember the most recent failure mode
+  if (out == NewtonOutcome::Deadline) {
     recordEvalFailure(res.status);
-    return res;  // the ladder shares the budget; nothing left to climb with
+    return res;  // the ladder shares the deadline; nothing left to climb with
   }
 
   // Rung 2: gmin stepping — start heavily damped, relax geometrically.
@@ -152,8 +150,8 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
       succeed("gmin", DcStrategy::Gmin);
       return res;
     }
-    res.status = outcomeStatus(out, opts);
-    if (out == NewtonOutcome::Budget) {
+    res.status = outcomeStatus(out);
+    if (out == NewtonOutcome::Deadline) {
       recordEvalFailure(res.status);
       return res;
     }
@@ -175,7 +173,7 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
       succeed("source", DcStrategy::Source);
       return res;
     }
-    res.status = outcomeStatus(out, opts);
+    res.status = outcomeStatus(out);
   }
 
   res.converged = false;

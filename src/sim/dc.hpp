@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/evalstatus.hpp"
+#include "core/resilience.hpp"
 #include "sim/mna.hpp"
 
 namespace amsyn::sim {
@@ -19,16 +20,16 @@ struct DcOptions {
   double maxStep = 0.5;     ///< Newton update clamp per unknown (V or A)
   bool allowGminStepping = true;
   bool allowSourceStepping = true;
-  /// Optional work budget (one Newton iteration = one unit) shared by all
-  /// analyses of one candidate evaluation.  Exhaustion aborts the
-  /// continuation ladder with EvalStatus::BudgetExhausted.
-  core::EvalBudget* budget = nullptr;
+  /// Optional job deadline, charged one unit per Newton iteration and
+  /// shared by all analyses of one measurement.  Expiry aborts the
+  /// continuation ladder with EvalStatus::DeadlineExpired.
+  core::Deadline* deadline = nullptr;
 };
 
 struct DcResult {
   bool converged = false;
   /// Why the solve failed (Ok when converged).  SingularJacobian/NanDetected
-  /// mean every continuation rung died that way; BudgetExhausted means the
+  /// mean every continuation rung died that way; DeadlineExpired means the
   /// ladder was cut short.
   core::EvalStatus status = core::EvalStatus::DcNoConvergence;
   num::VecD x;               ///< solution vector (see Mna layout)

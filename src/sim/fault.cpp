@@ -48,11 +48,10 @@ bool FaultInjector::takeBudgetExhaustion() {
   return true;
 }
 
-bool consumeWork(core::EvalBudget* budget, std::uint64_t units) {
+bool consumeWork(core::Deadline* deadline) {
   FaultInjector& inj = FaultInjector::threadLocal();
   if (inj.armed() && inj.takeBudgetExhaustion()) return false;
-  if (!budget) return true;
-  return budget->consume(units);
+  return !deadline || deadline->consume();
 }
 
 }  // namespace amsyn::sim

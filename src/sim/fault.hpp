@@ -1,9 +1,9 @@
 // Deterministic fault injection for the simulation kernels.  Robustness
 // code is only trustworthy if its fallback paths demonstrably fire: the
-// gmin/source continuation rungs, the NaN bail-out, the budget-exhaustion
-// path.  Real circuits that hit those paths are fragile test fixtures, so
-// tests instead arm a FaultPlan and the solvers consult it at well-defined
-// points.
+// gmin/source continuation rungs, the NaN bail-out, the mid-solve
+// deadline stop.  Real circuits that hit those paths are fragile test
+// fixtures, so tests instead arm a FaultPlan and the solvers consult it at
+// well-defined points.
 //
 // The injector is thread_local: a test arms faults on its own thread and
 // calls the solver directly, so concurrently running evaluations on pool
@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "core/evalstatus.hpp"
+#include "core/resilience.hpp"
 
 namespace amsyn::sim {
 
@@ -30,9 +30,9 @@ struct FaultPlan {
   std::uint64_t poisonDcResiduals = 0;
   /// Force the next N AC LU factorizations to be treated as singular.
   std::uint64_t failLuFactorizations = 0;
-  /// > 0: after N successful budget charges, every further charge reports
-  /// exhaustion regardless of the budget's real limit (exercises the
-  /// BudgetExhausted path at a precise iterate, even mid-evaluation).
+  /// > 0: after N successful deadline charges, every further charge fails
+  /// as if the deadline had passed (exercises the DeadlineExpired stop at a
+  /// precise iterate, even mid-evaluation, with no clock involved).
   std::uint64_t exhaustBudgetAfter = 0;
   bool useExhaustBudget = false;  ///< exhaustBudgetAfter == 0 means "immediately"
 };
@@ -71,16 +71,10 @@ class ScopedFaultInjection {
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
 };
 
-/// Charge `units` against an (optional) budget, honoring injected
-/// exhaustion.  All analysis loops fund their work through this helper so
-/// the budget semantics — and the injector — act at every analysis kind.
-bool consumeWork(core::EvalBudget* budget, std::uint64_t units = 1);
-
-/// Taxonomy code for a failed consumeWork(): DeadlineExpired when the
-/// budget's wall-clock deadline tripped, BudgetExhausted otherwise
-/// (including injected exhaustion and external cancellation).
-inline core::EvalStatus budgetStopStatus(const core::EvalBudget* budget) {
-  return budget ? budget->exhaustionStatus() : core::EvalStatus::BudgetExhausted;
-}
+/// Charge one unit against an (optional) deadline, honoring an injected
+/// stop.  All analysis loops charge through this helper so the deadline —
+/// and the injector — act at every analysis kind.  A false return means
+/// the analysis must stop and report DeadlineExpired.
+bool consumeWork(core::Deadline* deadline);
 
 }  // namespace amsyn::sim

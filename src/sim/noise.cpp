@@ -27,7 +27,7 @@ double NoiseResult::integratedOutputRms() const {
 
 NoiseResult noiseAnalysis(const Mna& mna, const DcResult& op, const std::string& outputNode,
                           const std::vector<double>& frequencies,
-                          core::EvalBudget* budget) {
+                          core::Deadline* deadline) {
   if (!op.converged) throw std::invalid_argument("noiseAnalysis: op not converged");
   AMSYN_SPAN("noise_analysis");
   static const auto cRuns =
@@ -47,8 +47,8 @@ NoiseResult noiseAnalysis(const Mna& mna, const DcResult& op, const std::string&
 
   NoiseResult res;
   for (double f : frequencies) {
-    if (!consumeWork(budget)) {
-      res.status = budgetStopStatus(budget);
+    if (!consumeWork(deadline)) {
+      res.status = core::EvalStatus::DeadlineExpired;
       recordEvalFailure(res.status);
       return res;
     }

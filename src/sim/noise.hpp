@@ -21,7 +21,7 @@ struct NoisePoint {
 
 struct NoiseResult {
   /// Ok, or why the analysis stopped early (SingularJacobian,
-  /// BudgetExhausted); `points` then holds the frequencies finished.
+  /// DeadlineExpired); `points` then holds the frequencies finished.
   core::EvalStatus status = core::EvalStatus::Ok;
   std::vector<NoisePoint> points;
 
@@ -32,11 +32,11 @@ struct NoiseResult {
 
 /// Noise analysis at `outputNode` over the given frequencies.  Gain for input
 /// referral is taken from the netlist's AC stimulus (if any source has a
-/// nonzero acMag).  The optional budget is charged one unit per frequency;
+/// nonzero acMag).  The optional deadline is charged once per frequency;
 /// a singular linearized system ends the analysis early via
 /// NoiseResult::status instead of throwing.
 NoiseResult noiseAnalysis(const Mna& mna, const DcResult& op, const std::string& outputNode,
                           const std::vector<double>& frequencies,
-                          core::EvalBudget* budget = nullptr);
+                          core::Deadline* deadline = nullptr);
 
 }  // namespace amsyn::sim

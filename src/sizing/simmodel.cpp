@@ -31,19 +31,11 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
     return perf;
   }
 
-  // One deterministic work budget funds every analysis of this evaluation
-  // (Newton iterations in DC, solves per AC/noise frequency);
-  // the job deadline, when armed, rides on the same budget.
-  core::EvalBudget budget(opts_.workBudget, opts_.cancel);
-  if (opts_.deadlineNs != 0) budget.setDeadlineNs(opts_.deadlineNs);
-
   try {
     sim::Mna mna(net, proc_);
-    sim::DcOptions dopts;
-    dopts.budget = &budget;
 
     // Mid-rail start: feedback-biased benches latch when started from zero.
-    const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc_.vdd / 2), dopts);
+    const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc_.vdd / 2));
     if (!op.converged) {
       markInfeasible(perf, op.status);  // dc already tallied the failure
       return perf;
@@ -60,7 +52,7 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
     perf["area"] = net.totalGateArea();
 
     const auto freqs = sim::logspace(opts_.fStart, opts_.fStop, opts_.pointsPerDecade);
-    const auto sweep = sim::acAnalysis(mna, op, tmpl_.outputNode, freqs, &budget);
+    const auto sweep = sim::acAnalysis(mna, op, tmpl_.outputNode, freqs);
     if (sweep.status != EvalStatus::Ok) {
       markInfeasible(perf, sweep.status);
       return perf;
@@ -88,8 +80,8 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
     perf["swing"] = std::max(0.0, swingHi - swingLo);
 
     if (opts_.measureNoise) {
-      const auto nz = sim::noiseAnalysis(mna, op, tmpl_.outputNode,
-                                         {opts_.noiseSpotFrequency}, &budget);
+      const auto nz =
+          sim::noiseAnalysis(mna, op, tmpl_.outputNode, {opts_.noiseSpotFrequency});
       if (nz.status != EvalStatus::Ok) {
         markInfeasible(perf, nz.status);
         return perf;

@@ -29,20 +29,6 @@ struct SimModelOptions {
   /// (the latched solution of a feedback-biased open-loop bench).
   bool outputMustBeInterior = true;
   double interiorMargin = 0.15;  ///< volts from either rail
-  /// Per-evaluation work budget in Newton-iteration units (0 = unlimited).
-  /// An evaluation that exhausts it returns whatever it measured so far,
-  /// marked infeasible with budget_exhausted — deterministically, because
-  /// work units are counted, not wall clock.
-  std::uint64_t workBudget = 0;
-  /// Optional cooperative cancel flag shared by every evaluation (e.g. a
-  /// whole-run abort).  Checked at the same points as the budget.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Optional absolute wall-clock deadline (monotonic ns per
-  /// core::EvalBudget::nowNs(); 0 = none) armed on every evaluation's
-  /// budget.  An evaluation past the deadline stops at the next strided
-  /// cancel point and reports deadline_expired.  Wall-clock truncation is
-  /// not reproducible, so leave it 0 where results must repeat.
-  std::int64_t deadlineNs = 0;
 };
 
 /// Generic netlist-producing template: design vector -> testbench netlist.

@@ -292,8 +292,7 @@ namespace {
 /// (synthesizeAmplifier, no scope anywhere, the environment's config);
 /// otherwise the run goes through the explicit-context engine entry point
 /// FlowEngine::run(..., ctx) — the daemon-style path.
-core::FlowResult runFlow(std::size_t threads, core::ExecutionContext* ctx) {
-  core::ScopedThreadPool scoped(threads);
+core::FlowResult runFlow(core::ExecutionContext* ctx) {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
       .atLeast("ugf", 1e7)
@@ -406,19 +405,18 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
 // it, which is the point of the leak fix — and the explicit arm runs the
 // same config from its own context.
 
+// A single flow never touches the pool, so its arms run once each; the
+// thread-count axis of the flow lives in FlowBatch.
 TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
-  const auto reference = runFlow(/*threads=*/1, nullptr);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    const auto ambient = runFlow(threads, nullptr);
-    expectFlowsBitIdentical(reference, ambient, "ambient " + label);
-    core::ExecutionContext ctx(core::ContextConfig::fromEnv());
-    const auto scoped = runFlow(threads, &ctx);
-    expectFlowsBitIdentical(ambient, scoped, "explicit " + label);
-    // The explicit run actually recorded a slice — the differential would
-    // be vacuous if the context never saw the work it paid for.
-    EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
-  }
+  const auto reference = runFlow(nullptr);
+  const auto ambient = runFlow(nullptr);
+  expectFlowsBitIdentical(reference, ambient, "ambient");
+  core::ExecutionContext ctx(core::ContextConfig::fromEnv());
+  const auto scoped = runFlow(&ctx);
+  expectFlowsBitIdentical(ambient, scoped, "explicit");
+  // The explicit run actually recorded a slice — the differential would
+  // be vacuous if the context never saw the work it paid for.
+  EXPECT_FALSE(ctx.sliceCounters().empty());
 }
 
 TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitContexts) {

@@ -379,10 +379,10 @@ TEST_P(RouterDrcProperty, RoutedWiresKeepMinimumSpacing) {
   // module generator's own template and checked elsewhere).
   geom::Layout wiresOnly;
   wiresOnly.wires = r.layout.wires;
-  layout::DrcOptions dopts;
-  dopts.checkWidth = false;  // pads overlap same-net segments by design
-  const auto violations = layout::checkDesignRules(wiresOnly, proc(), dopts);
-  for (const auto& v : violations) ADD_FAILURE() << v.describe();
+  // Spacing only: pads overlap same-net segments by design, so a thin pad
+  // rect reports a width violation its union does not have.
+  for (const auto& v : layout::checkDesignRules(wiresOnly, proc()))
+    if (v.kind != layout::DrcViolation::Kind::Width) ADD_FAILURE() << v.describe();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterDrcProperty, ::testing::Range(1, 7));

@@ -58,57 +58,39 @@ TEST(EvalStatusTaxonomy, ClassifyExceptionSeparatesOomFromInternalError) {
             EvalStatus::InternalError);
 }
 
-TEST(EvalStatusTaxonomy, WorkExhaustionCoversBudgetAndDeadline) {
-  EXPECT_TRUE(core::isWorkExhaustion(EvalStatus::BudgetExhausted));
-  EXPECT_TRUE(core::isWorkExhaustion(EvalStatus::DeadlineExpired));
-  EXPECT_FALSE(core::isWorkExhaustion(EvalStatus::SingularJacobian));
-  EXPECT_FALSE(core::isWorkExhaustion(EvalStatus::Ok));
-}
-
 // ---------------------------------------------------------------------------
-// Deadlines on the work budget
+// The deadline type
 
 TEST(DeadlineBudget, AlreadyExpiredDeadlineFailsTheFirstCharge) {
-  core::EvalBudget budget;
-  budget.setDeadlineNs(core::EvalBudget::nowNs() - 1);
-  EXPECT_FALSE(budget.consume());
-  EXPECT_TRUE(budget.exhausted());
-  EXPECT_TRUE(budget.deadlineExpired());
-  EXPECT_EQ(budget.exhaustionStatus(), EvalStatus::DeadlineExpired);
-}
-
-TEST(DeadlineBudget, FarFutureDeadlineLeavesWorkLimitSemanticsIntact) {
-  core::EvalBudget budget(3);
-  budget.setDeadlineNs(core::EvalBudget::nowNs() + 3'600'000'000'000LL);  // +1h
-  EXPECT_TRUE(budget.consume());
-  EXPECT_TRUE(budget.consume());
-  EXPECT_TRUE(budget.consume());
-  EXPECT_FALSE(budget.consume());  // work limit, not the clock
-  EXPECT_EQ(budget.exhaustionStatus(), EvalStatus::BudgetExhausted);
+  core::Deadline deadline;
+  deadline.setDeadlineNs(core::Deadline::nowNs() - 1);
+  EXPECT_FALSE(deadline.consume());
+  EXPECT_FALSE(deadline.consume()) << "expiry latches";
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST(DeadlineBudget, CheckDeadlineLatchesBetweenStrides) {
-  core::EvalBudget budget;
-  budget.setDeadlineNs(core::EvalBudget::nowNs() + 3'600'000'000'000LL);
-  ASSERT_TRUE(budget.consume());  // first charge checks; stride now pending
+  core::Deadline deadline;
+  deadline.setDeadlineNs(core::Deadline::nowNs() + 3'600'000'000'000LL);  // +1h
+  ASSERT_TRUE(deadline.consume());  // first charge checks; stride now pending
   // Move the deadline into the past: the strided path would not notice for
   // another kDeadlineCheckStride charges, but a boundary checkpoint must.
-  budget.setDeadlineNs(core::EvalBudget::nowNs() - 1);
-  ASSERT_FALSE(budget.consume());  // setDeadlineNs re-arms an immediate check
-  EXPECT_TRUE(budget.checkDeadline());
-  EXPECT_EQ(budget.exhaustionStatus(), EvalStatus::DeadlineExpired);
+  deadline.setDeadlineNs(core::Deadline::nowNs() - 1);
+  ASSERT_FALSE(deadline.consume());  // setDeadlineNs re-arms an immediate check
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST(DeadlineBudget, ComposedBudgetExpiresAndLatches) {
-  core::DeadlineBudget dl(0, 1);  // 1 ms
-  EXPECT_TRUE(dl.armed());
+  core::Deadline dl(1);  // 1 ms
+  EXPECT_NE(dl.deadlineNs(), 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(dl.expired());
-  EXPECT_EQ(dl.budget().exhaustionStatus(), EvalStatus::DeadlineExpired);
+  EXPECT_FALSE(dl.consume()) << "a boundary-detected expiry fails the next charge";
 
-  core::DeadlineBudget unarmed(0, 0);
-  EXPECT_FALSE(unarmed.armed());
+  core::Deadline unarmed(0);
+  EXPECT_EQ(unarmed.deadlineNs(), 0);
   EXPECT_FALSE(unarmed.expired());
+  EXPECT_TRUE(unarmed.consume());
 }
 
 TEST(DeadlineBudget, EffectiveDeadlinePrefersOptionThenContext) {
@@ -135,15 +117,14 @@ TEST(DeadlineBudget, HugeDeadlinesSaturateInsteadOfOverflowing) {
   for (const std::uint64_t ms :
        {std::uint64_t{9'223'372'036'854}, std::uint64_t{1} << 63,
         std::numeric_limits<std::uint64_t>::max()}) {
-    core::DeadlineBudget dl(0, ms);
-    EXPECT_TRUE(dl.armed()) << ms;
+    core::Deadline dl(ms);
     EXPECT_EQ(dl.deadlineNs(), kMax) << ms;
     EXPECT_FALSE(dl.expired()) << ms;
-    EXPECT_TRUE(dl.budget().consume()) << ms;
+    EXPECT_TRUE(dl.consume()) << ms;
   }
   // A deadline with headroom is still now + ms exactly.
-  const std::int64_t before = core::EvalBudget::nowNs();
-  core::DeadlineBudget hour(0, 3'600'000);
+  const std::int64_t before = core::Deadline::nowNs();
+  core::Deadline hour(3'600'000);
   EXPECT_GE(hour.deadlineNs(), before + 3'600'000'000'000LL);
   EXPECT_LT(hour.deadlineNs(), kMax);
 }

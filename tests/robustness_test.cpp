@@ -1,11 +1,10 @@
 // Fault-tolerance tests: every fallback path of the evaluation layer must
 // demonstrably fire.  Deterministic fault injection (sim/fault.hpp) breaks
 // the solvers at precise points — forcing continuation rungs, NaN bail-outs,
-// budget exhaustion — and the tests assert both the structured outcome
+// mid-solve deadline stops — and the tests assert both the structured outcome
 // (core::EvalStatus) and the observability counters (sim/stats.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "core/evalstatus.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
+#include "core/resilience.hpp"
 #include "manufacture/corners.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
@@ -138,27 +138,6 @@ TEST(EvalStatus, NamesAreStableSnakeCase) {
   EXPECT_STREQ(core::evalStatusName(EvalStatus::InternalError), "internal_error");
 }
 
-TEST(EvalBudget, CountsWorkUnitsAndCancels) {
-  core::EvalBudget b(3);
-  EXPECT_TRUE(b.consume());
-  EXPECT_TRUE(b.consume(2));
-  EXPECT_FALSE(b.consume());  // 4th unit crosses the limit
-  EXPECT_TRUE(b.exhausted());
-  EXPECT_EQ(b.used(), 4u);
-
-  core::EvalBudget unlimited;
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(unlimited.consume());
-  unlimited.cancel();
-  EXPECT_FALSE(unlimited.consume());
-  EXPECT_TRUE(unlimited.exhausted());
-
-  std::atomic<bool> stop{false};
-  core::EvalBudget external(0, &stop);
-  EXPECT_TRUE(external.consume());
-  stop.store(true);
-  EXPECT_FALSE(external.consume());
-}
-
 TEST(EvalBudget, PerformanceStatusRoundTrips) {
   sizing::Performance perf;
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::Ok);
@@ -258,66 +237,33 @@ TEST(FaultInjection, InjectedExhaustionFiresWithoutRealBudget) {
 
   sim::FaultPlan plan;
   plan.useExhaustBudget = true;
-  plan.exhaustBudgetAfter = 2;  // exhaust mid-solve, no EvalBudget needed
+  plan.exhaustBudgetAfter = 2;  // stop mid-solve, no Deadline needed
   sim::ScopedFaultInjection inject(plan);
   const auto op = sim::dcOperatingPoint(mna);
   EXPECT_FALSE(op.converged);
-  EXPECT_EQ(op.status, EvalStatus::BudgetExhausted);
-  EXPECT_EQ(slice.failures(EvalStatus::BudgetExhausted), 1u);
+  EXPECT_EQ(op.status, EvalStatus::DeadlineExpired);
+  EXPECT_EQ(slice.failures(EvalStatus::DeadlineExpired), 1u);
 }
 
-// --- work budgets ---------------------------------------------------------
+// --- deadline stops --------------------------------------------------------
 
 TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
   SliceProbe slice;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
-  core::EvalBudget budget(2);  // far less than the solve needs
+  // An already-past deadline fails the first charge, so the ladder stops
+  // before its first Newton iteration, not at some clock-dependent one.
+  core::Deadline deadline;
+  deadline.setDeadlineNs(core::Deadline::nowNs() - 1);
   sim::DcOptions opts;
-  opts.budget = &budget;
+  opts.deadline = &deadline;
   const auto op = sim::dcOperatingPoint(mna, opts);
   EXPECT_FALSE(op.converged);
-  EXPECT_EQ(op.status, EvalStatus::BudgetExhausted);
-  EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(slice.failures(EvalStatus::BudgetExhausted), 1u);
-
-  // Identical budget, identical stop: the cutoff is counted, not timed.
-  core::EvalBudget again(2);
-  sim::DcOptions opts2;
-  opts2.budget = &again;
-  const auto op2 = sim::dcOperatingPoint(mna, opts2);
-  EXPECT_EQ(op2.iterations, op.iterations);
-  EXPECT_EQ(again.used(), budget.used());
-}
-
-TEST(WorkBudget, SimulationModelReportsBudgetExhausted) {
-  SliceProbe slice;
-  sizing::OpampTestbench tb;
-  auto tmpl = sizing::twoStageTemplate(proc(), tb);
-  sizing::SimModelOptions mopts;
-  mopts.measureNoise = false;
-  mopts.workBudget = 3;  // a two-stage bias point needs far more iterations
-  const sizing::SimulationModel model(std::move(tmpl), proc(), mopts);
-
-  const auto perf = model.evaluate(model.initialPoint());
-  EXPECT_EQ(perf.count("_infeasible"), 1u);
-  EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::BudgetExhausted);
-  EXPECT_GE(slice.failures(EvalStatus::BudgetExhausted), 1u);
-}
-
-TEST(WorkBudget, CooperativeCancelDegradesToBudgetExhausted) {
-  sizing::OpampTestbench tb;
-  auto tmpl = sizing::twoStageTemplate(proc(), tb);
-  std::atomic<bool> cancel{true};
-  sizing::SimModelOptions mopts;
-  mopts.measureNoise = false;
-  mopts.cancel = &cancel;
-  const sizing::SimulationModel model(std::move(tmpl), proc(), mopts);
-
-  const auto perf = model.evaluate(model.initialPoint());
-  EXPECT_EQ(perf.count("_infeasible"), 1u);
-  EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::BudgetExhausted);
+  EXPECT_EQ(op.status, EvalStatus::DeadlineExpired);
+  EXPECT_EQ(op.iterations, 0u);
+  EXPECT_TRUE(deadline.expired());
+  EXPECT_EQ(slice.failures(EvalStatus::DeadlineExpired), 1u);
 }
 
 // --- AC under injected faults ---------------------------------------------
