@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bit_digest.hpp"
 #include "layout/system/channel.hpp"
 #include "layout/system/floorplan.hpp"
 #include "layout/system/wren.hpp"
@@ -241,4 +242,113 @@ TEST(Wren, ChannelGraphFromFloorplanConnects) {
        {{fp.chipBox.x0, fp.chipBox.y0}, {fp.chipBox.x1, fp.chipBox.y1}}, 0.0}};
   const auto r = lay::wrenGlobalRoute(g, nets);
   EXPECT_TRUE(r.routed.at("n"));
+}
+
+// ------------------------------------------------------------- goldens
+
+namespace {
+void addRect(amsyn::testutil::BitDigest& d, const geom::Rect& r) {
+  d.i64(r.x0).i64(r.y0).i64(r.x1).i64(r.y1);
+}
+
+std::string floorplanDigest(const lay::Floorplan& fp) {
+  amsyn::testutil::BitDigest d;
+  d.u64(fp.blocks.size());
+  for (const auto& b : fp.blocks) {
+    d.str(b.name).u64(b.rotated);
+    addRect(d, b.rect);
+  }
+  addRect(d, fp.chipBox);
+  d.real(fp.wirelength).real(fp.substrateNoise).u64(fp.overlapFree);
+  return d.hex();
+}
+
+std::string wrenDigest(const lay::WrenResult& r) {
+  amsyn::testutil::BitDigest d;
+  for (const auto& [net, edges] : r.routeOf) {
+    d.str(net).u64(edges.size());
+    for (const std::size_t e : edges) d.u64(e);
+  }
+  for (const auto& [net, ok] : r.routed) d.str(net).u64(ok);
+  d.u64(r.usageTracks.size());
+  for (const int t : r.usageTracks) d.i64(t);
+  d.u64(r.anyOverflow);
+  for (const auto& [net, c] : r.couplingRaw) d.str(net).real(c);
+  for (const auto& [net, c] : r.couplingMitigated) d.str(net).real(c);
+  for (const auto& [net, met] : r.snrMet) d.str(net).u64(met);
+  for (const auto& dir : r.directives)
+    d.u64(dir.edge).i64(dir.extraSeparationTracks).u64(dir.shield);
+  return d.hex();
+}
+}  // namespace
+
+// Raw floorplan bits on the mixed-chip fixture: the slicing floorplanner at
+// its default seed and at seed 12, and WRIGHT without and with its
+// substrate-noise term.
+TEST(LayerGoldens, SlicingAndWrightFloorplans) {
+  lay::FloorplanOptions seed12;
+  seed12.seed = 12;
+  lay::FloorplanOptions quiet;
+  quiet.noiseWeight = 0.0;
+  quiet.seed = 21;
+  lay::FloorplanOptions noisy;
+  noisy.noiseWeight = 6.0;
+  noisy.seed = 21;
+  const auto slicing = [](const lay::FloorplanOptions& o) {
+    return floorplanDigest(lay::slicingFloorplan(mixedChip(), chipNets(), o));
+  };
+  const auto wright = [](const lay::FloorplanOptions& o) {
+    return floorplanDigest(lay::wrightFloorplan(mixedChip(), chipNets(), o));
+  };
+  EXPECT_EQ(slicing({}), "0xb9307d23485b4ce2");
+  EXPECT_EQ(slicing(seed12), "0xb9307d23485b4ce2");
+  EXPECT_EQ(wright({}), "0xb9307d23485b4ce2");
+  EXPECT_EQ(wright(quiet), "0xa2eb34f1dabbf5b4");
+  EXPECT_EQ(wright(noisy), "0xeaff104336fa796c");
+}
+
+// Raw WREN bits: the ladder with separate and with shared endpoints (the
+// latter at the default, no and strong noise avoidance), the single
+// corridor the constraint mapper must fix, and the channel graph of the
+// slicing floorplan.
+TEST(LayerGoldens, WrenGlobalRoutes) {
+  const auto ladder = ladderGraph();
+  const std::vector<lay::GlobalNet> rows = {
+      {"clk", lay::WireClass::Noisy, {{0, 0}, {2000, 0}}, 0.0},
+      {"sig", lay::WireClass::Sensitive, {{0, 1000}, {2000, 1000}}, 0.0},
+  };
+  const std::vector<lay::GlobalNet> shared = {
+      {"clk", lay::WireClass::Noisy, {{0, 0}, {2000, 0}}, 0.0},
+      {"sig", lay::WireClass::Sensitive, {{0, 0}, {2000, 0}}, 0.0},
+  };
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, rows)), "0x8bc6024b9eec092f");
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared)), "0x079f58c74606b7e3");
+  lay::WrenOptions blind;
+  blind.noiseAvoidWeight = 0.0;
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, blind)), "0x36fc8f9f7db785c7");
+  lay::WrenOptions avoid;
+  avoid.noiseAvoidWeight = 50.0;
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, avoid)), "0x079f58c74606b7e3");
+
+  lay::ChannelGraph corridor;
+  corridor.addNode({0, 0});
+  corridor.addNode({4000, 0});
+  corridor.addEdge(0, 1, 8);
+  const std::vector<lay::GlobalNet> budgeted = {
+      {"clk", lay::WireClass::Noisy, {{0, 0}, {4000, 0}}, 0.0},
+      {"sig", lay::WireClass::Sensitive, {{0, 0}, {4000, 0}}, 0.5},
+  };
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(corridor, budgeted)), "0xddd86bd413c8abb2");
+
+  const auto fp = lay::slicingFloorplan(mixedChip(), chipNets());
+  const std::vector<lay::GlobalNet> diagonal = {
+      {"n", lay::WireClass::Quiet,
+       {{fp.chipBox.x0, fp.chipBox.y0}, {fp.chipBox.x1, fp.chipBox.y1}}, 0.0},
+      {"clk", lay::WireClass::Noisy,
+       {{fp.chipBox.x0, fp.chipBox.y1}, {fp.chipBox.x1, fp.chipBox.y0}}, 0.0},
+      {"sig", lay::WireClass::Sensitive,
+       {{fp.chipBox.x0, fp.chipBox.y0}, {fp.chipBox.x1, fp.chipBox.y0}}, 0.2},
+  };
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(lay::channelGraphFromFloorplan(fp), diagonal)),
+            "0x00b75735c094ae45");
 }

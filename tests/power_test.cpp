@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "bit_digest.hpp"
 #include "power/grid.hpp"
 #include "power/rail.hpp"
 
@@ -130,4 +131,34 @@ TEST(Rail, EmViolationGetsFixed) {
   cons.maxAnalogSpikeVolts = 2.0;
   const auto res = pw::synthesizePowerGrid(grid, cons, proc());
   EXPECT_LE(res.final.worstEmStressRatio, 1.0 + 1e-9);
+}
+
+namespace {
+void addAnalysis(amsyn::testutil::BitDigest& d, const pw::GridAnalysis& a) {
+  d.real(a.worstDcDropVolts).real(a.worstSpikeVolts).real(a.worstAnalogDcDropVolts)
+      .real(a.worstAnalogSpikeVolts).real(a.worstEmStressRatio).real(a.metalAreaM2).u64(a.solved);
+}
+
+std::string railDigest(const pw::RailResult& r) {
+  amsyn::testutil::BitDigest d;
+  addAnalysis(d, r.initial);
+  addAnalysis(d, r.final);
+  d.u64(r.constraintsMet).u64(r.iterations).reals(r.widths).real(r.addedDecapFarads);
+  return d.hex();
+}
+}  // namespace
+
+// Raw RAIL bits on the Fig. 3 data-channel grid from the skinny 2 um start,
+// with bypass-capacitance synthesis and with metal-only sizing.
+TEST(LayerGoldens, RailOnTheFig3Grid) {
+  pw::PowerGrid bypass(dataChannelSpec(), proc());
+  pw::applyUniformWidth(bypass, 2e-6);
+  EXPECT_EQ(railDigest(pw::synthesizePowerGrid(bypass, {}, proc())),
+            "0x89f6a2680cc2431a");
+  pw::PowerGrid metalOnly(dataChannelSpec(), proc());
+  pw::applyUniformWidth(metalOnly, 2e-6);
+  pw::RailOptions noDecap;
+  noDecap.maxDecapPerBlock = 0.0;
+  EXPECT_EQ(railDigest(pw::synthesizePowerGrid(metalOnly, {}, proc(), noDecap)),
+            "0x47ff4bb2148fc5de");
 }

@@ -509,3 +509,21 @@ TEST(EvalGoldens, SimulationModelAtSeededPoints) {
     d.real(pt.frequency).real(pt.value.real()).real(pt.value.imag());
   EXPECT_EQ(d.hex(), "0x738183cb96a030db");
 }
+
+// Raw RelaxedDcModel bits: the variable box (the branch-current bound sits
+// in it), the initial point and a nudged copy of it, and eight seeded
+// points of the full box, whose bias states are far from solved.
+TEST(EvalGoldens, RelaxedDcModelAtSeededPoints) {
+  BitDigest d;
+  const sz::RelaxedDcModel model(sz::twoStageTemplate(proc(), {}), proc());
+  for (const auto& v : model.variables()) d.str(v.name).real(v.lo).real(v.hi);
+  auto x = model.initialPoint();
+  d.reals(x);
+  addPerformance(d, model.evaluate(x));
+  for (std::size_t i = model.templateDimension(); i < x.size(); ++i) x[i] += 0.01;
+  addPerformance(d, model.evaluate(x));
+  num::Rng rng(67);
+  for (int p = 0; p < 8; ++p)
+    addPerformance(d, model.evaluate(seededInteriorPoint(model.variables(), rng)));
+  EXPECT_EQ(d.hex(), "0xa6defa7f913652da");
+}

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "bit_digest.hpp"
 #include "circuit/parser.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
@@ -184,4 +185,33 @@ CL out 0 10p
   const double full = h.magnitudeAt(lin.circuit.symbols(), 10.0);
   const double reduced = simp.magnitudeAt(lin.circuit.symbols(), 10.0);
   EXPECT_NEAR(reduced, full, full * 0.1);
+}
+
+// Raw linearization bits on the common-source fixture: every symbol's name
+// and nominal, the node map, and the transfer function's symbolic text,
+// numeric coefficients and magnitude at four frequencies.
+TEST(EvalGoldens, LinearizedCommonSourceTransfer) {
+  auto net = ckt::parseDeck(R"(
+VDD vdd 0 DC 5
+VG g 0 DC 1.1 AC 1
+RD vdd out 20k
+M1 out g 0 0 NMOS W=20u L=2u
+CL out 0 1p
+.end)");
+  sim::Mna mna(net, ckt::defaultProcess());
+  const auto op = sim::dcOperatingPoint(mna);
+  ASSERT_TRUE(op.converged);
+  const auto lin = sym::linearize(mna, op);
+  const auto& syms = lin.circuit.symbols();
+  amsyn::testutil::BitDigest d;
+  d.u64(syms.size());
+  for (std::size_t i = 0; i < syms.size(); ++i) {
+    const auto id = static_cast<sym::SymbolId>(i);
+    d.str(syms.name(id)).real(syms.nominal(id));
+  }
+  for (const auto& [name, node] : lin.nodeOf) d.str(name).u64(node);
+  const auto h = sym::voltageTransfer(lin.circuit, lin.node("g"), lin.node("out"));
+  d.str(h.toString(syms)).reals(h.numericNum(syms)).reals(h.numericDen(syms));
+  for (double f : {1e2, 1e5, 1e7, 1e8}) d.real(h.magnitudeAt(syms, f));
+  EXPECT_EQ(d.hex(), "0xa442b38a048dbf6d");
 }

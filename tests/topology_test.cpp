@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bit_digest.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
 #include "topology/select.hpp"
@@ -220,4 +221,17 @@ TEST(RuleBased, AggregatesAllSpecsOnOnePerformance) {
   EXPECT_DOUBLE_EQ(scoreOf(r2, "two-stage-miller") - scoreOf(r1, "two-stage-miller"), 3.0);
   EXPECT_DOUBLE_EQ(scoreOf(r2, "five-transistor-ota") - scoreOf(r1, "five-transistor-ota"),
                    -3.0);
+}
+
+// Raw bits of a DARWIN run at the default rates: winner, design point,
+// performances, cost, evaluation count and the final population shares.
+TEST(EvalGoldens, GeneticSelectAndSizeAtSeed13) {
+  tp::GeneticOptions opts;
+  opts.seed = 13;
+  const auto res = tp::geneticSelectAndSize(lib(), highGainSpecs(), opts);
+  amsyn::testutil::BitDigest d;
+  d.u64(res.feasible).str(res.topology).reals(res.x).real(res.cost).u64(res.evaluations);
+  for (const auto& [name, value] : res.performance) d.str(name).real(value);
+  for (const auto& [name, share] : res.populationShare) d.str(name).real(share);
+  EXPECT_EQ(d.hex(), "0x129034c0848f95e2");
 }
