@@ -149,9 +149,9 @@ void ablationBypass() {
   for (bool bypass : {false, true}) {
     power::PowerGrid grid(spec, proc());
     power::applyUniformWidth(grid, 2e-6);
-    power::RailOptions opts;
-    if (!bypass) opts.maxDecapPerBlock = 0.0;  // metal-only sizing
-    const auto r = power::synthesizePowerGrid(grid, power::RailConstraints{}, proc(), opts);
+    const power::RailConstraints cons;
+    const auto r = bypass ? power::synthesizePowerGrid(grid, cons, proc())
+                          : power::synthesizePowerGrid(grid, cons, proc(), 0.0);  // metal only
     t.addRow({bypass ? "on" : "off", r.constraintsMet ? "yes" : "NO",
               core::Table::num(r.final.worstSpikeVolts * 1e3),
               core::Table::num(r.addedDecapFarads * 1e9)});

@@ -112,17 +112,10 @@ CellLayoutResult layoutCellGeometry(const circuit::Netlist& net,
         comp.variants.push_back(layout::generateMos(d.name, d.mos, dn, gn, sn, bn, proc));
         // Folding variants for wide devices (KOAN's dynamic-fold move).
         const double wLambda = d.mos.w * d.mos.m / proc.lambda;
-        layout::MosGenOptions fold;
-        if (wLambda >= 40) {
-          fold.fingers = 2;
-          comp.variants.push_back(
-              layout::generateMos(d.name, d.mos, dn, gn, sn, bn, proc, fold));
-        }
-        if (wLambda >= 120) {
-          fold.fingers = 4;
-          comp.variants.push_back(
-              layout::generateMos(d.name, d.mos, dn, gn, sn, bn, proc, fold));
-        }
+        if (wLambda >= 40)
+          comp.variants.push_back(layout::generateMos(d.name, d.mos, dn, gn, sn, bn, proc, 2));
+        if (wLambda >= 120)
+          comp.variants.push_back(layout::generateMos(d.name, d.mos, dn, gn, sn, bn, proc, 4));
         if (auto it = peerOf.find(d.name); it != peerOf.end()) comp.symmetryPeer = it->second;
         break;
       }
@@ -148,35 +141,24 @@ CellLayoutResult layoutCellGeometry(const circuit::Netlist& net,
   // annealed packing proves unroutable (KOAN/ANAGRAM ran exactly this kind
   // of retry loop between its placer and router) ---
   auto placeAndRoute = [&](bool annealed) {
-    layout::PlacerOptions popts = opts.placer;
+    layout::PlacerOptions popts;
     popts.seed = opts.seed;
-    result.placement = annealed ? layout::placeCells(components, popts)
-                                : layout::rowPlacement(components, popts);
+    result.placement =
+        annealed ? layout::placeCells(components, popts) : layout::rowPlacement(components);
 
+    // Every net with two or more pins, quiet, in name order.
     std::map<std::string, std::size_t> pinCount;
     for (const auto& inst : result.placement.instances)
       for (const auto& pin : inst.transformedPins()) ++pinCount[pin.name];
-
-    std::set<std::string> skip(opts.skipNets.begin(), opts.skipNets.end());
-    std::map<std::string, layout::RouteNet> netPlan;
+    std::vector<layout::RouteNet> routeNets;
     for (const auto& [name, count] : pinCount) {
-      if (count < 2 || name.empty() || skip.count(name)) continue;
+      if (count < 2 || name.empty()) continue;
       layout::RouteNet rn;
       rn.name = name;
-      netPlan[name] = rn;
-    }
-    for (const auto& ov : opts.netOverrides) {
-      if (auto it = netPlan.find(ov.name); it != netPlan.end()) it->second = ov;
-    }
-    std::vector<layout::RouteNet> routeNets;
-    routeNets.reserve(netPlan.size());
-    for (auto& [name, rn] : netPlan) {
-      (void)name;
       routeNets.push_back(rn);
     }
 
-    result.routing =
-        layout::routeCells(result.placement.instances, routeNets, proc, opts.router);
+    result.routing = layout::routeCells(result.placement.instances, routeNets, proc);
     result.layout = result.routing.layout;
     return result.placement.overlapFree && result.routing.allRouted;
   };

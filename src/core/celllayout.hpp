@@ -2,7 +2,9 @@
 // constraint generation [47] -> device stacking [43,45] -> module generation
 // -> KOAN-style placement [35] -> ANAGRAM-style routing [35] -> parasitic
 // extraction -> back-annotation.  One call turns a sized transistor netlist
-// into a laid-out, extracted cell.
+// into a laid-out, extracted cell.  The placer and router run at their
+// default options (only the placement seed is set), and every net with two
+// or more pins is routed as a quiet net.
 #pragma once
 
 #include <string>
@@ -19,13 +21,7 @@ namespace amsyn::core {
 struct CellLayoutOptions {
   bool useStacking = true;        ///< merge diffusions before placement
   bool annealPlacement = true;    ///< false = deterministic row ("manual-style")
-  layout::PlacerOptions placer;
-  layout::RouterOptions router;
-  /// Wire classes per net (others default to Quiet).
-  std::vector<layout::RouteNet> netOverrides;
-  /// Nets never routed (testbench artifacts: feedback RC, stimulus).
-  std::vector<std::string> skipNets;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;         ///< placement anneal seed
 };
 
 struct CellLayoutResult {

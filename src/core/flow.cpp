@@ -33,17 +33,13 @@ sizing::Performance measureAmplifier(const circuit::Netlist& net,
   sizing::Performance perf;
   try {
     sim::Mna mna(net, proc);
-    sim::DcOptions dopts;
-    dopts.deadline = deadline;
-    const auto op =
-        sim::dcOperatingPoint(mna, sim::flatStart(mna, proc.vdd / 2), dopts);
+    const auto op = sim::dcOperatingPoint(mna, sim::flatStart(mna, proc.vdd / 2), deadline);
     if (!op.converged) {
       sizing::markInfeasible(perf, op.status);  // dc already tallied the failure
       return perf;
     }
     perf["power"] = sim::staticPower(mna, op);
-    const auto sweep =
-        sim::acAnalysis(mna, op, "out", sim::logspace(1.0, 1e9, 6), deadline);
+    const auto sweep = sim::acAnalysis(mna, op, "out", sim::amplifierSweep(), deadline);
     if (sweep.status != EvalStatus::Ok) {
       sizing::markInfeasible(perf, sweep.status);
       return perf;

@@ -137,7 +137,7 @@ FlowOptions batchItemOptions(const FlowOptions& base, std::size_t index);
 
 /// Measure an amplifier testbench netlist by simulation (shared by the flow
 /// and the benches): gain_db, ugf, pm, power.  One fixed open-loop bench:
-/// the AC sweep probes node "out" from 1 Hz to 1 GHz at 6 points/decade.
+/// the AC sweep probes node "out" over sim::amplifierSweep().
 /// The optional deadline is threaded into every analysis (the flow passes
 /// its job deadline, so expiry interrupts a measurement at the next
 /// Newton-loop cancel point); a deadline-stopped measurement comes back

@@ -36,6 +36,9 @@ double ExtractionResult::worstCoupling() const {
 
 namespace {
 
+/// Same-layer shapes closer than this (quarter-lambda) couple.
+constexpr Coord kCouplingDistance = 24;
+
 struct LayerElectricals {
   double ca = 0.0, cf = 0.0, rs = 0.0;
 };
@@ -56,8 +59,7 @@ Coord projectionOverlap(Coord a0, Coord a1, Coord b0, Coord b1) {
 
 }  // namespace
 
-ExtractionResult extractParasitics(const geom::Layout& layout, const circuit::Process& proc,
-                                   const ExtractOptions& opts) {
+ExtractionResult extractParasitics(const geom::Layout& layout, const circuit::Process& proc) {
   ExtractionResult out;
   const double quarter = proc.lambda / 4.0;  // meters per grid unit
 
@@ -87,7 +89,7 @@ ExtractionResult extractParasitics(const geom::Layout& layout, const circuit::Pr
       const Shape& b = shapes[j];
       if (a.layer != b.layer || a.net == b.net) continue;
       const Coord gap = a.rect.gapTo(b.rect);
-      if (gap <= 0 || gap > opts.couplingDistance) continue;
+      if (gap <= 0 || gap > kCouplingDistance) continue;
       // Parallel-run length: the larger projection overlap.
       const Coord run = std::max(
           projectionOverlap(a.rect.x0, a.rect.x1, b.rect.x0, b.rect.x1),

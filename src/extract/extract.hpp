@@ -28,14 +28,11 @@ struct ExtractionResult {
   double worstCoupling() const;
 };
 
-struct ExtractOptions {
-  /// Same-layer shapes closer than this (quarter-lambda) couple.
-  geom::Coord couplingDistance = 24;
-};
-
+/// Extract every named routing shape's ground capacitance and resistance,
+/// and the coupling between same-layer shapes of different nets up to
+/// 6 lambda apart.
 ExtractionResult extractParasitics(const geom::Layout& layout,
-                                   const circuit::Process& proc,
-                                   const ExtractOptions& opts = {});
+                                   const circuit::Process& proc);
 
 /// Add extracted ground and coupling capacitors to a copy of the netlist
 /// (capacitors below `minCap` are dropped to keep the matrix small).  Wire

@@ -36,7 +36,7 @@ constexpr bool isRoutingLayer(Layer l) {
 }
 
 /// One rectangle of mask geometry, tagged with the electrical net it
-/// implements (empty for wells / dummies).
+/// implements (empty for wells and bare diffusion).
 struct Shape {
   Layer layer = Layer::Metal1;
   Rect rect;

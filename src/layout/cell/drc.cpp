@@ -6,7 +6,6 @@
 namespace amsyn::layout {
 
 using geom::Coord;
-using geom::Layer;
 using geom::Rect;
 using geom::Shape;
 
@@ -20,24 +19,17 @@ std::string DrcViolation::describe() const {
 }
 
 std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
-                                           const circuit::Process& proc,
-                                           const DrcOptions& opts) {
+                                           const circuit::Process& proc) {
   std::vector<DrcViolation> out;
   const Coord minSpace = static_cast<Coord>(proc.ruleMinSpacing) * 4;
   const Coord minWidth = static_cast<Coord>(proc.ruleMinWidth) * 4;
 
-  auto layerEnabled = [&](Layer l) {
-    if (!geom::isRoutingLayer(l)) return false;
-    if (opts.layers.empty()) return true;
-    return std::find(opts.layers.begin(), opts.layers.end(), l) != opts.layers.end();
-  };
-
   std::vector<Shape> shapes;
   for (const auto& w : layout.wires)
-    if (layerEnabled(w.layer)) shapes.push_back(w);
+    if (geom::isRoutingLayer(w.layer)) shapes.push_back(w);
   for (const auto& inst : layout.instances)
     for (const auto& s : inst.transformedShapes())
-      if (layerEnabled(s.layer)) shapes.push_back(s);
+      if (geom::isRoutingLayer(s.layer)) shapes.push_back(s);
 
   // Width checks.
   for (const auto& s : shapes) {
@@ -59,8 +51,7 @@ std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
     for (std::size_t j = i + 1; j < shapes.size(); ++j) {
       const Shape& a = shapes[i];
       const Shape& b = shapes[j];
-      if (a.layer != b.layer) continue;
-      if (opts.sameNetExempt && a.net == b.net) continue;
+      if (a.layer != b.layer || a.net == b.net) continue;
       if (a.rect.overlaps(b.rect)) {
         DrcViolation v;
         v.layer = a.layer;

@@ -23,20 +23,13 @@ struct DrcViolation {
   std::string describe() const;
 };
 
-struct DrcOptions {
-  /// Check only these layers (empty = all routing layers).
-  std::vector<geom::Layer> layers;
-  /// Ignore shapes belonging to the same net (they may abut/overlap).
-  bool sameNetExempt = true;
-};
-
-/// Check same-layer spacing (process ruleMinSpacing) and minimum width
-/// (ruleMinWidth) over all wires + instance shapes.  Width is checked per
-/// rect: a router's overlapping pads can report Kind::Width even where
-/// their union is wide enough, so callers that only want spacing filter
-/// those out.
+/// Check same-layer spacing (process ruleMinSpacing) between shapes of
+/// different nets, and minimum width (ruleMinWidth), over the wires and
+/// instance shapes on every routing layer.  Shapes of one net may abut or
+/// overlap.  Width is checked per rect: a router's overlapping pads can
+/// report Kind::Width even where their union is wide enough, so callers
+/// that only want spacing filter those out.
 std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
-                                           const circuit::Process& proc,
-                                           const DrcOptions& opts = {});
+                                           const circuit::Process& proc);
 
 }  // namespace amsyn::layout

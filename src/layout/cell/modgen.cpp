@@ -48,12 +48,12 @@ void addContactColumn(CellMaster& m, Coord x, Coord y0, Coord y1, const std::str
 CellMaster generateMos(const std::string& name, const circuit::MosParams& mos,
                        const std::string& drainNet, const std::string& gateNet,
                        const std::string& sourceNet, const std::string& bulkNet,
-                       const Process& proc, const MosGenOptions& opts) {
-  if (opts.fingers < 1) throw std::invalid_argument("generateMos: fingers >= 1");
+                       const Process& proc, int fingers) {
+  if (fingers < 1) throw std::invalid_argument("generateMos: fingers >= 1");
   CellMaster m;
   m.name = name;
 
-  const int nf = opts.fingers;
+  const int nf = fingers;
   const Layer diff = mos.type == MosType::Nmos ? Layer::NDiff : Layer::PDiff;
   const Coord lg = std::max<Coord>(toGrid(mos.l, proc), lam(2));
   const Coord wFinger =
@@ -89,22 +89,13 @@ CellMaster generateMos(const std::string& name, const circuit::MosParams& mos,
   }
   m.pins.push_back(Pin{gateNet, Layer::Poly, {cw, strapY0, diffWidth - cw, strapY1}});
 
-  // Optional dummy poly fingers for matching.
-  if (opts.dummies) {
-    m.shapes.push_back({Layer::Poly, {-lg - lam(1), y0 - ext, -lam(1), y1 + ext}, ""});
-    m.shapes.push_back(
-        {Layer::Poly, {diffWidth + lam(1), y0 - ext, diffWidth + lam(1) + lg, y1 + ext}, ""});
-  }
-
   // Bulk tie strip below the device.
-  if (opts.includeBulkTie) {
-    const Coord tieY1 = y0 - ext - lam(1);
-    const Coord tieY0 = tieY1 - lam(3);
-    const Layer tieDiff = mos.type == MosType::Nmos ? Layer::PDiff : Layer::NDiff;
-    m.shapes.push_back({tieDiff, {0, tieY0, diffWidth, tieY1}, bulkNet});
-    m.shapes.push_back({Layer::Metal1, {0, tieY0, diffWidth, tieY1}, bulkNet});
-    m.pins.push_back(Pin{bulkNet, Layer::Metal1, {0, tieY0, diffWidth, tieY1}});
-  }
+  const Coord tieY1 = y0 - ext - lam(1);
+  const Coord tieY0 = tieY1 - lam(3);
+  const Layer tieDiff = mos.type == MosType::Nmos ? Layer::PDiff : Layer::NDiff;
+  m.shapes.push_back({tieDiff, {0, tieY0, diffWidth, tieY1}, bulkNet});
+  m.shapes.push_back({Layer::Metal1, {0, tieY0, diffWidth, tieY1}, bulkNet});
+  m.pins.push_back(Pin{bulkNet, Layer::Metal1, {0, tieY0, diffWidth, tieY1}});
 
   // Well for PMOS.
   if (mos.type == MosType::Pmos) {

@@ -23,19 +23,14 @@ inline constexpr geom::Coord kQuarter = 4;
 /// Convert meters to quarter-lambda grid units for a given process.
 geom::Coord toGrid(double meters, const circuit::Process& proc);
 
-struct MosGenOptions {
-  int fingers = 1;        ///< gate folding (KOAN's dynamic fold move re-generates)
-  bool includeBulkTie = true;
-  bool dummies = false;   ///< add dummy gates on both ends (matching practice)
-};
-
-/// Generate one MOS device master.  Net names are attached to the pins so
-/// the placer and router can work from the master alone.
-/// Terminals: drain, gate, source, bulk net names.
+/// Generate one MOS device master folded into `fingers` gates (KOAN's
+/// dynamic fold move re-generates), with a bulk tie strip below it.  Net
+/// names are attached to the pins so the placer and router can work from
+/// the master alone.  Terminals: drain, gate, source, bulk net names.
 geom::CellMaster generateMos(const std::string& name, const circuit::MosParams& mos,
                              const std::string& drainNet, const std::string& gateNet,
                              const std::string& sourceNet, const std::string& bulkNet,
-                             const circuit::Process& proc, const MosGenOptions& opts = {});
+                             const circuit::Process& proc, int fingers = 1);
 
 /// Generate a merged diffusion stack: devices[i] and devices[i+1] share a
 /// diffusion region carrying `sharedNet[i]`.  All devices must be the same

@@ -31,17 +31,24 @@ double estimateWirelength(const std::vector<CellInstance>& instances) {
   return total;
 }
 
-bool hasOverlaps(const std::vector<CellInstance>& instances, Coord spacing) {
+namespace {
+
+constexpr double kAreaWeight = 1.0;
+constexpr double kWireWeight = 0.5;
+constexpr double kOverlapWeight = 4.0;  ///< grows during annealing
+constexpr Coord kGridStep = 8;          ///< placement grid (quarter-lambda units)
+constexpr Coord kSpacing = 12;          ///< required clearance between devices (3 lambda)
+
+/// Do any two instances, each inflated by half the clearance, overlap?
+bool hasOverlaps(const std::vector<CellInstance>& instances) {
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Rect a = instances[i].boundingBox().inflated(spacing / 2);
+    const Rect a = instances[i].boundingBox().inflated(kSpacing / 2);
     for (std::size_t j = i + 1; j < instances.size(); ++j) {
-      if (a.overlaps(instances[j].boundingBox().inflated(spacing / 2))) return true;
+      if (a.overlaps(instances[j].boundingBox().inflated(kSpacing / 2))) return true;
     }
   }
   return false;
 }
-
-namespace {
 
 /// The mirrored counterpart of an orientation about a vertical axis.
 Orientation mirrored(Orientation o) {
@@ -71,8 +78,8 @@ struct Arrangement {
 /// order), so a cost is bit-equal to the instance-based one.
 class PlacerState {
  public:
-  PlacerState(const std::vector<PlacementComponent>& components, const PlacerOptions& opts)
-      : components_(components), opts_(opts), peer_(components.size(), -1) {
+  PlacerState(const std::vector<PlacementComponent>& components, double symmetryWeight)
+      : components_(components), symmetryWeight_(symmetryWeight), peer_(components.size(), -1) {
     for (std::size_t i = 0; i < components.size(); ++i) {
       if (!components[i].symmetryPeer) continue;
       for (std::size_t j = 0; j < components.size(); ++j)
@@ -115,13 +122,13 @@ class PlacerState {
     const double wl = wirelength(a);
     double ov = 0.0;
     for (std::size_t i = 0; i < boxes_.size(); ++i) {
-      const Rect r = boxes_[i].inflated(opts_.spacing / 2);
+      const Rect r = boxes_[i].inflated(kSpacing / 2);
       for (std::size_t j = i + 1; j < boxes_.size(); ++j)
-        ov += static_cast<double>(r.intersect(boxes_[j].inflated(opts_.spacing / 2)).area());
+        ov += static_cast<double>(r.intersect(boxes_[j].inflated(kSpacing / 2)).area());
     }
     const double sym = symmetryErrorOfBoxes(a);
-    return opts_.areaWeight * area + opts_.wireWeight * wl * 10.0 +
-           opts_.overlapWeight * overlapScale * ov + opts_.symmetryWeight * sym * 20.0;
+    return kAreaWeight * area + kWireWeight * wl * 10.0 +
+           kOverlapWeight * overlapScale * ov + symmetryWeight_ * sym * 20.0;
   }
 
   double symmetryError(const Arrangement& a) {
@@ -194,7 +201,7 @@ class PlacerState {
   }
 
   const std::vector<PlacementComponent>& components_;
-  const PlacerOptions& opts_;
+  double symmetryWeight_;
   std::vector<std::ptrdiff_t> peer_;  // index of symmetry partner or -1
   std::vector<std::vector<VariantGeometry>> geometry_;  // [component][variant]
   // Scratch, reused by every evaluation.
@@ -207,8 +214,7 @@ Coord snap(Coord v, Coord grid) { return (v / grid) * grid; }
 
 }  // namespace
 
-Placement rowPlacement(const std::vector<PlacementComponent>& components,
-                       const PlacerOptions& opts) {
+Placement rowPlacement(const std::vector<PlacementComponent>& components) {
   // Order: symmetric pairs adjacent, then the rest in declaration order.
   std::vector<std::size_t> order;
   std::set<std::size_t> done;
@@ -237,7 +243,7 @@ Placement rowPlacement(const std::vector<PlacementComponent>& components,
     t.dy = -bb.y0;
     inst.push_back(CellInstance{components[idx].name, &master, t});
     result.variantChosen[components[idx].name] = 0;
-    x += bb.width() + opts.spacing;
+    x += bb.width() + kSpacing;
   }
   // Restore declaration order in the result for stable consumption.
   std::vector<CellInstance> ordered(components.size());
@@ -248,7 +254,7 @@ Placement rowPlacement(const std::vector<PlacementComponent>& components,
   for (const auto& c : result.instances) bb = bb.unionWith(c.boundingBox());
   result.boundingBox = bb;
   result.wirelength = estimateWirelength(result.instances);
-  result.overlapFree = !hasOverlaps(result.instances, opts.spacing);
+  result.overlapFree = !hasOverlaps(result.instances);
   return result;
 }
 
@@ -260,10 +266,10 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     if (c.variants.empty())
       throw std::invalid_argument("placeCells: component " + c.name + " has no variants");
 
-  PlacerState placer(components, opts);
+  PlacerState placer(components, opts.symmetryWeight);
 
   // Start from the deterministic row placement (legal, finite cost).
-  const Placement seed = rowPlacement(components, opts);
+  const Placement seed = rowPlacement(components);
   Arrangement st;
   st.variant.assign(components.size(), 0);
   st.xform.resize(components.size());
@@ -283,7 +289,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     const std::size_t i = rng.index(components.size());
     const int kind = rng.integer(0, 7);
     const Coord range = std::max<Coord>(
-        opts.gridStep, static_cast<Coord>(static_cast<double>(seed.boundingBox.width()) *
+        kGridStep, static_cast<Coord>(static_cast<double>(seed.boundingBox.width()) *
                                           0.25 * spread));
     switch (kind) {
       case 0:
@@ -291,11 +297,11 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         st.xform[i].dx = snap(st.xform[i].dx + static_cast<Coord>(rng.integer(
                                                    -static_cast<int>(range),
                                                    static_cast<int>(range))),
-                              opts.gridStep);
+                              kGridStep);
         st.xform[i].dy = snap(st.xform[i].dy + static_cast<Coord>(rng.integer(
                                                    -static_cast<int>(range),
                                                    static_cast<int>(range))),
-                              opts.gridStep);
+                              kGridStep);
         break;
       }
       case 2: {  // reorient
@@ -322,24 +328,24 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         Coord dx = 0, dy = 0;
         switch (rng.integer(0, 3)) {
           case 0:  // right of j
-            dx = rb.x1 + opts.spacing - ra.x0;
+            dx = rb.x1 + kSpacing - ra.x0;
             dy = rb.y0 - ra.y0;
             break;
           case 1:  // left of j
-            dx = rb.x0 - opts.spacing - ra.x1;
+            dx = rb.x0 - kSpacing - ra.x1;
             dy = rb.y0 - ra.y0;
             break;
           case 2:  // above j
             dx = rb.x0 - ra.x0;
-            dy = rb.y1 + opts.spacing - ra.y0;
+            dy = rb.y1 + kSpacing - ra.y0;
             break;
           default:  // below j
             dx = rb.x0 - ra.x0;
-            dy = rb.y0 - opts.spacing - ra.y1;
+            dy = rb.y0 - kSpacing - ra.y1;
             break;
         }
-        st.xform[i].dx = snap(st.xform[i].dx + dx, opts.gridStep);
-        st.xform[i].dy = snap(st.xform[i].dy + dy, opts.gridStep);
+        st.xform[i].dx = snap(st.xform[i].dx + dx, kGridStep);
+        st.xform[i].dy = snap(st.xform[i].dy + dy, kGridStep);
         break;
       }
       case 5: {  // symmetry snap: mirror the peer into place
@@ -372,7 +378,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
   prob.undo = [&] { st = prev; };
   prob.snapshot = [&] { best = st; };
 
-  num::AnnealOptions aopts = opts.anneal;
+  num::AnnealOptions aopts;
   aopts.seed = opts.seed;
   aopts.problemSizeHint = std::max<std::size_t>(components.size(), 8);
   const auto stats = num::anneal(prob, aopts);
@@ -400,10 +406,10 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     for (std::size_t oi = 0; oi < order.size(); ++oi) {
       for (std::size_t oj = oi + 1; oj < order.size(); ++oj) {
         const std::size_t i = order[oi], j = order[oj];
-        const Rect a = inst[i].boundingBox().inflated(opts.spacing / 2);
-        const Rect b = inst[j].boundingBox().inflated(opts.spacing / 2);
+        const Rect a = inst[i].boundingBox().inflated(kSpacing / 2);
+        const Rect b = inst[j].boundingBox().inflated(kSpacing / 2);
         if (!a.overlaps(b)) continue;
-        const Coord push = a.x1 - b.x0 + opts.gridStep;
+        const Coord push = a.x1 - b.x0 + kGridStep;
         best.xform[j].dx += push;
         inst[j].placement.dx += push;
         moved = true;
@@ -419,15 +425,15 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
   for (const auto& c : result.instances) bb = bb.unionWith(c.boundingBox());
   result.boundingBox = bb;
   result.wirelength = estimateWirelength(result.instances);
-  result.overlapFree = !hasOverlaps(result.instances, opts.spacing);
+  result.overlapFree = !hasOverlaps(result.instances);
   result.symmetryError = placer.symmetryError(best);
   result.stats = stats;
 
   // Best-of guarantee: post-legalization inflation can leave the annealed
   // result worse than the trivial row; never return worse than the seed.
   auto score = [&](const Placement& p) {
-    return opts.areaWeight * static_cast<double>(p.boundingBox.area()) +
-           opts.wireWeight * p.wirelength * 10.0 +
+    return kAreaWeight * static_cast<double>(p.boundingBox.area()) +
+           kWireWeight * p.wirelength * 10.0 +
            (p.overlapFree ? 0.0 : 1e18);
   };
   if (score(seed) < score(result)) {

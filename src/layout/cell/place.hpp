@@ -27,14 +27,11 @@ struct PlacementComponent {
   std::optional<std::string> symmetryPeer;
 };
 
+/// The placer's tuning; area, wirelength and overlap weights, the grid and
+/// the device clearance are fixed (place.cpp), as is the default annealing
+/// schedule.
 struct PlacerOptions {
-  double areaWeight = 1.0;
-  double wireWeight = 0.5;
-  double overlapWeight = 4.0;      ///< grows during annealing
   double symmetryWeight = 2.0;
-  geom::Coord gridStep = 8;        ///< placement grid (quarter-lambda units)
-  geom::Coord spacing = 12;        ///< required clearance between devices (3 lambda)
-  num::AnnealOptions anneal;
   std::uint64_t seed = 1;
 };
 
@@ -58,13 +55,9 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
 /// Deterministic reference placement ("manual-style"): components in a row,
 /// symmetric pairs adjacent, in declaration order.  Used as the baseline in
 /// the Fig. 2 comparison and as a legal fallback.
-Placement rowPlacement(const std::vector<PlacementComponent>& components,
-                       const PlacerOptions& opts = {});
+Placement rowPlacement(const std::vector<PlacementComponent>& components);
 
 /// Total half-perimeter wirelength of a set of placed instances.
 double estimateWirelength(const std::vector<geom::CellInstance>& instances);
-
-/// Do any two instances (inflated by `spacing`) overlap?
-bool hasOverlaps(const std::vector<geom::CellInstance>& instances, geom::Coord spacing);
 
 }  // namespace amsyn::layout

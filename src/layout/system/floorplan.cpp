@@ -66,6 +66,11 @@ double substrateNoise(const std::vector<Block>& blocks,
 
 namespace {
 
+constexpr double kAreaWeight = 1.0;
+constexpr double kWireWeight = 0.3;
+constexpr Coord kSpacing = 40;                ///< inter-block clearance / channel width
+constexpr double kNoiseHalfDistance = 400.0;  ///< distance at which coupling halves
+
 // ------------------------------------------------------------ slicing tree
 
 constexpr int kOpV = -1;  // vertical cut: children side by side
@@ -109,7 +114,7 @@ void prune(std::vector<ShapeOption>& opts) {
 }
 
 /// Evaluate the Polish expression into a node tree; returns root node index.
-int buildTree(const std::vector<int>& expr, const std::vector<Block>& blocks, Coord spacing,
+int buildTree(const std::vector<int>& expr, const std::vector<Block>& blocks,
               std::vector<EvalNode>& nodes) {
   std::vector<int> stack;
   for (int tok : expr) {
@@ -117,9 +122,9 @@ int buildTree(const std::vector<int>& expr, const std::vector<Block>& blocks, Co
     if (tok >= 0) {
       n.blockIdx = tok;
       const Block& b = blocks[static_cast<std::size_t>(tok)];
-      n.options.push_back({b.width + spacing, b.height + spacing, -1, -1, false});
+      n.options.push_back({b.width + kSpacing, b.height + kSpacing, -1, -1, false});
       if (b.width != b.height)
-        n.options.push_back({b.height + spacing, b.width + spacing, -1, -1, true});
+        n.options.push_back({b.height + kSpacing, b.width + kSpacing, -1, -1, true});
       prune(n.options);
       nodes.push_back(std::move(n));
       stack.push_back(static_cast<int>(nodes.size()) - 1);
@@ -158,8 +163,7 @@ int buildTree(const std::vector<int>& expr, const std::vector<Block>& blocks, Co
 
 /// Assign block rectangles from a chosen root option.
 void assignRects(const std::vector<EvalNode>& nodes, int nodeIdx, int optIdx, Coord x,
-                 Coord y, Coord spacing, const std::vector<Block>& blocks,
-                 std::vector<PlacedBlock>& out) {
+                 Coord y, const std::vector<Block>& blocks, std::vector<PlacedBlock>& out) {
   const EvalNode& n = nodes[static_cast<std::size_t>(nodeIdx)];
   const ShapeOption& o = n.options[static_cast<std::size_t>(optIdx)];
   if (n.blockIdx >= 0) {
@@ -167,17 +171,17 @@ void assignRects(const std::vector<EvalNode>& nodes, int nodeIdx, int optIdx, Co
     const Coord w = o.rotated ? b.height : b.width;
     const Coord h = o.rotated ? b.width : b.height;
     out.push_back(PlacedBlock{
-        b.name, Rect::fromSize(x + spacing / 2, y + spacing / 2, w, h), o.rotated});
+        b.name, Rect::fromSize(x + kSpacing / 2, y + kSpacing / 2, w, h), o.rotated});
     return;
   }
   const auto& lo = nodes[static_cast<std::size_t>(n.left)].options;
-  assignRects(nodes, n.left, o.leftChoice, x, y, spacing, blocks, out);
+  assignRects(nodes, n.left, o.leftChoice, x, y, blocks, out);
   if (n.op == kOpV) {
     assignRects(nodes, n.right, o.rightChoice,
-                x + lo[static_cast<std::size_t>(o.leftChoice)].w, y, spacing, blocks, out);
+                x + lo[static_cast<std::size_t>(o.leftChoice)].w, y, blocks, out);
   } else {
     assignRects(nodes, n.right, o.rightChoice, x,
-                y + lo[static_cast<std::size_t>(o.leftChoice)].h, spacing, blocks, out);
+                y + lo[static_cast<std::size_t>(o.leftChoice)].h, blocks, out);
   }
 }
 
@@ -203,19 +207,19 @@ struct SlicingEval {
 };
 
 SlicingEval evaluateExpr(const std::vector<int>& expr, const std::vector<Block>& blocks,
-                         const std::vector<BlockNet>& nets, const FloorplanOptions& opts) {
+                         const std::vector<BlockNet>& nets) {
   std::vector<EvalNode> nodes;
-  const int root = buildTree(expr, blocks, opts.spacing, nodes);
+  const int root = buildTree(expr, blocks, nodes);
   // Choose the min-area root option.
   const auto& ro = nodes[static_cast<std::size_t>(root)].options;
   std::size_t best = 0;
   for (std::size_t i = 1; i < ro.size(); ++i)
     if (ro[i].w * ro[i].h < ro[best].w * ro[best].h) best = i;
   SlicingEval ev;
-  assignRects(nodes, root, static_cast<int>(best), 0, 0, opts.spacing, blocks, ev.placed);
+  assignRects(nodes, root, static_cast<int>(best), 0, 0, blocks, ev.placed);
   ev.area = static_cast<double>(ro[best].w) * static_cast<double>(ro[best].h);
   ev.wl = blockWirelength(nets, ev.placed);
-  ev.noise = substrateNoise(blocks, ev.placed, opts.noiseHalfDistance);
+  ev.noise = substrateNoise(blocks, ev.placed, kNoiseHalfDistance);
   return ev;
 }
 
@@ -235,14 +239,14 @@ Floorplan slicingFloorplan(const std::vector<Block>& blocks, const std::vector<B
   }
 
   // Normalization scales from the initial solution.
-  const SlicingEval init = evaluateExpr(expr, blocks, nets, opts);
+  const SlicingEval init = evaluateExpr(expr, blocks, nets);
   const double areaNorm = std::max(init.area, 1.0);
   const double wlNorm = std::max(init.wl, 1.0);
   const double noiseNorm = std::max(init.noise, 1e-9);
 
   auto costOf = [&](const std::vector<int>& e) {
-    const SlicingEval ev = evaluateExpr(e, blocks, nets, opts);
-    return opts.areaWeight * ev.area / areaNorm + opts.wireWeight * ev.wl / wlNorm +
+    const SlicingEval ev = evaluateExpr(e, blocks, nets);
+    return kAreaWeight * ev.area / areaNorm + kWireWeight * ev.wl / wlNorm +
            opts.noiseWeight * ev.noise / noiseNorm;
   };
 
@@ -290,12 +294,12 @@ Floorplan slicingFloorplan(const std::vector<Block>& blocks, const std::vector<B
   aopts.problemSizeHint = n;
   num::anneal(prob, aopts);
 
-  const SlicingEval ev = evaluateExpr(best, blocks, nets, opts);
+  const SlicingEval ev = evaluateExpr(best, blocks, nets);
   Floorplan fp;
   fp.blocks = ev.placed;
   Rect bb;
   for (const auto& b : fp.blocks) bb = bb.unionWith(b.rect);
-  fp.chipBox = bb.inflated(opts.spacing / 2);
+  fp.chipBox = bb.inflated(kSpacing / 2);
   fp.wirelength = ev.wl;
   fp.substrateNoise = ev.noise;
   fp.overlapFree = true;  // slicing construction cannot overlap
@@ -332,14 +336,14 @@ Floorplan wrightFloorplan(const std::vector<Block>& blocks, const std::vector<Bl
     for (std::size_t i = 0; i < n; ++i) {
       bb = bb.unionWith(st.placed[i].rect);
       for (std::size_t j = i + 1; j < n; ++j) {
-        const Rect o = st.placed[i].rect.inflated(opts.spacing / 2)
-                           .intersect(st.placed[j].rect.inflated(opts.spacing / 2));
+        const Rect o = st.placed[i].rect.inflated(kSpacing / 2)
+                           .intersect(st.placed[j].rect.inflated(kSpacing / 2));
         overlap += static_cast<double>(o.area());
       }
     }
-    const double noise = substrateNoise(blocks, st.placed, opts.noiseHalfDistance);
-    return opts.areaWeight * static_cast<double>(bb.area()) / areaNorm +
-           opts.wireWeight * blockWirelength(nets, st.placed) / wlNorm +
+    const double noise = substrateNoise(blocks, st.placed, kNoiseHalfDistance);
+    return kAreaWeight * static_cast<double>(bb.area()) / areaNorm +
+           kWireWeight * blockWirelength(nets, st.placed) / wlNorm +
            opts.noiseWeight * noise / noiseNorm +
            4.0 * overlapScale * overlap / areaNorm;
   };
@@ -396,8 +400,8 @@ Floorplan wrightFloorplan(const std::vector<Block>& blocks, const std::vector<Bl
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
-        const Rect a = placed[i].rect.inflated(opts.spacing / 2);
-        const Rect b = placed[j].rect.inflated(opts.spacing / 2);
+        const Rect a = placed[i].rect.inflated(kSpacing / 2);
+        const Rect b = placed[j].rect.inflated(kSpacing / 2);
         if (!a.overlaps(b)) continue;
         if (placed[i].rect.x0 > placed[j].rect.x0) continue;
         placed[j].rect = placed[j].rect.translated(a.x1 - b.x0 + 1, 0);
@@ -409,9 +413,9 @@ Floorplan wrightFloorplan(const std::vector<Block>& blocks, const std::vector<Bl
   fp.blocks = placed;
   Rect bb;
   for (const auto& b : fp.blocks) bb = bb.unionWith(b.rect);
-  fp.chipBox = bb.inflated(opts.spacing / 2);
+  fp.chipBox = bb.inflated(kSpacing / 2);
   fp.wirelength = blockWirelength(nets, fp.blocks);
-  fp.substrateNoise = substrateNoise(blocks, fp.blocks, opts.noiseHalfDistance);
+  fp.substrateNoise = substrateNoise(blocks, fp.blocks, kNoiseHalfDistance);
   fp.overlapFree = true;
   for (std::size_t i = 0; i < fp.blocks.size(); ++i)
     for (std::size_t j = i + 1; j < fp.blocks.size(); ++j)

@@ -42,12 +42,11 @@ struct PlacedBlock {
   bool rotated = false;
 };
 
+/// The floorplanners' tuning; the area and wirelength weights, the
+/// inter-block clearance and the substrate-coupling half distance are fixed
+/// (floorplan.cpp).
 struct FloorplanOptions {
-  double areaWeight = 1.0;
-  double wireWeight = 0.3;
   double noiseWeight = 1.0;     ///< substrate-coupling cost multiplier
-  geom::Coord spacing = 40;     ///< inter-block clearance / channel width
-  double noiseHalfDistance = 400.0;  ///< distance at which coupling halves
   num::AnnealOptions anneal;
   std::uint64_t seed = 1;
 };

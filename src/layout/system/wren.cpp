@@ -13,6 +13,13 @@ using geom::Coord;
 using geom::Point;
 using geom::Rect;
 
+namespace {
+constexpr double kCongestionWeight = 2.0;
+/// Coupling contribution per lambda of shared channel at minimum
+/// separation (before mapper-assigned mitigation).
+constexpr double kCouplingPerLambda = 0.01;
+}  // namespace
+
 std::size_t ChannelGraph::addNode(Point p) {
   nodes.push_back(p);
   return nodes.size() - 1;
@@ -82,7 +89,7 @@ ChannelGraph channelGraphFromFloorplan(const Floorplan& fp) {
 }
 
 WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets,
-                           const WrenOptions& opts) {
+                           double noiseAvoidWeight) {
   WrenResult result;
   const std::size_t nNodes = graph.nodes.size();
   const std::size_t nEdges = graph.edges.size();
@@ -137,10 +144,10 @@ WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNe
           const auto& edge = graph.edges[e];
           const std::size_t u = edge.a == v ? edge.b : edge.a;
           double cost = edge.lengthLambda;
-          cost *= 1.0 + opts.congestionWeight * static_cast<double>(result.usageTracks[e]) /
+          cost *= 1.0 + kCongestionWeight * static_cast<double>(result.usageTracks[e]) /
                             std::max(1, edge.capacityTracks);
           if (net.wireClass == WireClass::Sensitive && !noisyOn[e].empty())
-            cost += opts.noiseAvoidWeight * edge.lengthLambda *
+            cost += noiseAvoidWeight * edge.lengthLambda *
                     static_cast<double>(noisyOn[e].size());
           if (net.wireClass == WireClass::Noisy) {
             // Noisy nets symmetric avoidance of channels sensitive nets
@@ -196,7 +203,7 @@ WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNe
     if (it == result.routeOf.end()) return total;
     for (std::size_t e : it->second) {
       if (noisyOn[e].empty()) continue;
-      double c = opts.couplingPerLambda * graph.edges[e].lengthLambda *
+      double c = kCouplingPerLambda * graph.edges[e].lengthLambda *
                  static_cast<double>(noisyOn[e].size());
       if (mitigated) {
         if (shield[e]) c *= 0.05;  // grounded shield: ~26 dB better
@@ -223,7 +230,7 @@ WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNe
       std::size_t worstE = SIZE_MAX;
       for (std::size_t e : result.routeOf[net.name]) {
         if (noisyOn[e].empty() || shield[e]) continue;
-        const double c = opts.couplingPerLambda * graph.edges[e].lengthLambda *
+        const double c = kCouplingPerLambda * graph.edges[e].lengthLambda *
                          static_cast<double>(noisyOn[e].size()) / (1.0 + extraSep[e]);
         if (c > worstC) {
           worstC = c;

@@ -43,14 +43,6 @@ struct GlobalNet {
   double noiseBudget = 0.0;
 };
 
-struct WrenOptions {
-  double congestionWeight = 2.0;
-  double noiseAvoidWeight = 4.0;  ///< sensitive nets avoid noisy channels
-  /// Coupling contribution per lambda of shared channel at minimum
-  /// separation (before mapper-assigned mitigation).
-  double couplingPerLambda = 0.01;
-};
-
 /// Per-channel directive produced by the constraint mapper for the detailed
 /// (channel) router.
 struct ChannelDirective {
@@ -71,7 +63,10 @@ struct WrenResult {
   std::vector<ChannelDirective> directives;
 };
 
+/// WREN global routing over the channel graph.  `noiseAvoidWeight` scales
+/// the extra cost a sensitive net pays per lambda of channel and per noisy
+/// net already routed through it.
 WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets,
-                           const WrenOptions& opts = {});
+                           double noiseAvoidWeight = 4.0);
 
 }  // namespace amsyn::layout

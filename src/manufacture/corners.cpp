@@ -217,7 +217,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     AMSYN_SPAN("nominal_sizing");
     const std::uint64_t t0 = core::trace::monotonicNowNs();
     const auto nominalModel = factory(nominal);
-    const sizing::CostFunction cost(*nominalModel, specs, opts.cost);
+    const sizing::CostFunction cost(*nominalModel, specs);
     result.nominal = sizing::synthesize(cost, opts.synthesis);
     result.nominalEvaluations = static_cast<double>(result.nominal.evaluations);
     result.nominalSeconds =
@@ -264,7 +264,7 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
 
     AMSYN_SPAN("corner_round");
     CornerSetModel cornerModel(factory, nominal, space, specs, corners);
-    const sizing::CostFunction cost(cornerModel, specs, opts.cost);
+    const sizing::CostFunction cost(cornerModel, specs);
     current = sizing::synthesize(cost, opts.synthesis);
     // Each corner-set evaluation simulates (1 + #corners) models.
     robustEvals +=

@@ -73,7 +73,6 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
 
 struct RobustOptions {
   sizing::SynthesisOptions synthesis;
-  sizing::CostOptions cost;
   std::size_t maxRounds = 4;  ///< cutting-plane iterations (hunt rounds) at most
 };
 

@@ -17,7 +17,6 @@ namespace amsyn::manufacture {
 
 struct YieldOptions {
   std::size_t samples = 200;
-  std::uint64_t seed = 1;
   VariationSpace space;
 };
 
@@ -28,7 +27,8 @@ struct YieldResult {
 };
 
 /// Yield of a design under global (process corner) variation: each sample
-/// draws a process uniformly from the variation box and checks the specs.
+/// draws a process uniformly from the variation box, from one fixed random
+/// stream, and checks the specs.
 YieldResult yieldMonteCarlo(const ModelFactory& factory, const circuit::Process& nominal,
                             const std::vector<double>& x, const sizing::SpecSet& specs,
                             const YieldOptions& opts = {});

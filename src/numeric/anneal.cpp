@@ -11,6 +11,8 @@ namespace amsyn::num {
 
 namespace {
 
+constexpr double kFinalTemperature = 1e-6;  ///< relative to the initial temperature
+
 /// Estimate an initial temperature that accepts `targetAcceptance` of random
 /// uphill moves (classic Aarts & van Laarhoven calibration).  Every probe is
 /// undone so calibration cannot walk the state away from its starting point
@@ -53,7 +55,7 @@ AnnealStats anneal(const AnnealProblem& problem, const AnnealOptions& opts) {
   double best = current;
   if (problem.snapshot) problem.snapshot();
 
-  const double tStop = temperature * opts.finalTemperature;
+  const double tStop = temperature * kFinalTemperature;
   std::size_t stagnant = 0;
 
   while (temperature > tStop && stagnant < opts.stagnationStages) {

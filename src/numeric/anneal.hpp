@@ -14,7 +14,6 @@ namespace amsyn::num {
 
 struct AnnealOptions {
   double initialTemperature = 0.0;  ///< 0 = calibrate from random-move statistics
-  double finalTemperature = 1e-6;   ///< relative to the initial temperature
   double coolingRate = 0.92;        ///< geometric factor per stage
   std::size_t movesPerStage = 0;    ///< 0 = scale with problem size hint
   std::size_t problemSizeHint = 16;

@@ -7,6 +7,13 @@
 
 namespace amsyn::num {
 
+namespace {
+constexpr double kNmXTolerance = 1e-9;   ///< simplex size convergence threshold (relative)
+constexpr double kNmFTolerance = 1e-12;  ///< function spread convergence threshold
+constexpr double kCsShrink = 0.5;        ///< coordinate-search step factor when stuck
+constexpr double kCsMinStep = 1e-6;      ///< coordinate-search stop (relative step)
+}  // namespace
+
 std::vector<double> BoxBounds::clamp(std::vector<double> x) const {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::clamp(x[i], lo[i], hi[i]);
   return x;
@@ -55,7 +62,7 @@ OptResult nelderMead(const ObjectiveFn& f, std::vector<double> x0, const BoxBoun
         d = std::max(d, std::abs(pts[order[k]][i] - pts[best][i]) / span);
       extent = std::max(extent, d);
     }
-    if (extent < opts.xTolerance || std::abs(vals[worst] - vals[best]) < opts.fTolerance) {
+    if (extent < kNmXTolerance || std::abs(vals[worst] - vals[best]) < kNmFTolerance) {
       res.converged = true;
       break;
     }
@@ -149,12 +156,12 @@ OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
     if (!improved) {
       double maxStep = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        step[i] *= opts.shrink;
+        step[i] *= kCsShrink;
         double span = bounds.hi[i] - bounds.lo[i];
         if (span <= 0) span = 1.0;
         maxStep = std::max(maxStep, step[i] / span);
       }
-      if (maxStep < opts.minStep) {
+      if (maxStep < kCsMinStep) {
         res.converged = true;
         break;
       }

@@ -28,8 +28,6 @@ struct OptResult {
 
 struct NelderMeadOptions {
   std::size_t maxEvaluations = 2000;
-  double xTolerance = 1e-9;   ///< simplex size convergence threshold (relative)
-  double fTolerance = 1e-12;  ///< function spread convergence threshold
   double initialStep = 0.1;   ///< initial simplex edge, relative to box width
 };
 
@@ -40,8 +38,6 @@ OptResult nelderMead(const ObjectiveFn& f, std::vector<double> x0, const BoxBoun
 struct CoordinateSearchOptions {
   std::size_t maxSweeps = 60;
   double initialStep = 0.25;  ///< relative to box width per dimension
-  double shrink = 0.5;
-  double minStep = 1e-6;
 };
 
 /// Compass / coordinate pattern search: evaluate +/- step along each axis,

@@ -18,6 +18,14 @@ void applyUniformWidth(PowerGrid& grid, double widthMeters) {
 
 namespace {
 
+constexpr double kWidenFactor = 1.35;
+constexpr double kMinWidth = 1e-6;
+constexpr double kMaxWidth = 250e-6;  ///< power trunks of hundreds of um are normal
+constexpr std::size_t kMaxIterations = 48;
+/// Spike mitigation: each spike-violating round adds this factor's excess
+/// over 1 of a load's own decoupling capacitance, times the round number.
+constexpr double kDecapBoostFactor = 1.7;
+
 /// Per-wire DC current magnitudes at the present widths.
 std::vector<double> wireCurrents(const PowerGrid& grid, const circuit::Process& proc) {
   const num::VecD v = grid.dcSolve();
@@ -31,12 +39,12 @@ std::vector<double> wireCurrents(const PowerGrid& grid, const circuit::Process& 
 }  // namespace
 
 RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constraints,
-                               const circuit::Process& proc, const RailOptions& opts) {
+                               const circuit::Process& proc, double maxDecapPerBlock) {
   RailResult result;
   result.initial = grid.analyze();
 
   GridAnalysis current = result.initial;
-  for (std::size_t it = 0; it < opts.maxIterations && !meets(current, constraints); ++it) {
+  for (std::size_t it = 0; it < kMaxIterations && !meets(current, constraints); ++it) {
     ++result.iterations;
     const auto currents = wireCurrents(grid, proc);
 
@@ -47,8 +55,8 @@ RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constrain
         const double limit = proc.jMaxMetal * w.widthMeters * proc.metalThickness;
         if (currents[i] > 0.8 * limit) {
           const double needed = currents[i] / (proc.jMaxMetal * proc.metalThickness) * 1.25;
-          w.widthMeters = std::clamp(std::max(needed, w.widthMeters * opts.widenFactor),
-                                     opts.minWidth, opts.maxWidth);
+          w.widthMeters = std::clamp(std::max(needed, w.widthMeters * kWidenFactor),
+                                     kMinWidth, kMaxWidth);
         }
       }
     } else if (current.worstSpikeVolts > constraints.maxSpikeVolts ||
@@ -59,14 +67,14 @@ RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constrain
       const bool analogViolated =
           current.worstAnalogSpikeVolts > constraints.maxAnalogSpikeVolts;
       const double decapBudget =
-          opts.maxDecapPerBlock * static_cast<double>(grid.spec().loads.size());
+          maxDecapPerBlock * static_cast<double>(grid.spec().loads.size());
       for (std::size_t l = 0; l < grid.spec().loads.size(); ++l) {
         const auto& load = grid.spec().loads[l];
         const bool aggressor = load.peakCurrent > 0.0;
         const bool victim = analogViolated && load.analog;
         if (!aggressor && !victim) continue;
         if (grid.totalAddedDecap() >= decapBudget) break;
-        grid.addDecap(l, load.decouplingCap * (opts.decapBoostFactor - 1.0) * (it + 1.0));
+        grid.addDecap(l, load.decouplingCap * (kDecapBoostFactor - 1.0) * (it + 1.0));
       }
     } else {
       // IR drop / spike: widen the wires carrying the most current (they
@@ -79,7 +87,7 @@ RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constrain
       for (std::size_t k = 0; k < top; ++k) {
         auto& w = grid.wires()[idx[k]];
         w.widthMeters =
-            std::clamp(w.widthMeters * opts.widenFactor, opts.minWidth, opts.maxWidth);
+            std::clamp(w.widthMeters * kWidenFactor, kMinWidth, kMaxWidth);
       }
     }
     current = grid.analyze();
@@ -95,7 +103,7 @@ RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constrain
     for (std::size_t k : idx) {
       auto& w = grid.wires()[k];
       const double saved = w.widthMeters;
-      w.widthMeters = std::max(opts.minWidth, w.widthMeters / opts.widenFactor);
+      w.widthMeters = std::max(kMinWidth, w.widthMeters / kWidenFactor);
       if (w.widthMeters == saved) continue;
       if (!meets(grid.analyze(), constraints)) w.widthMeters = saved;  // revert
     }

@@ -19,17 +19,6 @@ struct RailConstraints {
   double maxEmStress = 1.0;            ///< current density / limit
 };
 
-struct RailOptions {
-  double widenFactor = 1.35;
-  double minWidth = 1e-6;
-  double maxWidth = 250e-6;   ///< power trunks of hundreds of um are normal
-  std::size_t maxIterations = 48;
-  /// Spike mitigation: supply spikes are limited by package L di/dt, which
-  /// metal width cannot fix; RAIL places bypass capacitance instead.
-  double decapBoostFactor = 1.7;
-  double maxDecapPerBlock = 20e-9;
-};
-
 struct RailResult {
   GridAnalysis initial;
   GridAnalysis final;
@@ -44,10 +33,13 @@ bool meets(const GridAnalysis& a, const RailConstraints& c);
 
 /// Width-optimize the grid in place.  Strategy: widen the wires responsible
 /// for the worst violated constraint (EM-stressed wires, then high-current
-/// wires for IR/spike) until everything holds, then optionally narrow
-/// low-current wires while constraints keep holding.
+/// wires for IR/spike) until everything holds, then narrow low-current
+/// wires while constraints keep holding.  Supply spikes are limited by
+/// package L di/dt, which metal width cannot fix, so a spike violation
+/// places bypass capacitance instead, at most `maxDecapPerBlock` farads
+/// times the load count in all (0 = metal-only sizing).
 RailResult synthesizePowerGrid(PowerGrid& grid, const RailConstraints& constraints,
-                               const circuit::Process& proc, const RailOptions& opts = {});
+                               const circuit::Process& proc, double maxDecapPerBlock = 20e-9);
 
 /// Digital-style reference grid: a uniform width chosen for connectivity
 /// and average IR drop only (the paper: digital schemes "focus on

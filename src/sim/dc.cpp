@@ -16,6 +16,11 @@ using core::EvalStatus;
 
 namespace {
 
+constexpr std::size_t kMaxIterations = 200;  ///< per Newton solve
+constexpr double kAbsTol = 1e-9;   ///< residual current tolerance (A)
+constexpr double kVAbsTol = 1e-6;  ///< voltage update tolerance (V)
+constexpr double kMaxStep = 0.5;   ///< Newton update clamp per unknown (V or A)
+
 /// How one damped Newton solve ended.
 enum class NewtonOutcome {
   Converged,
@@ -34,18 +39,18 @@ bool allFinite(const num::VecD& v) {
 /// One damped Newton solve at fixed (sourceScale, gmin).  Returns the
 /// outcome and leaves the iterate in x.  Charges the deadline once per
 /// iteration.  A NaN/Inf residual or update aborts right away — burning the
-/// remaining maxIterations on poisoned iterates cannot recover and only
+/// remaining kMaxIterations on poisoned iterates cannot recover and only
 /// wastes the time the continuation ladder still needs.
 NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, double gmin,
-                          const DcOptions& opts, std::size_t& iterationsOut) {
+                          core::Deadline* deadline, std::size_t& iterationsOut) {
   FaultInjector& inj = FaultInjector::threadLocal();
   if (inj.takeDcNewtonFailure()) return NewtonOutcome::Singular;
 
   const std::size_t n = mna.size();
   num::MatrixD jac;
   num::VecD f(n);
-  for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-    if (!consumeWork(opts.deadline)) return NewtonOutcome::Deadline;
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
+    if (!consumeWork(deadline)) return NewtonOutcome::Deadline;
     AssemblyOptions aopt;
     aopt.sourceScale = sourceScale;
     aopt.gmin = gmin;
@@ -65,7 +70,7 @@ NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, doub
     double maxDx = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       double step = -dx[i];
-      step = std::clamp(step, -opts.maxStep, opts.maxStep);
+      step = std::clamp(step, -kMaxStep, kMaxStep);
       x[i] += step;
       maxDx = std::max(maxDx, std::abs(step));
     }
@@ -73,12 +78,12 @@ NewtonOutcome newtonSolve(const Mna& mna, num::VecD& x, double sourceScale, doub
     static const auto cIters =
         core::metrics::registry().counter("sim.newton_iterations");
     core::metrics::add(cIters);
-    if (maxDx < opts.vAbsTol) {
+    if (maxDx < kVAbsTol) {
       // Confirm with the residual at the accepted point.
       mna.assemble(x, aopt, nullptr, &f);
       const double r = num::normInf(f);
       if (!std::isfinite(r)) return NewtonOutcome::Nan;
-      if (r < opts.absTol) return NewtonOutcome::Converged;
+      if (r < kAbsTol) return NewtonOutcome::Converged;
     }
   }
   return NewtonOutcome::NoConvergence;
@@ -96,8 +101,8 @@ EvalStatus outcomeStatus(NewtonOutcome o) {
 
 }  // namespace
 
-DcResult dcOperatingPoint(const Mna& mna, const DcOptions& opts) {
-  return dcOperatingPoint(mna, num::VecD(mna.size(), 0.0), opts);
+DcResult dcOperatingPoint(const Mna& mna, core::Deadline* deadline) {
+  return dcOperatingPoint(mna, num::VecD(mna.size(), 0.0), deadline);
 }
 
 num::VecD flatStart(const Mna& mna, double nodeVoltage) {
@@ -106,7 +111,7 @@ num::VecD flatStart(const Mna& mna, double nodeVoltage) {
   return x;
 }
 
-DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& opts) {
+DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, core::Deadline* deadline) {
   AMSYN_SPAN("dc_solve");
   static const auto cSolves = core::metrics::registry().counter("sim.dc_solves");
   core::metrics::add(cSolves);
@@ -123,7 +128,7 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
   };
 
   // Rung 1: plain Newton with a small safety gmin.
-  NewtonOutcome out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
+  NewtonOutcome out = newtonSolve(mna, res.x, 1.0, 1e-12, deadline, res.iterations);
   if (out == NewtonOutcome::Converged) {
     succeed("newton", DcStrategy::Newton);
     return res;
@@ -135,46 +140,42 @@ DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& 
   }
 
   // Rung 2: gmin stepping — start heavily damped, relax geometrically.
-  if (opts.allowGminStepping) {
-    res.x = start;
-    bool ok = true;
-    for (double gmin = 1e-2; gmin >= 1e-12; gmin *= 1e-2) {
-      out = newtonSolve(mna, res.x, 1.0, gmin, opts, res.iterations);
-      if (out != NewtonOutcome::Converged) {
-        ok = false;
-        break;
-      }
+  res.x = start;
+  bool ok = true;
+  for (double gmin = 1e-2; gmin >= 1e-12; gmin *= 1e-2) {
+    out = newtonSolve(mna, res.x, 1.0, gmin, deadline, res.iterations);
+    if (out != NewtonOutcome::Converged) {
+      ok = false;
+      break;
     }
-    if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
-    if (ok && out == NewtonOutcome::Converged) {
-      succeed("gmin", DcStrategy::Gmin);
-      return res;
-    }
-    res.status = outcomeStatus(out);
-    if (out == NewtonOutcome::Deadline) {
-      recordEvalFailure(res.status);
-      return res;
-    }
+  }
+  if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, deadline, res.iterations);
+  if (ok && out == NewtonOutcome::Converged) {
+    succeed("gmin", DcStrategy::Gmin);
+    return res;
+  }
+  res.status = outcomeStatus(out);
+  if (out == NewtonOutcome::Deadline) {
+    recordEvalFailure(res.status);
+    return res;
   }
 
   // Rung 3: source stepping — ramp all independent sources from 10%.
-  if (opts.allowSourceStepping) {
-    res.x = start;
-    bool ok = true;
-    for (double scale : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
-      out = newtonSolve(mna, res.x, scale, 1e-9, opts, res.iterations);
-      if (out != NewtonOutcome::Converged) {
-        ok = false;
-        break;
-      }
+  res.x = start;
+  ok = true;
+  for (double scale : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+    out = newtonSolve(mna, res.x, scale, 1e-9, deadline, res.iterations);
+    if (out != NewtonOutcome::Converged) {
+      ok = false;
+      break;
     }
-    if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, opts, res.iterations);
-    if (ok && out == NewtonOutcome::Converged) {
-      succeed("source", DcStrategy::Source);
-      return res;
-    }
-    res.status = outcomeStatus(out);
   }
+  if (ok) out = newtonSolve(mna, res.x, 1.0, 1e-12, deadline, res.iterations);
+  if (ok && out == NewtonOutcome::Converged) {
+    succeed("source", DcStrategy::Source);
+    return res;
+  }
+  res.status = outcomeStatus(out);
 
   res.converged = false;
   recordEvalFailure(res.status);

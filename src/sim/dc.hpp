@@ -1,8 +1,9 @@
-// DC operating-point analysis: damped Newton-Raphson with
-// gmin stepping and source stepping as continuation fallbacks (the standard
-// SPICE convergence ladder).  Every entry point is total: a failed solve
-// returns a DcResult carrying a core::EvalStatus reason code instead of
-// throwing, so optimization loops treat bad candidates as infeasible data.
+// DC operating-point analysis: damped Newton-Raphson with gmin stepping and
+// source stepping as continuation fallbacks (the standard SPICE convergence
+// ladder), at fixed tolerances and iteration limit (dc.cpp).  Every entry
+// point is total: a failed solve returns a DcResult carrying a
+// core::EvalStatus reason code instead of throwing, so optimization loops
+// treat bad candidates as infeasible data.
 #pragma once
 
 #include <string>
@@ -12,19 +13,6 @@
 #include "sim/mna.hpp"
 
 namespace amsyn::sim {
-
-struct DcOptions {
-  std::size_t maxIterations = 200;
-  double absTol = 1e-9;     ///< residual current tolerance (A)
-  double vAbsTol = 1e-6;    ///< voltage update tolerance (V)
-  double maxStep = 0.5;     ///< Newton update clamp per unknown (V or A)
-  bool allowGminStepping = true;
-  bool allowSourceStepping = true;
-  /// Optional job deadline, charged one unit per Newton iteration and
-  /// shared by all analyses of one measurement.  Expiry aborts the
-  /// continuation ladder with EvalStatus::DeadlineExpired.
-  core::Deadline* deadline = nullptr;
-};
 
 struct DcResult {
   bool converged = false;
@@ -37,11 +25,15 @@ struct DcResult {
   std::string strategy;      ///< "newton", "gmin", or "source"
 };
 
-/// Solve for the DC operating point.
-DcResult dcOperatingPoint(const Mna& mna, const DcOptions& opts = {});
+/// Solve for the DC operating point.  `deadline`, when given, is the job
+/// deadline, charged one unit per Newton iteration and shared by all
+/// analyses of one measurement; expiry aborts the continuation ladder with
+/// EvalStatus::DeadlineExpired.
+DcResult dcOperatingPoint(const Mna& mna, core::Deadline* deadline = nullptr);
 
 /// Solve with a warm start (used by the sizing loop).
-DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0, const DcOptions& opts = {});
+DcResult dcOperatingPoint(const Mna& mna, const num::VecD& x0,
+                          core::Deadline* deadline = nullptr);
 
 /// Starting vector with every node voltage at `nodeVoltage` and all branch
 /// currents at zero.  Feedback-biased amplifier testbenches have a second,

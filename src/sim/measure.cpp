@@ -9,6 +9,11 @@ namespace amsyn::sim {
 using circuit::Device;
 using circuit::DeviceType;
 
+const std::vector<double>& amplifierSweep() {
+  static const std::vector<double> sweep = logspace(1.0, 1e9, 6);
+  return sweep;
+}
+
 double dcGainDb(const AcSweep& sweep) {
   if (sweep.points.empty()) throw std::invalid_argument("dcGainDb: empty sweep");
   return sweep.magnitudeDb(0);

@@ -12,6 +12,11 @@
 
 namespace amsyn::sim {
 
+/// The amplifier measurement sweep, 1 Hz to 1 GHz at 6 points per decade:
+/// the frequencies SimulationModel::evaluate and core::measureAmplifier
+/// read gain, unity-gain frequency and phase margin from.
+const std::vector<double>& amplifierSweep();
+
 /// Low-frequency gain in dB (taken from the first sweep point).
 double dcGainDb(const AcSweep& sweep);
 

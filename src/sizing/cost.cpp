@@ -7,8 +7,17 @@
 
 namespace amsyn::sizing {
 
-CostFunction::CostFunction(const PerformanceModel& model, SpecSet specs, CostOptions opts)
-    : model_(model), specs_(std::move(specs)), opts_(opts) {}
+namespace {
+constexpr double kInfeasibleCost = 1e4;  ///< added when the model reports _infeasible
+constexpr double kObjectiveWeight = 1.0;  ///< global multiplier on objectives
+/// Normalized violation below which a constraint counts as met when
+/// reporting feasibility (penalty methods approach constraints
+/// asymptotically; 1e-3 = 0.1% of the bound).
+constexpr double kFeasibilityTolerance = 1e-3;
+}  // namespace
+
+CostFunction::CostFunction(const PerformanceModel& model, SpecSet specs, double penaltyWeight)
+    : model_(model), specs_(std::move(specs)), penaltyWeight_(penaltyWeight) {}
 
 double CostFunction::operator()(const std::vector<double>& x) const {
   return detailed(x).cost;
@@ -24,12 +33,12 @@ CostFunction::Detail CostFunction::detailed(const std::vector<double>& x) const 
   d.performance = safeEvaluate(model_, x);
   d.status = performanceStatus(d.performance);
   if (auto it = d.performance.find("_infeasible"); it != d.performance.end()) {
-    d.penalty += opts_.infeasibleCost * it->second;
+    d.penalty += kInfeasibleCost * it->second;
   }
   // The relaxed-dc residual, when present, acts as an extra penalty even if
   // the caller forgot to spec it — an unconverged bias point must never win.
   if (auto it = d.performance.find("_dc_residual"); it != d.performance.end()) {
-    d.penalty += opts_.penaltyWeight * it->second * it->second;
+    d.penalty += penaltyWeight_ * it->second * it->second;
   }
 
   for (const Spec& s : specs_.specs()) {
@@ -37,19 +46,19 @@ CostFunction::Detail CostFunction::detailed(const std::vector<double>& x) const 
     if (s.isObjective()) {
       if (it == d.performance.end()) continue;
       const double v = it->second / s.normalization();
-      d.objective += opts_.objectiveWeight * s.weight *
+      d.objective += kObjectiveWeight * s.weight *
                      (s.kind == SpecKind::Minimize ? v : -v);
     } else {
       if (it == d.performance.end()) {
-        d.penalty += opts_.penaltyWeight * s.weight;  // missing = violated
+        d.penalty += penaltyWeight_ * s.weight;  // missing = violated
         continue;
       }
       const double viol = s.violation(it->second);
-      d.penalty += opts_.penaltyWeight * s.weight * viol * viol;
+      d.penalty += penaltyWeight_ * s.weight * viol * viol;
     }
   }
   d.feasible = !d.performance.count("_infeasible") &&
-               specs_.satisfied(d.performance, opts_.feasibilityTolerance) &&
+               specs_.satisfied(d.performance, kFeasibilityTolerance) &&
                (!d.performance.count("_dc_residual") ||
                 d.performance.at("_dc_residual") < 1e-2);
   d.cost = d.penalty + d.objective;
@@ -64,7 +73,7 @@ CostFunction::Detail CostFunction::detailed(const std::vector<double>& x) const 
       sim::recordEvalFailure(d.status);
     }
     markInfeasible(d.performance, d.status);
-    d.penalty = opts_.infeasibleCost * 1e3;
+    d.penalty = kInfeasibleCost * 1e3;
     d.objective = 0.0;
     d.cost = d.penalty;
     d.feasible = false;

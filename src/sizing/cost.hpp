@@ -1,9 +1,10 @@
 // ASTRX-style cost compilation [23]: a SpecSet plus a PerformanceModel
 // become one scalar function whose minimum is a good circuit.  Constraints
-// enter as quadratic penalties in normalized units; objectives enter as
-// weighted scalarized terms; infeasible evaluations (no DC convergence, no
-// unity-gain crossing) get a large but finite cost so the annealer can walk
-// out of them.
+// enter as quadratic penalties in normalized units, scaled by one penalty
+// weight; objectives enter as weighted scalarized terms; infeasible
+// evaluations (no DC convergence, no unity-gain crossing) get a large but
+// finite cost so the annealer can walk out of them.  The infeasible cost
+// and the feasibility tolerance are fixed (cost.cpp).
 #pragma once
 
 #include <atomic>
@@ -14,19 +15,14 @@
 
 namespace amsyn::sizing {
 
-struct CostOptions {
-  double penaltyWeight = 200.0;    ///< global multiplier on constraint penalties
-  double infeasibleCost = 1e4;     ///< added when the model reports _infeasible
-  double objectiveWeight = 1.0;    ///< global multiplier on objectives
-  /// Normalized violation below which a constraint counts as met when
-  /// reporting feasibility (penalty methods approach constraints
-  /// asymptotically; 1e-3 = 0.1% of the bound).
-  double feasibilityTolerance = 1e-3;
-};
+/// Global multiplier on constraint penalties; the feasibility push of
+/// sizing::synthesize compiles a second cost at 30 times this weight.
+inline constexpr double kPenaltyWeight = 200.0;
 
 class CostFunction {
  public:
-  CostFunction(const PerformanceModel& model, SpecSet specs, CostOptions opts = {});
+  CostFunction(const PerformanceModel& model, SpecSet specs,
+               double penaltyWeight = kPenaltyWeight);
 
   /// Scalar cost at design point x.
   double operator()(const std::vector<double>& x) const;
@@ -54,7 +50,7 @@ class CostFunction {
  private:
   const PerformanceModel& model_;
   SpecSet specs_;
-  CostOptions opts_;
+  double penaltyWeight_;
   /// Atomic: one CostFunction is shared by concurrent evaluations (parallel
   /// population scoring).
   mutable std::atomic<std::size_t> evals_{0};

@@ -42,8 +42,7 @@ std::optional<StoredDesign> DesignDatabase::nearest(const SpecSet& query) const 
 
 SynthesisResult synthesizeWithDatabase(DesignDatabase& db, const PerformanceModel& model,
                                        const SpecSet& specs, const std::string& label,
-                                       const SynthesisOptions& opts,
-                                       const CostOptions& costOpts) {
+                                       const SynthesisOptions& opts) {
   SynthesisOptions warm = opts;
   if (const auto seed = db.nearest(specs);
       seed && seed->x.size() == model.dimension()) {
@@ -52,7 +51,7 @@ SynthesisResult synthesizeWithDatabase(DesignDatabase& db, const PerformanceMode
     if (warm.anneal.initialTemperature <= 0.0) warm.anneal.initialAcceptance = 0.3;
     warm.anneal.stagnationStages = std::min<std::size_t>(warm.anneal.stagnationStages, 8);
   }
-  SynthesisResult res = synthesize(model, specs, warm, costOpts);
+  SynthesisResult res = synthesize(model, specs, warm);
   if (res.feasible) db.store(StoredDesign{label, specs, res.x, res.performance});
   return res;
 }

@@ -43,7 +43,6 @@ class DesignDatabase {
 /// design (when one exists), then store the result on success.
 SynthesisResult synthesizeWithDatabase(DesignDatabase& db, const PerformanceModel& model,
                                        const SpecSet& specs, const std::string& label,
-                                       const SynthesisOptions& opts = {},
-                                       const CostOptions& costOpts = {});
+                                       const SynthesisOptions& opts = {});
 
 }  // namespace amsyn::sizing

@@ -10,9 +10,14 @@
 
 namespace amsyn::sizing {
 
-RelaxedDcModel::RelaxedDcModel(CircuitTemplate tmpl, const circuit::Process& proc,
-                               RelaxedDcOptions opts)
-    : tmpl_(std::move(tmpl)), proc_(proc), opts_(opts) {
+namespace {
+constexpr double kResidualScale = 1e-4;  ///< current scale for the KCL penalty (A)
+constexpr std::size_t kAweOrder = 3;
+constexpr double kBranchCurrentLimit = 0.05;  ///< bound on branch-current unknowns (A)
+}  // namespace
+
+RelaxedDcModel::RelaxedDcModel(CircuitTemplate tmpl, const circuit::Process& proc)
+    : tmpl_(std::move(tmpl)), proc_(proc) {
   // Determine the MNA state size from a probe netlist at the template's
   // middle point; the template must keep node/branch ordering fixed across
   // design points (ours do: they build the same devices in the same order).
@@ -29,7 +34,7 @@ RelaxedDcModel::RelaxedDcModel(CircuitTemplate tmpl, const circuit::Process& pro
                                    -0.5, proc_.vdd + 0.5, false, 0.03});
   for (std::size_t i = mna.nodeUnknowns(); i < stateSize_; ++i)
     vars_.push_back(DesignVariable{"i_branch" + std::to_string(i - mna.nodeUnknowns()),
-                                   -opts_.branchCurrentLimit, opts_.branchCurrentLimit,
+                                   -kBranchCurrentLimit, kBranchCurrentLimit,
                                    false, 0.02});
 }
 
@@ -66,7 +71,7 @@ Performance RelaxedDcModel::evaluate(const std::vector<double>& x) const {
   // KCL residual penalty (the "dc-free" trick).
   num::VecD f;
   mna.assemble(state, {}, nullptr, &f);
-  perf["_dc_residual"] = num::normInf(f) / opts_.residualScale;
+  perf["_dc_residual"] = num::normInf(f) / kResidualScale;
 
   perf["area"] = net.totalGateArea();
 
@@ -100,7 +105,7 @@ Performance RelaxedDcModel::evaluate(const std::vector<double>& x) const {
     num::MatrixD g, c;
     num::VecD b;
     mna.acMatrices(state, g, c, b);
-    const auto model = awe::aweLinearSystem(g, c, b, mna.nodeIndex(*outNode), opts_.aweOrder);
+    const auto model = awe::aweLinearSystem(g, c, b, mna.nodeIndex(*outNode), kAweOrder);
     const double dcGain = std::abs(model.pr.evaluate({0.0, 0.0}));
     perf["gain_db"] = 20.0 * std::log10(std::max(dcGain, 1e-12));
 

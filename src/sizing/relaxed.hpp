@@ -13,16 +13,9 @@
 
 namespace amsyn::sizing {
 
-struct RelaxedDcOptions {
-  double residualScale = 1e-4;  ///< current scale for the KCL penalty (A)
-  std::size_t aweOrder = 3;
-  double branchCurrentLimit = 0.05;  ///< bound on branch-current unknowns (A)
-};
-
 class RelaxedDcModel : public PerformanceModel {
  public:
-  RelaxedDcModel(CircuitTemplate tmpl, const circuit::Process& proc,
-                 RelaxedDcOptions opts = {});
+  RelaxedDcModel(CircuitTemplate tmpl, const circuit::Process& proc);
 
   const std::vector<DesignVariable>& variables() const override { return vars_; }
 
@@ -41,7 +34,6 @@ class RelaxedDcModel : public PerformanceModel {
  private:
   CircuitTemplate tmpl_;
   const circuit::Process& proc_;
-  RelaxedDcOptions opts_;
   std::vector<DesignVariable> vars_;
   std::size_t stateSize_ = 0;
 };

@@ -12,9 +12,15 @@ namespace amsyn::sizing {
 
 using core::EvalStatus;
 
-SimulationModel::SimulationModel(CircuitTemplate tmpl, const circuit::Process& proc,
-                                 SimModelOptions opts)
-    : tmpl_(std::move(tmpl)), proc_(proc), opts_(opts) {}
+namespace {
+constexpr double kNoiseSpotFrequency = 1e4;  ///< Hz for the "noise_nv" spot value
+/// Declare the design infeasible when the DC output sits at a supply rail
+/// (the latched solution of a feedback-biased open-loop bench).
+constexpr double kInteriorMargin = 0.15;  ///< volts from either rail
+}  // namespace
+
+SimulationModel::SimulationModel(CircuitTemplate tmpl, const circuit::Process& proc)
+    : tmpl_(std::move(tmpl)), proc_(proc) {}
 
 Performance SimulationModel::evaluate(const std::vector<double>& x) const {
   ++evals_;
@@ -40,19 +46,16 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
       markInfeasible(perf, op.status);  // dc already tallied the failure
       return perf;
     }
-    if (opts_.outputMustBeInterior) {
-      const double vout = mna.nodeVoltage(op.x, *net.findNode(tmpl_.outputNode));
-      if (vout < opts_.interiorMargin || vout > proc_.vdd - opts_.interiorMargin) {
-        perf["_infeasible"] = 1.0;  // output stuck at a rail (latched bias):
-        return perf;                // a bad circuit, not an eval failure
-      }
+    const double vout = mna.nodeVoltage(op.x, *net.findNode(tmpl_.outputNode));
+    if (vout < kInteriorMargin || vout > proc_.vdd - kInteriorMargin) {
+      perf["_infeasible"] = 1.0;  // output stuck at a rail (latched bias):
+      return perf;                // a bad circuit, not an eval failure
     }
 
     perf["power"] = sim::staticPower(mna, op);
     perf["area"] = net.totalGateArea();
 
-    const auto freqs = sim::logspace(opts_.fStart, opts_.fStop, opts_.pointsPerDecade);
-    const auto sweep = sim::acAnalysis(mna, op, tmpl_.outputNode, freqs);
+    const auto sweep = sim::acAnalysis(mna, op, tmpl_.outputNode, sim::amplifierSweep());
     if (sweep.status != EvalStatus::Ok) {
       markInfeasible(perf, sweep.status);
       return perf;
@@ -79,15 +82,12 @@ Performance SimulationModel::evaluate(const std::vector<double>& x) const {
     }
     perf["swing"] = std::max(0.0, swingHi - swingLo);
 
-    if (opts_.measureNoise) {
-      const auto nz =
-          sim::noiseAnalysis(mna, op, tmpl_.outputNode, {opts_.noiseSpotFrequency});
-      if (nz.status != EvalStatus::Ok) {
-        markInfeasible(perf, nz.status);
-        return perf;
-      }
-      perf["noise_nv"] = std::sqrt(nz.points.at(0).inputReferredPsd) * 1e9;
+    const auto nz = sim::noiseAnalysis(mna, op, tmpl_.outputNode, {kNoiseSpotFrequency});
+    if (nz.status != EvalStatus::Ok) {
+      markInfeasible(perf, nz.status);
+      return perf;
     }
+    perf["noise_nv"] = std::sqrt(nz.points.at(0).inputReferredPsd) * 1e9;
 
     // Slew rate: the classic tail-current estimate I(tail) / Cc from the
     // operating point, when the template exposes them.

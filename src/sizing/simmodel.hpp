@@ -19,18 +19,6 @@
 
 namespace amsyn::sizing {
 
-struct SimModelOptions {
-  double fStart = 1.0;
-  double fStop = 1e9;
-  std::size_t pointsPerDecade = 6;
-  bool measureNoise = true;
-  double noiseSpotFrequency = 1e4;  ///< Hz for the "noise_nv" spot value
-  /// Declare the design infeasible when the DC output sits at a supply rail
-  /// (the latched solution of a feedback-biased open-loop bench).
-  bool outputMustBeInterior = true;
-  double interiorMargin = 0.15;  ///< volts from either rail
-};
-
 /// Generic netlist-producing template: design vector -> testbench netlist.
 /// The output node is where gain/noise are measured; the input source must
 /// carry the AC stimulus.
@@ -42,15 +30,17 @@ struct CircuitTemplate {
 
 class SimulationModel : public PerformanceModel {
  public:
-  SimulationModel(CircuitTemplate tmpl, const circuit::Process& proc,
-                  SimModelOptions opts = {});
+  SimulationModel(CircuitTemplate tmpl, const circuit::Process& proc);
 
   const std::vector<DesignVariable>& variables() const override {
     return tmpl_.variables;
   }
 
-  /// Performances: gain_db, ugf, pm, power, noise_nv (when enabled), swing,
-  /// area (gate area), slew (I(M5) / Cc).  Total: a failed
+  /// Performances: gain_db, ugf, pm, power, noise_nv (input-referred spot
+  /// noise), swing, area (gate area), slew (I(M5) / Cc); gain, ugf and pm
+  /// come from sim::amplifierSweep().  A DC output at a supply rail (the
+  /// latched solution of a feedback-biased open-loop bench) is an
+  /// infeasible design with no reason code.  Total: a failed
   /// analysis reports {"_infeasible": 1, "_status": <reason>} (see
   /// kEvalStatusKey) with whatever it could compute, and an exception
   /// anywhere inside becomes bad_topology (netlist construction) or
@@ -64,7 +54,6 @@ class SimulationModel : public PerformanceModel {
  private:
   CircuitTemplate tmpl_;
   const circuit::Process& proc_;
-  SimModelOptions opts_;
   /// Atomic: evaluate() runs concurrently under core/parallel.hpp loops.
   mutable std::atomic<std::size_t> evals_{0};
 };

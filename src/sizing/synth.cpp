@@ -100,8 +100,8 @@ SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opt
 }
 
 SynthesisResult synthesize(const PerformanceModel& model, const SpecSet& specs,
-                           const SynthesisOptions& opts, const CostOptions& costOpts) {
-  const CostFunction cost(model, specs, costOpts);
+                           const SynthesisOptions& opts) {
+  const CostFunction cost(model, specs);
   SynthesisResult res = synthesize(cost, opts);
   if (res.feasible || !opts.feasibilityPush) return res;
 
@@ -109,9 +109,7 @@ SynthesisResult synthesize(const PerformanceModel& model, const SpecSet& specs,
   // anchor so the point cannot drift into expensive feasibility) and descend
   // greedily from the best point found.  This closes the small residual
   // violations a finite penalty weight leaves behind.
-  CostOptions pushCost = costOpts;
-  pushCost.penaltyWeight *= 30.0;
-  const CostFunction push(model, specs, pushCost);
+  const CostFunction push(model, specs, kPenaltyWeight * 30.0);
   SynthesisOptions pushOpts = opts;
   pushOpts.startPoint = res.x;
   pushOpts.feasibilityPush = false;

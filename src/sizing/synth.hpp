@@ -38,7 +38,6 @@ SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opt
 
 /// Convenience: compile and run in one call.
 SynthesisResult synthesize(const PerformanceModel& model, const SpecSet& specs,
-                           const SynthesisOptions& opts = {},
-                           const CostOptions& costOpts = {});
+                           const SynthesisOptions& opts = {});
 
 }  // namespace amsyn::sizing

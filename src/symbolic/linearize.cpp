@@ -18,6 +18,8 @@ std::size_t LinearizedCircuit::node(const std::string& name) const {
 
 namespace {
 
+constexpr double kMinConductance = 1e-12;  ///< skip symbols with smaller nominals
+
 /// Union-find over netlist nodes: DC voltage sources short their terminals
 /// for small-signal purposes.
 class NodeMerger {
@@ -44,8 +46,7 @@ class NodeMerger {
 
 }  // namespace
 
-LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op,
-                            const LinearizeOptions& opts) {
+LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op) {
   if (!op.converged) throw std::invalid_argument("linearize: op not converged");
   const auto& net = mna.netlist();
 
@@ -84,7 +85,7 @@ LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op,
         c.addConductance("g_" + d.name, 1.0 / d.value, sNode(d.nodes[0]), sNode(d.nodes[1]));
         break;
       case DeviceType::Capacitor:
-        if (opts.includeCapacitances && d.value > 0)
+        if (d.value > 0)
           c.addCapacitance("c_" + d.name, d.value, sNode(d.nodes[0]), sNode(d.nodes[1]));
         break;
       case DeviceType::Vccs:
@@ -95,21 +96,16 @@ LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op,
         const auto& mop = mosOps.at(mosIdx++).second;
         const std::size_t nd = sNode(d.nodes[0]), ng = sNode(d.nodes[1]),
                           ns = sNode(d.nodes[2]), nb = sNode(d.nodes[3]);
-        // Drain current ids = gm vgs + gds vds (+ gmb vbs): gm injects into
-        // the drain (leaves the source), i.e. current flows d -> s inside.
-        if (mop.gm >= opts.minConductance)
+        // Drain current ids = gm vgs + gds vds: gm injects into the drain
+        // (leaves the source), i.e. current flows d -> s inside.
+        if (mop.gm >= kMinConductance)
           c.addTransconductance("gm_" + d.name, mop.gm, nd, ns, ng, ns);
-        if (mop.gds >= opts.minConductance)
-          c.addConductance("gds_" + d.name, mop.gds, nd, ns);
-        if (opts.includeBodyEffect && mop.gmb >= opts.minConductance)
-          c.addTransconductance("gmb_" + d.name, mop.gmb, nd, ns, nb, ns);
-        if (opts.includeCapacitances) {
-          if (mop.cgs > 0) c.addCapacitance("cgs_" + d.name, mop.cgs, ng, ns);
-          if (mop.cgd > 0) c.addCapacitance("cgd_" + d.name, mop.cgd, ng, nd);
-          if (mop.cgb > 0) c.addCapacitance("cgb_" + d.name, mop.cgb, ng, nb);
-          if (mop.cdb > 0) c.addCapacitance("cdb_" + d.name, mop.cdb, nd, nb);
-          if (mop.csb > 0) c.addCapacitance("csb_" + d.name, mop.csb, ns, nb);
-        }
+        if (mop.gds >= kMinConductance) c.addConductance("gds_" + d.name, mop.gds, nd, ns);
+        if (mop.cgs > 0) c.addCapacitance("cgs_" + d.name, mop.cgs, ng, ns);
+        if (mop.cgd > 0) c.addCapacitance("cgd_" + d.name, mop.cgd, ng, nd);
+        if (mop.cgb > 0) c.addCapacitance("cgb_" + d.name, mop.cgb, ng, nb);
+        if (mop.cdb > 0) c.addCapacitance("cdb_" + d.name, mop.cdb, nd, nb);
+        if (mop.csb > 0) c.addCapacitance("csb_" + d.name, mop.csb, ns, nb);
         break;
       }
       case DeviceType::Diode: {
@@ -118,7 +114,7 @@ LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op,
             mna.nodeVoltage(op.x, d.nodes[0]) - mna.nodeVoltage(op.x, d.nodes[1]);
         const double vt = mna.process().kT() / 1.602176634e-19;
         const double g = d.diodeIs / vt * std::exp(std::min(v / vt, 40.0));
-        if (g >= opts.minConductance)
+        if (g >= kMinConductance)
           c.addConductance("gd_" + d.name, g, sNode(d.nodes[0]), sNode(d.nodes[1]));
         break;
       }

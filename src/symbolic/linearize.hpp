@@ -14,12 +14,6 @@
 
 namespace amsyn::symbolic {
 
-struct LinearizeOptions {
-  bool includeCapacitances = true;
-  bool includeBodyEffect = false;   ///< add gmb transconductances
-  double minConductance = 1e-12;    ///< skip symbols with smaller nominals
-};
-
 /// Result of linearization: the symbolic circuit plus the mapping from
 /// netlist node names to symbolic node indices.
 struct LinearizedCircuit {
@@ -30,10 +24,10 @@ struct LinearizedCircuit {
 };
 
 /// Linearize `mna`'s netlist at operating point `op`.  MOS devices become
-/// gm/gds (+ optional gmb) and their capacitances; resistors become
-/// conductances g_<name>; capacitors become c_<name>.  DC voltage sources
+/// gm/gds and their capacitances (no body effect); resistors become
+/// conductances g_<name>; capacitors become c_<name>.  Negligible
+/// (trans)conductances get no symbol.  DC voltage sources
 /// short their terminals together (AC ground); current sources are open.
-LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op,
-                            const LinearizeOptions& opts = {});
+LinearizedCircuit linearize(const sim::Mna& mna, const sim::DcResult& op);
 
 }  // namespace amsyn::symbolic

@@ -14,6 +14,12 @@ namespace amsyn::topology {
 
 namespace {
 
+constexpr double kCrossoverRate = 0.8;
+constexpr double kMutationRate = 0.15;
+constexpr double kMutationSigma = 0.15;  ///< gene perturbation (unit-cube units)
+constexpr double kTopologyMutationRate = 0.05;
+constexpr std::size_t kTournamentSize = 3;
+
 /// Map a unit gene to a design value, respecting log scaling.
 double geneToValue(double g, const sizing::DesignVariable& v) {
   g = std::clamp(g, 0.0, 1.0);
@@ -40,7 +46,7 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
   std::vector<std::unique_ptr<sizing::CostFunction>> costs;
   for (const auto& e : entries) {
     maxDim = std::max(maxDim, e.model->dimension());
-    costs.push_back(std::make_unique<sizing::CostFunction>(*e.model, specs, opts.cost));
+    costs.push_back(std::make_unique<sizing::CostFunction>(*e.model, specs));
   }
 
   GeneticResult result;
@@ -99,7 +105,7 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
 
   auto tournament = [&]() -> const Individual& {
     const Individual* best = &pop[rng.index(pop.size())];
-    for (std::size_t k = 1; k < opts.tournamentSize; ++k) {
+    for (std::size_t k = 1; k < kTournamentSize; ++k) {
       const Individual& c = pop[rng.index(pop.size())];
       if (c.fitness > best->fitness) best = &c;
     }
@@ -126,15 +132,15 @@ GeneticResult geneticSelectAndSize(const TopologyLibrary& lib, const sizing::Spe
       const Individual& other = tournament();
       // Crossover: uniform gene mixing; the topology gene follows the
       // fitter parent (already `child`).
-      if (rng.chance(opts.crossoverRate)) {
+      if (rng.chance(kCrossoverRate)) {
         for (std::size_t i = 0; i < maxDim; ++i)
           if (rng.chance(0.5)) child.genes[i] = other.genes[i];
       }
       // Mutation.
       for (double& g : child.genes)
-        if (rng.chance(opts.mutationRate))
-          g = std::clamp(g + rng.normal(0.0, opts.mutationSigma), 0.0, 1.0);
-      if (rng.chance(opts.topologyMutationRate))
+        if (rng.chance(kMutationRate))
+          g = std::clamp(g + rng.normal(0.0, kMutationSigma), 0.0, 1.0);
+      if (rng.chance(kTopologyMutationRate))
         child.topo = rng.index(entries.size());
       next.push_back(std::move(child));
     }

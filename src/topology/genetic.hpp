@@ -15,13 +15,7 @@ namespace amsyn::topology {
 struct GeneticOptions {
   std::size_t populationSize = 40;
   std::size_t generations = 60;
-  double crossoverRate = 0.8;
-  double mutationRate = 0.15;
-  double mutationSigma = 0.15;     ///< gene perturbation (unit-cube units)
-  double topologyMutationRate = 0.05;
-  std::size_t tournamentSize = 3;
   std::uint64_t seed = 1;
-  sizing::CostOptions cost;
 };
 
 struct GeneticResult {

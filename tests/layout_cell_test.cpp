@@ -83,18 +83,14 @@ TEST(ModGen, MosHasAllPins) {
 }
 
 TEST(ModGen, FoldingShrinksHeightGrowsWidth) {
-  lay::MosGenOptions one, four;
-  four.fingers = 4;
-  const auto m1 = lay::generateMos("M1", nmos(40e-6), "d", "g", "s", "b", proc(), one);
-  const auto m4 = lay::generateMos("M1", nmos(40e-6), "d", "g", "s", "b", proc(), four);
+  const auto m1 = lay::generateMos("M1", nmos(40e-6), "d", "g", "s", "b", proc(), 1);
+  const auto m4 = lay::generateMos("M1", nmos(40e-6), "d", "g", "s", "b", proc(), 4);
   EXPECT_LT(m4.boundingBox().height(), m1.boundingBox().height());
   EXPECT_GT(m4.boundingBox().width(), m1.boundingBox().width());
 }
 
 TEST(ModGen, FoldedSourceOnOutside) {
-  lay::MosGenOptions o;
-  o.fingers = 2;
-  const auto m = lay::generateMos("M1", nmos(20e-6), "d", "g", "s", "b", proc(), o);
+  const auto m = lay::generateMos("M1", nmos(20e-6), "d", "g", "s", "b", proc(), 2);
   // 2 fingers: 3 contacts, alternating s-d-s: two source pins, one drain.
   EXPECT_EQ(m.pinsOnNet("s").size(), 2u);
   EXPECT_EQ(m.pinsOnNet("d").size(), 1u);
@@ -272,14 +268,11 @@ TEST(Stacking, ExactThrowsOnHugeGroup) {
 namespace {
 std::vector<lay::PlacementComponent> diffPairComponents() {
   std::vector<lay::PlacementComponent> comps;
-  lay::MosGenOptions fold2;
-  fold2.fingers = 2;
   {
     lay::PlacementComponent c;
     c.name = "M1";
     c.variants = {lay::generateMos("M1", nmos(20e-6), "n1", "inp", "tail", "0", proc()),
-                  lay::generateMos("M1", nmos(20e-6), "n1", "inp", "tail", "0", proc(),
-                                   fold2)};
+                  lay::generateMos("M1", nmos(20e-6), "n1", "inp", "tail", "0", proc(), 2)};
     c.symmetryPeer = "M2";
     comps.push_back(std::move(c));
   }
@@ -287,8 +280,7 @@ std::vector<lay::PlacementComponent> diffPairComponents() {
     lay::PlacementComponent c;
     c.name = "M2";
     c.variants = {lay::generateMos("M2", nmos(20e-6), "n2", "inn", "tail", "0", proc()),
-                  lay::generateMos("M2", nmos(20e-6), "n2", "inn", "tail", "0", proc(),
-                                   fold2)};
+                  lay::generateMos("M2", nmos(20e-6), "n2", "inn", "tail", "0", proc(), 2)};
     c.symmetryPeer = "M1";
     comps.push_back(std::move(c));
   }
@@ -313,7 +305,7 @@ TEST(Placer, AnnealedPlacementIsLegalAndCompact) {
   const auto comps = diffPairComponents();
   lay::PlacerOptions opts;
   opts.seed = 3;
-  const auto row = lay::rowPlacement(comps, opts);
+  const auto row = lay::rowPlacement(comps);
   const auto an = lay::placeCells(comps, opts);
   EXPECT_TRUE(an.overlapFree);
   // The annealer must not be grossly worse than the trivial row.

@@ -206,9 +206,7 @@ TEST(Wren, SensitiveNetAvoidsNoisyChannels) {
       {"clk", lay::WireClass::Noisy, {{0, 0}, {2000, 0}}, 0.0},
       {"sig", lay::WireClass::Sensitive, {{0, 0}, {2000, 0}}, 0.0},
   };
-  lay::WrenOptions opts;
-  opts.noiseAvoidWeight = 50.0;
-  const auto r = lay::wrenGlobalRoute(g, nets, opts);
+  const auto r = lay::wrenGlobalRoute(g, nets, 50.0);
   ASSERT_TRUE(r.routed.at("sig"));
   EXPECT_DOUBLE_EQ(r.couplingRaw.at("sig"), 0.0);  // fully avoided
 }
@@ -323,12 +321,8 @@ TEST(LayerGoldens, WrenGlobalRoutes) {
   };
   EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, rows)), "0x8bc6024b9eec092f");
   EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared)), "0x079f58c74606b7e3");
-  lay::WrenOptions blind;
-  blind.noiseAvoidWeight = 0.0;
-  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, blind)), "0x36fc8f9f7db785c7");
-  lay::WrenOptions avoid;
-  avoid.noiseAvoidWeight = 50.0;
-  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, avoid)), "0x079f58c74606b7e3");
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, 0.0)), "0x36fc8f9f7db785c7");
+  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, 50.0)), "0x079f58c74606b7e3");
 
   lay::ChannelGraph corridor;
   corridor.addNode({0, 0});

@@ -157,8 +157,6 @@ TEST(LayerGoldens, RailOnTheFig3Grid) {
             "0x89f6a2680cc2431a");
   pw::PowerGrid metalOnly(dataChannelSpec(), proc());
   pw::applyUniformWidth(metalOnly, 2e-6);
-  pw::RailOptions noDecap;
-  noDecap.maxDecapPerBlock = 0.0;
-  EXPECT_EQ(railDigest(pw::synthesizePowerGrid(metalOnly, {}, proc(), noDecap)),
+  EXPECT_EQ(railDigest(pw::synthesizePowerGrid(metalOnly, {}, proc(), 0.0)),
             "0x47ff4bb2148fc5de");
 }
