@@ -3,10 +3,13 @@
 // Specify an opamp -> pick a topology -> size it -> verify by simulation ->
 // lay it out -> extract parasitics -> verify again post-layout.  This is the
 // hierarchical performance-driven methodology of the paper's section 2.1,
-// driven through the high-level core API.
+// driven through the high-level core API.  The flow's JSON run report
+// (stage records, counters, span timings) goes to quickstart_run_report.json
+// in the working directory.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
 #include "core/flow.hpp"
@@ -28,6 +31,12 @@ int main() {
   core::FlowOptions opts;
   opts.loadCap = 5e-12;
   const auto result = core::synthesizeAmplifier(specs, proc, opts);
+  std::ofstream report("quickstart_run_report.json");
+  report << core::flowRunReportJson(result);
+  if (!report.flush()) {
+    std::cerr << "cannot write quickstart_run_report.json\n";
+    return 1;
+  }
 
   if (!result.success) {
     std::cout << "synthesis failed: " << result.failureReason << "\n";

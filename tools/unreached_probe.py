@@ -27,13 +27,24 @@ Exits non-zero when a build, a bench, an example or a workload fails.
 
 --options needs no build and no WORKDIR.  For every field of every
 `*Options` / `*Config` struct under src/, it lists the files that assign the
-field (`x.field = ...`, `x.field.y = ...`, `x->field += ...`, designated
-initializers, `x.field.push_back(...)`), grouped by src/tests/bench/examples/
-perfbench, and ends with the fields that only tests/ assigns, then those that
-nothing assigns.  It matches by field name: a name that several of these
-structs share (marked `*`), or that any other struct's member also carries,
-lists the files of all of them, and positional aggregate initialization is
-not seen.
+field (`x.field = ...`, `x.field.y = ...`, `x->field += ...`,
+`x.field.push_back(...)`), grouped by src/tests/bench/examples/perfbench,
+and ends with the fields that only tests/ assigns, then those that nothing
+assigns.  A match counts for a struct only when its receiver's declared type
+in that file is the struct: the receiver may be a local, a parameter, a
+member (declared in the file or its header), an `auto` copy of one of
+those, an element of a vector/array/map, or a path through fields whose
+declared types lead to the struct.  So a name that several structs share
+(marked `*`) counts only for the struct it belongs to.  A receiver it cannot
+type is listed under its own heading and not counted as an assignment.
+Positional aggregate initialization and designated initializers are not
+seen.
+
+    python3 tools/unreached_probe.py --options --check
+
+exits 1 when a field outside KEPT_DEFAULTS (the defaults kept on purpose,
+each with its reason) is assigned nowhere, or when a KEPT_DEFAULTS entry is
+assigned somewhere or gone.  CI runs it.
 """
 import argparse
 import os
@@ -139,8 +150,32 @@ def strip_comments(text):
     return re.sub(r"//[^\n]*", "", text)
 
 
+# A template argument list, nested up to three deep.
+TEMPLATE = r"<[^<>]*(?:<[^<>]*(?:<[^<>]*>[^<>]*)*>[^<>]*)*>"
+# Words that can precede a name without being its type.
+NOT_TYPES = {"return", "else", "case", "new", "delete", "throw", "typename", "using",
+             "goto", "co_return", "sizeof", "operator", "struct", "class", "const",
+             "if", "while", "for", "switch", "do", "and", "or", "not", "static_cast"}
+ELEMENT_OF = {"vector": 0, "array": 0, "deque": 0, "span": 0, "initializer_list": 0,
+              "map": 1, "unordered_map": 1}
+POINTEE_OF = {"unique_ptr", "shared_ptr", "weak_ptr", "optional"}
+# A receiver: `opts`, `cases[0].opts`, `o.synthesis.anneal`, `p->grid`.
+STEP = r"\w+(?:\s*\[[^\[\]]*\])*"
+RECEIVER = re.compile(STEP + r"(?:\s*(?:\.|->)\s*" + STEP + r")*")
+# Fields that no caller assigns, on purpose.  --check fails on any other
+# field that nothing assigns, and on an entry here that something does.
+KEPT_DEFAULTS = {
+    **{f"PulseDetectorConfig::{f}": "describes the detector being designed (the problem "
+       "statement, like a SpecSet), not a tuning knob"
+       for f in ("detectorCap", "leakageCurrent", "shaperStages", "stageLoadCap",
+                 "shaperStageGain", "csaLoadCap")},
+    "YieldOptions::space": "the variation box of the yield estimate; worstCaseCorners "
+                           "takes the same box as an argument",
+}
+
+
 def struct_fields(body):
-    """Data member names declared at the top level of a struct body."""
+    """(type, name) of each data member declared at the top level of a struct body."""
     statements, depth, cur = [], 0, ""
     for ch in body:
         if ch == "{":
@@ -155,6 +190,7 @@ def struct_fields(body):
     fields = []
     for st in statements:
         st = " ".join(st.split())
+        st = re.sub(r"^(public|private|protected)\s*:\s*", "", st)
         if not st or re.match(r"(static|using|friend|enum|struct|class|typedef)\b", st):
             continue
         angle = 0
@@ -163,47 +199,160 @@ def struct_fields(body):
             if angle == 0 and ch in "={":
                 st = st[:i]
                 break
-        if "(" in re.sub(r"<[^<>]*(<[^<>]*>[^<>]*)*>", "", st):
+        if "(" in re.sub(TEMPLATE, "", st):
             continue  # a member function or constructor
         m = re.search(r"(\w+)\s*(\[[^\]]*\])?\s*$", st)
         if m:
-            fields.append(m.group(1))
+            fields.append((re.sub(r"^mutable\s+", "", st[:m.start()].strip()), m.group(1)))
     return fields
+
+
+def structs_in(text):
+    """(name, fields) for every struct or class defined in a source text."""
+    for m in re.finditer(r"\b(?:struct|class)\s+(\w+)\b[^;{()]*\{", text):
+        if text[:m.start()].rstrip().endswith("enum"):
+            continue
+        depth, i = 1, m.end()
+        while depth and i < len(text):
+            depth += (text[i] == "{") - (text[i] == "}")
+            i += 1
+        yield m.group(1), struct_fields(text[m.end():i - 1])
+
+
+def type_parts(t):
+    """(base name, top-level template arguments) of a declared type."""
+    t = re.sub(r"\b(const|volatile|mutable|static|inline|constexpr)\b|[&*]", " ", t).strip()
+    lt = t.find("<")
+    head, args = (t, []) if lt < 0 else (t[:lt], [])
+    if lt >= 0:
+        depth, cur = 0, ""
+        for ch in t[lt + 1:t.rfind(">")]:
+            depth += (ch == "<") - (ch == ">")
+            if ch == "," and depth == 0:
+                args.append(cur)
+                cur = ""
+            else:
+                cur += ch
+        args.append(cur)
+    return re.split(r"\s*::\s*", head.strip())[-1], args
+
+
+class Resolver:
+    """Finds the declared type of an assignment's receiver in one file."""
+
+    def __init__(self, sources):
+        self.sources = sources
+        self.fields = {}  # struct name -> {field name: declared type}
+        for text in sources.values():
+            for name, members in structs_in(text):
+                self.fields.setdefault(name, {}).update({f: t for t, f in members})
+        self.decls = {}
+
+    def declarations(self, path, name):
+        """(position, type, initializer) of every declaration of `name` in a file."""
+        key = (path, name)
+        if key not in self.decls:
+            text = self.sources[path]
+            # `T name`, `const T& name`, and later names of a list `T a, name`.
+            pat = re.compile(r"(?<![\w.>:])((?:\w+\s*::\s*)*\w+(?:\s*" + TEMPLATE + r")?)"
+                             r"(?:\s+const)?\s*[&*]*\s*(?:\b\w+\s*,\s*)*\b" + name +
+                             r"\s*(?=[;=,)\[{(:])")
+            found = []
+            for m in pat.finditer(text):
+                if m.group(1) in NOT_TYPES or m.group(1) == name:
+                    continue
+                init = re.match(r"\s*=\s*([^;]*);", text[m.end():])
+                found.append((m.start(), m.group(1), init.group(1) if init else ""))
+            self.decls[key] = found
+        return self.decls[key]
+
+    def root_type(self, path, name, pos, depth):
+        """The type of the variable `name` used at `pos`: the nearest declaration
+        before it, else the first after it (a member), else one in the header."""
+        candidates = [(path, pos)]
+        header = path.with_suffix(".hpp")
+        if path.suffix == ".cpp" and header in self.sources:
+            candidates.append((header, 0))
+        for where, at in candidates:
+            decls = self.declarations(where, name)
+            before = [d for d in decls if d[0] < at]
+            chosen = before[-1] if before else (decls[0] if decls else None)
+            if chosen is None:
+                continue
+            declared, init = chosen[1], chosen[2]
+            if type_parts(declared)[0] != "auto":
+                return declared
+            m = re.fullmatch(r"\s*((?:\w+\s*::\s*)*\w+)\s*(?:\{.*\}|\(.*\))\s*", init, re.S)
+            if m:
+                return m.group(1)
+            return self.path_type(where, init.strip(), chosen[0], depth + 1)
+        return None
+
+    def path_type(self, path, receiver, pos, depth=0):
+        """Base type name of a receiver such as `opts`, `cases[0].opts` or
+        `o.synthesis.anneal`, or None when it cannot be resolved."""
+        if depth > 4 or not RECEIVER.fullmatch(receiver):
+            return None
+        steps = re.findall(r"(\.|->|^)\s*(\w+)((?:\s*\[[^\[\]]*\])*)", receiver)
+        declared = None
+        for sep, name, index in steps:
+            if declared is None:
+                declared = self.root_type(path, name, pos, depth)
+            else:
+                base, args = type_parts(declared)
+                if sep == "->" and base in POINTEE_OF and args:
+                    base, args = type_parts(args[0])
+                declared = self.fields.get(base, {}).get(name)
+            if declared is None:
+                return None
+            for _ in re.findall(r"\[", index):
+                base, args = type_parts(declared)
+                if base in ELEMENT_OF and len(args) > ELEMENT_OF[base]:
+                    declared = args[ELEMENT_OF[base]]
+        base, args = type_parts(declared)
+        return base
 
 
 def option_structs():
     """(struct, field, defining file) for every *Options/*Config struct."""
     out = []
     for path in sorted((ROOT / "src").rglob("*.[hc]pp")):
-        text = strip_comments(path.read_text())
-        for m in re.finditer(r"\b(?:struct|class)\s+(\w+(?:Options|Config))\b[^;{()]*\{", text):
-            depth, i = 1, m.end()
-            while depth and i < len(text):
-                depth += (text[i] == "{") - (text[i] == "}")
-                i += 1
-            for field in struct_fields(text[m.end():i - 1]):
-                out.append((m.group(1), field, path.relative_to(ROOT)))
+        for name, members in structs_in(strip_comments(path.read_text())):
+            if name.endswith(("Options", "Config")):
+                out.extend((name, field, path.relative_to(ROOT)) for _, field in members)
     return out
 
 
-def option_pass():
+def option_pass(check):
     """Print who assigns each option field, by area; see --options."""
     fields = option_structs()
     sources = {}
     for area in AREAS:
         for path in sorted((ROOT / area).rglob("*.[hc]pp")):
             sources[path.relative_to(ROOT)] = strip_comments(path.read_text())
+    resolver = Resolver(sources)
     names = [f for _, f, _ in fields]
-    only_tests, nowhere = [], []
+    only_tests, nowhere, unresolved = [], [], []
     for struct, field, home in fields:
         assign = re.compile(r"(\.|->)\s*" + field + r"\b(\s*\[[^\]]*\])?"
                             r"(\s*(\.|->)\s*\w+)*\s*([-+*/|&]?=(?!=)|"
                             r"\.\s*(push_back|emplace_back|insert|emplace|assign)\s*\()")
         hits = {area: [] for area in AREAS}
-        for path, text in sources.items():
-            if assign.search(text):
-                hits[path.parts[0]].append(str(path))
         label = f"{struct}::{field}" + ("*" if names.count(field) > 1 else "")
+        for path, text in sources.items():
+            assigned = False
+            for m in assign.finditer(text):
+                before = re.search("(" + RECEIVER.pattern + r")\s*$",
+                                   text[max(0, m.start() - 200):m.start()])
+                receiver = before.group(1) if before else ""
+                found = resolver.path_type(path, receiver, m.start()) if receiver else None
+                if found == struct:
+                    assigned = True
+                elif found is None:
+                    line = text.count("\n", 0, m.start()) + 1
+                    unresolved.append(f"{label}  {path}:{line}  `{receiver or '?'}`")
+            if assigned:
+                hits[path.parts[0]].append(str(path))
         print(f"{label}  ({home})")
         for area in AREAS:
             if hits[area]:
@@ -215,9 +364,25 @@ def option_pass():
     print(f"\nassigned only under tests/ ({len(only_tests)} of {len(fields)} fields):")
     for label in only_tests:
         print(f"    {label}")
+    print(f"receiver type unresolved, not counted as assigned ({len(unresolved)}):")
+    for hit in unresolved:
+        print(f"    {hit}")
     print(f"assigned nowhere ({len(nowhere)}):")
     for label in nowhere:
-        print(f"    {label}")
+        print(f"    {label}" + (f"  (kept: {KEPT_DEFAULTS[label.rstrip('*')]})"
+                                if label.rstrip("*") in KEPT_DEFAULTS else ""))
+    if not check:
+        return 0
+    bare = {label.rstrip("*") for label in nowhere}
+    unkept = sorted(bare - KEPT_DEFAULTS.keys())
+    stale = sorted(KEPT_DEFAULTS.keys() - bare)
+    for label in unkept:
+        print(f"unreached_probe.py: {label} is assigned nowhere: make it a constant, "
+              f"or keep it in KEPT_DEFAULTS with a reason", file=sys.stderr)
+    for label in stale:
+        print(f"unreached_probe.py: KEPT_DEFAULTS lists {label}, which is assigned "
+              f"somewhere or gone: drop the entry", file=sys.stderr)
+    return 1 if unkept or stale else 0
 
 
 def main():
@@ -228,10 +393,14 @@ def main():
     ap.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     ap.add_argument("--options", action="store_true",
                     help="list who assigns each option field (no build)")
+    ap.add_argument("--check", action="store_true",
+                    help="with --options: exit 1 when a field outside KEPT_DEFAULTS "
+                         "is assigned nowhere")
     args = ap.parse_args()
+    if args.check and not args.options:
+        ap.error("--check needs --options")
     if args.options:
-        option_pass()
-        return 0
+        return option_pass(args.check)
     if args.workdir is None:
         ap.error("WORKDIR is required unless --options is given")
     work = args.workdir.resolve()
