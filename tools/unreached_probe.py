@@ -223,7 +223,7 @@ def type_parts(t):
     """(base name, top-level template arguments) of a declared type."""
     t = re.sub(r"\b(const|volatile|mutable|static|inline|constexpr)\b|[&*]", " ", t).strip()
     lt = t.find("<")
-    head, args = (t, []) if lt < 0 else (t[:lt], [])
+    head, args = (t if lt < 0 else t[:lt]), []
     if lt >= 0:
         depth, cur = 0, ""
         for ch in t[lt + 1:t.rfind(">")]:
@@ -309,8 +309,7 @@ class Resolver:
                 base, args = type_parts(declared)
                 if base in ELEMENT_OF and len(args) > ELEMENT_OF[base]:
                     declared = args[ELEMENT_OF[base]]
-        base, args = type_parts(declared)
-        return base
+        return type_parts(declared)[0]
 
 
 def option_structs():
