@@ -305,10 +305,9 @@ TEST(LayerGoldens, SlicingAndWrightFloorplans) {
   EXPECT_EQ(wright(noisy), "0xeaff104336fa796c");
 }
 
-// Raw WREN bits: the ladder with separate and with shared endpoints (the
-// latter at the default, no and strong noise avoidance), the single
-// corridor the constraint mapper must fix, and the channel graph of the
-// slicing floorplan.
+// Raw WREN bits: the ladder with separate and with shared endpoints, the
+// single corridor the constraint mapper must fix, and the channel graph of
+// the slicing floorplan.
 TEST(LayerGoldens, WrenGlobalRoutes) {
   const auto ladder = ladderGraph();
   const std::vector<lay::GlobalNet> rows = {
@@ -321,8 +320,6 @@ TEST(LayerGoldens, WrenGlobalRoutes) {
   };
   EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, rows)), "0x8bc6024b9eec092f");
   EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared)), "0x079f58c74606b7e3");
-  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, 0.0)), "0x36fc8f9f7db785c7");
-  EXPECT_EQ(wrenDigest(lay::wrenGlobalRoute(ladder, shared, 50.0)), "0x079f58c74606b7e3");
 
   lay::ChannelGraph corridor;
   corridor.addNode({0, 0});
