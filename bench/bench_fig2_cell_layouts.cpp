@@ -8,8 +8,8 @@
 // with/without stacking/folding, the procedural strategy of ref [32]) and
 // two KOAN/ANAGRAM-style automatic runs (annealed placement + maze routing,
 // different seeds) — and compared on the quantitative axes a layout
-// photograph encodes: area, wirelength, routing completion, crosstalk
-// exposure, and diffusion merging.
+// photograph encodes: area, wirelength, routing completion and diffusion
+// merging.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -58,16 +58,14 @@ void printFigure2() {
   runs.push_back(runLayout("manual-3 (row, stacked)", false, true, 2));
   runs.push_back(runLayout("manual-4 (row, flat)", false, false, 2));
 
-  core::Table t({"layout", "area (klambda^2)", "wire (lambda)", "routed", "stacked",
-                 "crosstalk (lambda)"});
+  core::Table t({"layout", "area (klambda^2)", "wire (lambda)", "routed", "stacked"});
   double manualArea = 0, autoArea = 0, manualWire = 0, autoWire = 0;
   std::size_t nManual = 0, nAuto = 0;
   for (const auto& r : runs) {
     t.addRow({r.name, core::Table::num(r.result.areaLambda2 / 1e3),
               core::Table::num(r.result.wirelengthLambda),
               r.result.routing.allRouted ? "yes" : "NO",
-              std::to_string(r.result.stackedDevices),
-              core::Table::num(r.result.routing.crosstalkExposureLambda)});
+              std::to_string(r.result.stackedDevices)});
     if (r.automatic) {
       autoArea += r.result.areaLambda2;
       autoWire += r.result.wirelengthLambda;

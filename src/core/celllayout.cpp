@@ -150,15 +150,11 @@ CellLayoutResult layoutCellGeometry(const circuit::Netlist& net,
     std::map<std::string, std::size_t> pinCount;
     for (const auto& inst : result.placement.instances)
       for (const auto& pin : inst.transformedPins()) ++pinCount[pin.name];
-    std::vector<layout::RouteNet> routeNets;
-    for (const auto& [name, count] : pinCount) {
-      if (count < 2 || name.empty()) continue;
-      layout::RouteNet rn;
-      rn.name = name;
-      routeNets.push_back(rn);
-    }
+    std::vector<std::string> routeNets;
+    for (const auto& [name, count] : pinCount)
+      if (count >= 2 && !name.empty()) routeNets.push_back(name);
 
-    result.routing = layout::routeCells(result.placement.instances, routeNets, proc);
+    result.routing = layout::routeCells(result.placement.instances, routeNets);
     result.layout = result.routing.layout;
     return result.placement.overlapFree && result.routing.allRouted;
   };

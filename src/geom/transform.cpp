@@ -73,6 +73,4 @@ Rect mirrorX(const Rect& r, Coord axisX) {
   return {2 * axisX - r.x1, r.y0, 2 * axisX - r.x0, r.y1};
 }
 
-Point mirrorX(Point p, Coord axisX) { return {2 * axisX - p.x, p.y}; }
-
 }  // namespace amsyn::geom

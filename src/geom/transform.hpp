@@ -41,6 +41,5 @@ struct Transform {
 
 /// Mirror-about-vertical-axis x = axisX, used for symmetric pair placement.
 Rect mirrorX(const Rect& r, Coord axisX);
-Point mirrorX(Point p, Coord axisX);
 
 }  // namespace amsyn::geom

@@ -25,6 +25,20 @@ constexpr int kLayers = 3;  // 0 = poly, 1 = metal1, 2 = metal2
 constexpr int kFree = -1;
 constexpr int kBlocked = -2;
 
+constexpr Coord kPitch = 24;           // routing grid pitch (6 lambda)
+constexpr Coord kWireWidth = 12;       // drawn wire width (3 lambda)
+constexpr Coord kMargin = 72;          // routing halo around the placement
+constexpr int kStepCost = 2;           // one planar grid step
+constexpr int kViaCost = 4;
+constexpr int kOverDevicePenalty = 3;  // metal2 above device area
+constexpr int kPolyPenalty = 6;        // poly is resistive: discourage long runs
+constexpr std::size_t kMaxPasses = 3;  // rip-up-and-retry rounds
+// Every step costs at least kStepCost: the heuristic's per-step rate.  That
+// keeps the heuristic consistent, and since no step is free, a tie never
+// links two equal-distance nodes into a parent cycle.
+static_assert(kStepCost > 0 && kViaCost >= kStepCost && kOverDevicePenalty >= 0 &&
+              kPolyPenalty >= 0);
+
 Layer layerOf(int l) {
   switch (l) {
     case 0: return Layer::Poly;
@@ -128,21 +142,7 @@ class NodeSet {
 }  // namespace
 
 RouteResult routeCells(const std::vector<CellInstance>& placed,
-                       const std::vector<RouteNet>& nets, const circuit::Process& proc,
-                       const RouterOptions& opts) {
-  auto require = [](bool ok, const char* field) {
-    if (!ok)
-      throw std::invalid_argument(std::string("routeCells: invalid RouterOptions::") + field);
-  };
-  require(opts.pitch > 0, "pitch");
-  require(opts.wireWidth > 0, "wireWidth");
-  require(opts.margin >= 0, "margin");
-  require(opts.viaCost >= 0, "viaCost");
-  require(opts.overDevicePenalty >= 0, "overDevicePenalty");
-  require(opts.crosstalkPenalty >= 0, "crosstalkPenalty");
-  require(opts.polyPenalty >= 0, "polyPenalty");
-  require(opts.maxPasses > 0, "maxPasses");
-
+                       const std::vector<std::string>& nets) {
   AMSYN_SPAN("routing");
   std::uint64_t expansions = 0;  // maze-search node visits, all nets/passes
   RouteResult result;
@@ -150,13 +150,12 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
 
   Rect area;
   for (const auto& inst : placed) area = area.unionWith(inst.boundingBox());
-  area = area.inflated(opts.margin);
+  area = area.inflated(kMargin);
 
   std::map<std::string, int> netIndex;
   for (std::size_t i = 0; i < nets.size(); ++i)
-    if (!netIndex.emplace(nets[i].name, static_cast<int>(i)).second)
-      throw std::invalid_argument("routeCells: net " + nets[i].name + " listed twice");
-  auto classOf = [&](int idx) { return nets[static_cast<std::size_t>(idx)].wireClass; };
+    if (!netIndex.emplace(nets[i], static_cast<int>(i)).second)
+      throw std::invalid_argument("routeCells: net " + nets[i] + " listed twice");
 
   // --- collect pins per net ---
   std::vector<std::vector<geom::Pin>> pinsOf(nets.size());
@@ -166,10 +165,10 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
         pinsOf[static_cast<std::size_t>(it->second)].push_back(std::move(pin));
 
   // --- the pass-invariant grid: blocked device geometry, then pin nodes ---
-  Grid grid(area, opts.pitch);
+  Grid grid(area, kPitch);
   for (const auto& inst : placed) {
     for (const auto& shape : inst.transformedShapes()) {
-      const Rect grown = shape.rect.inflated(opts.wireWidth / 2 + 2);
+      const Rect grown = shape.rect.inflated(kWireWidth / 2 + 2);
       const auto block = [&](int n) { grid.owner(n) = kBlocked; };
       switch (shape.layer) {
         case Layer::Poly:
@@ -214,13 +213,11 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
   }
   const std::vector<int> initialOwners = grid.owners();
 
-  const Coord axisX = area.center().x;  // symmetry axis for mirrored nets
-
   // Search state, allocated once and epoch-stamped per search.
   const std::size_t gridSize = grid.size();
   std::vector<int> dist(gridSize), parent(gridSize);
   NodeSet reached(gridSize), target(gridSize), joined(gridSize), cloud(gridSize);
-  std::vector<int> joinedNodes, mirrored, previousOwner, cloudNodes;
+  std::vector<int> joinedNodes, cloudNodes;
   using QE = std::pair<int, int>;  // (distance + heuristic, node index)
   std::vector<QE> heap;
   const int ny = grid.ny(), nx = grid.nx(), plane = grid.plane();
@@ -229,24 +226,17 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
   std::vector<std::size_t> order(nets.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<std::vector<int>> pathOf(nets.size());  // final node list per net
-  std::vector<char> hasPath(nets.size()), symRealized(nets.size());
+  std::vector<char> hasPath(nets.size());
 
-  for (std::size_t pass = 0; pass < opts.maxPasses; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     std::fill(hasPath.begin(), hasPath.end(), 0);
-    std::fill(symRealized.begin(), symRealized.end(), 0);
     grid.resetOwners(initialOwners);
 
     // --- maze-route one net: an A* search from its connected tree to each
     // further pin in turn, claiming every path it finds ---
     auto routeNet = [&](std::size_t netIdx) -> bool {
-      const RouteNet& rn = nets[netIdx];
       const auto& slots = slotsOf[netIdx];
       const int me = static_cast<int>(netIdx);
-      // Only a noisy or sensitive net can sit next to an incompatible one.
-      const bool crosstalk = rn.wireClass != WireClass::Quiet;
-      // ROAD mode: capacitance-bounded nets pay extra per unit length,
-      // biasing them toward short, low-parasitic paths.
-      const int lengthCost = rn.capBound > 0.0 ? 2 : 0;
       auto& path = pathOf[netIdx];
       path.clear();
 
@@ -260,9 +250,9 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
       for (const int n : slots[0]) join(n);
 
       for (std::size_t t = 1; t < slots.size(); ++t) {
-        // The heuristic: the cheapest planar step times the Manhattan
-        // distance to the target slot's bounding box.  A planar step costs
-        // at least 2 + lengthCost and a via step at least 0, so it never
+        // The heuristic: the planar step cost times the Manhattan distance
+        // to the target slot's bounding box.  A planar step costs at least
+        // kStepCost and a via step does not move it, so it never
         // overestimates and never drops by more than a step costs.
         int bx0 = nx, bx1 = -1, by0 = ny, by1 = -1;
         reached.clear();
@@ -273,10 +263,9 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
           bx0 = std::min(bx0, c.x), bx1 = std::max(bx1, c.x);
           by0 = std::min(by0, c.y), by1 = std::max(by1, c.y);
         }
-        const int minStep = 2 + lengthCost;
         auto h = [&](const Node& c) {
-          return minStep * (std::max({0, bx0 - c.x, c.x - bx1}) +
-                            std::max({0, by0 - c.y, c.y - by1}));
+          return kStepCost * (std::max({0, bx0 - c.x, c.x - bx1}) +
+                              std::max({0, by0 - c.y, c.y - by1}));
         };
         heap.clear();
         for (const int s : joinedNodes) {
@@ -290,23 +279,9 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
         auto relax = [&](int d, int n, int m, bool sameLayer, const Node& mn) {
           const int own = grid.owner(m);
           if (own == kBlocked || (own >= 0 && own != me)) return;
-          int step = sameLayer ? 2 : opts.viaCost;
-          if (mn.layer == 0) step += opts.polyPenalty;
-          if (mn.layer == 2 && grid.overDevice(m)) step += opts.overDevicePenalty;
-          // Crosstalk: entering a node whose planar neighbors carry an
-          // incompatible net.
-          if (crosstalk) {
-            auto adjacent = [&](int a) {
-              const int other = grid.owner(a);
-              if (other >= 0 && other != me && incompatible(classOf(other), rn.wireClass))
-                step += opts.crosstalkPenalty;
-            };
-            if (mn.x + 1 < nx) adjacent(m + ny);
-            if (mn.x > 0) adjacent(m - ny);
-            if (mn.y + 1 < ny) adjacent(m + 1);
-            if (mn.y > 0) adjacent(m - 1);
-          }
-          step += lengthCost;
+          int step = sameLayer ? kStepCost : kViaCost;
+          if (mn.layer == 0) step += kPolyPenalty;
+          if (mn.layer == 2 && grid.overDevice(m)) step += kOverDevicePenalty;
           const int nd = d + step;
           const auto mi = static_cast<std::size_t>(m);
           if (!reached.contains(m) || nd < dist[mi]) {
@@ -315,10 +290,9 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
             parent[mi] = n;
             heap.push_back({nd + h(mn), m});
             std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-          } else if (nd == dist[mi] && step > 0) {
+          } else if (nd == dist[mi]) {
             // A tie: keep the predecessor a (distance, index) Dijkstra
-            // would have settled first.  A zero-cost step never ties in,
-            // so the parent links stay acyclic.
+            // would have settled first.
             const int p = parent[mi];
             if (std::pair{d, n} < std::pair{dist[static_cast<std::size_t>(p)], p}) parent[mi] = n;
           }
@@ -365,65 +339,20 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
       return true;
     };
 
-    // Try mirroring a symmetric net from its already-routed peer.  A mirror
-    // that misses one of the net's pins hands every node back to its
-    // previous owner, so the grid is exactly as it was before the attempt.
-    auto mirrorNet = [&](std::size_t netIdx) -> bool {
-      const RouteNet& rn = nets[netIdx];
-      const auto peer = netIndex.find(*rn.symmetricPeer);
-      if (peer == netIndex.end() || !hasPath[static_cast<std::size_t>(peer->second)])
-        return false;
-      const int me = static_cast<int>(netIdx);
-
-      mirrored.clear();
-      for (const int n : pathOf[static_cast<std::size_t>(peer->second)]) {
-        const Node pn = grid.node(n);
-        const int m = grid.nearest(pn.layer, geom::mirrorX(grid.world(pn), axisX));
-        const int own = grid.owner(m);
-        if (own == kBlocked || (own >= 0 && own != me)) return false;
-        mirrored.push_back(m);
-      }
-      previousOwner.clear();
-      cloud.clear();
-      for (const int m : mirrored) {
-        previousOwner.push_back(grid.owner(m));
-        grid.owner(m) = me;
-        cloud.insert(m);
-      }
-      // The mirrored cloud must touch all of this net's pins.
-      for (const auto& slot : slotsOf[netIdx]) {
-        if (std::any_of(slot.begin(), slot.end(), [&](int n) { return cloud.contains(n); }))
-          continue;
-        // In reverse, so a node mirrored twice gets its first owner back.
-        for (std::size_t k = mirrored.size(); k-- > 0;)
-          grid.owner(mirrored[k]) = previousOwner[k];
-        return false;
-      }
-      pathOf[netIdx] = mirrored;
-      hasPath[netIdx] = 1;
-      return true;
-    };
-
     std::vector<std::size_t> failed;
-    for (const std::size_t netIdx : order) {
-      if (!routable[netIdx]) continue;
-      const bool mirroredOk = nets[netIdx].symmetricPeer && mirrorNet(netIdx);
-      symRealized[netIdx] = mirroredOk;
-      if (!mirroredOk && !routeNet(netIdx)) failed.push_back(netIdx);
-    }
+    for (const std::size_t netIdx : order)
+      if (routable[netIdx] && !routeNet(netIdx)) failed.push_back(netIdx);
 
-    if (failed.empty() || pass + 1 == opts.maxPasses) {
+    if (failed.empty() || pass + 1 == kMaxPasses) {
       // --- emit geometry and reports from this pass ---
       result.nets.clear();
       result.layout.wires.clear();
-      double exposure = 0.0;
-      const Coord h = opts.wireWidth / 2;
+      const Coord h = kWireWidth / 2;
 
       for (std::size_t i = 0; i < nets.size(); ++i) {
-        const RouteNet& rn = nets[i];
+        const std::string& name = nets[i];
         NetReport rep;
         rep.routed = hasPath[i];
-        rep.symmetricRealized = symRealized[i];
         if (hasPath[i]) {
           // The net's distinct nodes in index order.
           cloudNodes = pathOf[i];
@@ -436,21 +365,21 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
             const geom::Point w = grid.world(c);
             // Pad at the node plus segments toward +x/+y cloud neighbors.
             result.layout.wires.push_back(
-                Shape{layerOf(c.layer), {w.x - h, w.y - h, w.x + h, w.y + h}, rn.name});
+                Shape{layerOf(c.layer), {w.x - h, w.y - h, w.x + h, w.y + h}, name});
             if (c.x + 1 < nx && cloud.contains(n + ny))
               result.layout.wires.push_back(
                   Shape{layerOf(c.layer),
-                        {w.x - h, w.y - h, w.x + opts.pitch + h, w.y + h}, rn.name});
+                        {w.x - h, w.y - h, w.x + kPitch + h, w.y + h}, name});
             if (c.y + 1 < ny && cloud.contains(n + 1))
               result.layout.wires.push_back(
                   Shape{layerOf(c.layer),
-                        {w.x - h, w.y - h, w.x + h, w.y + opts.pitch + h}, rn.name});
+                        {w.x - h, w.y - h, w.x + h, w.y + kPitch + h}, name});
             // Vias: node present on the next layer up at the same (x, y).
             if (c.layer + 1 < kLayers && cloud.contains(n + plane)) {
               ++rep.vias;
               result.layout.wires.push_back(
                   Shape{c.layer == 0 ? Layer::Contact : Layer::Via,
-                        {w.x - h, w.y - h, w.x + h, w.y + h}, rn.name});
+                        {w.x - h, w.y - h, w.x + h, w.y + h}, name});
             }
           }
           // Straps from each physical pin to its grid entry node (pins can
@@ -462,42 +391,18 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
             result.layout.wires.push_back(
                 Shape{physical[pi].layer,
                       {std::min(w.x, pc.x) - h, pc.y - h, std::max(w.x, pc.x) + h, pc.y + h},
-                      rn.name});
+                      name});
             result.layout.wires.push_back(
                 Shape{physical[pi].layer,
                       {w.x - h, std::min(w.y, pc.y) - h, w.x + h, std::max(w.y, pc.y) + h},
-                      rn.name});
+                      name});
           }
           rep.lengthLambda =
-              static_cast<double>(cloudNodes.size()) * static_cast<double>(opts.pitch) / 4.0;
-          // Ground-cap estimate: area + fringe of the drawn wire.
-          const double lenM = rep.lengthLambda * proc.lambda;
-          const double wM = static_cast<double>(opts.wireWidth) / 4.0 * proc.lambda;
-          rep.estimatedCap = lenM * wM * proc.caMetal1 + 2.0 * lenM * proc.cfMetal1;
-          rep.capBoundMet = rn.capBound <= 0.0 || rep.estimatedCap <= rn.capBound;
+              static_cast<double>(cloudNodes.size()) * static_cast<double>(kPitch) / 4.0;
           result.totalLengthLambda += rep.lengthLambda;
-
-          // Crosstalk exposure against previously-reported nets (a quiet
-          // net is compatible with every class, so it has none).
-          if (rn.wireClass != WireClass::Quiet) {
-            for (const int n : cloudNodes) {
-              const Node c = grid.node(n);
-              auto adjacent = [&](int a) {
-                const int other = grid.owner(a);
-                if (other >= 0 && other != static_cast<int>(i) &&
-                    incompatible(classOf(other), rn.wireClass))
-                  exposure += static_cast<double>(opts.pitch) / 4.0 / 2.0;  // half per side
-              };
-              if (c.x + 1 < nx) adjacent(n + ny);
-              if (c.x > 0) adjacent(n - ny);
-              if (c.y + 1 < ny) adjacent(n + 1);
-              if (c.y > 0) adjacent(n - 1);
-            }
-          }
         }
-        result.nets[rn.name] = rep;
+        result.nets[name] = rep;
       }
-      result.crosstalkExposureLambda = exposure;
       result.allRouted = std::all_of(result.nets.begin(), result.nets.end(),
                                      [](const auto& kv) { return kv.second.routed; });
       // One registry touch per routing run: the maze loop itself only bumps
@@ -514,7 +419,7 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
       if (std::find(failed.begin(), failed.end(), i) == failed.end()) next.push_back(i);
     order = std::move(next);
   }
-  return result;  // unreachable: maxPasses > 0, and the last pass returns
+  return result;  // unreachable: kMaxPasses > 0, and the last pass returns
 }
 
 }  // namespace amsyn::layout

@@ -5,14 +5,24 @@
 // grounded shield insertion between noisy and sensitive wires.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "layout/cell/route.hpp"  // WireClass
-
 namespace amsyn::layout {
+
+/// Signal classes for crosstalk avoidance: noisy wires must keep away from
+/// sensitive ones (ANAGRAM II's compatibility classes [34-36], applied here
+/// at the chip level).
+enum class WireClass : std::uint8_t { Quiet, Noisy, Sensitive };
+
+/// Are two wire classes incompatible (must avoid adjacency)?
+constexpr bool incompatible(WireClass a, WireClass b) {
+  return (a == WireClass::Noisy && b == WireClass::Sensitive) ||
+         (a == WireClass::Sensitive && b == WireClass::Noisy);
+}
 
 /// One terminal entering the channel from the top or bottom edge at an
 /// integer column position.

@@ -15,6 +15,9 @@ using geom::Rect;
 
 namespace {
 constexpr double kCongestionWeight = 2.0;
+/// Extra cost a sensitive net pays per lambda of channel and per noisy net
+/// already routed through it.
+constexpr double kNoiseAvoidWeight = 4.0;
 /// Coupling contribution per lambda of shared channel at minimum
 /// separation (before mapper-assigned mitigation).
 constexpr double kCouplingPerLambda = 0.01;
@@ -88,8 +91,7 @@ ChannelGraph channelGraphFromFloorplan(const Floorplan& fp) {
   return g;
 }
 
-WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets,
-                           double noiseAvoidWeight) {
+WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets) {
   WrenResult result;
   const std::size_t nNodes = graph.nodes.size();
   const std::size_t nEdges = graph.edges.size();
@@ -147,12 +149,10 @@ WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNe
           cost *= 1.0 + kCongestionWeight * static_cast<double>(result.usageTracks[e]) /
                             std::max(1, edge.capacityTracks);
           if (net.wireClass == WireClass::Sensitive && !noisyOn[e].empty())
-            cost += noiseAvoidWeight * edge.lengthLambda *
+            cost += kNoiseAvoidWeight * edge.lengthLambda *
                     static_cast<double>(noisyOn[e].size());
-          if (net.wireClass == WireClass::Noisy) {
-            // Noisy nets symmetric avoidance of channels sensitive nets
-            // already use is handled by routing order (noisy first).
-          }
+          // Noisy nets pay nothing here: they route before every sensitive
+          // net, and the sensitive nets do the avoiding.
           if (dist[v] + cost < dist[u]) {
             dist[u] = dist[v] + cost;
             parentEdge[u] = e;

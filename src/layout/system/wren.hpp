@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "geom/rect.hpp"
-#include "layout/cell/route.hpp"      // WireClass
+#include "layout/system/channel.hpp"  // WireClass
 #include "layout/system/floorplan.hpp"
 
 namespace amsyn::layout {
@@ -63,10 +63,8 @@ struct WrenResult {
   std::vector<ChannelDirective> directives;
 };
 
-/// WREN global routing over the channel graph.  `noiseAvoidWeight` scales
-/// the extra cost a sensitive net pays per lambda of channel and per noisy
-/// net already routed through it.
-WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets,
-                           double noiseAvoidWeight = 4.0);
+/// WREN global routing over the channel graph.  A sensitive net pays extra
+/// per lambda of channel and per noisy net already routed through it.
+WrenResult wrenGlobalRoute(const ChannelGraph& graph, const std::vector<GlobalNet>& nets);
 
 }  // namespace amsyn::layout

@@ -340,8 +340,7 @@ TEST(Placer, WirelengthEstimateCountsSharedNets) {
 TEST(Router, RoutesSimpleNetAndConnectsIt) {
   const auto comps = diffPairComponents();
   const auto p = lay::rowPlacement(comps);
-  std::vector<lay::RouteNet> nets = {{"tail", lay::WireClass::Quiet, 0.0, std::nullopt}};
-  const auto r = lay::routeCells(p.instances, nets, proc());
+  const auto r = lay::routeCells(p.instances, {"tail"});
   ASSERT_TRUE(r.nets.at("tail").routed);
   EXPECT_TRUE(r.allRouted);
   EXPECT_GT(r.nets.at("tail").lengthLambda, 0.0);
@@ -351,46 +350,10 @@ TEST(Router, RoutesSimpleNetAndConnectsIt) {
 TEST(Router, RoutesMultipleNets) {
   const auto comps = diffPairComponents();
   const auto p = lay::rowPlacement(comps);
-  std::vector<lay::RouteNet> nets = {
-      {"tail", lay::WireClass::Quiet, 0.0, std::nullopt},
-      {"0", lay::WireClass::Quiet, 0.0, std::nullopt},
-  };
-  const auto r = lay::routeCells(p.instances, nets, proc());
+  const auto r = lay::routeCells(p.instances, {"tail", "0"});
   EXPECT_TRUE(r.allRouted);
   EXPECT_TRUE(netConnected(r.layout, "tail"));
   EXPECT_TRUE(netConnected(r.layout, "0"));
-}
-
-TEST(Router, CrosstalkPenaltySeparatesIncompatibleNets) {
-  // Two parallel two-pin nets, one noisy one sensitive: with the penalty on,
-  // exposure must be no worse than with it off.
-  const auto comps = diffPairComponents();
-  const auto p = lay::rowPlacement(comps);
-  std::vector<lay::RouteNet> nets = {
-      {"inp", lay::WireClass::Sensitive, 0.0, std::nullopt},
-      {"tail", lay::WireClass::Noisy, 0.0, std::nullopt},
-  };
-  lay::RouterOptions noPenalty;
-  noPenalty.crosstalkPenalty = 0;
-  lay::RouterOptions withPenalty;
-  withPenalty.crosstalkPenalty = 40;
-  const auto r0 = lay::routeCells(p.instances, nets, proc(), noPenalty);
-  const auto r1 = lay::routeCells(p.instances, nets, proc(), withPenalty);
-  // "inp" is a single-pin net here (only gates of M1), so use tail/inp as a
-  // smoke check: the run must succeed and exposure must not grow.
-  EXPECT_LE(r1.crosstalkExposureLambda, r0.crosstalkExposureLambda + 1e-9);
-}
-
-TEST(Router, CapBoundReported) {
-  const auto comps = diffPairComponents();
-  const auto p = lay::rowPlacement(comps);
-  std::vector<lay::RouteNet> nets = {
-      {"tail", lay::WireClass::Quiet, 1e-18, std::nullopt},  // absurd bound
-  };
-  const auto r = lay::routeCells(p.instances, nets, proc());
-  ASSERT_TRUE(r.nets.at("tail").routed);
-  EXPECT_FALSE(r.nets.at("tail").capBoundMet);  // bound impossible to meet
-  EXPECT_GT(r.nets.at("tail").estimatedCap, 1e-18);
 }
 
 namespace {
@@ -402,87 +365,18 @@ geom::CellMaster padMaster(const std::string& net, geom::Layer layer = geom::Lay
   return m;
 }
 
-lay::RouteNet quiet(const std::string& name) {
-  return {name, lay::WireClass::Quiet, 0.0, std::nullopt};
-}
-
 geom::CellInstance padAt(const geom::CellMaster& m, geom::Coord x, geom::Coord y) {
   return geom::CellInstance{m.name, &m, geom::Transform{geom::Orientation::R0, x, y}};
 }
 
-/// Net "a" runs up the left edge, its differential peer "b" up the right
-/// edge (mirror images about the placement's vertical axis when
-/// `bTopShift` is 0), and "c" runs across the right half.  The pad for the
-/// unlisted net "d" balances the bounding box so the axis sits midway
-/// between "a" and "b".
-struct MirrorFixture {
-  geom::CellMaster a = padMaster("a"), b = padMaster("b"), c = padMaster("c"),
-                   d = padMaster("d");
-  std::vector<geom::CellInstance> placed(geom::Coord bTopShift) const {
-    return {padAt(a, 0, 0),     padAt(a, 0, 480),
-            padAt(b, 480, 0),   padAt(b, 480 - bTopShift, 480),
-            padAt(c, 384, 240), padAt(c, 624, 240),
-            padAt(d, -144, 240)};
-  }
-  static std::vector<lay::RouteNet> nets(bool mirrorB) {
-    std::vector<lay::RouteNet> out = {quiet("a"), quiet("b"), quiet("c")};
-    if (mirrorB) out[1].symmetricPeer = "a";
-    return out;
-  }
-};
-
-void expectSameRouting(const lay::RouteResult& x, const lay::RouteResult& y) {
-  ASSERT_EQ(x.layout.wires.size(), y.layout.wires.size());
-  for (std::size_t i = 0; i < x.layout.wires.size(); ++i) {
-    EXPECT_EQ(x.layout.wires[i].layer, y.layout.wires[i].layer) << i;
-    EXPECT_EQ(x.layout.wires[i].rect, y.layout.wires[i].rect) << i;
-    EXPECT_EQ(x.layout.wires[i].net, y.layout.wires[i].net) << i;
-  }
-  ASSERT_EQ(x.nets.size(), y.nets.size());
-  for (const auto& [name, rep] : x.nets) {
-    const auto& other = y.nets.at(name);
-    EXPECT_EQ(rep.routed, other.routed) << name;
-    EXPECT_EQ(rep.lengthLambda, other.lengthLambda) << name;
-    EXPECT_EQ(rep.vias, other.vias) << name;
-    EXPECT_EQ(rep.symmetricRealized, other.symmetricRealized) << name;
-    EXPECT_EQ(rep.estimatedCap, other.estimatedCap) << name;
-    EXPECT_EQ(rep.capBoundMet, other.capBoundMet) << name;
-  }
-  EXPECT_EQ(x.allRouted, y.allRouted);
-  EXPECT_EQ(x.totalLengthLambda, y.totalLengthLambda);
-  EXPECT_EQ(x.crosstalkExposureLambda, y.crosstalkExposureLambda);
-}
 }  // namespace
-
-TEST(Router, SymmetricPeerIsMirrored) {
-  const MirrorFixture f;
-  const auto r = lay::routeCells(f.placed(0), MirrorFixture::nets(true), proc());
-  EXPECT_TRUE(r.allRouted);
-  EXPECT_TRUE(r.nets.at("b").symmetricRealized);
-  EXPECT_FALSE(r.nets.at("a").symmetricRealized);
-  EXPECT_EQ(r.nets.at("b").lengthLambda, r.nets.at("a").lengthLambda);
-  EXPECT_TRUE(netConnected(r.layout, "b"));
-}
-
-TEST(Router, FailedMirrorLeavesTheGridAsItFoundIt) {
-  // b's upper pad sits off a's mirror image, so the mirror misses it and b
-  // is maze-routed instead.  The attempt must leave no node claimed: c,
-  // routed after b across the mirrored column, routes as if b had no peer.
-  const MirrorFixture f;
-  const auto placed = f.placed(192);
-  const auto mirrored = lay::routeCells(placed, MirrorFixture::nets(true), proc());
-  const auto plain = lay::routeCells(placed, MirrorFixture::nets(false), proc());
-  EXPECT_FALSE(mirrored.nets.at("b").symmetricRealized);
-  EXPECT_TRUE(mirrored.allRouted);
-  expectSameRouting(mirrored, plain);
-}
 
 TEST(Router, NetWithPinsOffTheRoutingLayersIsUnroutable) {
   const auto diff = padMaster("n", geom::Layer::NDiff);
   const auto a = padMaster("a");
   const std::vector<geom::CellInstance> placed = {padAt(diff, 0, 0), padAt(diff, 240, 0),
                                                   padAt(a, 0, 240), padAt(a, 240, 240)};
-  const auto r = lay::routeCells(placed, {quiet("n"), quiet("a")}, proc());
+  const auto r = lay::routeCells(placed, {"n", "a"});
   EXPECT_FALSE(r.nets.at("n").routed);
   EXPECT_FALSE(r.allRouted);
   EXPECT_TRUE(r.nets.at("a").routed);
@@ -495,85 +389,18 @@ TEST(Router, SinglePinNetIsReportedUnroutedConsistently) {
   const auto a = padMaster("a");
   const std::vector<geom::CellInstance> placed = {padAt(lone, 0, 0), padAt(a, 0, 240),
                                                   padAt(a, 240, 240)};
-  const auto r = lay::routeCells(placed, {quiet("s"), quiet("a")}, proc());
+  const auto r = lay::routeCells(placed, {"s", "a"});
   EXPECT_FALSE(r.nets.at("s").routed);
   EXPECT_FALSE(r.allRouted);  // agrees with the per-net report
   EXPECT_TRUE(r.nets.at("a").routed);
   // Without the lone net, everything routes.
-  EXPECT_TRUE(lay::routeCells(placed, {quiet("a")}, proc()).allRouted);
+  EXPECT_TRUE(lay::routeCells(placed, {"a"}).allRouted);
 }
 
 TEST(Router, RejectsANetListedTwice) {
   const auto a = padMaster("a");
   const std::vector<geom::CellInstance> placed = {padAt(a, 0, 0), padAt(a, 240, 0)};
-  EXPECT_THROW(lay::routeCells(placed, {quiet("a"), quiet("a")}, proc()), std::invalid_argument);
-}
-
-namespace {
-/// Route a two-pad net under `opts`; throws what routeCells throws.
-lay::RouteResult routePads(const lay::RouterOptions& opts) {
-  static const auto a = padMaster("a");
-  const std::vector<geom::CellInstance> placed = {padAt(a, 0, 0), padAt(a, 240, 240)};
-  return lay::routeCells(placed, {quiet("a")}, proc(), opts);
-}
-
-/// routeCells must reject `opts` with an invalid_argument naming `field`.
-void expectRejected(const lay::RouterOptions& opts, const std::string& field) {
-  try {
-    routePads(opts);
-    ADD_FAILURE() << field << " accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
-  }
-}
-}  // namespace
-
-TEST(Router, RejectsANonPositivePitch) {
-  for (const geom::Coord pitch : {0, -24}) {
-    lay::RouterOptions opts;
-    opts.pitch = pitch;
-    expectRejected(opts, "pitch");
-  }
-}
-
-TEST(Router, RejectsANonPositiveWireWidth) {
-  for (const geom::Coord width : {0, -12}) {
-    lay::RouterOptions opts;
-    opts.wireWidth = width;
-    expectRejected(opts, "wireWidth");
-  }
-}
-
-TEST(Router, RejectsANegativeMargin) {
-  lay::RouterOptions opts;
-  opts.margin = -1;
-  expectRejected(opts, "margin");
-  opts.margin = 0;
-  EXPECT_TRUE(routePads(opts).allRouted);
-}
-
-TEST(Router, RejectsANegativeViaCost) {
-  lay::RouterOptions opts;
-  opts.viaCost = -10;
-  expectRejected(opts, "viaCost");
-}
-
-TEST(Router, RejectsANegativePenalty) {
-  lay::RouterOptions overDevice;
-  overDevice.overDevicePenalty = -1;
-  expectRejected(overDevice, "overDevicePenalty");
-  lay::RouterOptions crosstalk;
-  crosstalk.crosstalkPenalty = -1;
-  expectRejected(crosstalk, "crosstalkPenalty");
-  lay::RouterOptions poly;
-  poly.polyPenalty = -1;
-  expectRejected(poly, "polyPenalty");
-}
-
-TEST(Router, RejectsZeroPasses) {
-  lay::RouterOptions opts;
-  opts.maxPasses = 0;
-  expectRejected(opts, "maxPasses");
+  EXPECT_THROW(lay::routeCells(placed, {"a", "a"}), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- layer goldens
@@ -667,18 +494,11 @@ std::string placeDigest(const lay::PlacerOptions& opts) {
   return d.hex();
 }
 
-/// Quiet nets of the given names.
-std::vector<lay::RouteNet> quietNets(const std::vector<std::string>& names) {
-  std::vector<lay::RouteNet> nets;
-  for (const auto& name : names) nets.push_back({name, lay::WireClass::Quiet, 0.0, std::nullopt});
-  return nets;
-}
-
 LayerRun routeRun(const std::vector<std::string>& nets) {
   const auto comps = diffPairComponents();
   const auto p = lay::rowPlacement(comps);
   const std::uint64_t expansions = counterTotal("route.expansions");
-  const auto r = lay::routeCells(p.instances, quietNets(nets), proc());
+  const auto r = lay::routeCells(p.instances, nets);
   BitDigest d;
   addRouting(d, r);
   return {d.hex(), counterTotal("route.expansions") - expansions};
@@ -698,7 +518,7 @@ std::vector<std::string> multiPinNets(const std::vector<geom::CellInstance>& pla
 /// Route multiPinNets(placed) over one placement and digest it.
 LayerRun sweepRun(const std::vector<geom::CellInstance>& placed) {
   const std::uint64_t before = counterTotal("route.expansions");
-  const auto r = lay::routeCells(placed, quietNets(multiPinNets(placed)), proc());
+  const auto r = lay::routeCells(placed, multiPinNets(placed));
   BitDigest d;
   addRouting(d, r);
   return {d.hex(), counterTotal("route.expansions") - before};
@@ -773,21 +593,4 @@ TEST(LayerGoldens, RouterSweep) {
     EXPECT_EQ(run.geometry, geometry) << "Fig. 2 cell, seed " << seed;
     EXPECT_EQ(run.expansions, expansions) << "Fig. 2 cell, seed " << seed;
   }
-}
-
-TEST(Router, FreeViasStillRouteConnectedNets) {
-  // With no via cost or penalty, stepping between layers costs nothing, so
-  // equal-distance nodes can reach each other.  Tie-breaking must not link
-  // such nodes into a parent cycle: every routed net stays one connected
-  // tree.
-  lay::RouterOptions opts;
-  opts.viaCost = 0;
-  opts.overDevicePenalty = 0;
-  opts.polyPenalty = 0;
-  const auto cell = fig2Cell(false, true, 1);
-  const auto r =
-      lay::routeCells(cell.placement.instances, quietNets(multiPinNets(cell.placement.instances)),
-                      proc(), opts);
-  EXPECT_TRUE(r.allRouted);
-  for (const auto& [name, rep] : r.nets) EXPECT_TRUE(netConnected(r.layout, name)) << name;
 }

@@ -206,7 +206,7 @@ TEST(Wren, SensitiveNetAvoidsNoisyChannels) {
       {"clk", lay::WireClass::Noisy, {{0, 0}, {2000, 0}}, 0.0},
       {"sig", lay::WireClass::Sensitive, {{0, 0}, {2000, 0}}, 0.0},
   };
-  const auto r = lay::wrenGlobalRoute(g, nets, 50.0);
+  const auto r = lay::wrenGlobalRoute(g, nets);
   ASSERT_TRUE(r.routed.at("sig"));
   EXPECT_DOUBLE_EQ(r.couplingRaw.at("sig"), 0.0);  // fully avoided
 }

@@ -368,11 +368,7 @@ TEST_P(RouterDrcProperty, RoutedWiresKeepMinimumSpacing) {
   const auto p = layout::placeCells(comps, popts);
   ASSERT_TRUE(p.overlapFree);
 
-  std::vector<layout::RouteNet> nets = {
-      {"tail", layout::WireClass::Quiet, 0.0, std::nullopt},
-      {"gate", layout::WireClass::Quiet, 0.0, std::nullopt},
-  };
-  const auto r = layout::routeCells(p.instances, nets, proc());
+  const auto r = layout::routeCells(p.instances, {"tail", "gate"});
   ASSERT_TRUE(r.allRouted) << "seed " << GetParam();
 
   // DRC over the generated wires only (device-internal geometry is the

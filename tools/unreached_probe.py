@@ -43,8 +43,10 @@ seen.
     python3 tools/unreached_probe.py --options --check
 
 exits 1 when a field outside KEPT_DEFAULTS (the defaults kept on purpose,
-each with its reason) is assigned nowhere, or when a KEPT_DEFAULTS entry is
-assigned somewhere or gone.  CI runs it.
+each with its reason) is assigned nowhere, when a field outside
+KEPT_TEST_KNOBS (the knobs only tests turn, each with its reason) is
+assigned only under tests/, or when an entry of either list no longer
+matches what it names.  CI runs it.
 """
 import argparse
 import os
@@ -171,6 +173,23 @@ KEPT_DEFAULTS = {
                  "shaperStageGain", "csaLoadCap")},
     "YieldOptions::space": "the variation box of the yield estimate; worstCaseCorners "
                            "takes the same box as an argument",
+}
+
+
+# Fields that only tests/ assigns, on purpose.  --check fails on any other
+# test-only field, and on an entry here that is no longer test-only.
+KEPT_TEST_KNOBS = {
+    "FlowOptions::maxRedesigns": "tests set 1-4 redesigns to reach the redesign-limit exit "
+                                 "and keep flow fixtures short",
+    "FlowOptions::synthesis": "tests pass fast sizing options and seeds; the benches reach "
+                              "the same options through RobustOptions, perfbench through "
+                              "its own flow",
+    "FlowOptions::layout": "tests switch annealed placement off to keep flow fixtures short; "
+                           "the benches set CellLayoutOptions through core::layoutCell",
+    "RobustOptions::maxRounds": "tests cap the corner search at one round to reach its "
+                                "round-limit exit and keep robust fixtures short",
+    "AnnealOptions::coolingRate": "fastSynthesisOptions() cools faster to keep sizing "
+                                  "fixtures short",
 }
 
 
@@ -362,7 +381,8 @@ def option_pass(check):
             only_tests.append(label)
     print(f"\nassigned only under tests/ ({len(only_tests)} of {len(fields)} fields):")
     for label in only_tests:
-        print(f"    {label}")
+        print(f"    {label}" + (f"  (kept: {KEPT_TEST_KNOBS[label.rstrip('*')]})"
+                                if label.rstrip("*") in KEPT_TEST_KNOBS else ""))
     print(f"receiver type unresolved, not counted as assigned ({len(unresolved)}):")
     for hit in unresolved:
         print(f"    {hit}")
@@ -372,16 +392,21 @@ def option_pass(check):
                                 if label.rstrip("*") in KEPT_DEFAULTS else ""))
     if not check:
         return 0
-    bare = {label.rstrip("*") for label in nowhere}
-    unkept = sorted(bare - KEPT_DEFAULTS.keys())
-    stale = sorted(KEPT_DEFAULTS.keys() - bare)
-    for label in unkept:
-        print(f"unreached_probe.py: {label} is assigned nowhere: make it a constant, "
-              f"or keep it in KEPT_DEFAULTS with a reason", file=sys.stderr)
-    for label in stale:
-        print(f"unreached_probe.py: KEPT_DEFAULTS lists {label}, which is assigned "
-              f"somewhere or gone: drop the entry", file=sys.stderr)
-    return 1 if unkept or stale else 0
+    failed = False
+    for found, kept, name, what, fix in (
+            (nowhere, KEPT_DEFAULTS, "KEPT_DEFAULTS", "assigned nowhere", "make it a constant"),
+            (only_tests, KEPT_TEST_KNOBS, "KEPT_TEST_KNOBS", "assigned only under tests/",
+             "make it a constant, or have a bench set it")):
+        bare = {label.rstrip("*") for label in found}
+        for label in sorted(bare - kept.keys()):
+            print(f"unreached_probe.py: {label} is {what}: {fix}, or keep it in {name} "
+                  f"with a reason", file=sys.stderr)
+            failed = True
+        for label in sorted(kept.keys() - bare):
+            print(f"unreached_probe.py: {name} lists {label}, which is no longer {what}: "
+                  f"drop the entry", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 def main():
