@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/metrics.hpp"
@@ -81,54 +83,87 @@ std::vector<WorstCorner> worstCaseCorners(const ModelFactory& factory,
   };
 
   // Stage 1: evaluate the 2^6 box vertices (worst cases of quasi-monotone
-  // circuit responses live at vertices) once, concurrently, one model per
-  // vertex; every spec is scored from the same Performance.  Each spec's
-  // reduction scans in mask order with a strict <, so its winner is
+  // circuit responses live at vertices) once, concurrently in groups of
+  // three, one model per vertex; every spec is scored from the same
+  // Performance.  A group of two-stage corner models shares one lock-step
+  // pass (safeEvaluateAll), with safeEvaluate's results bit for bit.  Each
+  // spec's reduction scans in mask order with a strict <, so its winner is
   // identical to the serial loop's at any thread count.
   constexpr std::size_t kVertices = std::size_t{1} << VariationSpace::kDims;
+  constexpr std::size_t kGroup = 3;
   const auto vertexCoords = [](std::size_t mask) {
     std::vector<double> c(VariationSpace::kDims);
     for (std::size_t i = 0; i < VariationSpace::kDims; ++i)
       c[i] = (mask >> i) & 1u ? 1.0 : 0.0;
     return c;
   };
-  const auto vertexPerfs = core::parallelMap(
-      kVertices, [&](std::size_t mask) { return evaluateAt(vertexCoords(mask)); });
+  const auto groups =
+      core::parallelMap((kVertices + kGroup - 1) / kGroup, [&](std::size_t group) {
+        std::vector<std::unique_ptr<sizing::PerformanceModel>> models;
+        std::vector<const sizing::PerformanceModel*> lanes;
+        for (std::size_t mask = group * kGroup; mask < std::min(kVertices, (group + 1) * kGroup);
+             ++mask) {
+          models.push_back(factory(space.apply(nominal, vertexCoords(mask))));
+          lanes.push_back(models.back().get());
+        }
+        return sizing::safeEvaluateAll(lanes, x);
+      });
+  std::vector<sizing::Performance> vertexPerfs;
+  vertexPerfs.reserve(kVertices);
+  for (auto& group : groups)
+    for (auto& perf : group) vertexPerfs.push_back(std::move(perf));
   core::metrics::add(cVertexEvals, kVertices);
 
   // Stage 2, per spec and concurrently across specs: local refinement from
   // the spec's worst vertex — interior worst cases (non-monotone responses
-  // like phase margin) are caught here.  Coordinate search probes are
-  // fresh evaluations, its start vertex and repeated points included.
+  // like phase margin) are caught here.  The search starts from the
+  // vertex's known margin; its probes are fresh evaluations, repeated
+  // points included.  The value comes from the best probe's evaluation
+  // (the vertex's when no probe beat it): the search moves only on a
+  // strictly better margin, so that is the evaluation at the corner it
+  // returns.
   return core::parallelMap(specs.size(), [&](std::size_t s) {
     const Spec& spec = specs[s];
     WorstCorner worst;
     worst.margin = std::numeric_limits<double>::infinity();
+    std::size_t worstMask = 0;
     for (std::size_t mask = 0; mask < kVertices; ++mask) {
       const double margin = signedMargin(spec, vertexPerfs[mask]);
       if (margin < worst.margin) {
         worst.margin = margin;
-        worst.corner = vertexCoords(mask);
+        worstMask = mask;
       }
     }
+    worst.corner = vertexCoords(worstMask);
 
     num::BoxBounds box{std::vector<double>(VariationSpace::kDims, 0.0),
                        std::vector<double>(VariationSpace::kDims, 1.0)};
     num::CoordinateSearchOptions cs;
     cs.maxSweeps = 20;
     cs.initialStep = 0.25;
+    const sizing::Performance* best = &vertexPerfs[worstMask];
+    double bestMargin = worst.margin;
+    sizing::Performance bestProbe;
     const auto refined = num::coordinateSearch(
-        [&](const std::vector<double>& c) { return signedMargin(spec, evaluateAt(c)); },
-        worst.corner, box, cs);
+        [&](const std::vector<double>& c) {
+          auto perf = evaluateAt(c);
+          const double margin = signedMargin(spec, perf);
+          if (margin < bestMargin) {
+            bestMargin = margin;
+            bestProbe = std::move(perf);
+            best = &bestProbe;
+          }
+          return margin;
+        },
+        worst.corner, worst.margin, box, cs);
     if (refined.value < worst.margin) {
       worst.margin = refined.value;
       worst.corner = refined.x;
     }
 
-    const auto perf = evaluateAt(worst.corner);
-    if (auto it = perf.find(spec.performance); it != perf.end()) worst.value = it->second;
+    if (auto it = best->find(spec.performance); it != best->end()) worst.value = it->second;
     // The shared vertex pass is billed once, to the first spec.
-    worst.evaluations = (s == 0 ? kVertices : 0) + refined.evaluations + 1;
+    worst.evaluations = (s == 0 ? kVertices : 0) + refined.evaluations;
     return worst;
   });
 }
@@ -141,69 +176,93 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
 
 namespace {
 
-/// Model whose evaluation is the worst case over an explicit corner set:
-/// constraint-relevant performances take their most pessimistic value across
-/// corners, objectives their nominal value, each corner through
-/// safeEvaluate.
-class CornerSetModel : public sizing::PerformanceModel {
- public:
-  CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
-                 const VariationSpace& space, const sizing::SpecSet& specs,
-                 const std::vector<std::vector<double>>& corners)
-      : specs_(specs) {
-    models_.push_back(factory(nominal));  // corner 0 = nominal
-    for (const auto& c : corners) models_.push_back(factory(space.apply(nominal, c)));
+/// Fold one corner's payload into the aggregate by name: the worst case of
+/// every constraint performance both carry, and the first failing
+/// corner's _infeasible tag and reason.
+void foldByName(sizing::Performance& agg, const sizing::Performance& perf,
+                const sizing::SpecSet& specs) {
+  for (const auto& spec : specs.specs()) {
+    if (spec.isObjective()) continue;
+    auto it = perf.find(spec.performance);
+    if (it == perf.end()) continue;
+    auto& cur = agg[spec.performance];
+    cur = spec.kind == SpecKind::GreaterEqual ? std::min(cur, it->second)
+                                              : std::max(cur, it->second);
   }
-
-  const std::vector<sizing::DesignVariable>& variables() const override {
-    return models_.front()->variables();
+  if (perf.count("_infeasible")) {
+    agg["_infeasible"] = 1.0;
+    // First failing corner's reason sticks (emplace semantics).
+    if (auto st = perf.find(sizing::kEvalStatusKey); st != perf.end())
+      agg.emplace(sizing::kEvalStatusKey, st->second);
   }
+}
 
-  sizing::Performance evaluate(const std::vector<double>& x) const override {
-    // Evaluate every corner model concurrently (each is a distinct object,
-    // so no shared mutable state), then aggregate in corner order — the
-    // min/max reduction is order-independent anyway, but keeping a fixed
-    // order costs nothing and keeps floating-point identity trivial.
-    // Small sets stay serial: the pool round-trip would dominate the
-    // microsecond equation models.
-    // Corners route through safeEvaluate: one throwing corner model marks
-    // the aggregate _infeasible below instead of tearing down its siblings.
-    std::vector<sizing::Performance> perfs;
-    if (models_.size() >= 4) {
-      perfs = core::parallelMap(models_.size(), [&](std::size_t k) {
-        return sizing::safeEvaluate(*models_[k], x);
-      });
-    } else {
-      perfs.reserve(models_.size());
-      for (const auto& m : models_) perfs.push_back(sizing::safeEvaluate(*m, x));
-    }
-    sizing::Performance agg = std::move(perfs.front());
-    for (std::size_t k = 1; k < models_.size(); ++k) {
-      const auto& perf = perfs[k];
-      for (const auto& spec : specs_.specs()) {
-        if (spec.isObjective()) continue;
-        auto it = perf.find(spec.performance);
-        if (it == perf.end()) continue;
-        auto& cur = agg[spec.performance];
-        cur = spec.kind == SpecKind::GreaterEqual ? std::min(cur, it->second)
-                                                  : std::max(cur, it->second);
-      }
-      if (perf.count("_infeasible")) {
-        agg["_infeasible"] = 1.0;
-        // First failing corner's reason sticks (emplace semantics).
-        if (auto st = perf.find(sizing::kEvalStatusKey); st != perf.end())
-          agg.emplace(sizing::kEvalStatusKey, st->second);
-      }
-    }
-    return agg;
-  }
-
- private:
-  sizing::SpecSet specs_;
-  std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
-};
+bool hasNan(const sizing::AmplifierValues& v) {
+  return std::any_of(v.begin(), v.end(), [](double e) { return std::isnan(e); });
+}
 
 }  // namespace
+
+CornerSetModel::CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
+                               const VariationSpace& space, const sizing::SpecSet& specs,
+                               const std::vector<std::vector<double>>& corners)
+    : specs_(specs) {
+  models_.push_back(factory(nominal));  // corner 0 = nominal
+  for (const auto& c : corners) models_.push_back(factory(space.apply(nominal, c)));
+  std::vector<const sizing::PerformanceModel*> lanes;
+  for (const auto& m : models_) lanes.push_back(m.get());
+  batch_ = sizing::TwoStageCornerBatch::of(lanes);
+  const auto& names = sizing::kAmplifierPerformances;
+  for (const auto& spec : specs_.specs()) {
+    if (spec.isObjective()) continue;
+    const auto at = std::find(names.begin(), names.end(), spec.performance);
+    slots_.push_back({at == names.end() ? std::string::npos
+                                        : static_cast<std::size_t>(at - names.begin()),
+                      spec.kind == SpecKind::GreaterEqual});
+  }
+}
+
+sizing::Performance CornerSetModel::evaluateEach(const std::vector<double>& x) const {
+  // Every corner through safeEvaluate, then the fold in corner order: one
+  // throwing corner model marks the aggregate _infeasible instead of
+  // tearing down its siblings.
+  std::vector<sizing::Performance> perfs;
+  perfs.reserve(models_.size());
+  for (const auto& m : models_) perfs.push_back(sizing::safeEvaluate(*m, x));
+  sizing::Performance agg = std::move(perfs.front());
+  for (std::size_t k = 1; k < perfs.size(); ++k) foldByName(agg, perfs[k], specs_);
+  return agg;
+}
+
+sizing::Performance CornerSetModel::evaluate(const std::vector<double>& x) const {
+  if (!batch_) return evaluateEach(x);
+  std::vector<sizing::AmplifierValues> values(models_.size());
+  try {
+    batch_->evaluate(x, values);
+  } catch (...) {
+    return evaluateEach(x);  // each corner's safeEvaluate tags the throw
+  }
+  sizing::Performance agg = sizing::amplifierPerformance(values[0]);
+  // agg carries exactly the eight amplifier names, in order, until a by-name
+  // fold inserts taxonomy keys.
+  bool byPosition = !sizing::markNanScores(agg);
+  for (std::size_t k = 1; k < values.size(); ++k) {
+    if (byPosition && !hasNan(values[k])) {
+      for (const Slot& fold : slots_) {
+        if (fold.index == std::string::npos) continue;
+        double& cur = (agg.begin() + static_cast<std::ptrdiff_t>(fold.index))->second;
+        const double v = values[k][fold.index];
+        cur = fold.lower ? std::min(cur, v) : std::max(cur, v);
+      }
+      continue;
+    }
+    sizing::Performance perf = sizing::amplifierPerformance(values[k]);
+    sizing::markNanScores(perf);
+    foldByName(agg, perf, specs_);
+    byPosition = false;
+  }
+  return agg;
+}
 
 RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Process& nominal,
                               const VariationSpace& space, const sizing::SpecSet& specs,

@@ -11,10 +11,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "circuit/process.hpp"
 #include "sizing/cost.hpp"
+#include "sizing/eqmodel.hpp"
 #include "sizing/synth.hpp"
 
 namespace amsyn::manufacture {
@@ -45,21 +47,24 @@ struct WorstCorner {
   double margin = 0.0;         ///< signed normalized margin (< 0: spec violated)
   double value = 0.0;          ///< performance value at the corner
   /// Model evaluations billed to this spec's hunt: its coordinate-search
-  /// probes and the final value read, plus, for the first spec of a
-  /// worstCaseCorners call, the 64 vertices all its specs share.  Summed
-  /// over one call's results, it is every model evaluation the call made.
+  /// probes, plus, for the first spec of a worstCaseCorners call, the 64
+  /// vertices all its specs share.  The search starts from a vertex the
+  /// pass scored, and the value is read from the best probe's evaluation,
+  /// so neither costs one.  Summed over one call's results, it is every
+  /// model evaluation the call made.
   std::size_t evaluations = 0;
 };
 
 /// Find, for each constraint spec, the corner minimizing its signed margin
 /// for a fixed design x: one vertex enumeration of the box (the worst case
 /// of a quasi-monotone response sits at a vertex) evaluates each of the 64
-/// vertices once and scores every spec from that one Performance, then a
-/// coordinate search per spec refines that spec's worst vertex.  Results
-/// come in spec order.  Throws std::invalid_argument, before any
-/// evaluation, for an objective spec (it has no margin) or a spec whose
-/// bound is NaN or infinite (every margin would be NaN).  An empty spec
-/// list evaluates nothing.
+/// vertices once (in groups of three through sizing::safeEvaluateAll, so
+/// two-stage corner models share a lock-step pass) and scores every spec
+/// from that one Performance, then a coordinate search per spec refines
+/// that spec's worst vertex.  Results come in spec order.  Throws
+/// std::invalid_argument, before any evaluation, for an objective spec (it
+/// has no margin) or a spec whose bound is NaN or infinite (every margin
+/// would be NaN).  An empty spec list evaluates nothing.
 std::vector<WorstCorner> worstCaseCorners(const ModelFactory& factory,
                                           const circuit::Process& nominal,
                                           const VariationSpace& space,
@@ -70,6 +75,48 @@ std::vector<WorstCorner> worstCaseCorners(const ModelFactory& factory,
 WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process& nominal,
                             const VariationSpace& space, const std::vector<double>& x,
                             const sizing::Spec& spec);
+
+/// Model whose evaluation is the worst case over an explicit corner set
+/// (corner 0 is the nominal process): constraint performances take their
+/// most pessimistic value across corners, in spec order, and everything
+/// else its nominal value.  Each corner keeps safeEvaluate's semantics: a
+/// throwing corner marks the aggregate _infeasible, with the first failing
+/// corner's reason.
+///
+/// When every model is a two-stage corner model (sizing::
+/// TwoStageCornerBatch), one lock-step pass evaluates them all and each
+/// clean corner folds by position, since every payload then carries the
+/// same eight names in the same order.  A NaN-marked corner, and every
+/// corner after it, folds by name; a pass that throws falls back to the
+/// per-model path.  Other factories take that path: one safeEvaluate and
+/// one by-name fold per corner.  Both paths give the same payload, bit for
+/// bit.
+class CornerSetModel : public sizing::PerformanceModel {
+ public:
+  CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
+                 const VariationSpace& space, const sizing::SpecSet& specs,
+                 const std::vector<std::vector<double>>& corners);
+
+  const std::vector<sizing::DesignVariable>& variables() const override {
+    return models_.front()->variables();
+  }
+  sizing::Performance evaluate(const std::vector<double>& x) const override;
+
+ private:
+  sizing::Performance evaluateEach(const std::vector<double>& x) const;
+
+  sizing::SpecSet specs_;
+  std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
+  std::optional<sizing::TwoStageCornerBatch> batch_;
+  /// Per constraint spec, in spec order: its AmplifierValues slot (or
+  /// npos: no two-stage payload carries it) and whether its worst case is
+  /// the minimum.
+  struct Slot {
+    std::size_t index;
+    bool lower;
+  };
+  std::vector<Slot> slots_;
+};
 
 struct RobustOptions {
   sizing::SynthesisOptions synthesis;

@@ -122,6 +122,15 @@ OptResult nelderMead(const ObjectiveFn& f, std::vector<double> x0, const BoxBoun
 
 OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
                            const BoxBounds& bounds, const CoordinateSearchOptions& opts) {
+  std::vector<double> x = bounds.clamp(std::move(x0));
+  const double fx = f(x);
+  OptResult res = coordinateSearch(f, std::move(x), fx, bounds, opts);
+  ++res.evaluations;
+  return res;
+}
+
+OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0, double f0,
+                           const BoxBounds& bounds, const CoordinateSearchOptions& opts) {
   const std::size_t n = x0.size();
   OptResult res;
   auto eval = [&](const std::vector<double>& x) {
@@ -130,7 +139,7 @@ OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
   };
 
   std::vector<double> x = bounds.clamp(std::move(x0));
-  double fx = eval(x);
+  double fx = f0;
   std::vector<double> step(n);
   for (std::size_t i = 0; i < n; ++i) {
     double span = bounds.hi[i] - bounds.lo[i];

@@ -46,4 +46,10 @@ struct CoordinateSearchOptions {
 OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
                            const BoxBounds& bounds, const CoordinateSearchOptions& opts = {});
 
+/// coordinateSearch from a start whose value the caller already knows:
+/// f0 must equal f(bounds.clamp(x0)).  The start is not re-evaluated, so
+/// the result counts one evaluation fewer and is otherwise the same.
+OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0, double f0,
+                           const BoxBounds& bounds, const CoordinateSearchOptions& opts = {});
+
 }  // namespace amsyn::num

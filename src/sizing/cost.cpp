@@ -32,15 +32,18 @@ CostFunction::Detail CostFunction::detailed(const std::vector<double>& x) const 
   // Containment boundary: exceptions and NaN scores become infeasible data.
   d.performance = safeEvaluate(model_, x);
   d.status = performanceStatus(d.performance);
-  if (auto it = d.performance.find("_infeasible"); it != d.performance.end()) {
-    d.penalty += kInfeasibleCost * it->second;
-  }
+  // One lookup per key: feasibility comes from the same checks that build
+  // the penalty (SpecSet::satisfied's rule: a missing performance, or a
+  // violation above the tolerance, fails it).
+  const auto infeasible = d.performance.find("_infeasible");
+  if (infeasible != d.performance.end()) d.penalty += kInfeasibleCost * infeasible->second;
   // The relaxed-dc residual, when present, acts as an extra penalty even if
   // the caller forgot to spec it — an unconverged bias point must never win.
-  if (auto it = d.performance.find("_dc_residual"); it != d.performance.end()) {
-    d.penalty += penaltyWeight_ * it->second * it->second;
-  }
+  const auto residual = d.performance.find("_dc_residual");
+  if (residual != d.performance.end())
+    d.penalty += penaltyWeight_ * residual->second * residual->second;
 
+  bool satisfied = true;
   for (const Spec& s : specs_.specs()) {
     auto it = d.performance.find(s.performance);
     if (s.isObjective()) {
@@ -51,16 +54,16 @@ CostFunction::Detail CostFunction::detailed(const std::vector<double>& x) const 
     } else {
       if (it == d.performance.end()) {
         d.penalty += penaltyWeight_ * s.weight;  // missing = violated
+        satisfied = false;
         continue;
       }
       const double viol = s.violation(it->second);
       d.penalty += penaltyWeight_ * s.weight * viol * viol;
+      if (viol > kFeasibilityTolerance) satisfied = false;
     }
   }
-  d.feasible = !d.performance.count("_infeasible") &&
-               specs_.satisfied(d.performance, kFeasibilityTolerance) &&
-               (!d.performance.count("_dc_residual") ||
-                d.performance.at("_dc_residual") < 1e-2);
+  d.feasible = infeasible == d.performance.end() && satisfied &&
+               (residual == d.performance.end() || residual->second < 1e-2);
   d.cost = d.penalty + d.objective;
   // The cost must stay finite: annealers and GAs compare and subtract
   // costs, and one NaN would poison every comparison after it.  A non-finite

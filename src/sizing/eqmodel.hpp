@@ -8,7 +8,11 @@
 // so every design point maps onto the netlist buildComposedOpamp stitches.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 
 #include "circuit/process.hpp"
 #include "sizing/blocks.hpp"
@@ -40,6 +44,8 @@ class ComposedOpampModel : public PerformanceModel {
                        const circuit::Process& geometryProc) const;
 
   const OpampStructure& structure() const { return s_; }
+  const circuit::Process& process() const { return proc_; }
+  double loadCap() const { return loadCap_; }
 
  private:
   OpampStructure s_;
@@ -57,5 +63,51 @@ class ComposedOpampModel : public PerformanceModel {
 std::unique_ptr<PerformanceModel> makeTwoStageCornerModel(const circuit::Process& corner,
                                                           const circuit::Process& nominal,
                                                           double loadCap);
+
+/// The eight amplifier performances every ComposedOpampModel reports, in
+/// Performance's (name) order, and one evaluation's values in that order.
+inline constexpr std::array<std::string_view, 8> kAmplifierPerformances = {
+    "area", "gain_db", "noise_nv", "pm", "power", "slew", "swing", "ugf"};
+using AmplifierValues = std::array<double, kAmplifierPerformances.size()>;
+
+/// The payload ComposedOpampModel::evaluate returns for these values.
+Performance amplifierPerformance(const AmplifierValues& v);
+
+/// Corner models evaluated together at one design point: the models must
+/// all come from makeTwoStageCornerModel with bit-identical nominal
+/// processes, so one geometry serves every lane.  evaluate() maps the
+/// geometry once, derives each lane's electricals, solves the unity-gain
+/// crossings in lock step (groups of up to three lanes; a lone lane takes
+/// the serial solve), then each lane's phase margin and performances.
+/// Lane k's values equal models[k]->evaluate(x) bit for bit.
+///
+/// The lock-step solve runs each lane's bisection exactly as the serial
+/// solve would: every live lane computes the division-free filter, the
+/// exact `magnitude > 1` test runs for all live lanes on any step where
+/// some lane's filter is undecided, a lane takes the exact result only
+/// where its own filter was undecided, and each lane stops at its own
+/// bitwise fixed point.  UgfLanes.* in tests/composed_topology_test.cpp
+/// holds every lane bit-equal to the plain 80-step bisection.
+class TwoStageCornerBatch {
+ public:
+  /// Empty unless every model is a two-stage corner model and all share one
+  /// nominal process bit for bit.  The batch refers to the models, which
+  /// must outlive it.
+  static std::optional<TwoStageCornerBatch> of(std::span<const PerformanceModel* const> models);
+
+  /// out[k] = the values of models[k]->evaluate(x), one per model.
+  /// Throws what evaluate throws (std::invalid_argument on a wrong-dimension
+  /// x) before writing anything.
+  void evaluate(const std::vector<double>& x, std::span<AmplifierValues> out) const;
+
+ private:
+  std::vector<const PerformanceModel*> lanes_;
+};
+
+/// safeEvaluate(*models[k], x) for every k, bit for bit and with the same
+/// failure tallies: one TwoStageCornerBatch pass when the models form one,
+/// else (or when the pass throws) one safeEvaluate per model.
+std::vector<Performance> safeEvaluateAll(std::span<const PerformanceModel* const> models,
+                                         const std::vector<double>& x);
 
 }  // namespace amsyn::sizing

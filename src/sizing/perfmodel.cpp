@@ -23,12 +23,17 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
     sim::recordEvalFailure(st);
     return perf;
   }
-  if (std::any_of(perf.begin(), perf.end(),
-                  [](const Performance::value_type& e) { return std::isnan(e.second); })) {
-    markInfeasible(perf, EvalStatus::NanDetected);
-    sim::recordEvalFailure(EvalStatus::NanDetected);
-  }
+  markNanScores(perf);
   return perf;
+}
+
+bool markNanScores(Performance& perf) {
+  if (std::none_of(perf.begin(), perf.end(),
+                   [](const Performance::value_type& e) { return std::isnan(e.second); }))
+    return false;
+  markInfeasible(perf, EvalStatus::NanDetected);
+  sim::recordEvalFailure(EvalStatus::NanDetected);
+  return true;
 }
 
 }  // namespace amsyn::sizing

@@ -85,6 +85,11 @@ class PerformanceModel {
 /// and any direct model consumer should call instead of evaluate().
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x);
 
+/// safeEvaluate's NaN rule on its own, for callers that evaluate outside
+/// it: a payload holding a NaN value is marked infeasible with
+/// nan_detected and the failure tallied.  Returns whether it was marked.
+bool markNanScores(Performance& perf);
+
 inline std::vector<double> PerformanceModel::initialPoint() const {
   std::vector<double> x;
   for (const DesignVariable& v : variables()) {

@@ -9,7 +9,8 @@
 //     tests/reference/: OtaEquationModel / TwoStageEquationModel,
 //     evaluateTwoStageGeometry, buildOta / buildTwoStageOpamp);
 //   * every two-stage structure's unity-gain solve matches the plain
-//     80-step bisection bit for bit (tests/reference/composed_ugf.*);
+//     80-step bisection bit for bit (tests/reference/composed_ugf.*), and
+//     so does every lane of the lock-step corner batch;
 //   * every generated topology builds a sane netlist, and rebuilding it at
 //     the same point reproduces it exactly;
 //   * selection over the space — boundary, rule-based, and genetic — is
@@ -20,6 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -678,4 +680,243 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
   EXPECT_TRUE(sawSubUnityGain);
   EXPECT_TRUE(sawNan);
   EXPECT_GT(cases, 10'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Lock-step lanes: sz::TwoStageCornerBatch solves several corner models'
+// crossings together.  Every lane must equal its own model's evaluate() in
+// every performance and the plain 80-step bisection's ugf and pm, bit for
+// bit: at the corner-hunt vertices in sets of two and three, with
+// degenerate lanes beside normal ones, with lanes that stop at different
+// steps, and in sets larger than three.
+
+namespace {
+
+/// Two-stage corner models at `corners`, geometry at the nominal process.
+struct LaneSet {
+  std::vector<ckt::Process> corners;
+  std::vector<std::unique_ptr<sz::PerformanceModel>> models;
+  std::vector<const sz::PerformanceModel*> lanes;
+
+  explicit LaneSet(std::vector<ckt::Process> cs) : corners(std::move(cs)) {
+    for (const auto& c : corners) {
+      models.push_back(sz::makeTwoStageCornerModel(c, proc(), kLoadCap));
+      lanes.push_back(models.back().get());
+    }
+  }
+};
+
+ckt::Process vertexProcess(std::size_t mask) {
+  std::vector<double> c(mf::VariationSpace::kDims);
+  for (std::size_t d = 0; d < c.size(); ++d) c[d] = (mask >> d) & 1 ? 1.0 : 0.0;
+  return mf::VariationSpace{}.apply(proc(), c);
+}
+
+/// Empty when every lane of the set's batch at x matches its own model and
+/// the plain bisection bit for bit; otherwise the first difference.  The
+/// plain solves land in `solves`, lane by lane, when it is given.
+std::string laneMismatch(const LaneSet& set, const std::vector<double>& x,
+                         std::vector<ref::UgfSolve>* solves = nullptr) {
+  const auto batch = sz::TwoStageCornerBatch::of(set.lanes);
+  if (!batch) return "the corner models formed no batch";
+  std::vector<sz::AmplifierValues> values(set.lanes.size());
+  batch->evaluate(x, values);
+  const auto s = sz::OpampStructure::legacyTwoStage();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const std::string lane =
+        "lane " + std::to_string(k) + " of " + std::to_string(values.size()) + ": ";
+    const auto own = set.models[k]->evaluate(x);
+    const auto perf = sz::amplifierPerformance(values[k]);
+    if (own.size() != perf.size()) return lane + "payload size differs";
+    for (auto a = own.begin(), b = perf.begin(); a != own.end(); ++a, ++b)
+      if (a->first != b->first || !sameBits(a->second, b->second))
+        return lane + a->first + " differs from the model's own evaluation";
+    const auto r = ref::composedTwoStageUgf(s, set.corners[k], kLoadCap, x, proc());
+    if (auto why = ugfMismatch(s, perf, r, x); !why.empty()) return lane + why;
+    if (solves) solves->push_back(r);
+  }
+  return {};
+}
+
+}  // namespace
+
+TEST(UgfLanes, CornerVertexSetsOfTwoAndThreeMatchThePlainBisection) {
+  const LaneSet nominalOnly({proc()});
+  const auto& vars = nominalOnly.models.front()->variables();
+  num::Rng rng(0x1a4e0000u);
+  std::size_t sets = 0;
+  for (const std::size_t k : {2u, 3u}) {
+    for (std::size_t mask = 0; mask < 64; ++mask) {
+      std::vector<ckt::Process> corners;
+      for (std::size_t lane = 0; lane < k; ++lane)
+        corners.push_back(vertexProcess((mask + 21 * lane) % 64));
+      const LaneSet set(corners);
+      for (int p = 0; p < 300; ++p) {
+        const auto x = uniformInBox(vars, rng);
+        ASSERT_EQ(laneMismatch(set, x), "") << "vertex " << mask;
+        ++sets;
+      }
+    }
+  }
+  EXPECT_EQ(sets, 2u * 64u * 300u);
+}
+
+TEST(UgfLanes, DegenerateLanesBesideNormalLanesMatchThePlainBisection) {
+  // Electrical processes that push one lane into a degenerate regime while
+  // its neighbours solve normally: a dead load device (gm6 = 0, so z = 0
+  // and av0 = 0, which the filter cannot take), a dead input device, a
+  // vanishing pair, channel-length modulation so strong that the dc gain
+  // falls to one or below, and a NaN process parameter.
+  std::vector<ckt::Process> degenerate(5, proc());
+  degenerate[0].kpP = 0.0;
+  degenerate[1].kpN = 0.0;
+  degenerate[2].kpP = degenerate[2].kpN = 1e-300;
+  degenerate[3].lambdaN = degenerate[3].lambdaP = 1e4;
+  degenerate[4].kpN = std::nan("");
+  const std::vector<ckt::Process> normal{proc(), vertexProcess(0), vertexProcess(63)};
+  const auto vars = sz::OpampStructure::legacyTwoStage().variables();
+  std::size_t ccIndex = 0;
+  while (vars[ccIndex].name != "cc") ++ccIndex;
+
+  // Seeded points, the compensation capacitor at its bounds, and
+  // single-coordinate substitutions that poison every lane at once.
+  num::Rng rng(0xde9e0000u);
+  std::vector<std::vector<double>> xs;
+  for (int p = 0; p < 20; ++p) {
+    auto x = uniformInBox(vars, rng);
+    xs.push_back(x);
+    x[ccIndex] = vars[ccIndex].lo;
+    xs.push_back(x);
+    x[ccIndex] = vars[ccIndex].hi;
+    xs.push_back(x);
+  }
+  const auto mid = LaneSet({proc()}).models.front()->initialPoint();
+  for (std::size_t i = 0; i < vars.size(); ++i)
+    for (const double v : {std::nan(""), 0.0, 1e-300, 1e300}) {
+      auto x = mid;
+      x[i] = v;
+      xs.push_back(x);
+    }
+
+  bool sawZeroZ = false, sawNonPositiveGain = false, sawSubUnityGain = false, sawNan = false;
+  std::size_t cases = 0;
+  for (const auto& bad : degenerate) {
+    for (const auto& good : normal) {
+      // The degenerate lane in every position, alone and doubled.
+      const std::vector<std::vector<ckt::Process>> sets{
+          {bad, good},       {good, bad},       {bad, good, good}, {good, bad, good},
+          {good, good, bad}, {bad, bad, good},  {good, bad, bad}};
+      for (const auto& corners : sets) {
+        const LaneSet set(corners);
+        for (const auto& x : xs) {
+          std::vector<ref::UgfSolve> solves;
+          ASSERT_EQ(laneMismatch(set, x, &solves), "");
+          for (const auto& r : solves) {
+            sawZeroZ |= r.z == 0.0;
+            sawNonPositiveGain |= r.av0 <= 0.0;
+            sawSubUnityGain |= r.av0 > 0.0 && r.av0 <= 1.0;
+            sawNan |= std::isnan(r.ugf);
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  // The degenerate lanes really reached every regime they are meant to.
+  EXPECT_TRUE(sawZeroZ);
+  EXPECT_TRUE(sawNonPositiveGain);
+  EXPECT_TRUE(sawSubUnityGain);
+  EXPECT_TRUE(sawNan);
+  EXPECT_EQ(cases, degenerate.size() * normal.size() * 7 * xs.size());
+}
+
+TEST(UgfLanes, LanesThatStopAtDifferentStepsMatchThePlainBisection) {
+  // For each seeded design, the vertex whose plain bisection reaches its
+  // fixed point first and the one that reaches it last share a set (with
+  // the nominal process, and with a NaN lane that stops almost at once):
+  // a lane that has stopped must hold its (lo, hi) while its neighbours
+  // keep bisecting.
+  const auto vars = sz::OpampStructure::legacyTwoStage().variables();
+  const auto s = sz::OpampStructure::legacyTwoStage();
+  ckt::Process poisoned = proc();
+  poisoned.kpP = std::nan("");
+  num::Rng rng(0x5e790000u);
+  std::size_t spread = 0, sets = 0;
+  int widest = 0;
+  for (int p = 0; p < 400; ++p) {
+    const auto x = uniformInBox(vars, rng);
+    std::size_t first = 0, last = 0;
+    int firstStep = 81, lastStep = -1;
+    for (std::size_t mask = 0; mask < 64; ++mask) {
+      const int step =
+          ref::composedTwoStageUgf(s, vertexProcess(mask), kLoadCap, x, proc()).fixedPointStep;
+      if (step < firstStep) firstStep = step, first = mask;
+      if (step > lastStep) lastStep = step, last = mask;
+    }
+    for (const auto& corners : std::vector<std::vector<ckt::Process>>{
+             {vertexProcess(first), vertexProcess(last)},
+             {vertexProcess(last), vertexProcess(first)},
+             {vertexProcess(first), proc(), vertexProcess(last)},
+             {poisoned, vertexProcess(last), vertexProcess(first)}}) {
+      std::vector<ref::UgfSolve> solves;
+      ASSERT_EQ(laneMismatch(LaneSet(corners), x, &solves), "");
+      const auto [lo, hi] = std::minmax_element(
+          solves.begin(), solves.end(), [](const ref::UgfSolve& a, const ref::UgfSolve& b) {
+            return a.fixedPointStep < b.fixedPointStep;
+          });
+      const int gap = hi->fixedPointStep - lo->fixedPointStep;
+      spread += gap > 0;
+      widest = std::max(widest, gap);
+      ++sets;
+    }
+  }
+  // Nearly every set mixed lanes that stop at different steps.
+  EXPECT_GT(spread, sets * 9 / 10);
+  EXPECT_GE(widest, 10);
+}
+
+TEST(UgfLanes, SetsLargerThanThreeGoInGroupsThatMatchThePlainBisection) {
+  // Four to seven lanes (a group of three plus a pair or a lone lane on
+  // the serial solve) and all 64 vertices at once.
+  const auto vars = sz::OpampStructure::legacyTwoStage().variables();
+  num::Rng rng(0x1a7e0000u);
+  std::vector<ckt::Process> all;
+  for (std::size_t mask = 0; mask < 64; ++mask) all.push_back(vertexProcess(mask));
+  for (const std::size_t n : {4u, 5u, 6u, 7u, 64u}) {
+    SCOPED_TRACE(n);
+    for (std::size_t start = 0; start < 64; start += 8) {
+      std::vector<ckt::Process> corners;
+      for (std::size_t k = 0; k < n; ++k) corners.push_back(all[(start + 5 * k) % 64]);
+      const LaneSet set(corners);
+      for (int p = 0; p < 20; ++p) ASSERT_EQ(laneMismatch(set, uniformInBox(vars, rng)), "");
+    }
+  }
+}
+
+TEST(UgfLanes, BatchFormsOnlyOverTwoStageCornerModelsOfOneNominal) {
+  // The batch shares one geometry, so it must refuse a model it cannot
+  // evaluate that way: a plain composed model, or a corner model whose
+  // nominal (geometry) process differs.
+  const LaneSet same({proc(), vertexProcess(5)});
+  EXPECT_TRUE(sz::TwoStageCornerBatch::of(same.lanes).has_value());
+  EXPECT_FALSE(sz::TwoStageCornerBatch::of({}).has_value());
+
+  const sz::ComposedOpampModel plain(sz::OpampStructure::legacyTwoStage(), proc(), kLoadCap);
+  std::vector<const sz::PerformanceModel*> mixed = same.lanes;
+  mixed.push_back(&plain);
+  EXPECT_FALSE(sz::TwoStageCornerBatch::of(mixed).has_value());
+
+  ckt::Process otherNominal = proc();
+  otherNominal.kpN *= 1.01;
+  const auto shifted = sz::makeTwoStageCornerModel(proc(), otherNominal, kLoadCap);
+  std::vector<const sz::PerformanceModel*> twoNominals = same.lanes;
+  twoNominals.push_back(shifted.get());
+  EXPECT_FALSE(sz::TwoStageCornerBatch::of(twoNominals).has_value());
+
+  // A wrong-dimension point throws, as evaluate() does, before any write.
+  const auto batch = sz::TwoStageCornerBatch::of(same.lanes);
+  std::vector<sz::AmplifierValues> values(2);
+  values[0].fill(7.0);
+  EXPECT_THROW(batch->evaluate({1.0, 2.0}, values), std::invalid_argument);
+  EXPECT_EQ(values[0][0], 7.0);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -386,4 +387,124 @@ TEST(Yield, TightSpecsCutYield) {
   EXPECT_LT(res.yield.estimate, 0.95);
   ASSERT_TRUE(res.worstSeen.count("gain_db"));
   EXPECT_LT(res.worstSeen.at("gain_db"), perf.at("gain_db"));
+}
+
+namespace {
+/// Forwards to a wrapped model: not a two-stage corner model, so a corner
+/// set over it takes the per-model path.
+class ForwardingModel : public sz::PerformanceModel {
+ public:
+  explicit ForwardingModel(std::unique_ptr<sz::PerformanceModel> inner)
+      : inner_(std::move(inner)) {}
+  const std::vector<sz::DesignVariable>& variables() const override {
+    return inner_->variables();
+  }
+  sz::Performance evaluate(const std::vector<double>& x) const override {
+    return inner_->evaluate(x);
+  }
+
+ private:
+  std::unique_ptr<sz::PerformanceModel> inner_;
+};
+
+/// The corner-set contract spelled out: safeEvaluate at the nominal process
+/// and at each corner, then a by-name worst-case fold of every constraint,
+/// with the first failing corner's tag and reason.
+sz::Performance cornerSetByName(const mf::ModelFactory& factory, const sz::SpecSet& specs,
+                                const std::vector<std::vector<double>>& corners,
+                                const std::vector<double>& x) {
+  sz::Performance agg = sz::safeEvaluate(*factory(nominal()), x);
+  for (const auto& c : corners) {
+    const auto perf = sz::safeEvaluate(*factory(mf::VariationSpace{}.apply(nominal(), c)), x);
+    for (const auto& spec : specs.specs()) {
+      if (spec.isObjective()) continue;
+      const auto it = perf.find(spec.performance);
+      if (it == perf.end()) continue;
+      double& cur = agg[spec.performance];
+      cur = spec.kind == sz::SpecKind::GreaterEqual ? std::min(cur, it->second)
+                                                    : std::max(cur, it->second);
+    }
+    if (perf.count("_infeasible")) {
+      agg["_infeasible"] = 1.0;
+      if (const auto st = perf.find(sz::kEvalStatusKey); st != perf.end())
+        agg.emplace(sz::kEvalStatusKey, st->second);
+    }
+  }
+  return agg;
+}
+
+/// Empty when the payloads carry the same names and bit-identical values
+/// (any two NaNs match); otherwise the first difference.
+std::string payloadMismatch(const sz::Performance& got, const sz::Performance& want) {
+  if (got.size() != want.size())
+    return std::to_string(got.size()) + " entries vs " + std::to_string(want.size());
+  for (auto a = got.begin(), b = want.begin(); a != got.end(); ++a, ++b)
+    if (a->first != b->first ||
+        !(bitEqual(a->second, b->second) || (std::isnan(a->second) && std::isnan(b->second))))
+      return a->first + " vs " + b->first;
+  return {};
+}
+}  // namespace
+
+TEST(CornerSet, BatchedAndPerModelPathsMatchTheByNameFoldBitForBit) {
+  // The lock-step path (two-stage corner models, positional fold) and the
+  // per-model path (a forwarding factory) must both give what safeEvaluate
+  // plus the by-name fold gives, at every set size, with a NaN corner in
+  // every position, for a wrong-dimension point, and with the spec list in
+  // an order unlike the payload's.  Failure tallies match too.
+  const auto batched = twoStageFactory();
+  const mf::ModelFactory forwarded = [&](const ckt::Process& p) {
+    return std::make_unique<ForwardingModel>(batched(p));
+  };
+  sz::SpecSet reordered;
+  reordered.atMost("power", 8e-3).atLeast("pm", 50.0).atLeast("ugf", 3e6)
+      .atLeast("pm", 55.0).atLeast("gain_db", 66.0).atMost("noise_nv", 40.0)
+      .atLeast("missing_perf", 1.0).minimize("power", 0.3, 1e-3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> a{1, 0, 1, 0, 1, 0}, b{0, 1, 0, 1, 0, 1}, mid(6, 0.5),
+      poisoned{nan, 0.5, 0.5, 0.5, 0.5, 0.5};
+  const std::vector<std::vector<std::vector<double>>> cornerSets{
+      {},           {a},          {a, b},          {a, b, mid},  {a, b, mid, a, b},
+      {poisoned},   {poisoned, a}, {a, poisoned},   {a, poisoned, b}};
+  const auto model = batched(nominal());
+  std::vector<std::vector<double>> xs{model->initialPoint()};
+  for (const double scale : {0.6, 1.4}) {
+    xs.push_back(model->initialPoint());
+    for (double& v : xs.back()) v *= scale;
+  }
+  auto nanX = model->initialPoint();
+  nanX[0] = nan;  // every corner NaN, the nominal one included
+  xs.push_back(nanX);
+  xs.push_back({1.0, 2.0});  // wrong dimension: every corner throws
+
+  auto& reg = amsyn::core::metrics::registry();
+  const auto failures = [&] {
+    return reg.total("sim.fail.nan_detected") + reg.total("sim.fail.internal_error");
+  };
+  for (const auto& specs : {cornerSpecs(), reordered}) {
+    for (const auto& corners : cornerSets) {
+      const mf::CornerSetModel lockStep(batched, nominal(), mf::VariationSpace{}, specs, corners);
+      const mf::CornerSetModel perModel(forwarded, nominal(), mf::VariationSpace{}, specs,
+                                        corners);
+      for (const auto& x : xs) {
+        SCOPED_TRACE(::testing::Message() << corners.size() << " corners, x of " << x.size());
+        auto before = failures();
+        const auto want = cornerSetByName(batched, specs, corners, x);
+        const auto wantFailures = failures() - before;
+        before = failures();
+        EXPECT_EQ(payloadMismatch(lockStep.evaluate(x), want), "");
+        EXPECT_EQ(failures() - before, wantFailures);
+        before = failures();
+        EXPECT_EQ(payloadMismatch(perModel.evaluate(x), want), "");
+        EXPECT_EQ(failures() - before, wantFailures);
+      }
+    }
+  }
+  // The poisoned corner really was tagged nan_detected, and the
+  // wrong-dimension point really failed.
+  const mf::CornerSetModel withNan(batched, nominal(), mf::VariationSpace{}, cornerSpecs(),
+                                   {a, poisoned});
+  EXPECT_EQ(sz::performanceStatus(withNan.evaluate(xs.front())),
+            amsyn::core::EvalStatus::NanDetected);
+  EXPECT_TRUE(withNan.evaluate({1.0, 2.0}).count("_infeasible"));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace amsyn::reference {
@@ -80,9 +81,12 @@ UgfSolve composedTwoStageUgf(const sizing::OpampStructure& s, const circuit::Pro
     return av0 * std::sqrt(num / den);
   };
   double lo = p1, hi = 1e13;
+  int fixedPointStep = 80;
   for (int it = 0; it < 80; ++it) {
     const double mid = std::sqrt(lo * hi);
-    (magnitude(mid) > 1.0 ? lo : hi) = mid;
+    double& side = magnitude(mid) > 1.0 ? lo : hi;
+    if (fixedPointStep == 80 && std::memcmp(&side, &mid, sizeof mid) == 0) fixedPointStep = it;
+    side = mid;
   }
   const double ugf = std::sqrt(lo * hi);
 
@@ -93,7 +97,7 @@ UgfSolve composedTwoStageUgf(const sizing::OpampStructure& s, const circuit::Pro
   pm -= std::atan(ugf / p3) * 180.0 / M_PI;
   if (s.inputCascode) pm -= std::atan(ugf / pCasc) * 180.0 / M_PI;
 
-  return {ugf, pm, av0, z};
+  return {ugf, pm, av0, z, fixedPointStep};
 }
 
 }  // namespace amsyn::reference

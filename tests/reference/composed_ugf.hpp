@@ -19,6 +19,9 @@ struct UgfSolve {
   // Intermediate terms, so tests can show which regime a point exercised.
   double av0 = 0.0;  ///< dc loop gain av1 * av2
   double z = 0.0;    ///< plain-Miller zero (0 for the nulled variant)
+  /// First step that leaves (lo, hi) bit-unchanged, where an early-exit
+  /// solve stops (80: none does).
+  int fixedPointStep = 80;
 };
 
 /// Two-stage structures only (s.secondStage): geometry mapped from `x` at
