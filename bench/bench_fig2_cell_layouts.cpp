@@ -9,13 +9,15 @@
 // two KOAN/ANAGRAM-style automatic runs (annealed placement + maze routing,
 // different seeds) — and compared on the quantitative axes a layout
 // photograph encodes: area, wirelength, routing completion and diffusion
-// merging.
+// merging.  Each layout is also audited by the design-rule checker, which
+// reports its spacing and width violations.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "core/celllayout.hpp"
 #include "core/report.hpp"
+#include "layout/cell/drc.hpp"
 #include "sizing/opamp.hpp"
 
 namespace {
@@ -58,14 +60,19 @@ void printFigure2() {
   runs.push_back(runLayout("manual-3 (row, stacked)", false, true, 2));
   runs.push_back(runLayout("manual-4 (row, flat)", false, false, 2));
 
-  core::Table t({"layout", "area (klambda^2)", "wire (lambda)", "routed", "stacked"});
+  core::Table t({"layout", "area (klambda^2)", "wire (lambda)", "routed", "stacked",
+                 "DRC spacing/width"});
   double manualArea = 0, autoArea = 0, manualWire = 0, autoWire = 0;
   std::size_t nManual = 0, nAuto = 0;
   for (const auto& r : runs) {
+    std::size_t spacing = 0, width = 0;
+    for (const auto& v : layout::checkDesignRules(r.result.layout, circuit::defaultProcess()))
+      ++(v.kind == layout::DrcViolation::Kind::Spacing ? spacing : width);
     t.addRow({r.name, core::Table::num(r.result.areaLambda2 / 1e3),
               core::Table::num(r.result.wirelengthLambda),
               r.result.routing.allRouted ? "yes" : "NO",
-              std::to_string(r.result.stackedDevices)});
+              std::to_string(r.result.stackedDevices),
+              std::to_string(spacing) + "/" + std::to_string(width)});
     if (r.automatic) {
       autoArea += r.result.areaLambda2;
       autoWire += r.result.wirelengthLambda;

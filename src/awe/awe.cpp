@@ -11,12 +11,6 @@ double AweModel::magnitudeAt(double frequencyHz) const {
   return std::abs(pr.evaluate(s));
 }
 
-double AweModel::elmoreDelay() const {
-  if (moments.size() < 2 || moments[0] == 0.0)
-    throw std::logic_error("elmoreDelay: need m0 != 0 and m1");
-  return -moments[1] / moments[0];
-}
-
 double AweModel::stepResponse(double t) const { return pr.step(t); }
 
 std::vector<double> computeMoments(

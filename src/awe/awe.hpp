@@ -29,9 +29,6 @@ struct AweModel {
   /// Evaluate |H(j 2 pi f)|.
   double magnitudeAt(double frequencyHz) const;
 
-  /// First-moment (Elmore-style) delay estimate: -m1/m0.
-  double elmoreDelay() const;
-
   /// Unit-step response at time t from the pole/residue form.
   double stepResponse(double t) const;
 };

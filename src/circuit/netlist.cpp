@@ -31,12 +31,6 @@ const Device& Netlist::device(const std::string& name) const {
   throw std::out_of_range("Netlist::device: no device named " + name);
 }
 
-Device* Netlist::findDevice(const std::string& name) {
-  for (Device& d : devices_)
-    if (d.name == name) return &d;
-  return nullptr;
-}
-
 Device& Netlist::add(Device d) {
   devices_.push_back(std::move(d));
   return devices_.back();
@@ -97,26 +91,6 @@ Device& Netlist::addDiode(const std::string& name, const std::string& anode,
                           const std::string& cathode, double isat) {
   Device dev{DeviceType::Diode, name, {node(anode), node(cathode)}, 0, 0, {}, isat};
   return add(std::move(dev));
-}
-
-std::size_t Netlist::branchCount() const {
-  std::size_t n = 0;
-  for (const Device& d : devices_)
-    if (d.type == DeviceType::VSource || d.type == DeviceType::Vcvs ||
-        d.type == DeviceType::Inductor)
-      ++n;
-  return n;
-}
-
-std::vector<std::string> Netlist::devicesOnNode(NodeId n) const {
-  std::vector<std::string> out;
-  for (const Device& d : devices_)
-    for (NodeId t : d.nodes)
-      if (t == n) {
-        out.push_back(d.name);
-        break;
-      }
-  return out;
 }
 
 double Netlist::totalGateArea() const {

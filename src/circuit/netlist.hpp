@@ -65,7 +65,6 @@ class Netlist {
   const std::vector<Device>& devices() const { return devices_; }
   std::vector<Device>& devices() { return devices_; }
   const Device& device(const std::string& name) const;
-  Device* findDevice(const std::string& name);
 
   // --- builders ---
   Device& addResistor(const std::string& name, const std::string& a, const std::string& b,
@@ -87,13 +86,6 @@ class Netlist {
                  int m = 1);
   Device& addDiode(const std::string& name, const std::string& anode,
                    const std::string& cathode, double isat = 1e-14);
-
-  /// Number of independent voltage-source-like branches (V sources + VCVS +
-  /// inductors), i.e. the extra MNA unknowns.
-  std::size_t branchCount() const;
-
-  /// All device names attached to a node.
-  std::vector<std::string> devicesOnNode(NodeId n) const;
 
   /// Total MOS gate area (used as a crude active-area estimate).
   double totalGateArea() const;

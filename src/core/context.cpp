@@ -51,8 +51,6 @@ ExecutionContext& ExecutionContext::current() {
   return tlCurrent ? *tlCurrent : ambient();
 }
 
-ExecutionContext* ExecutionContext::scoped() { return tlCurrent; }
-
 std::unique_ptr<ExecutionContext> ExecutionContext::makeChild(
     std::optional<ContextConfig> cfg) {
   return std::unique_ptr<ExecutionContext>(

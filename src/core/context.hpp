@@ -99,9 +99,6 @@ class ExecutionContext {
   /// ambient() when none is installed.
   static ExecutionContext& current();
 
-  /// The installed context without the ambient fallback (nullptr = none).
-  static ExecutionContext* scoped();
-
   /// A child for one job within this context: the parent's config unless
   /// `cfg` overrides it (the one way to run a job with a different config
   /// than its parent's), and a metrics slice chained under the parent's —

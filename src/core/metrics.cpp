@@ -113,12 +113,6 @@ void Registry::add(CounterId id, std::uint64_t delta) {
   for (ContextSlice* s = tlSlice; s; s = s->parent()) s->bump(id.idx, delta);
 }
 
-std::uint64_t Registry::total(CounterId id) const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  return im.counterTotalLocked(id.idx);
-}
-
 std::uint64_t Registry::total(const std::string& name) const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mutex);
@@ -161,10 +155,6 @@ Registry& registry() { return Registry::instance(); }
 ContextSlice::ContextSlice()
     : slots_(std::make_unique<std::array<std::atomic<std::uint64_t>, kMaxCounters>>()) {
   for (auto& s : *slots_) s.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t ContextSlice::value(CounterId id) const {
-  return (*slots_)[id.idx].load(std::memory_order_relaxed);
 }
 
 std::map<std::string, std::uint64_t> ContextSlice::counters() const {

@@ -55,9 +55,8 @@ class Registry {
   /// Hot path (lock-free: calling thread's shard, relaxed atomics).
   void add(CounterId id, std::uint64_t delta = 1);
 
-  /// Aggregate of one counter over every shard (live + retired).
-  std::uint64_t total(CounterId id) const;
-  /// Aggregate by name: the counter's total if registered, else 0.
+  /// Aggregate of one counter over every shard (live + retired), by name:
+  /// the counter's total if registered, else 0.
   std::uint64_t total(const std::string& name) const;
 
   /// Copy the calling thread's first `count` counter slots into `out`
@@ -106,9 +105,6 @@ class ContextSlice {
   /// construction time of the owning context, before any recording.
   void setParent(ContextSlice* parent) { parent_ = parent; }
   ContextSlice* parent() const { return parent_; }
-
-  /// Accumulated delta for one counter id.
-  std::uint64_t value(CounterId id) const;
 
   /// Name -> delta for every registered counter this slice saw (zero-delta
   /// counters are omitted).  Deterministic order (map).

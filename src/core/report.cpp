@@ -37,10 +37,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) line(row);
 }
 
-std::string Table::toString() const {
-  std::ostringstream out;
-  print(out);
-  return out.str();
-}
-
 }  // namespace amsyn::core

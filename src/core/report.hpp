@@ -17,7 +17,6 @@ class Table {
   static std::string num(double v, int precision = 3);
 
   void print(std::ostream& os) const;
-  std::string toString() const;
 
  private:
   std::vector<std::string> headers_;

@@ -51,12 +51,6 @@ RunReport& RunReport::addValue(std::string key, double value) {
   return *this;
 }
 
-RunReport& RunReport::addRatio(std::string key, double numerator, double denominator) {
-  return addValue(std::move(key), denominator == 0.0
-                                      ? std::numeric_limits<double>::quiet_NaN()
-                                      : numerator / denominator);
-}
-
 namespace {
 
 /// Comma-separated key/value emission with shared indentation.

@@ -55,8 +55,6 @@ ThreadPool* ThreadPool::setGlobal(ThreadPool* pool) {
   return gOverride.exchange(pool, std::memory_order_acq_rel);
 }
 
-bool ThreadPool::isWorkerThread() const { return tlPool == this; }
-
 void ThreadPool::submit(std::function<void()> task) {
   {
     // Increment before pushing, under sleepMutex_, so (a) a worker between

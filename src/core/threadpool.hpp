@@ -52,9 +52,6 @@ class ThreadPool {
   /// every queue is empty.  Barriers call this in their wait loop.
   bool tryRunOneTask();
 
-  /// True when the calling thread is one of this pool's workers.
-  bool isWorkerThread() const;
-
   /// Process-wide pool, lazily constructed at configuredThreads() size.
   static ThreadPool& global();
 

@@ -108,8 +108,8 @@ Span::~Span() {
     if (s.counterDeltas.size() < n) s.counterDeltas.resize(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t beforeVal = i < before_.size() ? before_[i] : 0;
-      // A registry reset mid-span can make `after` run behind the snapshot;
-      // saturate rather than wrap.
+      // A thread's counters only grow (a shard made mid-span opened at zero),
+      // so `after` never trails the snapshot; the test only guards the wrap.
       if (after[i] > beforeVal) s.counterDeltas[i] += after[i] - beforeVal;
     }
     shard.currentPath = parentPath_;

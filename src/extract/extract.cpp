@@ -22,18 +22,6 @@ double ExtractionResult::couplingBetween(const std::string& a, const std::string
   return jt == it->second.couplingTo.end() ? 0.0 : jt->second;
 }
 
-double ExtractionResult::worstCoupling() const {
-  double worst = 0.0;
-  for (const auto& [net, par] : nets) {
-    (void)net;
-    for (const auto& [other, c] : par.couplingTo) {
-      (void)other;
-      worst = std::max(worst, c);
-    }
-  }
-  return worst;
-}
-
 namespace {
 
 /// Same-layer shapes closer than this (quarter-lambda) couple.

@@ -24,8 +24,6 @@ struct ExtractionResult {
 
   double groundCapOf(const std::string& net) const;
   double couplingBetween(const std::string& a, const std::string& b) const;
-  /// Largest single coupling cap in the layout (crosstalk hot spot).
-  double worstCoupling() const;
 };
 
 /// Extract every named routing shape's ground capacitance and resistance,

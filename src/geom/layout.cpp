@@ -2,22 +2,6 @@
 
 namespace amsyn::geom {
 
-std::string toString(Layer layer) {
-  switch (layer) {
-    case Layer::NDiff: return "ndiff";
-    case Layer::PDiff: return "pdiff";
-    case Layer::Poly: return "poly";
-    case Layer::Metal1: return "metal1";
-    case Layer::Metal2: return "metal2";
-    case Layer::Contact: return "contact";
-    case Layer::Via: return "via";
-    case Layer::NWell: return "nwell";
-    case Layer::PWell: return "pwell";
-    case Layer::Substrate: return "substrate";
-  }
-  return "?";
-}
-
 Rect CellMaster::boundingBox() const {
   Rect bb;
   for (const Shape& s : shapes) bb = bb.unionWith(s.rect);
@@ -59,13 +43,6 @@ Rect Layout::boundingBox() const {
   for (const CellInstance& inst : instances) bb = bb.unionWith(inst.boundingBox());
   for (const Shape& w : wires) bb = bb.unionWith(w.rect);
   return bb;
-}
-
-Coord Layout::totalWireLength() const {
-  Coord len = 0;
-  for (const Shape& w : wires)
-    if (isRoutingLayer(w.layer)) len += std::max(w.rect.width(), w.rect.height());
-  return len;
 }
 
 }  // namespace amsyn::geom

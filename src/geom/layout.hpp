@@ -28,8 +28,6 @@ enum class Layer : std::uint8_t {
   Substrate  ///< marker layer for substrate-contact/guard-ring shapes
 };
 
-std::string toString(Layer layer);
-
 /// Is this a layer wires may be routed on?
 constexpr bool isRoutingLayer(Layer l) {
   return l == Layer::Poly || l == Layer::Metal1 || l == Layer::Metal2;
@@ -80,7 +78,6 @@ struct Layout {
   std::vector<Shape> wires;  ///< router-generated geometry
 
   Rect boundingBox() const;
-  Coord totalWireLength() const;  ///< sum of max(w,h) over wire shapes
 };
 
 }  // namespace amsyn::geom

@@ -4,12 +4,6 @@
 
 namespace amsyn::geom {
 
-Rect boundingBox(const std::vector<Rect>& rects) {
-  Rect bb;  // empty
-  for (const Rect& r : rects) bb = bb.unionWith(r);
-  return bb;
-}
-
 Coord centerDistance(const Rect& a, const Rect& b) {
   const Point ca = a.center(), cb = b.center();
   return std::llabs(ca.x - cb.x) + std::llabs(ca.y - cb.y);

@@ -66,9 +66,6 @@ struct Rect {
   }
 };
 
-/// Bounding box of a set of rects (empty rects ignored).
-Rect boundingBox(const std::vector<Rect>& rects);
-
 /// Manhattan distance between rect centers.
 Coord centerDistance(const Rect& a, const Rect& b);
 

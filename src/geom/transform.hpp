@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 #include "geom/rect.hpp"
 
@@ -17,8 +16,6 @@ enum class Orientation : std::uint8_t { R0, R90, R180, R270, MX, MX90, MY, MY90 
 constexpr std::array<Orientation, 8> kAllOrientations = {
     Orientation::R0, Orientation::R90, Orientation::R180, Orientation::R270,
     Orientation::MX, Orientation::MX90, Orientation::MY, Orientation::MY90};
-
-std::string toString(Orientation o);
 
 /// Does this orientation swap width and height?
 constexpr bool swapsAxes(Orientation o) {
@@ -34,9 +31,6 @@ struct Transform {
 
   Point apply(Point p) const;
   Rect apply(const Rect& r) const;
-
-  /// Compose: result applies `inner` first, then *this.
-  Transform compose(const Transform& inner) const;
 };
 
 /// Mirror-about-vertical-axis x = axisX, used for symmetric pair placement.

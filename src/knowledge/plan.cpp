@@ -11,11 +11,6 @@ double PlanContext::get(const std::string& key) const {
   return it->second;
 }
 
-double PlanContext::getOr(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
 DesignPlan& DesignPlan::input(const std::string& input) {
   inputs_.push_back(input);
   return *this;

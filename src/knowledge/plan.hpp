@@ -27,7 +27,6 @@ class PlanContext {
 
   bool has(const std::string& key) const { return values_.count(key) != 0; }
   double get(const std::string& key) const;
-  double getOr(const std::string& key, double fallback) const;
   void set(const std::string& key, double value) { values_[key] = value; }
 
   const std::map<std::string, double>& values() const { return values_; }

@@ -1,22 +1,12 @@
 #include "layout/cell/drc.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace amsyn::layout {
 
 using geom::Coord;
 using geom::Rect;
 using geom::Shape;
-
-std::string DrcViolation::describe() const {
-  std::ostringstream out;
-  out << (kind == Kind::Spacing ? "spacing" : "width") << " on " << geom::toString(layer)
-      << ": " << value << " < " << required;
-  if (kind == Kind::Spacing) out << " between '" << netA << "' and '" << netB << "'";
-  else out << " on '" << netA << "'";
-  return out.str();
-}
 
 std::vector<DrcViolation> checkDesignRules(const geom::Layout& layout,
                                            const circuit::Process& proc) {

@@ -19,8 +19,6 @@ struct DrcViolation {
   std::string netA, netB;
   geom::Coord value = 0;     ///< measured spacing / width (quarter-lambda)
   geom::Coord required = 0;
-
-  std::string describe() const;
 };
 
 /// Check same-layer spacing (process ruleMinSpacing) between shapes of

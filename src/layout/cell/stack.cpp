@@ -12,16 +12,6 @@ namespace amsyn::layout {
 using circuit::Device;
 using circuit::DeviceType;
 
-std::size_t DiffusionGraph::oddDegreeVertices() const {
-  std::vector<std::size_t> degree(nets.size(), 0);
-  for (const Edge& e : edges) {
-    ++degree[e.a];
-    ++degree[e.b];
-  }
-  return static_cast<std::size_t>(
-      std::count_if(degree.begin(), degree.end(), [](std::size_t d) { return d % 2 == 1; }));
-}
-
 namespace {
 
 /// Union-find over graph vertices.
@@ -35,29 +25,15 @@ struct Dsu {
   void merge(std::size_t a, std::size_t b) { parent[find(a)] = find(b); }
 };
 
-}  // namespace
-
-std::size_t DiffusionGraph::connectedComponents() const {
-  if (edges.empty()) return 0;
-  Dsu dsu(nets.size());
-  std::vector<bool> touched(nets.size(), false);
-  for (const Edge& e : edges) {
-    dsu.merge(e.a, e.b);
-    touched[e.a] = touched[e.b] = true;
-  }
-  std::set<std::size_t> roots;
-  for (std::size_t v = 0; v < nets.size(); ++v)
-    if (touched[v]) roots.insert(dsu.find(v));
-  return roots.size();
-}
-
-std::size_t DiffusionGraph::minimumStacks() const {
-  if (edges.empty()) return 0;
-  // Per component: max(1, odd/2).
-  Dsu dsu(nets.size());
-  std::vector<bool> touched(nets.size(), false);
-  std::vector<std::size_t> degree(nets.size(), 0);
-  for (const Edge& e : edges) {
+/// Euler bound over the edges that `used` does not mark (all edges when it
+/// is null): max(1, odd/2) trails per connected component, 0 with no edges.
+std::size_t eulerBound(const DiffusionGraph& g, const std::vector<bool>* used) {
+  Dsu dsu(g.nets.size());
+  std::vector<bool> touched(g.nets.size(), false);
+  std::vector<std::size_t> degree(g.nets.size(), 0);
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    if (used && (*used)[i]) continue;
+    const auto& e = g.edges[i];
     dsu.merge(e.a, e.b);
     touched[e.a] = touched[e.b] = true;
     ++degree[e.a];
@@ -65,7 +41,7 @@ std::size_t DiffusionGraph::minimumStacks() const {
   }
   std::map<std::size_t, std::size_t> oddPerComp;
   std::set<std::size_t> comps;
-  for (std::size_t v = 0; v < nets.size(); ++v) {
+  for (std::size_t v = 0; v < g.nets.size(); ++v) {
     if (!touched[v]) continue;
     const std::size_t root = dsu.find(v);
     comps.insert(root);
@@ -78,6 +54,10 @@ std::size_t DiffusionGraph::minimumStacks() const {
   }
   return total;
 }
+
+}  // namespace
+
+std::size_t DiffusionGraph::minimumStacks() const { return eulerBound(*this, nullptr); }
 
 std::vector<DiffusionGraph> buildDiffusionGraphs(const circuit::Netlist& net,
                                                  double widthTolerance) {
@@ -270,33 +250,6 @@ struct Enumerator {
   explicit Enumerator(const DiffusionGraph& graph, std::size_t tgt, std::size_t maxRes)
       : g(graph), target(tgt), maxResults(maxRes), used(graph.edges.size(), false) {}
 
-  std::size_t remainingLowerBound() const {
-    // Euler bound on the subgraph of unused edges.
-    std::vector<std::size_t> degree(g.nets.size(), 0);
-    Dsu dsu(g.nets.size());
-    bool any = false;
-    std::vector<bool> touched(g.nets.size(), false);
-    for (std::size_t i = 0; i < g.edges.size(); ++i) {
-      if (used[i]) continue;
-      any = true;
-      ++degree[g.edges[i].a];
-      ++degree[g.edges[i].b];
-      dsu.merge(g.edges[i].a, g.edges[i].b);
-      touched[g.edges[i].a] = touched[g.edges[i].b] = true;
-    }
-    if (!any) return 0;
-    std::map<std::size_t, std::size_t> odd;
-    std::set<std::size_t> comps;
-    for (std::size_t v = 0; v < g.nets.size(); ++v) {
-      if (!touched[v]) continue;
-      comps.insert(dsu.find(v));
-      if (degree[v] % 2 == 1) ++odd[dsu.find(v)];
-    }
-    std::size_t bound = 0;
-    for (std::size_t c : comps) bound += std::max<std::size_t>(1, (odd.count(c) ? odd[c] : 0) / 2);
-    return bound;
-  }
-
   bool allUsed() const {
     for (bool u : used)
       if (!u) return false;
@@ -331,7 +284,7 @@ struct Enumerator {
     }
     if (current.stacks.size() < target) {
       // Prune: can the rest still be covered within budget?
-      if (current.stacks.size() + remainingLowerBound() > target) return;
+      if (current.stacks.size() + eulerBound(g, &used) > target) return;
       startNewTrail();
     }
     (void)extended;

@@ -36,10 +36,8 @@ struct DiffusionGraph {
   };
   std::vector<Edge> edges;
 
-  std::size_t oddDegreeVertices() const;
   /// Euler lower bound on the number of stacks for this graph.
   std::size_t minimumStacks() const;
-  std::size_t connectedComponents() const;
 };
 
 /// Partition the netlist's MOS devices into compatible groups.  Devices

@@ -102,18 +102,6 @@ double LU<T>::conditionProxy() const {
 template class LU<double>;
 template class LU<std::complex<double>>;
 
-double norm2(const VecD& v) {
-  double s = 0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s);
-}
-
-double norm2(const VecC& v) {
-  double s = 0;
-  for (const auto& x : v) s += std::norm(x);
-  return std::sqrt(s);
-}
-
 double normInf(const VecD& v) {
   double s = 0;
   for (double x : v) s = std::max(s, std::abs(x));

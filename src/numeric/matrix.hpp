@@ -115,10 +115,6 @@ std::vector<T> solveDense(Matrix<T> a, const std::vector<T>& b) {
   return LU<T>(std::move(a)).solve(b);
 }
 
-/// Euclidean norm.
-double norm2(const VecD& v);
-double norm2(const VecC& v);
-
 /// Infinity norm.
 double normInf(const VecD& v);
 

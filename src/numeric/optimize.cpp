@@ -120,15 +120,6 @@ OptResult nelderMead(const ObjectiveFn& f, std::vector<double> x0, const BoxBoun
   return res;
 }
 
-OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
-                           const BoxBounds& bounds, const CoordinateSearchOptions& opts) {
-  std::vector<double> x = bounds.clamp(std::move(x0));
-  const double fx = f(x);
-  OptResult res = coordinateSearch(f, std::move(x), fx, bounds, opts);
-  ++res.evaluations;
-  return res;
-}
-
 OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0, double f0,
                            const BoxBounds& bounds, const CoordinateSearchOptions& opts) {
   const std::size_t n = x0.size();

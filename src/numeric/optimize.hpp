@@ -42,13 +42,9 @@ struct CoordinateSearchOptions {
 
 /// Compass / coordinate pattern search: evaluate +/- step along each axis,
 /// accept improvements, shrink when stuck.  Monotone and extremely robust for
-/// the low-dimensional corner boxes of the manufacturability tool.
-OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0,
-                           const BoxBounds& bounds, const CoordinateSearchOptions& opts = {});
-
-/// coordinateSearch from a start whose value the caller already knows:
-/// f0 must equal f(bounds.clamp(x0)).  The start is not re-evaluated, so
-/// the result counts one evaluation fewer and is otherwise the same.
+/// the low-dimensional corner boxes of the manufacturability tool.  The
+/// caller passes the start's value: f0 must equal f(bounds.clamp(x0)), and
+/// the start is not re-evaluated.
 OptResult coordinateSearch(const ObjectiveFn& f, std::vector<double> x0, double f0,
                            const BoxBounds& bounds, const CoordinateSearchOptions& opts = {});
 

@@ -13,12 +13,6 @@ std::complex<double> PoleResidue::evaluate(std::complex<double> s) const {
   return acc;
 }
 
-double PoleResidue::impulse(double t) const {
-  std::complex<double> acc = 0.0;
-  for (std::size_t i = 0; i < poles.size(); ++i) acc += residues[i] * std::exp(poles[i] * t);
-  return acc.real();
-}
-
 double PoleResidue::step(double t) const {
   std::complex<double> acc = direct;
   for (std::size_t i = 0; i < poles.size(); ++i) {

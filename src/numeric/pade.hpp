@@ -29,9 +29,6 @@ struct PoleResidue {
 
   std::complex<double> evaluate(std::complex<double> s) const;
 
-  /// Impulse response h(t) = sum_i r_i e^{p_i t} (t >= 0).
-  double impulse(double t) const;
-
   /// Unit-step response y(t) = k + sum_i (r_i / p_i)(e^{p_i t} - 1).
   double step(double t) const;
 };

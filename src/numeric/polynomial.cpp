@@ -10,14 +10,6 @@ Polynomial::Polynomial(std::vector<double> coeffs) : coeff_(std::move(coeffs)) {
   while (coeff_.size() > 1 && coeff_.back() == 0.0) coeff_.pop_back();
 }
 
-bool Polynomial::isZero() const { return coeff_.size() == 1 && coeff_[0] == 0.0; }
-
-double Polynomial::evaluate(double x) const {
-  double acc = 0.0;
-  for (std::size_t k = coeff_.size(); k-- > 0;) acc = acc * x + coeff_[k];
-  return acc;
-}
-
 std::complex<double> Polynomial::evaluate(std::complex<double> x) const {
   std::complex<double> acc = 0.0;
   for (std::size_t k = coeff_.size(); k-- > 0;) acc = acc * x + coeff_[k];
@@ -29,31 +21,6 @@ Polynomial Polynomial::derivative() const {
   std::vector<double> d(coeff_.size() - 1);
   for (std::size_t k = 1; k < coeff_.size(); ++k) d[k - 1] = coeff_[k] * static_cast<double>(k);
   return Polynomial(std::move(d));
-}
-
-Polynomial Polynomial::operator+(const Polynomial& rhs) const {
-  std::vector<double> out(std::max(coeff_.size(), rhs.coeff_.size()), 0.0);
-  for (std::size_t k = 0; k < coeff_.size(); ++k) out[k] += coeff_[k];
-  for (std::size_t k = 0; k < rhs.coeff_.size(); ++k) out[k] += rhs.coeff_[k];
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::operator-(const Polynomial& rhs) const {
-  return *this + rhs * -1.0;
-}
-
-Polynomial Polynomial::operator*(const Polynomial& rhs) const {
-  if (isZero() || rhs.isZero()) return Polynomial{};
-  std::vector<double> out(coeff_.size() + rhs.coeff_.size() - 1, 0.0);
-  for (std::size_t i = 0; i < coeff_.size(); ++i)
-    for (std::size_t j = 0; j < rhs.coeff_.size(); ++j) out[i + j] += coeff_[i] * rhs.coeff_[j];
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::operator*(double s) const {
-  std::vector<double> out = coeff_;
-  for (double& c : out) c *= s;
-  return Polynomial(std::move(out));
 }
 
 std::vector<std::complex<double>> Polynomial::roots(double tol, std::size_t maxIter) const {

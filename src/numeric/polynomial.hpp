@@ -19,16 +19,10 @@ class Polynomial {
   std::size_t degree() const { return coeff_.size() - 1; }
   const std::vector<double>& coefficients() const { return coeff_; }
   double coefficient(std::size_t k) const { return k < coeff_.size() ? coeff_[k] : 0.0; }
-  bool isZero() const;
 
-  double evaluate(double x) const;
   std::complex<double> evaluate(std::complex<double> x) const;
 
   Polynomial derivative() const;
-  Polynomial operator+(const Polynomial& rhs) const;
-  Polynomial operator-(const Polynomial& rhs) const;
-  Polynomial operator*(const Polynomial& rhs) const;
-  Polynomial operator*(double s) const;
 
   /// All complex roots via the Durand-Kerner (Weierstrass) iteration.
   /// Robust for the modest degrees (< ~20) that arise from Padé denominators

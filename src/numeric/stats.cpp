@@ -6,23 +6,6 @@
 
 namespace amsyn::num {
 
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("mean of empty sample");
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile of empty sample");
   std::sort(xs.begin(), xs.end());

@@ -7,10 +7,6 @@
 
 namespace amsyn::num {
 
-double mean(const std::vector<double>& xs);
-double variance(const std::vector<double>& xs);  ///< sample variance (n-1)
-double stddev(const std::vector<double>& xs);
-
 /// p-th percentile (0..100) by linear interpolation on the sorted sample.
 double percentile(std::vector<double> xs, double p);
 

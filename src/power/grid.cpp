@@ -133,22 +133,6 @@ void PowerGrid::buildMnaMatrices(num::MatrixD& g, num::MatrixD& c) const {
   }
 }
 
-double PowerGrid::transferImpedance(const std::string& fromBlock, std::size_t toNode,
-                                    double frequency) const {
-  std::size_t src = SIZE_MAX;
-  for (std::size_t l = 0; l < spec_.loads.size(); ++l)
-    if (spec_.loads[l].name == fromBlock) src = loadNode_[l];
-  if (src == SIZE_MAX)
-    throw std::invalid_argument("transferImpedance: unknown block " + fromBlock);
-
-  num::MatrixD g, c;
-  buildMnaMatrices(g, c);
-  num::VecD b(g.rows(), 0.0);
-  b[src] = 1.0;  // unit current injection
-  const auto model = awe::aweLinearSystem(g, c, b, toNode, 3);
-  return model.magnitudeAt(frequency);
-}
-
 GridAnalysis PowerGrid::analyze() const {
   GridAnalysis a;
 

@@ -91,11 +91,6 @@ class PowerGrid {
   /// Full analysis: DC drop, AWE transient spike, electromigration stress.
   GridAnalysis analyze() const;
 
-  /// Transfer impedance magnitude |Z(j 2 pi f)| from a block's injection
-  /// node to an observation node, via AWE on the grid + package model.
-  double transferImpedance(const std::string& fromBlock, std::size_t toNode,
-                           double frequency) const;
-
  private:
   void buildMnaMatrices(num::MatrixD& g, num::MatrixD& c) const;
 

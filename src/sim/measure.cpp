@@ -55,22 +55,6 @@ std::optional<double> phaseMarginDeg(const AcSweep& sweep) {
   return std::nullopt;
 }
 
-std::optional<double> bandwidth3dB(const AcSweep& sweep) {
-  if (sweep.points.empty()) return std::nullopt;
-  const double ref = sweep.magnitudeDb(0) - 3.0103;
-  for (std::size_t i = 1; i < sweep.points.size(); ++i) {
-    const double m0 = sweep.magnitudeDb(i - 1);
-    const double m1 = sweep.magnitudeDb(i);
-    if (m0 >= ref && m1 < ref) {
-      const double f0 = sweep.points[i - 1].frequency;
-      const double f1 = sweep.points[i].frequency;
-      const double t = (m0 - ref) / (m0 - m1);
-      return f0 * std::pow(f1 / f0, t);
-    }
-  }
-  return std::nullopt;
-}
-
 double staticPower(const Mna& mna, const DcResult& op) {
   if (!op.converged) throw std::invalid_argument("staticPower: op not converged");
   double p = 0.0;

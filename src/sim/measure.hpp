@@ -27,9 +27,6 @@ std::optional<double> unityGainFrequency(const AcSweep& sweep);
 /// Phase margin in degrees: 180 + phase at the unity-gain frequency.
 std::optional<double> phaseMarginDeg(const AcSweep& sweep);
 
-/// -3 dB bandwidth relative to the dc gain; nullopt if not reached.
-std::optional<double> bandwidth3dB(const AcSweep& sweep);
-
 /// Static power drawn from all DC voltage sources (W).
 double staticPower(const Mna& mna, const DcResult& op);
 

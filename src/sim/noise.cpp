@@ -16,15 +16,6 @@ using circuit::Device;
 using circuit::DeviceType;
 using circuit::NodeId;
 
-double NoiseResult::integratedOutputRms() const {
-  double acc = 0.0;
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    const double df = points[i].frequency - points[i - 1].frequency;
-    acc += 0.5 * (points[i].outputPsd + points[i - 1].outputPsd) * df;
-  }
-  return std::sqrt(acc);
-}
-
 NoiseResult noiseAnalysis(const Mna& mna, const DcResult& op, const std::string& outputNode,
                           const std::vector<double>& frequencies,
                           core::Deadline* deadline) {

@@ -24,10 +24,6 @@ struct NoiseResult {
   /// DeadlineExpired); `points` then holds the frequencies finished.
   core::EvalStatus status = core::EvalStatus::Ok;
   std::vector<NoisePoint> points;
-
-  /// Total integrated output noise over the analyzed band (V rms), by
-  /// trapezoidal integration of the PSD on the (log-spaced) grid.
-  double integratedOutputRms() const;
 };
 
 /// Noise analysis at `outputNode` over the given frequencies.  Gain for input

@@ -70,14 +70,4 @@ bool SpecSet::satisfied(const core::Performance& perf, double tolerance) const {
   return true;
 }
 
-double SpecSet::totalViolation(const core::Performance& perf) const {
-  double v = 0.0;
-  for (const Spec& s : specs_) {
-    if (s.isObjective()) continue;
-    auto it = perf.find(s.performance);
-    v += it == perf.end() ? 1.0 : s.violation(it->second);
-  }
-  return v;
-}
-
 }  // namespace amsyn::sizing

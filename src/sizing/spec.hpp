@@ -54,9 +54,6 @@ class SpecSet {
   /// performances count as violations.
   bool satisfied(const core::Performance& perf, double tolerance = 0.0) const;
 
-  /// Total normalized violation across constraints.
-  double totalViolation(const core::Performance& perf) const;
-
  private:
   std::vector<Spec> specs_;
 };

@@ -20,12 +20,6 @@ SymbolId SymbolTable::intern(const std::string& name, double nominal) {
   return id;
 }
 
-SymbolId SymbolTable::idOf(const std::string& name) const {
-  auto it = byName_.find(name);
-  if (it == byName_.end()) throw std::out_of_range("SymbolTable: unknown symbol " + name);
-  return it->second;
-}
-
 SymSum SymSum::constant(double c) {
   SymSum s;
   if (c != 0.0) s.terms_[{}] = c;
@@ -54,8 +48,6 @@ SymSum SymSum::operator+(const SymSum& rhs) const {
   for (const auto& [k, v] : rhs.terms_) out.add(Term{k, v});
   return out;
 }
-
-SymSum SymSum::operator-(const SymSum& rhs) const { return *this + rhs.negated(); }
 
 SymSum SymSum::negated() const {
   SymSum out = *this;

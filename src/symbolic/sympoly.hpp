@@ -22,7 +22,6 @@ using SymbolId = std::uint32_t;
 class SymbolTable {
  public:
   SymbolId intern(const std::string& name, double nominal);
-  SymbolId idOf(const std::string& name) const;          ///< throws if unknown
   const std::string& name(SymbolId id) const { return names_.at(id); }
   double nominal(SymbolId id) const { return nominals_.at(id); }
   void setNominal(SymbolId id, double v) { nominals_.at(id) = v; }
@@ -55,7 +54,6 @@ class SymSum {
 
   void add(const Term& t);
   SymSum operator+(const SymSum& rhs) const;
-  SymSum operator-(const SymSum& rhs) const;
   SymSum operator*(const SymSum& rhs) const;
   SymSum negated() const;
 

@@ -23,7 +23,6 @@ TEST(Netlist, BuildersRegisterDevices) {
   n.addVSource("V1", "a", "0", 5.0, 1.0);
   n.addMos("M1", "d", "g", "s", "0", ckt::MosType::Nmos, 10e-6, 1e-6);
   EXPECT_EQ(n.devices().size(), 4u);
-  EXPECT_EQ(n.branchCount(), 1u);  // only V1
   EXPECT_EQ(n.device("M1").mos.w, 10e-6);
   EXPECT_THROW(n.device("nope"), std::out_of_range);
 }
@@ -34,14 +33,6 @@ TEST(Netlist, RejectsBadValues) {
   EXPECT_THROW(n.addResistor("R2", "a", "b", -5.0), std::invalid_argument);
   EXPECT_THROW(n.addMos("M1", "d", "g", "s", "b", ckt::MosType::Nmos, -1e-6, 1e-6),
                std::invalid_argument);
-}
-
-TEST(Netlist, DevicesOnNode) {
-  ckt::Netlist n;
-  n.addResistor("R1", "a", "b", 1e3);
-  n.addResistor("R2", "b", "c", 1e3);
-  const auto onB = n.devicesOnNode(n.node("b"));
-  EXPECT_EQ(onB.size(), 2u);
 }
 
 TEST(ParseValue, EngineeringSuffixes) {

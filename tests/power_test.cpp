@@ -66,17 +66,6 @@ TEST(PowerGrid, WideningWiresReducesDrop) {
   EXPECT_GT(thick.metalAreaM2, thin.metalAreaM2);
 }
 
-TEST(PowerGrid, TransferImpedanceFallsWithFrequencyBeyondDecap) {
-  pw::PowerGrid grid(dataChannelSpec(), proc());
-  pw::applyUniformWidth(grid, 10e-6);
-  const std::size_t victim = grid.nearestNode({1000, 12000});  // adc corner
-  const double zLow = grid.transferImpedance("dsp", victim, 1e3);
-  const double zHigh = grid.transferImpedance("dsp", victim, 1e9);
-  EXPECT_GT(zLow, 0.0);
-  // Decoupling caps shunt the grid at high frequency.
-  EXPECT_LT(zHigh, zLow);
-}
-
 TEST(PowerGrid, AnalysisReportsAllMetrics) {
   pw::PowerGrid grid(dataChannelSpec(), proc());
   const auto a = grid.analyze();

@@ -378,7 +378,9 @@ TEST_P(RouterDrcProperty, RoutedWiresKeepMinimumSpacing) {
   // Spacing only: pads overlap same-net segments by design, so a thin pad
   // rect reports a width violation its union does not have.
   for (const auto& v : layout::checkDesignRules(wiresOnly, proc()))
-    if (v.kind != layout::DrcViolation::Kind::Width) ADD_FAILURE() << v.describe();
+    if (v.kind != layout::DrcViolation::Kind::Width)
+      ADD_FAILURE() << "spacing " << v.value << " < " << v.required << " between '" << v.netA
+                    << "' and '" << v.netB << "'";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterDrcProperty, ::testing::Range(1, 7));

@@ -142,13 +142,3 @@ TEST(ReportSchema, MaskingIsStableAcrossRuns) {
   // normalized reports.
   EXPECT_EQ(normalizedFlowReport(), normalizedFlowReport());
 }
-
-TEST(RunReportRatio, ZeroDenominatorEmitsNullNotZero) {
-  // No traffic must not read as a 0% rate.
-  core::RunReport r;
-  r.name = "ratio_test";
-  r.addRatio("no_traffic", 0.0, 0.0).addRatio("real_rate", 1.0, 4.0);
-  const std::string json = r.toJson();
-  EXPECT_NE(json.find("\"no_traffic\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"real_rate\": 0.25"), std::string::npos) << json;
-}

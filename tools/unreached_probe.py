@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
 """List the amsyn functions that no paper bench, example or workload calls.
 
-    python3 tools/unreached_probe.py WORKDIR [--seconds 3] [--jobs 2]
-    python3 tools/unreached_probe.py --options
+    python3 tools/unreached_probe.py WORKDIR [--seconds 3] [--jobs 2] [--check]
+    python3 tools/unreached_probe.py --options [--check]
 
 Run from anywhere; WORKDIR receives two coverage builds and the run
 directory.  The probe
 
-  1. configures and builds `-O1 --coverage` trees of the repository (the nine
-     paper benches and the five examples) in WORKDIR/cov and of perfbench/
-     (flow_bench) in WORKDIR/covpb;
+  1. configures and builds `-O1 -fno-inline --coverage` trees of the
+     repository (the ten paper benches and the five examples) in WORKDIR/cov
+     and of perfbench/ (flow_bench) in WORKDIR/covpb;
   2. from an empty directory, WORKDIR/run, runs each paper bench with
      --benchmark_filter=NONE, each example, and flow_bench for --seconds on
      each workload with --trace 0 and 1;
-  3. runs `gcov -f -n -m` over every object directory of the amsyn libraries
-     in both trees and keeps, per demangled function, the best line coverage
-     seen in any translation unit of either tree;
+  3. runs `gcov -f -n -m` over every object directory in both trees and
+     keeps, per demangled amsyn function, the best line coverage seen in any
+     translation unit of either tree;
   4. prints every named amsyn function body that was never called, with its
      line count, and a summary line.
 
 Lambdas and standard-library template copies (std::sort over an amsyn type,
 say) are left out.  The build types append their own -O2/-O3 after -O1;
-call counts are exact either way.  A cold run takes several minutes, so the
-probe is not part of CI: run it when deciding what a bench still reaches.
+call counts are exact either way, and -fno-inline keeps an out-of-line copy
+of every function, so a call that would have been inlined still counts.
 Exits non-zero when a build, a bench, an example or a workload fails.
+
+With --check it also exits 1 when a zero-call body is not named in
+KEPT_UNREACHED (the bodies kept on purpose, each with its reason), or when
+an entry there names a body that is now called or gone.  A cold run takes
+several minutes, so it is not part of tier-1 CI; a scheduled workflow
+(.github/workflows/unreached.yml) runs it.
 
 --options needs no build and no WORKDIR.  For every field of every
 `*Options` / `*Config` struct under src/, it lists the files that assign the
@@ -58,12 +64,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHES = ["table1_pulse_detector", "fig1_approaches", "fig2_cell_layouts", "fig3_rail_grid",
            "claim_corners", "claim_stacking", "claim_eval_speed", "claim_coupling",
-           "ablations"]
+           "ablations", "robustness"]
 EXAMPLES = ["quickstart", "pulse_detector", "mixed_signal_chip", "symbolic_analysis",
             "topology_explorer"]
 WORKLOADS = ["amp_flow", "robust_corners", "gen_batch"]
 AREAS = ["src", "tests", "bench", "examples", "perfbench"]
-COVERAGE = ["-DCMAKE_CXX_FLAGS=-O1 --coverage", "-DCMAKE_EXE_LINKER_FLAGS=--coverage"]
+# gcov spells std::string out; the list prints and keys it short.
+STRING = "std::__cxx11::basic_string<char, std::char_traits<char>, std::allocator<char> >"
+COVERAGE = ["-DCMAKE_CXX_FLAGS=-O1 -fno-inline --coverage", "-DCMAKE_EXE_LINKER_FLAGS=--coverage"]
 
 
 def run(cmd, **kw):
@@ -126,10 +134,12 @@ def qualified_name(demangled):
 
 
 def coverage(trees):
-    """Best executed fraction and line count per named amsyn function."""
+    """Best executed fraction and line count per named amsyn function.  Every
+    object directory counts, the benches' and examples' too: an inline
+    function's calls land in whichever copy of it the linker kept."""
     best = {}
     for tree in trees:
-        for objdir in sorted(tree.rglob("CMakeFiles/amsyn_*.dir")):
+        for objdir in sorted(tree.rglob("CMakeFiles/*.dir")):
             gcnos = sorted(str(p) for p in objdir.glob("*.gcno"))
             if not gcnos:
                 continue
@@ -140,6 +150,7 @@ def coverage(trees):
                     r"^Function '(.*)'\nLines executed:([\d.]+)% of (\d+)", out, re.M):
                 if "{lambda" in name or not qualified_name(name).startswith("amsyn::"):
                     continue
+                name = name.replace(STRING, "std::string").replace("[abi:cxx11]", "")
                 seen = best.get(name)
                 fraction = float(pct)
                 if seen is None or fraction > seen[0]:
@@ -164,6 +175,94 @@ POINTEE_OF = {"unique_ptr", "shared_ptr", "weak_ptr", "optional"}
 # A receiver: `opts`, `cases[0].opts`, `o.synthesis.anneal`, `p->grid`.
 STEP = r"\w+(?:\s*\[[^\[\]]*\])*"
 RECEIVER = re.compile(STEP + r"(?:\s*(?:\.|->)\s*" + STEP + r")*")
+# Function bodies that no bench, example or workload calls, kept on purpose.
+# Each reason starts with its kind: (a) safety code (error handling, the
+# tests' fault injector); (b) a path a real input reaches, named; (c) a
+# reference or oracle tests compare against; (d) a test's only way to observe
+# code a workload reaches; (e) a caller a named ROADMAP item plans.  --check
+# fails on any other zero-call body, and on an entry here that is called or
+# gone.  Keys are gcov's demangled names.
+KEPT_UNREACHED = {
+    # (a) safety code
+    "amsyn::core::classifyException(std::__exception_ptr::exception_ptr)":
+        "(a) maps an escaped exception to its EvalStatus; no bench input throws",
+    "amsyn::core::Performance::clear()":
+        "(a) safeEvaluate's catch path empties a throwing model's payload",
+    "amsyn::sizing::markInfeasible(amsyn::core::Performance&, amsyn::core::EvalStatus)":
+        "(a) tags a failed evaluation; no bench evaluation fails",
+    "amsyn::core::StageOutcome::skip(std::string)":
+        "(a) a sizing stage with no candidate or a failed plan backtrack skips",
+    "amsyn::sim::FaultInjector::arm(amsyn::sim::FaultPlan const&)":
+        "(a) the tests' fault injector",
+    "amsyn::sim::FaultInjector::disarm()": "(a) the tests' fault injector",
+    "amsyn::sim::FaultInjector::takeBudgetExhaustion()": "(a) the tests' fault injector",
+    "amsyn::sim::(anonymous namespace)::take(unsigned long&)": "(a) the tests' fault injector",
+    "amsyn::manufacture::CornerSetModel::evaluateEach(std::vector<double, "
+    "std::allocator<double> > const&) const":
+        "(a) a corner set whose factory is not the two-stage batch, or a batch that throws, "
+        "evaluates each corner through safeEvaluate",
+    "amsyn::manufacture::(anonymous namespace)::foldByName(amsyn::core::Performance&, "
+    "amsyn::core::Performance const&, amsyn::sizing::SpecSet const&)":
+        "(a) folds a corner that is NaN, failed or thrown, where the by-position fold "
+        "cannot",
+    # (b) a path a real input reaches
+    "amsyn::layout::generateResistor(std::string const&, double, std::string const&, "
+    "std::string const&, amsyn::circuit::Process const&)":
+        "(b) core::layoutCell on a netlist with a resistor (celllayout.cpp:123), e.g. a "
+        "Miller-nulled structure's RZ",
+    "amsyn::sizing::SpecSet::maximize(std::string const&, double, double)":
+        "(b) a spec set with a maximize objective (flowgraph.cpp:107)",
+    "amsyn::circuit::Netlist::addDiode(std::string const&, std::string const&, "
+    "std::string const&, double)": "(b) a deck with a D card (parser.cpp:189)",
+    "amsyn::sim::(anonymous namespace)::diodeEval(double, double, double, double&, double&)":
+        "(b) simulating a deck with a D card (mna.cpp:166)",
+    "amsyn::circuit::Netlist::addInductor(std::string const&, std::string const&, "
+    "std::string const&, double)": "(b) a deck with an L card (parser.cpp:120)",
+    "amsyn::circuit::Netlist::addVcvs(std::string const&, std::string const&, "
+    "std::string const&, std::string const&, std::string const&, double)":
+        "(b) a deck with an E card (parser.cpp:144)",
+    "amsyn::circuit::Netlist::addVccs(std::string const&, std::string const&, "
+    "std::string const&, std::string const&, std::string const&, double)":
+        "(b) a deck with a G card (parser.cpp:148)",
+    # (c) references and oracles
+    "amsyn::layout::stackingValid(amsyn::layout::DiffusionGraph const&, "
+    "amsyn::layout::Stacking const&)": "(c) the oracle the stacking tests check both "
+                                      "extractors against",
+    "amsyn::sizing::TwoStageParams::activeArea(amsyn::circuit::Process const&) const":
+        "(c) the hand-written area the equation model's area is tested against",
+    # (d) a test's only view of code a workload reaches
+    "amsyn::awe::aweTransfer(amsyn::sim::Mna const&, amsyn::sim::DcResult const&, "
+    "std::string const&, unsigned long)":
+        "(d) AWE of a netlist: acMatrices plus aweLinearSystem, which the relaxed model "
+        "and RAIL run",
+    "amsyn::awe::AweModel::magnitudeAt(double) const":
+        "(d) |H(jw)| of the pole/residue form that the relaxed model and RAIL evaluate",
+    "amsyn::core::trace::reset()":
+        "(d) clears the span aggregates every run records, so a test reads its own spans",
+    "amsyn::circuit::Netlist::device(std::string const&) const":
+        "(d) reads one device of a parsed deck or built netlist",
+    "amsyn::geom::CellMaster::pinsOnNet(std::string const&) const":
+        "(d) reads the pins the module generators make",
+    "amsyn::extract::ExtractionResult::couplingBetween(std::string const&, "
+    "std::string const&) const": "(d) reads the coupling the extractor computes",
+    "amsyn::extract::ExtractionResult::groundCapOf(std::string const&) const":
+        "(d) reads the ground capacitance the extractor computes",
+    "amsyn::sim::dcOperatingPoint(amsyn::sim::Mna const&, amsyn::core::Deadline*)":
+        "(d) the DC solve the flows run, from a zero start",
+    "amsyn::topology::boundsBySampling(amsyn::sizing::PerformanceModel const&, "
+    "unsigned long, double)":
+        "(d) the library build's sampled bounds on a uniform grid",
+    # (e) callers a ROADMAP item plans
+    "amsyn::core::metrics::ContextSlice::counters() const":
+        "(e) ROADMAP item 7: one job's report inside a batch",
+    "amsyn::core::ExecutionContext::sliceCounters() const":
+        "(e) ROADMAP item 7: one job's report inside a batch",
+    "amsyn::core::flowRunReportJson(amsyn::core::FlowResult const&, "
+    "amsyn::core::ExecutionContext const&)":
+        "(e) ROADMAP item 7: one job's report inside a batch",
+}
+
+
 # Fields that no caller assigns, on purpose.  --check fails on any other
 # field that nothing assigns, and on an entry here that something does.
 KEPT_DEFAULTS = {
@@ -409,6 +508,36 @@ def option_pass(check):
     return 1 if failed else 0
 
 
+def function_pass(best, check):
+    """Print the zero-call bodies; with check, hold them to KEPT_UNREACHED."""
+    unreached = {name: lines for name, (fraction, lines) in best.items() if fraction == 0.0}
+    for name, lines in sorted(unreached.items(), key=lambda u: (-u[1], u[0])):
+        kept = KEPT_UNREACHED.get(name)
+        print(f"{lines:5d}  {name}" + (f"  (kept: {kept})" if kept else ""))
+    print(f"{len(unreached)} of {len(best)} named amsyn function bodies have zero calls "
+          f"({sum(unreached.values())} lines)")
+    kept = [name for name in unreached if name in KEPT_UNREACHED]
+    print("kept by reason: " + ", ".join(
+        f"({r}) {sum(KEPT_UNREACHED[n].startswith(f'({r})') for n in kept)}" for r in "abcde"))
+    if not check:
+        return 0
+    failed = False
+    for name in sorted(unreached.keys() - KEPT_UNREACHED.keys()):
+        print(f"unreached_probe.py: {name} has zero calls: delete it, or keep it in "
+              f"KEPT_UNREACHED with a reason", file=sys.stderr)
+        failed = True
+    for name in sorted(KEPT_UNREACHED.keys() - unreached.keys()):
+        print(f"unreached_probe.py: KEPT_UNREACHED lists {name}, which is "
+              f"{'now called' if name in best else 'gone'}: drop the entry", file=sys.stderr)
+        failed = True
+    for name, reason in sorted(KEPT_UNREACHED.items()):
+        if not re.match(r"\([a-e]\) ", reason):
+            print(f"unreached_probe.py: KEPT_UNREACHED's reason for {name} does not start "
+                  f"with one of (a)-(e)", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workdir", type=Path, nargs="?",
@@ -418,11 +547,9 @@ def main():
     ap.add_argument("--options", action="store_true",
                     help="list who assigns each option field (no build)")
     ap.add_argument("--check", action="store_true",
-                    help="with --options: exit 1 when a field outside KEPT_DEFAULTS "
-                         "is assigned nowhere")
+                    help="exit 1 on a zero-call body outside KEPT_UNREACHED, or with "
+                         "--options on a field outside the kept lists")
     args = ap.parse_args()
-    if args.check and not args.options:
-        ap.error("--check needs --options")
     if args.options:
         return option_pass(args.check)
     if args.workdir is None:
@@ -434,14 +561,7 @@ def main():
     except (subprocess.CalledProcessError, OSError) as e:
         print(f"unreached_probe.py: {e}", file=sys.stderr)
         return 1
-    best = coverage([cov / "src", covpb / "amsyn"])
-    unreached = sorted((lines, name) for name, (fraction, lines) in best.items()
-                       if fraction == 0.0)
-    for lines, name in sorted(unreached, key=lambda u: (-u[0], u[1])):
-        print(f"{lines:5d}  {name}")
-    print(f"{len(unreached)} of {len(best)} named amsyn function bodies have zero calls "
-          f"({sum(lines for lines, _ in unreached)} lines)")
-    return 0
+    return function_pass(coverage([cov, covpb]), args.check)
 
 
 if __name__ == "__main__":
