@@ -12,10 +12,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <vector>
 
 #include "core/context.hpp"
@@ -56,42 +54,6 @@ struct CountedRun {
   manufacture::RobustResult res;
 };
 
-/// A one-worker pool whose worker is parked for the scope.  parallelFor runs
-/// indices on the calling thread *and* the pool's workers, so a plain
-/// width-1 pool still evaluates the corner hunts' vertices on two threads
-/// while the nominal anneal runs on one.  With the worker parked the caller
-/// runs every index (and drains the queued helper tasks itself), so the
-/// phase wall times compare serial CPU.
-class SerialPool {
- public:
-  SerialPool() {
-    scoped_.pool().submit([this] {
-      std::unique_lock<std::mutex> lk(mu_);
-      parked_ = true;
-      cv_.notify_all();
-      cv_.wait(lk, [this] { return released_; });
-    });
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] { return parked_; });
-  }
-  ~SerialPool() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-  SerialPool(const SerialPool&) = delete;
-  SerialPool& operator=(const SerialPool&) = delete;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool parked_ = false;
-  bool released_ = false;
-  core::ScopedThreadPool scoped_{1};  // last: joined before mu_/cv_ go away
-};
-
 CountedRun countedRun() {
   core::ExecutionContext ctx(core::ContextConfig::fromEnv());
   core::ContextScope scope(ctx);
@@ -105,13 +67,16 @@ CountedRun countedRun() {
   return r;
 }
 
+/// Zero workers: every index runs on the calling thread, so the phase wall
+/// times compare serial CPU.
 CountedRun serialRun() {
-  SerialPool pool;
+  core::ScopedThreadPool serial(0);
   return countedRun();
 }
 
-CountedRun parallelRun(std::size_t threads) {
-  core::ScopedThreadPool pool(threads);
+/// `workers` pool workers plus the calling thread.
+CountedRun parallelRun(std::size_t workers) {
+  core::ScopedThreadPool pool(workers);
   return countedRun();
 }
 
@@ -197,12 +162,13 @@ void printClaim(const CountedRun& run, const TimeRatios& ratios) {
 
 /// Machine-readable record: the premium (evaluation counts from the first
 /// serial run, the phase wall-time ratio's median and range over all of
-/// them) plus a scaling record — the
-/// identical synthesis at the configured pool width.  The parallel loops
-/// are deterministic by construction, so besides the timings we record
-/// whether the two widths really did produce the same design.
+/// them) plus a scaling record — the identical synthesis on `workers` pool
+/// workers plus the calling thread (its `threads` value counts both).  The
+/// parallel loops are deterministic by construction, so besides the timings
+/// we record whether the two widths really did produce the same design.
 void writeJson(const CountedRun& serial, const TimeRatios& ratios, const CountedRun& parallel,
-               std::size_t threads) {
+               std::size_t workers) {
+  const std::size_t threads = workers + 1;
   const bool identical = serial.res.robust.x == parallel.res.robust.x &&
                          serial.res.robust.cost == parallel.res.robust.cost &&
                          serial.res.activeCorners == parallel.res.activeCorners;
@@ -230,9 +196,10 @@ void writeJson(const CountedRun& serial, const TimeRatios& ratios, const Counted
       .addValue("corner_to_nominal_time_ratio_min", ratios.min)
       .addValue("corner_to_nominal_time_ratio_max", ratios.max);
   report.write("BENCH_corners.json");
-  std::cout << "wrote BENCH_corners.json: " << serial.seconds << " s at 1 thread, "
-            << parallel.seconds << " s at " << threads
-            << " threads, identical=" << (identical ? "yes" : "NO") << "\n\n";
+  std::cout << "wrote BENCH_corners.json: " << serial.seconds
+            << " s at 1 thread (0 workers + caller), "
+            << parallel.seconds << " s at " << threads << " threads (" << workers
+            << " workers + caller), identical=" << (identical ? "yes" : "NO") << "\n\n";
 }
 
 void BM_NominalSynthesis(benchmark::State& state) {
@@ -265,7 +232,7 @@ BENCHMARK(BM_RobustSynthesis)->Unit(benchmark::kMillisecond)->Iterations(3);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads =
+  const std::size_t workers =
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads());
   const CountedRun serial = serialRun();
   std::vector<double> ratios{timeRatio(serial.res)};
@@ -280,9 +247,9 @@ int main(int argc, char** argv) {
     ratios.push_back(timeRatio(again.res));
   }
   const TimeRatios summary = summarize(ratios);
-  const CountedRun parallel = parallelRun(threads);
+  const CountedRun parallel = parallelRun(workers);
   printClaim(serial, summary);
-  writeJson(serial, summary, parallel, threads);
+  writeJson(serial, summary, parallel, workers);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

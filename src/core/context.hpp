@@ -12,7 +12,7 @@
 //     and therefore every subsystem that resolves through it — see that
 //     context on the installing thread.  parallelFor propagates the
 //     submitting thread's context into pool tasks, so a context follows its
-//     job across work-stealing.
+//     job onto whichever thread runs it.
 //
 // What stays process-shared on purpose: the metrics registry storage
 // (slices are additive observers, never the source of truth — process

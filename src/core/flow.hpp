@@ -17,7 +17,7 @@
 // with the redesign loop, retargeting, and calibration feedback as engine
 // policy.  synthesizeAmplifier assembles the amplifier stage graph;
 // synthesizeBatch, the one batch runner, fans many spec sets across the
-// work-stealing pool.
+// shared thread pool.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +114,7 @@ FlowResult synthesizeAmplifier(const sizing::SpecSet& specs, const circuit::Proc
                                const FlowOptions& opts = {});
 
 /// The batch runner: run one amplifier flow per spec set, fanned across the
-/// shared work-stealing pool.  Deterministic: result i is bit-identical to
+/// shared thread pool.  Deterministic: result i is bit-identical to
 /// `synthesizeAmplifier(batch[i], proc, batchItemOptions(opts, i))` at any
 /// AMSYN_THREADS (tests/flowgraph_test.cpp proves this differentially).
 /// Every design runs in a child of the caller's context, so all of them

@@ -1,8 +1,8 @@
-// Deterministic data-parallel loops over the shared work-stealing pool
+// Deterministic data-parallel loops over the shared thread pool
 // (core/threadpool.hpp).  Work is assigned by index, results land by index,
 // and any randomness inside the body must come from a per-index RNG stream
 // (num::Rng::split), so every helper here produces bit-identical results at
-// AMSYN_THREADS=1 and AMSYN_THREADS=64.
+// any pool width, zero workers included.
 #pragma once
 
 #include <atomic>
@@ -19,10 +19,11 @@
 namespace amsyn::core {
 
 /// Run fn(i) for i in [0, n) across the pool and block until every index has
-/// finished.  The calling thread participates, and while waiting for
-/// stragglers it drains other queued tasks, so nesting parallelFor inside
-/// pool tasks cannot deadlock.  The first exception thrown by any index is
-/// rethrown here; remaining indices are abandoned (each runs at most once).
+/// finished.  The calling thread participates (on a zero-worker pool it runs
+/// every index), and while waiting for stragglers it drains other queued
+/// tasks, so nesting parallelFor inside pool tasks cannot deadlock.  The
+/// first exception thrown by any index is rethrown here; remaining indices
+/// are abandoned (each runs at most once).
 template <typename Fn>
 void parallelFor(std::size_t n, Fn&& fn) {
   if (n == 0) return;
@@ -58,8 +59,8 @@ void parallelFor(std::size_t n, Fn&& fn) {
 
   // Helper tasks run under the submitting thread's execution context: a
   // job's parallel sections stay inside that job's scope even when its
-  // indices execute on shared pool workers (or are stolen by another
-  // tenant's barrier wait below).
+  // indices execute on shared pool workers (or in another tenant's barrier
+  // wait below).
   ExecutionContext& ctx = ExecutionContext::current();
 
   const std::size_t helperCount = std::min(pool.threadCount(), n - 1);
@@ -121,10 +122,11 @@ std::vector<std::exception_ptr> parallelForCaptured(std::size_t n, Fn&& fn) {
 }
 
 /// RAII global-pool override for tests and benchmarks: pins the pool seen by
-/// parallelFor/parallelMap to a fixed thread count for the scope's lifetime.
+/// parallelFor/parallelMap to `workers` workers for the scope's lifetime.
+/// ScopedThreadPool(0) is the serial mode: every index runs on the caller.
 class ScopedThreadPool {
  public:
-  explicit ScopedThreadPool(std::size_t threads) : pool_(threads) {
+  explicit ScopedThreadPool(std::size_t workers) : pool_(workers) {
     previous_ = ThreadPool::setGlobal(&pool_);
   }
   ~ScopedThreadPool() { ThreadPool::setGlobal(previous_); }

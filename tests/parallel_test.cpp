@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -55,7 +56,7 @@ TEST(ThreadPool, TasksSubmittedFromWorkersRun) {
     core::ThreadPool pool(2);
     for (int i = 0; i < 16; ++i)
       pool.submit([&count, &pool] {
-        // Nested submit from a worker thread lands on its own deque.
+        // Submitted from a worker: joins the same queue as every other task.
         pool.submit([&count] { count.fetch_add(1); });
       });
   }
@@ -69,6 +70,15 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnvironment) {
   EXPECT_GE(core::ThreadPool::configuredThreads(), 1u);
   ::unsetenv("AMSYN_THREADS");
   EXPECT_GE(core::ThreadPool::configuredThreads(), 1u);
+}
+
+TEST(ThreadPool, ZeroWorkersRunEveryIndexOnTheCaller) {
+  core::ScopedThreadPool serial(0);
+  EXPECT_EQ(serial.pool().threadCount(), 0u);
+  std::vector<std::thread::id> ran(64);
+  core::parallelFor(ran.size(), [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (std::size_t i = 0; i < ran.size(); ++i)
+    EXPECT_EQ(ran[i], std::this_thread::get_id()) << "index " << i;
 }
 
 TEST(ThreadPool, ScopedOverrideInstallsAndRestores) {
@@ -120,13 +130,13 @@ TEST(Parallel, ExceptionsPropagateToCaller) {
 }
 
 TEST(Parallel, NestedLoopsDoNotDeadlock) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    core::ScopedThreadPool scoped(threads);
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+    core::ScopedThreadPool scoped(workers);
     std::atomic<int> count{0};
     core::parallelFor(4, [&](std::size_t) {
       core::parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
     });
-    EXPECT_EQ(count.load(), 32) << threads << " threads";
+    EXPECT_EQ(count.load(), 32) << workers << " workers";
   }
 }
 
@@ -221,7 +231,7 @@ TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
 }
 
 // Robust-synthesis determinism: every cutting-plane round, bit for bit, at
-// 1, 2 and 8 threads.  Whole flows are compared across thread counts
+// 0, 1, 2 and 8 pool workers.  Whole flows are compared across thread counts
 // through the batch runner (FlowBatch in flowgraph_test).
 
 namespace {
@@ -264,8 +274,8 @@ std::uint64_t rawBits(double v) {
   return ::testing::AssertionSuccess();
 }
 
-mf::RobustResult runRobust(std::size_t threads) {
-  core::ScopedThreadPool scoped(threads);
+mf::RobustResult runRobust(std::size_t workers) {
+  core::ScopedThreadPool scoped(workers);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 55.0).atLeast("ugf", 1e6).minimize("power", 0.5, 1e-3);
   mf::RobustOptions ropts;
@@ -292,13 +302,9 @@ void expectRobustBitIdentical(const mf::RobustResult& a, const mf::RobustResult&
 
 }  // namespace
 
-// The EvalCacheDifferential name dates from when this run also toggled the
-// evaluation cache; with the cache gone only the thread-count dimension is
-// left.
-
-TEST(EvalCacheDifferential, CornerSearchIsBitIdenticalWithCacheOnOffAcrossThreadCounts) {
-  const auto reference = runRobust(1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
-    expectRobustBitIdentical(reference, runRobust(threads),
-                             "threads=" + std::to_string(threads));
+TEST(Determinism, RobustSynthesisIdenticalAcrossPoolWidths) {
+  const auto reference = runRobust(0);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}})
+    expectRobustBitIdentical(reference, runRobust(workers),
+                             "workers=" + std::to_string(workers));
 }
