@@ -1,6 +1,6 @@
 #include "core/context.hpp"
 
-#include <string>
+#include <utility>
 
 #include "core/envknobs.hpp"
 
@@ -23,27 +23,13 @@ ContextConfig ContextConfig::fromEnv() {
 }
 
 ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation /*inert*/)
-    : ExecutionContext(std::move(cfg), /*parent=*/nullptr, /*isAmbient=*/false) {}
-
-ExecutionContext::ExecutionContext(ContextConfig cfg, ExecutionContext* parent,
-                                   bool isAmbient)
-    : config_(std::move(cfg)) {
-  // Every context except the ambient one records a slice; the ambient hot
-  // path stays a thread-local null check in Registry::add.
-  if (!isAmbient) {
-    slice_ = std::make_unique<metrics::ContextSlice>();
-    slice_->setParent(parent ? parent->metricsSlice() : nullptr);
-  }
-}
-
-ExecutionContext::~ExecutionContext() = default;
+    : config_(std::move(cfg)) {}
 
 ExecutionContext& ExecutionContext::ambient() {
   // Leaked, like the registry: reachable from thread-exit hooks and static
   // destructors.  Construction is thread-safe (magic static) and snapshots
   // the environment exactly once per process.
-  static ExecutionContext* ctx = new ExecutionContext(
-      ContextConfig::fromEnv(), /*parent=*/nullptr, /*isAmbient=*/true);
+  static ExecutionContext* ctx = new ExecutionContext(ContextConfig::fromEnv());
   return *ctx;
 }
 
@@ -51,21 +37,7 @@ ExecutionContext& ExecutionContext::current() {
   return tlCurrent ? *tlCurrent : ambient();
 }
 
-std::unique_ptr<ExecutionContext> ExecutionContext::makeChild(
-    std::optional<ContextConfig> cfg) {
-  return std::unique_ptr<ExecutionContext>(
-      new ExecutionContext(cfg ? std::move(*cfg) : config_, /*parent=*/this,
-                           /*isAmbient=*/false));
-}
-
-std::map<std::string, std::uint64_t> ExecutionContext::sliceCounters() const {
-  return slice_ ? slice_->counters() : std::map<std::string, std::uint64_t>{};
-}
-
-ContextScope::ContextScope(ExecutionContext& ctx)
-    : prev_(tlCurrent), sliceScope_(ctx.metricsSlice()) {
-  tlCurrent = &ctx;
-}
+ContextScope::ContextScope(ExecutionContext& ctx) : prev_(tlCurrent) { tlCurrent = &ctx; }
 
 ContextScope::~ContextScope() { tlCurrent = prev_; }
 

@@ -76,9 +76,7 @@ FlowOptions batchItemOptions(const FlowOptions& base, std::size_t index) {
   return item;
 }
 
-namespace {
-
-RunReport buildFlowReport(const FlowResult& result) {
+std::string flowRunReportJson(const FlowResult& result) {
   RunReport report;
   report.name = "flow";
   report.addInfo("topology", result.topology)
@@ -107,23 +105,6 @@ RunReport buildFlowReport(const FlowResult& result) {
     report.addValue(prefix + "attempt", static_cast<double>(s.attempt));
     report.addValue(prefix + "seconds", s.seconds);
   }
-  return report;
-}
-
-}  // namespace
-
-std::string flowRunReportJson(const FlowResult& result) {
-  return buildFlowReport(result).toJson();
-}
-
-std::string flowRunReportJson(const FlowResult& result, const ExecutionContext& ctx) {
-  RunReport report = buildFlowReport(result);
-  // The context's counter slice rides along as ordinary values: what THIS
-  // job/tenant recorded, next to the process-wide registry snapshot the
-  // report always carries.  Zero-delta counters are omitted (the slice map
-  // is sparse), so presence means "this context actually recorded it".
-  for (const auto& [name, delta] : ctx.sliceCounters())
-    report.addValue("ctx." + name, static_cast<double>(delta));
   return report.toJson();
 }
 

@@ -35,13 +35,11 @@
 
 namespace amsyn::core {
 
-class ExecutionContext;  // core/context.hpp
-
 /// Per-flow design options.  The machinery a flow runs on — wall-clock
-/// deadline, default topology space — is not configured here: it is the ContextConfig of the context
-/// the flow runs under (core/context.hpp).  Run a flow with a different
-/// config by installing a context built from one, or by handing
-/// FlowEngine::run a parent.makeChild(cfg).
+/// deadline, default topology space — is not configured here: it is the
+/// ContextConfig of the context the flow runs under (core/context.hpp).
+/// Run a flow with a different config by installing a context built from
+/// one with ContextScope.
 struct FlowOptions {
   double loadCap = 5e-12;
   std::size_t maxRedesigns = 4;  ///< layout->synthesis loop closures
@@ -151,12 +149,5 @@ sizing::Performance measureAmplifier(const circuit::Netlist& net,
 /// metrics-registry snapshot and trace-span aggregate (schema in
 /// core/runreport.hpp).
 std::string flowRunReportJson(const FlowResult& result);
-
-/// Context-sliced variant: additionally emits "ctx.<counter>" values for
-/// every metric delta the given execution context recorded (its metrics
-/// slice) — the per-tenant view a multi-job daemon reports next to the
-/// process-wide snapshot.  With no slice (the ambient context) the output
-/// is byte-identical to the single-argument form.
-std::string flowRunReportJson(const FlowResult& result, const ExecutionContext& ctx);
 
 }  // namespace amsyn::core

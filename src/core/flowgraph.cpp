@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/context.hpp"
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
@@ -121,17 +122,10 @@ sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
 
 FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process& proc,
                            const FlowOptions& opts) {
-  return run(specs, proc, opts, ExecutionContext::current());
-}
-
-FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process& proc,
-                           const FlowOptions& opts, ExecutionContext& exec) {
   AMSYN_SPAN("flow");
-  ContextScope contextScope(exec);
-
   DesignContext ctx(specs, proc, opts);
   ctx.electrical = filterElectrical(specs);
-  Deadline jobDeadline(exec.config().jobDeadlineMs);
+  Deadline jobDeadline(ExecutionContext::current().config().jobDeadlineMs);
   ctx.jobDeadline = &jobDeadline;
 
   // Deadline expiry is terminal: the allowance covered the whole job, so no
@@ -197,14 +191,11 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
                                         const FlowOptions& opts) {
   AMSYN_SPAN("flow_batch");
   metrics::add(flowCounters().batchDesigns, batch.size());
-  ExecutionContext& parent = ExecutionContext::current();
+  // Every job runs under the caller's context: parallelFor installs the
+  // submitting thread's context in each task.
   return parallelMap(batch.size(), [&](std::size_t i) {
-    // One child context per job: same config/handles as the caller and a
-    // metrics slice chained under the caller's.  The engine installs it for
-    // the job's duration.
-    const auto jobContext = parent.makeChild();
     FlowEngine engine(amplifierStageGraph());
-    return engine.run(batch[i], proc, batchItemOptions(opts, i), *jobContext);
+    return engine.run(batch[i], proc, batchItemOptions(opts, i));
   });
 }
 

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/resilience.hpp"
@@ -162,15 +161,11 @@ class FlowEngine {
   /// times, retargeting the specs from the calibration store before each
   /// attempt.  Success means every stage of an attempt passed (or was
   /// skipped).
+  /// The run reads its config — deadline, topology space — from
+  /// ExecutionContext::current(); install a ContextScope to run it under
+  /// another context.
   FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
                  const FlowOptions& opts);
-
-  /// Context-explicit overload: the whole run executes under `exec` (a
-  /// ContextScope is installed for the duration), so its config — deadline,
-  /// topology space — governs every stage.  The three-argument form above is exactly this with
-  /// ExecutionContext::current().
-  FlowResult run(const sizing::SpecSet& specs, const circuit::Process& proc,
-                 const FlowOptions& opts, ExecutionContext& exec);
 
   /// The amplifier retargeting policy, applied over `cal` to `specs` for
   /// the given attempt (exposed for tests; run() calls this before each

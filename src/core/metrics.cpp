@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <vector>
 
 namespace amsyn::core::metrics {
 
@@ -57,12 +58,6 @@ struct ShardHandle {
 };
 thread_local ShardHandle tlShard;
 
-/// The calling thread's active per-context slice (nullptr = unsliced).
-/// Owned by whatever ExecutionContext installed it; a SliceScope strictly
-/// outlives the recording it covers, so no lifetime management is needed
-/// here.
-thread_local ContextSlice* tlSlice = nullptr;
-
 Shard& threadShard(Registry::Impl& impl) {
   if (!tlShard.shard) {
     auto s = std::make_shared<Shard>();
@@ -107,10 +102,6 @@ CounterId Registry::counter(const std::string& name) {
 
 void Registry::add(CounterId id, std::uint64_t delta) {
   threadShard(impl()).counters[id.idx].fetch_add(delta, std::memory_order_relaxed);
-  // Per-context attribution rides on top of the shard write: the process
-  // total above is the source of truth, slices are pure observers, so the
-  // thread-count-invariance and bit-identity of totals are untouched.
-  for (ContextSlice* s = tlSlice; s; s = s->parent()) s->bump(id.idx, delta);
 }
 
 std::uint64_t Registry::total(const std::string& name) const {
@@ -151,25 +142,5 @@ Snapshot Registry::snapshot() const {
 }
 
 Registry& registry() { return Registry::instance(); }
-
-ContextSlice::ContextSlice()
-    : slots_(std::make_unique<std::array<std::atomic<std::uint64_t>, kMaxCounters>>()) {
-  for (auto& s : *slots_) s.store(0, std::memory_order_relaxed);
-}
-
-std::map<std::string, std::uint64_t> ContextSlice::counters() const {
-  std::map<std::string, std::uint64_t> out;
-  auto& reg = Registry::instance();
-  const std::size_t n = reg.counterCount();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t v = (*slots_)[i].load(std::memory_order_relaxed);
-    if (v != 0) out.emplace(reg.counterName(i), v);
-  }
-  return out;
-}
-
-SliceScope::SliceScope(ContextSlice* slice) : prev_(tlSlice) { tlSlice = slice; }
-
-SliceScope::~SliceScope() { tlSlice = prev_; }
 
 }  // namespace amsyn::core::metrics

@@ -15,22 +15,17 @@
 // amsyn_sim and amsyn_numeric, mirroring core/evalstatus.hpp.
 #pragma once
 
-#include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace amsyn::core::metrics {
 
 /// Fixed shard capacity: a shard is a flat array of atomics, so ids are
 /// stable for the process lifetime and slots are never reallocated under a
 /// concurrent reader.  Exceeding it is a registration error (cold path)
-/// that names the offending counter.  Headroom is deliberate: per-context
-/// slices (ContextSlice) mirror the counter array, so growing it later
-/// means touching every slice too.
+/// that names the offending counter.
 inline constexpr std::size_t kMaxCounters = 320;
 
 struct CounterId {
@@ -90,49 +85,5 @@ Registry& registry();
 inline void add(CounterId id, std::uint64_t delta = 1) {
   registry().add(id, delta);
 }
-
-/// Per-context counter deltas, layered on (not replacing) the sharded
-/// process registry.  While a slice is installed on a thread (SliceScope,
-/// normally via core::ContextScope), every Registry::add on that thread
-/// additionally lands in the slice and each of its chained parents — so a
-/// job context's slice and its parent tenant's slice both see the delta
-/// while the process totals stay exactly what they were without slicing.
-class ContextSlice {
- public:
-  ContextSlice();
-
-  /// Chain to an enclosing context's slice (nullptr = root).  Set once at
-  /// construction time of the owning context, before any recording.
-  void setParent(ContextSlice* parent) { parent_ = parent; }
-  ContextSlice* parent() const { return parent_; }
-
-  /// Name -> delta for every registered counter this slice saw (zero-delta
-  /// counters are omitted).  Deterministic order (map).
-  std::map<std::string, std::uint64_t> counters() const;
-
-  /// Hot-path hook used by Registry::add; relaxed, multi-writer.
-  void bump(std::uint32_t idx, std::uint64_t delta) {
-    (*slots_)[idx].fetch_add(delta, std::memory_order_relaxed);
-  }
-
- private:
-  std::unique_ptr<std::array<std::atomic<std::uint64_t>, kMaxCounters>> slots_;
-  ContextSlice* parent_ = nullptr;
-};
-
-/// Installs `slice` (possibly nullptr) as the calling thread's active slice
-/// for the scope's lifetime; restores the previous one on exit.  Production
-/// code uses core::ContextScope, which couples this to the thread's current
-/// ExecutionContext.
-class SliceScope {
- public:
-  explicit SliceScope(ContextSlice* slice);
-  ~SliceScope();
-  SliceScope(const SliceScope&) = delete;
-  SliceScope& operator=(const SliceScope&) = delete;
-
- private:
-  ContextSlice* prev_;
-};
 
 }  // namespace amsyn::core::metrics

@@ -12,10 +12,9 @@
 // continuation-strategy usage (newton/gmin/source), registered as
 // "sim.fail.<reason>" and "sim.strategy.<name>".
 //
-// Reading is the registry's job: Registry::total(name) for process totals,
-// or an ExecutionContext's sliceCounters() for exactly the traffic recorded
-// under that context (on its own thread and on the pool workers it fans out
-// to).  Both are monotonic, so callers read deltas, never reset.
+// Reading is the registry's job: Registry::total(name) is the process
+// total, including traffic recorded on pool workers.  It is monotonic, so
+// callers read deltas around a run, never reset.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,10 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
-// semantics, scope installation, per-context metrics slices, a
-// differential suite showing the whole flow and the robust corner search
-// are *bit-identical* between the ambient path and an explicitly installed
-// context (at 1 and 8 threads), and the option-leak regression: two
-// contexts on one pool each rank only their own topology space, and a
-// later ambient flow keeps the environment's.  Contexts may only ever
-// change *configuration and attribution*, never results.
+// semantics, scope installation, a differential suite showing the whole
+// flow and the robust corner search are *bit-identical* between the ambient
+// path and an explicitly installed context (at 1 and 8 threads), and the
+// option-leak regression: two contexts on one pool each rank only their
+// own topology space, and a later ambient flow keeps the environment's.
+// Contexts may only ever change *configuration*, never results.
 //
 // The registry-overflow tests are deliberately LAST in this file: they fill
 // the metrics registry to capacity for their process.  Under ctest every
@@ -164,12 +163,8 @@ TEST(ContextConfig, UnparseableValuesFallBackToDefaults) {
 // ---------------------------------------------------------------------------
 // Ambient context and scope mechanics
 
-TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
+TEST(ExecutionContext, AmbientIsCurrentWithoutAScope) {
   EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
-  // The ambient context deliberately has no metrics slice (un-scoped code
-  // pays one thread-local null check and nothing else).
-  EXPECT_EQ(core::ExecutionContext::ambient().metricsSlice(), nullptr);
-  EXPECT_TRUE(core::ExecutionContext::ambient().sliceCounters().empty());
 }
 
 TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
@@ -188,98 +183,6 @@ TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
   EXPECT_EQ(&core::ExecutionContext::current(), &core::ExecutionContext::ambient());
 }
 
-TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentTopologySpace) {
-  core::ContextConfig cfg = core::ContextConfig::fromEnv();
-  cfg.jobDeadlineMs = 4321;
-  cfg.topologySpace = core::TopologySpace::Generated;
-  core::ExecutionContext parent(cfg);
-  const auto child = parent.makeChild();
-  EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
-  EXPECT_EQ(child->config().topologySpace, core::TopologySpace::Generated);
-  // The child's slice chains under the parent's.
-  ASSERT_NE(child->metricsSlice(), nullptr);
-  EXPECT_EQ(child->metricsSlice()->parent(), parent.metricsSlice());
-
-  // A child built with its own config takes that config — and only it: the
-  // slice chain is still the parent's, and the parent's config is
-  // untouched.
-  core::ContextConfig jobCfg = cfg;
-  jobCfg.topologySpace = core::TopologySpace::Legacy;
-  jobCfg.jobDeadlineMs = 17;
-  const auto job = parent.makeChild(jobCfg);
-  EXPECT_EQ(job->config().topologySpace, core::TopologySpace::Legacy);
-  EXPECT_EQ(job->config().jobDeadlineMs, 17u);
-  EXPECT_EQ(job->metricsSlice()->parent(), parent.metricsSlice());
-  EXPECT_EQ(parent.config().topologySpace, core::TopologySpace::Generated);
-  EXPECT_EQ(parent.config().jobDeadlineMs, 4321u);
-}
-
-// ---------------------------------------------------------------------------
-// Per-context metrics slices (satellite: disjoint slices, invariant totals)
-
-TEST(ContextMetrics, SlicesAreDisjointAndSumToProcessTotals) {
-  const metrics::CounterId work = metrics::registry().counter("ctx.test.work");
-  const std::uint64_t before = metrics::registry().total("ctx.test.work");
-
-  core::ExecutionContext tenantA(core::ContextConfig::fromEnv());
-  core::ExecutionContext tenantB(core::ContextConfig::fromEnv());
-  core::ScopedThreadPool pool(4);  // both tenants share one pool
-  {
-    core::ContextScope scope(tenantA);
-    core::parallelFor(37, [&](std::size_t) { metrics::add(work); });
-  }
-  {
-    core::ContextScope scope(tenantB);
-    core::parallelFor(21, [&](std::size_t) { metrics::add(work); });
-  }
-
-  const auto slicesA = tenantA.sliceCounters();
-  const auto slicesB = tenantB.sliceCounters();
-  ASSERT_EQ(slicesA.count("ctx.test.work"), 1u);
-  ASSERT_EQ(slicesB.count("ctx.test.work"), 1u);
-  EXPECT_EQ(slicesA.at("ctx.test.work"), 37u);
-  EXPECT_EQ(slicesB.at("ctx.test.work"), 21u);
-  // Slices are additive observers: the process total is exactly the sum of
-  // the two tenants' disjoint slices on top of whatever ran before.
-  EXPECT_EQ(metrics::registry().total("ctx.test.work") - before, 58u);
-  // And the ambient context still records no slice of its own.
-  EXPECT_TRUE(core::ExecutionContext::ambient().sliceCounters().empty());
-}
-
-TEST(ContextMetrics, ChildDeltasChainIntoTheParentSlice) {
-  const metrics::CounterId work = metrics::registry().counter("ctx.test.child");
-  core::ExecutionContext tenant(core::ContextConfig::fromEnv());
-  const auto job = tenant.makeChild();
-  {
-    core::ContextScope scope(*job);
-    metrics::add(work, 5);
-  }
-  EXPECT_EQ(job->sliceCounters().at("ctx.test.child"), 5u);
-  // The tenant sees its job's delta too (chained slice), without the job
-  // having to report anything explicitly.
-  EXPECT_EQ(tenant.sliceCounters().at("ctx.test.child"), 5u);
-}
-
-TEST(ContextMetrics, ReportOverloadEmitsSliceValuesAndIsInertForAmbient) {
-  core::FlowResult r;
-  r.topology = "two_stage_miller";
-  // Ambient context: the two-argument overload is byte-identical to the
-  // single-argument form (no slice to emit).
-  EXPECT_EQ(core::flowRunReportJson(r),
-            core::flowRunReportJson(r, core::ExecutionContext::ambient()));
-
-  const metrics::CounterId work = metrics::registry().counter("ctx.test.report");
-  core::ExecutionContext ctx(core::ContextConfig::fromEnv());
-  {
-    core::ContextScope scope(ctx);
-    metrics::add(work, 3);
-  }
-  const std::string json = core::flowRunReportJson(r, ctx);
-  EXPECT_NE(json.find("\"ctx.ctx.test.report\""), std::string::npos);
-  // The slice is sparse: counters the context never touched are absent.
-  EXPECT_EQ(json.find("\"ctx.core.flow.attempts\""), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Differential suite: ambient-global vs explicit-context runs, bit for bit
 
@@ -287,8 +190,7 @@ namespace {
 
 /// One full flow run.  `ctx` == nullptr runs the ambient path
 /// (synthesizeAmplifier, no scope anywhere, the environment's config);
-/// otherwise the run goes through the explicit-context engine entry point
-/// FlowEngine::run(..., ctx) — the daemon-style path.
+/// otherwise the engine runs with `ctx` installed by a ContextScope.
 core::FlowResult runFlow(core::ExecutionContext* ctx) {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 36.0)
@@ -302,8 +204,9 @@ core::FlowResult runFlow(core::ExecutionContext* ctx) {
   opts.synthesis = fastSynthesisOptions();
   opts.layout.annealPlacement = false;
   if (!ctx) return core::synthesizeAmplifier(specs, nominal(), opts);
+  core::ContextScope scope(*ctx);
   core::FlowEngine engine(core::amplifierStageGraph());
-  return engine.run(specs, nominal(), opts, *ctx);
+  return engine.run(specs, nominal(), opts);
 }
 
 /// The run-report prefix that is a pure function of the FlowResult:
@@ -411,9 +314,6 @@ TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
   core::ExecutionContext ctx(core::ContextConfig::fromEnv());
   const auto scoped = runFlow(&ctx);
   expectFlowsBitIdentical(ambient, scoped, "explicit");
-  // The explicit run actually recorded a slice — the differential would
-  // be vacuous if the context never saw the work it paid for.
-  EXPECT_FALSE(ctx.sliceCounters().empty());
 }
 
 TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitContexts) {
@@ -425,7 +325,6 @@ TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitCon
     core::ExecutionContext ctx(core::ContextConfig::fromEnv());
     const auto scoped = runRobust(threads, &ctx);
     expectRobustBitIdentical(ambient, scoped, "explicit " + label);
-    EXPECT_FALSE(ctx.sliceCounters().empty()) << label;
   }
 }
 

@@ -345,16 +345,14 @@ void expectFlowsBitIdentical(const core::FlowResult& a, const core::FlowResult& 
 
 }  // namespace
 
-// The name dates from when this also toggled the evaluation cache; only the
-// thread-count dimension is left.
-TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossThreadsAndCacheModes) {
+TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossPoolWidths) {
   const auto specs = batchSpecs();
   const auto opts = batchFlowOptions();
 
-  // Reference: one sequential flow per spec set, single-threaded.
+  // Reference: one sequential flow per spec set, on a zero-worker pool.
   std::vector<core::FlowResult> reference;
   {
-    core::ScopedThreadPool scoped(1);
+    core::ScopedThreadPool scoped(0);
     for (std::size_t i = 0; i < specs.size(); ++i)
       reference.push_back(
           core::synthesizeAmplifier(specs[i], nominal(), core::batchItemOptions(opts, i)));

@@ -1,7 +1,7 @@
 // Tests for the observability layer: the sharded metrics registry
 // (core/metrics.hpp), hierarchical trace spans (core/trace.hpp), the JSON
 // run report (core/runreport.hpp), and the sim/stats.hpp recording shims
-// on top of them, read back through registry totals and context slices.
+// on top of them, read back through registry totals.
 //
 // The registry's totals are monotonic process-wide accumulators, so every
 // test here measures *deltas* against a baseline taken at its start instead
@@ -33,6 +33,7 @@
 #include "sim/stats.hpp"
 #include "sizing/eqmodel.hpp"
 
+#include "counter_delta.hpp"
 #include "fast_synthesis.hpp"
 
 namespace core = amsyn::core;
@@ -42,6 +43,7 @@ namespace sim = amsyn::sim;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
 namespace ckt = amsyn::circuit;
+using amsyn::testutil::CounterDelta;
 using amsyn::testutil::fastSynthesisOptions;
 
 namespace {
@@ -55,22 +57,6 @@ void burnClock() {
   while (trace::monotonicNowNs() == t0) {
   }
 }
-
-/// A fresh explicit context installed for the rest of the enclosing scope.
-/// Its metrics slice counts exactly the traffic recorded from here on.
-class SliceProbe {
- public:
-  SliceProbe() : ctx_(core::ContextConfig::fromEnv()), scope_(ctx_) {}
-  std::uint64_t operator[](const std::string& name) const {
-    const auto counters = ctx_.sliceCounters();
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  }
-
- private:
-  core::ExecutionContext ctx_;
-  core::ContextScope scope_;
-};
 
 }  // namespace
 
@@ -136,19 +122,19 @@ TEST(SimStatsShim, TotalCapturesPoolThreadLuTraffic) {
 }
 
 TEST(SimStatsShim, ThreadViewBaselinesOnReset) {
-  // A context's slice is the per-job view: it starts at zero, counts only
-  // the traffic recorded under it, and a fresh context starts at zero again.
+  // A counter delta starts at zero, counts only the traffic recorded after
+  // it, and a fresh delta starts at zero again.
   {
-    SliceProbe slice;
-    EXPECT_EQ(slice["sim.lu_factorizations"], 0u);
-    EXPECT_EQ(slice["sim.lu_reuses"], 0u);
+    CounterDelta delta;
+    EXPECT_EQ(delta["sim.lu_factorizations"], 0u);
+    EXPECT_EQ(delta["sim.lu_reuses"], 0u);
     sim::recordLuFactorization();
     sim::recordLuFactorization();
     sim::recordLuReuse();
-    EXPECT_EQ(slice["sim.lu_factorizations"], 2u);
-    EXPECT_EQ(slice["sim.lu_reuses"], 1u);
+    EXPECT_EQ(delta["sim.lu_factorizations"], 2u);
+    EXPECT_EQ(delta["sim.lu_reuses"], 1u);
   }
-  SliceProbe fresh;
+  CounterDelta fresh;
   EXPECT_EQ(fresh["sim.lu_factorizations"], 0u);
   EXPECT_EQ(fresh["sim.lu_reuses"], 0u);
 }
@@ -158,21 +144,21 @@ TEST(SimStatsShim, FailureTalliesAreFirstClassRegistryCounters) {
   const auto nanBefore = reg.total("sim.fail.nan_detected");
   const auto gminBefore = reg.total("sim.strategy.gmin");
   {
-    SliceProbe slice;
+    CounterDelta delta;
     sim::recordEvalFailure(core::EvalStatus::NanDetected);
     sim::recordEvalFailure(core::EvalStatus::NanDetected);
     sim::recordDcStrategy(sim::DcStrategy::Gmin);
-    EXPECT_EQ(slice["sim.fail.nan_detected"], 2u);
-    EXPECT_EQ(slice["sim.strategy.gmin"], 1u);
+    EXPECT_EQ(delta["sim.fail.nan_detected"], 2u);
+    EXPECT_EQ(delta["sim.strategy.gmin"], 1u);
   }
   EXPECT_EQ(reg.total("sim.fail.nan_detected"), nanBefore + 2u);
   EXPECT_EQ(reg.total("sim.strategy.gmin"), gminBefore + 1u);
   const auto snap = reg.snapshot();
   ASSERT_TRUE(snap.counters.count("sim.fail.nan_detected"));
   ASSERT_TRUE(snap.counters.count("sim.strategy.gmin"));
-  // A fresh context reads zero but never zeroes the registry: the process
+  // A fresh delta reads zero but never zeroes the registry: the process
   // totals (and report snapshots) stay monotonic.
-  SliceProbe fresh;
+  CounterDelta fresh;
   EXPECT_EQ(fresh["sim.fail.nan_detected"], 0u);
   EXPECT_EQ(fresh["sim.strategy.gmin"], 0u);
   EXPECT_EQ(reg.total("sim.fail.nan_detected"), nanBefore + 2u);

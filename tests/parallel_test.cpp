@@ -185,7 +185,7 @@ TEST(Rng, StreamsAreDecorrelated) {
 // Determinism across thread counts.  These are the load-bearing tests: every
 // parallel loop must produce bit-identical results at any pool size.
 
-TEST(Determinism, CornerSearchIdenticalAtOneAndEightThreads) {
+TEST(Determinism, CornerSearchIdenticalAcrossPoolWidths) {
   const auto factory = twoStageFactory();
   const sz::ComposedOpampModel model(sz::OpampStructure::legacyTwoStage(), nominal(), 5e-12);
   const auto x = model.initialPoint();
@@ -193,11 +193,11 @@ TEST(Determinism, CornerSearchIdenticalAtOneAndEightThreads) {
   const sz::Spec spec{"gain_db", sz::SpecKind::GreaterEqual,
                       model.evaluate(x).at("gain_db"), 1.0, 0.0};
 
-  auto run = [&](std::size_t threads) {
-    core::ScopedThreadPool scoped(threads);
+  auto run = [&](std::size_t workers) {
+    core::ScopedThreadPool scoped(workers);
     return mf::worstCaseCorner(factory, nominal(), space, x, spec);
   };
-  const auto serial = run(1);
+  const auto serial = run(0);
   const auto parallel = run(8);
   EXPECT_EQ(serial.margin, parallel.margin);
   EXPECT_EQ(serial.value, parallel.value);
@@ -206,7 +206,7 @@ TEST(Determinism, CornerSearchIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(serial.corner[i], parallel.corner[i]) << "coordinate " << i;
 }
 
-TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
+TEST(Determinism, GeneticSelectionIdenticalAcrossPoolWidths) {
   const tp::TopologyLibrary lib = tp::amplifierLibrary(nominal(), 5e-12);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 3e6).minimize("power", 0.5, 1e-3);
@@ -215,11 +215,11 @@ TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
   opts.populationSize = 12;
   opts.generations = 6;
 
-  auto run = [&](std::size_t threads) {
-    core::ScopedThreadPool scoped(threads);
+  auto run = [&](std::size_t workers) {
+    core::ScopedThreadPool scoped(workers);
     return tp::geneticSelectAndSize(lib, specs, opts);
   };
-  const auto serial = run(1);
+  const auto serial = run(0);
   const auto parallel = run(8);
   EXPECT_EQ(serial.topology, parallel.topology);
   EXPECT_EQ(serial.cost, parallel.cost);

@@ -20,6 +20,7 @@
 #include "core/flow.hpp"
 #include "core/flowgraph.hpp"
 #include "core/metrics.hpp"
+#include "core/parallel.hpp"
 #include "core/resilience.hpp"
 #include "sizing/simmodel.hpp"
 #include "sizing/spec.hpp"
@@ -96,17 +97,13 @@ TEST(DeadlineBudget, ComposedBudgetExpiresAndLatches) {
 TEST(DeadlineBudget, EffectiveDeadlinePrefersOptionThenContext) {
   // The deadline in effect is the config of the context a flow runs under.
   // The env knob is snapshotted into ContextConfig once, at context
-  // creation, not read live; a job child inherits its parent's deadline,
-  // and a child built with its own config (the per-job option) wins.
+  // creation, not read live.
   unsetenv("AMSYN_JOB_DEADLINE_MS");
   EXPECT_EQ(core::ContextConfig::fromEnv().jobDeadlineMs, 0u);
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.jobDeadlineMs = 900;
   core::ExecutionContext ctx(cfg);
-  EXPECT_EQ(ctx.makeChild()->config().jobDeadlineMs, 900u);
-  core::ContextConfig job = cfg;
-  job.jobDeadlineMs = 250;
-  EXPECT_EQ(ctx.makeChild(job)->config().jobDeadlineMs, 250u) << "explicit option wins";
+  EXPECT_EQ(ctx.config().jobDeadlineMs, 900u);
 }
 
 TEST(DeadlineBudget, HugeDeadlinesSaturateInsteadOfOverflowing) {
@@ -251,7 +248,8 @@ TEST(FlowDeadline, ExpiryAtAStageBoundaryIsTerminal) {
   core::FlowOptions opts;
   opts.maxRedesigns = 4;
   core::ExecutionContext ctx(withDeadline(5));  // expires inside the sleep stage
-  const auto result = engine.run(trivialSpecs(), nominal(), opts, ctx);
+  core::ContextScope scope(ctx);
+  const auto result = engine.run(trivialSpecs(), nominal(), opts);
 
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.failureStatus, EvalStatus::DeadlineExpired);
@@ -281,8 +279,34 @@ TEST(FlowDeadline, ZeroDeadlineMeansNone) {
   core::FlowEngine engine(std::move(stages));
   core::FlowOptions opts;
   core::ExecutionContext ctx(withDeadline(0));
-  const auto result = engine.run(trivialSpecs(), nominal(), opts, ctx);
+  core::ContextScope scope(ctx);
+  const auto result = engine.run(trivialSpecs(), nominal(), opts);
   EXPECT_TRUE(result.success);
+}
+
+TEST(FlowDeadline, BatchJobsRunUnderTheCallersContextAtEveryPoolWidth) {
+  // Every job of a batch reads the deadline of the context the batch was
+  // submitted under, on the caller and on pool workers alike, and leaves
+  // the ambient context's config untouched.
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 36.0).atLeast("ugf", 1e7).atLeast("pm", 60.0);
+  const std::vector<sz::SpecSet> batch(3, specs);
+  core::FlowOptions opts;
+  opts.maxRedesigns = 4;
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    core::ScopedThreadPool pool(workers);
+    core::ExecutionContext ctx(withDeadline(1));
+    core::ContextScope scope(ctx);
+    const auto results = core::synthesizeBatch(batch, nominal(), opts);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_FALSE(results[i].success) << "workers=" << workers << " job=" << i;
+      EXPECT_EQ(results[i].failureStatus, EvalStatus::DeadlineExpired)
+          << "workers=" << workers << " job=" << i;
+    }
+  }
+  EXPECT_EQ(core::ExecutionContext::ambient().config().jobDeadlineMs,
+            core::ContextConfig::fromEnv().jobDeadlineMs);
 }
 
 // ---------------------------------------------------------------------------

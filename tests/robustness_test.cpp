@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "circuit/parser.hpp"
-#include "core/context.hpp"
 #include "core/evalstatus.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
@@ -29,6 +28,8 @@
 #include "topology/genetic.hpp"
 #include "topology/select.hpp"
 
+#include "counter_delta.hpp"
+
 namespace ckt = amsyn::circuit;
 namespace core = amsyn::core;
 namespace sim = amsyn::sim;
@@ -36,31 +37,12 @@ namespace sizing = amsyn::sizing;
 namespace topology = amsyn::topology;
 namespace manufacture = amsyn::manufacture;
 
+using amsyn::testutil::CounterDelta;
 using core::EvalStatus;
 
 namespace {
 
 const ckt::Process& proc() { return ckt::defaultProcess(); }
-
-/// A fresh explicit context installed for the rest of the enclosing scope.
-/// Its metrics slice counts exactly the failures and strategies recorded
-/// from here on, on this thread and on any pool worker the work fans out to.
-class SliceProbe {
- public:
-  SliceProbe() : ctx_(core::ContextConfig::fromEnv()), scope_(ctx_) {}
-  std::uint64_t operator[](const std::string& name) const {
-    const auto counters = ctx_.sliceCounters();
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  }
-  std::uint64_t failures(EvalStatus s) const {
-    return (*this)[std::string("sim.fail.") + core::evalStatusName(s)];
-  }
-
- private:
-  core::ExecutionContext ctx_;
-  core::ContextScope scope_;
-};
 
 /// A nonlinear circuit whose operating point needs several Newton
 /// iterations: NMOS inverter with a resistive load.
@@ -152,19 +134,19 @@ TEST(EvalBudget, PerformanceStatusRoundTrips) {
 // --- continuation ladder under injected faults ----------------------------
 
 TEST(FaultInjection, CleanSolveUsesNewtonStrategy) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::Ok);
   EXPECT_EQ(op.strategy, "newton");
-  EXPECT_EQ(slice["sim.strategy.newton"], 1u);
-  EXPECT_EQ(slice["sim.strategy.gmin"], 0u);
+  EXPECT_EQ(delta["sim.strategy.newton"], 1u);
+  EXPECT_EQ(delta["sim.strategy.gmin"], 0u);
 }
 
 TEST(FaultInjection, SingleNewtonFailureFallsBackToGminRung) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -180,13 +162,13 @@ TEST(FaultInjection, SingleNewtonFailureFallsBackToGminRung) {
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::Ok);
   EXPECT_EQ(op.strategy, "gmin");
-  EXPECT_EQ(slice["sim.strategy.gmin"], 1u);
+  EXPECT_EQ(delta["sim.strategy.gmin"], 1u);
   for (std::size_t i = 0; i < clean.x.size(); ++i)
     EXPECT_NEAR(op.x[i], clean.x[i], 1e-6);
 }
 
 TEST(FaultInjection, DoubleNewtonFailureFallsBackToSourceRung) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -196,11 +178,11 @@ TEST(FaultInjection, DoubleNewtonFailureFallsBackToSourceRung) {
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
   EXPECT_EQ(op.strategy, "source");
-  EXPECT_EQ(slice["sim.strategy.source"], 1u);
+  EXPECT_EQ(delta["sim.strategy.source"], 1u);
 }
 
 TEST(FaultInjection, AllRungsKilledRecordsReasonCode) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -210,7 +192,7 @@ TEST(FaultInjection, AllRungsKilledRecordsReasonCode) {
   const auto op = sim::dcOperatingPoint(mna);
   EXPECT_FALSE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::SingularJacobian);
-  EXPECT_EQ(slice.failures(EvalStatus::SingularJacobian), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::SingularJacobian), 1u);
 }
 
 TEST(FaultInjection, NanResidualBailsImmediatelyAndLadderRecovers) {
@@ -230,7 +212,7 @@ TEST(FaultInjection, NanResidualBailsImmediatelyAndLadderRecovers) {
 }
 
 TEST(FaultInjection, InjectedExhaustionFiresWithoutRealBudget) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -241,13 +223,13 @@ TEST(FaultInjection, InjectedExhaustionFiresWithoutRealBudget) {
   const auto op = sim::dcOperatingPoint(mna);
   EXPECT_FALSE(op.converged);
   EXPECT_EQ(op.status, EvalStatus::DeadlineExpired);
-  EXPECT_EQ(slice.failures(EvalStatus::DeadlineExpired), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::DeadlineExpired), 1u);
 }
 
 // --- deadline stops --------------------------------------------------------
 
 TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = inverterDeck();
   sim::Mna mna(net, proc());
 
@@ -260,13 +242,13 @@ TEST(WorkBudget, DcLadderStopsAtBudgetDeterministically) {
   EXPECT_EQ(op.status, EvalStatus::DeadlineExpired);
   EXPECT_EQ(op.iterations, 0u);
   EXPECT_TRUE(deadline.expired());
-  EXPECT_EQ(slice.failures(EvalStatus::DeadlineExpired), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::DeadlineExpired), 1u);
 }
 
 // --- AC under injected faults ---------------------------------------------
 
 TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
-  SliceProbe slice;
+  CounterDelta delta;
   auto net = rcDeck();
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
@@ -277,7 +259,7 @@ TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
   sim::ScopedFaultInjection inject(plan);
   const auto sweep = sim::acAnalysis(mna, op, "out", sim::logspace(1.0, 1e6, 3));
   EXPECT_EQ(sweep.status, EvalStatus::SingularJacobian);
-  EXPECT_EQ(slice.failures(EvalStatus::SingularJacobian), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::SingularJacobian), 1u);
   // Measurement helpers treat the truncated sweep as data, not a crash.
   EXPECT_FALSE(sim::unityGainFrequency(sweep).has_value());
 }
@@ -285,21 +267,21 @@ TEST(FaultInjection, AcSingularFactorizationEndsSweepWithStatus) {
 // --- containment boundaries -----------------------------------------------
 
 TEST(Containment, SafeEvaluateAbsorbsThrowingModel) {
-  SliceProbe slice;
+  CounterDelta delta;
   const ThrowingModel model;
   const auto perf = sizing::safeEvaluate(model, {2.0});
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::InternalError);
-  EXPECT_EQ(slice.failures(EvalStatus::InternalError), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::InternalError), 1u);
 }
 
 TEST(Containment, SafeEvaluateTagsNanScores) {
-  SliceProbe slice;
+  CounterDelta delta;
   const NanModel model;
   const auto perf = sizing::safeEvaluate(model, {2.0});
   EXPECT_EQ(perf.count("_infeasible"), 1u);
   EXPECT_EQ(sizing::performanceStatus(perf), EvalStatus::NanDetected);
-  EXPECT_EQ(slice.failures(EvalStatus::NanDetected), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::NanDetected), 1u);
 }
 
 TEST(Containment, CostFunctionIsTotalOverPoisonedModels) {
@@ -358,7 +340,7 @@ R2 x 0 1k
 // --- selection layers -----------------------------------------------------
 
 TEST(Selection, IntervalSelectMarksNanScoresInfeasible) {
-  SliceProbe slice;
+  CounterDelta delta;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   topology::TopologyLibrary lib;
   topology::TopologyEntry good;
@@ -380,7 +362,7 @@ TEST(Selection, IntervalSelectMarksNanScoresInfeasible) {
   EXPECT_EQ(ranked[1].score, -std::numeric_limits<double>::infinity());
   ASSERT_FALSE(ranked[1].reasons.empty());
   EXPECT_NE(ranked[1].reasons.back().find("nan_detected"), std::string::npos);
-  EXPECT_EQ(slice.failures(EvalStatus::NanDetected), 1u);
+  EXPECT_EQ(delta.failures(EvalStatus::NanDetected), 1u);
 }
 
 TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
@@ -397,7 +379,7 @@ TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
 
   topology::GeneticResult serial, parallel;
   {
-    amsyn::core::ScopedThreadPool pool(1);
+    amsyn::core::ScopedThreadPool pool(0);
     serial = topology::geneticSelectAndSize(lib, specs, opts);
   }
   {
@@ -415,7 +397,7 @@ TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
 }
 
 TEST(Selection, WorstCaseCornerSurvivesThrowingCorners) {
-  SliceProbe slice;
+  CounterDelta delta;
   const ckt::Process nominal = proc();
   // Corners that lower VDD make the model throw: the hunt must treat them
   // as violated (-1 margin) instead of crashing the vertex enumeration.
@@ -450,28 +432,28 @@ TEST(Selection, WorstCaseCornerSurvivesThrowingCorners) {
   const auto wc = manufacture::worstCaseCorner(factory, nominal, space, {2.0},
                                                specs.specs().front());
   EXPECT_EQ(wc.margin, -1.0);  // the throwing corners are the worst case
-  EXPECT_GE(slice.failures(EvalStatus::InternalError), 1u);
+  EXPECT_GE(delta.failures(EvalStatus::InternalError), 1u);
 }
 
 // --- counters -------------------------------------------------------------
 
 TEST(FailureCounters, ResetClearsEveryReasonAndStrategy) {
-  // Traffic recorded before a context exists never shows in its slice: a
-  // fresh context is the reset, and the registry itself stays monotonic.
+  // Traffic recorded before a delta is taken never shows in it: a fresh
+  // delta is the reset, and the registry itself stays monotonic.
   sim::recordEvalFailure(EvalStatus::NanDetected);
   sim::recordEvalFailure(EvalStatus::BadTopology);
   sim::recordDcStrategy(sim::DcStrategy::Gmin);
-  SliceProbe slice;
+  CounterDelta delta;
   for (std::size_t i = 1; i < core::kEvalStatusCount; ++i)
-    EXPECT_EQ(slice.failures(static_cast<EvalStatus>(i)), 0u);
-  EXPECT_EQ(slice["sim.strategy.newton"], 0u);
-  EXPECT_EQ(slice["sim.strategy.gmin"], 0u);
-  EXPECT_EQ(slice["sim.strategy.source"], 0u);
+    EXPECT_EQ(delta.failures(static_cast<EvalStatus>(i)), 0u);
+  EXPECT_EQ(delta["sim.strategy.newton"], 0u);
+  EXPECT_EQ(delta["sim.strategy.gmin"], 0u);
+  EXPECT_EQ(delta["sim.strategy.source"], 0u);
 }
 
 TEST(FailureCounters, OkIsNeverTallied) {
-  SliceProbe slice;
+  CounterDelta delta;
   sim::recordEvalFailure(EvalStatus::Ok);
   for (std::size_t i = 0; i < core::kEvalStatusCount; ++i)
-    EXPECT_EQ(slice.failures(static_cast<EvalStatus>(i)), 0u);
+    EXPECT_EQ(delta.failures(static_cast<EvalStatus>(i)), 0u);
 }

@@ -3,15 +3,17 @@
 #include <cmath>
 
 #include "circuit/parser.hpp"
-#include "core/context.hpp"
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
 #include "sim/mna.hpp"
 #include "sim/noise.hpp"
 
+#include "counter_delta.hpp"
+
 namespace ckt = amsyn::circuit;
 namespace sim = amsyn::sim;
+using amsyn::testutil::CounterDelta;
 
 namespace {
 const ckt::Process& proc() { return ckt::defaultProcess(); }
@@ -19,23 +21,6 @@ const ckt::Process& proc() { return ckt::defaultProcess(); }
 double nodeV(const sim::Mna& mna, const sim::DcResult& op, const std::string& node) {
   return mna.nodeVoltage(op.x, *mna.netlist().findNode(node));
 }
-
-/// A fresh explicit context installed for the rest of the enclosing scope.
-/// Its metrics slice counts exactly the traffic recorded from here on, on
-/// this thread and on any pool worker the work fans out to.
-class SliceProbe {
- public:
-  SliceProbe() : ctx_(amsyn::core::ContextConfig::fromEnv()), scope_(ctx_) {}
-  std::uint64_t operator[](const std::string& name) const {
-    const auto counters = ctx_.sliceCounters();
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  }
-
- private:
-  amsyn::core::ExecutionContext ctx_;
-  amsyn::core::ContextScope scope_;
-};
 }  // namespace
 
 TEST(Dc, VoltageDivider) {
@@ -215,12 +200,12 @@ C1 out 0 1n
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
-  SliceProbe slice;
+  CounterDelta delta;
   const auto sweep = sim::acAnalysis(mna, op, "out", {1e3, 1e3, 2e3, 2e3});
   ASSERT_EQ(sweep.points.size(), 4u);
   // (G + jwC) depends only on w: duplicated points reuse the cached LU.
-  EXPECT_EQ(slice["sim.lu_factorizations"], 2u);
-  EXPECT_EQ(slice["sim.lu_reuses"], 2u);
+  EXPECT_EQ(delta["sim.lu_factorizations"], 2u);
+  EXPECT_EQ(delta["sim.lu_reuses"], 2u);
   // Identical frequencies must produce identical phasors.
   EXPECT_EQ(sweep.points[0].value, sweep.points[1].value);
   EXPECT_EQ(sweep.points[2].value, sweep.points[3].value);
@@ -235,13 +220,13 @@ R2 out 0 1k
   sim::Mna mna(net, proc());
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
-  SliceProbe slice;
+  CounterDelta delta;
   const auto nz = sim::noiseAnalysis(mna, op, "out", {1e2, 1e3, 1e4});
   ASSERT_EQ(nz.points.size(), 3u);
   // Per frequency: the forward solve factors, the adjoint (transposed) solve
   // reuses the same factorization.
-  EXPECT_EQ(slice["sim.lu_factorizations"], 3u);
-  EXPECT_EQ(slice["sim.lu_reuses"], 3u);
+  EXPECT_EQ(delta["sim.lu_factorizations"], 3u);
+  EXPECT_EQ(delta["sim.lu_reuses"], 3u);
 }
 
 TEST(Noise, ResistorDividerMatchesTheory) {

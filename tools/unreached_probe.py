@@ -252,14 +252,6 @@ KEPT_UNREACHED = {
     "amsyn::topology::boundsBySampling(amsyn::sizing::PerformanceModel const&, "
     "unsigned long, double)":
         "(d) the library build's sampled bounds on a uniform grid",
-    # (e) callers a ROADMAP item plans
-    "amsyn::core::metrics::ContextSlice::counters() const":
-        "(e) ROADMAP item 7: one job's report inside a batch",
-    "amsyn::core::ExecutionContext::sliceCounters() const":
-        "(e) ROADMAP item 7: one job's report inside a batch",
-    "amsyn::core::flowRunReportJson(amsyn::core::FlowResult const&, "
-    "amsyn::core::ExecutionContext const&)":
-        "(e) ROADMAP item 7: one job's report inside a batch",
 }
 
 
