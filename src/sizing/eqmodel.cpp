@@ -122,17 +122,13 @@ void singleStageValues(const OpampStructure& s, const Process& proc, double load
 /// Miller zero.
 ///
 /// TwoStageTerms is everything one electrical process contributes: the
-/// unity-gain solve reads the poles, the zero and the dc gain (with the
-/// filter's hoisted reciprocals), and twoStageValues the rest.
+/// unity-gain solve reads its poles, zero and dc gain, twoStageValues the rest.
 struct TwoStageTerms {
   double i5, i7, gm1, gm3, vov6, vov7, vovc7;
   double av0;           ///< dc loop gain av1 * av2
   double p1, p2, p3, pCasc;
   double z, zInv;       ///< plain-Miller zero, or the nulled zero's inverse
   bool nulled, cascode;  ///< Miller-nulled compensation; input-cascode pole
-  // The filter's operands (see aboveUnity).
-  double zHat, pHat1, pHat2, pHat3, pHatCasc, av0Sq;
-  bool filterable;
 };
 
 TwoStageTerms twoStageTerms(const OpampStructure& s, const Process& proc, double loadCap,
@@ -198,16 +194,6 @@ TwoStageTerms twoStageTerms(const OpampStructure& s, const Process& proc, double
 
   t.av0 = av1 * av2;
   t.p1 = gbw / std::max(t.av0, 1.0);  // dominant pole (Hz)
-
-  t.zHat = t.nulled ? t.zInv : 1.0 / t.z;
-  t.pHat1 = 1.0 / t.p1;
-  t.pHat2 = 1.0 / t.p2;
-  t.pHat3 = 1.0 / t.p3;
-  t.pHatCasc = t.cascode ? 1.0 / t.pCasc : 0.0;
-  t.av0Sq = t.av0 * t.av0;
-  t.filterable = t.av0 > 0.0 && std::isnormal(t.av0Sq) && std::isnormal(t.zHat) &&
-                 std::isnormal(t.pHat1) && std::isnormal(t.pHat2) && std::isnormal(t.pHat3) &&
-                 (!t.cascode || std::isnormal(t.pHatCasc));
   return t;
 }
 
@@ -220,41 +206,77 @@ double magnitude(const TwoStageTerms& t, double f) {
   return t.av0 * std::sqrt(num / den);
 }
 
-// The bisection decides each step by `magnitude(mid) > 1`, but most steps
-// are far from the crossing, where a cheaper test gives the same answer.
-// magnitude(f) > 1 iff av0^2 N(f) > D(f), with
-//   N(f) = 1 + (f zHat)^2,   D(f) = prod_i (1 + (f pHat_i)^2),
-// zHat = 1/z (or zInv) and pHat_i = 1/p_i hoisted out of the loop: no
-// division and no sqrt per step.
-//
-// Error bound.  In round-to-nearest each side is a short chain of
-// products, squares and one-plus terms, so it carries a relative error of
-// a few tens of ulp (< 1e-14); the exact test's own rounding in
-// magnitude() is ~13 ulp.  The filter decides only when the two sides
-// differ by more than kTie = 1e-12 relative, far outside both errors, so
-// its decision is the exact test's, bit for bit.  The bound needs every
-// operand normal and every term far from overflow (else the exact test
-// might overflow where the filter does not): av0 > 0 with a normal av0^2,
-// normal reciprocals, and N, D and av0^2 N below kHuge.  Anything else (a
-// near tie, a non-finite or denormal operand, av0 <= 0) falls back to the
-// exact test.  UgfDifferential.* in tests/composed_topology_test.cpp holds
-// the solve bit-equal to the plain 80-step loop.
-constexpr double kTie = 1e-12;
-constexpr double kHuge = 1e300;
+// Only the bisection's last steps, within a few ulp of the crossing, can go
+// either way, so a solve certifies a band [fL, fH] around a predicted
+// crossing and runs the exact test `magnitude(mid) > 1` only inside.  A
+// wrong prediction costs tests, not bits.  With u = 2^-53 = eps/2, each
+// term 1 + (f/p)^2 rounds to within 4u (an underflow vanishes into the 1):
+// num is within 4u, den (up to four terms) 19u, num / den 27u (4u of it if
+// subnormal, as it stays above 1/DBL_MAX), and magnitude() 15.5u = 7.75 eps
+// of the exact |H(f)| of its operands, absent overflow.  The band needs
+// (a) av0 > 0; (b) |1/z| < |1/p1| (zInv for 1/z): the zero lies above the
+// dominant pole, so |H| never rises with f; (c) a normal
+// magnitude(kUgfCeiling): num and den are finite there and, every rounding
+// being monotone, at every midpoint; (d) magnitude(fL) > 1 + 16 eps and
+// magnitude(fH) < 1 - 16 eps.  A midpoint m < fL then has |H(m)| >= |H(fL)|
+// > (1 + 16 eps) / (1 + 7.75 eps), so magnitude(m) > 1, as at fL; likewise
+// above fH.  The loop compares lo * hi with fL^2 and fH^2, which round-trip
+// through the monotone sqrt, so a decision need not wait on the sqrt.  The
+// band starts 32 eps wide each side and doubles up to 1e-9; a prediction
+// at a bracket end leaves that side open; a failed certificate leaves
+// (-inf, inf), the plain loop.  A NaN midpoint is below unity either way.
 constexpr int kSteps = 80;
 constexpr double kUgfCeiling = 1e13;  ///< upper end of the bisection (Hz)
+constexpr double kEps = 0x1p-52, kInf = HUGE_VAL;  ///< DBL_EPSILON, +inf
+constexpr double kMargin = 16.0 * kEps, kFirstWidth = 32.0 * kEps, kLastWidth = 1e-9;
 
-/// The filter's two sides at f, lhs = av0^2 N(f) and d = D(f), and N(f).
-struct FilterSides {
-  double n, d, lhs;
-  bool inRange() const { return n < kHuge && d < kHuge && lhs < kHuge; }
+/// Steps whose lo * hi lies in [loSq, hiSq] run the exact test.
+struct Band {
+  double loSq, hiSq;
 };
-FilterSides filterSides(const TwoStageTerms& t, double f) {
-  const auto term = [f](double rHat) { return 1.0 + (f * rHat) * (f * rHat); };
-  const double n = term(t.zHat);
-  double d = term(t.pHat1) * term(t.pHat2) * term(t.pHat3);
-  if (t.cascode) d *= term(t.pHatCasc);
-  return {n, d, t.av0Sq * n};
+
+/// |H(f)| = 1 iff P(x) = D(x) - av0^2 N(x) = 0 at x = f^2, N = 1 + zHat^2 x,
+/// D = prod_i (1 + a_i x), zHat = 1/z (or zInv), a_i = 1/p_i^2.  For av0 > 1
+/// P's coefficients change sign once (c0 < 0, c2..c4 > 0): one positive
+/// root, with P convex for x > 0, so Newton from the right descends onto it
+/// monotonically.  It starts at the two-pole root of (1 + a1 x)(1 + a2 x) =
+/// av0^2, stepped x4 until P > 0.  Clamped to the bracket, as the bisection.
+double crossingEstimate(const TwoStageTerms& t) {
+  const double av0Sq = t.av0 * t.av0, zHat = t.nulled ? t.zInv : 1.0 / t.z;
+  if (!(av0Sq > 1.0)) return t.p1;
+  const double a1 = 1.0 / (t.p1 * t.p1), a2 = 1.0 / (t.p2 * t.p2), g = av0Sq - 1.0;
+  double c[5] = {1.0, 0.0, 0.0, 0.0, 0.0};  // D's coefficients, then P's
+  for (const double a : {a1, a2, 1.0 / (t.p3 * t.p3), t.cascode ? 1.0 / (t.pCasc * t.pCasc) : 0.0})
+    for (int k = 4; k > 0; --k) c[k] += a * c[k - 1];
+  c[0] -= av0Sq;
+  c[1] -= av0Sq * zHat * zHat;
+  const auto p = [&c](double x) { return (((c[4] * x + c[3]) * x + c[2]) * x + c[1]) * x + c[0]; };
+  const auto dp = [&c](double x) { return ((4 * c[4] * x + 3 * c[3]) * x + 2 * c[2]) * x + c[1]; };
+  double x = 2.0 * g / ((a1 + a2) + std::sqrt((a1 + a2) * (a1 + a2) + 4.0 * a1 * a2 * g));
+  for (int i = 0; i < 64 && !(p(x) > 0.0); ++i) x *= 4.0;
+  for (int i = 0; i < 64; ++i) {
+    const double step = p(x) / dp(x);
+    if (!(step > 0.0)) break;
+    x -= step;
+    if (step < 1e-8 * x) break;  // the next step would be below an ulp
+  }
+  return std::min(std::max(std::sqrt(x), t.p1), kUgfCeiling);
+}
+
+/// The band certified around crossingEstimate, or (-inf, inf).
+Band certifiedBand(const TwoStageTerms& t) {
+  if (!(t.av0 > 0.0) || !std::isnormal(magnitude(t, kUgfCeiling)) ||
+      !(t.nulled ? std::abs(t.zInv * t.p1) < 1.0 - 2.0 * kEps : std::abs(t.p1) < std::abs(t.z)))
+    return {-kInf, kInf};
+  const double r = crossingEstimate(t);
+  for (double width = kFirstWidth; width <= kLastWidth; width *= 2.0) {
+    const double fL = r * (1.0 - width), fH = r * (1.0 + width);
+    const Band b{r <= t.p1 ? -kInf : fL * fL, r >= kUgfCeiling ? kInf : fH * fH};
+    if ((b.loSq == -kInf || (magnitude(t, fL) > 1.0 + kMargin && std::sqrt(b.loSq) == fL)) &&
+        (b.hiSq == kInf || (magnitude(t, fH) < 1.0 - kMargin && std::sqrt(b.hiSq) == fH)))
+      return b;
+  }
+  return {-kInf, kInf};
 }
 
 /// True unity-gain crossing of the multi-pole / one-zero response.  When p2
@@ -264,69 +286,50 @@ FilterSides filterSides(const TwoStageTerms& t, double f) {
 /// verification step of section 2.1 exists to catch.
 ///
 /// The only state is (lo, hi): once a step leaves it bit-unchanged, every
-/// later step would repeat that step exactly, so the loop stops there.  On
-/// seeded points of every two-stage structure that happens after 57 to 59
-/// of the 80 steps.  One lane keeps the branchy form: the filter's early
-/// exit is what makes it cheap.
+/// later step would repeat that step exactly, so the loop stops there, after
+/// 57 to 59 of the 80 steps on seeded points, 8 or 9 of them in the band.
+/// lo and hi move through floating-point selects: no int/FP crossing.
 double solveUgf(const TwoStageTerms& t) {
-  const auto aboveUnity = [&t](double f) {
-    if (t.filterable) {
-      const FilterSides sides = filterSides(t, f);
-      if (sides.inRange()) {
-        if (sides.lhs > sides.d * (1.0 + kTie)) return true;
-        if (sides.lhs < sides.d * (1.0 - kTie)) return false;
-      }
-    }
-    return magnitude(t, f) > 1.0;
-  };
+  const Band band = certifiedBand(t);
   double lo = t.p1, hi = kUgfCeiling;
   for (int it = 0; it < kSteps; ++it) {
-    const double mid = std::sqrt(lo * hi);
-    double& side = aboveUnity(mid) ? lo : hi;
-    if (std::bit_cast<std::uint64_t>(side) == std::bit_cast<std::uint64_t>(mid)) break;
-    side = mid;
+    const double sq = lo * hi, mid = std::sqrt(sq);
+    bool up = sq < band.loSq;
+    if (!up && !(sq > band.hiSq)) [[unlikely]] up = magnitude(t, mid) > 1.0;
+    if (std::bit_cast<std::uint64_t>(up ? lo : hi) == std::bit_cast<std::uint64_t>(mid)) break;
+    lo = up ? mid : lo;
+    hi = up ? hi : mid;
   }
   return std::sqrt(lo * hi);
 }
 
 /// K solves of solveUgf in lock step, sharing the latency of their serial
-/// sqrt chains.  Each lane takes exactly the serial loop's decisions: the
-/// filter runs on every lane without branching; on a step where some live
-/// lane's filter is undecided, the exact test runs for every live lane (a
-/// branch that is false early in the solve and true late, so it predicts
-/// well) and a lane takes it only where its own filter was undecided.
-/// lo/hi move through bit masks, and a lane stops at its own fixed point.
+/// sqrt chains: each lane takes the serial loop's decisions from its own
+/// band, with every lane's midpoint issued before any exact test; lo/hi
+/// move through bit masks, and a lane stops at its own fixed point.
 template <std::size_t K>
 void solveUgfLockStep(const TwoStageTerms* t, double* ugf) {
   double lo[K]{}, hi[K]{};
+  Band band[K]{};
   bool live[K]{};
   for (std::size_t k = 0; k < K; ++k) {
     lo[k] = t[k].p1;
     hi[k] = kUgfCeiling;
+    band[k] = certifiedBand(t[k]);
     live[k] = true;
   }
   for (int it = 0; it < kSteps; ++it) {
     double mid[K]{};
-    bool decided[K]{}, above[K]{};
-    bool undecided = false;
+    bool above[K]{}, inBand[K]{};
     for (std::size_t k = 0; k < K; ++k) {
-      mid[k] = std::sqrt(lo[k] * hi[k]);
-      // Branch-free, so it runs (meaninglessly) on a lane that is not
-      // filterable too; `decided` masks it out.
-      const FilterSides f = filterSides(t[k], mid[k]);
-      above[k] = f.lhs > f.d * (1.0 + kTie);
-      const bool below = f.lhs < f.d * (1.0 - kTie);
-      decided[k] = t[k].filterable & f.inRange() & (above[k] | below);
-      undecided |= live[k] & !decided[k];
+      const double sq = lo[k] * hi[k];
+      mid[k] = std::sqrt(sq);
+      above[k] = sq < band[k].loSq;
+      inBand[k] = live[k] & !above[k] & !(sq > band[k].hiSq);
     }
-    if (undecided)
-      for (std::size_t k = 0; k < K; ++k)
-        if (live[k]) {
-          const bool exact = magnitude(t[k], mid[k]) > 1.0;
-          above[k] = decided[k] ? above[k] : exact;
-        }
     bool anyLive = false;
     for (std::size_t k = 0; k < K; ++k) {
+      if (inBand[k]) above[k] = magnitude(t[k], mid[k]) > 1.0;
       const std::uint64_t toLo = std::uint64_t{0} - std::uint64_t{above[k]};
       const std::uint64_t midB = std::bit_cast<std::uint64_t>(mid[k]);
       const std::uint64_t loB = std::bit_cast<std::uint64_t>(lo[k]);

@@ -81,13 +81,10 @@ Performance amplifierPerformance(const AmplifierValues& v);
 /// the serial solve), then each lane's phase margin and performances.
 /// Lane k's values equal models[k]->evaluate(x) bit for bit.
 ///
-/// The lock-step solve runs each lane's bisection exactly as the serial
-/// solve would: every live lane computes the division-free filter, the
-/// exact `magnitude > 1` test runs for all live lanes on any step where
-/// some lane's filter is undecided, a lane takes the exact result only
-/// where its own filter was undecided, and each lane stops at its own
-/// bitwise fixed point.  UgfLanes.* in tests/composed_topology_test.cpp
-/// holds every lane bit-equal to the plain 80-step bisection.
+/// Each lane bisects exactly as the serial solve would: it decides steps
+/// outside its own certified crossing band without the exact `magnitude >
+/// 1` test, runs the test inside it, and stops at its own bitwise fixed
+/// point.  UgfLanes.* holds every lane bit-equal to the plain bisection.
 class TwoStageCornerBatch {
  public:
   /// Empty unless every model is a two-stage corner model and all share one

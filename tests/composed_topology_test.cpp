@@ -517,27 +517,26 @@ TEST(GeneratedSelection, LegacyCellsStillWinTheirHomeTurf) {
   EXPECT_EQ(tp::ruleBasedSelect(genLib(), low)[0].name, "five-transistor-ota");
 }
 
-// The name dates from when this also toggled the evaluation cache.
-TEST(GeneratedSelection, GeneticIsBitIdenticalAcrossThreadsAndCache) {
+TEST(GeneratedSelection, GeneticIsBitIdenticalAcrossPoolWidths) {
   sz::SpecSet specs;
   specs.atLeast("gain_db", 65.0).atLeast("ugf", 2e6).atLeast("pm", 50.0).minimize("power",
                                                                                   0.5, 1e-3);
-  auto run = [&](std::size_t threads) {
-    core::ScopedThreadPool pool(threads);
+  auto run = [&](std::size_t workers) {
+    core::ScopedThreadPool pool(workers);
     tp::GeneticOptions opts;
     opts.seed = 41;
     opts.populationSize = 24;
     opts.generations = 12;
     return tp::geneticSelectAndSize(genLib(), specs, opts);
   };
-  const auto base = run(1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const auto r = run(threads);
-    EXPECT_EQ(r.topology, base.topology) << threads;
-    EXPECT_TRUE(bitEq(r.cost, base.cost)) << threads;
+  const auto base = run(0);  // the caller alone
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    const auto r = run(workers);
+    EXPECT_EQ(r.topology, base.topology) << workers;
+    EXPECT_TRUE(bitEq(r.cost, base.cost)) << workers;
     ASSERT_EQ(r.x.size(), base.x.size());
     for (std::size_t i = 0; i < r.x.size(); ++i)
-      EXPECT_TRUE(bitEq(r.x[i], base.x[i])) << threads << " x" << i;
+      EXPECT_TRUE(bitEq(r.x[i], base.x[i])) << workers << " x" << i;
     EXPECT_EQ(r.evaluations, base.evaluations);
   }
 }
@@ -628,6 +627,12 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
   // Processes that push the loop into degenerate regimes: a dead load
   // device (gm6 = 0, so z = 0 and av0 = 0), a vanishing one, and
   // channel-length modulation so strong that the dc gain falls below one.
+  // Two regimes are where the solve's band certificate must refuse and
+  // fall back to the exact test on every step, so a wrong certificate
+  // would break bit-identity there: a zero at or below the dominant pole
+  // (|H| need not fall monotonically; with a dc gain below one it can
+  // rise through unity and fall back), and a magnitude that overflows at
+  // the bisection's 1e13 Hz end.
   std::vector<ckt::Process> procs(5, proc());
   procs[1].kpP = 0.0;
   procs[2].kpN = 0.0;
@@ -638,6 +643,7 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
                            std::numeric_limits<double>::infinity()};
 
   bool sawZeroZ = false, sawNonPositiveGain = false, sawSubUnityGain = false, sawNan = false;
+  bool sawZeroBelowPole = false, sawCeilingOverflow = false, sawRiseThroughUnity = false;
   std::size_t cases = 0;
   for (const auto& s : twoStageStructures()) {
     const auto vars = s.variables();
@@ -662,6 +668,21 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
           x[i] = v;
           xs.push_back(x);
         }
+      // A nulled zero swept far below the dominant pole, with the
+      // compensation capacitor raised to spread the poles: under a dc gain
+      // below one, |H| then rises through unity past the zero and falls
+      // back through it, so it has two crossings.
+      if (s.comp == sz::Compensation::MillerNulled) {
+        std::size_t rzkIndex = 0;
+        while (vars[rzkIndex].name != "rzk") ++rzkIndex;
+        for (const double ccScale : {10.0, 1e3})
+          for (int e = 0; e <= 80; ++e) {
+            auto x = mid;
+            x[ccIndex] *= ccScale;
+            x[rzkIndex] = 1.0 + std::pow(10.0, e / 8.0);
+            xs.push_back(x);
+          }
+      }
       for (const auto& x : xs) {
         const auto r = ref::composedTwoStageUgf(s, pr, kLoadCap, x, pr);
         const auto why = ugfMismatch(s, model.evaluate(x), r, x);
@@ -670,6 +691,14 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
         sawNonPositiveGain |= r.av0 <= 0.0;
         sawSubUnityGain |= r.av0 > 0.0 && r.av0 <= 1.0;
         sawNan |= std::isnan(r.ugf);
+        // Both refusal regimes, on points whose loop otherwise has a
+        // crossing to find (a dc gain above one and a finite result).
+        const bool ordinary = r.av0 > 1.0 && std::isfinite(r.ugf);
+        sawZeroBelowPole |= ordinary && r.zeroHz <= std::abs(r.p1);
+        sawCeilingOverflow |= ordinary && !std::isfinite(r.ceilingMagnitude);
+        // Below unity at dc, yet the bisection found a crossing well above
+        // p1: |H| rose through unity past a zero below the pole.
+        sawRiseThroughUnity |= r.av0 < 1.0 && r.zeroHz <= std::abs(r.p1) && r.ugf > 2.0 * r.p1;
         ++cases;
       }
     }
@@ -679,6 +708,9 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
   EXPECT_TRUE(sawNonPositiveGain);
   EXPECT_TRUE(sawSubUnityGain);
   EXPECT_TRUE(sawNan);
+  EXPECT_TRUE(sawZeroBelowPole);
+  EXPECT_TRUE(sawCeilingOverflow);
+  EXPECT_TRUE(sawRiseThroughUnity);
   EXPECT_GT(cases, 10'000u);
 }
 

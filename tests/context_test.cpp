@@ -274,10 +274,10 @@ mf::RobustResult robustProblem() {
   return mf::robustSynthesize(factory, nominal(), mf::VariationSpace{}, specs, ropts);
 }
 
-/// robustProblem at `threads`: ambient when `ctx` is null, else under
-/// `ctx`.
-mf::RobustResult runRobust(std::size_t threads, core::ExecutionContext* ctx) {
-  core::ScopedThreadPool scoped(threads);
+/// robustProblem on a pool of `workers` workers (0: the caller alone):
+/// ambient when `ctx` is null, else under `ctx`.
+mf::RobustResult runRobust(std::size_t workers, core::ExecutionContext* ctx) {
+  core::ScopedThreadPool scoped(workers);
   if (!ctx) return robustProblem();
   core::ContextScope scope(*ctx);
   return robustProblem();
@@ -317,13 +317,13 @@ TEST(ContextDifferential, FlowIsBitIdenticalBetweenAmbientAndExplicitContexts) {
 }
 
 TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitContexts) {
-  const auto reference = runRobust(/*threads=*/1, nullptr);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    const auto ambient = runRobust(threads, nullptr);
+  const auto reference = runRobust(/*workers=*/0, nullptr);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    const auto ambient = runRobust(workers, nullptr);
     expectRobustBitIdentical(reference, ambient, "ambient " + label);
     core::ExecutionContext ctx(core::ContextConfig::fromEnv());
-    const auto scoped = runRobust(threads, &ctx);
+    const auto scoped = runRobust(workers, &ctx);
     expectRobustBitIdentical(ambient, scoped, "explicit " + label);
   }
 }

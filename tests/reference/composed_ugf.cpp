@@ -80,7 +80,8 @@ UgfSolve composedTwoStageUgf(const sizing::OpampStructure& s, const circuit::Pro
     if (s.inputCascode) den *= 1.0 + (f / pCasc) * (f / pCasc);
     return av0 * std::sqrt(num / den);
   };
-  double lo = p1, hi = 1e13;
+  constexpr double kCeiling = 1e13;
+  double lo = p1, hi = kCeiling;
   int fixedPointStep = 80;
   for (int it = 0; it < 80; ++it) {
     const double mid = std::sqrt(lo * hi);
@@ -97,7 +98,8 @@ UgfSolve composedTwoStageUgf(const sizing::OpampStructure& s, const circuit::Pro
   pm -= std::atan(ugf / p3) * 180.0 / M_PI;
   if (s.inputCascode) pm -= std::atan(ugf / pCasc) * 180.0 / M_PI;
 
-  return {ugf, pm, av0, z, fixedPointStep};
+  const double zeroHz = nulled ? 1.0 / std::abs(zInv) : std::abs(z);
+  return {ugf, pm, av0, z, p1, zeroHz, magnitude(kCeiling), fixedPointStep};
 }
 
 }  // namespace amsyn::reference

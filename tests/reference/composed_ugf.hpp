@@ -19,6 +19,11 @@ struct UgfSolve {
   // Intermediate terms, so tests can show which regime a point exercised.
   double av0 = 0.0;  ///< dc loop gain av1 * av2
   double z = 0.0;    ///< plain-Miller zero (0 for the nulled variant)
+  double p1 = 0.0;   ///< dominant pole, the bisection's lower end (Hz)
+  /// The zero's frequency: |z|, or 1/|zInv| for the nulled variant (Hz).
+  double zeroHz = 0.0;
+  /// magnitude() at the bisection's upper end, 1e13 Hz.
+  double ceilingMagnitude = 0.0;
   /// First step that leaves (lo, hi) bit-unchanged, where an early-exit
   /// solve stops (80: none does).
   int fixedPointStep = 80;
