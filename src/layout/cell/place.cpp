@@ -71,11 +71,14 @@ struct Arrangement {
   std::vector<Transform> xform;
 };
 
-/// The placement cost over geometry cached once per component variant, so
-/// an annealing move evaluates without allocating.  Every figure is summed
-/// over reusable scratch buffers in the same order as over the equivalent
-/// CellInstances (wirelength in estimateWirelength's net-name
-/// order), so a cost is bit-equal to the instance-based one.
+/// The placement cost over geometry cached per component: each variant's
+/// master box and named pins once, and each component's transformed box,
+/// its box inflated by half the clearance and its transformed pins under
+/// the (variant, transform) it was last evaluated at.  An annealing move
+/// changes one or two components, so an evaluation re-transforms only
+/// those, and allocates nothing.  Wirelength and overlap are sums of
+/// integers below 2^53, summed as Coord and converted once, so they equal
+/// the instance-based double sums in any order; the cost is bit-equal.
 class PlacerState {
  public:
   PlacerState(const std::vector<PlacementComponent>& components, double symmetryWeight)
@@ -85,7 +88,6 @@ class PlacerState {
       for (std::size_t j = 0; j < components.size(); ++j)
         if (components[j].name == *components[i].symmetryPeer) peer_[i] = j;
     }
-    // Net ids follow sorted-name order, the order the wirelength sums in.
     std::map<std::string, std::size_t> netId;
     for (const auto& c : components)
       for (const auto& master : c.variants)
@@ -102,7 +104,7 @@ class PlacerState {
         geometry_[i].push_back(std::move(g));
       }
     }
-    boxes_.resize(components.size());
+    placed_.resize(components.size());
     netBox_.resize(nets);
     netSeen_.resize(nets);
   }
@@ -115,24 +117,23 @@ class PlacerState {
   }
 
   double cost(const Arrangement& a, double overlapScale) {
-    updateBoxes(a);
+    update(a);
     Rect bb;
-    for (const Rect& b : boxes_) bb = bb.unionWith(b);
+    for (const Placed& p : placed_) bb = bb.unionWith(p.box);
     const double area = static_cast<double>(bb.area());
-    const double wl = wirelength(a);
-    double ov = 0.0;
-    for (std::size_t i = 0; i < boxes_.size(); ++i) {
-      const Rect r = boxes_[i].inflated(kSpacing / 2);
-      for (std::size_t j = i + 1; j < boxes_.size(); ++j)
-        ov += static_cast<double>(r.intersect(boxes_[j].inflated(kSpacing / 2)).area());
-    }
+    const double wl = static_cast<double>(wirelength());
+    Coord ov = 0;
+    for (std::size_t i = 0; i < placed_.size(); ++i)
+      for (std::size_t j = i + 1; j < placed_.size(); ++j)
+        ov += placed_[i].spaced.intersect(placed_[j].spaced).area();
     const double sym = symmetryErrorOfBoxes(a);
     return kAreaWeight * area + kWireWeight * wl * 10.0 +
-           kOverlapWeight * overlapScale * ov + symmetryWeight_ * sym * 20.0;
+           kOverlapWeight * overlapScale * static_cast<double>(ov) +
+           symmetryWeight_ * sym * 20.0;
   }
 
   double symmetryError(const Arrangement& a) {
-    updateBoxes(a);
+    update(a);
     return symmetryErrorOfBoxes(a);
   }
 
@@ -151,37 +152,57 @@ class PlacerState {
     std::vector<std::pair<std::size_t, Rect>> pins;  ///< (net id, rect), named pins
   };
 
-  void updateBoxes(const Arrangement& a) {
-    for (std::size_t i = 0; i < boxes_.size(); ++i)
-      boxes_[i] = box(i, a.variant[i], a.xform[i]);
+  /// One component's geometry under the (variant, xform) it was computed at.
+  struct Placed {
+    std::size_t variant = 0;
+    Transform xform;
+    bool valid = false;
+    Rect box;     ///< transformed bounding box
+    Rect spaced;  ///< box inflated by half the clearance
+    std::vector<std::pair<std::size_t, Rect>> pins;  ///< transformed named pins
+  };
+
+  /// Re-transform the components whose variant or transform changed.
+  void update(const Arrangement& a) {
+    for (std::size_t i = 0; i < placed_.size(); ++i) {
+      Placed& p = placed_[i];
+      if (p.valid && p.variant == a.variant[i] && p.xform == a.xform[i]) continue;
+      const VariantGeometry& g = geometry_[i][a.variant[i]];
+      p.variant = a.variant[i];
+      p.xform = a.xform[i];
+      p.valid = true;
+      p.box = p.xform.apply(g.box);
+      p.spaced = p.box.inflated(kSpacing / 2);
+      p.pins.resize(g.pins.size());
+      for (std::size_t k = 0; k < g.pins.size(); ++k)
+        p.pins[k] = {g.pins[k].first, p.xform.apply(g.pins[k].second)};
+    }
   }
 
-  /// Half-perimeter wirelength over the nets the chosen variants
-  /// expose, summed in net-name order.
-  double wirelength(const Arrangement& a) {
+  /// Half-perimeter wirelength over the nets the chosen variants expose.
+  Coord wirelength() {
     std::fill(netSeen_.begin(), netSeen_.end(), 0);
-    for (std::size_t i = 0; i < geometry_.size(); ++i) {
-      for (const auto& [net, rect] : geometry_[i][a.variant[i]].pins) {
-        const Rect r = a.xform[i].apply(rect);
+    for (const Placed& p : placed_) {
+      for (const auto& [net, r] : p.pins) {
         netBox_[net] = netSeen_[net] ? netBox_[net].unionWith(r) : r;
         netSeen_[net] = 1;
       }
     }
-    double total = 0.0;
+    Coord total = 0;
     for (std::size_t n = 0; n < netBox_.size(); ++n)
-      if (netSeen_[n]) total += static_cast<double>(netBox_[n].halfPerimeter());
+      if (netSeen_[n]) total += netBox_[n].halfPerimeter();
     return total;
   }
 
   /// Axis: average pair midline; error: deviation from common axis +
-  /// vertical misalignment + orientation mismatch.  Reads boxes_.
+  /// vertical misalignment + orientation mismatch.  Reads placed_.
   double symmetryErrorOfBoxes(const Arrangement& a) const {
     double axisSum = 0.0;
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < peer_.size(); ++i) {
       if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
-      const auto ca = boxes_[i].center();
-      const auto cb = boxes_[static_cast<std::size_t>(peer_[i])].center();
+      const auto ca = placed_[i].box.center();
+      const auto cb = placed_[static_cast<std::size_t>(peer_[i])].box.center();
       axisSum += 0.5 * static_cast<double>(ca.x + cb.x);
       ++pairs;
     }
@@ -191,8 +212,8 @@ class PlacerState {
     for (std::size_t i = 0; i < peer_.size(); ++i) {
       if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
       const std::size_t j = static_cast<std::size_t>(peer_[i]);
-      const auto ca = boxes_[i].center();
-      const auto cb = boxes_[j].center();
+      const auto ca = placed_[i].box.center();
+      const auto cb = placed_[j].box.center();
       err += std::abs(static_cast<double>(ca.x + cb.x) / 2.0 - axis);
       err += std::abs(static_cast<double>(ca.y - cb.y));
       if (a.xform[j].orient != mirrored(a.xform[i].orient)) err += 50.0;
@@ -204,8 +225,8 @@ class PlacerState {
   double symmetryWeight_;
   std::vector<std::ptrdiff_t> peer_;  // index of symmetry partner or -1
   std::vector<std::vector<VariantGeometry>> geometry_;  // [component][variant]
+  std::vector<Placed> placed_;  // [component], refreshed by update()
   // Scratch, reused by every evaluation.
-  std::vector<Rect> boxes_;
   std::vector<Rect> netBox_;
   std::vector<char> netSeen_;
 };

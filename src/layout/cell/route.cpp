@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -98,7 +97,10 @@ class Grid {
   void resetOwners(const std::vector<int>& owners) { owner_ = owners; }
 
   void setOverDevice(int i) { overDevice_[static_cast<std::size_t>(i % plane())] = 1; }
-  bool overDevice(int i) const { return overDevice_[static_cast<std::size_t>(i % plane())] != 0; }
+  bool overDevice(int x, int y) const {
+    return overDevice_[static_cast<std::size_t>(x) * static_cast<std::size_t>(ny_) +
+                       static_cast<std::size_t>(y)] != 0;
+  }
 
   /// Visit every node whose center lies inside `r` on grid layer `l`.
   template <typename Fn>
@@ -117,7 +119,26 @@ class Grid {
   Coord pitch_;
   int nx_ = 0, ny_ = 0;
   std::vector<int> owner_;       // kFree / kBlocked / net index
-  std::vector<char> overDevice_;
+  std::vector<char> overDevice_;  // per planar node, x * ny + y
+};
+
+/// A search frontier entry: the (f, node index) pair packed into one key
+/// whose unsigned order is the pair's order (both are non-negative ints),
+/// beside the node's planar coordinates so a pop needs no division.
+struct QueueEntry {
+  std::uint64_t key;
+  int x, y;
+
+  static QueueEntry make(int f, int n, int x, int y) {
+    return {(std::uint64_t{static_cast<std::uint32_t>(f)} << 32) | static_cast<std::uint32_t>(n),
+            x, y};
+  }
+  int f() const { return static_cast<int>(key >> 32); }
+  int index() const { return static_cast<int>(key & 0xffffffffu); }
+};
+/// Heap order: std::*_heap with this comparator keeps the least key on top.
+constexpr auto kLaterEntry = [](const QueueEntry& a, const QueueEntry& b) {
+  return a.key > b.key;
 };
 
 /// A set of grid nodes that empties in O(1): a node is a member iff its
@@ -218,8 +239,7 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
   std::vector<int> dist(gridSize), parent(gridSize);
   NodeSet reached(gridSize), target(gridSize), joined(gridSize), cloud(gridSize);
   std::vector<int> joinedNodes, cloudNodes;
-  using QE = std::pair<int, int>;  // (distance + heuristic, node index)
-  std::vector<QE> heap;
+  std::vector<QueueEntry> heap;
   const int ny = grid.ny(), nx = grid.nx(), plane = grid.plane();
 
   // Routing passes with rip-up: failed nets get routed first next pass.
@@ -272,24 +292,25 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
           dist[static_cast<std::size_t>(s)] = 0;
           parent[static_cast<std::size_t>(s)] = -1;
           reached.insert(s);
-          heap.push_back({h(grid.node(s)), s});
+          const Node c = grid.node(s);
+          heap.push_back(QueueEntry::make(h(c), s, c.x, c.y));
         }
-        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+        std::make_heap(heap.begin(), heap.end(), kLaterEntry);
 
         auto relax = [&](int d, int n, int m, bool sameLayer, const Node& mn) {
           const int own = grid.owner(m);
           if (own == kBlocked || (own >= 0 && own != me)) return;
           int step = sameLayer ? kStepCost : kViaCost;
           if (mn.layer == 0) step += kPolyPenalty;
-          if (mn.layer == 2 && grid.overDevice(m)) step += kOverDevicePenalty;
+          if (mn.layer == 2 && grid.overDevice(mn.x, mn.y)) step += kOverDevicePenalty;
           const int nd = d + step;
           const auto mi = static_cast<std::size_t>(m);
           if (!reached.contains(m) || nd < dist[mi]) {
             reached.insert(m);
             dist[mi] = nd;
             parent[mi] = n;
-            heap.push_back({nd + h(mn), m});
-            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+            heap.push_back(QueueEntry::make(nd + h(mn), m, mn.x, mn.y));
+            std::push_heap(heap.begin(), heap.end(), kLaterEntry);
           } else if (nd == dist[mi]) {
             // A tie: keep the predecessor a (distance, index) Dijkstra
             // would have settled first.
@@ -304,13 +325,15 @@ RouteResult routeCells(const std::vector<CellInstance>& placed,
         // is then the one a blind (distance, index) Dijkstra traces, in
         // whatever order the nodes pop.  Targets are never expanded.
         int found = -1, best = std::numeric_limits<int>::max();
-        while (!heap.empty() && heap.front().first <= best) {
-          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-          const auto [f, n] = heap.back();
+        while (!heap.empty() && heap.front().f() <= best) {
+          std::pop_heap(heap.begin(), heap.end(), kLaterEntry);
+          const QueueEntry e = heap.back();
           heap.pop_back();
           ++expansions;
+          const int n = e.index(), f = e.f();
           const int d = dist[static_cast<std::size_t>(n)];
-          const Node c = grid.node(n);
+          static_assert(kLayers == 3, "two comparisons find a popped node's layer");
+          const Node c{(n >= plane) + (n >= 2 * plane), e.x, e.y};
           if (f != d + h(c)) continue;  // stale entry
           if (target.contains(n)) {
             if (d < best || (d == best && n < found)) best = d, found = n;

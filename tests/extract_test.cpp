@@ -292,6 +292,11 @@ TEST(ExtractDifferential, EdgeCasesMatchAllPairsBitForBit) {
                                   {Layer::Metal2, {2048, 36, 2112, 48}, "c"},
                                   {Layer::Metal1, {0, 24, 64, 36}, "a"}})),
             "");
+  // A rect with x0 > x1 is empty, yet gap and run still make it couple.
+  const auto inverted = wiresOf({{Layer::Metal1, {100, 0, 0, 12}, "a"},
+                                 {Layer::Metal1, {10, 0, 200, 12}, "b"}});
+  EXPECT_EQ(differential(inverted), "");
+  EXPECT_GT(ex::extractParasitics(inverted, proc()).couplingBetween("a", "b"), 0.0);
   // Shapes so far apart the index must not grow one bin per 64 units.
   EXPECT_EQ(differential(wiresOf({{Layer::Metal1, {-1000000000, 0, -999999900, 12}, "a"},
                                   {Layer::Metal1, {-999999900, 20, -999999800, 32}, "b"},
