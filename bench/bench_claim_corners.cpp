@@ -88,25 +88,36 @@ double timeRatio(const manufacture::RobustResult& res) {
   return res.cornerSearchSeconds / std::max(res.nominalSeconds, 1e-12);
 }
 
-/// The nominal phase lasts about 10 ms, so one run's corner-to-nominal time
-/// ratio moves by 2x between runs.  The claim reports the median over this
-/// many serial runs, each in a fresh context.
+/// The nominal phase lasts about 10 ms, so one run's phase times and their
+/// ratio move by 2x between runs.  The claim reports medians over this many
+/// serial runs, each in a fresh context.
 constexpr int kTimingRuns = 5;
 
-struct TimeRatios {
+/// The serial runs' phase wall times: each phase's median, and the median
+/// and range of the per-run corner-to-nominal ratio.
+struct PhaseTimes {
+  double nominalSeconds = 0.0;
+  double cornerSearchSeconds = 0.0;
   double median = 0.0;
   double min = 0.0;
   double max = 0.0;
 };
 
-TimeRatios summarize(const std::vector<double>& ratios) {
+PhaseTimes summarize(const std::vector<manufacture::RobustResult>& runs) {
+  std::vector<double> nominal, corner, ratios;
+  for (const auto& res : runs) {
+    nominal.push_back(res.nominalSeconds);
+    corner.push_back(res.cornerSearchSeconds);
+    ratios.push_back(timeRatio(res));
+  }
   const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
-  return {num::percentile(ratios, 50.0), *lo, *hi};
+  return {num::percentile(nominal, 50.0), num::percentile(corner, 50.0),
+          num::percentile(ratios, 50.0), *lo, *hi};
 }
 
 /// The claim table, from the serial runs: the paper states its premium in
 /// CPU time, which a serial run's wall time tracks.
-void printClaim(const CountedRun& run, const TimeRatios& ratios) {
+void printClaim(const CountedRun& run, const PhaseTimes& times) {
   std::cout << "=== Claim (sec. 2.2): corner-aware synthesis costs ~4x-10x CPU ===\n\n";
   const auto specs = robustSpecs();
   const manufacture::VariationSpace space;
@@ -124,8 +135,8 @@ void printClaim(const CountedRun& run, const TimeRatios& ratios) {
   std::cout << "\nCPU (evaluation) ratio robust/nominal: "
             << core::Table::num(evaluationRatio(res)) << "x   (paper: roughly 4x-10x)\n";
   std::cout << "wall-time ratio corner search/nominal sizing (serial): "
-            << core::Table::num(ratios.median) << "x median ("
-            << core::Table::num(ratios.min) << "-" << core::Table::num(ratios.max)
+            << core::Table::num(times.median) << "x median ("
+            << core::Table::num(times.min) << "-" << core::Table::num(times.max)
             << "x over " << kTimingRuns << " runs)\n";
   std::cout << "active corners accumulated: " << res.activeCorners << " over "
             << res.rounds << " cutting-plane rounds\n\n";
@@ -161,12 +172,12 @@ void printClaim(const CountedRun& run, const TimeRatios& ratios) {
 }
 
 /// Machine-readable record: the premium (evaluation counts from the first
-/// serial run, the phase wall-time ratio's median and range over all of
-/// them) plus a scaling record — the identical synthesis on `workers` pool
+/// serial run; the phase wall times' medians and the ratio's median and
+/// range over all of them) plus a scaling record — the identical synthesis on `workers` pool
 /// workers plus the calling thread (its `threads` value counts both).  The
 /// parallel loops are deterministic by construction, so besides the timings
 /// we record whether the two widths really did produce the same design.
-void writeJson(const CountedRun& serial, const TimeRatios& ratios, const CountedRun& parallel,
+void writeJson(const CountedRun& serial, const PhaseTimes& times, const CountedRun& parallel,
                std::size_t workers) {
   const std::size_t threads = workers + 1;
   const bool identical = serial.res.robust.x == parallel.res.robust.x &&
@@ -190,11 +201,11 @@ void writeJson(const CountedRun& serial, const TimeRatios& ratios, const Counted
       .addValue("active_corners", static_cast<double>(serial.res.activeCorners))
       // The section-2.2 claim, measured directly: corner-search phase wall
       // time over nominal-sizing phase wall time (paper: roughly 4x-10x).
-      .addValue("nominal_sizing_seconds", serial.res.nominalSeconds)
-      .addValue("corner_search_seconds", serial.res.cornerSearchSeconds)
-      .addValue("corner_to_nominal_time_ratio", ratios.median)
-      .addValue("corner_to_nominal_time_ratio_min", ratios.min)
-      .addValue("corner_to_nominal_time_ratio_max", ratios.max);
+      .addValue("nominal_sizing_seconds", times.nominalSeconds)
+      .addValue("corner_search_seconds", times.cornerSearchSeconds)
+      .addValue("corner_to_nominal_time_ratio", times.median)
+      .addValue("corner_to_nominal_time_ratio_min", times.min)
+      .addValue("corner_to_nominal_time_ratio_max", times.max);
   report.write("BENCH_corners.json");
   std::cout << "wrote BENCH_corners.json: " << serial.seconds
             << " s at 1 thread (0 workers + caller), "
@@ -235,7 +246,7 @@ int main(int argc, char** argv) {
   const std::size_t workers =
       std::max<std::size_t>(2, core::ThreadPool::configuredThreads());
   const CountedRun serial = serialRun();
-  std::vector<double> ratios{timeRatio(serial.res)};
+  std::vector<manufacture::RobustResult> runs{serial.res};
   for (int run = 1; run < kTimingRuns; ++run) {
     const CountedRun again = serialRun();
     if (again.res.robust.x != serial.res.robust.x ||
@@ -244,9 +255,9 @@ int main(int argc, char** argv) {
                 << " produced a different design than run 1\n";
       return 1;
     }
-    ratios.push_back(timeRatio(again.res));
+    runs.push_back(again.res);
   }
-  const TimeRatios summary = summarize(ratios);
+  const PhaseTimes summary = summarize(runs);
   const CountedRun parallel = parallelRun(workers);
   printClaim(serial, summary);
   writeJson(serial, summary, parallel, workers);
