@@ -199,7 +199,7 @@ void fillRandomLayout(std::uint64_t seed, RandomLayout& out) {
   const char* const kNets[] = {"a", "b", "c", "d", "e", ""};
   const std::size_t shapes = static_cast<std::size_t>(pick(80));
   const geom::Coord span = 64 + pick(1500);
-  std::vector<geom::Shape> made;
+  auto& made = out.layout.wires;
   for (std::size_t k = 0; k < shapes; ++k) {
     geom::Shape s;
     s.layer = kLayers[pick(20) == 0 ? 3 : pick(3)];
@@ -227,7 +227,6 @@ void fillRandomLayout(std::uint64_t seed, RandomLayout& out) {
     s.rect = geom::Rect::fromSize(x, y, sx, sy);
     made.push_back(s);
   }
-  for (const auto& s : made) out.layout.wires.push_back(s);
   if (seed % 2 == 0) {
     const std::size_t own = static_cast<std::size_t>(pick(12));
     for (std::size_t k = 0; k < own; ++k) {
