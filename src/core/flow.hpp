@@ -15,7 +15,9 @@
 // The flow itself is a staged graph (core/flowgraph.hpp): each phase above
 // is one FlowStage, and a FlowEngine executes the declared stage sequence
 // with the redesign loop, retargeting, and calibration feedback as engine
-// policy.  synthesizeAmplifier assembles the amplifier stage graph;
+// policy.  A candidate passes between the stages as its composed
+// sizing::OpampStructure, the topology's identity, and its netlist is built
+// from that structure.  synthesizeAmplifier assembles the amplifier stage graph;
 // synthesizeBatch, the one batch runner, fans many spec sets across the
 // shared thread pool.
 #pragma once
@@ -87,7 +89,7 @@ struct StageRecord {
 
 struct FlowResult {
   bool success = false;
-  std::string topology;
+  std::string topology;                 ///< the chosen structure's name()
   std::vector<double> designPoint;
   circuit::Netlist schematic;           ///< sized testbench netlist
   CellLayoutResult cell;                ///< layout + extraction

@@ -9,7 +9,7 @@
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
 #include "sim/stats.hpp"
-#include "sizing/builders.hpp"
+#include "sizing/blocks.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/perfmodel.hpp"
 #include "topology/select.hpp"
@@ -46,12 +46,15 @@ struct FlowCounters {
   metrics::CounterId attempts;
   metrics::CounterId batchDesigns;     ///< designs submitted to synthesizeBatch
   metrics::CounterId deadlineExpired;  ///< flows terminated by their deadline
+  metrics::CounterId planChosen;       ///< pre-layout picks after the first
+                                       ///< candidate (the plan's, by default)
 };
 const FlowCounters& flowCounters() {
   static const FlowCounters ids = {
       metrics::registry().counter("core.flow.attempts"),
       metrics::registry().counter("core.flow.batch.designs"),
       metrics::registry().counter("core.flow.deadline.expired"),
+      metrics::registry().counter("core.flow.plan_chosen"),
   };
   return ids;
 }
@@ -94,7 +97,7 @@ FlowEngine::FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages) {
 }
 
 sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
-                                     const CalibrationStore& cal, std::size_t attempt) {
+                                     const Calibration& cal, std::size_t attempt) {
   // Parasitics and model error mainly eat bandwidth and phase margin, so
   // redesigns hand the sizer bounds corrected by what verification actually
   // measured (rather than blind margins), plus a small safety factor that
@@ -110,9 +113,9 @@ sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
     }
     double bound = s.bound;
     if (s.kind == sizing::SpecKind::GreaterEqual && s.performance == "ugf")
-      bound = bound / std::max(cal.ratio(s.performance), 0.2) * safety;
+      bound = bound / std::max(cal.ugfLayoutRatio * cal.ugfModelRatio, 0.2) * safety;
     else if (s.kind == sizing::SpecKind::GreaterEqual && s.performance == "pm")
-      bound = std::min(bound + cal.delta(s.performance) * safety +
+      bound = std::min(bound + (cal.pmLayoutDelta + cal.pmModelDelta) * safety +
                            2.0 * static_cast<double>(attempt),
                        80.0);
     target.require(s.performance, s.kind, bound, s.weight);
@@ -123,7 +126,7 @@ sizing::SpecSet FlowEngine::retarget(const sizing::SpecSet& specs,
 FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process& proc,
                            const FlowOptions& opts) {
   AMSYN_SPAN("flow");
-  DesignContext ctx(specs, proc, opts);
+  DesignContext ctx(proc, opts);
   ctx.electrical = filterElectrical(specs);
   Deadline jobDeadline(ExecutionContext::current().config().jobDeadlineMs);
   ctx.jobDeadline = &jobDeadline;
@@ -203,7 +206,7 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
 // Concrete stages
 
 StageOutcome TopologySelectStage::run(DesignContext& ctx) {
-  const auto library =
+  const auto& library =
       topology::amplifierLibrary(ctx.proc, ctx.opts.loadCap, ctx.opts.topologySpace);
 
   sizing::SynthesisOptions sopts = ctx.opts.synthesis;
@@ -221,7 +224,7 @@ StageOutcome TopologySelectStage::run(DesignContext& ctx) {
   if (!sel.success)
     return StageOutcome::skip("optimization-based sizing produced no candidate");
   CandidateDesign cand;
-  cand.topology = sel.topology;
+  cand.structure = library.byName(sel.topology).structure;
   cand.x = sel.sizing.x;
   cand.predicted = sel.sizing.performance;
   ctx.candidates.push_back(std::move(cand));
@@ -238,10 +241,9 @@ StageOutcome PlanCandidateStage::run(DesignContext& ctx) {
   const auto plan = knowledge::twoStageOpampPlan();
   const auto pres = plan.execute(ctx.proc, *planIn);
   if (!pres.success) return StageOutcome::skip("design plan backtracking failed");
-  const sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), ctx.proc,
-                                         ctx.opts.loadCap);
   CandidateDesign cand;
-  cand.topology = "two-stage-miller";
+  cand.structure = sizing::OpampStructure::legacyTwoStage();
+  const sizing::ComposedOpampModel model(cand.structure, ctx.proc, ctx.opts.loadCap);
   cand.x = knowledge::extractTwoStageDesign(pres.context);
   cand.predicted = model.evaluate(cand.x);
   ctx.candidates.push_back(std::move(cand));
@@ -252,16 +254,9 @@ StageOutcome BuildStage::run(DesignContext& ctx) {
   if (ctx.candidates.empty())
     return StageOutcome::fail("sizing failed to meet the (possibly inflated) specs",
                               EvalStatus::Ok);  // design failure, not machinery
-  for (auto& cand : ctx.candidates) {
-    const auto* builder = sizing::NetlistBuilderRegistry::instance().find(cand.topology);
-    if (!builder)
-      return StageOutcome::fail(
-          "no netlist builder registered for topology '" + cand.topology + "'",
-          EvalStatus::BadTopology);
-    cand.netlist = (*builder)(cand.x, ctx.proc,
-                              sizing::OpampTestbench{ctx.opts.loadCap, 2.2, true});
-    cand.built = true;
-  }
+  for (auto& cand : ctx.candidates)
+    cand.netlist = sizing::buildComposedOpamp(
+        cand.structure, cand.x, ctx.proc, sizing::OpampTestbench{ctx.opts.loadCap, 2.2, true});
   return StageOutcome::pass();
 }
 
@@ -279,22 +274,22 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
       // Update the model-calibration terms from this measurement.
       if (measured.count("ugf") && cand.predicted.count("ugf") &&
           cand.predicted.at("ugf") > 0)
-        ctx.calibration.recordRatio(
-            "ugf", kModelCalibration, measured.at("ugf") / cand.predicted.at("ugf"));
+        ctx.calibration.ugfModelRatio = measured.at("ugf") / cand.predicted.at("ugf");
       if (measured.count("pm") && cand.predicted.count("pm"))
-        ctx.calibration.recordDelta(
-            "pm", kModelCalibration,
-            std::max(0.0, cand.predicted.at("pm") - measured.at("pm")));
+        ctx.calibration.pmModelDelta =
+            std::max(0.0, cand.predicted.at("pm") - measured.at("pm"));
       if (!chosen || passed) {
         pre.measured = measured;
         pre.passed = passed;
-        ctx.result.topology = cand.topology;
+        ctx.result.topology = cand.structure.name();
         ctx.result.designPoint = cand.x;
         chosen = &cand;
       }
       if (passed) break;
     }
+    if (chosen && chosen != &ctx.candidates.front()) metrics::add(flowCounters().planChosen);
     ctx.result.schematic = chosen ? std::move(chosen->netlist) : circuit::Netlist{};
+    ctx.preLayoutMeasured = pre.measured;
     ctx.result.verifications.push_back(pre);
     if (!pre.passed) {
       const EvalStatus st = sizing::performanceStatus(pre.measured);
@@ -306,32 +301,17 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
   }
 
   // Post-layout: measure the annotated netlist against the same specs and
-  // record what the parasitics cost relative to this attempt's pre-layout
-  // measurement.
-  const VerificationRecord* preRec = nullptr;
-  for (auto it = ctx.result.verifications.rbegin();
-       it != ctx.result.verifications.rend(); ++it)
-    if (it->stage == "pre-layout") {
-      preRec = &*it;
-      break;
-    }
-
+  // record what the parasitics cost relative to the pre-layout measurement.
   VerificationRecord post;
   post.stage = "post-layout";
   post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc, ctx.jobDeadline);
   post.passed = !post.measured.count("_infeasible") &&
                 ctx.electrical.satisfied(post.measured, kVerifyTolerance);
-  if (preRec) {
-    if (post.measured.count("ugf") && preRec->measured.count("ugf") &&
-        preRec->measured.at("ugf") > 0)
-      ctx.calibration.recordRatio(
-          "ugf", kLayoutCalibration,
-          post.measured.at("ugf") / preRec->measured.at("ugf"));
-    if (post.measured.count("pm") && preRec->measured.count("pm"))
-      ctx.calibration.recordDelta(
-          "pm", kLayoutCalibration,
-          std::max(0.0, preRec->measured.at("pm") - post.measured.at("pm")));
-  }
+  const sizing::Performance& pre = ctx.preLayoutMeasured;
+  if (post.measured.count("ugf") && pre.count("ugf") && pre.at("ugf") > 0)
+    ctx.calibration.ugfLayoutRatio = post.measured.at("ugf") / pre.at("ugf");
+  if (post.measured.count("pm") && pre.count("pm"))
+    ctx.calibration.pmLayoutDelta = std::max(0.0, pre.at("pm") - post.measured.at("pm"));
   ctx.result.verifications.push_back(post);
   if (!post.passed) {
     const EvalStatus st = sizing::performanceStatus(post.measured);

@@ -9,7 +9,7 @@
 //   * the redesign loop (attempt 0 .. maxRedesigns, early exit on success),
 //   * margin-inflation retargeting — each attempt re-derives the spec
 //     bounds handed to the sizer from *measured* corrections (the
-//     CalibrationStore) plus a growing safety factor,
+//     Calibration) plus a growing safety factor,
 //   * model-calibration feedback — verify stages record how far the
 //     simulator lands from the equation model (pre-layout) and how much
 //     the layout parasitics knock off on top (post-layout),
@@ -20,12 +20,13 @@
 //     wall-clock deadline, and exception containment — a stage that throws
 //     is a failed stage ("stage threw: <status>"), never an escape.
 //
+// Candidates travel between stages as their sizing::OpampStructure, the
+// topology's identity; the netlist is sizing::buildComposedOpamp of it.
 // The amplifier flow is amplifierStageGraph() run by a default-policy
-// engine; tests and future circuit classes compose their own graphs (the
-// calibration-loop test drives the engine with fabricated verify stages).
+// engine; tests compose their own graphs (the calibration-loop test drives
+// the engine with fabricated verify stages).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,89 +34,52 @@
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/resilience.hpp"
+#include "sizing/blocks.hpp"
 #include "topology/library.hpp"
 
 namespace amsyn::core {
 
-/// Calibration source tags used by the built-in verify stages.
-inline constexpr const char* kModelCalibration = "model";    ///< sim vs equation model
-inline constexpr const char* kLayoutCalibration = "layout";  ///< post- vs pre-layout
-
-/// Measured model-calibration state, replacing the monolith's loose local
-/// doubles (ugfModelRatio / pmLayoutDelta / ...).  Two kinds of correction
-/// per performance, each recorded per source so independent error terms
-/// (modeling error, layout parasitics) compose:
-///   * ratios  — multiplicative losses (measured/predicted); composed as a
-///               product over sources, default 1.0,
-///   * deltas  — additive losses in the performance's own unit; composed
-///               as a sum over sources, default 0.0.
-/// Re-recording a (performance, source) pair overwrites it: calibration
+/// Measured model corrections the engine retargets from.  Two independent
+/// error terms per performance: modeling error (sim vs equation model,
+/// recorded by the pre-layout verify) and layout parasitics (post- vs
+/// pre-layout, recorded by the post-layout verify).  UGF losses are ratios
+/// (measured/predicted) and compose as a product; PM losses are degrees
+/// and compose as a sum.  Each verify overwrites its field, so calibration
 /// always reflects the latest measurement.
-class CalibrationStore {
- public:
-  void recordRatio(const std::string& perf, const std::string& source, double ratio) {
-    ratios_[perf][source] = ratio;
-  }
-  void recordDelta(const std::string& perf, const std::string& source, double delta) {
-    deltas_[perf][source] = delta;
-  }
-
-  /// Product of all recorded ratios for `perf` (1.0 when none).
-  double ratio(const std::string& perf) const {
-    double r = 1.0;
-    if (const auto it = ratios_.find(perf); it != ratios_.end())
-      for (const auto& [source, value] : it->second) {
-        (void)source;
-        r *= value;
-      }
-    return r;
-  }
-
-  /// Sum of all recorded deltas for `perf` (0.0 when none).
-  double delta(const std::string& perf) const {
-    double d = 0.0;
-    if (const auto it = deltas_.find(perf); it != deltas_.end())
-      for (const auto& [source, value] : it->second) {
-        (void)source;
-        d += value;
-      }
-    return d;
-  }
-
-  bool empty() const { return ratios_.empty() && deltas_.empty(); }
-
- private:
-  std::map<std::string, std::map<std::string, double>> ratios_;
-  std::map<std::string, std::map<std::string, double>> deltas_;
+struct Calibration {
+  double ugfModelRatio = 1.0;
+  double ugfLayoutRatio = 1.0;
+  double pmModelDelta = 0.0;
+  double pmLayoutDelta = 0.0;
 };
 
 /// One candidate design flowing between the candidate-provider, build, and
 /// verify stages of an attempt.
 struct CandidateDesign {
-  std::string topology;
+  sizing::OpampStructure structure;
   std::vector<double> x;             ///< equation-model coordinates
   sizing::Performance predicted;     ///< model-predicted performances at x
   circuit::Netlist netlist;          ///< filled by BuildStage; the pre-layout
                                      ///< verify moves the chosen one out
-  bool built = false;
 };
 
 /// Everything a stage may read or write while one flow runs.  Constructed
 /// by the engine per run; per-attempt fields (target, candidates) are reset
 /// by the engine at each attempt boundary.
 struct DesignContext {
-  DesignContext(const sizing::SpecSet& s, const circuit::Process& p,
-                const FlowOptions& o)
-      : specs(s), proc(p), opts(o) {}
+  DesignContext(const circuit::Process& p, const FlowOptions& o) : proc(p), opts(o) {}
 
-  const sizing::SpecSet& specs;      ///< original, unretargeted specs
   const circuit::Process& proc;
   const FlowOptions& opts;
   std::size_t attempt = 0;
   sizing::SpecSet target;            ///< engine-retargeted specs (per attempt)
   sizing::SpecSet electrical;        ///< simulator-judged constraint subset
   std::vector<CandidateDesign> candidates;  ///< per attempt
-  CalibrationStore calibration;      ///< persists across attempts
+  Calibration calibration;           ///< persists across attempts
+  /// The latest pre-layout verify's measurement of its chosen candidate
+  /// (this attempt's in the standard graph); the post-layout verify
+  /// calibrates against it.
+  sizing::Performance preLayoutMeasured;
   FlowResult result;                 ///< accumulated output
   /// The job's wall-clock deadline, owned by the engine for the run's
   /// duration (null only before run() installs it).  Stages that do
@@ -158,7 +122,7 @@ class FlowEngine {
   explicit FlowEngine(std::vector<std::unique_ptr<FlowStage>> stages);
 
   /// Run the flow: execute the stage sequence up to opts.maxRedesigns + 1
-  /// times, retargeting the specs from the calibration store before each
+  /// times, retargeting the specs from the calibration before each
   /// attempt.  Success means every stage of an attempt passed (or was
   /// skipped).
   /// The run reads its config — deadline, topology space — from
@@ -175,7 +139,7 @@ class FlowEngine {
   /// losses times safety plus 2 degrees per attempt, capped at 80.  Other
   /// constraints and all objectives pass through unchanged.
   static sizing::SpecSet retarget(const sizing::SpecSet& specs,
-                                  const CalibrationStore& cal, std::size_t attempt);
+                                  const Calibration& cal, std::size_t attempt);
 
  private:
   struct StageSlot {
@@ -211,10 +175,9 @@ class PlanCandidateStage : public FlowStage {
   StageOutcome run(DesignContext& ctx) override;
 };
 
-/// Build a testbench netlist for every candidate via the per-topology
-/// builder registry (sizing/builders.hpp).  Fails the attempt when no
-/// candidate exists ("sizing failed to meet the specs") or a topology has
-/// no registered builder.
+/// Build a testbench netlist for every candidate from its structure
+/// (sizing::buildComposedOpamp).  Fails the attempt when no candidate
+/// exists ("sizing failed to meet the specs").
 class BuildStage : public FlowStage {
  public:
   std::string name() const override { return "build"; }
@@ -225,7 +188,8 @@ enum class VerifyPhase : std::uint8_t { PreLayout, PostLayout };
 
 /// Simulation-based verification, parameterized on the phase:
 ///   * PreLayout — measure candidates in order against the electrical
-///     specs; the first pass wins (falling back to the first candidate),
+///     specs; the first pass wins (falling back to the first candidate;
+///     a later candidate's win counts into core.flow.plan_chosen),
 ///     records model calibration (sim vs predicted) per measurement;
 ///   * PostLayout — measure the extracted/annotated netlist, record layout
 ///     calibration (post vs pre), pass/fail the attempt.

@@ -72,8 +72,8 @@ struct OpampStructure {
 
   /// Canonical name.  The two legacy structures keep their historical names
   /// ("five-transistor-ota", "two-stage-miller") so flow results and
-  /// builder registrations stay compatible; every other
-  /// composition gets a deterministic "gen/" token name.
+  /// reports stay compatible; every other composition gets a deterministic
+  /// "gen/" token name.
   std::string name() const;
 
   /// Structural complexity: MOS device count plus compensation passives

@@ -248,6 +248,7 @@ TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
     const OpampStructure& s = structures[i];
     TopologyEntry e;
     e.name = s.name();
+    e.structure = s;
     e.model = std::make_shared<sizing::ComposedOpampModel>(s, proc, loadCap);
     const std::size_t dim = e.model->variables().size();
     const std::size_t grid = s.isLegacyOta()        ? 5
@@ -270,8 +271,8 @@ TopologyLibrary buildLibrary(TopologySpace space, const circuit::Process& proc,
 
 }  // namespace
 
-TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 std::optional<TopologySpace> requested) {
+const TopologyLibrary& amplifierLibrary(const circuit::Process& proc, double loadCap,
+                                        std::optional<TopologySpace> requested) {
   const TopologySpace space =
       requested.value_or(core::ExecutionContext::current().config().topologySpace);
   // Memoize per (space, process, loadCap): bounds sampling over the full

@@ -16,6 +16,7 @@
 #include "circuit/process.hpp"
 #include "core/context.hpp"
 #include "numeric/interval.hpp"
+#include "sizing/blocks.hpp"
 #include "sizing/perfmodel.hpp"
 #include "sizing/spec.hpp"
 
@@ -40,13 +41,16 @@ struct TopologyEntry {
   std::vector<HeuristicRule> rules;
   /// Relative structural complexity (devices); tie-breaker — simpler wins.
   int complexity = 0;
+  /// The composition this entry models; name is structure.name(), and the
+  /// netlist is sizing::buildComposedOpamp(structure, ...).
+  sizing::OpampStructure structure;
 };
 
 class TopologyLibrary {
  public:
-  /// Append an entry.  Names are the library's keys (selection results,
-  /// builder-registry lookups all ride on them), so a
-  /// duplicate name is a construction bug: throws std::invalid_argument.
+  /// Append an entry.  Names are the library's keys (selection results
+  /// ride on them), so a duplicate name is a construction bug: throws
+  /// std::invalid_argument.
   void add(TopologyEntry entry);
   const std::vector<TopologyEntry>& entries() const { return entries_; }
   /// Entry by name, O(log n).  Throws std::out_of_range listing the
@@ -78,9 +82,11 @@ using TopologySpace = core::TopologySpace;
 /// (ContextConfig::topologySpace, i.e. AMSYN_TOPOLOGY_SPACE by default).
 /// Memoized per (space, process, loadCap): repeated flow starts reuse the
 /// sampled bounds.  A memo miss samples the entries in parallel on the
-/// pool; the result is bit-identical at any pool width.
-TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 std::optional<TopologySpace> space = std::nullopt);
+/// pool; the result is bit-identical at any pool width.  The returned
+/// reference is the memo entry itself; entries are never erased, so it
+/// stays valid for the life of the process.
+const TopologyLibrary& amplifierLibrary(const circuit::Process& proc, double loadCap,
+                                        std::optional<TopologySpace> space = std::nullopt);
 
 /// Interval evaluation of an equation model: bound each performance over the
 /// design box by sampling a coarse grid and taking the hull, widened by a

@@ -1,7 +1,7 @@
 // Property + differential suite for the composed topology space
 // (sizing/blocks.hpp, sizing/eqmodel.hpp, topology/library.hpp):
-//   * the composed space is large enough, valid, uniquely named, and fully
-//     backed by registered netlist builders and derived bounds;
+//   * the composed space is large enough, valid, uniquely named, and every
+//     library entry carries its structure and derived bounds;
 //   * cold library builds keep raw-bit-pinned bounds at any pool width;
 //   * the two legacy cells are reproduced as composition instances with
 //     *bit-identical* models, corner model, bounds and netlists
@@ -34,7 +34,6 @@
 #include "core/parallel.hpp"
 #include "manufacture/corners.hpp"
 #include "numeric/rng.hpp"
-#include "sizing/builders.hpp"
 #include "sizing/eqmodel.hpp"
 #include "reference/composed_ugf.hpp"
 #include "reference/handwritten_opamp.hpp"
@@ -182,9 +181,9 @@ TEST(ComposedSpace, LegacyComplexityFiguresMatchHandWrittenEntries) {
 TEST(GeneratedLibrary, EveryEntryHasBuilderBoundsAndRules) {
   const auto& lib = genLib();
   EXPECT_GE(lib.size(), 50u);
-  const auto& reg = sz::NetlistBuilderRegistry::instance();
   for (const auto& e : lib.entries()) {
-    EXPECT_NE(reg.find(e.name), nullptr) << e.name;
+    // The entry's structure is its identity and builds its netlist.
+    EXPECT_EQ(e.structure.name(), e.name);
     EXPECT_FALSE(e.bounds.empty()) << e.name;
     EXPECT_FALSE(e.rules.empty()) << e.name;
     EXPECT_GT(e.complexity, 0) << e.name;
@@ -422,12 +421,9 @@ TEST(LegacyReproduction, TwoStageNetlistMatchesDeviceForDevice) {
 
 TEST(GeneratedNetlists, EveryTopologyBuildsASaneNetlist) {
   const sz::OpampTestbench tb;
-  const auto& reg = sz::NetlistBuilderRegistry::instance();
   for (const auto& e : genLib().entries()) {
-    const auto* builder = reg.find(e.name);
-    ASSERT_NE(builder, nullptr) << e.name;
     const auto x = e.model->initialPoint();
-    const auto net = (*builder)(x, proc(), tb);
+    const auto net = sz::buildComposedOpamp(e.structure, x, proc(), tb);
 
     // Core I/O nodes exist.
     for (const char* node : {"vdd", "inp", "inn", "out", "nbias", "tail"})
@@ -473,11 +469,10 @@ TEST(GeneratedNetlists, EveryTopologyBuildsASaneNetlist) {
 // of that check, device for device, is what is left.
 TEST(GeneratedNetlists, CanonicalDigestSurvivesDeclarationShuffle) {
   const sz::OpampTestbench tb;
-  const auto& reg = sz::NetlistBuilderRegistry::instance();
   for (const auto& e : genLib().entries()) {
-    const auto* builder = reg.find(e.name);
     const auto x = e.model->initialPoint();
-    expectSameDevices((*builder)(x, proc(), tb), (*builder)(x, proc(), tb), e.name);
+    expectSameDevices(sz::buildComposedOpamp(e.structure, x, proc(), tb),
+                      sz::buildComposedOpamp(e.structure, x, proc(), tb), e.name);
   }
 }
 

@@ -20,11 +20,13 @@
 #include "core/parallel.hpp"
 #include "sizing/spec.hpp"
 
+#include "counter_delta.hpp"
 #include "fast_synthesis.hpp"
 
 namespace core = amsyn::core;
 namespace sz = amsyn::sizing;
 namespace ckt = amsyn::circuit;
+using amsyn::testutil::CounterDelta;
 using amsyn::testutil::fastSynthesisOptions;
 
 namespace {
@@ -83,11 +85,11 @@ TEST(FlowRetarget, DefaultRulesReproduceTheClosedLoopCorrections) {
   sz::SpecSet specs;
   specs.atLeast("ugf", 1e7).atLeast("pm", 60.0).minimize("power", 0.3, 1e-3);
 
-  core::CalibrationStore cal;
-  cal.recordRatio("ugf", core::kModelCalibration, 0.5);
-  cal.recordRatio("ugf", core::kLayoutCalibration, 0.8);
-  cal.recordDelta("pm", core::kModelCalibration, 5.0);
-  cal.recordDelta("pm", core::kLayoutCalibration, 3.0);
+  core::Calibration cal;
+  cal.ugfModelRatio = 0.5;
+  cal.ugfLayoutRatio = 0.8;
+  cal.pmModelDelta = 5.0;
+  cal.pmLayoutDelta = 3.0;
 
   const auto target = core::FlowEngine::retarget(specs, cal, /*attempt=*/2);
 
@@ -109,9 +111,9 @@ TEST(FlowRetarget, DefaultRulesReproduceTheClosedLoopCorrections) {
 TEST(FlowRetarget, RatioFloorAndBoundCapClampExtremeCorrections) {
   sz::SpecSet specs;
   specs.atLeast("ugf", 1e7).atLeast("pm", 60.0);
-  core::CalibrationStore cal;
-  cal.recordRatio("ugf", core::kModelCalibration, 0.01);  // would be a 100x inflation
-  cal.recordDelta("pm", core::kModelCalibration, 50.0);   // would retarget past 80 deg
+  core::Calibration cal;
+  cal.ugfModelRatio = 0.01;  // would be a 100x inflation
+  cal.pmModelDelta = 50.0;   // would retarget past 80 deg
   const auto target = core::FlowEngine::retarget(specs, cal, /*attempt=*/1);
   EXPECT_EQ(rawBits(boundOf(target, "ugf")), rawBits(1e7 / 0.2 * 1.05));
   EXPECT_EQ(boundOf(target, "pm"), 80.0);
@@ -120,8 +122,11 @@ TEST(FlowRetarget, RatioFloorAndBoundCapClampExtremeCorrections) {
 TEST(FlowRetarget, AttemptZeroWithEmptyCalibrationIsIdentity) {
   sz::SpecSet specs;
   specs.atLeast("ugf", 1e7).atLeast("pm", 60.0).atLeast("gain_db", 40.0);
-  const core::CalibrationStore cal;
-  EXPECT_TRUE(cal.empty());
+  const core::Calibration cal;
+  EXPECT_EQ(rawBits(cal.ugfModelRatio), rawBits(1.0));
+  EXPECT_EQ(rawBits(cal.ugfLayoutRatio), rawBits(1.0));
+  EXPECT_EQ(rawBits(cal.pmModelDelta), rawBits(0.0));
+  EXPECT_EQ(rawBits(cal.pmLayoutDelta), rawBits(0.0));
   const auto target = core::FlowEngine::retarget(specs, cal, 0);
   EXPECT_EQ(rawBits(boundOf(target, "ugf")), rawBits(1e7));
   EXPECT_EQ(rawBits(boundOf(target, "pm")), rawBits(60.0));
@@ -157,8 +162,8 @@ class PreLayoutStub : public core::FlowStage {
   std::string name() const override { return "pre-stub"; }
   core::StageOutcome run(core::DesignContext& ctx) override {
     if (ctx.attempt == 0) {
-      ctx.calibration.recordRatio("ugf", core::kModelCalibration, 0.5);
-      ctx.calibration.recordDelta("pm", core::kModelCalibration, 5.0);
+      ctx.calibration.ugfModelRatio = 0.5;
+      ctx.calibration.pmModelDelta = 5.0;
       return core::StageOutcome::fail("model/sim mismatch (stub)");
     }
     return core::StageOutcome::pass();
@@ -172,8 +177,8 @@ class PostLayoutStub : public core::FlowStage {
   std::string name() const override { return "post-stub"; }
   core::StageOutcome run(core::DesignContext& ctx) override {
     if (ctx.attempt == 1) {
-      ctx.calibration.recordRatio("ugf", core::kLayoutCalibration, 0.8);
-      ctx.calibration.recordDelta("pm", core::kLayoutCalibration, 3.0);
+      ctx.calibration.ugfLayoutRatio = 0.8;
+      ctx.calibration.pmLayoutDelta = 3.0;
       return core::StageOutcome::fail("parasitic loss (stub)");
     }
     return core::StageOutcome::pass();
@@ -353,16 +358,22 @@ TEST(FlowBatch, MatchesSequentialFlowsBitForBitAcrossPoolWidths) {
   std::vector<core::FlowResult> reference;
   {
     core::ScopedThreadPool scoped(0);
+    const CounterDelta delta;
     for (std::size_t i = 0; i < specs.size(); ++i)
       reference.push_back(
           core::synthesizeAmplifier(specs[i], nominal(), core::batchItemOptions(opts, i)));
+    // Once in these flows the optimizer's candidate fails pre-layout
+    // verification and the plan candidate is chosen.
+    EXPECT_EQ(delta["core.flow.plan_chosen"], 1u);
   }
   EXPECT_TRUE(reference[0].success) << reference[0].failureReason;
   EXPECT_FALSE(reference[2].success) << "the hopeless spec set must fail";
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     core::ScopedThreadPool scoped(threads);
+    const CounterDelta delta;
     const auto batch = core::synthesizeBatch(specs, nominal(), opts);
+    EXPECT_EQ(delta["core.flow.plan_chosen"], 1u) << "threads=" << threads;
     ASSERT_EQ(batch.size(), specs.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
       expectFlowsBitIdentical(reference[i], batch[i],

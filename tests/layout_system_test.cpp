@@ -52,6 +52,33 @@ TEST(Slicing, DeterministicForSeed) {
     EXPECT_EQ(a.blocks[i].rect, b.blocks[i].rect);
 }
 
+TEST(Slicing, SeedChangesTheFloorplan) {
+  // On the small fixture above every seed lands on one floorplan, so only
+  // examples/mixed_signal_chip's blocks and nets can show that the
+  // annealer reads its seed.
+  const std::vector<lay::Block> blocks = {
+      {"dsp", 8000, 6000, 10.0, 0.0}, {"ctrl", 5000, 4000, 6.0, 0.0},
+      {"adc", 4000, 4000, 0.0, 8.0},  {"vco", 3000, 3000, 0.0, 5.0},
+      {"rom", 4000, 3000, 0.0, 0.0},
+  };
+  const std::vector<lay::BlockNet> nets = {
+      {"bus", {"dsp", "ctrl", "rom"}},
+      {"sample", {"adc", "dsp"}},
+      {"clk", {"vco", "dsp", "ctrl"}},
+  };
+  lay::FloorplanOptions seed1;
+  seed1.noiseWeight = 0.0;
+  seed1.seed = 1;
+  lay::FloorplanOptions seed12 = seed1;
+  seed12.seed = 12;
+  const auto a = lay::slicingFloorplan(blocks, nets, seed1);
+  const auto b = lay::slicingFloorplan(blocks, nets, seed12);
+  EXPECT_TRUE(a.overlapFree);
+  EXPECT_TRUE(b.overlapFree);
+  EXPECT_NE(a.chipBox, b.chipBox);
+  EXPECT_NE(a.wirelength, b.wirelength);
+}
+
 TEST(SubstrateNoise, FallsWithDistance) {
   const auto blocks = mixedChip();
   std::vector<lay::PlacedBlock> close = {

@@ -367,8 +367,8 @@ TEST(Selection, IntervalSelectMarksNanScoresInfeasible) {
 
 TEST(Selection, GeneticRunWithPoisonedTopologyIsThreadCountInvariant) {
   topology::TopologyLibrary lib;
-  lib.add({"good", std::make_shared<QuadraticModel>(), {}, {}, 1});
-  lib.add({"poisoned", std::make_shared<ThrowingModel>(), {}, {}, 1});
+  lib.add({"good", std::make_shared<QuadraticModel>(), {}, {}, 1, {}});
+  lib.add({"poisoned", std::make_shared<ThrowingModel>(), {}, {}, 1, {}});
 
   sizing::SpecSet specs;
   specs.atLeast("gain_db", 60.0);

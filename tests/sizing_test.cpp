@@ -11,9 +11,9 @@
 #include "numeric/rng.hpp"
 #include "reference/handwritten_opamp.hpp"
 #include "sim/ac.hpp"
-#include "sizing/builders.hpp"
 #include "sim/dc.hpp"
 #include "sim/measure.hpp"
+#include "sizing/blocks.hpp"
 #include "sizing/cost.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/opamp.hpp"
@@ -220,26 +220,17 @@ TEST(OpampTemplates, AreaScalesWithWidths) {
   EXPECT_GT(big.activeArea(proc()), small.activeArea(proc()));
 }
 
-TEST(NetlistBuilders, RegistryCoversTheBuiltInTopologiesAndMatchesDirectBuilds) {
-  auto& reg = sz::NetlistBuilderRegistry::instance();
-  for (const auto& s : sz::enumerateOpampStructures())
-    EXPECT_NE(reg.find(s.name()), nullptr) << s.name();
-  EXPECT_NE(reg.find("two-stage-miller"), nullptr);
-  EXPECT_NE(reg.find("five-transistor-ota"), nullptr);
-  EXPECT_EQ(reg.find("no-such-topology"), nullptr);
-
-  // The registered builder is the same construction as the hand-written
-  // template it replaced.
+TEST(NetlistBuilders, ComposedOtaMatchesTheHandWrittenTemplate) {
+  // The composed build of the OTA structure is the same construction as
+  // the hand-written template it replaced.
   const sz::OpampTestbench tb{5e-12, 2.2, true};
   const amsyn::reference::OtaEquationModel model(proc(), tb.loadCap);
   std::vector<double> x;
   for (const auto& v : model.variables()) x.push_back(std::sqrt(v.lo * v.hi));
-  const auto* builder = reg.find("five-transistor-ota");
-  ASSERT_NE(builder, nullptr);
-  const auto viaRegistry = (*builder)(x, proc(), tb);
+  const auto composed = sz::buildComposedOpamp(sz::OpampStructure::legacyOta(), x, proc(), tb);
   const auto direct = amsyn::reference::buildOta(model.toParams(x), proc(), tb);
-  EXPECT_EQ(viaRegistry.devices().size(), direct.devices().size());
-  EXPECT_EQ(viaRegistry.totalGateArea(), direct.totalGateArea());
+  EXPECT_EQ(composed.devices().size(), direct.devices().size());
+  EXPECT_EQ(composed.totalGateArea(), direct.totalGateArea());
 }
 
 // ---------------------------------------------------------------------------

@@ -74,11 +74,6 @@ foreach(path IN LISTS sources)
       if(NOT line MATCHES "${pattern}")
         continue()
       endif()
-      # The NetlistBuilderRegistry is an ordinary factory registry, not a
-      # retired context singleton; its name merely ends in "Registry".
-      if(line MATCHES "NetlistBuilderRegistry")
-        continue()
-      endif()
       string(REPLACE "${semi}" ";" line "${line}")
       string(STRIP "${line}" line)
       string(APPEND violations
