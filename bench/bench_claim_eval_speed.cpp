@@ -21,6 +21,7 @@
 #include "core/runreport.hpp"
 #include "core/threadpool.hpp"
 #include "numeric/rng.hpp"
+#include "sizing/cost.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/relaxed.hpp"
 #include "sizing/simmodel.hpp"
@@ -167,6 +168,28 @@ void BM_EquationEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EquationEval);
+
+/// The compiled cost over the same model and points: what the annealer and
+/// Nelder-Mead pay per evaluation, spec scoring included.
+void BM_CostEval(benchmark::State& state) {
+  const auto& proc = circuit::defaultProcess();
+  sizing::ComposedOpampModel model(sizing::OpampStructure::legacyTwoStage(), proc, 5e-12);
+  sizing::SpecSet specs;
+  specs.atLeast("gain_db", 70.0)
+      .atLeast("ugf", 5e6)
+      .atLeast("pm", 60.0)
+      .atMost("power", 2e-3)
+      .minimize("area", 1.0, 1e-9);
+  const sizing::CostFunction cost(model, specs);
+  const auto xs = seededPoints(model);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const double c = cost(xs[next]);
+    benchmark::DoNotOptimize(c);
+    next = next + 1 == xs.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_CostEval);
 
 void BM_RelaxedDcAweEval(benchmark::State& state) {
   const auto& proc = circuit::defaultProcess();

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "core/metrics.hpp"
@@ -212,13 +211,10 @@ CornerSetModel::CornerSetModel(const ModelFactory& factory, const circuit::Proce
   std::vector<const sizing::PerformanceModel*> lanes;
   for (const auto& m : models_) lanes.push_back(m.get());
   batch_ = sizing::TwoStageCornerBatch::of(lanes);
-  const auto& names = sizing::kAmplifierPerformances;
   for (const auto& spec : specs_.specs()) {
     if (spec.isObjective()) continue;
-    const auto at = std::find(names.begin(), names.end(), spec.performance);
-    slots_.push_back({at == names.end() ? std::string::npos
-                                        : static_cast<std::size_t>(at - names.begin()),
-                      spec.kind == SpecKind::GreaterEqual});
+    if (const auto slot = sizing::amplifierSlot(spec.performance))
+      slots_.push_back({*slot, spec.kind == SpecKind::GreaterEqual});
   }
 }
 
@@ -234,34 +230,31 @@ sizing::Performance CornerSetModel::evaluateEach(const std::vector<double>& x) c
   return agg;
 }
 
-sizing::Performance CornerSetModel::evaluate(const std::vector<double>& x) const {
-  if (!batch_) return evaluateEach(x);
+bool CornerSetModel::evaluateAmplifier(const std::vector<double>& x,
+                                       sizing::AmplifierValues& out) const {
+  if (!batch_) return false;
   std::vector<sizing::AmplifierValues> values(models_.size());
   try {
     batch_->evaluate(x, values);
   } catch (...) {
-    return evaluateEach(x);  // each corner's safeEvaluate tags the throw
+    return false;  // evaluateEach's safeEvaluate tags the throw per corner
   }
-  sizing::Performance agg = sizing::amplifierPerformance(values[0]);
-  // agg carries exactly the eight amplifier names, in order, until a by-name
-  // fold inserts taxonomy keys.
-  bool byPosition = !sizing::markNanScores(agg);
-  for (std::size_t k = 1; k < values.size(); ++k) {
-    if (byPosition && !hasNan(values[k])) {
-      for (const Slot& fold : slots_) {
-        if (fold.index == std::string::npos) continue;
-        double& cur = (agg.begin() + static_cast<std::ptrdiff_t>(fold.index))->second;
-        const double v = values[k][fold.index];
-        cur = fold.lower ? std::min(cur, v) : std::max(cur, v);
-      }
-      continue;
+  // NaN-free lanes carry no taxonomy keys, so the by-name fold reduces to
+  // one by position, in the same spec order.
+  if (std::any_of(values.begin(), values.end(), hasNan)) return false;
+  out = values.front();
+  for (std::size_t k = 1; k < values.size(); ++k)
+    for (const Slot& fold : slots_) {
+      double& cur = out[fold.index];
+      const double v = values[k][fold.index];
+      cur = fold.lower ? std::min(cur, v) : std::max(cur, v);
     }
-    sizing::Performance perf = sizing::amplifierPerformance(values[k]);
-    sizing::markNanScores(perf);
-    foldByName(agg, perf, specs_);
-    byPosition = false;
-  }
-  return agg;
+  return true;
+}
+
+sizing::Performance CornerSetModel::evaluate(const std::vector<double>& x) const {
+  sizing::AmplifierValues v{};
+  return evaluateAmplifier(x, v) ? sizing::amplifierPerformance(v) : evaluateEach(x);
 }
 
 RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Process& nominal,

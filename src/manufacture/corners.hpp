@@ -84,13 +84,13 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
 /// corner's reason.
 ///
 /// When every model is a two-stage corner model (sizing::
-/// TwoStageCornerBatch), one lock-step pass evaluates them all and each
-/// clean corner folds by position, since every payload then carries the
-/// same eight names in the same order.  A NaN-marked corner, and every
-/// corner after it, folds by name; a pass that throws falls back to the
-/// per-model path.  Other factories take that path: one safeEvaluate and
-/// one by-name fold per corner.  Both paths give the same payload, bit for
-/// bit.
+/// TwoStageCornerBatch), one lock-step pass evaluates them all and the
+/// corners fold by slot position (the slot path, evaluateAmplifier), since
+/// every payload then carries the same eight names in the same order.  A
+/// pass that throws or leaves a NaN in any corner declines the slot path,
+/// and evaluate() takes the per-model path instead, as other factories
+/// always do: one safeEvaluate and one by-name fold per corner.  Both paths
+/// give the same payload, bit for bit.
 class CornerSetModel : public sizing::PerformanceModel {
  public:
   CornerSetModel(const ModelFactory& factory, const circuit::Process& nominal,
@@ -101,6 +101,8 @@ class CornerSetModel : public sizing::PerformanceModel {
     return models_.front()->variables();
   }
   sizing::Performance evaluate(const std::vector<double>& x) const override;
+  bool evaluateAmplifier(const std::vector<double>& x,
+                         sizing::AmplifierValues& out) const override;
 
  private:
   sizing::Performance evaluateEach(const std::vector<double>& x) const;
@@ -108,9 +110,8 @@ class CornerSetModel : public sizing::PerformanceModel {
   sizing::SpecSet specs_;
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
   std::optional<sizing::TwoStageCornerBatch> batch_;
-  /// Per constraint spec, in spec order: its AmplifierValues slot (or
-  /// npos: no two-stage payload carries it) and whether its worst case is
-  /// the minimum.
+  /// Per constraint spec whose performance has a slot, in spec order: the
+  /// slot and whether its worst case is the minimum.
   struct Slot {
     std::size_t index;
     bool lower;

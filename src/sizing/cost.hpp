@@ -5,6 +5,10 @@
 // evaluations (no DC convergence, no unity-gain crossing) get a large but
 // finite cost so the annealer can walk out of them.  The infeasible cost
 // and the feasibility tolerance are fixed (cost.cpp).
+//
+// Compilation resolves each spec's performance to its AmplifierValues slot
+// once, so a model on the slot path (PerformanceModel::evaluateAmplifier)
+// is scored without building or searching a named payload.
 #pragma once
 
 #include <atomic>
@@ -24,7 +28,11 @@ class CostFunction {
   CostFunction(const PerformanceModel& model, SpecSet specs,
                double penaltyWeight = kPenaltyWeight);
 
-  /// Scalar cost at design point x.
+  /// Scalar cost at design point x: detailed(x).cost, bit for bit.  Slot
+  /// models are scored from their slots; a model that declines the slot
+  /// path or throws, a NaN slot and a non-finite cost all take detailed()'s
+  /// path, which tags and tallies the failure.  Either way the call counts
+  /// one evaluation.
   double operator()(const std::vector<double>& x) const;
 
   /// Cost with the full evaluation attached (for reporting).  detailed()
@@ -48,9 +56,15 @@ class CostFunction {
   std::size_t evaluationCount() const { return evals_.load(std::memory_order_relaxed); }
 
  private:
+  /// detailed() without counting the evaluation.
+  Detail evaluateDetail(const std::vector<double>& x) const;
+
   const PerformanceModel& model_;
   SpecSet specs_;
   double penaltyWeight_;
+  /// Per spec, in spec order: its AmplifierValues slot, or npos when no
+  /// slot carries the performance (a missing performance on the slot path).
+  std::vector<std::size_t> slots_;
   /// Atomic: one CostFunction is shared by concurrent evaluations (parallel
   /// population scoring).
   mutable std::atomic<std::size_t> evals_{0};

@@ -7,9 +7,16 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sizing/ugf_detail.hpp"
+
 namespace amsyn::sizing {
 
 using circuit::Process;
+using ugf_detail::Band;
+using ugf_detail::certifiedBand;
+using ugf_detail::crossingEstimate;
+using ugf_detail::solveUgf;
+using ugf_detail::TwoStageTerms;
 
 namespace {
 constexpr double kTwoPi = 2.0 * M_PI;
@@ -111,6 +118,8 @@ void singleStageValues(const OpampStructure& s, const Process& proc, double load
   v[kUgf] = ugf;
 }
 
+}  // namespace
+
 /// --- two-stage family: the geometry-path equations, composed per block.
 /// Currents and overdrives re-derive from the stitched device sizes (with
 /// minimum-width flooring) so the model tracks exactly what
@@ -120,19 +129,8 @@ void singleStageValues(const OpampStructure& s, const Process& proc, double load
 /// conductance by lam_c*vov_c/2, add their overdrive to the headroom bill,
 /// and (input cascode) append one pole; the nulling resistor moves the
 /// Miller zero.
-///
-/// TwoStageTerms is everything one electrical process contributes: the
-/// unity-gain solve reads its poles, zero and dc gain, twoStageValues the rest.
-struct TwoStageTerms {
-  double i5, i7, gm1, gm3, vov6, vov7, vovc7;
-  double av0;           ///< dc loop gain av1 * av2
-  double p1, p2, p3, pCasc;
-  double z, zInv;       ///< plain-Miller zero, or the nulled zero's inverse
-  bool nulled, cascode;  ///< Miller-nulled compensation; input-cascode pole
-};
-
-TwoStageTerms twoStageTerms(const OpampStructure& s, const Process& proc, double loadCap,
-                            const ComposedGeometry& g) {
+TwoStageTerms ugf_detail::twoStageTerms(const OpampStructure& s, const Process& proc,
+                                        double loadCap, const ComposedGeometry& g) {
   const bool nIn = s.input == Polarity::Nmos;
   const double kpIn = nIn ? proc.kpN : proc.kpP;
   const double kpLoad = nIn ? proc.kpP : proc.kpN;
@@ -197,6 +195,8 @@ TwoStageTerms twoStageTerms(const OpampStructure& s, const Process& proc, double
   return t;
 }
 
+namespace {
+
 /// Open-loop magnitude of the multi-pole / one-zero response at f (Hz).
 double magnitude(const TwoStageTerms& t, double f) {
   const double num = t.nulled ? 1.0 + (f * t.zInv) * (f * t.zInv) : 1.0 + (f / t.z) * (f / t.z);
@@ -230,10 +230,7 @@ constexpr double kUgfCeiling = 1e13;  ///< upper end of the bisection (Hz)
 constexpr double kEps = 0x1p-52, kInf = HUGE_VAL;  ///< DBL_EPSILON, +inf
 constexpr double kMargin = 16.0 * kEps, kFirstWidth = 32.0 * kEps, kLastWidth = 1e-9;
 
-/// Steps whose lo * hi lies in [loSq, hiSq] run the exact test.
-struct Band {
-  double loSq, hiSq;
-};
+}  // namespace
 
 /// |H(f)| = 1 iff P(x) = D(x) - av0^2 N(x) = 0 at x = f^2, N = 1 + zHat^2 x,
 /// D = prod_i (1 + a_i x), zHat = 1/z (or zInv), a_i = 1/p_i^2.  For av0 > 1
@@ -241,7 +238,7 @@ struct Band {
 /// root, with P convex for x > 0, so Newton from the right descends onto it
 /// monotonically.  It starts at the two-pole root of (1 + a1 x)(1 + a2 x) =
 /// av0^2, stepped x4 until P > 0.  Clamped to the bracket, as the bisection.
-double crossingEstimate(const TwoStageTerms& t) {
+double ugf_detail::crossingEstimate(const TwoStageTerms& t) {
   const double av0Sq = t.av0 * t.av0, zHat = t.nulled ? t.zInv : 1.0 / t.z;
   if (!(av0Sq > 1.0)) return t.p1;
   const double a1 = 1.0 / (t.p1 * t.p1), a2 = 1.0 / (t.p2 * t.p2), g = av0Sq - 1.0;
@@ -263,12 +260,11 @@ double crossingEstimate(const TwoStageTerms& t) {
   return std::min(std::max(std::sqrt(x), t.p1), kUgfCeiling);
 }
 
-/// The band certified around crossingEstimate, or (-inf, inf).
-Band certifiedBand(const TwoStageTerms& t) {
+/// The band certified around the estimate r, or (-inf, inf).
+Band ugf_detail::certifiedBand(const TwoStageTerms& t, double r) {
   if (!(t.av0 > 0.0) || !std::isnormal(magnitude(t, kUgfCeiling)) ||
       !(t.nulled ? std::abs(t.zInv * t.p1) < 1.0 - 2.0 * kEps : std::abs(t.p1) < std::abs(t.z)))
     return {-kInf, kInf};
-  const double r = crossingEstimate(t);
   for (double width = kFirstWidth; width <= kLastWidth; width *= 2.0) {
     const double fL = r * (1.0 - width), fH = r * (1.0 + width);
     const Band b{r <= t.p1 ? -kInf : fL * fL, r >= kUgfCeiling ? kInf : fH * fH};
@@ -289,8 +285,7 @@ Band certifiedBand(const TwoStageTerms& t) {
 /// later step would repeat that step exactly, so the loop stops there, after
 /// 57 to 59 of the 80 steps on seeded points, 8 or 9 of them in the band.
 /// lo and hi move through floating-point selects: no int/FP crossing.
-double solveUgf(const TwoStageTerms& t) {
-  const Band band = certifiedBand(t);
+double ugf_detail::solveUgf(const TwoStageTerms& t, const Band& band) {
   double lo = t.p1, hi = kUgfCeiling;
   for (int it = 0; it < kSteps; ++it) {
     const double sq = lo * hi, mid = std::sqrt(sq);
@@ -302,6 +297,8 @@ double solveUgf(const TwoStageTerms& t) {
   }
   return std::sqrt(lo * hi);
 }
+
+namespace {
 
 /// K solves of solveUgf in lock step, sharing the latency of their serial
 /// sqrt chains: each lane takes the serial loop's decisions from its own
@@ -315,7 +312,7 @@ void solveUgfLockStep(const TwoStageTerms* t, double* ugf) {
   for (std::size_t k = 0; k < K; ++k) {
     lo[k] = t[k].p1;
     hi[k] = kUgfCeiling;
-    band[k] = certifiedBand(t[k]);
+    band[k] = certifiedBand(t[k], crossingEstimate(t[k]));
     live[k] = true;
   }
   for (int it = 0; it < kSteps; ++it) {
@@ -374,14 +371,6 @@ void twoStageValues(const OpampStructure& s, const Process& proc, double loadCap
 
 }  // namespace
 
-Performance amplifierPerformance(const AmplifierValues& v) {
-  // Inserted in name order, so no insertion moves an entry.
-  Performance perf;
-  perf.reserve(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) perf.emplace(kAmplifierPerformances[i], v[i]);
-  return perf;
-}
-
 ComposedOpampModel::ComposedOpampModel(const OpampStructure& s, const Process& proc,
                                        double loadCap)
     : s_(s), proc_(proc), loadCap_(loadCap), vars_(s.variables()) {}
@@ -390,20 +379,32 @@ Performance ComposedOpampModel::evaluate(const std::vector<double>& x) const {
   return evaluate(x, proc_);
 }
 
+bool ComposedOpampModel::evaluateAmplifier(const std::vector<double>& x,
+                                           AmplifierValues& out) const {
+  out = values(x, proc_);
+  return true;
+}
+
 Performance ComposedOpampModel::evaluate(const std::vector<double>& x,
                                          const Process& geometryProc) const {
+  return amplifierPerformance(values(x, geometryProc));
+}
+
+AmplifierValues ComposedOpampModel::values(const std::vector<double>& x,
+                                           const Process& geometryProc) const {
   if (x.size() != vars_.size())
     throw std::invalid_argument("ComposedOpampModel(" + s_.name() + "): wrong dimension");
   const ComposedGeometry g = composedGeometryFor(s_, x, geometryProc);
   AmplifierValues v{};
   v[kArea] = composedArea(s_, g);
   if (s_.secondStage) {
-    const TwoStageTerms t = twoStageTerms(s_, proc_, loadCap_, g);
-    twoStageValues(s_, proc_, loadCap_, g, t, solveUgf(t), v);
+    const TwoStageTerms t = ugf_detail::twoStageTerms(s_, proc_, loadCap_, g);
+    twoStageValues(s_, proc_, loadCap_, g, t,
+                   solveUgf(t, certifiedBand(t, crossingEstimate(t))), v);
   } else {
     singleStageValues(s_, proc_, loadCap_, x, g, v);
   }
-  return amplifierPerformance(v);
+  return v;
 }
 
 namespace {
@@ -420,6 +421,11 @@ class TwoStageCornerModel : public PerformanceModel {
 
   Performance evaluate(const std::vector<double>& x) const override {
     return atCorner_.evaluate(x, nominal_);
+  }
+
+  bool evaluateAmplifier(const std::vector<double>& x, AmplifierValues& out) const override {
+    out = atCorner_.values(x, nominal_);
+    return true;
   }
 
   const Process& nominal() const { return nominal_; }
@@ -483,12 +489,12 @@ void TwoStageCornerBatch::evaluate(const std::vector<double>& x,
     double ugf[kGroup]{};
     for (std::size_t k = 0; k < n; ++k) {
       const ComposedOpampModel& m = lane(lanes_[i + k]).atCorner();
-      t[k] = twoStageTerms(s, m.process(), m.loadCap(), g);
+      t[k] = ugf_detail::twoStageTerms(s, m.process(), m.loadCap(), g);
     }
     switch (n) {
       case 3: solveUgfLockStep<3>(t, ugf); break;
       case 2: solveUgfLockStep<2>(t, ugf); break;
-      default: ugf[0] = solveUgf(t[0]); break;
+      default: ugf[0] = solveUgf(t[0], certifiedBand(t[0], crossingEstimate(t[0]))); break;
     }
     for (std::size_t k = 0; k < n; ++k) {
       const ComposedOpampModel& m = lane(lanes_[i + k]).atCorner();

@@ -8,11 +8,9 @@
 // so every design point maps onto the netlist buildComposedOpamp stitches.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string_view>
 
 #include "circuit/process.hpp"
 #include "sizing/blocks.hpp"
@@ -31,6 +29,8 @@ class ComposedOpampModel : public PerformanceModel {
 
   const std::vector<DesignVariable>& variables() const override { return vars_; }
   Performance evaluate(const std::vector<double>& x) const override;
+  /// Always the slot path: out = values(x, process()).
+  bool evaluateAmplifier(const std::vector<double>& x, AmplifierValues& out) const override;
 
   /// Evaluate a *frozen geometry* under this model's process: device sizes
   /// are mapped from `x` at `geometryProc` (the nominal process a designer
@@ -42,6 +42,11 @@ class ComposedOpampModel : public PerformanceModel {
   /// evaluate(x) maps the geometry at the model's own process.
   Performance evaluate(const std::vector<double>& x,
                        const circuit::Process& geometryProc) const;
+
+  /// The values evaluate(x, geometryProc) reports, in slot order.  Throws
+  /// std::invalid_argument on a wrong-dimension x.
+  AmplifierValues values(const std::vector<double>& x,
+                         const circuit::Process& geometryProc) const;
 
   const OpampStructure& structure() const { return s_; }
   const circuit::Process& process() const { return proc_; }
@@ -63,15 +68,6 @@ class ComposedOpampModel : public PerformanceModel {
 std::unique_ptr<PerformanceModel> makeTwoStageCornerModel(const circuit::Process& corner,
                                                           const circuit::Process& nominal,
                                                           double loadCap);
-
-/// The eight amplifier performances every ComposedOpampModel reports, in
-/// Performance's (name) order, and one evaluation's values in that order.
-inline constexpr std::array<std::string_view, 8> kAmplifierPerformances = {
-    "area", "gain_db", "noise_nv", "pm", "power", "slew", "swing", "ugf"};
-using AmplifierValues = std::array<double, kAmplifierPerformances.size()>;
-
-/// The payload ComposedOpampModel::evaluate returns for these values.
-Performance amplifierPerformance(const AmplifierValues& v);
 
 /// Corner models evaluated together at one design point: the models must
 /// all come from makeTwoStageCornerModel with bit-identical nominal

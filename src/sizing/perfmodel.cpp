@@ -9,6 +9,14 @@ namespace amsyn::sizing {
 
 using core::EvalStatus;
 
+Performance amplifierPerformance(const AmplifierValues& v) {
+  // Inserted in name order, so no insertion moves an entry.
+  Performance perf;
+  perf.reserve(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) perf.emplace(kAmplifierPerformances[i], v[i]);
+  return perf;
+}
+
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x) {
   Performance perf;
   try {

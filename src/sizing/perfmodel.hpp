@@ -7,8 +7,12 @@
 // All plug into the same CostFunction + annealer.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/evalstatus.hpp"
@@ -57,6 +61,24 @@ inline core::EvalStatus performanceStatus(const Performance& perf) {
   return static_cast<core::EvalStatus>(code);
 }
 
+/// The eight amplifier performances every equation amplifier model reports,
+/// in Performance's (name) order, and one evaluation's values in that order
+/// (its "slots").
+inline constexpr std::array<std::string_view, 8> kAmplifierPerformances = {
+    "area", "gain_db", "noise_nv", "pm", "power", "slew", "swing", "ugf"};
+using AmplifierValues = std::array<double, kAmplifierPerformances.size()>;
+
+/// The payload of an evaluation that produced these values.
+Performance amplifierPerformance(const AmplifierValues& v);
+
+/// The slot carrying performance `name`, or nullopt when no slot does.
+/// Consumers resolve their names once, then read slots by position.
+constexpr std::optional<std::size_t> amplifierSlot(std::string_view name) {
+  for (std::size_t i = 0; i < kAmplifierPerformances.size(); ++i)
+    if (kAmplifierPerformances[i] == name) return i;
+  return std::nullopt;
+}
+
 /// Interface: map a design-variable vector to named performance numbers.
 class PerformanceModel {
  public:
@@ -69,6 +91,14 @@ class PerformanceModel {
   /// that fails to evaluate (e.g. no DC convergence) reports the special
   /// performance {"_infeasible": 1.0} plus whatever it could compute.
   virtual Performance evaluate(const std::vector<double>& x) const = 0;
+
+  /// The slot path: a model whose evaluation at x is exactly the eight
+  /// amplifier performances may write them to `out` and return true, so
+  /// inner loops skip the named payload.  Contract: when it returns true,
+  /// amplifierPerformance(out) == evaluate(x) bit for bit; it may throw
+  /// whatever evaluate throws.  False (the default) leaves `out`
+  /// unspecified and sends the caller to evaluate().
+  virtual bool evaluateAmplifier(const std::vector<double>& x, AmplifierValues& out) const;
 
   /// A reasonable starting point (defaults to the geometric middle).
   virtual std::vector<double> initialPoint() const;
@@ -89,6 +119,11 @@ Performance safeEvaluate(const PerformanceModel& model, const std::vector<double
 /// it: a payload holding a NaN value is marked infeasible with
 /// nan_detected and the failure tallied.  Returns whether it was marked.
 bool markNanScores(Performance& perf);
+
+inline bool PerformanceModel::evaluateAmplifier(const std::vector<double>&,
+                                                AmplifierValues&) const {
+  return false;
+}
 
 inline std::vector<double> PerformanceModel::initialPoint() const {
   std::vector<double> x;

@@ -28,9 +28,13 @@ struct Scaler {
     if (d.logScale && d.lo > 0) return d.lo * std::pow(d.hi / d.lo, u);
     return d.lo + u * (d.hi - d.lo);
   }
-  std::vector<double> fromUnit(const std::vector<double>& u) const {
-    std::vector<double> x(u.size());
+  void fromUnit(const std::vector<double>& u, std::vector<double>& x) const {
+    x.resize(u.size());
     for (std::size_t i = 0; i < u.size(); ++i) x[i] = fromUnit(u[i], i);
+  }
+  std::vector<double> fromUnit(const std::vector<double>& u) const {
+    std::vector<double> x;
+    fromUnit(u, x);
     return x;
   }
 
@@ -56,8 +60,16 @@ SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opt
   double stepScale = 0.25;
   std::size_t sinceCool = 0;
 
+  // The cost at unit-cube point `unit`, mapped into one reused design point
+  // (the passes below are serial).
+  std::vector<double> x(n);
+  const auto costAt = [&](const std::vector<double>& unit) {
+    scaler.fromUnit(unit, x);
+    return cost(x);
+  };
+
   num::AnnealProblem prob;
-  prob.cost = [&] { return cost(scaler.fromUnit(u)); };
+  prob.cost = [&] { return costAt(u); };
   prob.propose = [&](num::Rng& rng) {
     uPrev = u;
     // Perturb one to three coordinates; shrink moves slowly over time.
@@ -82,11 +94,10 @@ SynthesisResult synthesize(const CostFunction& cost, const SynthesisOptions& opt
   nm.maxEvaluations = opts.refineEvaluations;
   nm.initialStep = 0.05;
   const auto refined = num::nelderMead(
-      [&](const std::vector<double>& uu) { return cost(scaler.fromUnit(uu)); }, uBest,
-      unitBox, nm);
+      [&](const std::vector<double>& uu) { return costAt(uu); }, uBest, unitBox, nm);
 
-  const std::vector<double> xBest = scaler.fromUnit(
-      refined.value <= cost(scaler.fromUnit(uBest)) ? refined.x : uBest);
+  const std::vector<double> xBest =
+      scaler.fromUnit(refined.value <= costAt(uBest) ? refined.x : uBest);
 
   SynthesisResult res;
   res.x = xBest;

@@ -1,5 +1,6 @@
 #include "topology/library.hpp"
 
+#include <array>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -39,6 +40,13 @@ const TopologyEntry& TopologyLibrary::byName(const std::string& name) const {
 
 namespace {
 
+/// The hull of one performance's samples, in sample order.  The std::min /
+/// std::max operand order keeps a NaN where the hull has always kept it: a
+/// NaN first sample sticks, a later one is dropped.
+void foldSample(num::Interval& hull, double val) {
+  hull = num::Interval{std::min(hull.lo(), val), std::max(hull.hi(), val)};
+}
+
 /// boundsBySampling over a per-axis point count: axis i takes points[i]
 /// evenly spaced grid points (log-spaced on log-scale axes), a single point
 /// sitting at the axis midpoint.
@@ -47,11 +55,21 @@ FeasibilityBounds sampleBounds(const sizing::PerformanceModel& model,
   const auto& vars = model.variables();
   const std::size_t n = vars.size();
   FeasibilityBounds bounds;
+  // Each performance's hull folds its samples in grid order.  A slot model's
+  // samples reach their entries through pointers taken at each slot's first
+  // sample (a std::map entry never moves), with no lookup by name after it.
+  const auto fold = [&](const std::string& name, double val) -> Interval& {
+    auto [it, inserted] = bounds.emplace(name, Interval{val, val});
+    if (!inserted) foldSample(it->second, val);
+    return it->second;
+  };
+  std::array<Interval*, sizing::kAmplifierPerformances.size()> slotHull{};
 
   // Walk the full grid with a mixed-radix counter.
   std::vector<std::size_t> idx(n, 0);
+  std::vector<double> x(n);
+  sizing::AmplifierValues values{};
   while (true) {
-    std::vector<double> x(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double t = points[i] == 1
                            ? 0.5
@@ -60,12 +78,19 @@ FeasibilityBounds sampleBounds(const sizing::PerformanceModel& model,
       x[i] = (v.logScale && v.lo > 0) ? v.lo * std::pow(v.hi / v.lo, t)
                                       : v.lo + t * (v.hi - v.lo);
     }
-    const auto perf = model.evaluate(x);
-    for (const auto& [k, val] : perf) {
-      if (k.rfind('_', 0) == 0) continue;  // skip meta performances
-      auto [it, inserted] = bounds.emplace(k, Interval{val, val});
-      if (!inserted)
-        it->second = Interval{std::min(it->second.lo(), val), std::max(it->second.hi(), val)};
+    if (model.evaluateAmplifier(x, values)) {
+      for (std::size_t slot = 0; slot < slotHull.size(); ++slot) {
+        if (slotHull[slot])
+          foldSample(*slotHull[slot], values[slot]);
+        else
+          slotHull[slot] =
+              &fold(std::string(sizing::kAmplifierPerformances[slot]), values[slot]);
+      }
+    } else {
+      for (const auto& [k, val] : model.evaluate(x)) {
+        if (k.rfind('_', 0) == 0) continue;  // skip meta performances
+        fold(k, val);
+      }
     }
 
     std::size_t d = 0;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "core/trace.hpp"
 #include "sim/stats.hpp"
@@ -106,20 +109,23 @@ SelectAndSizeResult selectAndSize(const TopologyLibrary& lib, const sizing::Spec
   // Interval filter first (cheap, sound), then order survivors by rules.
   const auto byInterval = intervalSelect(lib, specs);
   const auto byRules = ruleBasedSelect(lib, specs);
-  auto ruleRank = [&](const std::string& name) {
-    for (std::size_t i = 0; i < byRules.size(); ++i)
-      if (byRules[i].name == name) return i;
-    return byRules.size();
-  };
+  std::unordered_map<std::string_view, std::size_t> ruleRank;
+  for (std::size_t i = 0; i < byRules.size(); ++i) ruleRank.emplace(byRules[i].name, i);
 
-  std::vector<Candidate> order;
-  for (const auto& c : byInterval)
-    if (c.feasible) order.push_back(c);
-  std::sort(order.begin(), order.end(), [&](const Candidate& a, const Candidate& b) {
-    const std::size_t ra = ruleRank(a.name), rb = ruleRank(b.name);
-    if (ra != rb) return ra < rb;
-    return a.name < b.name;  // both unranked by rules: order by name
+  // Feasible candidates with their rule ranks, each looked up once.
+  std::vector<std::pair<std::size_t, const Candidate*>> ranked;
+  for (const auto& c : byInterval) {
+    if (!c.feasible) continue;
+    const auto it = ruleRank.find(c.name);
+    ranked.emplace_back(it == ruleRank.end() ? byRules.size() : it->second, &c);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second->name < b.second->name;  // both unranked by rules: order by name
   });
+  std::vector<Candidate> order;
+  order.reserve(ranked.size());
+  for (const auto& [rank, c] : ranked) order.push_back(*c);
   result.consideredOrder = order;
 
   std::size_t sized = 0;

@@ -39,6 +39,7 @@
 #include "reference/handwritten_opamp.hpp"
 #include "sizing/blocks.hpp"
 #include "sizing/opamp.hpp"
+#include "sizing/ugf_detail.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
 #include "topology/select.hpp"
@@ -707,6 +708,94 @@ TEST(UgfDifferential, AdversarialInputsMatchThePlainBisectionBitForBit) {
   EXPECT_TRUE(sawCeilingOverflow);
   EXPECT_TRUE(sawRiseThroughUnity);
   EXPECT_GT(cases, 10'000u);
+}
+
+TEST(UgfDifferential, WrongCrossingEstimatesMatchThePlainBisectionBitForBit) {
+  // The band certified around a crossing estimate decides the bisection's
+  // steps outside it, so however wrong the estimate, each such decision
+  // must be the exact test's.  Each solve gets estimates far above and far
+  // below the crossing, off by more than the band's first widths, at the
+  // bracket ends (p1 and 1e13), non-finite, and swept one ulp at a time
+  // across the crossing, so each band edge lands on either side of it at
+  // every distance the certificate's margin has to cover.  A compensation
+  // capacitor raised far past its bound pushes the crossing down to where
+  // f^2 is subnormal, so a band edge's square no longer round-trips through
+  // the sqrt.
+  namespace ud = sz::ugf_detail;
+  std::vector<ckt::Process> procs(5, proc());
+  procs[1].kpP = 0.0;
+  procs[2].lambdaN = procs[2].lambdaP = 1e4;
+  procs[3] = mf::VariationSpace{}.apply(proc(), {1, 0, 1, 0, 1, 0});
+  procs[4] = mf::VariationSpace{}.apply(proc(), {0, 1, 0, 1, 0, 1});
+  constexpr int kSweepUlps = 96;
+  struct Tally {
+    std::string mismatch;
+    std::size_t solves = 0, certifiedWrong = 0, openLow = 0;
+  };
+  const auto structs = twoStageStructures();
+  const auto tallies = core::parallelMap(structs.size(), [&](std::size_t i) {
+    const auto& s = structs[i];
+    Tally tally;
+    num::Rng rng(0xe57000u + i);
+    for (const auto& pr : procs) {
+      const sz::ComposedOpampModel model(s, pr, kLoadCap);
+      std::vector<std::vector<double>> xs{model.initialPoint()};
+      for (int p = 0; p < 10; ++p) xs.push_back(uniformInBox(model.variables(), rng));
+      const auto seeded = xs.back();
+      xs.push_back(seeded);
+      xs.back().front() = std::nan("");
+      std::size_t ccIndex = 0;
+      while (model.variables()[ccIndex].name != "cc") ++ccIndex;
+      for (const double cc : {1e150, 1e155}) {
+        xs.push_back(seeded);
+        xs.back()[ccIndex] = cc;
+      }
+      for (const auto& x : xs) {
+        const auto r = ref::composedTwoStageUgf(s, pr, kLoadCap, x, pr);
+        const auto t = ud::twoStageTerms(s, pr, kLoadCap, sz::composedGeometryFor(s, x, pr));
+        const double u = r.ugf;
+        std::vector<double> estimates{u * 1e3,         u * 1e-3,    u * (1 + 1e-7),
+                                      u * (1 - 1e-7),  u * (1 + 1e-11), u * (1 - 1e-11),
+                                      t.p1,            1e13,        0.0,
+                                      std::nan(""),    HUGE_VAL};
+        if (std::isfinite(u) && u > 0.0) {
+          double below = u, above = u;
+          for (int k = 0; k < kSweepUlps; ++k) {
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, HUGE_VAL);
+            estimates.push_back(below);
+            estimates.push_back(above);
+          }
+        }
+        const double own = ud::crossingEstimate(t);
+        for (const double e : estimates) {
+          const auto band = ud::certifiedBand(t, e);
+          const double got = ud::solveUgf(t, band);
+          ++tally.solves;
+          if (!sameBits(got, u) && tally.mismatch.empty()) {
+            std::ostringstream os;
+            os.precision(17);
+            os << s.name() << ": ugf " << got << " vs " << u << " at estimate " << e;
+            tally.mismatch = os.str();
+          }
+          const bool certified = band.loSq != -HUGE_VAL || band.hiSq != HUGE_VAL;
+          tally.certifiedWrong += certified && e != own;
+          tally.openLow += certified && band.loSq == -HUGE_VAL;
+        }
+      }
+    }
+    return tally;
+  });
+  Tally total;
+  for (const auto& t : tallies) {
+    EXPECT_EQ(t.mismatch, "");
+    total.solves += t.solves;
+    total.certifiedWrong += t.certifiedWrong;
+    total.openLow += t.openLow;
+  }
+  // Wrong estimates did certify bands, some open at the bracket's low end.
+  EXPECT_GT(total.certifiedWrong, total.solves / 4);
+  EXPECT_GT(total.openLow, 0u);
 }
 
 // ---------------------------------------------------------------------------

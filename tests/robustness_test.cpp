@@ -5,7 +5,9 @@
 // (core::EvalStatus) and the observability counters (sim/stats.hpp).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -102,6 +104,34 @@ class NanModel : public sizing::PerformanceModel {
   }
 
  private:
+  std::vector<sizing::DesignVariable> vars_{{"a", 1.0, 10.0, false, 1.0}};
+};
+
+/// Slot-path model with fixed slot values over one variable; evaluate() is
+/// amplifierPerformance of them, as the slot contract requires.  Any other
+/// dimension throws, as it does for the composed models, and a throwing
+/// model throws at every point.
+class SlotModel : public sizing::PerformanceModel {
+ public:
+  explicit SlotModel(const sizing::AmplifierValues& v, bool throws = false)
+      : v_(v), throws_(throws) {}
+  const std::vector<sizing::DesignVariable>& variables() const override { return vars_; }
+  sizing::Performance evaluate(const std::vector<double>& x) const override {
+    sizing::AmplifierValues v{};
+    evaluateAmplifier(x, v);
+    return sizing::amplifierPerformance(v);
+  }
+  bool evaluateAmplifier(const std::vector<double>& x,
+                         sizing::AmplifierValues& out) const override {
+    if (throws_) throw std::runtime_error("poisoned slot model");
+    if (x.size() != vars_.size()) throw std::invalid_argument("slot model: wrong dimension");
+    out = v_;
+    return true;
+  }
+
+ private:
+  sizing::AmplifierValues v_;
+  bool throws_;
   std::vector<sizing::DesignVariable> vars_{{"a", 1.0, 10.0, false, 1.0}};
 };
 
@@ -304,6 +334,53 @@ TEST(Containment, CostFunctionIsTotalOverPoisonedModels) {
   const sizing::CostFunction goodCost(good, specs);
   EXPECT_LT(goodCost.detailed({3.0}).cost, d.cost);
   EXPECT_LT(goodCost.detailed({3.0}).cost, dn.cost);
+
+  // Slot models: the compiled cost falls back to detailed() for a NaN or
+  // infinite slot (read by a spec or not), a throwing model and a
+  // wrong-dimension point, with the same cost bits and the same sim.fail.*
+  // tallies, and counts one evaluation either way.
+  sizing::SpecSet slotSpecs;
+  slotSpecs.atLeast("gain_db", 60.0).atMost("power", 1e-3).minimize("area", 1.0, 1e-9);
+  const sizing::AmplifierValues clean{2e-9, 70.0, 20.0, 60.0, 5e-4, 1e6, 2.0, 1e7};
+  std::vector<std::unique_ptr<SlotModel>> models;
+  models.push_back(std::make_unique<SlotModel>(clean));
+  for (std::size_t slot = 0; slot < clean.size(); ++slot)
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      auto v = clean;
+      v[slot] = bad;
+      models.push_back(std::make_unique<SlotModel>(v));
+    }
+  models.push_back(std::make_unique<SlotModel>(clean, /*throws=*/true));
+  using Tallies = std::array<std::uint64_t, core::kEvalStatusCount>;
+  const auto tallies = [](const CounterDelta& delta) {
+    Tallies t{};
+    for (std::size_t s = 0; s < t.size(); ++s) t[s] = delta.failures(static_cast<EvalStatus>(s));
+    return t;
+  };
+  std::size_t fellBack = 0;
+  for (const auto& model : models) {
+    const sizing::CostFunction slotCost(*model, slotSpecs);
+    for (const std::vector<double>& x : {std::vector<double>{2.0}, std::vector<double>{},
+                                         std::vector<double>{2.0, 3.0}}) {
+      const CounterDelta viaSlots;
+      const double c = slotCost(x);
+      const Tallies slotTallies = tallies(viaSlots);
+      EXPECT_EQ(viaSlots["sizing.cost_evals"], 1u);
+      const CounterDelta viaDetail;
+      const auto dd = slotCost.detailed(x);
+      EXPECT_EQ(std::memcmp(&c, &dd.cost, sizeof c), 0) << c << " vs " << dd.cost;
+      EXPECT_TRUE(std::isfinite(c));
+      EXPECT_EQ(slotTallies, tallies(viaDetail));
+      fellBack += dd.status != EvalStatus::Ok;
+    }
+  }
+  // Failures at the one-dimensional point: the eight NaN slots; an infinite
+  // area (the objective goes non-finite), +inf power and -inf gain (a
+  // violation does); the throwing model.  Then every model at both
+  // wrong-dimension points.
+  EXPECT_EQ(fellBack, 8 + 4 + 1 + 2 * models.size());
 }
 
 TEST(Containment, ParallelForCapturedIsolatesFailingIndex) {

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "bit_digest.hpp"
+#include "counter_delta.hpp"
 #include "manufacture/corners.hpp"
 #include "numeric/rng.hpp"
 #include "reference/handwritten_opamp.hpp"
@@ -516,4 +519,153 @@ TEST(EvalGoldens, RelaxedDcModelAtSeededPoints) {
   for (int p = 0; p < 8; ++p)
     addPerformance(d, model.evaluate(seededInteriorPoint(model.variables(), rng)));
   EXPECT_EQ(d.hex(), "0xa6defa7f913652da");
+}
+
+// ---------------------------------------------------------------------------
+// The slot path (PerformanceModel::evaluateAmplifier): a model that takes it
+// reports exactly what evaluate() reports, and a cost compiled over it
+// scores every point exactly as detailed() does, counting one evaluation.
+
+namespace {
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Empty when the model declines the slot path at x (`took` false) or its
+/// slots rebuild evaluate(x) bit for bit; otherwise the first difference.
+std::string slotMismatch(const sz::PerformanceModel& model, const std::vector<double>& x,
+                         bool& took) {
+  sz::AmplifierValues v{};
+  took = model.evaluateAmplifier(x, v);
+  if (!took) return {};
+  const auto got = sz::amplifierPerformance(v);
+  const auto want = model.evaluate(x);
+  if (got.size() != want.size())
+    return std::to_string(got.size()) + " slots vs " + std::to_string(want.size()) + " entries";
+  for (auto a = got.begin(), b = want.begin(); a != got.end(); ++a, ++b)
+    if (a->first != b->first || !sameBits(a->second, b->second)) return a->first;
+  return {};
+}
+
+/// Box corners of the model's box, at most `count` of them, spread over the
+/// corner masks.
+std::vector<std::vector<double>> someBoxCorners(const sz::PerformanceModel& model,
+                                                std::size_t count) {
+  const std::size_t all = std::size_t{1} << model.dimension();
+  const std::size_t stride = std::max<std::size_t>(1, all / count);
+  std::vector<std::vector<double>> out;
+  for (std::size_t mask = 0; mask < all; mask += stride)
+    out.push_back(boxCorner(model.variables(), mask));
+  return out;
+}
+
+mf::ModelFactory twoStageCornerFactory() {
+  return [](const ckt::Process& corner) {
+    return sz::makeTwoStageCornerModel(corner, proc(), 5e-12);
+  };
+}
+
+/// Constraints of both senses, two on one performance (so a corner fold
+/// takes both the minimum and the maximum of it), one on a performance no
+/// slot carries, and objectives of both senses.
+sz::SpecSet slotSpecs() {
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 70.0)
+      .atMost("power", 2e-3)
+      .atLeast("ugf", 5e6)
+      .atLeast("pm", 60.0)
+      .atMost("noise_nv", 30.0)
+      .atMost("pm", 85.0, 0.5)
+      .atMost("area", 1e-9)
+      .atLeast("swing", 2.0)
+      .atLeast("cmrr_db", 60.0)
+      .minimize("power", 0.5, 1e-3)
+      .maximize("slew", 0.2, 1e6)
+      .minimize("area", 1.0, 1e-9);
+  return specs;
+}
+
+}  // namespace
+
+TEST(AmplifierSlots, EveryModelKindMatchesEvaluateBitForBit) {
+  // Seeded points must take the slot path; box corners (NaN-producing ones
+  // included) must match whenever they take it.
+  const auto check = [](const sz::PerformanceModel& model, const std::vector<double>& x,
+                        bool mustTake) {
+    bool took = false;
+    EXPECT_EQ(slotMismatch(model, x, took), "");
+    if (mustTake) {
+      EXPECT_TRUE(took);
+    }
+  };
+  const auto checkModel = [&](const sz::PerformanceModel& model, num::Rng& rng,
+                              bool cornersMustTake) {
+    check(model, model.initialPoint(), true);
+    for (int p = 0; p < 8; ++p) check(model, seededInteriorPoint(model.variables(), rng), true);
+    for (const auto& x : someBoxCorners(model, 64)) check(model, x, cornersMustTake);
+  };
+  // Every composed structure, and the two-stage corner model at every
+  // corner-hunt vertex: both always take the slot path.
+  const auto structures = sz::enumerateOpampStructures();
+  ASSERT_EQ(structures.size(), 70u);
+  num::Rng rng(71);
+  for (const auto& s : structures) checkModel(sz::ComposedOpampModel(s, proc(), 5e-12), rng, true);
+  for (const auto& corner : cornerHuntVertices())
+    checkModel(*sz::makeTwoStageCornerModel(corner, proc(), 5e-12), rng, true);
+  // Corner sets of one to four corners: the lock-step pass folded by slot.
+  const std::vector<std::vector<double>> corners{
+      {1, 0, 1, 0, 1, 0}, {0, 1, 0, 1, 0, 1}, {0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, {1, 1, 0, 0, 1, 1}};
+  for (std::size_t n = 1; n <= corners.size(); ++n) {
+    const mf::CornerSetModel model(twoStageCornerFactory(), proc(), mf::VariationSpace{},
+                                   slotSpecs(), {corners.begin(), corners.begin() + n});
+    checkModel(model, rng, false);
+  }
+
+  // Declining: a corner set with a NaN lane or a wrong-dimension point, and
+  // any model without slots.  A composed model throws what evaluate throws.
+  const mf::CornerSetModel set(twoStageCornerFactory(), proc(), mf::VariationSpace{},
+                               slotSpecs(), {corners.front()});
+  const std::vector<double> nanX(set.dimension(), std::nan(""));
+  sz::AmplifierValues v{};
+  EXPECT_FALSE(set.evaluateAmplifier(nanX, v));
+  EXPECT_FALSE(set.evaluateAmplifier({1.0, 2.0}, v));
+  EXPECT_FALSE(ThrowingModel{}.evaluateAmplifier({1.0}, v));
+  EXPECT_THROW(twoStageModel().evaluateAmplifier({1.0, 2.0}, v), std::invalid_argument);
+}
+
+TEST(CostFunction, SlotPathMatchesDetailedBitForBit) {
+  const auto vertices = cornerHuntVertices();
+  // Every sixth composed structure, single- and two-stage, the two-stage
+  // corner model and a corner set.
+  std::vector<std::unique_ptr<sz::PerformanceModel>> models;
+  const auto structures = sz::enumerateOpampStructures();
+  for (std::size_t i = 0; i < structures.size(); i += 6)
+    models.push_back(std::make_unique<sz::ComposedOpampModel>(structures[i], proc(), 5e-12));
+  models.push_back(sz::makeTwoStageCornerModel(vertices[37], proc(), 5e-12));
+  models.push_back(std::make_unique<mf::CornerSetModel>(
+      twoStageCornerFactory(), proc(), mf::VariationSpace{}, slotSpecs(),
+      std::vector<std::vector<double>>{{1, 0, 1, 0, 1, 0}, {0, 1, 1, 0, 0, 1}}));
+  num::Rng rng(73);
+  std::size_t points = 0;
+  for (const auto& model : models) {
+    std::vector<std::vector<double>> xs{model->initialPoint()};
+    for (int p = 0; p < 48; ++p) xs.push_back(seededInteriorPoint(model->variables(), rng));
+    for (const auto& x : someBoxCorners(*model, 16)) xs.push_back(x);
+    for (const double bad : {-1.0, 0.0, std::nan("")}) {
+      xs.push_back(model->initialPoint());
+      xs.back().back() = bad;
+    }
+    for (const double weight : {sz::kPenaltyWeight, 30.0 * sz::kPenaltyWeight}) {
+      const sz::CostFunction cost(*model, slotSpecs(), weight);
+      for (const auto& x : xs) {
+        const std::size_t before = cost.evaluationCount();
+        const amsyn::testutil::CounterDelta delta;
+        const double c = cost(x);
+        EXPECT_EQ(delta["sizing.cost_evals"], 1u);
+        EXPECT_EQ(cost.evaluationCount(), before + 1);
+        EXPECT_TRUE(sameBits(c, cost.detailed(x).cost)) << c << " at point " << points;
+        ++points;
+      }
+    }
+  }
+  EXPECT_EQ(points, models.size() * 2 * (1 + 48 + 16 + 3));
 }

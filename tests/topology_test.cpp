@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "bit_digest.hpp"
+#include "sizing/eqmodel.hpp"
 #include "topology/genetic.hpp"
 #include "topology/library.hpp"
 #include "topology/select.hpp"
@@ -190,6 +193,100 @@ TEST(Bounds, WidenBelowOneOrNotFiniteThrows) {
   for (const double widen : {0.5, -1.0, std::nan(""), std::numeric_limits<double>::infinity()})
     EXPECT_THROW(tp::boundsBySampling(SpanModel{}, 3, widen), std::invalid_argument) << widen;
   EXPECT_NO_THROW(tp::boundsBySampling(SpanModel{}, 3, 1.0));
+}
+
+namespace {
+/// Forwards to a model but hides its slot path, so boundsBySampling folds
+/// every sample by name; with `every` > 0 it keeps the slot path on every
+/// `every`-th evaluation, so one walk mixes both folds.  Serial use only.
+class SlotHidingModel : public sz::PerformanceModel {
+ public:
+  SlotHidingModel(const sz::PerformanceModel& inner, std::size_t every)
+      : inner_(inner), every_(every) {}
+  const std::vector<sz::DesignVariable>& variables() const override {
+    return inner_.variables();
+  }
+  sz::Performance evaluate(const std::vector<double>& x) const override {
+    return inner_.evaluate(x);
+  }
+  bool evaluateAmplifier(const std::vector<double>& x, sz::AmplifierValues& out) const override {
+    if (every_ == 0 || calls_++ % every_ != 0) return false;
+    return inner_.evaluateAmplifier(x, out);
+  }
+
+ private:
+  const sz::PerformanceModel& inner_;
+  std::size_t every_;
+  mutable std::size_t calls_ = 0;
+};
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Empty when both carry the same names and bit-identical intervals.
+std::string boundsMismatch(const tp::FeasibilityBounds& got, const tp::FeasibilityBounds& want) {
+  if (got.size() != want.size())
+    return std::to_string(got.size()) + " bounds vs " + std::to_string(want.size());
+  for (auto a = got.begin(), b = want.begin(); a != got.end(); ++a, ++b)
+    if (a->first != b->first || !sameBits(a->second.lo(), b->second.lo()) ||
+        !sameBits(a->second.hi(), b->second.hi()))
+      return a->first + " vs " + b->first;
+  return {};
+}
+
+/// One-variable slot model whose ugf slot is NaN at the first grid point
+/// (t = 0) and whose gain slot is NaN at the last one (t = 1).
+class LateNanSlotModel : public sz::PerformanceModel {
+ public:
+  const std::vector<sz::DesignVariable>& variables() const override { return vars_; }
+  sz::Performance evaluate(const std::vector<double>& x) const override {
+    sz::AmplifierValues v{};
+    evaluateAmplifier(x, v);
+    return sz::amplifierPerformance(v);
+  }
+  bool evaluateAmplifier(const std::vector<double>& x, sz::AmplifierValues& out) const override {
+    const double t = x.at(0), nan = std::numeric_limits<double>::quiet_NaN();
+    out = {1e-9 + t * 1e-9, t == 1.0 ? nan : 40.0 + 20.0 * t, 20.0, 60.0, 1e-3, 1e6, 2.0,
+           t == 0.0 ? nan : 1e6 + t * 1e6};
+    return true;
+  }
+
+ private:
+  std::vector<sz::DesignVariable> vars_{{"t", 0.0, 1.0, false}};
+};
+}  // namespace
+
+TEST(Bounds, SlotAndByNameFoldsAgree) {
+  // boundsBySampling folds a slot model's samples through one pointer per
+  // slot and any other model's by name.  Both, and a walk mixing them, must
+  // give the same bounds bit for bit: for every composed structure at the
+  // nominal process and at processes whose samples go NaN or infinite.
+  std::vector<ckt::Process> procs(3, proc());
+  procs[1].kpP = 0.0;  // dead load device
+  procs[2].lambdaN = procs[2].lambdaP = 1e4;
+  std::size_t nanBounds = 0;
+  for (const auto& s : sz::enumerateOpampStructures()) {
+    for (const auto& pr : procs) {
+      const sz::ComposedOpampModel model(s, pr, 5e-12);
+      const std::size_t grid = model.dimension() <= 7 ? 3 : 2;
+      const auto direct = tp::boundsBySampling(model, grid);
+      for (const std::size_t every : {0u, 3u}) {
+        const SlotHidingModel hidden(model, every);
+        EXPECT_EQ(boundsMismatch(tp::boundsBySampling(hidden, grid), direct), "")
+            << s.name() << ", slot path on every " << every << "th sample";
+      }
+      for (const auto& [name, b] : direct) nanBounds += std::isnan(b.lo()) || std::isnan(b.hi());
+    }
+  }
+  EXPECT_GT(nanBounds, 0u);  // the poisoned processes reached the NaN folds
+
+  // The hull's NaN rule, on either fold: a NaN first sample sticks, a NaN
+  // after a number is dropped.
+  const LateNanSlotModel late;
+  const auto direct = tp::boundsBySampling(late, 3, 1.0);
+  EXPECT_TRUE(std::isnan(direct.at("ugf").lo()));
+  EXPECT_DOUBLE_EQ(direct.at("gain_db").lo(), 40.0);
+  EXPECT_DOUBLE_EQ(direct.at("gain_db").hi(), 50.0);
+  EXPECT_EQ(boundsMismatch(tp::boundsBySampling(SlotHidingModel(late, 0), 3, 1.0), direct), "");
 }
 
 TEST(Bounds, LegacyLibraryBoundsAreSane) {
